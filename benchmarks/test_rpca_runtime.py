@@ -5,16 +5,16 @@ the experiments with 196 instances" (a 10 × 38416 matrix), and the RPCA
 calculation contributes <2% of total overhead. Our numpy solvers are far
 faster than that bound; the benchmark records the actual per-solve time.
 
-The backend matrix below tracks both pluggable kernel layers: each solver
-runs under combinations of the partial-SVD backend (``repro.core.kernels``,
-``exact`` vs ``auto``) and the elementwise backend
-(``repro.core.elementwise``, ``reference`` vs ``fused`` vs — when numba is
-installed — ``jit``). The final test writes ``BENCH_rpca.json`` at the repo
-root — mean solve time, iterations, SVD share *and* elementwise share per
-cell, plus auto-vs-exact and fused-vs-reference speedups per solver — so
-future PRs can track the perf trajectory. Numerical parity is asserted
-unconditionally (bit-identity for ``fused``, solver tolerance for ``auto``
-and ``jit``); the speedup targets are only *asserted* when
+The backend matrix below runs each solver under both SVD paths
+(``repro.core.kernels``): ``exact``, the historical full-SVD loop, and
+``auto``, which on this shape is the Gram kernel plus the fused
+elementwise kernel (``repro.core.elementwise``). The final test writes
+``BENCH_rpca.json`` at the repo root — mean solve time, iterations, SVD
+share and elementwise share per cell, plus the auto-vs-exact speedup per
+solver — so future PRs can track the perf trajectory. Numerical parity
+(``auto`` against ``exact`` to solver tolerance, same iteration count; the
+fused elementwise kernel against the ufunc chain it replaces, bit for bit)
+is asserted unconditionally; the speedup target is only *asserted* when
 ``REPRO_PERF_STRICT=1`` (CI runs record timings but fail on parity, not on
 a noisy shared runner's clock).
 """
@@ -27,30 +27,22 @@ import pytest
 
 from repro import observability
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
+from repro.core import elementwise
 from repro.core.decompose import decompose
-from repro.core.elementwise import jit_available
 from repro.observability.benchrecord import bench_record, write_bench_json
 
 MB = 1024 * 1024
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_rpca.json"
-SPEEDUP_TARGET = 5.0  # auto vs exact (SVD layer)
-EW_SPEEDUP_TARGET = 2.5  # auto+fused vs auto+reference (elementwise layer)
+SPEEDUP_TARGET = 5.0  # auto vs exact
 ROUNDS = 3
 SEED = 196
 
-# The (svd_backend, elementwise_backend) cells each solver runs. "exact"
-# only pairs with "reference" (the bit-pinned historical loop has no step
-# seam for the elementwise kernel); the jit cell is skipped without numba.
-COMBOS = [
-    ("exact", "reference"),
-    ("auto", "reference"),
-    ("auto", "fused"),
-    ("auto", "jit"),
-]
+# The svd_backend cells each solver runs.
+SVD_CELLS = ["exact", "auto"]
 
 # Filled by the backend-matrix benchmarks, consumed (and written out) by
-# test_backend_speedup_and_emit below. Keyed by (solver, svd, ew).
-_MATRIX: dict[tuple[str, str, str], dict] = {}
+# test_backend_speedup_and_emit below. Keyed by (solver, svd).
+_MATRIX: dict[tuple[str, str], dict] = {}
 
 
 @pytest.fixture(scope="module")
@@ -68,20 +60,15 @@ def test_rpca_solver_runtime_196_instances(benchmark, tp_196, solver):
     assert stats.mean < 60.0
 
 
-@pytest.mark.parametrize("svd,ew", COMBOS)
+@pytest.mark.parametrize("svd", SVD_CELLS)
 @pytest.mark.parametrize("solver", ["apg", "ialm"])
-def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd, ew):
-    """One (solver, svd, ew) cell: benchmark it and record the diagnostics."""
-    if ew == "jit" and not jit_available():
-        pytest.skip("numba not installed; jit elementwise cell skipped")
-    sink = observability.Instrumentation(f"{solver}-{svd}-{ew}")
-    ew_kwarg = None if ew == "reference" else ew
+def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd):
+    """One (solver, svd) cell: benchmark it and record the diagnostics."""
+    sink = observability.Instrumentation(f"{solver}-{svd}")
 
     def run():
         with observability.instrumented(sink):
-            return decompose(
-                tp_196, solver=solver, svd_backend=svd, elementwise_backend=ew_kwarg
-            )
+            return decompose(tp_196, solver=solver, svd_backend=svd)
 
     dec = benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=0)
     stats = benchmark.stats.stats
@@ -97,10 +84,9 @@ def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd, ew):
             return None
         return float(seconds / total_seconds)
 
-    _MATRIX[(solver, svd, ew)] = {
+    _MATRIX[(solver, svd)] = {
         "solver": solver,
         "backend": svd,
-        "elementwise_backend": ew,
         "rounds": ROUNDS,
         "mean_seconds": float(stats.mean),
         "iterations": dec.solver_iterations,
@@ -116,26 +102,22 @@ def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd, ew):
     }
 
 
-def test_backend_speedup_and_emit(tp_196, emit):
-    """Parity across backends, the perf record, and the strict speedup gates.
+def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
+    """Parity across backends, the perf record, and the strict speedup gate.
 
     Runs after the matrix cells above (pytest executes in definition
-    order). Parity is unconditional — bit-identity for fused, solver
-    tolerance for auto and jit; the speedup targets are only assertions
-    under ``REPRO_PERF_STRICT=1`` so CI fails on correctness, not on a
-    loaded runner's timings.
+    order). Parity is unconditional; the speedup target is only an
+    assertion under ``REPRO_PERF_STRICT=1`` so CI fails on correctness,
+    not on a loaded runner's timings.
     """
-    expected = 2 * (len(COMBOS) - (0 if jit_available() else 1))
-    assert len(_MATRIX) == expected, (
+    assert len(_MATRIX) == 2 * len(SVD_CELLS), (
         "backend matrix did not populate (run the whole module)"
     )
 
-    svd_speedups = {}
-    ew_speedups = {}
+    speedups = {}
     for solver in ("apg", "ialm"):
-        exact = _MATRIX[(solver, "exact", "reference")]
-        auto = _MATRIX[(solver, "auto", "reference")]
-        fused = _MATRIX[(solver, "auto", "fused")]
+        exact = _MATRIX[(solver, "exact")]
+        auto = _MATRIX[(solver, "auto")]
         # Cold partial-backend solves agree with exact to solver tolerance.
         scale = float(np.abs(exact["constant_row"]).max())
         diff = float(np.abs(auto["constant_row"] - exact["constant_row"]).max())
@@ -145,23 +127,18 @@ def test_backend_speedup_and_emit(tp_196, emit):
         )
         assert auto["iterations"] == exact["iterations"]
         assert auto["rank"] == exact["rank"]
-        # The fused elementwise backend is bit-identical by contract.
-        assert np.array_equal(fused["constant_row"], auto["constant_row"]), (
-            f"{solver}: fused elementwise backend broke bit-parity"
-        )
-        assert fused["iterations"] == auto["iterations"]
-        assert fused["rank"] == auto["rank"]
-        if jit_available():
-            jit = _MATRIX[(solver, "auto", "jit")]
-            jdiff = float(np.abs(jit["constant_row"] - auto["constant_row"]).max())
-            assert jdiff <= 1e-6 * scale, (
-                f"{solver}: jit elementwise backend outside certification "
-                f"tolerance (max abs diff {jdiff:.3e} vs scale {scale:.3e})"
-            )
         # Steady state never falls back to a full-width SVD on this shape.
         assert auto["full_width_svds"] == 0
-        svd_speedups[solver] = exact["mean_seconds"] / auto["mean_seconds"]
-        ew_speedups[solver] = auto["mean_seconds"] / fused["mean_seconds"]
+        # The fused elementwise kernel is bit-identical to the historical
+        # ufunc chain it falls back to: re-solve with every step on it.
+        with monkeypatch.context() as mp:
+            mp.setattr(elementwise, "_fusable", lambda *arrays: False)
+            chain = decompose(tp_196, solver=solver, svd_backend="auto")
+        assert np.array_equal(chain.constant.row, auto["constant_row"]), (
+            f"{solver}: fused elementwise kernel broke bit-parity"
+        )
+        assert chain.solver_iterations == auto["iterations"]
+        speedups[solver] = exact["mean_seconds"] / auto["mean_seconds"]
 
     record = bench_record(
         "rpca_runtime_196_instances",
@@ -169,10 +146,7 @@ def test_backend_speedup_and_emit(tp_196, emit):
         backend=None,  # per-cell backends live in "results"
         matrix_shape=[tp_196.data.shape[0], tp_196.data.shape[1]],
         speedup_target=SPEEDUP_TARGET,
-        ew_speedup_target=EW_SPEEDUP_TARGET,
-        speedup_auto_vs_exact={k: float(v) for k, v in svd_speedups.items()},
-        speedup_fused_vs_reference={k: float(v) for k, v in ew_speedups.items()},
-        jit_available=jit_available(),
+        speedup_auto_vs_exact={k: float(v) for k, v in speedups.items()},
         results=[
             {k: v for k, v in cell.items() if k != "constant_row"}
             for cell in _MATRIX.values()
@@ -188,37 +162,25 @@ def test_backend_speedup_and_emit(tp_196, emit):
 
         lines.append(
             f"  {cell['solver']:<5} {cell['backend']:<6} "
-            f"{cell['elementwise_backend']:<9} "
             f"{cell['mean_seconds'] * 1e3:9.1f} ms  "
             f"{cell['iterations']:4d} iters  "
             f"svd {fmt(cell['svd_share'])}  ew {fmt(cell['ew_share'])}"
         )
     lines.append(
         "  speedup auto vs exact: "
-        + ", ".join(f"{s} {v:.1f}x" for s, v in svd_speedups.items())
-        + f"  (target >= {SPEEDUP_TARGET}x)"
-    )
-    lines.append(
-        "  speedup fused vs reference: "
-        + ", ".join(f"{s} {v:.2f}x" for s, v in ew_speedups.items())
-        + f"  (target >= {EW_SPEEDUP_TARGET}x, wrote {BENCH_JSON.name})"
+        + ", ".join(f"{s} {v:.1f}x" for s, v in speedups.items())
+        + f"  (target >= {SPEEDUP_TARGET}x, wrote {BENCH_JSON.name})"
     )
     emit("\n".join(lines))
 
-    best_svd = max(svd_speedups.values())
-    best_ew = max(ew_speedups.values())
+    best = max(speedups.values())
     if os.environ.get("REPRO_PERF_STRICT") == "1":
-        assert best_svd >= SPEEDUP_TARGET, (
+        assert best >= SPEEDUP_TARGET, (
             f"expected >= {SPEEDUP_TARGET}x auto-vs-exact speedup on at "
-            f"least one solver, measured {svd_speedups}"
+            f"least one solver, measured {speedups}"
         )
-        assert best_ew >= EW_SPEEDUP_TARGET, (
-            f"expected >= {EW_SPEEDUP_TARGET}x fused-vs-reference speedup "
-            f"on at least one solver, measured {ew_speedups}"
-        )
-    elif best_svd < SPEEDUP_TARGET or best_ew < EW_SPEEDUP_TARGET:
+    elif best < SPEEDUP_TARGET:
         pytest.skip(
-            f"speedups (svd {best_svd:.1f}x / ew {best_ew:.2f}x) below "
-            f"targets ({SPEEDUP_TARGET}x / {EW_SPEEDUP_TARGET}x) but "
+            f"speedup {best:.1f}x below target {SPEEDUP_TARGET}x but "
             "REPRO_PERF_STRICT not set (recorded, not enforced)"
         )

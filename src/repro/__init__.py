@@ -64,7 +64,6 @@ from .core import (
     BATCH_DTYPES,
     SolverResult,
     SVD_BACKENDS,
-    EW_BACKENDS,
     spectral_norm,
     rpca_apg,
     rpca_ialm,
@@ -138,7 +137,6 @@ __all__ = [
     "BATCH_DTYPES",
     "SolverResult",
     "SVD_BACKENDS",
-    "EW_BACKENDS",
     "spectral_norm",
     "rpca_apg",
     "rpca_ialm",

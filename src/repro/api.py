@@ -37,7 +37,6 @@ from typing import Any, Iterable
 from .cloudsim.trace import CalibrationTrace
 from .core.decompose import Decomposition, decompose
 from .core.detectors import validate_regime_detector
-from .core.elementwise import check_ew_svd_compatible, validate_ew_backend
 from .core.kernels import validate_backend
 from .core.streaming import StreamingConfig, validate_mode
 from .errors import ValidationError
@@ -87,14 +86,11 @@ class SolveConfig:
     solver: str = "apg"
     extraction: str = "mean"
     svd_backend: str = "exact"
-    elementwise_backend: str = "reference"
 
     def __post_init__(self) -> None:
         if self.window is not None and int(self.window) < 2:
             raise ValidationError("window must be >= 2 or None")
         validate_backend(self.svd_backend)
-        validate_ew_backend(self.elementwise_backend)
-        check_ew_svd_compatible(self.svd_backend, self.elementwise_backend)
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,6 @@ class SessionConfig:
     solver: str = "apg"
     warm_start: bool = True
     svd_backend: str = "exact"
-    elementwise_backend: str = "reference"
     mode: str = "batch"
     stream_tolerance: float | None = None
     stream_refresh_every: int | None = None
@@ -135,8 +130,6 @@ class SessionConfig:
         if int(self.window) < 1:
             raise ValidationError("window must be >= 1")
         validate_backend(self.svd_backend)
-        validate_ew_backend(self.elementwise_backend)
-        check_ew_svd_compatible(self.svd_backend, self.elementwise_backend)
         validate_mode(self.mode)
         if self.mode != "streaming" and (
             self.stream_tolerance is not None
@@ -217,14 +210,8 @@ def solve(
     tp = trace.tp_matrix(cfg.nbytes, start=0, count=count)
     # "exact" stays None so non-SVT solvers (pca, row_constant) keep working.
     backend = None if cfg.svd_backend == "exact" else cfg.svd_backend
-    # "reference" likewise stays None for the same reason.
-    ew = None if cfg.elementwise_backend == "reference" else cfg.elementwise_backend
     return decompose(
-        tp,
-        solver=cfg.solver,
-        extraction=cfg.extraction,
-        svd_backend=backend,
-        elementwise_backend=ew,
+        tp, solver=cfg.solver, extraction=cfg.extraction, svd_backend=backend
     )
 
 
@@ -250,7 +237,6 @@ def open_session(
         solver=cfg.solver,
         warm_start=cfg.warm_start,
         svd_backend=cfg.svd_backend,
-        elementwise_backend=cfg.elementwise_backend,
         mode=cfg.mode,
         stream_tolerance=cfg.stream_tolerance,
         stream_refresh_every=cfg.stream_refresh_every,

@@ -73,15 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("trace", help="trace .npz path")
     dec.add_argument("--solver", default="apg")
     dec.add_argument("--svd-backend", default="exact",
-                     choices=["exact", "gram", "randomized", "auto"],
+                     choices=["exact", "gram", "auto"],
                      help="SVD kernel for the solver's thresholding "
                           "(default exact — the bit-identical full SVD)")
-    dec.add_argument("--elementwise-backend", default="reference",
-                     choices=["reference", "fused", "jit"],
-                     help="elementwise kernel for the solver's step "
-                          "recurrences (default reference — the historical "
-                          "ufunc chain; fused/jit need a non-exact "
-                          "--svd-backend)")
     dec.add_argument("--time-step", type=int, default=10)
     dec.add_argument("--message-mb", type=float, default=8.0)
     dec.add_argument("--profile", action="store_true",
@@ -112,14 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--consecutive", type=int, default=1)
     rep.add_argument("--solver", default="apg")
     rep.add_argument("--svd-backend", default="exact",
-                     choices=["exact", "gram", "randomized", "auto"],
+                     choices=["exact", "gram", "auto"],
                      help="SVD kernel for re-calibration solves "
                           "(default exact — the bit-identical full SVD)")
-    rep.add_argument("--elementwise-backend", default="reference",
-                     choices=["reference", "fused", "jit"],
-                     help="elementwise kernel for re-calibration step "
-                          "recurrences (default reference; fused/jit need "
-                          "a non-exact --svd-backend)")
     rep.add_argument("--message-mb", type=float, default=8.0)
     rep.add_argument("--cold", action="store_true",
                      help="disable warm-started re-calibration solves")
@@ -212,15 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--threshold", type=float, default=1.0)
     flt.add_argument("--solver", default="apg")
     flt.add_argument("--svd-backend", default="exact",
-                     choices=["exact", "gram", "randomized", "auto"],
+                     choices=["exact", "gram", "auto"],
                      help="SVD kernel for every cluster's solver "
                           "(default exact — the bit-identical full SVD)")
-    flt.add_argument("--elementwise-backend", default="reference",
-                     choices=["reference", "fused", "jit"],
-                     help="elementwise kernel for every cluster's step "
-                          "recurrences (default reference; sessions need "
-                          "a non-exact --svd-backend for fused/jit, sweeps "
-                          "accept any combination)")
     flt.add_argument("--message-mb", type=float, default=8.0)
     flt.add_argument("--mode", default="batch",
                      choices=["batch", "streaming"],
@@ -348,10 +331,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     count = min(args.time_step, trace.n_snapshots)
     tp = trace.tp_matrix(args.message_mb * MB, start=0, count=count)
     backend = None if args.svd_backend == "exact" else args.svd_backend
-    ew = (None if args.elementwise_backend == "reference"
-          else args.elementwise_backend)
-    dec = decompose(tp, solver=args.solver, svd_backend=backend,
-                    elementwise_backend=ew)
+    dec = decompose(tp, solver=args.solver, svd_backend=backend)
     print(f"solver:     {dec.solver} ({dec.solver_iterations} iterations, "
           f"converged={dec.solver_converged})")
     print(f"rank(D):    {dec.report.rank}")
@@ -515,7 +495,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         solver=args.solver,
         warm_start=not args.cold,
         svd_backend=args.svd_backend,
-        elementwise_backend=args.elementwise_backend,
         mode=args.mode,
         stream_tolerance=args.stream_tolerance,
         stream_refresh_every=args.stream_refresh_every,
@@ -608,7 +587,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         nbytes=args.message_mb * MB,
         solver=args.solver,
         svd_backend=args.svd_backend,
-        elementwise_backend=args.elementwise_backend,
         mode=args.mode,
         stream_tolerance=args.stream_tolerance,
         stream_refresh_every=args.stream_refresh_every,

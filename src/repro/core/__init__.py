@@ -16,9 +16,8 @@ Public surface
   the individual solvers.
 * :class:`SVTKernel`, :class:`RankPredictor`, :data:`SVD_BACKENDS` — the
   pluggable partial-SVD kernel layer under the solvers (``svd_backend=``).
-* :class:`ElementwiseKernel`, :data:`EW_BACKENDS` — the pluggable
-  elementwise kernel layer for the step recurrences
-  (``elementwise_backend=``: reference / fused / optional numba jit).
+* :class:`ElementwiseKernel` — the cache-blocked elementwise kernel for
+  the step recurrences of the partial-SVD solver loops.
 * :func:`relative_error_norm` — ``Norm(N_E)``, the effectiveness predictor.
 * :class:`MaintenanceController` — paper Algorithm 1 (adaptive update
   maintenance driven by expected-vs-real performance feedback).
@@ -51,12 +50,7 @@ from .kernels import (
     SVTKernel,
     validate_backend,
 )
-from .elementwise import (
-    EW_BACKENDS,
-    ElementwiseKernel,
-    jit_available,
-    validate_ew_backend,
-)
+from .elementwise import ElementwiseKernel
 from .batch import (
     BATCH_DTYPES,
     BatchedSolveWorkspace,
@@ -121,11 +115,8 @@ __all__ = [
     "spectral_norm",
     "truncated_svd",
     "SVD_BACKENDS",
-    "EW_BACKENDS",
     "BATCH_DTYPES",
     "ElementwiseKernel",
-    "jit_available",
-    "validate_ew_backend",
     "BatchRankPredictor",
     "BatchedSVTKernel",
     "BatchedSolveWorkspace",

@@ -49,11 +49,7 @@ import numpy as np
 from .. import observability
 from .._validation import as_float_matrix, check_positive
 from ..errors import ConvergenceError, ValidationError
-from .elementwise import (
-    ElementwiseKernel,
-    check_ew_svd_compatible,
-    validate_ew_backend,
-)
+from .elementwise import ElementwiseKernel
 from .kernels import RankPredictor, SolveWorkspace, SVTKernel, validate_backend
 from .result import SolverResult
 from .svd_ops import (
@@ -133,7 +129,6 @@ def rpca_apg(
     warm_mu_factor: float = 0.1,
     mask: np.ndarray | None = None,
     svd_backend: str = "exact",
-    elementwise_backend: str = "reference",
     rank_predictor: RankPredictor | None = None,
 ) -> SolverResult:
     """Decompose ``a ≈ D + E`` with the APG RPCA solver.
@@ -175,18 +170,11 @@ def rpca_apg(
         SVD backend under the singular value thresholding (see
         :mod:`repro.core.kernels`). ``"exact"`` (default) is the historical
         full-``gesdd`` path, bit-identical to previous releases. The
-        partial backends (``"gram"``, ``"randomized"``, ``"auto"``) also
-        switch the iteration loop to a preallocated workspace and replace
-        the init-time full SVD with a spectral-norm computation; results
-        agree with ``"exact"`` to solver tolerance, not bit-for-bit.
-    elementwise_backend:
-        Elementwise kernel for the non-SVD parts of each iteration (see
-        :mod:`repro.core.elementwise`). ``"reference"`` (default) is the
-        historical ufunc chain; ``"fused"`` is bit-identical to it with
-        better cache locality; ``"jit"`` needs numba and is certified to
-        the same tolerance contract as the batch float32 mode. Anything
-        but ``"reference"`` requires a non-``exact`` *svd_backend* — the
-        exact loop is the bit-pinned historical path.
+        partial backends (``"gram"``, ``"auto"``) also switch the
+        iteration loop to a preallocated workspace, the fused elementwise
+        kernel (see :mod:`repro.core.elementwise`) and a spectral-norm
+        computation in place of the init-time full SVD; results agree
+        with ``"exact"`` to solver tolerance, not bit-for-bit.
     rank_predictor:
         Adaptive rank-prediction state shared across solves (see
         :class:`~repro.core.kernels.RankPredictor`); used only by the
@@ -203,8 +191,6 @@ def rpca_apg(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     validate_backend(svd_backend)
-    validate_ew_backend(elementwise_backend)
-    check_ew_svd_compatible(svd_backend, elementwise_backend)
     omega = validate_mask(mask, A.shape)
     if omega is not None:
         A = np.where(omega, A, 0.0)  # placeholder values must carry no signal
@@ -228,7 +214,6 @@ def rpca_apg(
             warm_mu_factor=warm_mu_factor,
             omega=omega,
             svd_backend=svd_backend,
-            elementwise_backend=elementwise_backend,
             rank_predictor=rank_predictor,
         )
 
@@ -325,7 +310,6 @@ def _rpca_apg_fast(
     warm_mu_factor: float,
     omega: np.ndarray | None,
     svd_backend: str,
-    elementwise_backend: str = "reference",
     rank_predictor: RankPredictor | None,
 ) -> SolverResult:
     """APG iteration over the partial-SVD and elementwise kernel layers.
@@ -346,15 +330,15 @@ def _rpca_apg_fast(
       stationarity blocks satisfy ``S_E = −S_D`` with
       ``S_D = T − (D₊ − E₊)``, so one ``m × n`` pass replaces six;
     * the step recurrences themselves run on an
-      :class:`~repro.core.elementwise.ElementwiseKernel`, whose ``fused``
-      and ``jit`` backends cut the remaining full-array passes.
+      :class:`~repro.core.elementwise.ElementwiseKernel`, whose cache
+      blocking cuts the memory traffic of the remaining full-array passes.
 
     The reordered floating-point arithmetic makes results agree with the
     exact path to solver tolerance (≈ ``tol`` on the relative residual),
     not bit-for-bit — which is why this path is opt-in via *svd_backend*.
     """
     kernel = SVTKernel(A.shape, svd_backend, rank_predictor=rank_predictor)
-    ew = ElementwiseKernel(elementwise_backend)
+    ew = ElementwiseKernel()
     ws = SolveWorkspace(A.shape)
 
     def svt_into(M: np.ndarray, tau: float, out: np.ndarray) -> int:

@@ -60,7 +60,7 @@ from .. import observability
 from .._validation import as_float_matrix, check_positive
 from ..errors import ValidationError
 from .apg import default_lambda, validate_mask
-from .elementwise import ElementwiseKernel, validate_ew_backend
+from .elementwise import ElementwiseKernel
 from .kernels import _GRAM_MAX_SIDE, BatchedSVTKernel, BatchRankPredictor
 from .result import SolverResult
 from .solvers import solve_rpca
@@ -499,10 +499,9 @@ def _solve_group(
     ws: BatchedSolveWorkspace,
     predictor: BatchRankPredictor,
     dtype: str,
-    elementwise_backend: str = "reference",
 ) -> _StackResult:
     """Run one homogeneous group, with the optional f32-iterate/f64-refine split."""
-    ew = ElementwiseKernel(elementwise_backend)
+    ew = ElementwiseKernel()
     if solver == "apg":
         def run(warm, loop_dtype, tol_override=None):
             return _apg_batch(
@@ -549,7 +548,6 @@ def solve_rpca_batch(
     solver: str = "apg",
     lam: float | None = None,
     dtype: str = "float64",
-    elementwise_backend: str = "reference",
     workspace: BatchedSolveWorkspace | None = None,
     rank_predictor: BatchRankPredictor | None = None,
     context: str = "batch",
@@ -574,12 +572,6 @@ def solve_rpca_batch(
     dtype:
         ``"float64"`` (default — the bit-parity mode) or ``"float32"``
         (single-precision iterate + float64 refinement pass).
-    elementwise_backend:
-        Elementwise kernel for the stacked step recurrences — one of
-        :data:`repro.core.elementwise.EW_BACKENDS`. ``"fused"`` is
-        bit-identical to the default ``"reference"``; ``"jit"`` needs
-        numba. The per-matrix fallback ignores it (like *dtype*): fallback
-        solves run the certified per-matrix path as-is.
     workspace:
         A :class:`BatchedSolveWorkspace` of shape ``(B, m, n)`` to reuse
         across calls; allocated fresh when omitted.
@@ -632,7 +624,6 @@ def solve_rpca_batch(
         omegas = [validate_mask(mk, shape) for mk in masks]
     lam_v = default_lambda(shape) if lam is None else check_positive(lam, "lam")
     validate_batch_dtype(dtype)
-    validate_ew_backend(elementwise_backend)
 
     unsupported = set(solver_kwargs) - (
         _APG_BATCH_KWARGS if solver == "apg" else _IALM_BATCH_KWARGS
@@ -689,7 +680,6 @@ def solve_rpca_batch(
         res = _solve_group(
             solver, A0, omega0, lam_v, solver_kwargs,
             ws=workspace, predictor=rank_predictor, dtype=dtype,
-            elementwise_backend=elementwise_backend,
         )
         for gpos, i in enumerate(idx_list):
             group_results[i] = (res, gpos)

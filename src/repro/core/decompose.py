@@ -102,7 +102,6 @@ def decompose(
     solver: str = "apg",
     extraction: str = "mean",
     svd_backend: str | None = None,
-    elementwise_backend: str | None = None,
     **solver_kwargs: Any,
 ) -> Decomposition:
     """Decompose a TP-matrix into constant + error components.
@@ -125,12 +124,6 @@ def decompose(
         :data:`repro.core.kernels.SVD_BACKENDS`. Only meaningful for solvers
         built on singular value thresholding (APG/IALM); ``None`` (default)
         leaves the solver on its own default (``"exact"``).
-    elementwise_backend:
-        Elementwise kernel for the solver's step recurrences — one of
-        :data:`repro.core.elementwise.EW_BACKENDS`. Only meaningful for
-        APG/IALM, and anything but ``"reference"`` additionally requires a
-        non-``exact`` *svd_backend*; ``None`` (default) leaves the solver
-        on its own default (``"reference"``).
     **solver_kwargs:
         Forwarded to the solver.
     """
@@ -142,16 +135,6 @@ def decompose(
                 "only SVT-based solvers such as 'apg' or 'ialm' do"
             )
         solver_kwargs = dict(solver_kwargs, svd_backend=svd_backend)
-    if elementwise_backend is not None:
-        spec = solver_spec(solver)
-        if not spec.accepts_any_kwargs and (
-            "elementwise_backend" not in spec.accepted_kwargs
-        ):
-            raise ValidationError(
-                f"solver {solver!r} does not take an elementwise backend; "
-                "only SVT-based solvers such as 'apg' or 'ialm' do"
-            )
-        solver_kwargs = dict(solver_kwargs, elementwise_backend=elementwise_backend)
     if tp.mask is not None:
         spec = solver_spec(solver)
         if not spec.accepts_any_kwargs and "mask" not in spec.accepted_kwargs:

@@ -1,57 +1,37 @@
-"""Pluggable elementwise kernels for the APG/IALM iteration recurrences.
+"""Fused elementwise kernel for the APG/IALM iteration recurrences.
 
 The partial-SVD kernel layer (:mod:`repro.core.kernels`) took singular
 value thresholding from ~90% of solve time down to ~28%; what remains of
 every APG/IALM step is 6–10 separate full-array ufunc passes over the
 ``m × n`` iterate buffers (momentum extrapolation, proximal inputs, soft
-thresholding, stationarity/feasibility updates). This module owns those
-recurrences behind the same backend-selection design ``SVTKernel`` uses
-for the SVD side, with three backends:
+thresholding, stationarity/feasibility updates). :class:`ElementwiseKernel`
+owns those recurrences and runs them cache-block-wise: each step phase
+walks the buffers once in ``chunk``-element blocks, applying the whole
+ufunc chain to a block while it is hot in cache instead of streaming every
+buffer through memory once per operation.
 
-``reference``
-    The historical ufunc chains, verbatim — one full-array pass per
-    operation. This is the bit-pinned implementation every other backend
-    is measured against; with ``elementwise_backend="reference"``
-    (the default everywhere) solver behavior is unchanged bit for bit.
-``fused``
-    The same per-element arithmetic applied cache-block-wise: each step
-    phase walks the buffers once in ``chunk``-element blocks, applying the
-    whole ufunc chain to a block while it is hot in cache instead of
-    streaming every buffer through memory once per operation. Elementwise
-    ufuncs commute with chunking, so the result is **bit-identical** to
-    ``reference`` by construction (pinned by tests); the win is purely
-    memory-traffic locality. Falls back to the reference chain (counted as
-    ``kernel.ew.fallback``) for non-contiguous buffers, where flat block
-    views cannot be formed.
-``jit``
-    numba ``@njit(parallel=True)`` kernels: one genuinely single-pass
-    traversal per phase with a ``prange`` over column blocks, scratch
-    values kept in registers instead of ``m × n`` buffers. Only available
-    when numba is installed (see ``pip install repro[perf]``); selecting
-    it otherwise raises. Results are *certified* against ``reference``
-    within the same tolerance contract the batch float32 mode uses — the
-    per-element arithmetic is the same, but compiler reassociation and
-    skipped scratch stores void the bitwise guarantee. The kernel bodies
-    are plain Python functions under the decorator, so their logic is
-    testable (slowly) even where numba is absent.
+Elementwise ufuncs commute with chunking, so the fused result is
+**bit-identical** to the historical one-pass-per-operation ufunc chain by
+construction. That chain stays in each step method, for two reasons: it is
+the fallback for non-contiguous buffers, where flat block views cannot be
+formed (counted as ``kernel.ew.fallback``), and it is the oracle the
+bit-identity tests compare the fused blocks against.
 
 Residual/feasibility **norms** are deliberately *not* part of this layer:
-``np.linalg.norm`` over a full buffer stays a single pairwise-summed call
-in every backend, because chunked partial sums would change summation
-order and break the bitwise iteration-count parity the ``fused`` contract
-promises.
+``np.linalg.norm`` over a full buffer stays a single pairwise-summed call,
+because chunked partial sums would change summation order and break the
+bitwise iteration-count parity with the reference chain.
 
-Observability: every step emits ``kernel.ew.<backend>`` (a step count) and
-``kernel.ew_seconds`` / ``kernel.ew.<backend>_seconds`` (elementwise time,
-excluding the SVT call in the middle of the step) — the peers of
-``kernel.svt.<backend>`` / ``kernel.svt_seconds``.
+Observability: every step emits ``kernel.ew.steps`` (a step count) and
+``kernel.ew_seconds`` (elementwise time, excluding the SVT call in the
+middle of the step) — the peers of ``kernel.svt.<backend>`` /
+``kernel.svt_seconds``.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -59,265 +39,15 @@ from .. import observability
 from ..errors import ValidationError
 from .svd_ops import soft_threshold, soft_threshold_into
 
-__all__ = [
-    "EW_BACKENDS",
-    "DEFAULT_EW_CHUNK",
-    "ElementwiseKernel",
-    "check_ew_svd_compatible",
-    "ensure_ew_backend_available",
-    "jit_available",
-    "validate_ew_backend",
-]
-
-#: Selectable elementwise backends, in "most to least conservative" order.
-EW_BACKENDS = ("reference", "fused", "jit")
+__all__ = ["DEFAULT_EW_CHUNK", "ElementwiseKernel"]
 
 #: Fused block size in elements: 256 KiB of float64 — comfortably inside a
 #: per-core L2 slice together with the ~8 buffers a step touches.
 DEFAULT_EW_CHUNK = 32768
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-    from numba import prange as _prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the supported no-numba path
-    _HAVE_NUMBA = False
-    _prange = range
-
-    def _njit(*args: Any, **kwargs: Any):
-        """Identity decorator: keeps the kernel bodies importable (and
-        testable as plain Python) when numba is absent."""
-
-        def wrap(fn: Callable) -> Callable:
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def jit_available() -> bool:
-    """Whether the optional ``jit`` backend can actually run (numba present)."""
-    return _HAVE_NUMBA
-
-
-def validate_ew_backend(backend: str) -> str:
-    """Validate an elementwise backend *name* (availability checked later).
-
-    Name-only on purpose: a config naming ``"jit"`` may be built on a
-    machine without numba and shipped to workers that have it. Use
-    :func:`ensure_ew_backend_available` (or construct an
-    :class:`ElementwiseKernel`) to also assert the backend can run here.
-    """
-    if backend not in EW_BACKENDS:
-        raise ValidationError(
-            f"unknown elementwise backend {backend!r}; choose from {EW_BACKENDS}"
-        )
-    return backend
-
-
-def check_ew_svd_compatible(svd_backend: str, elementwise_backend: str) -> None:
-    """Reject elementwise backends on the exact (historical) solver loops.
-
-    The ``exact`` SVD path *is* the bit-pinned historical implementation —
-    allocating expressions, no step functions — so it has no seam for an
-    elementwise kernel and must stay byte-identical to previous releases.
-    Only the workspace fast paths (any non-``exact`` *svd_backend*) route
-    their steps through :class:`ElementwiseKernel`.
-    """
-    if elementwise_backend != "reference" and svd_backend == "exact":
-        raise ValidationError(
-            f"elementwise backend {elementwise_backend!r} requires a "
-            "non-exact SVD backend (the exact loop is the bit-pinned "
-            "historical path); pick svd_backend='auto' or keep "
-            "elementwise_backend='reference'"
-        )
-
-
-def ensure_ew_backend_available(backend: str) -> str:
-    """Validate *backend* and assert it can run in this process."""
-    validate_ew_backend(backend)
-    if backend == "jit" and not _HAVE_NUMBA:
-        raise ValidationError(
-            "elementwise backend 'jit' requires numba, which is not "
-            "installed (pip install repro[perf]); use 'fused' for the "
-            "pure-NumPy fast path"
-        )
-    return backend
-
-
-def _kernel_pyfunc(fn: Callable) -> Callable:
-    """The plain-Python body of a (possibly numba-compiled) kernel."""
-    return getattr(fn, "py_func", fn)
-
 
 # ---------------------------------------------------------------------------
-# numba kernels (plain Python bodies when numba is absent)
-#
-# All operate on flat 1-D views with scalar thresholds; the ElementwiseKernel
-# driver loops batch slices. Scratch quantities (M_E, the working matrix W,
-# the proximal input M) live in registers — the tolerance contract lets the
-# jit backend skip their buffer stores.
-# ---------------------------------------------------------------------------
-
-
-@_njit(parallel=True)
-def _k_apg_pre_unmasked(A, F, Fp, T, MD, beta, chunk):  # pragma: no cover
-    n = A.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            t = (1.0 + beta) * F[i] - beta * Fp[i]
-            T[i] = t
-            MD[i] = (t + A[i]) * 0.5
-
-
-@_njit(parallel=True)
-def _k_apg_post_unmasked(A, MD, T, Dn, En, Fp, S, tau, chunk):  # pragma: no cover
-    n = A.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            me = A[i] - MD[i]
-            mag = abs(me) - tau
-            if mag < 0.0:
-                mag = 0.0
-            en = math.copysign(mag, me)
-            En[i] = en
-            fp = Dn[i] - en
-            Fp[i] = fp
-            S[i] = T[i] - fp
-
-
-@_njit(parallel=True)
-def _k_apg_pre_masked(A, omega, D, Dp, E, Ep, YD, YE, G, M, beta, chunk):  # pragma: no cover
-    n = A.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            yd = (D[i] - Dp[i]) * beta + D[i]
-            ye = (E[i] - Ep[i]) * beta + E[i]
-            g = ((yd + ye) - A[i]) * 0.5
-            if not omega[i]:
-                g = 0.0
-            YD[i] = yd
-            YE[i] = ye
-            G[i] = g
-            M[i] = yd - g
-
-
-@_njit(parallel=True)
-def _k_apg_post1_masked(omega, YD, YE, G, Dn, En, S, tau, chunk):  # pragma: no cover
-    n = YD.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            m = YE[i] - G[i]
-            mag = abs(m) - tau
-            if mag < 0.0:
-                mag = 0.0
-            en = math.copysign(mag, m)
-            if not omega[i]:
-                en = 0.0
-            En[i] = en
-            s = ((Dn[i] + en) - YD[i]) - YE[i]
-            if not omega[i]:
-                s = 0.0
-            S[i] = s
-            G[i] = (YD[i] - Dn[i]) * 2.0 + s
-
-
-@_njit(parallel=True)
-def _k_apg_post2_masked(YE, En, G, S, chunk):  # pragma: no cover
-    n = YE.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            G[i] = (YE[i] - En[i]) * 2.0 + S[i]
-
-
-@_njit(parallel=True)
-def _k_ialm_pre_unmasked(A, E, Yinv, M, chunk):  # pragma: no cover
-    n = A.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            M[i] = (A[i] - E[i]) + Yinv[i]
-
-
-@_njit(parallel=True)
-def _k_ialm_post_unmasked(A, D, E, Yinv, Z, tau, mu_ratio, chunk):  # pragma: no cover
-    n = A.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            m = (A[i] - D[i]) + Yinv[i]
-            mag = abs(m) - tau
-            if mag < 0.0:
-                mag = 0.0
-            e = math.copysign(mag, m)
-            E[i] = e
-            z = (A[i] - D[i]) - e
-            Z[i] = z
-            Yinv[i] = (Yinv[i] + z) * mu_ratio
-
-
-@_njit(parallel=True)
-def _k_ialm_pre_masked(A, omega, D, E, Yinv, M, chunk):  # pragma: no cover
-    n = A.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            w = A[i] if omega[i] else D[i] + E[i]
-            M[i] = (w - E[i]) + Yinv[i]
-
-
-@_njit(parallel=True)
-def _k_ialm_post_masked(A, omega, D, E, Yinv, Z, tau, mu_ratio, chunk):  # pragma: no cover
-    n = A.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            m = (A[i] - D[i]) + Yinv[i]
-            mag = abs(m) - tau
-            if mag < 0.0:
-                mag = 0.0
-            e = math.copysign(mag, m)
-            if not omega[i]:
-                e = 0.0
-            E[i] = e
-            z = (A[i] - D[i]) - e
-            if not omega[i]:
-                z = 0.0
-            Z[i] = z
-            Yinv[i] = (Yinv[i] + z) * mu_ratio
-
-
-@_njit(parallel=True)
-def _k_shrink(x, out, tau, chunk):  # pragma: no cover
-    n = x.shape[0]
-    for b in _prange((n + chunk - 1) // chunk):
-        lo = b * chunk
-        hi = min(lo + chunk, n)
-        for i in range(lo, hi):
-            mag = abs(x[i]) - tau
-            if mag < 0.0:
-                mag = 0.0
-            out[i] = math.copysign(mag, x[i])
-
-
-# ---------------------------------------------------------------------------
-# Fused/JIT drivers: flatten (m, n) — or each slice of (B, m, n) — into
+# Fused drivers: flatten (m, n) — or each slice of (B, m, n) — into
 # contiguous 1-D views and walk them block-wise.
 # ---------------------------------------------------------------------------
 
@@ -341,7 +71,7 @@ def _tau_at(tau: Any, i: int) -> Any:
 
     Array thresholds stay numpy scalars (not ``float()``-coerced) so mixed
     float32-buffer/float64-threshold promotion matches the reference
-    broadcast exactly — a bitwise requirement for the fused backend in the
+    broadcast exactly — a bitwise requirement for the fused path in the
     batch float32 mode.
     """
     if isinstance(tau, np.ndarray):
@@ -350,7 +80,7 @@ def _tau_at(tau: Any, i: int) -> Any:
 
 
 class ElementwiseKernel:
-    """Backend-routed APG/IALM step recurrences over preallocated buffers.
+    """Cache-blocked APG/IALM step recurrences over preallocated buffers.
 
     One kernel serves one solve (or one batched group); it owns no ``m×n``
     state of its own — all iterate buffers come from the caller's
@@ -361,30 +91,23 @@ class ElementwiseKernel:
     elementwise phases.
     """
 
-    def __init__(
-        self, backend: str = "reference", *, chunk: int = DEFAULT_EW_CHUNK
-    ) -> None:
-        self.backend = ensure_ew_backend_available(backend)
+    def __init__(self, *, chunk: int = DEFAULT_EW_CHUNK) -> None:
         if int(chunk) < 1:
             raise ValidationError("chunk must be >= 1")
         self.chunk = int(chunk)
-        self._elapsed = 0.0
         self._row_scratch: dict[tuple[int, ...], np.ndarray] = {}
 
     # -- observability ----------------------------------------------------
     def _emit_step(self, elapsed: float) -> None:
-        observability.emit_count(f"kernel.ew.{self.backend}")
+        observability.emit_count("kernel.ew.steps")
         observability.emit_time("kernel.ew_seconds", elapsed)
-        observability.emit_time(f"kernel.ew.{self.backend}_seconds", elapsed)
 
-    def _route(self, *arrays: np.ndarray | None) -> str:
-        """The backend that will actually run for these buffers."""
-        if self.backend == "reference":
-            return "reference"
+    def _fused(self, *arrays: np.ndarray | None) -> bool:
+        """Whether these buffers take the blocked path (else the ufunc chain)."""
         if _fusable(*arrays):
-            return self.backend
+            return True
         observability.emit_count("kernel.ew.fallback")
-        return "reference"
+        return False
 
     # -- APG, unmasked -----------------------------------------------------
     def apg_step_unmasked(
@@ -400,18 +123,10 @@ class ElementwiseKernel:
         stationarity block ``S_D`` into *S*; the residual norm stays with
         the caller, which is where single and batched paths differ.
         """
-        mode = self._route(A, F, Fp, T, MD, ME, Dn, En, S)
+        fused = self._fused(A, F, Fp, T, MD, ME, Dn, En, S)
         chunk = self.chunk
         t0 = time.perf_counter()
-        if mode == "reference":
-            # T = Y_D − Y_E = (1 + β)·F − β·F_prev
-            np.multiply(F, 1.0 + beta, out=T)
-            np.multiply(Fp, beta, out=S)
-            np.subtract(T, S, out=T)
-            # Proximal input M_D = (T + A)/2.
-            np.add(T, A, out=MD)
-            MD *= 0.5
-        elif mode == "fused":
+        if fused:
             for _, (a, f, fp, t, md, s) in _flat_slices((A, F, Fp, T, MD, S)):
                 for lo in range(0, a.size, chunk):
                     sl = slice(lo, lo + chunk)
@@ -422,20 +137,19 @@ class ElementwiseKernel:
                     np.add(tc, a[sl], out=mc)
                     mc *= 0.5
         else:
-            for _, (a, f, fp, t, md) in _flat_slices((A, F, Fp, T, MD)):
-                _k_apg_pre_unmasked(a, f, fp, t, md, float(beta), chunk)
+            # T = Y_D − Y_E = (1 + β)·F − β·F_prev
+            np.multiply(F, 1.0 + beta, out=T)
+            np.multiply(Fp, beta, out=S)
+            np.subtract(T, S, out=T)
+            # Proximal input M_D = (T + A)/2.
+            np.add(T, A, out=MD)
+            MD *= 0.5
         elapsed = time.perf_counter() - t0
 
         rank = svt(MD, tau_d, Dn)
 
         t0 = time.perf_counter()
-        if mode == "reference":
-            np.subtract(A, MD, out=ME)  # M_E = A − M_D
-            soft_threshold_into(ME, tau_e, out=En)
-            # Stationarity: S_D = T − (D₊ − E₊), ‖S‖ = √2·‖S_D‖.
-            np.subtract(Dn, En, out=Fp)
-            np.subtract(T, Fp, out=S)
-        elif mode == "fused":
+        if fused:
             for i, (a, md, me, t, dn, en, fp, s) in _flat_slices(
                 (A, MD, ME, T, Dn, En, Fp, S)
             ):
@@ -448,12 +162,11 @@ class ElementwiseKernel:
                     np.subtract(dn[sl], en[sl], out=fp[sl])
                     np.subtract(t[sl], fp[sl], out=s[sl])
         else:
-            for i, (a, md, t, dn, en, fp, s) in _flat_slices(
-                (A, MD, T, Dn, En, Fp, S)
-            ):
-                _k_apg_post_unmasked(
-                    a, md, t, dn, en, fp, s, float(_tau_at(tau_e, i)), chunk
-                )
+            np.subtract(A, MD, out=ME)  # M_E = A − M_D
+            soft_threshold_into(ME, tau_e, out=En)
+            # Stationarity: S_D = T − (D₊ − E₊), ‖S‖ = √2·‖S_D‖.
+            np.subtract(Dn, En, out=Fp)
+            np.subtract(T, Fp, out=S)
         self._emit_step(elapsed + time.perf_counter() - t0)
         return rank
 
@@ -471,23 +184,10 @@ class ElementwiseKernel:
         ``(rank, ‖S_D‖, ‖S_E‖)`` is returned. The norm itself is never
         chunked (see the module docstring).
         """
-        mode = self._route(A, omega, D, Dp, E, Ep, YD, YE, G, M, S, Dn, En)
+        fused = self._fused(A, omega, D, Dp, E, Ep, YD, YE, G, M, S, Dn, En)
         chunk = self.chunk
         t0 = time.perf_counter()
-        if mode == "reference":
-            np.subtract(D, Dp, out=YD)
-            YD *= beta
-            YD += D
-            np.subtract(E, Ep, out=YE)
-            YE *= beta
-            YE += E
-            # G = P_Ω(Y_D + Y_E − A)/2
-            np.add(YD, YE, out=G)
-            G -= A
-            G *= 0.5
-            G *= omega
-            np.subtract(YD, G, out=M)
-        elif mode == "fused":
+        if fused:
             for _, (a, om, d, dp, e, ep, yd, ye, g, mm) in _flat_slices(
                 (A, omega, D, Dp, E, Ep, YD, YE, G, M)
             ):
@@ -506,30 +206,24 @@ class ElementwiseKernel:
                     gc *= om[sl]
                     np.subtract(ydc, gc, out=mm[sl])
         else:
-            for _, (a, om, d, dp, e, ep, yd, ye, g, mm) in _flat_slices(
-                (A, omega, D, Dp, E, Ep, YD, YE, G, M)
-            ):
-                _k_apg_pre_masked(
-                    a, om, d, dp, e, ep, yd, ye, g, mm, float(beta), chunk
-                )
+            np.subtract(D, Dp, out=YD)
+            YD *= beta
+            YD += D
+            np.subtract(E, Ep, out=YE)
+            YE *= beta
+            YE += E
+            # G = P_Ω(Y_D + Y_E − A)/2
+            np.add(YD, YE, out=G)
+            G -= A
+            G *= 0.5
+            G *= omega
+            np.subtract(YD, G, out=M)
         elapsed = time.perf_counter() - t0
 
         rank = svt(M, tau_d, Dn)
 
         t0 = time.perf_counter()
-        if mode == "reference":
-            np.subtract(YE, G, out=M)
-            soft_threshold_into(M, tau_e, out=En)
-            En *= omega  # a transient error needs a witness
-            # diff = P_Ω(D₊ + E₊ − Y_D − Y_E); S_X = 2(Y_X − X₊) + diff
-            np.add(Dn, En, out=S)
-            S -= YD
-            S -= YE
-            S *= omega
-            np.subtract(YD, Dn, out=G)
-            G *= 2.0
-            G += S
-        elif mode == "fused":
+        if fused:
             for i, (om, yd, ye, g, mm, dn, en, s) in _flat_slices(
                 (omega, YD, YE, G, M, Dn, En, S)
             ):
@@ -548,21 +242,22 @@ class ElementwiseKernel:
                     gc *= 2.0
                     gc += sc
         else:
-            for i, (om, yd, ye, g, dn, en, s) in _flat_slices(
-                (omega, YD, YE, G, Dn, En, S)
-            ):
-                _k_apg_post1_masked(
-                    om, yd, ye, g, dn, en, s, float(_tau_at(tau_e, i)), chunk
-                )
+            np.subtract(YE, G, out=M)
+            soft_threshold_into(M, tau_e, out=En)
+            En *= omega  # a transient error needs a witness
+            # diff = P_Ω(D₊ + E₊ − Y_D − Y_E); S_X = 2(Y_X − X₊) + diff
+            np.add(Dn, En, out=S)
+            S -= YD
+            S -= YE
+            S *= omega
+            np.subtract(YD, Dn, out=G)
+            G *= 2.0
+            G += S
         elapsed += time.perf_counter() - t0
         sd = norms(G)
 
         t0 = time.perf_counter()
-        if mode == "reference":
-            np.subtract(YE, En, out=G)
-            G *= 2.0
-            G += S
-        elif mode == "fused":
+        if fused:
             for _, (ye, en, g, s) in _flat_slices((YE, En, G, S)):
                 for lo in range(0, ye.size, chunk):
                     sl = slice(lo, lo + chunk)
@@ -571,8 +266,9 @@ class ElementwiseKernel:
                     gc *= 2.0
                     gc += s[sl]
         else:
-            for _, (ye, en, g, s) in _flat_slices((YE, En, G, S)):
-                _k_apg_post2_masked(ye, en, g, s, chunk)
+            np.subtract(YE, En, out=G)
+            G *= 2.0
+            G += S
         self._emit_step(elapsed + time.perf_counter() - t0)
         se = norms(G)
         return rank, sd, se
@@ -587,13 +283,10 @@ class ElementwiseKernel:
         the dual ascent (see :func:`repro.core.ialm._rpca_ialm_fast`); the
         feasibility gap is left in *Z* for the caller's residual norm.
         """
-        mode = self._route(A, D, E, Yinv, M, Z)
+        fused = self._fused(A, D, E, Yinv, M, Z)
         chunk = self.chunk
         t0 = time.perf_counter()
-        if mode == "reference":
-            np.subtract(A, E, out=M)
-            M += Yinv
-        elif mode == "fused":
+        if fused:
             for _, (a, e, yi, mm) in _flat_slices((A, E, Yinv, M)):
                 for lo in range(0, a.size, chunk):
                     sl = slice(lo, lo + chunk)
@@ -601,23 +294,14 @@ class ElementwiseKernel:
                     np.subtract(a[sl], e[sl], out=mc)
                     mc += yi[sl]
         else:
-            for _, (a, e, yi, mm) in _flat_slices((A, E, Yinv, M)):
-                _k_ialm_pre_unmasked(a, e, yi, mm, chunk)
+            np.subtract(A, E, out=M)
+            M += Yinv
         elapsed = time.perf_counter() - t0
 
         rank = svt(M, tau_d, D)
 
         t0 = time.perf_counter()
-        if mode == "reference":
-            np.subtract(A, D, out=M)
-            M += Yinv
-            soft_threshold_into(M, tau_e, out=E)
-            np.subtract(A, D, out=Z)
-            Z -= E
-            # Folded dual ascent: Ȳ_{k+1} = (μ_k/μ_{k+1})·(Ȳ_k + Z_k).
-            Yinv += Z
-            Yinv *= mu_ratio
-        elif mode == "fused":
+        if fused:
             for i, (a, d, e, yi, mm, z) in _flat_slices((A, D, E, Yinv, M, Z)):
                 te = _tau_at(tau_e, i)
                 ratio = _tau_at(mu_ratio, i)
@@ -632,11 +316,14 @@ class ElementwiseKernel:
                     yc += zc
                     yc *= ratio
         else:
-            for i, (a, d, e, yi, z) in _flat_slices((A, D, E, Yinv, Z)):
-                _k_ialm_post_unmasked(
-                    a, d, e, yi, z,
-                    float(_tau_at(tau_e, i)), float(_tau_at(mu_ratio, i)), chunk,
-                )
+            np.subtract(A, D, out=M)
+            M += Yinv
+            soft_threshold_into(M, tau_e, out=E)
+            np.subtract(A, D, out=Z)
+            Z -= E
+            # Folded dual ascent: Ȳ_{k+1} = (μ_k/μ_{k+1})·(Ȳ_k + Z_k).
+            Yinv += Z
+            Yinv *= mu_ratio
         self._emit_step(elapsed + time.perf_counter() - t0)
         return rank
 
@@ -647,18 +334,12 @@ class ElementwiseKernel:
         """One masked IALM iteration over preallocated buffers.
 
         Batch-axis-capable like :meth:`ialm_step_unmasked`; *W* is the
-        completion-trick working matrix ``P_Ω(A) + P_Ω̄(D + E)`` (kept in
-        registers by the jit backend).
+        completion-trick working matrix ``P_Ω(A) + P_Ω̄(D + E)``.
         """
-        mode = self._route(A, omega, D, E, W, Yinv, M, Z)
+        fused = self._fused(A, omega, D, E, W, Yinv, M, Z)
         chunk = self.chunk
         t0 = time.perf_counter()
-        if mode == "reference":
-            np.add(D, E, out=W)
-            np.copyto(W, A, where=omega)
-            np.subtract(W, E, out=M)
-            M += Yinv
-        elif mode == "fused":
+        if fused:
             for _, (a, om, d, e, w, yi, mm) in _flat_slices(
                 (A, omega, D, E, W, Yinv, M)
             ):
@@ -670,26 +351,16 @@ class ElementwiseKernel:
                     np.subtract(wc, e[sl], out=mc)
                     mc += yi[sl]
         else:
-            for _, (a, om, d, e, yi, mm) in _flat_slices(
-                (A, omega, D, E, Yinv, M)
-            ):
-                _k_ialm_pre_masked(a, om, d, e, yi, mm, chunk)
+            np.add(D, E, out=W)
+            np.copyto(W, A, where=omega)
+            np.subtract(W, E, out=M)
+            M += Yinv
         elapsed = time.perf_counter() - t0
 
         rank = svt(M, tau_d, D)
 
         t0 = time.perf_counter()
-        if mode == "reference":
-            np.subtract(A, D, out=M)
-            M += Yinv
-            soft_threshold_into(M, tau_e, out=E)
-            E *= omega
-            np.subtract(A, D, out=Z)
-            Z -= E
-            Z *= omega
-            Yinv += Z
-            Yinv *= mu_ratio
-        elif mode == "fused":
+        if fused:
             for i, (a, om, d, e, yi, mm, z) in _flat_slices(
                 (A, omega, D, E, Yinv, M, Z)
             ):
@@ -708,13 +379,15 @@ class ElementwiseKernel:
                     yc += zc
                     yc *= ratio
         else:
-            for i, (a, om, d, e, yi, z) in _flat_slices(
-                (A, omega, D, E, Yinv, Z)
-            ):
-                _k_ialm_post_masked(
-                    a, om, d, e, yi, z,
-                    float(_tau_at(tau_e, i)), float(_tau_at(mu_ratio, i)), chunk,
-                )
+            np.subtract(A, D, out=M)
+            M += Yinv
+            soft_threshold_into(M, tau_e, out=E)
+            E *= omega
+            np.subtract(A, D, out=Z)
+            Z -= E
+            Z *= omega
+            Yinv += Z
+            Yinv *= mu_ratio
         self._emit_step(elapsed + time.perf_counter() - t0)
         return rank
 
@@ -722,36 +395,30 @@ class ElementwiseKernel:
     def shrink(self, x: np.ndarray, tau: float) -> np.ndarray:
         """Soft-threshold *x* — the streaming fold's per-row shrinkage.
 
-        ``reference`` returns a fresh array via the historical
-        :func:`~repro.core.svd_ops.soft_threshold` spelling, bit for bit.
-        ``fused`` applies the same arithmetic through kernel-owned scratch
-        (no temporaries); ``jit`` runs the single-pass kernel. Both return
-        a buffer owned by this kernel, valid until the next :meth:`shrink`
-        call — callers that retain the result must copy it (the streaming
-        window slide does, via ``np.vstack``).
+        Applies the arithmetic of :func:`~repro.core.svd_ops.soft_threshold`
+        through kernel-owned scratch (no temporaries), bit for bit. The
+        result is a buffer owned by this kernel, valid until the next
+        :meth:`shrink` call — callers that retain it must copy it (the
+        streaming window slide does, via ``np.vstack``). Non-contiguous
+        input falls back to a fresh :func:`soft_threshold` array.
         """
-        mode = self._route(x)
-        if mode == "reference":
-            t0 = time.perf_counter()
+        t0 = time.perf_counter()
+        if not self._fused(x):
             out = soft_threshold(x, tau)
             self._emit_step(time.perf_counter() - t0)
             return out
-        t0 = time.perf_counter()
         key = x.shape
         bufs = self._row_scratch.get(key)
         if bufs is None:
             bufs = np.empty((2,) + key, dtype=np.float64)
             self._row_scratch[key] = bufs
         out, sgn = bufs[0], bufs[1]
-        if mode == "fused":
-            # sign(x)·max(|x|−τ, 0) with every pass in place — the same
-            # per-element arithmetic as the reference spelling.
-            np.abs(x, out=out)
-            out -= tau
-            np.maximum(out, 0.0, out=out)
-            np.sign(x, out=sgn)
-            out *= sgn
-        else:
-            _k_shrink(x.reshape(-1), out.reshape(-1), float(tau), self.chunk)
+        # sign(x)·max(|x|−τ, 0) with every pass in place — the same
+        # per-element arithmetic as the reference spelling.
+        np.abs(x, out=out)
+        out -= tau
+        np.maximum(out, 0.0, out=out)
+        np.sign(x, out=sgn)
+        out *= sgn
         self._emit_step(time.perf_counter() - t0)
         return out

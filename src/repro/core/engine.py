@@ -38,10 +38,6 @@ from ..errors import CalibrationError, ValidationError
 from ..observability import Instrumentation, instrumented
 from .batch import BatchedSolveWorkspace, solve_rpca_batch, validate_batch_dtype
 from .decompose import Decomposition, decompose, decomposition_from_result
-from .elementwise import (
-    check_ew_svd_compatible,
-    ensure_ew_backend_available,
-)
 from .kernels import BatchRankPredictor, RankPredictor, validate_backend
 from .matrices import TPMatrix
 from .solvers import solver_spec
@@ -195,15 +191,6 @@ class DecompositionEngine:
         threads it through successive solves, so warm re-calibrations skip
         the rank ramp-up. Requires a solver that takes ``svd_backend``
         (APG/IALM).
-    elementwise_backend:
-        Elementwise kernel for the solver's step recurrences and the
-        streaming fold's shrinkage — one of
-        :data:`repro.core.elementwise.EW_BACKENDS` (default
-        ``"reference"``, the historical ufunc chains). ``"fused"`` is
-        bit-identical to ``"reference"``; ``"jit"`` needs numba and is
-        tolerance-certified. Anything but ``"reference"`` requires a
-        non-``exact`` *svd_backend* and a solver that takes the kwarg
-        (APG/IALM).
     mode:
         ``"batch"`` (default) — every :meth:`calibrate` is a full window
         solve, the historical path. ``"streaming"`` — :meth:`calibrate`
@@ -247,7 +234,6 @@ class DecompositionEngine:
         extraction: str = "mean",
         warm_start: bool = True,
         svd_backend: str = "exact",
-        elementwise_backend: str = "reference",
         mode: str = "batch",
         stream_tolerance: float | None = None,
         stream_refresh_every: int | None = None,
@@ -280,18 +266,6 @@ class DecompositionEngine:
                 f"solver {solver!r} does not take an SVD backend; "
                 "only SVT-based solvers such as 'apg' or 'ialm' do"
             )
-        self.elementwise_backend = ensure_ew_backend_available(elementwise_backend)
-        # A solver that cannot take the knob at all beats the exact-conflict
-        # message — it is the more actionable error of the two.
-        if elementwise_backend != "reference" and not (
-            self.spec.accepts_any_kwargs
-            or "elementwise_backend" in self.spec.accepted_kwargs
-        ):
-            raise ValidationError(
-                f"solver {solver!r} does not take an elementwise backend; "
-                "only SVT-based solvers such as 'apg' or 'ialm' do"
-            )
-        check_ew_svd_compatible(svd_backend, elementwise_backend)
         self.mode = validate_mode(mode)
         if self.mode != "streaming" and (
             stream_tolerance is not None or stream_refresh_every is not None
@@ -537,8 +511,6 @@ class DecompositionEngine:
                 predictor = RankPredictor.for_shape(tp.data.shape)
                 self._predictors[min_dim] = predictor
             kwargs["rank_predictor"] = predictor
-        if self.elementwise_backend != "reference":
-            kwargs["elementwise_backend"] = self.elementwise_backend
         self.instrumentation.count(
             "engine.solve.warm" if warm else "engine.solve.cold"
         )
@@ -576,11 +548,7 @@ class DecompositionEngine:
     # -- streaming ---------------------------------------------------------
     def _streamer_for(self, shape: tuple[int, int]) -> StreamingDecomposer:
         if self._streamer is None or self._streamer.shape != tuple(shape):
-            self._streamer = StreamingDecomposer(
-                shape,
-                self.stream_config,
-                elementwise_backend=self.elementwise_backend,
-            )
+            self._streamer = StreamingDecomposer(shape, self.stream_config)
         return self._streamer
 
     def _seed_stream(self, end: int, tp: TPMatrix, dec: Decomposition) -> None:
@@ -692,11 +660,6 @@ class BatchDecompositionEngine:
     dtype:
         Batch iterate dtype — ``"float64"`` (default, the bit-parity mode)
         or ``"float32"`` (fast iterate + float64 refinement).
-    elementwise_backend:
-        Elementwise kernel for the stacked step recurrences — one of
-        :data:`repro.core.elementwise.EW_BACKENDS`. ``"fused"`` is
-        bit-identical to the default ``"reference"``; ``"jit"`` needs
-        numba. Ignored by per-matrix fallback solves (like *dtype*).
     fallback:
         Forwarded to :func:`~repro.core.batch.solve_rpca_batch`: permit the
         certified per-matrix fallback when the batched loop cannot serve a
@@ -715,7 +678,6 @@ class BatchDecompositionEngine:
         solver: str = "apg",
         extraction: str = "mean",
         dtype: str = "float64",
-        elementwise_backend: str = "reference",
         fallback: bool = True,
         instrumentation: Instrumentation | None = None,
         **solver_kwargs: Any,
@@ -725,7 +687,6 @@ class BatchDecompositionEngine:
         self.spec.validate_kwargs(solver_kwargs)
         self.extraction = extraction
         self.dtype = validate_batch_dtype(dtype)
-        self.elementwise_backend = ensure_ew_backend_available(elementwise_backend)
         self.fallback = bool(fallback)
         self.solver_kwargs = dict(solver_kwargs)
         self.instrumentation = (
@@ -788,7 +749,6 @@ class BatchDecompositionEngine:
                         masks,
                         solver=self.solver,
                         dtype=self.dtype,
-                        elementwise_backend=self.elementwise_backend,
                         workspace=self.workspace_for(stacked),
                         rank_predictor=self._predictor_for(stacked),
                         context="batch-engine",

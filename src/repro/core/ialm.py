@@ -45,11 +45,7 @@ from .. import observability
 from .._validation import as_float_matrix, check_nonnegative, check_positive
 from ..errors import ConvergenceError
 from .apg import _unpack_warm_start, default_lambda, validate_mask
-from .elementwise import (
-    ElementwiseKernel,
-    check_ew_svd_compatible,
-    validate_ew_backend,
-)
+from .elementwise import ElementwiseKernel
 from .kernels import RankPredictor, SolveWorkspace, SVTKernel, validate_backend
 from .result import SolverResult
 from .svd_ops import (
@@ -76,7 +72,6 @@ def rpca_ialm(
     warm_mu_steps: float = 8.0,
     mask: np.ndarray | None = None,
     svd_backend: str = "exact",
-    elementwise_backend: str = "reference",
     rank_predictor: RankPredictor | None = None,
 ) -> SolverResult:
     """Decompose ``a ≈ D + E`` with the IALM RPCA solver.
@@ -113,15 +108,9 @@ def rpca_ialm(
         one of :data:`repro.core.kernels.SVD_BACKENDS`. ``"exact"`` (the
         default) is the historical full-``gesdd`` path, bit for bit; the
         other backends route through :class:`~repro.core.kernels.SVTKernel`
-        (partial SVD + preallocated workspace) and agree to solver
+        (partial SVD + preallocated workspace + the fused elementwise
+        kernel of :mod:`repro.core.elementwise`) and agree to solver
         tolerance rather than bitwise.
-    elementwise_backend:
-        Elementwise kernel for the non-SVD parts of each iteration — one
-        of :data:`repro.core.elementwise.EW_BACKENDS`. ``"reference"``
-        (default) is the historical ufunc chain; ``"fused"`` is
-        bit-identical with better cache locality; ``"jit"`` needs numba
-        and is certified to the batch-float32 tolerance contract. Anything
-        but ``"reference"`` requires a non-``exact`` *svd_backend*.
     rank_predictor:
         Optional :class:`~repro.core.kernels.RankPredictor` carried across
         solves (the engine passes one per TP-matrix shape) so warm
@@ -134,8 +123,6 @@ def rpca_ialm(
         raise ValueError(f"rho must exceed 1, got {rho}")
     check_nonnegative(warm_mu_steps, "warm_mu_steps")
     validate_backend(svd_backend)
-    validate_ew_backend(elementwise_backend)
-    check_ew_svd_compatible(svd_backend, elementwise_backend)
     omega = validate_mask(mask, A.shape)
     if omega is not None:
         A = np.where(omega, A, 0.0)  # placeholder values must carry no signal
@@ -158,7 +145,6 @@ def rpca_ialm(
             warm_mu_steps=warm_mu_steps,
             omega=omega,
             svd_backend=svd_backend,
-            elementwise_backend=elementwise_backend,
             rank_predictor=rank_predictor,
         )
 
@@ -238,7 +224,6 @@ def _rpca_ialm_fast(
     warm_mu_steps: float,
     omega: np.ndarray | None,
     svd_backend: str,
-    elementwise_backend: str = "reference",
     rank_predictor: RankPredictor | None,
 ) -> SolverResult:
     """IALM iteration over the partial-SVD and elementwise kernel layers.
@@ -257,15 +242,15 @@ def _rpca_ialm_fast(
       :class:`~repro.core.kernels.SolveWorkspace`, so steady-state
       iterations allocate no new ``m × n`` temporaries;
     * the step recurrences run on an
-      :class:`~repro.core.elementwise.ElementwiseKernel`, whose ``fused``
-      and ``jit`` backends cut the remaining full-array passes.
+      :class:`~repro.core.elementwise.ElementwiseKernel`, whose cache
+      blocking cuts the memory traffic of the remaining full-array passes.
 
     The reordered floating-point arithmetic agrees with the exact path to
     solver tolerance, not bit-for-bit — which is why this path is opt-in
     via *svd_backend*.
     """
     kernel = SVTKernel(A.shape, svd_backend, rank_predictor=rank_predictor)
-    ew = ElementwiseKernel(elementwise_backend)
+    ew = ElementwiseKernel()
     ws = SolveWorkspace(A.shape)
 
     def svt_into(M: np.ndarray, tau: float, out: np.ndarray) -> int:

@@ -16,31 +16,22 @@ LAPACK ``gesdd`` thin SVD every iteration. This module makes the SVD under
     threshold. Exact up to the squared-condition-number loss of forming the
     Gram matrix — singular values below ``σ₁·√ε ≈ σ₁·1.5e-8`` are noise,
     far below any RPCA threshold in practice.
-``randomized``
-    Halko–Martinsson–Tropp range finder with power iterations, computing
-    only the top-``k`` triplets. For matrices whose *both* sides are too
-    large for the Gram trick. Deterministic: the test matrix is drawn from
-    a fixed-seed generator per kernel.
 ``auto``
     Picks per call: ``gram`` when the short side is small enough that the
-    Gram eigendecomposition is trivial, ``randomized`` when the predicted
-    rank is far below the short side, ``exact`` otherwise.
+    Gram eigendecomposition is trivial (at most 64), ``exact`` otherwise.
 
 Rank prediction follows the partial-SVD heuristic of the reference IALM
 implementation (Lin, Chen & Ma 2010): start at ``min(10, m)``, then
 grow/shrink from how many singular values survived the previous threshold,
-so steady-state iterations compute ~``rank+1`` triplets instead of
+so steady-state iterations need ~``rank+1`` triplets instead of
 ``min(m, n)``. :class:`RankPredictor` carries that state; the
 :class:`~repro.core.engine.DecompositionEngine` threads one predictor
 through successive warm-started re-calibrations so the steady-state rank is
 remembered across solves (and across processes — the predictor pickles with
-the engine's warm state).
-
-Partial backends can *undershoot*: a sketch of ``k`` triplets cannot prove
-that triplet ``k+1`` would not also survive the threshold. Both partial
-backends therefore verify that the smallest computed singular value fell
-below the threshold and regrow the sketch otherwise, so the returned rank
-always equals the exact thresholded rank.
+the engine's warm state). No SVT backend reads the prediction: ``gram``
+computes every singular value and ``exact`` is the full SVD, so the kernel
+only observes it. The streaming fold keeps its own predictor to bound its
+subspace growth.
 
 :class:`SolveWorkspace` rounds out the layer: a per-solve pool of
 preallocated ``m × n`` buffers the solver iterations write into (``out=``
@@ -58,7 +49,7 @@ import numpy as np
 
 from .. import observability
 from ..errors import ValidationError
-from .svd_ops import singular_value_threshold, truncated_svd
+from .svd_ops import singular_value_threshold
 
 __all__ = [
     "SVD_BACKENDS",
@@ -70,14 +61,12 @@ __all__ = [
     "validate_backend",
 ]
 
-SVD_BACKENDS = ("exact", "gram", "randomized", "auto")
+SVD_BACKENDS = ("exact", "gram", "auto")
 
-# `auto` policy thresholds. The Gram trick is preferred whenever the short
+# `auto` policy threshold: the Gram trick is preferred whenever the short
 # side is small enough that an m×m eigendecomposition is trivially cheap
-# (the paper's TP-matrices have m ≈ 10); the randomized sketch needs the
-# predicted rank well below the short side to beat gesdd.
+# (the paper's TP-matrices have m ≈ 10).
 _GRAM_MAX_SIDE = 64
-_RANDOMIZED_MARGIN = 4
 
 
 def validate_backend(backend: str) -> str:
@@ -252,7 +241,7 @@ class SVTKernel:
     """Singular value thresholding with a pluggable partial-SVD backend.
 
     One kernel serves one solve: it owns the small scratch state (the Gram
-    buffer, the sketch generator) and the :class:`RankPredictor` threading
+    buffer) and the :class:`RankPredictor` threading
     through the iterations. :meth:`svt` matches the contract of
     :func:`~repro.core.svd_ops.singular_value_threshold` — ``(D, rank,
     top_sv)`` — plus an optional preallocated output buffer.
@@ -267,15 +256,6 @@ class SVTKernel:
     rank_predictor:
         Shared predictor state; a fresh one is created if omitted. Pass the
         previous solve's predictor to start warm.
-    oversample:
-        Extra sketch columns for the ``randomized`` backend (Halko et al.
-        recommend 5–10).
-    power_iters:
-        Power (subspace) iterations for the ``randomized`` backend; 2 is
-        enough for the sharply decaying spectra RPCA iterates have.
-    seed:
-        Seed of the sketch generator — the randomized backend is
-        deterministic for a given kernel.
     """
 
     def __init__(
@@ -284,9 +264,6 @@ class SVTKernel:
         backend: str = "auto",
         *,
         rank_predictor: RankPredictor | None = None,
-        oversample: int = 8,
-        power_iters: int = 2,
-        seed: int = 0,
     ) -> None:
         self.shape = (int(shape[0]), int(shape[1]))
         self.backend = validate_backend(backend)
@@ -299,9 +276,6 @@ class SVTKernel:
                 f"kernel shape {self.shape} has min_dim={self.min_dim}"
             )
         self.predictor = rank_predictor
-        self.oversample = max(1, int(oversample))
-        self.power_iters = max(0, int(power_iters))
-        self._rng = np.random.default_rng(seed)
         self._gram: np.ndarray | None = None  # min_dim × min_dim scratch
 
     # -- policy -------------------------------------------------------------
@@ -309,11 +283,7 @@ class SVTKernel:
         """The concrete backend the next :meth:`svt` call will use."""
         if self.backend != "auto":
             return self.backend
-        if self.min_dim <= _GRAM_MAX_SIDE:
-            return "gram"
-        if self.predictor.predict() * _RANDOMIZED_MARGIN < self.min_dim:
-            return "randomized"
-        return "exact"
+        return "gram" if self.min_dim <= _GRAM_MAX_SIDE else "exact"
 
     # -- dispatch -----------------------------------------------------------
     def svt(
@@ -328,10 +298,8 @@ class SVTKernel:
         start = time.perf_counter()
         if backend == "exact":
             d, rank, top = self._svt_exact(a, tau, out)
-        elif backend == "gram":
-            d, rank, top = self._svt_gram(a, tau, out)
         else:
-            d, rank, top = self._svt_randomized(a, tau, out)
+            d, rank, top = self._svt_gram(a, tau, out)
         elapsed = time.perf_counter() - start
         self.predictor.observe(rank)
         observability.emit_count(f"kernel.svt.{backend}")
@@ -395,57 +363,6 @@ class SVTKernel:
             # D = (A V_k / s_k * shrunk) @ V_kᵀ
             u = (a @ basis) / s[:rank]
             np.matmul(u * shrunk[:rank], basis.T, out=out)
-        return out, rank, top
-
-    def _svt_randomized(
-        self, a: np.ndarray, tau: float, out: np.ndarray | None
-    ) -> tuple[np.ndarray, int, float]:
-        """Range-finder partial SVD of the predicted top-``k`` triplets.
-
-        The sketch starts at ``predictor.predict() + oversample`` columns
-        and *regrows* (doubling) whenever every computed singular value
-        survived the threshold — a sketch that small cannot prove the rank,
-        so returning it would undershoot. At ``k = min_dim`` the sketch is
-        a full decomposition and the answer is exact.
-        """
-        m, n = a.shape
-        wide = m <= n
-        work = a if wide else a.T
-        k = self.predictor.predict()
-        while True:
-            sketch = min(self.min_dim, k + self.oversample)
-            if sketch >= self.min_dim:
-                # Full-width fallback: the sketch would not be partial.
-                u, s, vt = truncated_svd(a)
-                break
-            omega = self._rng.standard_normal((work.shape[1], sketch))
-            y = work @ omega
-            q, _ = np.linalg.qr(y)
-            for _ in range(self.power_iters):
-                q, _ = np.linalg.qr(work.T @ q)
-                q, _ = np.linalg.qr(work @ q)
-            b = q.T @ work
-            ub, s, vt_b = truncated_svd(b)
-            if s.size and s[-1] - tau > 0.0:
-                # Every computed value survived: cannot certify the rank.
-                observability.emit_count("kernel.svt.regrow")
-                k = min(self.min_dim, max(k * 2, k + 1))
-                continue
-            u_small = q @ ub
-            if wide:
-                u, vt = u_small, vt_b
-            else:
-                u, vt = vt_b.T, u_small.T
-            break
-        top = float(s[0]) if s.size else 0.0
-        shrunk = s - tau
-        rank = int(np.count_nonzero(shrunk > 0.0))
-        if out is None:
-            out = np.empty_like(np.asarray(a, dtype=np.float64))
-        if rank == 0:
-            out[:] = 0.0
-            return out, 0, top
-        np.matmul(u[:, :rank] * shrunk[:rank], vt[:rank], out=out)
         return out, rank, top
 
 

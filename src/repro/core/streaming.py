@@ -211,18 +211,13 @@ class StreamingDecomposer:
         self,
         shape: tuple[int, int],
         config: StreamingConfig | None = None,
-        *,
-        elementwise_backend: str = "reference",
     ) -> None:
         self.shape = (int(shape[0]), int(shape[1]))
         self.config = config if config is not None else StreamingConfig()
         self.workspace = SolveWorkspace(self.shape)
-        # Per-fold shrinkage routes through the elementwise layer; the
-        # ``reference`` spelling is the historical soft_threshold, bit for
-        # bit, and fused/jit reuse kernel scratch rows (safe: the window
-        # slide copies the shrunk row via np.vstack).
-        self._ew = ElementwiseKernel(elementwise_backend)
-        self.elementwise_backend = self._ew.backend
+        # Per-fold shrinkage reuses the elementwise kernel's scratch rows
+        # (safe: the window slide copies the shrunk row via np.vstack).
+        self._ew = ElementwiseKernel()
         self.state: StreamState | None = None
 
     # -- seeding -----------------------------------------------------------

@@ -18,7 +18,6 @@ from .._validation import check_positive
 from ..cloudsim.trace import CalibrationTrace
 from ..core.batch import validate_batch_dtype
 from ..core.detectors import validate_regime_detector
-from ..core.elementwise import validate_ew_backend
 from ..core.kernels import validate_backend
 from ..core.streaming import StreamingConfig, validate_mode
 from ..errors import ValidationError
@@ -93,15 +92,6 @@ class FleetConfig:
         :data:`repro.core.kernels.SVD_BACKENDS` (default ``"exact"``).
         Partial backends carry their rank-prediction state inside each
         session capsule, so it survives worker migration.
-    elementwise_backend:
-        Elementwise kernel for every cluster's step recurrences — one of
-        :data:`repro.core.EW_BACKENDS` (default ``"reference"``). Sessions
-        (:meth:`~repro.fleet.FleetScheduler.run`) additionally need a
-        non-``exact`` *svd_backend* to use a non-reference value — the
-        scheduler rejects the conflict up front. Batched sweeps
-        (:meth:`~repro.fleet.FleetScheduler.run_sweep`) always run the
-        batched gram-kernel path, so the knob applies regardless of
-        *svd_backend* there.
     mode:
         Decomposition mode for every cluster's session — ``"batch"``
         (default, the historical full-window re-solves) or ``"streaming"``
@@ -192,7 +182,6 @@ class FleetConfig:
     solver: str = "apg"
     warm_start: bool = True
     svd_backend: str = "exact"
-    elementwise_backend: str = "reference"
     mode: str = "batch"
     stream_tolerance: float | None = None
     stream_refresh_every: int | None = None
@@ -222,11 +211,6 @@ class FleetConfig:
         if self.threshold < 0:
             raise ValidationError("threshold must be >= 0")
         validate_backend(self.svd_backend)
-        # Name-only here: the exact×elementwise conflict is a session-path
-        # concern, enforced by the scheduler's run()/run_serial() (sweeps
-        # legitimately combine svd_backend="exact" with a fast elementwise
-        # backend because they never touch the exact loop).
-        validate_ew_backend(self.elementwise_backend)
         validate_batch_dtype(self.batch_dtype)
         validate_mode(self.mode)
         if self.mode != "streaming" and (

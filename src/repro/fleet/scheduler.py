@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.elementwise import check_ew_svd_compatible, ensure_ew_backend_available
 from ..errors import FleetError, ValidationError
 from ..observability import Instrumentation, instrumented
 from ..persistence import CheckpointStore
@@ -349,11 +348,6 @@ class FleetScheduler:
 
     def _session_kwargs(self) -> dict[str, object]:
         cfg = self.config
-        # Fail in the scheduler, not inside a worker's TraceSession: an
-        # unusable elementwise backend (jit without numba) or the exact×ew
-        # conflict would otherwise surface as per-cluster retry storms.
-        ensure_ew_backend_available(cfg.elementwise_backend)
-        check_ew_svd_compatible(cfg.svd_backend, cfg.elementwise_backend)
         return {
             "nbytes": cfg.nbytes,
             "time_step": cfg.window,
@@ -362,7 +356,6 @@ class FleetScheduler:
             "solver": cfg.solver,
             "warm_start": cfg.warm_start,
             "svd_backend": cfg.svd_backend,
-            "elementwise_backend": cfg.elementwise_backend,
             "mode": cfg.mode,
             "stream_tolerance": cfg.stream_tolerance,
             "stream_refresh_every": cfg.stream_refresh_every,
@@ -399,7 +392,6 @@ class FleetScheduler:
             "threshold": self.config.threshold,
             "solver": self.config.solver,
             "svd_backend": self.config.svd_backend,
-            "elementwise_backend": self.config.elementwise_backend,
             "mode": self.config.mode,
             "op": self.config.op,
             "on_error": self.config.on_error,
@@ -865,7 +857,6 @@ class FleetScheduler:
         """
         t0 = time.perf_counter()
         cfg = self.config
-        ensure_ew_backend_available(cfg.elementwise_backend)
         shards = self.plan_sweep()
         results: dict[str, SweepClusterResult] = {}
         workspaces: dict[tuple[int, int, int], object] = {}
@@ -877,7 +868,6 @@ class FleetScheduler:
                         list(shard.tps),
                         solver=cfg.solver,
                         dtype=cfg.batch_dtype,
-                        elementwise_backend=cfg.elementwise_backend,
                         workspaces=workspaces,
                     )
                 except Exception:
@@ -917,9 +907,6 @@ class FleetScheduler:
         """
         cfg = self.config
         t0 = time.perf_counter()
-        # Fail here, not in every worker: per the scheduler's session path,
-        # an unusable backend must not surface as per-shard retry storms.
-        ensure_ew_backend_available(cfg.elementwise_backend)
         shards = self.plan_sweep()
         shard_states = [_ShardState(shard=shard) for shard in shards]
         n_workers = min(int(cfg.n_workers), len(shards))
@@ -988,7 +975,6 @@ class FleetScheduler:
                 clusters=state.shard.names,
                 solver=cfg.solver,
                 dtype=cfg.batch_dtype,
-                elementwise_backend=cfg.elementwise_backend,
                 attempt=attempt,
             )
             inflight[attempt] = _Inflight(key=index, dispatched_at=time.monotonic())

@@ -102,7 +102,6 @@ class SweepTask:
     solver: str = "apg"
     dtype: str = "float64"
     extraction: str = "mean"
-    elementwise_backend: str = "reference"
     attempt: int = 0
 
 
@@ -131,7 +130,6 @@ def solve_shard(
     solver: str = "apg",
     dtype: str = "float64",
     extraction: str = "mean",
-    elementwise_backend: str = "reference",
     workspaces: dict[tuple[int, int, int], BatchedSolveWorkspace] | None = None,
 ) -> list[SweepClusterResult]:
     """Solve one shard of same-shape TP-matrices as a single stacked batch.
@@ -164,7 +162,6 @@ def solve_shard(
         masks,
         solver=solver,
         dtype=dtype,
-        elementwise_backend=elementwise_backend,
         workspace=workspace,
         context="fleet-sweep",
     )
@@ -203,7 +200,6 @@ def _run_sweep_task(
                     solver=task.solver,
                     dtype=task.dtype,
                     extraction=task.extraction,
-                    elementwise_backend=task.elementwise_backend,
                     workspaces=workspaces,
                 )
         finally:

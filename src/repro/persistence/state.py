@@ -280,7 +280,6 @@ def capture_session_state(
             "calibration_cost": session.calibration_cost,
             "warm_start": session._engine.warm_start,
             "svd_backend": session._engine.svd_backend,
-            "elementwise_backend": session._engine.elementwise_backend,
             "mode": session.mode,
             # Knobs only exist in streaming mode (the engine rejects them
             # otherwise); None keeps batch checkpoints byte-compatible.

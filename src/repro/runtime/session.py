@@ -295,12 +295,6 @@ class TraceSession:
         historical bit-identical path). Forwarded to the session's
         :class:`~repro.core.engine.DecompositionEngine`, which keeps the
         adaptive rank-prediction state across re-calibrations.
-    elementwise_backend:
-        Elementwise kernel for the solver's step recurrences — one of
-        :data:`repro.core.elementwise.EW_BACKENDS` (default ``"reference"``,
-        the historical ufunc chain). Anything else requires a non-``exact``
-        *svd_backend* and an SVT-based solver; ``"jit"`` additionally
-        requires numba. Forwarded to the engine alongside *svd_backend*.
     mode:
         ``"batch"`` (default) — the historical Algorithm-1 loop: full
         window re-solves when the maintenance controller fires.
@@ -379,7 +373,6 @@ class TraceSession:
         calibration_cost: float | None = None,
         warm_start: bool = True,
         svd_backend: str = "exact",
-        elementwise_backend: str = "reference",
         mode: str = "batch",
         stream_tolerance: float | None = None,
         stream_refresh_every: int | None = None,
@@ -402,7 +395,6 @@ class TraceSession:
         self.time_step = int(time_step)
         self.solver = solver
         self.svd_backend = svd_backend
-        self.elementwise_backend = elementwise_backend
         self.mode = validate_mode(mode)
         self.controller = MaintenanceController(
             threshold=threshold, consecutive=consecutive
@@ -440,7 +432,6 @@ class TraceSession:
             solver=solver,
             warm_start=warm_start,
             svd_backend=svd_backend,
-            elementwise_backend=elementwise_backend,
             mode=self.mode,
             stream_tolerance=stream_tolerance,
             stream_refresh_every=stream_refresh_every,
@@ -1173,8 +1164,7 @@ class TraceSession:
         self.solver = cfg["solver"]
         # Checkpoints from releases before the kernel layer lack the key.
         self.svd_backend = cfg.get("svd_backend", "exact")
-        # Checkpoints from before the elementwise layer lack this one too.
-        self.elementwise_backend = cfg.get("elementwise_backend", "reference")
+        # Older checkpoints may name an "elementwise_backend"; it is ignored.
         # Pre-streaming checkpoints lack the mode and knob keys.
         self.mode = cfg.get("mode", "batch")
         stream_tolerance = cfg.get("stream_tolerance")
@@ -1211,7 +1201,6 @@ class TraceSession:
             solver=self.solver,
             warm_start=bool(cfg["warm_start"]),
             svd_backend=self.svd_backend,
-            elementwise_backend=self.elementwise_backend,
             mode=self.mode,
             stream_tolerance=stream_tolerance,
             stream_refresh_every=stream_refresh_every,

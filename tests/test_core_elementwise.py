@@ -1,52 +1,52 @@
-"""The elementwise kernel layer: parity contracts, routing, observability.
+"""The fused elementwise kernel: bit identity, fallback, observability.
 
 Mirrors the guarantees pinned for the SVD kernel layer in
 ``test_core_kernels.py``, one tier stricter where the design allows it:
 
-* **Bit identity of fused** — ``elementwise_backend="fused"`` preserves the
-  reference chain's per-element operation order (it only blocks the ufunc
-  sweeps), so fused solves are bit-identical to reference solves on every
-  solver × masked/unmasked × dtype × stacked combination. That is asserted
-  with ``np.array_equal``, not a tolerance.
-* **Certified jit** — the numba kernels follow the same parity contract as
-  batch float32 mode: certified against reference within ``1e-6 × scale``.
-  Without numba the kernel bodies still run as plain Python (the ``@_njit``
-  decorator degrades to identity), so the certification is exercised here
-  by routing a kernel to the jit bodies directly.
-* **Routing and gating** — ``"jit"`` raises cleanly when numba is missing,
-  configs stay constructible on machines without it (name-only
-  validation), ``elementwise_backend != "reference"`` conflicts with the
-  bit-pinned ``svd_backend="exact"`` loop, and non-contiguous buffers fall
-  back to the reference ops with a counter instead of silently copying.
+* **Bit identity** — the fused kernel preserves the historical ufunc
+  chain's per-element operation order (it only blocks the sweeps), so
+  fused solves are bit-identical to reference-chain solves on every solver
+  × masked/unmasked × dtype × stacked combination. That is asserted with
+  ``np.array_equal``, not a tolerance. The oracle is the same kernel with
+  ``elementwise._fusable`` patched to ``False``, which sends every step
+  down the reference chain (see :func:`reference_chain`).
+* **Fallback and observability** — non-contiguous buffers take the
+  reference chain with a ``kernel.ew.fallback`` count instead of silently
+  copying, and every step reports ``kernel.ew.steps`` /
+  ``kernel.ew_seconds``.
+* **No knob** — ``elementwise_backend=`` is not an option anywhere; the
+  facade, the solvers and ``decompose`` reject it with ``TypeError``.
 """
 
+import contextlib
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
+from repro.core import elementwise
 from repro.core.apg import rpca_apg
 from repro.core.batch import solve_rpca_batch
 from repro.core.decompose import decompose
-from repro.core.elementwise import (
-    EW_BACKENDS,
-    DEFAULT_EW_CHUNK,
-    ElementwiseKernel,
-    check_ew_svd_compatible,
-    ensure_ew_backend_available,
-    jit_available,
-    validate_ew_backend,
-)
+from repro.core.elementwise import DEFAULT_EW_CHUNK, ElementwiseKernel
 from repro.core.engine import DecompositionEngine
 from repro.core.ialm import rpca_ialm
 from repro.core.matrices import TPMatrix
 from repro.core.streaming import StreamingDecomposer
-from repro.errors import ValidationError
+from repro.core.svd_ops import soft_threshold
 from repro.observability import Instrumentation, instrumented
+
+
+@contextlib.contextmanager
+def reference_chain():
+    """Run every elementwise step on the historical ufunc chain (the oracle)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elementwise, "_fusable", lambda *arrays: False)
+        yield
+
 
 SOLVERS = {"apg": rpca_apg, "ialm": rpca_ialm}
 
@@ -90,115 +90,59 @@ def _mask(shape, missing=0.15, seed=3):
 
 
 class TestValidation:
-    def test_backends_tuple(self):
-        assert EW_BACKENDS == ("reference", "fused", "jit")
+    def test_unknown_name_rejected(self, tiny_trace):
+        # The retired knob is an unknown keyword on every facade verb.
+        with pytest.raises(TypeError, match="elementwise_backend"):
+            api.solve(tiny_trace, elementwise_backend="fused")
+        with pytest.raises(TypeError, match="elementwise_backend"):
+            api.open_session(tiny_trace, window=6, elementwise_backend="fused")
+        with pytest.raises(TypeError, match="elementwise_backend"):
+            api.run_fleet(
+                [("only", tiny_trace)], serial=True, elementwise_backend="fused"
+            )
 
-    @pytest.mark.parametrize("backend", EW_BACKENDS)
-    def test_known_names_validate(self, backend):
-        assert validate_ew_backend(backend) == backend
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValidationError, match="unknown elementwise backend"):
-            validate_ew_backend("simd")
-
-    def test_exact_conflict_rejected(self):
-        with pytest.raises(ValidationError, match="non-exact SVD backend"):
-            check_ew_svd_compatible("exact", "fused")
-
-    @pytest.mark.parametrize("svd", ["auto", "gram", "randomized"])
-    def test_non_exact_svd_compatible(self, svd):
-        check_ew_svd_compatible(svd, "fused")  # does not raise
-
-    def test_reference_always_compatible(self):
-        check_ew_svd_compatible("exact", "reference")  # does not raise
-
-    def test_jit_gated_on_numba(self):
-        if jit_available():
-            assert ensure_ew_backend_available("jit") == "jit"
-        else:
-            with pytest.raises(ValidationError, match="requires numba"):
-                ensure_ew_backend_available("jit")
-
-    def test_name_validation_never_needs_numba(self):
-        # Configs must stay constructible on machines without numba; only
-        # building a kernel (or an engine) checks availability.
-        assert validate_ew_backend("jit") == "jit"
-
+    # Solvers and engines take no elementwise keyword either, whatever the
+    # SVD backend or solver.
     def test_solver_rejects_exact_conflict(self):
         a = _rpca_problem()
         for solver in SOLVERS.values():
-            with pytest.raises(ValidationError, match="non-exact SVD backend"):
-                solver(a, elementwise_backend="fused")
+            for svd in ("exact", "auto"):
+                with pytest.raises(TypeError, match="elementwise_backend"):
+                    solver(a, svd_backend=svd, elementwise_backend="fused")
 
     def test_engine_rejects_non_svt_solver(self):
-        with pytest.raises(ValidationError, match="elementwise backend"):
+        with pytest.raises(TypeError, match="elementwise_backend"):
             DecompositionEngine(
                 _FakeSource(), nbytes=8.0, solver="row_constant",
                 elementwise_backend="fused",
             )
 
     def test_engine_rejects_exact_conflict(self):
-        with pytest.raises(ValidationError, match="non-exact SVD backend"):
+        with pytest.raises(TypeError, match="elementwise_backend"):
             DecompositionEngine(
                 _FakeSource(), nbytes=8.0, elementwise_backend="fused"
             )
 
     def test_engine_calibrations_bit_identical(self):
-        ref = DecompositionEngine(
+        fus = DecompositionEngine(
             _FakeSource(), nbytes=8.0, time_step=10, svd_backend="auto"
         )
-        fus = DecompositionEngine(
-            _FakeSource(), nbytes=8.0, time_step=10, svd_backend="auto",
-            elementwise_backend="fused",
-        )
-        for end in (10, 12):
-            a = ref.calibrate(end)
-            b = fus.calibrate(end)
-            assert np.array_equal(a.constant.row, b.constant.row)
+        fused = [fus.calibrate(end).constant.row for end in (10, 12)]
+        with reference_chain():
+            ref = DecompositionEngine(
+                _FakeSource(), nbytes=8.0, time_step=10, svd_backend="auto"
+            )
+            oracle = [ref.calibrate(end).constant.row for end in (10, 12)]
+        for a, b in zip(oracle, fused):
+            assert np.array_equal(a, b)
 
 
-class TestImportGuard:
-    def test_package_imports_with_numba_blocked(self):
-        """The layer (and the package) must import when numba cannot."""
-        code = (
-            "import sys\n"
-            "class _Block:\n"
-            "    def find_module(self, name, path=None):\n"
-            "        if name == 'numba' or name.startswith('numba.'):\n"
-            "            return self\n"
-            "    def load_module(self, name):\n"
-            "        raise ImportError('numba blocked for test')\n"
-            "sys.meta_path.insert(0, _Block())\n"
-            "sys.modules.pop('numba', None)\n"
-            "import repro\n"
-            "from repro.core.elementwise import jit_available, ElementwiseKernel\n"
-            "from repro.errors import ValidationError\n"
-            "assert not jit_available()\n"
-            "try:\n"
-            "    ElementwiseKernel('jit')\n"
-            "except ValidationError as e:\n"
-            "    assert 'requires numba' in str(e)\n"
-            "else:\n"
-            "    raise SystemExit('jit kernel built without numba')\n"
-            "ElementwiseKernel('fused')\n"
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep * bool(env.get("PYTHONPATH")) + env.get(
-            "PYTHONPATH", ""
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr or proc.stdout
-
-
-def _solve_pair(solver, a, mask, ew, **kw):
-    ref = SOLVERS[solver](a, mask=mask, svd_backend="auto", **kw)
-    alt = SOLVERS[solver](
-        a, mask=mask, svd_backend="auto", elementwise_backend=ew, **kw
-    )
-    return ref, alt
+def _solve_pair(solver, a, mask, **kw):
+    """(reference-chain result, fused result) of one ``auto`` solve."""
+    fus = SOLVERS[solver](a, mask=mask, svd_backend="auto", **kw)
+    with reference_chain():
+        ref = SOLVERS[solver](a, mask=mask, svd_backend="auto", **kw)
+    return ref, fus
 
 
 class TestFusedBitIdentity:
@@ -207,7 +151,7 @@ class TestFusedBitIdentity:
     def test_single_solve(self, solver, masked):
         a = _rpca_problem(seed=11)
         mask = _mask(a.shape) if masked else None
-        ref, fus = _solve_pair(solver, a, mask, "fused")
+        ref, fus = _solve_pair(solver, a, mask)
         assert ref.iterations == fus.iterations
         assert np.array_equal(ref.low_rank, fus.low_rank)
         assert np.array_equal(ref.sparse, fus.sparse)
@@ -223,7 +167,7 @@ class TestFusedBitIdentity:
     def test_property_single_solve(self, solver, seed, m, n, masked):
         a = _rpca_problem(m=m, n=n, seed=seed)
         mask = _mask(a.shape, seed=seed + 1) if masked else None
-        ref, fus = _solve_pair(solver, a, mask, "fused", max_iter=40)
+        ref, fus = _solve_pair(solver, a, mask, max_iter=40)
         assert ref.iterations == fus.iterations
         assert np.array_equal(ref.low_rank, fus.low_rank)
         assert np.array_equal(ref.sparse, fus.sparse)
@@ -232,15 +176,16 @@ class TestFusedBitIdentity:
         # A chunk smaller than a row exercises the block seams; results
         # must not depend on the chunk size at all.
         a = _rpca_problem(seed=5)
-        ref = rpca_apg(a, svd_backend="auto")
-        big = rpca_apg(a, svd_backend="auto", elementwise_backend="fused")
+        with reference_chain():
+            ref = rpca_apg(a, svd_backend="auto")
+        big = rpca_apg(a, svd_backend="auto")
         real_init = ElementwiseKernel.__init__
 
-        def tiny_chunks(self, backend="reference", *, chunk=DEFAULT_EW_CHUNK):
-            real_init(self, backend, chunk=17)
+        def tiny_chunks(self, *, chunk=DEFAULT_EW_CHUNK):
+            real_init(self, chunk=17)
 
         monkeypatch.setattr(ElementwiseKernel, "__init__", tiny_chunks)
-        small = rpca_apg(a, svd_backend="auto", elementwise_backend="fused")
+        small = rpca_apg(a, svd_backend="auto")
         assert np.array_equal(ref.low_rank, big.low_rank)
         assert np.array_equal(big.low_rank, small.low_rank)
         assert np.array_equal(big.sparse, small.sparse)
@@ -260,55 +205,13 @@ class TestFusedBitIdentity:
             if masked
             else None
         )
-        ref = solve_rpca_batch(mats, masks, solver=solver, dtype=dtype)
-        fus = solve_rpca_batch(
-            mats, masks, solver=solver, dtype=dtype, elementwise_backend="fused"
-        )
+        fus = solve_rpca_batch(mats, masks, solver=solver, dtype=dtype)
+        with reference_chain():
+            ref = solve_rpca_batch(mats, masks, solver=solver, dtype=dtype)
         for r, f in zip(ref, fus):
             assert r.iterations == f.iterations
             assert np.array_equal(r.low_rank, f.low_rank)
             assert np.array_equal(r.sparse, f.sparse)
-
-
-def _jit_bodied_kernel():
-    """A kernel routed to the jit bodies regardless of numba's presence.
-
-    Without numba the ``@_njit`` decorator is the identity, so the kernel
-    bodies execute as plain Python — same arithmetic, certified the same.
-    """
-    kernel = ElementwiseKernel("fused")
-    kernel.backend = "jit"
-    return kernel
-
-
-class TestJitCertification:
-    @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("solver", ["apg", "ialm"])
-    def test_jit_bodies_within_tolerance(self, solver, masked, monkeypatch):
-        a = _rpca_problem(seed=23)
-        mask = _mask(a.shape) if masked else None
-        ref = SOLVERS[solver](a, mask=mask, svd_backend="auto")
-
-        real_init = ElementwiseKernel.__init__
-
-        def jit_init(self, backend="reference", **kw):
-            real_init(self, "fused", **kw)
-            self.backend = "jit"
-
-        monkeypatch.setattr(ElementwiseKernel, "__init__", jit_init)
-        jit = SOLVERS[solver](
-            a, mask=mask, svd_backend="auto", elementwise_backend="fused"
-        )
-        scale = max(float(np.abs(ref.low_rank).max()), 1.0)
-        assert np.abs(jit.low_rank - ref.low_rank).max() <= 1e-6 * scale
-        assert np.abs(jit.sparse - ref.sparse).max() <= 1e-6 * scale
-
-    def test_shrink_jit_body_matches_reference(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(64)
-        ref = ElementwiseKernel("reference").shrink(x, 0.3)
-        jit = _jit_bodied_kernel().shrink(x, 0.3)
-        assert np.abs(np.asarray(jit) - ref).max() <= 1e-12
 
 
 class TestRoutingAndObservability:
@@ -316,59 +219,70 @@ class TestRoutingAndObservability:
         a = _rpca_problem(seed=31)
         sink = Instrumentation("ew")
         with instrumented(sink):
-            rpca_apg(a, svd_backend="auto", elementwise_backend="fused")
-        assert sink.counters.get("kernel.ew.fused", 0) > 0
+            rpca_apg(a, svd_backend="auto")
+        assert sink.counters.get("kernel.ew.steps", 0) > 0
+        assert sink.counters.get("kernel.ew.fallback", 0) == 0
         assert sink.timers.get("kernel.ew_seconds", 0.0) > 0.0
-        assert sink.timers.get("kernel.ew.fused_seconds", 0.0) > 0.0
 
     def test_reference_backend_also_times(self):
-        # ew_share must be reportable for the reference chain too.
+        # ew_share must be reportable when steps fall back to the chain too.
         a = _rpca_problem(seed=31)
         sink = Instrumentation("ew")
-        with instrumented(sink):
+        with reference_chain(), instrumented(sink):
             rpca_apg(a, svd_backend="auto")
-        assert sink.counters.get("kernel.ew.reference", 0) > 0
+        steps = sink.counters.get("kernel.ew.steps", 0)
+        assert steps > 0
+        assert sink.counters.get("kernel.ew.fallback", 0) >= steps
         assert sink.timers.get("kernel.ew_seconds", 0.0) > 0.0
 
     def test_non_contiguous_falls_back(self):
-        kernel = ElementwiseKernel("fused")
+        kernel = ElementwiseKernel()
         x = np.asfortranarray(np.random.default_rng(0).standard_normal((8, 60)))
         assert not x.flags.c_contiguous
         sink = Instrumentation("ew")
         with instrumented(sink):
             out = kernel.shrink(x, 0.2)
         assert sink.counters.get("kernel.ew.fallback", 0) > 0
-        ref = ElementwiseKernel("reference").shrink(x, 0.2)
-        assert np.array_equal(np.asarray(out), ref)
+        assert np.array_equal(out, soft_threshold(x, 0.2))
 
     def test_decompose_threads_backend(self):
         tp = TPMatrix(data=_rpca_problem(n=16), n_machines=4)
-        ref = decompose(tp, solver="apg", svd_backend="auto")
-        fus = decompose(
-            tp, solver="apg", svd_backend="auto", elementwise_backend="fused"
-        )
+        fus = decompose(tp, solver="apg", svd_backend="auto")
+        with reference_chain():
+            ref = decompose(tp, solver="apg", svd_backend="auto")
         assert np.array_equal(ref.constant.row, fus.constant.row)
 
     def test_decompose_rejects_non_svt_solver(self):
         tp = TPMatrix(data=_rpca_problem(n=16), n_machines=4)
-        with pytest.raises(ValidationError, match="elementwise backend"):
-            decompose(tp, solver="row_constant", elementwise_backend="fused")
+        for solver, svd in (("row_constant", None), ("apg", "auto")):
+            with pytest.raises(TypeError, match="elementwise_backend"):
+                decompose(
+                    tp, solver=solver, svd_backend=svd, elementwise_backend="fused"
+                )
+
+    def test_exact_loop_runs_no_elementwise_steps(self):
+        # The bit-pinned exact loop has no seam for the kernel at all.
+        sink = Instrumentation("ew")
+        with instrumented(sink):
+            rpca_apg(_rpca_problem(seed=31))
+        assert "kernel.ew.steps" not in sink.counters
 
 
 class TestStreamingShrink:
-    def _seeded(self, rows, backend):
+    def _seeded(self, rows):
         window = rows[:10]
         res = rpca_apg(window, svd_backend="auto")
-        dec = StreamingDecomposer(window.shape, elementwise_backend=backend)
+        dec = StreamingDecomposer(window.shape)
         dec.seed(end=10, data=window, low_rank=res.low_rank, sparse=res.sparse)
         return dec
 
     def test_streaming_folds_bit_identical(self):
         rows = _rpca_problem(m=30, n=50, seed=41)
-        ref = self._seeded(rows, "reference")
-        fus = self._seeded(rows, "fused")
+        ref = self._seeded(rows)
+        fus = self._seeded(rows)
         for key in range(10, 30):
-            a = ref.fold(key, rows[key])
+            with reference_chain():
+                a = ref.fold(key, rows[key])
             b = fus.fold(key, rows[key])
             assert a == b  # same fallback decision (usually None)
             if a is not None:
@@ -382,7 +296,7 @@ class TestStreamingShrink:
         # The fused shrink hands back kernel-owned scratch; the fold must
         # copy it into the slid window before the next call reuses it.
         rows = _rpca_problem(m=16, n=30, seed=43)
-        fus = self._seeded(rows, "fused")
+        fus = self._seeded(rows)
         fus.fold(10, rows[10])
         first = fus.export_state().sparse[-1].copy()
         fus.fold(11, rows[11])

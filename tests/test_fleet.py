@@ -1,5 +1,6 @@
 """Fleet scheduler: shared-memory transport, parity, fairness, failures."""
 
+import json
 import os
 import pickle
 
@@ -228,10 +229,15 @@ class TestCheckpointing:
         cfg = FleetConfig(n_workers=2, checkpoint_root=str(root), **CFG)
         report = FleetScheduler(clusters, cfg).run()
         assert sorted(os.listdir(root)) == ["c0", "c1", "fleet.json"]
+        manifest = json.loads((root / "fleet.json").read_text(encoding="utf-8"))
+        assert manifest["svd_backend"] == cfg.svd_backend
+        # The elementwise kernel is no longer a choice, so nothing records one.
+        assert "elementwise_backend" not in manifest
         for spec in clusters:
             store = CheckpointStore(str(root / spec.name))
             ckpt = store.load_latest()
             assert ckpt is not None
+            assert "elementwise_backend" not in ckpt.meta["config"]
             assert int(ckpt.meta["stats"]["operations"]) == 12
             assert np.array_equal(
                 ckpt.arrays["dec_row"], report.clusters[spec.name].constant_row

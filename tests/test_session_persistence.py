@@ -223,6 +223,33 @@ class TestResumeParity:
         assert resumed.regime_detector.params() == regime["params"]
         resumed.close()
 
+    def test_checkpoint_naming_a_jit_elementwise_backend_resumes(
+        self, small_trace, persist_cfg
+    ):
+        """Checkpoints from releases with selectable elementwise kernels
+        record the choice; one written on a host with numba says "jit".
+        The key is ignored on resume, so such a checkpoint resumes onto
+        the fused kernel and the run stays bit-identical."""
+        reference = TraceSession(small_trace, time_step=8, svd_backend="auto")
+        _drive(reference, 16)
+
+        session = TraceSession(
+            small_trace, time_step=8, svd_backend="auto", persistence=persist_cfg
+        )
+        _drive(session, 9)
+        session.close()
+
+        store = CheckpointStore(persist_cfg.directory)
+        ckpt = store.load_latest()
+        ckpt.meta["config"]["elementwise_backend"] = "jit"
+        store.save(ckpt.arrays, ckpt.meta)
+
+        resumed = TraceSession.resume(persist_cfg.directory)
+        assert resumed.stats.operations == 9
+        _drive(resumed, 7)
+        resumed.close()
+        _assert_parity(resumed, reference)
+
 
 class TestGuards:
     def test_fresh_session_refuses_occupied_directory(
