@@ -58,10 +58,6 @@ from .core import (
     decompose,
     Decomposition,
     DecompositionEngine,
-    BatchDecompositionEngine,
-    solve_rpca_batch,
-    BatchedSolveWorkspace,
-    BATCH_DTYPES,
     SolverResult,
     SVD_BACKENDS,
     spectral_norm,
@@ -131,10 +127,6 @@ __all__ = [
     "decompose",
     "Decomposition",
     "DecompositionEngine",
-    "BatchDecompositionEngine",
-    "solve_rpca_batch",
-    "BatchedSolveWorkspace",
-    "BATCH_DTYPES",
     "SolverResult",
     "SVD_BACKENDS",
     "spectral_norm",

@@ -308,20 +308,20 @@ def sweep_fleet(
     serial: bool = False,
     **overrides: Any,
 ) -> FleetSweepReport:
-    """Decompose every cluster's trailing window through batched solves.
+    """Decompose every cluster's trailing window once, across workers.
 
-    The batched counterpart of :func:`run_fleet`'s per-cluster sessions:
-    one sweep solves each cluster's trailing ``window`` TP-matrix, with
-    same-shape windows stacked ``batch_size`` at a time into single
-    ``(B, m, n)`` iteration loops (see
-    :func:`~repro.core.solve_rpca_batch`). ``batch_dtype`` selects the
-    iterate precision; the default ``"float64"`` makes per-cluster ``P_D``
-    bit-identical to per-cluster serial solves. ``serial=True`` runs the
-    identical shard plan in-process — the determinism oracle and the
-    speedup baseline. The sweep always runs the batched gram-kernel path;
-    ``svd_backend`` only affects :func:`run_fleet` sessions. The same
-    supervision as :func:`run_fleet` applies (worker respawn, shard
-    retries, deadlines, ``on_error="degrade"`` quarantine).
+    The one-shot counterpart of :func:`run_fleet`'s per-cluster sessions:
+    one sweep solves each cluster's trailing ``window`` TP-matrix. Workers
+    take shards of up to ``batch_size`` same-shape windows and solve them
+    one at a time, each exactly as
+    ``decompose(tp, solver=solver, svd_backend="auto")`` would, so
+    per-cluster ``P_D`` is bit-identical to that single solve.
+    ``serial=True`` runs the identical shard plan in-process — the
+    determinism oracle and the speedup baseline. The sweep always uses
+    ``svd_backend="auto"``; the configured ``svd_backend`` only affects
+    :func:`run_fleet` sessions. The same supervision as :func:`run_fleet`
+    applies (worker respawn, shard retries, deadlines,
+    ``on_error="degrade"`` quarantine).
 
     >>> report = sweep_fleet([("a", trace_a), ("b", trace_b)], n_workers=4)
     >>> report.clusters["a"].verdict

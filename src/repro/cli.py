@@ -219,14 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "(requires --mode streaming)")
     flt.add_argument("--batch-size", type=int, default=8,
                      help="operations shipped per scheduler tick (and, with "
-                          "--sweep, cluster windows stacked per batched solve)")
+                          "--sweep, cluster windows per worker shard)")
     flt.add_argument("--sweep", action="store_true",
-                     help="solve every cluster's trailing window as stacked "
-                          "batched solves instead of running full sessions")
-    flt.add_argument("--batch-dtype", default="float64",
-                     choices=["float64", "float32"],
-                     help="iterate dtype for --sweep solves (float64 is the "
-                          "bit-parity mode; float32 adds a refinement pass)")
+                     help="solve every cluster's trailing window once "
+                          "instead of running full sessions")
     flt.add_argument("--checkpoint-root", default=None, metavar="DIR",
                      help="write per-cluster checkpoints under DIR")
     flt.add_argument("--on-error", default="raise",
@@ -593,7 +589,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         operations=args.operations,
         op=args.op,
         batch_size=args.batch_size,
-        batch_dtype=args.batch_dtype,
         checkpoint_root=args.checkpoint_root,
         on_error=args.on_error,
         max_task_retries=args.max_task_retries,
@@ -624,8 +619,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             print(json.dumps(report.summary()))
             return exit_code
         mode = "serial" if args.serial else f"{report.n_workers} worker(s)"
-        print(f"sweep:    {len(report.clusters)} cluster(s), {mode}, "
-              f"dtype={report.batch_dtype}")
+        print(f"sweep:    {len(report.clusters)} cluster(s), {mode}")
         print(f"shards:   {report.total_shards} "
               f"(batch size {report.batch_size})")
         print(f"elapsed:  {report.elapsed_s:.3f} s "

@@ -43,20 +43,12 @@ from .svd_ops import (
 )
 from .kernels import (
     SVD_BACKENDS,
-    BatchRankPredictor,
-    BatchedSVTKernel,
     RankPredictor,
     SolveWorkspace,
     SVTKernel,
     validate_backend,
 )
 from .elementwise import ElementwiseKernel
-from .batch import (
-    BATCH_DTYPES,
-    BatchedSolveWorkspace,
-    solve_rpca_batch,
-    validate_batch_dtype,
-)
 from .result import SolverResult
 from .apg import rpca_apg, APGResult
 from .ialm import rpca_ialm, IALMResult
@@ -75,7 +67,6 @@ from .decompose import (
     constant_row,
 )
 from .engine import (
-    BatchDecompositionEngine,
     DecompositionEngine,
     TraceWindowSource,
     WindowSource,
@@ -115,17 +106,11 @@ __all__ = [
     "spectral_norm",
     "truncated_svd",
     "SVD_BACKENDS",
-    "BATCH_DTYPES",
     "ElementwiseKernel",
-    "BatchRankPredictor",
-    "BatchedSVTKernel",
-    "BatchedSolveWorkspace",
     "RankPredictor",
     "SolveWorkspace",
     "SVTKernel",
     "validate_backend",
-    "validate_batch_dtype",
-    "solve_rpca_batch",
     "SolverResult",
     "rpca_apg",
     "APGResult",
@@ -141,7 +126,6 @@ __all__ = [
     "decomposition_from_result",
     "Decomposition",
     "constant_row",
-    "BatchDecompositionEngine",
     "DecompositionEngine",
     "TraceWindowSource",
     "WindowSource",

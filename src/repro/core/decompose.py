@@ -158,10 +158,9 @@ def decomposition_from_result(
     """Build a :class:`Decomposition` from an already-computed solver result.
 
     The post-solve tail of :func:`decompose` — row extraction, error
-    component, stability report — shared with the batched entry points
-    (:meth:`~repro.core.engine.BatchDecompositionEngine.decompose_batch`),
-    which obtain their :class:`~repro.core.result.SolverResult` per slice
-    from one stacked solve instead of :func:`~repro.core.solvers.solve_rpca`.
+    component, stability report — shared with callers that obtain their
+    :class:`~repro.core.result.SolverResult` some other way (the engine's
+    warm-started and streaming solves, the fleet sweep).
     """
     if getattr(result, "constant_row", None) is not None:
         # Exact row-constant solvers (row_constant, pca) carry their row.

@@ -31,7 +31,6 @@ middle of the step) — the peers of ``kernel.svt.<backend>`` /
 from __future__ import annotations
 
 import time
-from typing import Any
 
 import numpy as np
 
@@ -47,8 +46,8 @@ DEFAULT_EW_CHUNK = 32768
 
 
 # ---------------------------------------------------------------------------
-# Fused drivers: flatten (m, n) — or each slice of (B, m, n) — into
-# contiguous 1-D views and walk them block-wise.
+# Fused path: flatten (m, n) buffers into contiguous 1-D views and walk
+# them block-wise.
 # ---------------------------------------------------------------------------
 
 
@@ -56,34 +55,16 @@ def _fusable(*arrays: np.ndarray | None) -> bool:
     return all(a is None or a.flags.c_contiguous for a in arrays)
 
 
-def _flat_slices(arrays: tuple[np.ndarray, ...]):
-    """Yield ``(slice_index, flat_views)`` per matrix of a (stacked) group."""
-    lead = arrays[0]
-    if lead.ndim == 2:
-        yield 0, tuple(a.reshape(-1) for a in arrays)
-    else:
-        for i in range(lead.shape[0]):
-            yield i, tuple(a[i].reshape(-1) for a in arrays)
-
-
-def _tau_at(tau: Any, i: int) -> Any:
-    """Per-slice threshold: ``(B, 1, 1)`` arrays index, scalars pass through.
-
-    Array thresholds stay numpy scalars (not ``float()``-coerced) so mixed
-    float32-buffer/float64-threshold promotion matches the reference
-    broadcast exactly — a bitwise requirement for the fused path in the
-    batch float32 mode.
-    """
-    if isinstance(tau, np.ndarray):
-        return tau[i, 0, 0]
-    return tau
+def _flat(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """1-D views of C-contiguous ``(m, n)`` buffers."""
+    return tuple(a.reshape(-1) for a in arrays)
 
 
 class ElementwiseKernel:
     """Cache-blocked APG/IALM step recurrences over preallocated buffers.
 
-    One kernel serves one solve (or one batched group); it owns no ``m×n``
-    state of its own — all iterate buffers come from the caller's
+    One kernel serves one solve; it owns no ``m×n`` state of its own —
+    all iterate buffers come from the caller's
     :class:`~repro.core.kernels.SolveWorkspace` — only small per-shape row
     scratch for :meth:`shrink`. Every step method matches the historical
     module-level step functions argument for argument, with *svt* the
@@ -113,29 +94,26 @@ class ElementwiseKernel:
     def apg_step_unmasked(
         self, A, F, Fp, T, MD, ME, Dn, En, S, beta, tau_d, tau_e, svt
     ):
-        """One unmasked APG iteration over preallocated buffers.
+        """One unmasked APG iteration over preallocated ``(m, n)`` buffers.
 
-        Arrays may carry a leading batch axis, with *tau_d*/*tau_e* either
-        scalars or per-matrix ``(B, 1, 1)`` thresholds and *svt* the
-        matching thresholding callable (returns the surviving rank, or a
-        rank vector for a stack). Writes the new momentum carrier
-        ``D₊ − E₊`` into *Fp* (callers swap the names afterwards) and the
-        stationarity block ``S_D`` into *S*; the residual norm stays with
-        the caller, which is where single and batched paths differ.
+        *svt* is the caller's thresholding callable (returns the surviving
+        rank). Writes the new momentum carrier ``D₊ − E₊`` into *Fp*
+        (callers swap the names afterwards) and the stationarity block
+        ``S_D`` into *S*; the residual norm stays with the caller.
         """
         fused = self._fused(A, F, Fp, T, MD, ME, Dn, En, S)
         chunk = self.chunk
         t0 = time.perf_counter()
         if fused:
-            for _, (a, f, fp, t, md, s) in _flat_slices((A, F, Fp, T, MD, S)):
-                for lo in range(0, a.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    tc, mc = t[sl], md[sl]
-                    np.multiply(f[sl], 1.0 + beta, out=tc)
-                    np.multiply(fp[sl], beta, out=s[sl])
-                    np.subtract(tc, s[sl], out=tc)
-                    np.add(tc, a[sl], out=mc)
-                    mc *= 0.5
+            a, f, fp, t, md, s = _flat(A, F, Fp, T, MD, S)
+            for lo in range(0, a.size, chunk):
+                sl = slice(lo, lo + chunk)
+                tc, mc = t[sl], md[sl]
+                np.multiply(f[sl], 1.0 + beta, out=tc)
+                np.multiply(fp[sl], beta, out=s[sl])
+                np.subtract(tc, s[sl], out=tc)
+                np.add(tc, a[sl], out=mc)
+                mc *= 0.5
         else:
             # T = Y_D − Y_E = (1 + β)·F − β·F_prev
             np.multiply(F, 1.0 + beta, out=T)
@@ -150,17 +128,14 @@ class ElementwiseKernel:
 
         t0 = time.perf_counter()
         if fused:
-            for i, (a, md, me, t, dn, en, fp, s) in _flat_slices(
-                (A, MD, ME, T, Dn, En, Fp, S)
-            ):
-                te = _tau_at(tau_e, i)
-                for lo in range(0, a.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    mec = me[sl]
-                    np.subtract(a[sl], md[sl], out=mec)
-                    soft_threshold_into(mec, te, out=en[sl])
-                    np.subtract(dn[sl], en[sl], out=fp[sl])
-                    np.subtract(t[sl], fp[sl], out=s[sl])
+            a, md, me, t, dn, en, fp, s = _flat(A, MD, ME, T, Dn, En, Fp, S)
+            for lo in range(0, a.size, chunk):
+                sl = slice(lo, lo + chunk)
+                mec = me[sl]
+                np.subtract(a[sl], md[sl], out=mec)
+                soft_threshold_into(mec, tau_e, out=en[sl])
+                np.subtract(dn[sl], en[sl], out=fp[sl])
+                np.subtract(t[sl], fp[sl], out=s[sl])
         else:
             np.subtract(A, MD, out=ME)  # M_E = A − M_D
             soft_threshold_into(ME, tau_e, out=En)
@@ -175,36 +150,34 @@ class ElementwiseKernel:
         self, A, omega, D, Dp, E, Ep, YD, YE, G, M, S, Dn, En,
         beta, tau_d, tau_e, svt, norms,
     ):
-        """One masked APG iteration over preallocated buffers.
+        """One masked APG iteration over preallocated ``(m, n)`` buffers.
 
-        Batch-axis-capable like :meth:`apg_step_unmasked`. The two
-        stationarity norms must be taken mid-step (``G`` is reused between
-        the blocks), so *norms* is a Frobenius-norm callable — a scalar for
-        a single matrix, a per-slice vector for a stack — and the triple
-        ``(rank, ‖S_D‖, ‖S_E‖)`` is returned. The norm itself is never
-        chunked (see the module docstring).
+        The two stationarity norms must be taken mid-step (``G`` is reused
+        between the blocks), so *norms* is a Frobenius-norm callable and
+        the triple ``(rank, ‖S_D‖, ‖S_E‖)`` is returned. The norm itself is
+        never chunked (see the module docstring).
         """
         fused = self._fused(A, omega, D, Dp, E, Ep, YD, YE, G, M, S, Dn, En)
         chunk = self.chunk
         t0 = time.perf_counter()
         if fused:
-            for _, (a, om, d, dp, e, ep, yd, ye, g, mm) in _flat_slices(
-                (A, omega, D, Dp, E, Ep, YD, YE, G, M)
-            ):
-                for lo in range(0, a.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    ydc, yec, gc = yd[sl], ye[sl], g[sl]
-                    np.subtract(d[sl], dp[sl], out=ydc)
-                    ydc *= beta
-                    ydc += d[sl]
-                    np.subtract(e[sl], ep[sl], out=yec)
-                    yec *= beta
-                    yec += e[sl]
-                    np.add(ydc, yec, out=gc)
-                    gc -= a[sl]
-                    gc *= 0.5
-                    gc *= om[sl]
-                    np.subtract(ydc, gc, out=mm[sl])
+            a, om, d, dp, e, ep, yd, ye, g, mm = _flat(
+                A, omega, D, Dp, E, Ep, YD, YE, G, M
+            )
+            for lo in range(0, a.size, chunk):
+                sl = slice(lo, lo + chunk)
+                ydc, yec, gc = yd[sl], ye[sl], g[sl]
+                np.subtract(d[sl], dp[sl], out=ydc)
+                ydc *= beta
+                ydc += d[sl]
+                np.subtract(e[sl], ep[sl], out=yec)
+                yec *= beta
+                yec += e[sl]
+                np.add(ydc, yec, out=gc)
+                gc -= a[sl]
+                gc *= 0.5
+                gc *= om[sl]
+                np.subtract(ydc, gc, out=mm[sl])
         else:
             np.subtract(D, Dp, out=YD)
             YD *= beta
@@ -224,23 +197,20 @@ class ElementwiseKernel:
 
         t0 = time.perf_counter()
         if fused:
-            for i, (om, yd, ye, g, mm, dn, en, s) in _flat_slices(
-                (omega, YD, YE, G, M, Dn, En, S)
-            ):
-                te = _tau_at(tau_e, i)
-                for lo in range(0, om.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    mc, ec, sc, gc = mm[sl], en[sl], s[sl], g[sl]
-                    np.subtract(ye[sl], gc, out=mc)
-                    soft_threshold_into(mc, te, out=ec)
-                    ec *= om[sl]
-                    np.add(dn[sl], ec, out=sc)
-                    sc -= yd[sl]
-                    sc -= ye[sl]
-                    sc *= om[sl]
-                    np.subtract(yd[sl], dn[sl], out=gc)
-                    gc *= 2.0
-                    gc += sc
+            om, yd, ye, g, mm, dn, en, s = _flat(omega, YD, YE, G, M, Dn, En, S)
+            for lo in range(0, om.size, chunk):
+                sl = slice(lo, lo + chunk)
+                mc, ec, sc, gc = mm[sl], en[sl], s[sl], g[sl]
+                np.subtract(ye[sl], gc, out=mc)
+                soft_threshold_into(mc, tau_e, out=ec)
+                ec *= om[sl]
+                np.add(dn[sl], ec, out=sc)
+                sc -= yd[sl]
+                sc -= ye[sl]
+                sc *= om[sl]
+                np.subtract(yd[sl], dn[sl], out=gc)
+                gc *= 2.0
+                gc += sc
         else:
             np.subtract(YE, G, out=M)
             soft_threshold_into(M, tau_e, out=En)
@@ -258,13 +228,13 @@ class ElementwiseKernel:
 
         t0 = time.perf_counter()
         if fused:
-            for _, (ye, en, g, s) in _flat_slices((YE, En, G, S)):
-                for lo in range(0, ye.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    gc = g[sl]
-                    np.subtract(ye[sl], en[sl], out=gc)
-                    gc *= 2.0
-                    gc += s[sl]
+            ye, en, g, s = _flat(YE, En, G, S)
+            for lo in range(0, ye.size, chunk):
+                sl = slice(lo, lo + chunk)
+                gc = g[sl]
+                np.subtract(ye[sl], en[sl], out=gc)
+                gc *= 2.0
+                gc += s[sl]
         else:
             np.subtract(YE, En, out=G)
             G *= 2.0
@@ -275,24 +245,23 @@ class ElementwiseKernel:
 
     # -- IALM, unmasked ----------------------------------------------------
     def ialm_step_unmasked(self, A, D, E, Yinv, M, Z, tau_d, tau_e, mu_ratio, svt):
-        """One unmasked IALM iteration over preallocated buffers.
+        """One unmasked IALM iteration over preallocated ``(m, n)`` buffers.
 
-        Arrays may carry a leading batch axis, with *tau_d*/*tau_e*/
-        *mu_ratio* scalars or per-matrix ``(B, 1, 1)`` values and *svt* the
-        matching thresholding callable. ``mu_ratio = μ_k/μ_{k+1}`` folds
-        the dual ascent (see :func:`repro.core.ialm._rpca_ialm_fast`); the
-        feasibility gap is left in *Z* for the caller's residual norm.
+        *svt* is the caller's thresholding callable. ``mu_ratio =
+        μ_k/μ_{k+1}`` folds the dual ascent (see
+        :func:`repro.core.ialm._rpca_ialm_fast`); the feasibility gap is
+        left in *Z* for the caller's residual norm.
         """
         fused = self._fused(A, D, E, Yinv, M, Z)
         chunk = self.chunk
         t0 = time.perf_counter()
         if fused:
-            for _, (a, e, yi, mm) in _flat_slices((A, E, Yinv, M)):
-                for lo in range(0, a.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    mc = mm[sl]
-                    np.subtract(a[sl], e[sl], out=mc)
-                    mc += yi[sl]
+            a, e, yi, mm = _flat(A, E, Yinv, M)
+            for lo in range(0, a.size, chunk):
+                sl = slice(lo, lo + chunk)
+                mc = mm[sl]
+                np.subtract(a[sl], e[sl], out=mc)
+                mc += yi[sl]
         else:
             np.subtract(A, E, out=M)
             M += Yinv
@@ -302,19 +271,17 @@ class ElementwiseKernel:
 
         t0 = time.perf_counter()
         if fused:
-            for i, (a, d, e, yi, mm, z) in _flat_slices((A, D, E, Yinv, M, Z)):
-                te = _tau_at(tau_e, i)
-                ratio = _tau_at(mu_ratio, i)
-                for lo in range(0, a.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    mc, ec, zc, yc = mm[sl], e[sl], z[sl], yi[sl]
-                    np.subtract(a[sl], d[sl], out=mc)
-                    mc += yc
-                    soft_threshold_into(mc, te, out=ec)
-                    np.subtract(a[sl], d[sl], out=zc)
-                    zc -= ec
-                    yc += zc
-                    yc *= ratio
+            a, d, e, yi, mm, z = _flat(A, D, E, Yinv, M, Z)
+            for lo in range(0, a.size, chunk):
+                sl = slice(lo, lo + chunk)
+                mc, ec, zc, yc = mm[sl], e[sl], z[sl], yi[sl]
+                np.subtract(a[sl], d[sl], out=mc)
+                mc += yc
+                soft_threshold_into(mc, tau_e, out=ec)
+                np.subtract(a[sl], d[sl], out=zc)
+                zc -= ec
+                yc += zc
+                yc *= mu_ratio
         else:
             np.subtract(A, D, out=M)
             M += Yinv
@@ -331,25 +298,22 @@ class ElementwiseKernel:
     def ialm_step_masked(
         self, A, omega, D, E, W, Yinv, M, Z, tau_d, tau_e, mu_ratio, svt
     ):
-        """One masked IALM iteration over preallocated buffers.
+        """One masked IALM iteration over preallocated ``(m, n)`` buffers.
 
-        Batch-axis-capable like :meth:`ialm_step_unmasked`; *W* is the
-        completion-trick working matrix ``P_Ω(A) + P_Ω̄(D + E)``.
+        *W* is the completion-trick working matrix ``P_Ω(A) + P_Ω̄(D + E)``.
         """
         fused = self._fused(A, omega, D, E, W, Yinv, M, Z)
         chunk = self.chunk
         t0 = time.perf_counter()
         if fused:
-            for _, (a, om, d, e, w, yi, mm) in _flat_slices(
-                (A, omega, D, E, W, Yinv, M)
-            ):
-                for lo in range(0, a.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    wc, mc = w[sl], mm[sl]
-                    np.add(d[sl], e[sl], out=wc)
-                    np.copyto(wc, a[sl], where=om[sl])
-                    np.subtract(wc, e[sl], out=mc)
-                    mc += yi[sl]
+            a, om, d, e, w, yi, mm = _flat(A, omega, D, E, W, Yinv, M)
+            for lo in range(0, a.size, chunk):
+                sl = slice(lo, lo + chunk)
+                wc, mc = w[sl], mm[sl]
+                np.add(d[sl], e[sl], out=wc)
+                np.copyto(wc, a[sl], where=om[sl])
+                np.subtract(wc, e[sl], out=mc)
+                mc += yi[sl]
         else:
             np.add(D, E, out=W)
             np.copyto(W, A, where=omega)
@@ -361,23 +325,19 @@ class ElementwiseKernel:
 
         t0 = time.perf_counter()
         if fused:
-            for i, (a, om, d, e, yi, mm, z) in _flat_slices(
-                (A, omega, D, E, Yinv, M, Z)
-            ):
-                te = _tau_at(tau_e, i)
-                ratio = _tau_at(mu_ratio, i)
-                for lo in range(0, a.size, chunk):
-                    sl = slice(lo, lo + chunk)
-                    mc, ec, zc, yc = mm[sl], e[sl], z[sl], yi[sl]
-                    np.subtract(a[sl], d[sl], out=mc)
-                    mc += yc
-                    soft_threshold_into(mc, te, out=ec)
-                    ec *= om[sl]
-                    np.subtract(a[sl], d[sl], out=zc)
-                    zc -= ec
-                    zc *= om[sl]
-                    yc += zc
-                    yc *= ratio
+            a, om, d, e, yi, mm, z = _flat(A, omega, D, E, Yinv, M, Z)
+            for lo in range(0, a.size, chunk):
+                sl = slice(lo, lo + chunk)
+                mc, ec, zc, yc = mm[sl], e[sl], z[sl], yi[sl]
+                np.subtract(a[sl], d[sl], out=mc)
+                mc += yc
+                soft_threshold_into(mc, tau_e, out=ec)
+                ec *= om[sl]
+                np.subtract(a[sl], d[sl], out=zc)
+                zc -= ec
+                zc *= om[sl]
+                yc += zc
+                yc *= mu_ratio
         else:
             np.subtract(A, D, out=M)
             M += Yinv

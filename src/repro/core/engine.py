@@ -36,9 +36,8 @@ import numpy as np
 from .._validation import check_nonnegative, check_probability
 from ..errors import CalibrationError, ValidationError
 from ..observability import Instrumentation, instrumented
-from .batch import BatchedSolveWorkspace, solve_rpca_batch, validate_batch_dtype
 from .decompose import Decomposition, decompose, decomposition_from_result
-from .kernels import BatchRankPredictor, RankPredictor, validate_backend
+from .kernels import RankPredictor, validate_backend
 from .matrices import TPMatrix
 from .solvers import solver_spec
 from .streaming import (
@@ -52,7 +51,6 @@ __all__ = [
     "WindowSource",
     "TraceWindowSource",
     "DecompositionEngine",
-    "BatchDecompositionEngine",
     "EngineWarmState",
 ]
 
@@ -628,135 +626,3 @@ class DecompositionEngine:
             self._streamer.state = None
         self.instrumentation.count("kernel.stream.fallbacks")
         self.instrumentation.count(f"kernel.stream.fallback_{reason}")
-
-
-class BatchDecompositionEngine:
-    """Decompose many TP-matrices at once through stacked batched solves.
-
-    The fleet-facing counterpart of :class:`DecompositionEngine`: instead of
-    one rolling window per engine, it takes a whole sweep's worth of
-    TP-matrices (one per cluster) and solves them as ``(B, m, n)`` stacks
-    through :func:`~repro.core.batch.solve_rpca_batch`, grouping by shape so
-    heterogeneous fleets still batch whatever they can. Per
-    ``(B, m, n)`` combination it keeps one
-    :class:`~repro.core.batch.BatchedSolveWorkspace` (so steady-state sweeps
-    run allocation-free) and one
-    :class:`~repro.core.kernels.BatchRankPredictor` (so successive sweeps
-    keep their converged-rank estimate).
-
-    Slice *b* of a batched float64 solve is bit-identical to the
-    single-matrix ``svd_backend="gram"`` solve of the same matrix, so
-    decompositions from this engine match per-cluster
-    :func:`~repro.core.decompose.decompose` calls exactly — batching is an
-    execution strategy, not a semantic change.
-
-    Parameters
-    ----------
-    solver:
-        ``"apg"`` or ``"ialm"`` run batched; other registered solvers run
-        through the per-matrix fallback (see *fallback*).
-    extraction:
-        Constant-row extraction rule, as in :func:`~repro.core.decompose.decompose`.
-    dtype:
-        Batch iterate dtype — ``"float64"`` (default, the bit-parity mode)
-        or ``"float32"`` (fast iterate + float64 refinement).
-    fallback:
-        Forwarded to :func:`~repro.core.batch.solve_rpca_batch`: permit the
-        certified per-matrix fallback when the batched loop cannot serve a
-        group. ``False`` raises instead.
-    instrumentation:
-        Sink for ``kernel.batch.*`` counters and solve spans; a fresh one is
-        created if omitted.
-    **solver_kwargs:
-        Iteration controls forwarded to every solve (``tol``, ``max_iter``,
-        ...); validated against the solver's spec.
-    """
-
-    def __init__(
-        self,
-        *,
-        solver: str = "apg",
-        extraction: str = "mean",
-        dtype: str = "float64",
-        fallback: bool = True,
-        instrumentation: Instrumentation | None = None,
-        **solver_kwargs: Any,
-    ) -> None:
-        self.solver = solver
-        self.spec = solver_spec(solver)  # fails fast on unknown names
-        self.spec.validate_kwargs(solver_kwargs)
-        self.extraction = extraction
-        self.dtype = validate_batch_dtype(dtype)
-        self.fallback = bool(fallback)
-        self.solver_kwargs = dict(solver_kwargs)
-        self.instrumentation = (
-            instrumentation
-            if instrumentation is not None
-            else Instrumentation("batch-engine")
-        )
-        self._workspaces: dict[tuple[int, int, int], BatchedSolveWorkspace] = {}
-        self._predictors: dict[tuple[int, int, int], BatchRankPredictor] = {}
-
-    def workspace_for(self, shape: tuple[int, int, int]) -> BatchedSolveWorkspace:
-        """The reusable workspace for stacked shape ``(B, m, n)``."""
-        key = tuple(int(s) for s in shape)
-        ws = self._workspaces.get(key)
-        if ws is None:
-            ws = BatchedSolveWorkspace(key)
-            self._workspaces[key] = ws
-        return ws
-
-    def _predictor_for(self, shape: tuple[int, int, int]) -> BatchRankPredictor:
-        key = tuple(int(s) for s in shape)
-        pred = self._predictors.get(key)
-        if pred is None:
-            pred = BatchRankPredictor.for_stack(key)
-            self._predictors[key] = pred
-        return pred
-
-    def decompose_batch(self, tps: Sequence[TPMatrix]) -> list[Decomposition]:
-        """Decompose every TP-matrix in *tps*; results return in input order.
-
-        Matrices are grouped by data shape; each group solves as one stacked
-        batch (masked and unmasked windows may share a group — the batched
-        solver partitions them internally).
-        """
-        tps = list(tps)
-        if not tps:
-            raise ValidationError("decompose_batch needs at least one TP-matrix")
-        for i, tp in enumerate(tps):
-            if not isinstance(tp, TPMatrix):
-                raise ValidationError(
-                    f"tps[{i}] must be a TPMatrix, got {type(tp).__name__}"
-                )
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i, tp in enumerate(tps):
-            groups.setdefault(tp.data.shape, []).append(i)
-        out: list[Decomposition | None] = [None] * len(tps)
-        self.instrumentation.count("engine.batch.windows", len(tps))
-        self.instrumentation.count("engine.batch.groups", len(groups))
-        with instrumented(self.instrumentation):
-            with self.instrumentation.timed("engine.batch_seconds"):
-                for shape, idxs in groups.items():
-                    stacked = (len(idxs), *shape)
-                    mats = [tps[i].data for i in idxs]
-                    mask_list = [tps[i].mask for i in idxs]
-                    masks = (
-                        None if all(mk is None for mk in mask_list) else mask_list
-                    )
-                    results = solve_rpca_batch(
-                        mats,
-                        masks,
-                        solver=self.solver,
-                        dtype=self.dtype,
-                        workspace=self.workspace_for(stacked),
-                        rank_predictor=self._predictor_for(stacked),
-                        context="batch-engine",
-                        fallback=self.fallback,
-                        **self.solver_kwargs,
-                    )
-                    for i, res in zip(idxs, results):
-                        out[i] = decomposition_from_result(
-                            tps[i], res, solver=self.solver, extraction=self.extraction
-                        )
-        return out  # type: ignore[return-value]  # every slot filled above

@@ -54,9 +54,7 @@ from .svd_ops import singular_value_threshold
 __all__ = [
     "SVD_BACKENDS",
     "RankPredictor",
-    "BatchRankPredictor",
     "SVTKernel",
-    "BatchedSVTKernel",
     "SolveWorkspace",
     "validate_backend",
 ]
@@ -132,73 +130,6 @@ class RankPredictor:
         else:
             step = max(1, round(self.growth * self.min_dim))
             self.sv = min(surviving + step, self.min_dim)
-        self.observations += 1
-
-
-@dataclass
-class BatchRankPredictor:
-    """:class:`RankPredictor` over a batch axis.
-
-    One prediction slot per matrix in a stacked solve. :meth:`observe`
-    applies the scalar predictor's update rule elementwise — including its
-    no-undershoot invariant (the next prediction exceeds the surviving rank
-    unless clamped at ``min_dim``), pinned per-slot by a property test.
-    Because the batched solver compacts converged matrices out of its
-    stack, observations may arrive for a *subset* of slots: ``slots`` maps
-    each observed value back to its original batch position.
-    """
-
-    min_dim: int
-    batch: int
-    growth: float = 0.05
-    sv: np.ndarray | None = None
-    observations: int = field(default=0, compare=False)
-
-    def __post_init__(self) -> None:
-        if int(self.min_dim) < 1:
-            raise ValidationError("min_dim must be >= 1")
-        if int(self.batch) < 1:
-            raise ValidationError("batch must be >= 1")
-        self.min_dim = int(self.min_dim)
-        self.batch = int(self.batch)
-        if self.sv is None:
-            self.sv = np.full(self.batch, min(10, self.min_dim), dtype=np.int64)
-        else:
-            self.sv = np.minimum(
-                np.asarray(self.sv, dtype=np.int64), self.min_dim
-            ).copy()
-            if self.sv.shape != (self.batch,):
-                raise ValidationError(
-                    f"sv must have shape ({self.batch},), got {self.sv.shape}"
-                )
-
-    @classmethod
-    def for_stack(cls, shape: tuple[int, int, int]) -> "BatchRankPredictor":
-        """A fresh predictor for a ``(B, m, n)`` stack."""
-        b, m, n = (int(s) for s in shape)
-        return cls(min_dim=min(m, n), batch=b)
-
-    def predict(self) -> np.ndarray:
-        """Per-slot triplet predictions (a copy; mutate via :meth:`observe`)."""
-        return self.sv.copy()
-
-    def observe(
-        self, surviving: np.ndarray, slots: np.ndarray | None = None
-    ) -> None:
-        """Update predictions from per-matrix surviving ranks.
-
-        *slots* selects which batch positions the values belong to
-        (default: positions ``0..len(surviving)``, the uncompacted case).
-        """
-        surviving = np.asarray(surviving, dtype=np.int64)
-        idx = np.arange(surviving.size) if slots is None else np.asarray(slots)
-        sv = self.sv[idx]
-        step = max(1, round(self.growth * self.min_dim))
-        self.sv[idx] = np.where(
-            surviving < sv,
-            np.minimum(surviving + 1, self.min_dim),
-            np.minimum(surviving + step, self.min_dim),
-        )
         self.observations += 1
 
 
@@ -364,120 +295,3 @@ class SVTKernel:
             u = (a @ basis) / s[:rank]
             np.matmul(u * shrunk[:rank], basis.T, out=out)
         return out, rank, top
-
-
-class BatchedSVTKernel:
-    """Stacked singular value thresholding via short-side Gram eigenproblems.
-
-    The batched counterpart of :class:`SVTKernel`'s ``gram`` backend: one
-    batched ``A·Aᵀ`` GEMM over the stack, one stacked ``m × m``
-    :func:`numpy.linalg.eigh`, then a cheap per-slice reconstruction of the
-    surviving triplets. The per-slice arithmetic mirrors
-    :meth:`SVTKernel._svt_gram` operation for operation — batched GEMM and
-    stacked ``eigh`` process slices independently — so slice ``b`` of the
-    output is bit-identical to the single-matrix gram kernel applied to
-    slice ``b``, regardless of what else is in the batch. That invariance
-    is what lets the batched solvers drop converged matrices out of the
-    stack (and the fleet shard clusters arbitrarily) without perturbing any
-    remaining solve; it is pinned by tests/test_core_batch.py.
-
-    Only short sides up to the ``auto`` policy's gram threshold are
-    supported — larger problems stay on the per-matrix kernels (the
-    batched entry points fall back per matrix rather than construct this).
-
-    Parameters
-    ----------
-    shape:
-        ``(B, m, n)`` of the largest stack this kernel will threshold;
-        calls may pass any leading slice of it (the active sub-batch).
-    rank_predictor:
-        Shared :class:`BatchRankPredictor`; a fresh one is created if
-        omitted. The gram path computes all ``min_dim`` singular values, so
-        the predictor is observational here (it seeds any later
-        per-matrix partial solve warm).
-    dtype:
-        Element type of the stacks (``float32`` iterate mode uses a
-        float32 kernel; the refinement pass a float64 one).
-    """
-
-    def __init__(
-        self,
-        shape: tuple[int, int, int],
-        *,
-        rank_predictor: BatchRankPredictor | None = None,
-        dtype: np.dtype | str = np.float64,
-    ) -> None:
-        b, m, n = (int(s) for s in shape)
-        self.shape = (b, m, n)
-        self.min_dim = min(m, n)
-        self.wide = m <= n
-        if self.min_dim > _GRAM_MAX_SIDE:
-            raise ValidationError(
-                f"batched SVT is gram-only: short side {self.min_dim} exceeds "
-                f"{_GRAM_MAX_SIDE}; use the per-matrix kernels"
-            )
-        self.dtype = np.dtype(dtype)
-        if rank_predictor is None:
-            rank_predictor = BatchRankPredictor(min_dim=self.min_dim, batch=b)
-        elif rank_predictor.min_dim != self.min_dim:
-            raise ValidationError(
-                f"rank predictor built for min_dim={rank_predictor.min_dim}, "
-                f"kernel stack {self.shape} has min_dim={self.min_dim}"
-            )
-        self.predictor = rank_predictor
-        self._gram: np.ndarray | None = None  # (B, min_dim, min_dim) scratch
-
-    def _gram_buf(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = np.empty(
-                (self.shape[0], self.min_dim, self.min_dim), dtype=self.dtype
-            )
-        return self._gram
-
-    def svt(
-        self,
-        a: np.ndarray,
-        tau: float | np.ndarray,
-        out: np.ndarray,
-        slots: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Threshold every slice of ``a`` into *out*; returns per-slice ranks.
-
-        *a*/*out* are ``(k, m, n)`` with ``k ≤ B`` (the active sub-batch);
-        *tau* is a scalar or a ``(k, 1, 1)`` per-matrix threshold; *slots*
-        maps active positions to original batch slots for the predictor.
-        """
-        k = a.shape[0]
-        start = time.perf_counter()
-        gram = self._gram_buf()[:k]
-        if self.wide:
-            np.matmul(a, a.transpose(0, 2, 1), out=gram)
-        else:
-            np.matmul(a.transpose(0, 2, 1), a, out=gram)
-        w, vecs = np.linalg.eigh(gram)  # ascending, per slice
-        taus = np.ravel(tau)
-        ranks = np.empty(k, dtype=np.int64)
-        for i in range(k):
-            tau_i = float(taus[i]) if taus.size > 1 else float(taus[0])
-            s = np.sqrt(np.clip(w[i, ::-1], 0.0, None))
-            shrunk = s - tau_i
-            rank = int(np.count_nonzero(shrunk > 0.0))
-            ranks[i] = rank
-            if rank == 0:
-                out[i] = 0.0
-                continue
-            basis = vecs[i][:, ::-1][:, :rank]  # top-`rank` eigenvectors
-            if self.wide:
-                # D = (U_k * shrunk) @ (U_kᵀ A / s_k)
-                vt = (basis.T @ a[i]) / s[:rank, None]
-                np.matmul(basis * shrunk[:rank], vt, out=out[i])
-            else:
-                # D = (A V_k / s_k * shrunk) @ V_kᵀ
-                u = (a[i] @ basis) / s[:rank]
-                np.matmul(u * shrunk[:rank], basis.T, out=out[i])
-        elapsed = time.perf_counter() - start
-        self.predictor.observe(ranks, slots=slots)
-        observability.emit_count("kernel.batch.svt.gram")
-        observability.emit_count("kernel.batch.svt.slices", k)
-        observability.emit_time("kernel.batch.svt_seconds", elapsed)
-        return ranks

@@ -36,16 +36,14 @@ __all__ = [
 
 
 def soft_threshold_into(
-    x: np.ndarray, tau: float | np.ndarray, out: np.ndarray
+    x: np.ndarray, tau: float, out: np.ndarray
 ) -> np.ndarray:
     """In-place soft threshold: the fixed four-pass ``out=`` spelling.
 
     Unvalidated hot-loop core shared by :func:`soft_threshold` and the
-    batched solver path (:mod:`repro.core.batch`): *tau* may be a scalar or
-    any array broadcastable against *x* — per-matrix ``(B, 1, 1)``
-    thresholds for a stacked iterate. Because every pass is an elementwise
-    ufunc, the result on slice ``b`` of a stack is bit-identical to the
-    single-matrix call on that slice with the matching scalar threshold.
+    fused elementwise kernel (:mod:`repro.core.elementwise`), which applies
+    it block by block; every pass is an elementwise ufunc, so blocking
+    cannot change the result.
     """
     np.abs(x, out=out)
     out -= tau

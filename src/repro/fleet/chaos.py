@@ -186,8 +186,8 @@ def run_chaos(
 ) -> FleetChaosResult:
     """SIGKILL ``kills`` workers mid-``mode`` and assert survival + parity.
 
-    ``mode`` is ``"run"`` (session fleet) or ``"sweep"`` (batched trailing
-    windows). The serial reference runs first — same fleet, same config —
+    ``mode`` is ``"run"`` (session fleet) or ``"sweep"`` (trailing-window
+    solves). The serial reference runs first — same fleet, same config —
     then the parallel run executes under the killer thread.
     """
     if mode == "run":

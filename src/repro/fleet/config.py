@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .._validation import check_positive
 from ..cloudsim.trace import CalibrationTrace
-from ..core.batch import validate_batch_dtype
 from ..core.detectors import validate_regime_detector
 from ..core.kernels import validate_backend
 from ..core.streaming import StreamingConfig, validate_mode
@@ -113,15 +112,10 @@ class FleetConfig:
     batch_size:
         Operations per scheduler tick: the unit of work shipped to a
         worker. Larger batches amortize the capsule round-trip; smaller
-        ones re-balance stragglers sooner. For batched sweeps
+        ones re-balance stragglers sooner. For sweeps
         (:meth:`~repro.fleet.FleetScheduler.run_sweep`) it is also the
-        shard width: how many same-shape cluster windows stack into one
-        ``(B, m, n)`` batched solve (bounding per-shard workspace memory).
-    batch_dtype:
-        Iterate dtype for batched sweep solves — one of
-        :data:`repro.core.BATCH_DTYPES`. ``"float64"`` (default) is the
-        bit-parity mode; ``"float32"`` runs the iteration loop in single
-        precision with a float64 refinement pass.
+        shard width: how many same-shape cluster windows travel to a
+        worker in one shared stack block and solve there one after another.
     queue_depth:
         Bounded backlog beyond the workers themselves. The task queue
         holds at most ``n_workers + queue_depth`` entries, so a scheduler
@@ -188,7 +182,6 @@ class FleetConfig:
     operations: int = 60
     op: str = "broadcast"
     batch_size: int = 8
-    batch_dtype: str = "float64"
     queue_depth: int = 2
     checkpoint_root: str | None = field(default=None)
     keep_checkpoints: int = 3
@@ -211,7 +204,6 @@ class FleetConfig:
         if self.threshold < 0:
             raise ValidationError("threshold must be >= 0")
         validate_backend(self.svd_backend)
-        validate_batch_dtype(self.batch_dtype)
         validate_mode(self.mode)
         if self.mode != "streaming" and (
             self.stream_tolerance is not None

@@ -166,7 +166,7 @@ class SweepClusterResult:
 
     ``constant_row`` is the flattened constant component ``P_D`` — the
     quantity the sweep benchmark checks for bit-identity between the
-    batched parallel run and the serial reference. For a quarantined
+    parallel run and the serial reference. For a quarantined
     cluster it is empty and ``verdict`` is ``"unavailable"``.
     """
 
@@ -209,7 +209,6 @@ class FleetSweepReport:
     elapsed_s: float
     total_shards: int
     batch_size: int
-    batch_dtype: str
     instrumentation: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -238,7 +237,6 @@ class FleetSweepReport:
             "elapsed_s": round(self.elapsed_s, 3),
             "total_shards": self.total_shards,
             "batch_size": self.batch_size,
-            "batch_dtype": self.batch_dtype,
             "throughput_solves_s": round(self.throughput_solves_s, 2),
             "degraded": self.degraded,
             "health": self.health(),

@@ -97,7 +97,7 @@ class _ClusterState:
 
 @dataclass
 class _ShardState:
-    """Scheduler-side bookkeeping for one batched-sweep shard."""
+    """Scheduler-side bookkeeping for one sweep shard."""
 
     shard: "SweepShard"
     block: SharedStackBlock | None = None
@@ -125,7 +125,7 @@ class _Inflight:
 
 @dataclass(frozen=True)
 class SweepShard:
-    """One unit of batched sweep work: B same-shape cluster windows.
+    """One unit of sweep work: up to ``batch_size`` same-shape cluster windows.
 
     Produced by :meth:`FleetScheduler.plan_sweep`; ``tps[i]`` is cluster
     ``names[i]``'s trailing calibration window.
@@ -784,18 +784,17 @@ class FleetScheduler:
         sink.count("fleet.workers", n_workers)
         sink.add_time("fleet.elapsed", elapsed)
 
-    # -- batched sweep -------------------------------------------------
+    # -- sweep ---------------------------------------------------------
 
     def plan_sweep(self) -> list[SweepShard]:
-        """Partition the fleet's trailing windows into batched shards.
+        """Partition the fleet's trailing windows into shards.
 
         Each cluster contributes its trailing ``window``-snapshot TP-matrix
-        at the configured ``nbytes``. Clusters are grouped by matrix shape
-        (shape-heterogeneous fleets still batch whatever matches), ordered
-        by name within a group, and chunked into shards of at most
-        ``batch_size`` — the ``(B, m, n)`` unit one batched solve handles
-        and one shared stack block transports. The plan is deterministic:
-        it depends only on the fleet's specs and config, never on timing.
+        at the configured ``nbytes``. Clusters are grouped by matrix shape,
+        ordered by name within a group, and chunked into shards of at most
+        ``batch_size`` — the unit one shared stack block transports and one
+        worker solves. The plan is deterministic: it depends only on the
+        fleet's specs and config, never on timing.
         """
         cfg = self.config
         windows: dict[tuple[int, int], list[tuple[str, object]]] = {}
@@ -859,16 +858,11 @@ class FleetScheduler:
         cfg = self.config
         shards = self.plan_sweep()
         results: dict[str, SweepClusterResult] = {}
-        workspaces: dict[tuple[int, int, int], object] = {}
         with instrumented(self.instrumentation):
             for shard in shards:
                 try:
                     shard_results = solve_shard(
-                        shard.names,
-                        list(shard.tps),
-                        solver=cfg.solver,
-                        dtype=cfg.batch_dtype,
-                        workspaces=workspaces,
+                        shard.names, list(shard.tps), solver=cfg.solver
                     )
                 except Exception:
                     if cfg.on_error != "degrade":
@@ -887,23 +881,22 @@ class FleetScheduler:
             elapsed_s=elapsed,
             total_shards=len(shards),
             batch_size=int(cfg.batch_size),
-            batch_dtype=cfg.batch_dtype,
             instrumentation=self.instrumentation.state_dict(),
         )
 
     def run_sweep(self) -> FleetSweepReport:
-        """Solve every cluster's trailing window as batched shards in parallel.
+        """Solve every cluster's trailing window, shard by shard, in parallel.
 
         Shards ship to workers as :class:`~repro.fleet.shm.SharedStackBlock`
-        segments (stacked ``(B, m, n)`` windows, zero pickled matrix bytes);
-        each worker solves its shard through one stacked iteration loop and
-        sends back per-cluster results plus its instrumentation
-        ``state_dict``, which is merged — ``kernel.batch.*`` counters and
-        all — into the fleet sink. The same supervision as :meth:`run`
-        applies: dead workers are respawned and their shards requeued
-        (bit-identical on replay), failing shards retry with backoff, and
-        ``on_error="degrade"`` quarantines an exhausted shard's clusters
-        instead of aborting the sweep.
+        segments (stacked windows, zero pickled matrix bytes); each worker
+        solves its shard's windows one at a time through
+        :func:`~repro.fleet.worker.solve_shard` and sends back per-cluster
+        results plus its instrumentation ``state_dict`` — one solve span per
+        window — which is merged into the fleet sink. The same supervision
+        as :meth:`run` applies: dead workers are respawned and their shards
+        requeued (bit-identical on replay), failing shards retry with
+        backoff, and ``on_error="degrade"`` quarantines an exhausted shard's
+        clusters instead of aborting the sweep.
         """
         cfg = self.config
         t0 = time.perf_counter()
@@ -939,7 +932,6 @@ class FleetScheduler:
             elapsed_s=elapsed,
             total_shards=len(shards),
             batch_size=int(cfg.batch_size),
-            batch_dtype=cfg.batch_dtype,
             instrumentation=self.instrumentation.state_dict(),
         )
 
@@ -949,7 +941,7 @@ class FleetScheduler:
         results: dict[str, SweepClusterResult],
         pool: _WorkerPool,
     ) -> None:
-        """Supervised dispatch/drain loop for batched sweep shards.
+        """Supervised dispatch/drain loop for sweep shards.
 
         Mirrors :meth:`_drive`; the unit of retry is the shard. Blocks are
         created at first dispatch and unlinked as soon as the shard's
@@ -974,7 +966,6 @@ class FleetScheduler:
                 descriptor=state.block.descriptor,
                 clusters=state.shard.names,
                 solver=cfg.solver,
-                dtype=cfg.batch_dtype,
                 attempt=attempt,
             )
             inflight[attempt] = _Inflight(key=index, dispatched_at=time.monotonic())

@@ -219,11 +219,11 @@ class StackBlockDescriptor:
 class SharedStackBlock:
     """A stack of same-shape TP-matrices resident in one shared segment.
 
-    The batched-sweep transport: the scheduler writes one shard's worth of
+    The sweep transport: the scheduler writes one shard's worth of
     TP-matrix windows — ``(B, m, n)`` data, per-row timestamps and (when any
     window is partially observed) per-slice observation masks — into a
-    single segment; the worker maps views and solves the whole shard as one
-    stacked batch. Layout::
+    single segment; the worker maps views and solves the shard's windows
+    one after another. Layout::
 
         [ data: B*m*n float64 | timestamps: B*m float64
           | mask: B*m*n uint8 (only when some window has one) ]

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..cloudsim.trace import CalibrationTrace
-from ..core.batch import BatchedSolveWorkspace, solve_rpca_batch
 from ..core.decompose import decomposition_from_result
 from ..core.matrices import TPMatrix
+from ..core.solvers import solve_rpca, solver_spec
 from ..observability import Instrumentation, instrumented
 from ..runtime.session import OperationSpec, SessionCapsule, TraceSession
 from .report import SweepClusterResult
@@ -94,13 +94,12 @@ class BatchResult:
 
 @dataclass(frozen=True, slots=True)
 class SweepTask:
-    """One shard of a batched fleet sweep: B same-shape cluster windows."""
+    """One sweep shard: up to ``batch_size`` same-shape cluster windows."""
 
     shard: int
     descriptor: StackBlockDescriptor
     clusters: tuple[str, ...]
     solver: str = "apg"
-    dtype: str = "float64"
     extraction: str = "mean"
     attempt: int = 0
 
@@ -110,8 +109,8 @@ class SweepResult:
     """What a worker sends back after (attempting) a sweep shard.
 
     ``instrumentation`` carries the worker-side sink's ``state_dict()`` —
-    the ``kernel.batch.*`` counters and solve spans accumulated while the
-    shard solved — for the scheduler to fold into the fleet sink via
+    one solve span per window plus the kernel counters accumulated while
+    the shard solved — for the scheduler to fold into the fleet sink via
     :meth:`~repro.observability.Instrumentation.merge`.
     """
 
@@ -128,45 +127,28 @@ def solve_shard(
     tps: list[TPMatrix],
     *,
     solver: str = "apg",
-    dtype: str = "float64",
     extraction: str = "mean",
-    workspaces: dict[tuple[int, int, int], BatchedSolveWorkspace] | None = None,
 ) -> list[SweepClusterResult]:
-    """Solve one shard of same-shape TP-matrices as a single stacked batch.
+    """Solve one shard of TP-matrices, one window at a time.
 
     The one code path both sweep modes share: the serial reference
     (:meth:`~repro.fleet.FleetScheduler.run_sweep_serial`) calls it
     in-process on the scheduler's TP-matrices, workers call it on matrices
-    rebuilt from the shared stack block. Identical inputs take identical
-    float64 operations, so per-cluster ``P_D`` is bit-identical across the
-    two modes regardless of worker count or shard placement.
-
-    ``workspaces`` is an optional per-shape buffer cache (keyed by the
-    stacked ``(B, m, n)`` shape) so a long-lived caller reuses iteration
-    buffers across same-shape shards.
+    rebuilt from the shared stack block. Each window is a cold
+    :func:`~repro.core.solvers.solve_rpca` with ``svd_backend="auto"``
+    (SVT solvers only), so per-cluster ``P_D`` equals a single
+    ``decompose(tp, solver=solver, svd_backend="auto")`` bit for bit,
+    whatever the worker count or shard placement.
     """
     if len(names) != len(tps):
         raise ValueError(f"{len(names)} names for {len(tps)} matrices")
-    masks: list[Any] | None = [tp.mask for tp in tps]
-    if all(m is None for m in masks):
-        masks = None
-    workspace = None
-    if workspaces is not None and tps:
-        key = (len(tps), *tps[0].data.shape)
-        workspace = workspaces.get(key)
-        if workspace is None:
-            workspace = BatchedSolveWorkspace(key)
-            workspaces[key] = workspace
-    results = solve_rpca_batch(
-        [tp.data for tp in tps],
-        masks,
-        solver=solver,
-        dtype=dtype,
-        workspace=workspace,
-        context="fleet-sweep",
-    )
+    svt = "svd_backend" in solver_spec(solver).accepted_kwargs
     out: list[SweepClusterResult] = []
-    for name, tp, res in zip(names, tps, results):
+    for name, tp in zip(names, tps):
+        kwargs: dict[str, Any] = {"svd_backend": "auto"} if svt else {}
+        if tp.mask is not None:
+            kwargs["mask"] = tp.mask
+        res = solve_rpca(tp.data, solver=solver, context="fleet-sweep", **kwargs)
         dec = decomposition_from_result(tp, res, solver=solver, extraction=extraction)
         out.append(
             SweepClusterResult(
@@ -183,11 +165,7 @@ def solve_shard(
     return out
 
 
-def _run_sweep_task(
-    task: SweepTask,
-    workspaces: dict[tuple[int, int, int], BatchedSolveWorkspace],
-    pid: int,
-) -> SweepResult:
+def _run_sweep_task(task: SweepTask, pid: int) -> SweepResult:
     sink = Instrumentation("sweep-worker")
     try:
         block = SharedStackBlock.attach(task.descriptor)
@@ -198,9 +176,7 @@ def _run_sweep_task(
                     task.clusters,
                     tps,
                     solver=task.solver,
-                    dtype=task.dtype,
                     extraction=task.extraction,
-                    workspaces=workspaces,
                 )
         finally:
             block.close()
@@ -250,7 +226,6 @@ def worker_main(task_queue: Any, result_conn: Any) -> None:
     pid = os.getpid()
     blocks: dict[str, SharedTraceBlock] = {}
     traces: dict[str, CalibrationTrace] = {}
-    workspaces: dict[tuple[int, int, int], BatchedSolveWorkspace] = {}
     try:
         while True:
             task = task_queue.get()
@@ -258,7 +233,7 @@ def worker_main(task_queue: Any, result_conn: Any) -> None:
                 break
             result_conn.send(TaskStarted(attempt=task.attempt, worker_pid=pid))
             if isinstance(task, SweepTask):
-                result_conn.send(_run_sweep_task(task, workspaces, pid))
+                result_conn.send(_run_sweep_task(task, pid))
                 continue
             try:
                 if task.descriptor.name not in blocks:

@@ -126,6 +126,11 @@ def test_unknown_keyword_gets_did_you_mean_hint(tiny_trace):
     # No near-miss: still a TypeError, just without a hint.
     with pytest.raises(TypeError, match=r"unexpected keyword 'zzz'"):
         api.solve(tiny_trace, zzz=1)
+    # The sweep's retired iterate-precision knob is an unknown keyword too.
+    with pytest.raises(TypeError, match=r"unexpected keyword 'batch_dtype'"):
+        api.run_fleet([("only", tiny_trace)], serial=True, batch_dtype="float64")
+    with pytest.raises(TypeError, match=r"unexpected keyword 'batch_dtype'"):
+        api.sweep_fleet([("only", tiny_trace)], serial=True, batch_dtype="float64")
 
 
 def test_no_deprecation_shims_remain_in_src():

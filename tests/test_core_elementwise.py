@@ -6,7 +6,7 @@ Mirrors the guarantees pinned for the SVD kernel layer in
 * **Bit identity** — the fused kernel preserves the historical ufunc
   chain's per-element operation order (it only blocks the sweeps), so
   fused solves are bit-identical to reference-chain solves on every solver
-  × masked/unmasked × dtype × stacked combination. That is asserted with
+  × masked/unmasked combination. That is asserted with
   ``np.array_equal``, not a tolerance. The oracle is the same kernel with
   ``elementwise._fusable`` patched to ``False``, which sends every step
   down the reference chain (see :func:`reference_chain`).
@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro import api
 from repro.core import elementwise
 from repro.core.apg import rpca_apg
-from repro.core.batch import solve_rpca_batch
 from repro.core.decompose import decompose
 from repro.core.elementwise import DEFAULT_EW_CHUNK, ElementwiseKernel
 from repro.core.engine import DecompositionEngine
@@ -72,14 +71,14 @@ class _FakeSource:
         return float(k)
 
 
-def _rpca_problem(m=8, n=120, rank=1, sparsity=0.05, seed=0, dtype=np.float64):
+def _rpca_problem(m=8, n=120, rank=1, sparsity=0.05, seed=0):
     """A wide low-rank + sparse matrix shaped like the paper's TP-matrices."""
     rng = np.random.default_rng(seed)
     low = np.zeros((m, n))
     for _ in range(rank):
         low += np.outer(rng.standard_normal(m), rng.standard_normal(n))
     sparse = (rng.random((m, n)) < sparsity) * rng.standard_normal((m, n)) * 3.0
-    return (low + sparse).astype(dtype)
+    return low + sparse
 
 
 def _mask(shape, missing=0.15, seed=3):
@@ -189,29 +188,6 @@ class TestFusedBitIdentity:
         assert np.array_equal(ref.low_rank, big.low_rank)
         assert np.array_equal(big.low_rank, small.low_rank)
         assert np.array_equal(big.sparse, small.sparse)
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        solver=st.sampled_from(["apg", "ialm"]),
-        dtype=st.sampled_from(["float64", "float32"]),
-        seed=st.integers(min_value=0, max_value=2**16),
-        b=st.integers(min_value=1, max_value=3),
-        masked=st.booleans(),
-    )
-    def test_property_batch_stacks(self, solver, dtype, seed, b, masked):
-        mats = [_rpca_problem(m=6, n=40, seed=seed + i) for i in range(b)]
-        masks = (
-            [_mask(m.shape, seed=seed + 10 + i) for i, m in enumerate(mats)]
-            if masked
-            else None
-        )
-        fus = solve_rpca_batch(mats, masks, solver=solver, dtype=dtype)
-        with reference_chain():
-            ref = solve_rpca_batch(mats, masks, solver=solver, dtype=dtype)
-        for r, f in zip(ref, fus):
-            assert r.iterations == f.iterations
-            assert np.array_equal(r.low_rank, f.low_rank)
-            assert np.array_equal(r.sparse, f.sparse)
 
 
 class TestRoutingAndObservability:

@@ -188,8 +188,7 @@ class TestFleetSweepReport:
             elapsed_s=elapsed,
             total_shards=2,
             batch_size=2,
-            batch_dtype="float64",
-            instrumentation={"counters": {"kernel.batch.solves": 2}},
+            instrumentation={"counters": {"fleet.sweep.shards": 2}},
         )
 
     def test_throughput_is_windows_per_second(self):
@@ -208,14 +207,13 @@ class TestFleetSweepReport:
         decoded = json.loads(json.dumps(s))
         assert decoded == s
         assert decoded["batch_size"] == 2
-        assert decoded["batch_dtype"] == "float64"
         assert decoded["total_shards"] == 2
         assert [c["name"] for c in decoded["clusters"]] == ["c0", "c1", "c2", "c3"]
 
     def test_instrumentation_payload_preserved(self):
         rep = self._report()
-        assert rep.instrumentation["counters"]["kernel.batch.solves"] == 2
+        assert rep.instrumentation["counters"]["fleet.sweep.shards"] == 2
         assert FleetSweepReport(
             clusters={}, n_workers=1, elapsed_s=0.0,
-            total_shards=0, batch_size=8, batch_dtype="float32",
+            total_shards=0, batch_size=8,
         ).instrumentation == {}

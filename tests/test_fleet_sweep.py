@@ -1,12 +1,13 @@
-"""Fleet sweeps: stack-block transport, shard planning, parity, counters.
+"""Fleet sweeps: stack-block transport, shard planning, parity, spans.
 
-The sweep path is PR 6's batched execution strategy: every cluster's
-trailing window solves inside a stacked ``(B, m, n)`` loop, sharded
-across workers through :class:`SharedStackBlock` segments. These tests
-pin the transport round-trip, the deterministic shard plan, bit parity
-between the serial oracle and the parallel run, worker-failure
-surfacing, and that ``kernel.batch.*`` counters from batch-shard workers
-fold into the fleet sink (``Instrumentation.merge``).
+A sweep solves every cluster's trailing window once. The windows travel
+to workers in shards through :class:`SharedStackBlock` segments, and each
+worker solves its shard one window at a time with ``svd_backend="auto"``.
+These tests pin the transport round-trip, the deterministic shard plan,
+bit parity of the parallel run, the serial oracle and a per-cluster
+:func:`~repro.core.decompose.decompose`, worker-failure surfacing, and
+that the workers' solve spans fold into the fleet sink
+(``Instrumentation.merge``).
 """
 
 import os
@@ -18,6 +19,7 @@ import pytest
 from repro import sweep_fleet
 from repro.cloudsim.trace import CalibrationTrace
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
+from repro.core.decompose import decompose
 from repro.errors import FleetError, ValidationError
 from repro.fleet import (
     ClusterSpec,
@@ -25,7 +27,8 @@ from repro.fleet import (
     FleetScheduler,
     SharedStackBlock,
 )
-from repro.observability import Instrumentation
+from repro.fleet.worker import solve_shard
+from repro.observability import Instrumentation, instrumented
 
 pytestmark = pytest.mark.fleet
 
@@ -192,60 +195,84 @@ class TestSweepParity:
 
     def test_worker_failure_surfaces_as_fleet_error(self):
         # An unknown solver passes FleetConfig but blows up inside the
-        # worker's fallback; the scheduler must surface it as a FleetError
+        # worker's solve; the scheduler must surface it as a FleetError
         # naming the shard and carrying the worker traceback.
         cfg = FleetConfig(n_workers=N_WORKERS, solver="no-such-solver", **CFG)
         with pytest.raises(FleetError, match="sweep shard") as exc_info:
             FleetScheduler(_clusters(2), cfg).run_sweep()
         assert "no-such-solver" in exc_info.value.worker_traceback
 
+    @pytest.mark.parametrize("solver", ["apg", "ialm", "pca"])
+    def test_each_cluster_matches_its_single_auto_solve(self, solver):
+        # Mixed masked/unmasked windows plus one trace shorter than the
+        # window, so the plan holds shards of two shapes. PCA cannot take a
+        # mask or an SVD backend, so its fleet is fully observed.
+        clusters = _clusters(4) + [
+            ClusterSpec(name="short", trace=_trace(60, n_snapshots=4))
+        ]
+        if solver != "pca":
+            clusters += [
+                ClusterSpec(name="masked0", trace=_trace(70, mask=True)),
+                ClusterSpec(name="masked1", trace=_trace(71, mask=True)),
+            ]
+        cfg = FleetConfig(n_workers=N_WORKERS, solver=solver, **CFG)
+        sched = FleetScheduler(clusters, cfg)
+        assert len({s.tps[0].data.shape for s in sched.plan_sweep()}) == 2
+        svd_backend = None if solver == "pca" else "auto"
+        reports = [sched.run_sweep(), sched.run_sweep_serial()]
+        for spec in clusters:
+            count = min(cfg.window, spec.trace.n_snapshots)
+            tp = spec.trace.tp_matrix(
+                cfg.nbytes, start=spec.trace.n_snapshots - count, count=count
+            )
+            assert (tp.mask is not None) == spec.name.startswith("masked")
+            want = decompose(tp, solver=solver, svd_backend=svd_backend)
+            for report in reports:
+                got = report.clusters[spec.name]
+                assert np.array_equal(got.constant_row, want.constant.row)
+                assert got.iterations == want.solver_iterations
+
+
+def _sweep_spans(sink):
+    return [s for s in sink.spans if s.context == "fleet-sweep"]
+
 
 class TestSweepInstrumentation:
-    def test_merge_folds_kernel_batch_counters(self):
-        """Satellite regression: worker state_dicts carry kernel.batch.*
-        counters and Instrumentation.merge accumulates them additively."""
+    def test_merge_folds_worker_solve_spans(self):
+        """A worker's state_dict carries one span per window; merging it
+        into the fleet sink appends the spans and sums the counters."""
+        worker = Instrumentation("sweep-worker")
+        with instrumented(worker):
+            solve_shard(["a", "b", "c"], _tps(3))
+        state = worker.state_dict()
+        assert len(_sweep_spans(worker)) == 3
         sink = Instrumentation("fleet")
-        sink.count("kernel.batch.solves", 1)
-        worker_state = {
-            "name": "sweep-worker",
-            "counters": {
-                "kernel.batch.solves": 2,
-                "kernel.batch.matrices": 6,
-                "kernel.batch.dropout_iterations": 17,
-            },
-            "timers": {"kernel.batch.solve_seconds": 0.25},
-            "spans": [],
-        }
-        sink.merge(worker_state)
-        sink.merge(worker_state)
-        assert sink.counters["kernel.batch.solves"] == 5
-        assert sink.counters["kernel.batch.matrices"] == 12
-        assert sink.counters["kernel.batch.dropout_iterations"] == 34
-        assert sink.timers["kernel.batch.solve_seconds"] == pytest.approx(0.5)
+        sink.merge(state)
+        sink.merge(state)
+        assert sink.spans == worker.spans * 2
+        for name, value in worker.counters.items():
+            assert sink.counters[name] == 2 * value
+        assert sink.counters["kernel.svt.gram"] > 0
 
-    def test_parallel_sweep_ships_batch_counters_to_fleet_sink(self):
+    @pytest.mark.parametrize("mode", ["parallel", "serial"])
+    def test_one_solve_span_per_cluster(self, mode):
         sink = Instrumentation("fleet")
-        clusters = _clusters(5)
-        report = FleetScheduler(
-            clusters, FleetConfig(n_workers=N_WORKERS, **CFG), instrumentation=sink
-        ).run_sweep()
-        # 5 clusters at width 3 -> 2 shards, each one batched solve in a
-        # worker process; the counters must land in the parent sink.
-        assert sink.counters["kernel.batch.solves"] == 2
-        assert sink.counters["kernel.batch.matrices"] == 5
+        cfg = FleetConfig(n_workers=N_WORKERS, **CFG)
+        sched = FleetScheduler(_clusters(5), cfg, instrumentation=sink)
+        report = sched.run_sweep() if mode == "parallel" else sched.run_sweep_serial()
+        # 5 clusters at width 3 -> 2 shards; in parallel mode every span
+        # was recorded in a worker process and merged into this sink.
+        spans = _sweep_spans(sink)
+        assert len(spans) == sink.solves == 5
+        assert all(s.solver == "apg" and not s.warm for s in spans)
         assert sink.counters["fleet.sweep.shards"] == 2
         assert sink.counters["fleet.clusters"] == 5
-        assert "kernel.batch.solve_seconds" in sink.timers
+        expected_workers = 1 if mode == "serial" else min(N_WORKERS, 2)
+        assert sink.counters["fleet.workers"] == expected_workers
         # The report snapshot carries the merged state too.
-        assert report.instrumentation["counters"]["kernel.batch.matrices"] == 5
-        # One solve span per cluster window, shipped from the workers.
-        assert sink.solves == 5
-
-    def test_serial_sweep_records_same_counter_names(self):
-        sink = Instrumentation("fleet-serial")
-        FleetScheduler(
-            _clusters(4), FleetConfig(**CFG), instrumentation=sink
-        ).run_sweep_serial()
-        assert sink.counters["kernel.batch.solves"] == 2
-        assert sink.counters["kernel.batch.matrices"] == 4
-        assert sink.counters["fleet.workers"] == 1
+        assert [
+            s["context"] for s in report.instrumentation["spans"]
+        ] == ["fleet-sweep"] * 5
+        assert sorted(r.iterations for r in report.clusters.values()) == sorted(
+            s.iterations for s in spans
+        )
