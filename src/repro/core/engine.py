@@ -291,6 +291,8 @@ class DecompositionEngine:
         )
         # Insertion order == LRU order; values are (row, mask_row | None).
         self._rows: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        # The cache stacked into checkpoint arrays; None once it changes.
+        self._cache_arrays: dict[str, np.ndarray] | None = None
         self._last: Decomposition | None = None
         # Per-shape adaptive rank prediction (partial SVD backends only),
         # keyed by the short side of the solved matrix and threaded through
@@ -350,6 +352,34 @@ class DecompositionEngine:
         """The rolling row cache, LRU order preserved (oldest first)."""
         return dict(self._rows)
 
+    def export_cache_arrays(self) -> dict[str, np.ndarray]:
+        """The row cache stacked into read-only ``cache_*`` arrays.
+
+        ``cache_keys`` (LRU order), ``cache_rows``, ``cache_has_mask`` and,
+        when any row is masked, ``cache_masks`` (all-True rows for unmasked
+        ones); empty when the cache is. Memoized until the cache changes,
+        so captures in between hand out the very same array objects.
+        """
+        arrays = self._cache_arrays
+        if arrays is None:
+            arrays = {}
+            if self._rows:
+                entries = list(self._rows.values())
+                rows = np.stack([row for row, _ in entries])
+                has_mask = np.array([m is not None for _, m in entries], dtype=bool)
+                arrays["cache_keys"] = np.array(list(self._rows), dtype=np.int64)
+                arrays["cache_rows"] = rows
+                arrays["cache_has_mask"] = has_mask
+                if has_mask.any():
+                    full = np.ones(rows.shape[1], dtype=bool)
+                    arrays["cache_masks"] = np.stack(
+                        [full if m is None else m for _, m in entries]
+                    )
+                for arr in arrays.values():
+                    arr.setflags(write=False)
+            self._cache_arrays = arrays
+        return dict(arrays)
+
     def export_warm_state(self) -> EngineWarmState:
         """Everything warm about this engine, as a picklable capsule."""
         return EngineWarmState(
@@ -405,9 +435,11 @@ class DecompositionEngine:
                 mask_row.setflags(write=False)
             restored[int(k)] = (row, mask_row)
         self._rows = restored
+        self._cache_arrays = None
 
     # -- rolling window cache ---------------------------------------------
     def _row(self, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+        self._cache_arrays = None
         entry = self._rows.pop(k, None)
         if entry is None:
             self.instrumentation.count("engine.window.miss")

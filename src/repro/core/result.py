@@ -54,6 +54,14 @@ class SolverResult:
     constant_row: np.ndarray | None = None
     warm_started: bool = False
 
+    def __post_init__(self) -> None:
+        # The arrays are frozen with the result: warm starts copy them, and
+        # a checkpoint store may skip rewriting an array it already wrote
+        # only because the same read-only object cannot have changed.
+        for arr in (self.low_rank, self.sparse, self.constant_row):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+
     @property
     def shape(self) -> tuple[int, int]:
         """Shape of the decomposed matrix."""

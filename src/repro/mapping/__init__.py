@@ -7,7 +7,7 @@ snapshot.
 """
 
 from .taskgraph import TaskGraph, random_task_graph, ring_task_graph, stencil_task_graph
-from .greedy import greedy_mapping
+from .greedy import MachineGraph, greedy_mapping
 from .ring import ring_mapping
 from .evaluate import mapping_total_time, mapping_bottleneck_time, bandwidth_from_weights
 
@@ -17,6 +17,7 @@ __all__ = [
     "ring_task_graph",
     "stencil_task_graph",
     "greedy_mapping",
+    "MachineGraph",
     "ring_mapping",
     "mapping_total_time",
     "mapping_bottleneck_time",

@@ -2,8 +2,10 @@
 
 :func:`recover` is the read side of the persistence protocol:
 
-1. Walk the checkpoint store newest → oldest; the first file that passes
-   magic/version/CRC/schema verification wins. Corrupt or half-written
+1. Walk the checkpoint store newest → oldest
+   (:meth:`~repro.persistence.checkpoint.CheckpointStore.find_latest`); the
+   first checkpoint that passes magic/version/CRC/schema verification and
+   whose segment has a valid mirror wins. Corrupt or half-written
    checkpoints are skipped — that is the fallback the atomic-rename writer
    and the retention window exist for.
 2. Scan the journal (torn tail amputated by construction) and keep the
@@ -26,8 +28,8 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import CheckpointCorruption, PersistenceError
-from .checkpoint import CheckpointStore, read_checkpoint
+from ..errors import PersistenceError
+from .checkpoint import CheckpointStore
 from .journal import SnapshotJournal
 from .state import check_schema
 
@@ -69,18 +71,7 @@ def recover(directory: str | os.PathLike) -> RecoveredState:
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         raise PersistenceError(f"no persistence directory at {directory!r}")
-    store = CheckpointStore(directory)
-    fallbacks = 0
-    chosen = None
-    for _, path in reversed(store._paths()):
-        try:
-            ckpt = read_checkpoint(path)
-            check_schema(ckpt.meta, path)
-            chosen = ckpt
-            break
-        except (CheckpointCorruption, OSError):
-            fallbacks += 1
-            continue
+    chosen, fallbacks = CheckpointStore(directory).find_latest(check=check_schema)
     if chosen is None:
         raise PersistenceError(
             f"no valid checkpoint in {directory!r} "

@@ -37,6 +37,8 @@ __all__ = [
     "trace_to_arrays",
     "trace_from_arrays",
     "capture_session_state",
+    "HistoryEncoder",
+    "FloatListEncoder",
     "history_rows_from_state",
     "decomposition_from_state",
     "engine_cache_from_state",
@@ -161,25 +163,7 @@ def decomposition_from_state(
 
 
 # -- engine row cache ------------------------------------------------------
-def _engine_cache_to_arrays(
-    cache: dict[int, tuple[np.ndarray, np.ndarray | None]],
-    arrays: dict[str, np.ndarray],
-) -> None:
-    if not cache:
-        return
-    keys = np.array(list(cache.keys()), dtype=np.int64)
-    rows = np.stack([row for row, _ in cache.values()])
-    has_mask = np.array([m is not None for _, m in cache.values()], dtype=bool)
-    arrays["cache_keys"] = keys
-    arrays["cache_rows"] = rows
-    arrays["cache_has_mask"] = has_mask
-    if has_mask.any():
-        full = np.ones(rows.shape[1], dtype=bool)
-        arrays["cache_masks"] = np.stack(
-            [full if m is None else m for _, m in cache.values()]
-        )
-
-
+# Captured through DecompositionEngine.export_cache_arrays (memoized there).
 def engine_cache_from_state(
     arrays: dict[str, np.ndarray],
 ) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
@@ -200,42 +184,139 @@ def engine_cache_from_state(
 # -- operation history -----------------------------------------------------
 # One record per operation for the session's whole lifetime, so the JSON
 # channel must not carry it: numeric fields go to arrays, categorical
-# strings become int32 codes plus a small legend in the metadata. This
-# keeps checkpoint cost flat as the session ages.
+# strings become int32 codes plus a small legend in the metadata. The
+# encoders below extend their arrays by what was appended since the last
+# capture, so capture cost stays flat as the session ages.
 _HISTORY_CATEGORICALS = ("op", "decision", "health", "regime")
 
 
-def _history_to_state(
-    history: list[Any], arrays: dict[str, np.ndarray]
-) -> dict[str, list[Any]]:
-    n = len(history)
-    arrays["hist_snapshot"] = np.fromiter(
-        (r.snapshot for r in history), np.int64, count=n
+class _AppendCursor:
+    """Where an append-only list continues since the previous look at it.
+
+    A list that was replaced or truncated — told by the identity of the
+    list and of the last item seen — starts over from index 0.
+    """
+
+    def __init__(self) -> None:
+        self._items: list[Any] | None = None
+        self._n = 0
+        self._last: Any = None
+
+    def advance(self, items: list[Any]) -> int:
+        """Index of the first item not seen before (0: all of them)."""
+        n = self._n
+        if items is not self._items or len(items) < n or (
+            n and items[n - 1] is not self._last
+        ):
+            n = 0
+        self._items = items
+        self._n = len(items)
+        self._last = items[-1] if items else None
+        return n
+
+
+class _Column:
+    """A 1-D array grown by doubling; a view of its first entries never
+    changes, because later writes only land past them."""
+
+    def __init__(self, dtype: Any) -> None:
+        self._buf = np.empty(0, dtype)
+
+    def write(self, start: int, values: Any, count: int) -> None:
+        end = start + count
+        if end > self._buf.shape[0]:
+            grown = np.empty(max(end, 2 * self._buf.shape[0], 64), self._buf.dtype)
+            grown[:start] = self._buf[:start]
+            self._buf = grown
+        self._buf[start:end] = np.fromiter(values, self._buf.dtype, count=count)
+
+    def view(self, n: int) -> np.ndarray:
+        view = self._buf[:n]
+        view.setflags(write=False)
+        return view
+
+
+class HistoryEncoder:
+    """Columnar encoding of an append-only operation history, kept current.
+
+    Holds the ``hist_*`` columns in growable arrays and the categorical
+    legends in first-seen order, and on each :meth:`encode` encodes only
+    the records appended since the previous call. Prefix stability makes
+    that exact: a record's codes never change once assigned. A replaced or
+    truncated list is re-encoded from scratch, so the output always equals
+    a fresh encoding of the history passed in.
+    """
+
+    _NUMERIC = (
+        ("snapshot", np.int64),
+        ("root", np.int64),
+        ("elapsed", np.float64),
+        ("expected", np.float64),
     )
-    arrays["hist_root"] = np.fromiter((r.root for r in history), np.int64, count=n)
-    arrays["hist_elapsed"] = np.fromiter(
-        (r.elapsed for r in history), np.float64, count=n
-    )
-    arrays["hist_expected"] = np.fromiter(
-        (r.expected for r in history), np.float64, count=n
-    )
-    legends: dict[str, list[Any]] = {}
-    for field in _HISTORY_CATEGORICALS:
-        codes = np.empty(n, dtype=np.int32)
-        legend: list[Any] = []
-        index: dict[Any, int] = {}
-        for i, record in enumerate(history):
-            value = getattr(record, field)
-            if field == "decision":
-                value = value.value
-            code = index.get(value)
-            if code is None:
-                code = index[value] = len(legend)
-                legend.append(value)
-            codes[i] = code
-        arrays[f"hist_{field}"] = codes
-        legends[field] = legend
-    return legends
+
+    def __init__(self) -> None:
+        self._cursor = _AppendCursor()
+        self._columns: dict[str, _Column] = {}
+        self._legends: dict[str, list[Any]] = {}
+        self._index: dict[str, dict[Any, int]] = {}
+
+    def encode(
+        self, history: list[Any], arrays: dict[str, np.ndarray]
+    ) -> dict[str, list[Any]]:
+        """Put the ``hist_*`` columns of *history* into *arrays*; return legends.
+
+        The arrays are read-only views that later appends never overwrite.
+        """
+        start = self._cursor.advance(history)
+        if start == 0:
+            # Fresh buffers: arrays handed out earlier must keep their content.
+            self._columns = {name: _Column(dtype) for name, dtype in self._NUMERIC}
+            for field in _HISTORY_CATEGORICALS:
+                self._columns[field] = _Column(np.int32)
+            self._legends = {field: [] for field in _HISTORY_CATEGORICALS}
+            self._index = {field: {} for field in _HISTORY_CATEGORICALS}
+        new = history[start:]
+        k = len(new)
+        if k:
+            for name, _ in self._NUMERIC:
+                self._columns[name].write(
+                    start, (getattr(r, name) for r in new), k
+                )
+            for field in _HISTORY_CATEGORICALS:
+                legend = self._legends[field]
+                index = self._index[field]
+                codes = []
+                for record in new:
+                    value = getattr(record, field)
+                    if field == "decision":
+                        value = value.value
+                    code = index.get(value)
+                    if code is None:
+                        code = index[value] = len(legend)
+                        legend.append(value)
+                    codes.append(code)
+                self._columns[field].write(start, codes, k)
+        for name, column in self._columns.items():
+            arrays[f"hist_{name}"] = column.view(len(history))
+        return {field: list(legend) for field, legend in self._legends.items()}
+
+
+class FloatListEncoder:
+    """An append-only list of floats as a float64 array, extended by what
+    was appended since the previous :meth:`encode` (the maintenance
+    controller's deviation history)."""
+
+    def __init__(self) -> None:
+        self._cursor = _AppendCursor()
+        self._column = _Column(np.float64)
+
+    def encode(self, values: list[float]) -> np.ndarray:
+        """*values* as a read-only float64 array."""
+        start = self._cursor.advance(values)
+        if start == 0:
+            self._column = _Column(np.float64)
+        self._column.write(start, values[start:], len(values) - start)
+        return self._column.view(len(values))
 
 
 def history_rows_from_state(
@@ -267,6 +348,11 @@ def capture_session_state(
     """
     arrays: dict[str, np.ndarray] = {}
     stats = session.stats
+    # Sessions keep their encoders across captures; others encode anew.
+    history_encoder = getattr(session, "_history_encoder", None) or HistoryEncoder()
+    deviation_encoder = (
+        getattr(session, "_deviation_encoder", None) or FloatListEncoder()
+    )
     resilience = session.resilience
     persistence = session.persistence
     meta: dict[str, Any] = {
@@ -330,7 +416,7 @@ def capture_session_state(
             "regime_spikes": stats.regime_spikes,
             "stream_updates": stats.stream_updates,
             "stream_fallbacks": stats.stream_fallbacks,
-            "history_legends": _history_to_state(stats.history, arrays),
+            "history_legends": history_encoder.encode(stats.history, arrays),
         },
         "controller": session.controller.state_dict(),
         "health": None if session.health is None else session.health.state_dict(),
@@ -352,9 +438,11 @@ def capture_session_state(
         meta["stream"] = stream_meta
     # The controller's deviation history can be long — keep it in the array
     # channel rather than bloating the JSON member.
-    deviations = meta["controller"].pop("deviations")
-    arrays["ctrl_deviations"] = np.asarray(deviations, dtype=np.float64)
-    _engine_cache_to_arrays(session._engine.export_cache(), arrays)
+    del meta["controller"]["deviations"]
+    arrays["ctrl_deviations"] = deviation_encoder.encode(
+        session.controller.stats.deviations
+    )
+    arrays.update(session._engine.export_cache_arrays())
     return arrays, meta
 
 

@@ -83,7 +83,7 @@ from ..faults import (
     parse_fault_spec,
 )
 from ..mapping.evaluate import bandwidth_from_weights, mapping_total_time
-from ..mapping.greedy import greedy_mapping
+from ..mapping.greedy import MachineGraph, greedy_mapping
 from ..mapping.taskgraph import TaskGraph
 from ..observability import Instrumentation
 from ..utils.seeding import spawn_rng
@@ -99,6 +99,7 @@ from ..persistence import (
     recover,
     trace_sha256,
 )
+from ..persistence.state import FloatListEncoder, HistoryEncoder
 
 __all__ = [
     "OperationRecord",
@@ -220,7 +221,7 @@ class _ServingPlan:
     the same constant component (paper Algorithm 1), so they are built on
     first use and reused: one FNF tree per root, one α-β pair per message
     size, one expected time per ``(op, root, nbytes)`` and the mapper's
-    bandwidth matrix. A plan is tied to the decomposition object it was
+    machine graph. A plan is tied to the decomposition object it was
     built from; the session builds a new one as soon as a different
     decomposition is in service. It is derived state and is never captured.
     """
@@ -232,7 +233,7 @@ class _ServingPlan:
         self._trees: dict[int, CommTree] = {}
         self._alphabeta: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._expected: dict[tuple[str, int, float], float] = {}
-        self._bandwidth: np.ndarray | None = None
+        self._machines: MachineGraph | None = None
 
     def tree(self, root: int) -> CommTree:
         tree = self._trees.get(root)
@@ -256,10 +257,13 @@ class _ServingPlan:
             self._expected[key] = t
         return t
 
-    def bandwidth(self) -> np.ndarray:
-        if self._bandwidth is None:
-            self._bandwidth = bandwidth_from_weights(self.weights)
-        return self._bandwidth
+    def machines(self) -> MachineGraph:
+        """The mapper's machine graph (symmetrized bandwidth and heft)."""
+        if self._machines is None:
+            self._machines = MachineGraph.from_bandwidth(
+                bandwidth_from_weights(self.weights)
+            )
+        return self._machines
 
 
 class TraceSession:
@@ -447,6 +451,8 @@ class TraceSession:
         )
 
         self.stats = SessionStats()
+        self._history_encoder = HistoryEncoder()
+        self._deviation_encoder = FloatListEncoder()
         self._trace_sha = trace_sha256(trace)  # hashed once, reused per checkpoint
         self._cursor = self.time_step  # next live snapshot
         self._decomposition: Decomposition | None = None
@@ -621,6 +627,12 @@ class TraceSession:
         arrays, meta = capture_session_state(self)
         path = self._store.save(arrays, meta)
         self.instrumentation.count("session.checkpoint.written")
+        if self._store.segment_written is not None:
+            self.instrumentation.count(
+                "session.checkpoint.segment_written"
+                if self._store.segment_written
+                else "session.checkpoint.segment_reused"
+            )
         return path
 
     def close(self) -> None:
@@ -930,7 +942,7 @@ class TraceSession:
         self._check_crash()
         k = self._advance()
         plan = self._serving_plan()
-        mapping = greedy_mapping(graph, plan.bandwidth())
+        mapping = greedy_mapping(graph, plan.machines())
         ea, eb = plan.alphabeta(self.nbytes)
         expected = mapping_total_time(graph, mapping, ea, eb)
         elapsed = mapping_total_time(
@@ -1264,6 +1276,8 @@ class TraceSession:
                 for h in history_rows_from_state(arrays, st["history_legends"])
             ],
         )
+        self._history_encoder = HistoryEncoder()
+        self._deviation_encoder = FloatListEncoder()
         self._cursor = int(meta["cursor"])
 
         self.persistence = None

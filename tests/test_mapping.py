@@ -9,7 +9,7 @@ from repro.mapping.evaluate import (
     mapping_bottleneck_time,
     mapping_total_time,
 )
-from repro.mapping.greedy import greedy_mapping
+from repro.mapping.greedy import MachineGraph, greedy_mapping
 from repro.mapping.ring import ring_mapping
 from repro.mapping.taskgraph import (
     TaskGraph,
@@ -152,6 +152,104 @@ class TestGreedyMapping:
         assert mapping_total_time(g, greedy, alpha, beta) < mapping_total_time(
             g, ring, alpha, beta
         )
+
+
+def _greedy_reference(task_graph, bandwidth):
+    """The greedy mapper as first written: every step re-derives the mapped
+    and unmapped index sets and scans their whole connection block."""
+    bw = np.asarray(bandwidth, dtype=np.float64)
+    n_machines, n_tasks = bw.shape[0], task_graph.n_tasks
+    vols = task_graph.volumes
+    sym_vols = vols + vols.T
+    sym_bw = (bw + bw.T) / 2.0
+    np.fill_diagonal(sym_bw, 0.0)
+    task_heft = sym_vols.sum(axis=1)
+    machine_heft = sym_bw.sum(axis=1)
+    mapping = np.full(n_tasks, -1, dtype=np.intp)
+    machine_used = np.zeros(n_machines, dtype=bool)
+    task_mapped = np.zeros(n_tasks, dtype=bool)
+
+    def seed_pair():
+        s0 = int(np.argmax(np.where(task_mapped, -np.inf, task_heft)))
+        v0 = int(np.argmax(np.where(machine_used, -np.inf, machine_heft)))
+        mapping[s0] = v0
+        task_mapped[s0] = True
+        machine_used[v0] = True
+
+    seed_pair()
+    while not task_mapped.all():
+        conn = sym_vols[np.ix_(np.flatnonzero(task_mapped), np.flatnonzero(~task_mapped))]
+        if conn.size == 0 or conn.max() <= 0:
+            seed_pair()
+            continue
+        mi, uj = np.unravel_index(int(np.argmax(conn)), conn.shape)
+        anchor_task = int(np.flatnonzero(task_mapped)[mi])
+        next_task = int(np.flatnonzero(~task_mapped)[uj])
+        cand = np.where(machine_used, -np.inf, sym_bw[int(mapping[anchor_task])])
+        next_machine = int(np.argmax(cand))
+        mapping[next_task] = next_machine
+        task_mapped[next_task] = True
+        machine_used[next_machine] = True
+    return mapping
+
+
+class TestGreedyMatchesReference:
+    """The incremental mapper returns exactly the reference's mappings,
+    tie-breaking included, from a bandwidth matrix or a MachineGraph."""
+
+    @staticmethod
+    def _volumes(rng, n, kind):
+        if kind == "ties":  # few distinct values: many tied connections
+            v = rng.integers(0, 3, size=(n, n)).astype(float)
+        elif kind == "sparse":
+            v = rng.random((n, n)) * (rng.random((n, n)) < 0.25)
+        elif kind == "disconnected":  # pairs with equal volumes, no links between
+            v = np.zeros((n, n))
+            for a in range(0, n - 1, 2):
+                v[a, a + 1] = 5.0
+        else:  # "uniform": every connection tied
+            v = np.full((n, n), 2.0)
+        np.fill_diagonal(v, 0.0)
+        return v
+
+    @pytest.mark.parametrize("kind", ["ties", "sparse", "disconnected", "uniform"])
+    def test_random_graphs(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for trial in range(150):
+            n = int(rng.integers(1, 13))
+            n_machines = n + int(rng.integers(0, 5))
+            if trial % 2:
+                bw = rng.integers(1, 4, size=(n_machines, n_machines)).astype(float)
+            else:
+                bw = rng.random((n_machines, n_machines)) * 1e9
+            graph = TaskGraph(volumes=self._volumes(rng, n, kind))
+            want = _greedy_reference(graph, bw)
+            np.testing.assert_array_equal(greedy_mapping(graph, bw), want)
+            np.testing.assert_array_equal(
+                greedy_mapping(graph, MachineGraph.from_bandwidth(bw)), want
+            )
+
+    def test_paper_scale(self):
+        rng = np.random.default_rng(5)
+        bw = rng.random((196, 196)) * 1e9
+        machines = MachineGraph.from_bandwidth(bw)
+        for seed in range(20):
+            graph = random_task_graph(16, seed=seed)
+            np.testing.assert_array_equal(
+                greedy_mapping(graph, machines), _greedy_reference(graph, bw)
+            )
+
+    def test_machine_graph_is_read_only(self):
+        machines = MachineGraph.from_bandwidth(np.ones((3, 3)))
+        assert not machines.affinity.flags.writeable
+        assert not machines.heft.flags.writeable
+        np.testing.assert_array_equal(np.diagonal(machines.affinity), 0.0)
+
+    def test_machine_graph_too_small(self):
+        with pytest.raises(MappingError):
+            greedy_mapping(
+                ring_task_graph(4), MachineGraph.from_bandwidth(np.ones((3, 3)))
+            )
 
 
 class TestEvaluate:

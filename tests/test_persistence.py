@@ -173,6 +173,169 @@ class TestCheckpointStore:
         assert CheckpointStore(tmp_path).load_latest() is None
 
 
+def _frozen(value):
+    arr = np.array(value, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _flip(path, offset=-1):
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+class TestCheckpointSegments:
+    """The store keeps segment arrays (``dec_*``, ``sr_*``, ``cache_*``) in
+    a mirrored segment pair that later checkpoints name again while those
+    arrays are the same read-only objects."""
+
+    META = {"schema": STATE_SCHEMA_VERSION, "journal_seq": 0}
+
+    def _segment(self, fill):
+        return {"dec_row": _frozen(np.full(6, fill)), "cache_rows": _frozen(np.eye(3))}
+
+    def _segments_on_disk(self, directory):
+        return sorted(p.name for p in directory.glob("seg-*"))
+
+    def test_save_without_segment_arrays_writes_todays_file(self, tmp_path):
+        arrays = {"x": np.arange(5.0), "hist_root": np.arange(3)}
+        path = CheckpointStore(tmp_path / "s").save(arrays, self.META)
+        write_checkpoint(tmp_path / "plain.ckpt", arrays, self.META)
+        with open(path, "rb") as fh:
+            assert fh.read() == (tmp_path / "plain.ckpt").read_bytes()
+        assert "segment" not in read_checkpoint(path).meta
+        assert self._segments_on_disk(tmp_path / "s") == []
+
+    def test_segment_written_once_and_named_again(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=3)
+        segment = self._segment(1.0)
+        for i in range(5):
+            store.save({"x": np.full(2, float(i)), **segment}, self.META)
+            assert store.segment_written is (i == 0)
+        assert self._segments_on_disk(tmp_path) == [
+            "seg-00000000.a.seg", "seg-00000000.b.seg",
+        ]
+        # Segments never match the checkpoint glob.
+        assert len(list(tmp_path.glob("*.ckpt"))) == 3
+        newest = read_checkpoint(sorted(tmp_path.glob("*.ckpt"))[-1])
+        assert newest.meta["segment"]["name"] == "seg-00000000"
+        assert "dec_row" not in newest.arrays
+
+        ckpt = store.load_latest()
+        assert "segment" not in ckpt.meta
+        np.testing.assert_array_equal(ckpt.arrays["x"], np.full(2, 4.0))
+        for name, arr in segment.items():
+            np.testing.assert_array_equal(ckpt.arrays[name], arr)
+
+    def test_writeable_or_new_arrays_are_written_again(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=1)
+        writeable = {"dec_row": np.zeros(4)}
+        store.save(dict(writeable), self.META)
+        store.save(dict(writeable), self.META)
+        assert store.segment_written is True  # not frozen: cannot be trusted
+        frozen = self._segment(2.0)
+        store.save(frozen, self.META)
+        store.save({**frozen, "dec_row": _frozen(frozen["dec_row"])}, self.META)
+        assert store.segment_written is True  # equal content, other object
+        store.save({"dec_row": frozen["dec_row"]}, self.META)
+        assert store.segment_written is True  # different key set
+        store.save({"dec_row": frozen["dec_row"]}, self.META)
+        assert store.segment_written is False
+        (tmp_path / "seg-00000004.b.seg").unlink()
+        store.save({"dec_row": frozen["dec_row"]}, self.META)
+        assert store.segment_written is True  # a mirror went missing
+
+    def test_unnamed_segments_are_pruned(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=2)
+        first, second = self._segment(1.0), self._segment(2.0)
+        store.save(first, self.META)      # ckpt 0, seg 0
+        store.save(second, self.META)     # ckpt 1, seg 1
+        assert len(self._segments_on_disk(tmp_path)) == 4
+        store.save(second, self.META)     # ckpt 2 names seg 1; ckpt 0 pruned
+        assert self._segments_on_disk(tmp_path) == [
+            "seg-00000001.a.seg", "seg-00000001.b.seg",
+        ]
+
+    def test_segment_is_not_named_again_after_pruning(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=1)
+        segment = self._segment(1.0)
+        store.save(segment, self.META)
+        store.save({"x": np.zeros(1)}, self.META)  # seg 0 no longer named
+        assert self._segments_on_disk(tmp_path) == []
+        store.save(segment, self.META)
+        assert store.segment_written is True
+        np.testing.assert_array_equal(
+            store.load_latest().arrays["dec_row"], segment["dec_row"]
+        )
+
+    def test_one_corrupt_mirror_is_survived(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        segment = self._segment(3.0)
+        store.save(segment, self.META)
+        _flip(tmp_path / "seg-00000000.a.seg")
+        ckpt, fallbacks = store.find_latest()
+        assert fallbacks == 0
+        np.testing.assert_array_equal(ckpt.arrays["dec_row"], segment["dec_row"])
+
+    def test_mirror_of_another_segment_is_rejected(self, tmp_path):
+        """A mirror that verifies on its own but is not the segment the
+        checkpoint recorded (CRC and length in its meta) does not count."""
+        store = CheckpointStore(tmp_path, keep=2)
+        store.save(self._segment(1.0), self.META)
+        store.save(self._segment(2.0), self.META)
+        for mirror in "ab":
+            os.replace(
+                tmp_path / f"seg-00000000.{mirror}.seg",
+                tmp_path / f"seg-00000001.{mirror}.seg",
+            )
+        ckpt, fallbacks = store.find_latest()
+        assert ckpt is None and fallbacks == 2
+
+    def test_both_mirrors_corrupt_falls_back(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=3)
+        store.save({"x": np.zeros(1), **self._segment(1.0)}, self.META)
+        store.save({"x": np.ones(1), **self._segment(2.0)}, self.META)
+        for mirror in "ab":
+            _flip(tmp_path / f"seg-00000001.{mirror}.seg")
+        ckpt, fallbacks = store.find_latest()
+        assert fallbacks == 1
+        np.testing.assert_array_equal(ckpt.arrays["dec_row"], np.full(6, 1.0))
+        (tmp_path / "seg-00000000.b.seg").unlink()
+        _flip(tmp_path / "seg-00000000.a.seg", 30)
+        assert store.find_latest() == (None, 2)
+        with pytest.raises(PersistenceError, match="no valid checkpoint"):
+            recover(tmp_path)
+
+    def test_orphan_segment_is_pruned_at_next_save(self, tmp_path):
+        """A segment whose checkpoint was never written (the writer died in
+        between) is not reused by number and goes at the next save."""
+        CheckpointStore(tmp_path).save(self._segment(1.0), self.META)
+        for mirror in "ab":
+            (tmp_path / f"seg-00000001.{mirror}.seg").write_bytes(
+                (tmp_path / f"seg-00000000.{mirror}.seg").read_bytes()
+            )
+        store = CheckpointStore(tmp_path)
+        assert store.next_seq == 2
+        path = store.save(self._segment(2.0), self.META)
+        assert path.endswith("ckpt-00000002.ckpt")
+        assert self._segments_on_disk(tmp_path) == [
+            "seg-00000000.a.seg", "seg-00000000.b.seg",
+            "seg-00000002.a.seg", "seg-00000002.b.seg",
+        ]
+
+    def test_recover_reports_fallbacks_from_the_same_walk(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=3)
+        for i in range(3):
+            store.save({"x": np.full(1, float(i))},
+                       {"schema": STATE_SCHEMA_VERSION, "journal_seq": 0})
+        _flip(tmp_path / "ckpt-00000002.ckpt")
+        ckpt, fallbacks = store.find_latest()
+        state = recover(tmp_path)
+        assert (fallbacks, state.fallbacks) == (1, 1)
+        assert state.checkpoint_path == ckpt.path
+
+
 class TestRecovery:
     def _populate(self, directory, n_ckpts=2, extra_records=2):
         store = CheckpointStore(directory, keep=4)

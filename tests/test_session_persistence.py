@@ -14,7 +14,13 @@ from repro.core.detectors import CusumRegimeDetector, detector_names
 from repro.errors import PersistenceError
 from repro.faults import ProbeLoss
 from repro.mapping.taskgraph import TaskGraph
-from repro.persistence import PersistenceConfig
+from repro.persistence import (
+    PersistenceConfig,
+    capture_session_state,
+    read_checkpoint,
+    write_checkpoint,
+)
+from repro.persistence import checkpoint as checkpoint_mod
 from repro.persistence.checkpoint import CheckpointStore
 from repro.runtime.session import TraceSession
 
@@ -321,3 +327,293 @@ class TestCheckpointApi:
         assert len(names) == 3
         written = session.instrumentation.counters["session.checkpoint.written"]
         assert written == 4
+
+
+def _segment_names(directory):
+    """Segment names on disk, and those the retained checkpoints name."""
+    on_disk = {p.name.split(".", 1)[0] for p in directory.glob("seg-*.seg")}
+    named = {
+        read_checkpoint(p).meta["segment"]["name"] for p in directory.glob("*.ckpt")
+    }
+    return on_disk, named
+
+
+class TestCheckpointSegments:
+    """Solver state is written once per decomposition, as a mirrored pair."""
+
+    def test_calm_session_writes_one_mirror_pair(self, calm_trace, tmp_path):
+        cfg = PersistenceConfig(directory=tmp_path / "state", checkpoint_every=5)
+        session = TraceSession(calm_trace, time_step=8, persistence=cfg)
+        _drive(session, 30)
+        session.close()
+        assert session.stats.recalibrations == 0
+        counters = session.instrumentation.counters
+        assert counters["session.checkpoint.written"] == 7
+        assert counters["session.checkpoint.segment_written"] == 1
+        assert counters["session.checkpoint.segment_reused"] == 6
+        assert sorted(p.name for p in cfg.directory.glob("seg-*")) == [
+            "seg-00000000.a.seg", "seg-00000000.b.seg",
+        ]
+
+    def test_recalibration_writes_a_new_pair_and_prunes_the_old(
+        self, small_trace, persist_cfg
+    ):
+        session = TraceSession(
+            small_trace, time_step=8, threshold=0.05, persistence=persist_cfg
+        )
+        for _ in range(30):
+            _drive(session, 1)
+            on_disk, named = _segment_names(persist_cfg.directory)
+            assert on_disk == named
+            for name in named:
+                for mirror in "ab":
+                    assert (persist_cfg.directory / f"{name}.{mirror}.seg").exists()
+        session.close()
+        assert session.stats.recalibrations >= 2
+        assert session.instrumentation.counters["session.checkpoint.segment_written"] >= 2
+        assert "seg-00000000" not in on_disk
+
+    def test_capture_hands_out_the_same_segment_arrays(self, calm_trace):
+        session = TraceSession(calm_trace, time_step=8)
+        first, _ = capture_session_state(session)
+        _drive(session, 3)
+        second, _ = capture_session_state(session)
+        for name in ("dec_row", "dec_error", "sr_low_rank", "sr_sparse",
+                     "cache_keys", "cache_rows", "cache_has_mask"):
+            assert second[name] is first[name], name
+            assert not second[name].flags.writeable, name
+        session._calibrate(end=session._cursor, charge=False)
+        third, _ = capture_session_state(session)
+        assert third["sr_low_rank"] is not first["sr_low_rank"]
+        # The re-calibration moved the row cache; its arrays follow.
+        cache = session._engine.export_cache()
+        assert third["cache_keys"].tolist() == list(cache)
+        assert third["cache_keys"].tolist() != first["cache_keys"].tolist()
+        for i, (row, _) in enumerate(cache.values()):
+            np.testing.assert_array_equal(third["cache_rows"][i], row)
+
+    def _calm_run(self, calm_trace, tmp_path, n_ops):
+        cfg = PersistenceConfig(
+            directory=tmp_path / "state", checkpoint_every=5, keep_checkpoints=3
+        )
+        session = TraceSession(calm_trace, time_step=8, persistence=cfg)
+        _drive(session, n_ops)
+        session.close()
+        return cfg
+
+    def test_one_corrupt_mirror_resumes_bit_identically(self, calm_trace, tmp_path):
+        reference = TraceSession(calm_trace, time_step=8)
+        _drive(reference, 20)
+        cfg = self._calm_run(calm_trace, tmp_path, 12)
+        mirror = cfg.directory / "seg-00000000.a.seg"
+        blob = bytearray(mirror.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        mirror.write_bytes(bytes(blob))
+
+        resumed = TraceSession.resume(cfg.directory, trace=calm_trace)
+        assert "session.recovery.fallbacks" not in resumed.instrumentation.counters
+        _drive(resumed, 8)
+        resumed.close()
+        _assert_parity(resumed, reference)
+
+    def test_both_mirrors_corrupt_with_one_shared_segment(self, calm_trace, tmp_path):
+        cfg = self._calm_run(calm_trace, tmp_path, 12)
+        for mirror in "ab":
+            path = cfg.directory / f"seg-00000000.{mirror}.seg"
+            blob = bytearray(path.read_bytes())
+            blob[-1] ^= 0x01
+            path.write_bytes(bytes(blob))
+        with pytest.raises(PersistenceError, match="no valid checkpoint"):
+            TraceSession.resume(cfg.directory, trace=calm_trace)
+
+    def test_both_mirrors_corrupt_falls_back_to_an_older_segment(
+        self, small_trace, persist_cfg
+    ):
+        reference = TraceSession(small_trace, time_step=8, threshold=0.05)
+        _drive(reference, 30)
+        session = TraceSession(
+            small_trace, time_step=8, threshold=0.05, persistence=persist_cfg
+        )
+        _drive(session, 22)
+        session.close()
+        ckpts = sorted(persist_cfg.directory.glob("*.ckpt"))
+        names = [read_checkpoint(p).meta["segment"]["name"] for p in ckpts]
+        assert names[-1] != names[0]  # the newest names a segment of its own
+        for mirror in "ab":
+            path = persist_cfg.directory / f"{names[-1]}.{mirror}.seg"
+            blob = bytearray(path.read_bytes())
+            blob[40] ^= 0x01
+            path.write_bytes(bytes(blob))
+
+        resumed = TraceSession.resume(persist_cfg.directory, persistence=persist_cfg)
+        assert resumed.instrumentation.counters["session.recovery.fallbacks"] >= 1
+        assert resumed.stats.operations == 22
+        _drive(resumed, 8)
+        resumed.close()
+        _assert_parity(resumed, reference)
+
+    def test_single_file_checkpoint_still_resumes(self, small_trace, persist_cfg):
+        """A checkpoint holding every array itself (the layout before
+        segments) resumes: no ``segment`` key means nothing to resolve."""
+        reference = TraceSession(small_trace, time_step=8)
+        _drive(reference, 16)
+        session = TraceSession(small_trace, time_step=8, persistence=persist_cfg)
+        _drive(session, 9)
+        session.close()
+
+        latest = CheckpointStore(persist_cfg.directory).load_latest()
+        for path in persist_cfg.directory.glob("*.*seg"):
+            path.unlink()
+        for path in persist_cfg.directory.glob("*.ckpt"):
+            path.unlink()
+        write_checkpoint(
+            persist_cfg.directory / "ckpt-00000000.ckpt", latest.arrays, latest.meta
+        )
+        assert "dec_row" in read_checkpoint(
+            persist_cfg.directory / "ckpt-00000000.ckpt"
+        ).arrays
+
+        resumed = TraceSession.resume(persist_cfg.directory)
+        assert resumed.stats.operations == 9
+        _drive(resumed, 7)
+        resumed.close()
+        _assert_parity(resumed, reference)
+
+    def test_death_between_segment_and_checkpoint(
+        self, small_trace, persist_cfg, monkeypatch
+    ):
+        """The writer dies after a new segment pair is on disk but before
+        the checkpoint naming it: resume is bit-identical, and the orphan
+        pair goes at the resumed session's next save. (Raising inside the
+        write leaves the same files a SIGKILL there would: every file is
+        written whole by rename or not at all.)"""
+        reference = TraceSession(small_trace, time_step=8, threshold=0.05)
+        _drive(reference, 30)
+        session = TraceSession(
+            small_trace, time_step=8, threshold=0.05, persistence=persist_cfg
+        )
+        store = session._store
+
+        class Died(Exception):
+            pass
+
+        real_write = checkpoint_mod.write_checkpoint
+
+        def write_or_die(path, arrays, meta, **kwargs):
+            if store.segment_written:
+                raise Died
+            real_write(path, arrays, meta, **kwargs)
+
+        monkeypatch.setattr(checkpoint_mod, "write_checkpoint", write_or_die)
+        with pytest.raises(Died):
+            _drive(session, 30)
+        monkeypatch.undo()
+        session.close()
+        died_at = session.stats.operations
+        on_disk, named = _segment_names(persist_cfg.directory)
+        orphans = on_disk - named
+        assert len(orphans) == 1
+
+        resumed = TraceSession.resume(persist_cfg.directory, persistence=persist_cfg)
+        assert resumed.stats.operations == died_at
+        _drive(resumed, 30 - died_at)
+        resumed.close()
+        _assert_parity(resumed, reference)
+        on_disk, named = _segment_names(persist_cfg.directory)
+        assert on_disk == named and not orphans & on_disk
+
+
+def _history_from_scratch(history):
+    """The history encoding as one full pass — the reference the
+    incremental encoder must match."""
+    arrays = {
+        "hist_snapshot": np.array([r.snapshot for r in history], dtype=np.int64),
+        "hist_root": np.array([r.root for r in history], dtype=np.int64),
+        "hist_elapsed": np.array([r.elapsed for r in history], dtype=np.float64),
+        "hist_expected": np.array([r.expected for r in history], dtype=np.float64),
+    }
+    legends = {}
+    for field in ("op", "decision", "health", "regime"):
+        values = [getattr(r, field) for r in history]
+        if field == "decision":
+            values = [v.value for v in values]
+        legend = list(dict.fromkeys(values))
+        arrays[f"hist_{field}"] = np.array(
+            [legend.index(v) for v in values], dtype=np.int32
+        )
+        legends[field] = legend
+    return arrays, legends
+
+
+def _assert_history_encoded(session):
+    arrays, meta = capture_session_state(session)
+    want_arrays, want_legends = _history_from_scratch(session.stats.history)
+    for name, want in want_arrays.items():
+        assert arrays[name].dtype == want.dtype, name
+        np.testing.assert_array_equal(arrays[name], want, err_msg=name)
+    assert meta["stats"]["history_legends"] == want_legends
+    np.testing.assert_array_equal(
+        arrays["ctrl_deviations"],
+        np.asarray(session.controller.stats.deviations, dtype=np.float64),
+    )
+    return arrays
+
+
+class TestHistoryEncoder:
+    def test_incremental_encoding_matches_a_full_pass(self, small_trace):
+        session = TraceSession(small_trace, time_step=8, threshold=0.05, regime=True)
+        _assert_history_encoded(session)  # empty history
+        first = None
+        for n_ops in (1, 6, 70):  # 70 crosses the first buffer growth
+            _drive(session, n_ops)
+            arrays = _assert_history_encoded(session)
+            if first is None:
+                first = {k: v.copy() for k, v in arrays.items() if k.startswith("hist_")}
+        # Arrays handed out earlier keep their content as the history grows.
+        for name, arr in first.items():
+            np.testing.assert_array_equal(arr, _history_from_scratch(
+                session.stats.history[:1])[0][name])
+
+    def test_after_resume_and_from_capsule(self, small_trace, persist_cfg):
+        session = TraceSession(
+            small_trace, time_step=8, threshold=0.05, persistence=persist_cfg
+        )
+        _drive(session, 13)
+        capsule = session.capture_capsule()
+        session.close()
+
+        resumed = TraceSession.resume(persist_cfg.directory)
+        _assert_history_encoded(resumed)
+        _drive(resumed, 4)
+        _assert_history_encoded(resumed)
+        resumed.close()
+
+        revived = TraceSession.from_capsule(small_trace, capsule)
+        _assert_history_encoded(revived)
+        _drive(revived, 4)
+        _assert_history_encoded(revived)
+
+    def test_replaced_or_truncated_history_is_re_encoded(self, small_trace):
+        session = TraceSession(small_trace, time_step=8, threshold=0.05)
+        _drive(session, 12)
+        before = _assert_history_encoded(session)
+        kept = {k: v.copy() for k, v in before.items() if k.startswith(("hist_", "ctrl_"))}
+        session.stats.history = list(reversed(session.stats.history))
+        session.controller.stats.deviations = session.controller.stats.deviations[::-1]
+        _assert_history_encoded(session)
+        for name, arr in kept.items():  # arrays handed out earlier stay put
+            np.testing.assert_array_equal(before[name], arr, err_msg=name)
+        del session.stats.history[-4:]
+        _assert_history_encoded(session)
+        del session.stats.history[-2:]
+        _drive(session, 2)  # back to the truncated length, new last record
+        _assert_history_encoded(session)
+        # A new list whose record at the last encoded position is the same
+        # object, with other records before it.
+        last = session.stats.history[-1]
+        session.stats.history = [last] * len(session.stats.history)
+        _assert_history_encoded(session)
+        session.stats.history = []
+        _assert_history_encoded(session)
+        session.controller.stats.deviations = session.controller.stats.deviations[:3]
+        _assert_history_encoded(session)
