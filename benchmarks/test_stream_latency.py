@@ -7,7 +7,9 @@ every fallback to the batch path stays a *certified* oracle (bit-identical
 to a cold solve of the same window).
 
 Two arms over the same paper-scale trace (196 instances, ``10 × 38416``
-windows):
+windows), both on ``svd_backend="auto"`` — the fastest batch
+configuration, so the speedup is not measured against the bit-pinned
+``exact`` path:
 
 * **batch** — cold ``calibrate()`` per slide, the historical Algorithm-1
   re-calibration cost;
@@ -45,6 +47,7 @@ N_SNAPSHOTS = 34  # seeds at 10, then 24 single-snapshot slides
 SEED = 1960
 SPEEDUP_TARGET = 5.0
 BATCH_SAMPLE = 4  # cold batch solves timed for the baseline
+SVD_BACKEND = "auto"  # both arms and the cold oracle
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +59,8 @@ def trace_196():
 
 def _engine(trace, **kwargs):
     return DecompositionEngine(
-        trace, nbytes=8 * MB, time_step=WINDOW, warm_start=False, **kwargs
+        trace, nbytes=8 * MB, time_step=WINDOW, warm_start=False,
+        svd_backend=SVD_BACKEND, **kwargs
     )
 
 
@@ -94,6 +98,7 @@ def test_stream_fold_latency_and_emit(trace_196, emit):
             oracle = decompose(
                 trace_196.tp_matrix(8 * MB, start=end - WINDOW, count=WINDOW),
                 solver=stream.solver,
+                svd_backend=SVD_BACKEND,
             )
             assert np.array_equal(recal.constant.row, oracle.constant.row), (
                 f"fallback ({reason}) at end={end} diverged from the "
@@ -113,6 +118,7 @@ def test_stream_fold_latency_and_emit(trace_196, emit):
     oracle = decompose(
         trace_196.tp_matrix(8 * MB, start=N_SNAPSHOTS - WINDOW, count=WINDOW),
         solver=stream.solver,
+        svd_backend=SVD_BACKEND,
     )
     scale = float(np.abs(oracle.constant.row).max())
     drift = float(np.abs(final.constant.row - oracle.constant.row).max())
@@ -125,7 +131,7 @@ def test_stream_fold_latency_and_emit(trace_196, emit):
     record = bench_record(
         "stream_fold_latency_196_instances",
         seeds=[SEED],
-        backend="exact",
+        backend=SVD_BACKEND,
         matrix_shape=[WINDOW, N_INSTANCES * N_INSTANCES],
         slides=len(slide_times),
         folds=folds,

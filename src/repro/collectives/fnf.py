@@ -40,10 +40,11 @@ def fnf_tree(weights: np.ndarray, root: int = 0) -> CommTree:
 
     Notes
     -----
-    The selection scan is vectorized: for each sender the argmin over the
-    remaining pool is one masked ``argmin`` over a weight row rather than a
-    Python loop over candidates, so the construction is O(N² ) numpy work
-    for the O(N log N) picks.
+    The candidate pool lives in a private copy of the weights whose
+    selected machines' columns are set to ``inf``: a pick is one ``argmin``
+    over the sender's row, and removing the picked machine from the pool is
+    one column write. ``argmin`` returns the lowest index among equal
+    weights, so ties go to the lowest-numbered machine.
     """
     w = as_square_matrix(weights, "weights")  # rejects every non-finite entry
     n = w.shape[0]
@@ -54,8 +55,8 @@ def fnf_tree(weights: np.ndarray, root: int = 0) -> CommTree:
     parent = np.full(n, -1, dtype=np.intp)
     children: list[list[int]] = [[] for _ in range(n)]
     selected: list[int] = [root]  # S, in insertion order
-    in_pool = np.ones(n, dtype=bool)  # U membership mask
-    in_pool[root] = False
+    pool = w.copy()  # U: a column is inf once its machine is selected
+    pool[:, root] = np.inf
     remaining = n - 1
 
     while remaining > 0:
@@ -63,11 +64,10 @@ def fnf_tree(weights: np.ndarray, root: int = 0) -> CommTree:
         for s in selected:
             if remaining == 0:
                 break
-            row = np.where(in_pool, w[s], np.inf)
-            r = int(np.argmin(row))
+            r = int(pool[s].argmin())
             parent[r] = s
             children[s].append(r)
-            in_pool[r] = False
+            pool[:, r] = np.inf
             remaining -= 1
             added_this_iter.append(r)
         selected.extend(added_this_iter)

@@ -15,6 +15,7 @@ scaled to preserve the mean row level.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,6 +32,7 @@ __all__ = [
     "Decomposition",
     "decompose",
     "decomposition_from_result",
+    "decomposition_from_rows",
     "constant_row",
 ]
 
@@ -69,22 +71,77 @@ def constant_row(low_rank: np.ndarray, *, method: str = "mean") -> np.ndarray:
     raise ValidationError(f"unknown extraction method {method!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decomposition:
     """Result of :func:`decompose`: ``N_A ≈ N_D + N_E`` plus diagnostics.
 
     ``solver_result`` keeps the raw :class:`~repro.core.result.SolverResult`
     so a later overlapping re-calibration can warm-start from this solve
     (see :class:`~repro.core.engine.DecompositionEngine`).
+
+    ``error`` and ``report`` are built on first read — from the window the
+    decomposition was made from (:func:`decomposition_from_rows`) — and
+    then kept, so every later read returns the same objects. Operations
+    only need ``constant``; a streaming session that folds a snapshot per
+    operation never pays for the ``n × N²`` error matrix unless a
+    checkpoint, a verdict or a report asks for it. Passing ``error`` and
+    ``report`` to the constructor (as checkpoint restore does) skips the
+    window altogether.
     """
 
     constant: TCMatrix
-    error: TEMatrix
-    report: StabilityReport
     solver: str
     solver_iterations: int
     solver_converged: bool
     solver_result: SolverResult | None = None
+
+    def __init__(
+        self,
+        constant: TCMatrix,
+        error: TEMatrix | None = None,
+        report: StabilityReport | None = None,
+        solver: str = "",
+        solver_iterations: int = 0,
+        solver_converged: bool = False,
+        solver_result: SolverResult | None = None,
+        *,
+        window: tuple[Any, np.ndarray | None, int] | None = None,
+    ) -> None:
+        if error is None or report is None:
+            if window is None:
+                raise ValidationError(
+                    "Decomposition needs error and report, or the window to build them"
+                )
+            error = report = None
+        else:
+            window = None
+        for name, value in (
+            ("constant", constant),
+            ("solver", solver),
+            ("solver_iterations", solver_iterations),
+            ("solver_converged", solver_converged),
+            ("solver_result", solver_result),
+            ("_error", error),
+            ("_report", report),
+            # (rows, mask, rank): rows is an n × N² array or a sequence of
+            # N² rows; dropped once error and report are built.
+            ("_window", window),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def error(self) -> TEMatrix:
+        """The TE-matrix ``N_E`` (built on first read)."""
+        if self._error is None:
+            self._build_error()
+        return self._error  # type: ignore[return-value]
+
+    @property
+    def report(self) -> StabilityReport:
+        """The :class:`~repro.core.metrics.StabilityReport` (built on first read)."""
+        if self._report is None:
+            self._build_error()
+        return self._report  # type: ignore[return-value]
 
     @property
     def norm_ne(self) -> float:
@@ -94,6 +151,23 @@ class Decomposition:
     def performance_matrix(self) -> PerformanceMatrix:
         """The optimizer-ready constant weight matrix ``P_D``."""
         return self.constant.performance_matrix()
+
+    def _build_error(self) -> None:
+        rows, mask, rank = self._window
+        data = rows if isinstance(rows, np.ndarray) else np.stack(rows)
+        tc = self.constant
+        # Define the error against the row-constant component actually used
+        # for optimization (not the solver's possibly rank>1 D): the
+        # effectiveness metric must reflect what the optimizer sees. An
+        # unobserved entry has no measured error — for the report it is
+        # treated as if it sat exactly on the constant component (zero
+        # numerator, constant-level denominator).
+        if mask is not None:
+            data = np.where(mask, data, tc.as_matrix())
+        err = data - tc.as_matrix()
+        object.__setattr__(self, "_error", TEMatrix(data=err, n_machines=tc.n_machines))
+        object.__setattr__(self, "_report", stability_report(err, data, rank=rank))
+        object.__setattr__(self, "_window", None)
 
 
 def decompose(
@@ -157,34 +231,46 @@ def decomposition_from_result(
 ) -> Decomposition:
     """Build a :class:`Decomposition` from an already-computed solver result.
 
-    The post-solve tail of :func:`decompose` — row extraction, error
-    component, stability report — shared with callers that obtain their
+    The post-solve tail of :func:`decompose` for callers that obtain their
     :class:`~repro.core.result.SolverResult` some other way (the engine's
-    warm-started and streaming solves, the fleet sweep).
+    warm-started solves, the fleet sweep); see
+    :func:`decomposition_from_rows`.
+    """
+    return decomposition_from_rows(
+        tp.data, result, n_machines=tp.n_machines, mask=tp.mask,
+        solver=solver, extraction=extraction,
+    )
+
+
+def decomposition_from_rows(
+    rows: np.ndarray | Sequence[np.ndarray],
+    result: Any,
+    *,
+    n_machines: int,
+    mask: np.ndarray | None = None,
+    solver: str,
+    extraction: str = "mean",
+) -> Decomposition:
+    """Build a :class:`Decomposition` for the window *rows* from *result*.
+
+    *rows* is the window's ``n × N²`` data, or its ``n`` rows (the
+    streaming fold passes the engine's cached rows and never stacks them);
+    *mask* its observation mask, if partial. Only the constant row is
+    computed here; the error component and the stability report are built
+    from *rows* on first read (see :class:`Decomposition`).
     """
     if getattr(result, "constant_row", None) is not None:
-        # Exact row-constant solvers (row_constant, pca) carry their row.
+        # Exact row-constant solvers (row_constant, pca) and the streaming
+        # fold carry their row.
         row = result.constant_row
     else:
         row = constant_row(result.low_rank, method=extraction)
-    tc = TCMatrix(row=row, n_rows=tp.n_snapshots, n_machines=tp.n_machines)
-    # Define the error against the row-constant component actually used for
-    # optimization (not the solver's possibly rank>1 D): the effectiveness
-    # metric must reflect what the optimizer sees. An unobserved entry has
-    # no measured error — for the report it is treated as if it sat exactly
-    # on the constant component (zero numerator, constant-level denominator).
-    data = tp.data
-    if tp.mask is not None:
-        data = np.where(tp.mask, data, tc.as_matrix())
-    err = data - tc.as_matrix()
-    te = TEMatrix(data=err, n_machines=tp.n_machines)
-    report = stability_report(err, data, rank=result.rank)
+    tc = TCMatrix(row=row, n_rows=len(rows), n_machines=n_machines)
     return Decomposition(
         constant=tc,
-        error=te,
-        report=report,
         solver=solver,
         solver_iterations=result.iterations,
         solver_converged=result.converged,
         solver_result=result if isinstance(result, SolverResult) else None,
+        window=(rows, mask, int(result.rank)),
     )

@@ -36,7 +36,7 @@ import numpy as np
 from .._validation import check_nonnegative, check_probability
 from ..errors import CalibrationError, ValidationError
 from ..observability import Instrumentation, instrumented
-from .decompose import Decomposition, decompose, decomposition_from_result
+from .decompose import Decomposition, decompose, decomposition_from_rows
 from .kernels import RankPredictor, validate_backend
 from .matrices import TPMatrix
 from .solvers import solver_spec
@@ -642,10 +642,16 @@ class DecompositionEngine:
                 if reason is not None:
                     self._stream_fallback(reason)
                     return None, reason
-                tp = self.window(end - self.time_step, end)
-                dec = decomposition_from_result(
-                    tp,
-                    self._streamer.as_result(),
+                # The slid window's rows, read as window() would read them
+                # (same LRU order and counters) but never stacked: the
+                # decomposition builds its error component from them only
+                # if it is read. No row here is masked: a masked window
+                # never seeds the stream and a masked row never folds.
+                rows = [self._row(j)[0] for j in range(end - self.time_step, end)]
+                dec = decomposition_from_rows(
+                    rows,
+                    self._streamer.as_result(self.extraction),
+                    n_machines=self.source.n_machines,
                     solver=self.solver,
                     extraction=self.extraction,
                 )

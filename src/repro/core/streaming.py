@@ -23,12 +23,16 @@ orthonormal rows, ``coeffs``: ``time_step × r``) plus the sparse component
    is the **drift** of the streaming model. Drift past the configured
    tolerance reports a ``"drift"`` fallback.
 4. **Periodic re-orthonormalization** — every ``refresh_every`` folds the
-   reconstruction ``coeffs · basis`` (a ``time_step × N²`` matrix with
-   ``time_step ≈ 10`` rows — a thin SVD is trivial) is re-factored, rank-1
-   growth directions are merged or shrunk away, and the rank predictor
-   observes the surviving rank. The reconstruction buffer comes from a
-   :class:`~repro.core.kernels.SolveWorkspace`, so steady-state folds
-   allocate no new ``m × n`` temporaries.
+   factorization is re-orthonormalized without forming the ``time_step ×
+   N²`` reconstruction: a thin QR of ``basisᵀ`` (``N² × r``) and an SVD of
+   the ``time_step × r`` product ``coeffs · Rᵀ``. Rank-1 growth directions
+   are merged or shrunk away, and the rank predictor observes the
+   surviving rank.
+
+A fold allocates only O(row) temporaries besides the slid sparse window,
+and the in-service result carries the constant row ``mean(coeffs) · basis``
+(O(r · N²)); the reconstruction ``coeffs · basis`` is formed only if a
+caller reads :attr:`StreamResult.low_rank`.
 
 The streaming path is an *approximation in service*, never an oracle: the
 engine seeds it from a **cold** batch solve, and any fallback (rank growth,
@@ -52,7 +56,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..observability import emit_count
 from .elementwise import ElementwiseKernel
-from .kernels import RankPredictor, SolveWorkspace
+from .kernels import RankPredictor
 
 __all__ = [
     "ENGINE_MODES",
@@ -130,7 +134,7 @@ class StreamingConfig:
         object.__setattr__(self, "passes", int(self.passes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StreamResult:
     """Duck-typed solver result of one streaming fold.
 
@@ -141,9 +145,12 @@ class StreamResult:
     :class:`~repro.core.result.SolverResult`, so a streaming decomposition
     can never seed a warm start and every batch solve in streaming mode
     stays a certified cold solve.
+
+    Built either from an explicit ``low_rank`` or from the factors
+    ``coeffs`` (``m × r``) and ``basis`` (``r × n``); in the second case
+    :attr:`low_rank` is their product, formed on first read.
     """
 
-    low_rank: np.ndarray
     sparse: np.ndarray
     rank: int
     iterations: int
@@ -152,9 +159,46 @@ class StreamResult:
     constant_row: np.ndarray | None = None
     warm_started: bool = True
 
+    def __init__(
+        self,
+        *,
+        sparse: np.ndarray,
+        rank: int,
+        iterations: int,
+        converged: bool,
+        residual: float,
+        low_rank: np.ndarray | None = None,
+        coeffs: np.ndarray | None = None,
+        basis: np.ndarray | None = None,
+        constant_row: np.ndarray | None = None,
+        warm_started: bool = True,
+    ) -> None:
+        if low_rank is None and (coeffs is None or basis is None):
+            raise ValidationError("StreamResult needs low_rank or coeffs and basis")
+        for name, value in (
+            ("sparse", sparse),
+            ("rank", rank),
+            ("iterations", iterations),
+            ("converged", converged),
+            ("residual", residual),
+            ("constant_row", constant_row),
+            ("warm_started", warm_started),
+            ("_low_rank", low_rank),
+            ("_factors", (coeffs, basis)),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def low_rank(self) -> np.ndarray:
+        """The low-rank component ``L`` (``coeffs · basis`` on first read)."""
+        if self._low_rank is None:
+            coeffs, basis = self._factors
+            object.__setattr__(self, "_low_rank", coeffs @ basis)
+        return self._low_rank
+
     @property
     def shape(self) -> tuple[int, int]:
-        return self.low_rank.shape  # type: ignore[return-value]
+        return self.sparse.shape  # type: ignore[return-value]
 
 
 @dataclass
@@ -191,20 +235,38 @@ def _rel_l1(x: np.ndarray, ref: np.ndarray) -> float:
     return float(np.abs(x).sum() / max(np.abs(ref).sum(), _TINY))
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D array, bit for bit, with one selection.
+
+    ``np.median`` partitions around two order statistics for even sizes
+    (plus the last element, to detect NaN). Here one ``np.partition``
+    around ``h = n // 2`` places the upper middle at ``h`` and everything
+    not above it before ``h``, so the lower middle is the maximum of that
+    prefix. ``np.median`` averages as ``(0.0 + lo + hi) / 2`` (its
+    ``mean`` sums from the additive identity), which also fixes the sign
+    of a zero median; the same expression reproduces it. Finite input
+    only: a NaN is not propagated as ``np.median`` would.
+    """
+    h = x.size // 2
+    part = np.partition(x, h)
+    if x.size % 2:
+        return 0.0 + float(part[h])
+    return (0.0 + float(part[:h].max()) + float(part[h])) / 2.0
+
+
 def _robust_tau(resid: np.ndarray) -> float:
     """MAD-scaled shrinkage threshold: 3σ̂ of the residual's noise floor."""
-    med = np.median(resid)
-    mad = np.median(np.abs(resid - med))
-    return _TAU_SIGMAS * _MAD_SIGMA * float(mad)
+    med = _median(resid)
+    mad = _median(np.abs(resid - med))
+    return _TAU_SIGMAS * _MAD_SIGMA * mad
 
 
 class StreamingDecomposer:
     """Rank-1 incremental RPCA over a sliding snapshot window.
 
-    Owns the :class:`StreamState` between folds plus the per-shape scratch
-    (a :class:`~repro.core.kernels.SolveWorkspace` for the reconstruction
-    buffer). One decomposer serves one window shape; the engine reseeds it
-    from every batch solve and drops its state on any fallback.
+    Owns the :class:`StreamState` between folds. One decomposer serves one
+    window shape; the engine reseeds it from every batch solve and drops
+    its state on any fallback.
     """
 
     def __init__(
@@ -214,9 +276,9 @@ class StreamingDecomposer:
     ) -> None:
         self.shape = (int(shape[0]), int(shape[1]))
         self.config = config if config is not None else StreamingConfig()
-        self.workspace = SolveWorkspace(self.shape)
-        # Per-fold shrinkage reuses the elementwise kernel's scratch rows
-        # (safe: the window slide copies the shrunk row via np.vstack).
+        # Per-fold shrinkage reuses the elementwise kernel's scratch row
+        # (safe: the window slide copies the shrunk row into the new sparse
+        # window before the next fold shrinks again).
         self._ew = ElementwiseKernel()
         self.state: StreamState | None = None
 
@@ -310,6 +372,8 @@ class StreamingDecomposer:
             raise ValidationError("streaming state not seeded; calibrate first")
         cfg = self.config
         y = np.asarray(row, dtype=np.float64)
+        if not np.isfinite(y).all():
+            raise ValidationError(f"snapshot {key} row contains non-finite entries")
 
         v, s_row, resid = self._project(y, st.basis, cfg.passes)
         unexplained = resid - s_row
@@ -360,41 +424,49 @@ class StreamingDecomposer:
     def _refresh(self, st: StreamState) -> None:
         """Re-orthonormalize the factorization; shrink merged-away rank.
 
-        Exact up to dropping singular values below ``1e-9 σ₁``; per-row
-        residuals keep their fold-time values (the truncation is orders of
-        magnitude below the drift tolerance).
+        With ``basisᵀ = QR`` the reconstruction is ``coeffs · Rᵀ · Qᵀ``, so
+        the SVD ``coeffs · Rᵀ = U Σ Wᵀ`` (``m × r``) gives its singular
+        values and right singular vectors ``Wᵀ Qᵀ`` without forming the
+        ``m × N²`` product. Exact up to rounding and to dropping singular
+        values below ``1e-9 σ₁``; per-row residuals keep their fold-time
+        values (the truncation is orders of magnitude below the drift
+        tolerance).
         """
-        recon = np.matmul(st.coeffs, st.basis, out=self.workspace.buf("recon"))
-        u, s, vt = np.linalg.svd(recon, full_matrices=False)
+        q, r_factor = np.linalg.qr(st.basis.T)
+        u, s, wt = np.linalg.svd(st.coeffs @ r_factor.T, full_matrices=False)
         if s.size and s[0] > 0.0:
             r = max(1, int((s > s[0] * _REFRESH_RTOL).sum()))
         else:
             r = 1
-        st.basis = vt[:r].copy()
-        st.coeffs = (u[:, :r] * s[:r]).copy()
+        st.basis = wt[:r] @ q.T
+        st.coeffs = u[:, :r] * s[:r]
         st.predictor.observe(r)
         emit_count("kernel.stream.refreshes")
 
     # -- in-service result -------------------------------------------------
-    def as_result(self) -> StreamResult:
+    def as_result(self, extraction: str = "mean") -> StreamResult:
         """The current model as a duck-typed solver result.
 
-        ``low_rank`` is materialized into the workspace's reconstruction
-        buffer — valid until the next fold/refresh, which is fine: nothing
-        retains a streaming ``low_rank`` (``solver_result`` is ``None`` on
-        the decomposition built from it).
+        It shares the state's factor arrays, which later folds replace
+        rather than modify. For the ``"mean"`` extraction it carries the
+        constant row ``mean(coeffs) · basis`` — the column mean of the
+        reconstruction in O(r · N²), equal to it up to rounding; other
+        extractions read :attr:`StreamResult.low_rank`, which forms the
+        reconstruction.
         """
         st = self.state
         if st is None:
             raise ValidationError("streaming state not seeded; calibrate first")
-        recon = np.matmul(st.coeffs, st.basis, out=self.workspace.buf("recon"))
+        row = st.coeffs.mean(axis=0) @ st.basis if extraction == "mean" else None
         return StreamResult(
-            low_rank=recon,
+            coeffs=st.coeffs,
+            basis=st.basis,
             sparse=st.sparse,
             rank=st.rank,
             iterations=self.config.passes,
             converged=True,
             residual=st.drift,
+            constant_row=row,
         )
 
 

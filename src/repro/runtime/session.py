@@ -38,6 +38,7 @@ measurements as a trace (see
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -1176,6 +1177,16 @@ class TraceSession:
         self.solver = cfg["solver"]
         # Checkpoints from releases before the kernel layer lack the key.
         self.svd_backend = cfg.get("svd_backend", "exact")
+        if self.svd_backend == "randomized":
+            # The randomized sketch backend was retired; "auto" replaced it.
+            warnings.warn(
+                "this session was written with svd_backend='randomized', "
+                "which no longer exists; it resumes with svd_backend='auto', "
+                "so its re-calibrations no longer match the original run",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self.svd_backend = "auto"
         # Older checkpoints may name an "elementwise_backend"; it is ignored.
         # Pre-streaming checkpoints lack the mode and knob keys.
         self.mode = cfg.get("mode", "batch")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.collectives.fnf import fnf_tree
 from repro.errors import ValidationError
@@ -133,3 +135,62 @@ class TestFNFValidation:
         np.fill_diagonal(w, 0.0)
         t = fnf_tree(w, 4)
         assert int(t.subtree_sizes()[4]) == 17
+
+
+def _frozen_fnf(w, root):
+    """The per-pick masked-argmin loop fnf_tree used before its pool became
+    an inf-masked copy of the weights; kept as the oracle for tie order."""
+    n = w.shape[0]
+    parent = np.full(n, -1, dtype=np.intp)
+    children = [[] for _ in range(n)]
+    selected = [root]
+    in_pool = np.ones(n, dtype=bool)
+    in_pool[root] = False
+    remaining = n - 1
+    while remaining > 0:
+        added = []
+        for s in selected:
+            if remaining == 0:
+                break
+            r = int(np.argmin(np.where(in_pool, w[s], np.inf)))
+            parent[r] = s
+            children[s].append(r)
+            in_pool[r] = False
+            remaining -= 1
+            added.append(r)
+        selected.extend(added)
+    return parent, tuple(tuple(c) for c in children)
+
+
+class TestFNFMatchesFrozenLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 196]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        levels=st.sampled_from([None, 2, 5]),
+        data=st.data(),
+    )
+    def test_trees_identical(self, n, seed, levels, data):
+        rng = np.random.default_rng(seed)
+        w = rng.random((n, n)) + 0.1
+        if levels is not None:
+            w = np.round(w * levels) / levels + 0.1  # quantized: many ties
+        np.fill_diagonal(w, 0.0)
+        roots = range(n) if n <= 3 else [
+            data.draw(st.integers(min_value=0, max_value=n - 1), label="root")
+        ]
+        for root in roots:
+            tree = fnf_tree(w, root)
+            parent, children = _frozen_fnf(w, root)
+            assert np.array_equal(tree.parent, parent)
+            assert tree.children == children
+
+    def test_every_root_of_a_tied_196_matrix(self):
+        rng = np.random.default_rng(196)
+        w = np.round(rng.random((196, 196)) * 3) / 3 + 0.1
+        np.fill_diagonal(w, 0.0)
+        for root in range(196):
+            tree = fnf_tree(w, root)
+            parent, children = _frozen_fnf(w, root)
+            assert np.array_equal(tree.parent, parent)
+            assert tree.children == children

@@ -1,10 +1,13 @@
 """Unit tests for the high-level TP → (TC, TE) decomposition."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.decompose import Decomposition, constant_row, decompose
 from repro.core.matrices import TPMatrix
+from repro.core.metrics import stability_report
 from repro.errors import ValidationError
 
 
@@ -102,3 +105,65 @@ class TestDecompose:
         dec = decompose(tp, solver="apg")
         expected = np.abs(tp.data - dec.constant.as_matrix()).sum() / np.abs(tp.data).sum()
         assert dec.norm_ne == pytest.approx(expected)
+
+
+def _eager_error_and_report(tp, dec):
+    """The error component and stability report as decompose() built them
+    before they became lazy — the formula the lazy build must reproduce."""
+    tc = dec.constant
+    data = tp.data
+    if tp.mask is not None:
+        data = np.where(tp.mask, data, tc.as_matrix())
+    err = data - tc.as_matrix()
+    rank = dec.solver_result.rank
+    return err, stability_report(err, data, rank=rank)
+
+
+class TestLazyErrorAndReport:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("solver", ["apg", "ialm"])
+    def test_lazy_build_equals_eager_formula(self, solver, masked):
+        tp, _ = make_tp(noise=0.1, seed=8)
+        if masked:
+            mask = np.random.default_rng(8).random(tp.data.shape) > 0.2
+            tp = TPMatrix(data=tp.data, n_machines=tp.n_machines, mask=mask)
+            assert tp.mask is not None
+        dec = decompose(tp, solver=solver)
+        err, report = _eager_error_and_report(tp, dec)
+        # Report first on one decomposition, error first on another: either
+        # read builds both, from the same inputs.
+        assert dec.report == report
+        assert dec.error.data.tobytes() == err.tobytes()
+        again = decompose(tp, solver=solver)
+        assert again.error.data.tobytes() == err.tobytes()
+        assert again.report == report
+        assert again.norm_ne == report.norm_ne
+
+    def test_reads_return_the_same_objects(self):
+        tp, _ = make_tp(seed=9)
+        dec = decompose(tp)
+        assert dec.error is dec.error
+        assert dec.error.data is dec.error.data
+        assert dec.report is dec.report
+
+    def test_explicit_components_skip_the_window(self):
+        tp, _ = make_tp(seed=10)
+        dec = decompose(tp)
+        restored = Decomposition(
+            constant=dec.constant, error=dec.error, report=dec.report,
+            solver=dec.solver, solver_iterations=dec.solver_iterations,
+            solver_converged=dec.solver_converged,
+        )
+        assert restored.error is dec.error
+        assert restored.report is dec.report
+        with pytest.raises(ValidationError, match="error and report"):
+            Decomposition(constant=dec.constant, solver="apg")
+
+    def test_pickle_round_trip_before_and_after_the_build(self):
+        tp, _ = make_tp(seed=11)
+        lazy = pickle.loads(pickle.dumps(decompose(tp)))
+        built = decompose(tp)
+        built.report  # noqa: B018 — force the build before pickling
+        built = pickle.loads(pickle.dumps(built))
+        assert lazy.report == built.report
+        assert lazy.error.data.tobytes() == built.error.data.tobytes()

@@ -256,6 +256,50 @@ class TestResumeParity:
         resumed.close()
         _assert_parity(resumed, reference)
 
+    def test_checkpoint_naming_the_retired_randomized_backend_resumes_on_auto(
+        self, small_trace, persist_cfg
+    ):
+        """``randomized`` was retired and ``auto`` took its place. A
+        checkpoint that names it resumes on ``auto`` with a RuntimeWarning
+        saying so; from there the run matches an ``auto`` session."""
+        reference = TraceSession(small_trace, time_step=8, svd_backend="auto")
+        _drive(reference, 16)
+
+        session = TraceSession(
+            small_trace, time_step=8, svd_backend="auto", persistence=persist_cfg
+        )
+        _drive(session, 9)
+        session.close()
+
+        store = CheckpointStore(persist_cfg.directory)
+        ckpt = store.load_latest()
+        ckpt.meta["config"]["svd_backend"] = "randomized"
+        store.save(ckpt.arrays, ckpt.meta)
+
+        with pytest.warns(RuntimeWarning, match="randomized.*'auto'"):
+            resumed = TraceSession.resume(persist_cfg.directory)
+        assert resumed.svd_backend == "auto"
+        _drive(resumed, 7)
+        resumed.close()
+        _assert_parity(resumed, reference)
+
+    def test_capsule_naming_the_retired_randomized_backend_resumes_on_auto(
+        self, small_trace
+    ):
+        reference = TraceSession(small_trace, time_step=8, svd_backend="auto")
+        _drive(reference, 16)
+
+        session = TraceSession(small_trace, time_step=8, svd_backend="auto")
+        _drive(session, 9)
+        capsule = session.capture_capsule()
+        capsule.meta["config"]["svd_backend"] = "randomized"
+
+        with pytest.warns(RuntimeWarning, match="randomized.*'auto'"):
+            resumed = TraceSession.from_capsule(small_trace, capsule)
+        assert resumed.svd_backend == "auto"
+        _drive(resumed, 7)
+        _assert_parity(resumed, reference)
+
 
 class TestGuards:
     def test_fresh_session_refuses_occupied_directory(

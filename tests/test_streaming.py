@@ -6,8 +6,12 @@ config surface, and the engine-level certification plumbing (cold-oracle
 parity, warm-start quarantine of streaming results).
 """
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.decompose import decompose, decomposition_from_result
@@ -18,6 +22,7 @@ from repro.core.streaming import (
     StreamingConfig,
     StreamingDecomposer,
     StreamResult,
+    _median,
     stream_state_from_payload,
     stream_state_to_payload,
     validate_mode,
@@ -325,3 +330,153 @@ class TestEngineStreaming:
         batch = DecompositionEngine(stream_trace, nbytes=MB, time_step=8)
         with pytest.raises(ValidationError, match="streaming"):
             batch.import_stream_state(streaming.export_stream_state())
+
+
+class TestMedianHelper:
+    """``_median`` replaces ``np.median`` in the MAD threshold; it must be
+    the same number bit for bit, or folds would drift from the old ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, -7.25, 5e-324, -5e-324]),
+            min_size=1, max_size=40,
+        )
+    )
+    def test_ties_and_signed_zeros(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e300, max_value=1e300, width=64),
+            min_size=1, max_size=60,
+        )
+    )
+    def test_arbitrary_finite_values(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+
+    @pytest.mark.parametrize("n", [38416, 38417])
+    def test_row_sized_inputs(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        x[::7] = np.round(x[::7])  # ties, and zeros of both signs
+        x[::11] *= -0.0
+        assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+
+
+def _svd_refresh(coeffs, basis):
+    """Re-factor ``coeffs · basis`` by an SVD of the full reconstruction —
+    the refresh the thin-QR one replaced."""
+    u, s, vt = np.linalg.svd(coeffs @ basis, full_matrices=False)
+    r = max(1, int((s > s[0] * 1e-9).sum())) if s.size and s[0] > 0.0 else 1
+    return u[:, :r] * s[:r], vt[:r]
+
+
+class TestRefreshAndRow:
+    def _check_refresh(self, dec):
+        st_ = dec.state
+        coeffs, basis = st_.coeffs.copy(), st_.basis.copy()
+        ref_coeffs, ref_basis = _svd_refresh(coeffs, basis)
+        dec._refresh(st_)
+        recon = st_.coeffs @ st_.basis
+        ref = ref_coeffs @ ref_basis
+        assert st_.rank == ref_basis.shape[0]
+        assert np.abs(recon - ref).max() <= 1e-12 * np.abs(ref).max()
+        # Still an orthonormal basis.
+        gram = st_.basis @ st_.basis.T
+        assert np.abs(gram - np.eye(st_.rank)).max() <= 1e-12
+
+    def test_qr_refresh_matches_svd_refresh(self):
+        rows = _rank1_stream(noise=1e-3)
+        dec = _seeded(rows)
+        for k in range(6, 12):
+            assert dec.fold(k, rows[k]) is None
+        self._check_refresh(dec)
+
+    def test_qr_refresh_matches_svd_refresh_after_rank_growth(self):
+        rows = _rank1_stream(noise=0.0)
+        dec = _seeded(rows)
+        novel = rows[6].copy()
+        novel[:20] *= 1.5
+        rank_before = dec.state.rank
+        assert dec.fold(6, novel) is None
+        assert dec.state.rank == rank_before + 1
+        self._check_refresh(dec)
+        assert dec.state.rank == rank_before + 1
+
+    def test_streamed_row_is_the_reconstruction_column_mean(self):
+        rows = _rank1_stream(noise=1e-3)
+        dec = _seeded(rows, config=StreamingConfig(refresh_every=4))
+        for k in range(6, rows.shape[0]):
+            assert dec.fold(k, rows[k]) is None
+            res = dec.as_result()
+            mean = res.low_rank.mean(axis=0)
+            rel = np.linalg.norm(res.constant_row - mean) / np.linalg.norm(mean)
+            assert rel <= 1e-12
+
+    def test_other_extractions_read_the_reconstruction(self):
+        rows = _rank1_stream()
+        dec = _seeded(rows)
+        assert dec.fold(6, rows[6]) is None
+        res = dec.as_result("median")
+        assert res.constant_row is None
+        st_ = dec.state
+        assert np.array_equal(res.low_rank, st_.coeffs @ st_.basis)
+
+    def test_non_finite_row_is_refused_before_folding(self):
+        rows = _rank1_stream()
+        dec = _seeded(rows)
+        before = dec.state.end
+        bad = rows[6].copy()
+        bad[3] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            dec.fold(6, bad)
+        assert dec.state.end == before
+
+
+class TestLazyErrorInStreamingSessions:
+    def test_folds_never_build_the_error_and_a_capsule_resumes_bitwise(
+        self, monkeypatch
+    ):
+        from repro.runtime.session import TraceSession
+
+        # The package re-exports a function of the same name as the module.
+        decompose_mod = importlib.import_module("repro.core.decompose")
+
+        trace = generate_trace(TraceConfig(n_machines=8, n_snapshots=70), seed=3)
+        builds = []
+        real = decompose_mod.stability_report
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decompose_mod, "stability_report", counting)
+        session = TraceSession(trace, time_step=8, mode="streaming")
+        reference = TraceSession(trace, time_step=8, mode="streaming")
+        while session.stats.stream_updates < 50:
+            k = session.stats.operations
+            assert k < 60, "too many fallbacks to reach 50 folds"
+            session.broadcast(root=k % 8)
+            reference.broadcast(root=k % 8)
+        assert builds == []  # neither session read an error component
+
+        capsule = session.capture_capsule()
+        assert len(builds) == 1
+        assert capsule.norm_ne == session.norm_ne
+        resumed = TraceSession.from_capsule(trace, capsule)
+        for k in range(session.stats.operations, 70):
+            resumed.broadcast(root=k % 8)
+            reference.broadcast(root=k % 8)
+        assert resumed.stats == reference.stats
+        assert (
+            resumed.decomposition.constant.row.tobytes()
+            == reference.decomposition.constant.row.tobytes()
+        )
+        assert resumed.norm_ne == reference.norm_ne
+        assert (
+            resumed.decomposition.error.data.tobytes()
+            == reference.decomposition.error.data.tobytes()
+        )
