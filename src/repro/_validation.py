@@ -24,21 +24,30 @@ __all__ = [
 ]
 
 
-def as_float_matrix(a: object, name: str = "a") -> np.ndarray:
-    """Coerce *a* to a 2-D float64 C-contiguous array or raise."""
+def as_float_matrix(
+    a: object, name: str = "a", *, check_finite: bool = True
+) -> np.ndarray:
+    """Coerce *a* to a 2-D float64 C-contiguous array or raise.
+
+    *check_finite* ``False`` skips only the scan for non-finite entries,
+    for a caller that has already validated the same read-only array.
+    """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size == 0:
         raise ValidationError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if check_finite and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
 
 
-def as_square_matrix(a: object, name: str = "a") -> np.ndarray:
-    """Coerce *a* to a square 2-D float64 array or raise."""
-    arr = as_float_matrix(a, name)
+def as_square_matrix(
+    a: object, name: str = "a", *, check_finite: bool = True
+) -> np.ndarray:
+    """Coerce *a* to a square 2-D float64 array or raise (see
+    :func:`as_float_matrix` for *check_finite*)."""
+    arr = as_float_matrix(a, name, check_finite=check_finite)
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     return arr

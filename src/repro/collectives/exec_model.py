@@ -56,9 +56,13 @@ def weights_to_alphabeta(
 
 
 def _check_inputs(
-    tree: CommTree, alpha: np.ndarray, beta: np.ndarray, nbytes: float
+    tree: CommTree,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    nbytes: float,
+    check_finite: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    a = as_square_matrix(alpha, "alpha")
+    a = as_square_matrix(alpha, "alpha", check_finite=check_finite)
     b = np.asarray(beta, dtype=np.float64)
     if b.shape != a.shape:
         raise ValidationError("alpha/beta shape mismatch")
@@ -80,23 +84,20 @@ def _link_costs(
 ) -> list[float]:
     """``α + bytes/β`` of every tree edge, as floats in BFS send order.
 
-    One fancy-index gather per matrix prices the whole tree. *child_bytes*
-    is the edge payload: a scalar, or a per-node array read at each edge's
-    child. *upward* reads the child→parent link (reduce/gather) instead of
+    One ``take`` per matrix prices the whole tree. *child_bytes* is the
+    edge payload: a scalar, or a per-node array read at each edge's child.
+    *upward* reads the child→parent link (reduce/gather) instead of
     parent→child.
     """
-    parent, child = tree.edge_index
-    src, dst = (child, parent) if upward else (parent, child)
-    b = beta[src, dst]
-    bad = ~(b > 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValidationError(
-            f"non-positive bandwidth on link ({src[i]}, {dst[i]})"
-        )
+    links = tree._links[1] if upward else tree._links[0]
+    b = beta.take(links)
+    ok = b > 0
+    if not ok.all():
+        src, dst = divmod(int(links[np.argmin(ok)]), tree.n_nodes)
+        raise ValidationError(f"non-positive bandwidth on link ({src}, {dst})")
     if np.ndim(child_bytes):
-        child_bytes = child_bytes[child]
-    return (alpha[src, dst] + child_bytes / b).tolist()
+        child_bytes = child_bytes[tree.edge_index[1]]
+    return (alpha.take(links) + child_bytes / b).tolist()
 
 
 def _fan_out_time(tree: CommTree, costs: list[float]) -> float:
@@ -104,15 +105,12 @@ def _fan_out_time(tree: CommTree, costs: list[float]) -> float:
 
     A parent, once it holds the data, sends to its children in order; each
     child's arrival is the parent's arrival plus the costs of the sends up
-    to and including its own.
+    to and including its own, i.e. its predecessor's arrival (the previous
+    sibling's, or the parent's for a first child) plus its own send.
     """
     arrival = [0.0] * tree.n_nodes
-    t, sender = 0.0, -1
-    for (u, c), cost in zip(tree.edges(), costs):
-        if u != sender:
-            t, sender = arrival[u], u
-        t += cost
-        arrival[c] = t
+    for c, pred, cost in zip(tree._tails, tree._preds, costs):
+        arrival[c] = arrival[pred] + cost
     return max(arrival)
 
 
@@ -125,17 +123,36 @@ def _fan_in_time(tree: CommTree, costs: list[float]) -> float:
     its parent.
     """
     finish = [0.0] * tree.n_nodes
-    for (u, c), cost in zip(reversed(tree.edges()), reversed(costs)):
-        finish[u] = max(finish[u], finish[c]) + cost
+    edges = zip(reversed(tree._heads), reversed(tree._tails), reversed(costs))
+    for u, c, cost in edges:
+        a, b = finish[u], finish[c]
+        finish[u] = (b if b > a else a) + cost  # max(a, b), without the call
     return finish[tree.root]
+
+
+def _broadcast(tree: CommTree, a: np.ndarray, b: np.ndarray, nbytes: float) -> float:
+    return _fan_out_time(tree, _link_costs(tree, a, b, nbytes))
+
+
+def _scatter(tree: CommTree, a: np.ndarray, b: np.ndarray, block_bytes: float) -> float:
+    payload = block_bytes * tree._sizes
+    return _fan_out_time(tree, _link_costs(tree, a, b, payload))
+
+
+def _reduce(tree: CommTree, a: np.ndarray, b: np.ndarray, nbytes: float) -> float:
+    return _fan_in_time(tree, _link_costs(tree, a, b, float(nbytes), upward=True))
+
+
+def _gather(tree: CommTree, a: np.ndarray, b: np.ndarray, block_bytes: float) -> float:
+    payload = tree._sizes.astype(np.float64) * float(block_bytes)
+    return _fan_in_time(tree, _link_costs(tree, a, b, payload, upward=True))
 
 
 def broadcast_time(
     tree: CommTree, alpha: np.ndarray, beta: np.ndarray, nbytes: float
 ) -> float:
     """Completion time of a broadcast of *nbytes* along *tree*."""
-    a, b = _check_inputs(tree, alpha, beta, nbytes)
-    return _fan_out_time(tree, _link_costs(tree, a, b, nbytes))
+    return collective_time("broadcast", tree, alpha, beta, nbytes)
 
 
 def scatter_time(
@@ -145,9 +162,7 @@ def scatter_time(
 
     On edge (u, c) the parent forwards the blocks of c's entire subtree.
     """
-    a, b = _check_inputs(tree, alpha, beta, block_bytes)
-    payload = block_bytes * tree.subtree_sizes()
-    return _fan_out_time(tree, _link_costs(tree, a, b, payload))
+    return collective_time("scatter", tree, alpha, beta, block_bytes)
 
 
 def _subtree_payloads(tree: CommTree, block_sizes: np.ndarray) -> np.ndarray:
@@ -190,37 +205,48 @@ def reduce_time(
     tree: CommTree, alpha: np.ndarray, beta: np.ndarray, nbytes: float
 ) -> float:
     """Completion time of a reduce of *nbytes* along *tree* (dual of broadcast)."""
-    a, b = _check_inputs(tree, alpha, beta, nbytes)
-    return _fan_in_time(tree, _link_costs(tree, a, b, float(nbytes), upward=True))
+    return collective_time("reduce", tree, alpha, beta, nbytes)
 
 
 def gather_time(
     tree: CommTree, alpha: np.ndarray, beta: np.ndarray, block_bytes: float
 ) -> float:
     """Completion time of a gather with *block_bytes* per node (dual of scatter)."""
-    a, b = _check_inputs(tree, alpha, beta, block_bytes)
-    payload = tree.subtree_sizes().astype(np.float64) * float(block_bytes)
-    return _fan_in_time(tree, _link_costs(tree, a, b, payload, upward=True))
+    return collective_time("gather", tree, alpha, beta, block_bytes)
 
 
 _DISPATCH = {
-    "broadcast": broadcast_time,
-    "scatter": scatter_time,
-    "reduce": reduce_time,
-    "gather": gather_time,
+    "broadcast": _broadcast,
+    "scatter": _scatter,
+    "reduce": _reduce,
+    "gather": _gather,
 }
 
 
 def collective_time(
-    op: str, tree: CommTree, alpha: np.ndarray, beta: np.ndarray, nbytes: float
+    op: str,
+    tree: CommTree,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    nbytes: float,
+    *,
+    check_finite: bool = True,
 ) -> float:
-    """Dispatch to the named collective's pricing function.
+    """Price the named collective on *tree* under the (α, β) snapshot.
 
     For broadcast/reduce *nbytes* is the full message size; for
     scatter/gather it is the per-node block size.
+
+    *check_finite* ``False`` skips the scan of *alpha* for non-finite
+    entries, the :mod:`scipy.linalg` idiom: a caller that prices many
+    trees on one read-only snapshot validates it once and then passes
+    ``False``. The shape checks and the per-edge ``β > 0`` check run on
+    every call either way; a non-finite α on a tree edge then prices as
+    non-finite instead of raising.
     """
     try:
         fn = _DISPATCH[op]
     except KeyError:
         raise ValueError(f"unknown collective {op!r}; one of {sorted(_DISPATCH)}") from None
-    return fn(tree, alpha, beta, nbytes)
+    a, b = _check_inputs(tree, alpha, beta, nbytes, check_finite)
+    return fn(tree, a, b, nbytes)

@@ -78,18 +78,36 @@ class CommTree:
             raise ValidationError("tree does not span all nodes")
         dst = np.array(order[1:], dtype=np.intp)
         src = p[dst]
+        heads, tails = src.tolist(), order[1:]
         counts = [1] * n
-        for c, u in zip(reversed(order[1:]), reversed(src.tolist())):
+        for c, u in zip(reversed(tails), reversed(heads)):
             counts[u] += counts[c]
         sizes = np.array(counts, dtype=np.intp)
-        for arr in (p, src, dst, sizes):
+        # Flat indices of every parent→child and child→parent link into an
+        # n×n matrix: pricing gathers a link matrix along the tree with one
+        # ``take``.
+        down, up = src * n + dst, dst * n + src
+        for arr in (p, src, dst, sizes, down, up):
             arr.setflags(write=False)
+        # The fan-out schedule: a child's arrival is its predecessor's plus
+        # its own send, the predecessor being the previous sibling or, for
+        # a first child, the parent.
+        preds = [
+            u if i == 0 or heads[i - 1] != u else tails[i - 1]
+            for i, u in enumerate(heads)
+        ]
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "parent", p)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "_order", tuple(order))
         object.__setattr__(self, "_edge_index", (src, dst))
         object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_links", (down, up))
+        # Plain-list copies of the edge columns: the pricing loops in
+        # exec_model walk them without building a tuple per edge.
+        object.__setattr__(self, "_heads", heads)
+        object.__setattr__(self, "_tails", tails)
+        object.__setattr__(self, "_preds", preds)
 
     @property
     def n_nodes(self) -> int:
@@ -120,8 +138,7 @@ class CommTree:
     def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(parent, child)`` index arrays of every edge, BFS order.
 
-        The child column is :attr:`bfs_order` without the root. Collectives
-        gather a whole link matrix along the tree with one fancy index.
+        The child column is :attr:`bfs_order` without the root.
         """
         return self._edge_index
 
@@ -132,22 +149,22 @@ class CommTree:
     def depth(self) -> int:
         """Number of edges on the longest root-to-leaf path."""
         depth = [0] * self.n_nodes
-        for u, c in self.edges():
+        for u, c in zip(self._heads, self._tails):
             depth[c] = depth[u] + 1
         return max(depth)
 
     def edges(self) -> list[tuple[int, int]]:
         """All (parent, child) edges in BFS order."""
-        src, dst = self._edge_index
-        return list(zip(src.tolist(), dst.tolist()))
+        return list(zip(self._heads, self._tails))
 
     def longest_path_weight(self, weights: np.ndarray) -> float:
         """Total weight of the heaviest root-to-leaf path (paper Fig 1 metric)."""
         w = np.asarray(weights, dtype=np.float64)
         best = 0.0
         acc = [0.0] * self.n_nodes
-        for u, c in self.edges():
-            acc[c] = acc[u] + float(w[u, c])
+        link_weights = w[self._edge_index].tolist()
+        for u, c, wc in zip(self._heads, self._tails, link_weights):
+            acc[c] = acc[u] + wc
             best = max(best, acc[c])
         return best
 

@@ -25,13 +25,14 @@ def _edge_times(
     mapping: np.ndarray,
     alpha: np.ndarray,
     beta: np.ndarray,
+    check_finite: bool = True,
 ) -> np.ndarray:
     m = np.asarray(mapping, dtype=np.intp)
     if m.size != task_graph.n_tasks:
         raise MappingError("mapping length must equal the number of tasks")
     if len(set(m.tolist())) != m.size:
         raise MappingError("mapping must be injective")
-    a = as_square_matrix(alpha, "alpha")
+    a = as_square_matrix(alpha, "alpha", check_finite=check_finite)
     b = np.asarray(beta, dtype=np.float64)
     if b.shape != a.shape:
         raise MappingError("alpha/beta shape mismatch")
@@ -50,9 +51,19 @@ def mapping_total_time(
     mapping: np.ndarray,
     alpha: np.ndarray,
     beta: np.ndarray,
+    *,
+    check_finite: bool = True,
 ) -> float:
-    """Sum of per-edge α-β transfer times under *mapping*."""
-    return float(_edge_times(task_graph, mapping, alpha, beta).sum())
+    """Sum of per-edge α-β transfer times under *mapping*.
+
+    *check_finite* ``False`` skips the scan of *alpha* for non-finite
+    entries, the :mod:`scipy.linalg` idiom: a caller that prices many
+    mappings on one read-only snapshot validates it once and then passes
+    ``False``. The mapping and shape checks run on every call either way;
+    a non-finite α on a mapped edge then prices as non-finite instead of
+    raising.
+    """
+    return float(_edge_times(task_graph, mapping, alpha, beta, check_finite).sum())
 
 
 def mapping_bottleneck_time(

@@ -94,50 +94,60 @@ def greedy_mapping(
         )
     vols = task_graph.volumes
     # Symmetrized affinity: communication in either direction binds a pair.
-    sym_vols = vols + vols.T
-    task_heft = sym_vols.sum(axis=1)
-
-    mapping = np.full(n_tasks, -1, dtype=np.intp)
-    machine_used = np.zeros(n_machines, dtype=bool)
-    task_mapped = np.zeros(n_tasks, dtype=bool)
-    # Kept current as tasks are mapped: each unmapped task's heaviest
-    # connection to a mapped task, and the lowest-numbered mapped task with
-    # that connection (-inf marks mapped tasks).
+    conn = vols + vols.T
+    task_heft = conn.sum(axis=1)
+    # 0 while a task (machine) is free, -inf once mapped (used): adding a
+    # gate to a row masks the taken entries out of an argmax or a maximum.
+    task_gate = np.zeros(n_tasks)
+    machine_gate = np.zeros(n_machines)
+    # Each unmapped task's heaviest connection to a mapped task (-inf marks
+    # mapped tasks). Which mapped task holds it is looked up only for the
+    # task that is picked, so a placement costs two numpy calls.
     best = np.full(n_tasks, -np.inf)
-    anchor = np.zeros(n_tasks, dtype=np.intp)
+    mapping = [-1] * n_tasks
 
     def place(task: int, machine: int) -> None:
         mapping[task] = machine
-        task_mapped[task] = True
-        machine_used[machine] = True
-        row = sym_vols[task]
-        take = (row > best) | ((row == best) & (anchor > task))
-        take &= ~task_mapped
-        best[take] = row[take]
-        anchor[take] = task
+        task_gate[task] = -np.inf
+        machine_gate[machine] = -np.inf
+        np.maximum(best, conn[task] + task_gate, out=best)
         best[task] = -np.inf
 
     def seed_pair() -> None:
-        s0 = int(np.argmax(np.where(task_mapped, -np.inf, task_heft)))
-        v0 = int(np.argmax(np.where(machine_used, -np.inf, machines.heft)))
+        s0 = int((task_heft + task_gate).argmax())
+        v0 = int((machines.heft + machine_gate).argmax())
         place(s0, v0)
 
     seed_pair()
-    for _ in range(n_tasks - 1):
+    last = n_tasks - 1
+    for _ in range(last):
         # Heaviest connection from any mapped task to any unmapped task;
         # ties go to the lowest mapped task, then the lowest unmapped one.
-        heaviest = best.max()
+        next_task = int(best.argmax())
+        heaviest = best.item(next_task)
         if heaviest <= 0:
             seed_pair()  # disconnected component: restart
             continue
-        ties = best == heaviest
-        anchor_task = int(anchor[ties].min())
-        next_task = int(np.argmax(ties & (anchor == anchor_task)))
-        anchor_machine = int(mapping[anchor_task])
-        # Best-bandwidth unmapped machine relative to the anchor machine.
-        cand = np.where(machine_used, -np.inf, machines.affinity[anchor_machine])
-        next_machine = int(np.argmax(cand))
-        if not np.isfinite(cand[next_machine]):
+        # The lowest task at that volume, anchored to the lowest mapped
+        # task it has that volume with (conn is symmetric: read its row).
+        row = conn[next_task].tolist()
+        anchor_task = row.index(heaviest)
+        while mapping[anchor_task] < 0:
+            anchor_task = row.index(heaviest, anchor_task + 1)
+        if anchor_task and best[::-1].argmax() != last - next_task:
+            # Other tasks tie: a mapped task below the anchor at that
+            # volume with any of them takes over, with its lowest tied task.
+            ties = (best == heaviest).nonzero()[0]
+            lower = conn[ties, :anchor_task] == heaviest
+            reach = lower.any(axis=0) & (task_gate[:anchor_task] < 0)
+            below = int(reach.argmax())
+            if reach[below]:
+                anchor_task = below
+                next_task = int(ties[lower[:, below].argmax()])
+        # Best-bandwidth unused machine relative to the anchor machine.
+        cand = machines.affinity[mapping[anchor_task]] + machine_gate
+        next_machine = int(cand.argmax())
+        if machine_gate[next_machine]:
             raise MappingError("ran out of machines during greedy expansion")
         place(next_task, next_machine)
-    return mapping
+    return np.array(mapping, dtype=np.intp)

@@ -44,7 +44,7 @@ from typing import Any
 
 import numpy as np
 
-from .._validation import check_nonnegative, check_positive
+from .._validation import as_square_matrix, check_nonnegative, check_positive
 from ..calibration.overhead import calibration_overhead_seconds
 from ..cloudsim.trace import CalibrationTrace
 from ..collectives.exec_model import collective_time, weights_to_alphabeta
@@ -243,6 +243,8 @@ class _ServingPlan:
         return tree
 
     def alphabeta(self, nbytes: float) -> tuple[np.ndarray, np.ndarray]:
+        """``P_D`` as pure-bandwidth links: α is all zeros, so pricing on
+        the pair skips the finiteness scan (``check_finite=False``)."""
         pair = self._alphabeta.get(nbytes)
         if pair is None:
             pair = self._alphabeta[nbytes] = weights_to_alphabeta(self.weights, nbytes)
@@ -254,7 +256,9 @@ class _ServingPlan:
         t = self._expected.get(key)
         if t is None:
             ea, eb = self.alphabeta(nbytes)
-            t = collective_time(op, self.tree(root), ea, eb, nbytes)
+            t = collective_time(
+                op, self.tree(root), ea, eb, nbytes, check_finite=False
+            )
             self._expected[key] = t
         return t
 
@@ -365,6 +369,9 @@ class TraceSession:
 
     # Derived from ``_decomposition`` on first use; see _serving_plan().
     _plan: _ServingPlan | None = None
+    # Derived from ``trace`` on first use; see _live_snapshot().
+    _checked_trace: CalibrationTrace | None = None
+    _checked: bytearray
 
     def __init__(
         self,
@@ -685,6 +692,26 @@ class TraceSession:
             plan = self._plan = _ServingPlan(self.decomposition)
         return plan
 
+    def _live_snapshot(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Snapshot *k*'s live ``(α, β)``, with α checked finite on first use.
+
+        The trace's arrays are read-only, so a snapshot that passes once
+        passes on every later visit, and pricing it can skip the full-matrix
+        scan (``check_finite=False``). A snapshot that fails is never
+        marked, so every operation landing on it raises again. The marks are
+        tied to the trace object, like the serving plan to its
+        decomposition, and are never captured.
+        """
+        trace = self.trace
+        if self._checked_trace is not trace:
+            self._checked_trace = trace
+            self._checked = bytearray(trace.n_snapshots)
+        alpha = trace.alpha[k]
+        if not self._checked[k]:
+            as_square_matrix(alpha, "alpha")
+            self._checked[k] = 1
+        return alpha, trace.beta[k]
+
     def _calibrate(self, end: int, *, charge: bool) -> None:
         self._decomposition = self._engine.calibrate(end)
         if charge:
@@ -849,22 +876,28 @@ class TraceSession:
         self._check_crash()
         k = self._advance()
         plan = self._serving_plan()
-        live_alpha, live_beta = self.trace.alpha[k], self.trace.beta[k]
         if idx is None:
             expected = plan.expected(op, int(root), size)
             tree = plan.tree(int(root))
+            live_alpha, live_beta = self._live_snapshot(k)
+            # _live_snapshot has checked the whole snapshot already.
+            check_finite = False
         else:
             # Sub-cluster trees are built per operation: the machine sets a
             # caller picks are open-ended, so they are not memoized.
             sel = np.ix_(idx, idx)
             weights = plan.weights[sel]
             np.fill_diagonal(weights, 0.0)
-            live_alpha = live_alpha[sel]
-            live_beta = live_beta[sel]
+            live_alpha = self.trace.alpha[k][sel]
+            live_beta = self.trace.beta[k][sel]
             tree = fnf_tree(weights, root)
             ea, eb = weights_to_alphabeta(weights, size)
             expected = collective_time(op, tree, ea, eb, size)
-        elapsed = collective_time(op, tree, live_alpha, live_beta, size)
+            # The gathered sub-matrix is new on every call: check it.
+            check_finite = True
+        elapsed = collective_time(
+            op, tree, live_alpha, live_beta, size, check_finite=check_finite
+        )
 
         decision = self.controller.observe(expected, elapsed)
         regime = self._observe_regime(k)
@@ -945,9 +978,10 @@ class TraceSession:
         plan = self._serving_plan()
         mapping = greedy_mapping(graph, plan.machines())
         ea, eb = plan.alphabeta(self.nbytes)
-        expected = mapping_total_time(graph, mapping, ea, eb)
+        expected = mapping_total_time(graph, mapping, ea, eb, check_finite=False)
+        live_alpha, live_beta = self._live_snapshot(k)
         elapsed = mapping_total_time(
-            graph, mapping, self.trace.alpha[k], self.trace.beta[k]
+            graph, mapping, live_alpha, live_beta, check_finite=False
         )
         decision = self.controller.observe(expected, elapsed)
         regime = self._observe_regime(k)

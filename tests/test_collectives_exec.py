@@ -19,6 +19,8 @@ from repro.collectives.fnf import fnf_tree
 from repro.collectives.trees import CommTree, binomial_tree
 from repro.errors import ValidationError
 
+from .oracles import reference_times
+
 
 def uniform_net(n, alpha=0.0, beta=1.0):
     a = np.full((n, n), alpha)
@@ -145,68 +147,6 @@ class TestDispatchAndHelpers:
             broadcast_time(t, a, b, 1.0)
 
 
-# -- per-edge reference ------------------------------------------------------
-# The plain schedule, one link at a time, exactly as the α-β model states it.
-# The library prices a whole tree with one gather; both must agree bit for bit.
-
-
-def _ref_cost(alpha, beta, src, dst, nbytes):
-    b = beta[src, dst]
-    if not b > 0:
-        raise ValidationError(f"non-positive bandwidth on link ({src}, {dst})")
-    return float(alpha[src, dst] + nbytes / b)
-
-
-def _ref_order(tree):
-    order = [tree.root]
-    for u in order:
-        order.extend(tree.children[u])
-    return order
-
-
-def _ref_fan_out(tree, alpha, beta, child_bytes):
-    arrival = np.zeros(tree.n_nodes)
-    for u in _ref_order(tree):
-        t_free = arrival[u]
-        for c in tree.children[u]:
-            t_free += _ref_cost(alpha, beta, u, c, child_bytes[c])
-            arrival[c] = t_free
-    return float(arrival.max())
-
-
-def _ref_fan_in(tree, alpha, beta, child_bytes):
-    finish = np.zeros(tree.n_nodes)
-    for u in reversed(_ref_order(tree)):
-        t = 0.0
-        for c in reversed(tree.children[u]):
-            t = max(t, float(finish[c])) + _ref_cost(alpha, beta, c, u, child_bytes[c])
-        finish[u] = t
-    return float(finish[tree.root])
-
-
-def _ref_subtree_payloads(tree, block_sizes):
-    payload = np.asarray(block_sizes, dtype=np.float64).copy()
-    for u in reversed(_ref_order(tree)):
-        for c in tree.children[u]:
-            payload[u] += payload[c]
-    return payload
-
-
-def _reference_times(tree, alpha, beta, nbytes, block_sizes):
-    n = tree.n_nodes
-    sizes = tree.subtree_sizes()
-    full = np.full(n, float(nbytes))
-    payload = _ref_subtree_payloads(tree, block_sizes)
-    return {
-        "broadcast": _ref_fan_out(tree, alpha, beta, [nbytes] * n),
-        "scatter": _ref_fan_out(tree, alpha, beta, [nbytes * s for s in sizes]),
-        "reduce": _ref_fan_in(tree, alpha, beta, full),
-        "gather": _ref_fan_in(tree, alpha, beta, sizes.astype(np.float64) * float(nbytes)),
-        "scatterv": _ref_fan_out(tree, alpha, beta, payload),
-        "gatherv": _ref_fan_in(tree, alpha, beta, payload),
-    }
-
-
 def _library_times(tree, alpha, beta, nbytes, block_sizes):
     out = {
         op: collective_time(op, tree, alpha, beta, nbytes)
@@ -248,7 +188,7 @@ class TestPricingMatchesPerEdgeReference:
     @settings(max_examples=150, deadline=None)
     def test_bit_identical(self, case):
         tree, alpha, beta, nbytes, block_sizes = case
-        want = _reference_times(tree, alpha, beta, nbytes, block_sizes)
+        want = reference_times(tree, alpha, beta, nbytes, block_sizes)
         got = _library_times(tree, alpha, beta, nbytes, block_sizes)
         assert {k: v.hex() for k, v in got.items()} == {
             k: v.hex() for k, v in want.items()
@@ -276,3 +216,62 @@ class TestPricingMatchesPerEdgeReference:
                 collective_time(op, tree, alpha, up, nbytes)
         with pytest.raises(ValidationError, match="bandwidth"):
             gatherv_time(tree, alpha, up, block_sizes)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_paper_scale_fnf(self, seed):
+        n = 196
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.1, 10.0, size=(n, n))
+        np.fill_diagonal(w, 0.0)
+        tree = fnf_tree(w, int(rng.integers(n)))
+        alpha = rng.uniform(0.0, 1e-3, size=(n, n))
+        beta = rng.uniform(1e5, 1e9, size=(n, n))
+        np.fill_diagonal(beta, np.inf)
+        block_sizes = rng.uniform(0.0, 1e6, size=n)
+        for nbytes in (8 * 1024 * 1024, 3.5e6):
+            want = reference_times(tree, alpha, beta, nbytes, block_sizes)
+            got = _library_times(tree, alpha, beta, nbytes, block_sizes)
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in want.items()
+            }
+
+    def test_integer_costs_tie_in_fan_in(self):
+        """Integer α, β and sizes make a parent's running receive time equal
+        a child's finish time, so the fan-in's max must break ties exactly
+        as the reference's builtin max does."""
+        rng = np.random.default_rng(11)
+        ties = 0
+        for trial in range(30):
+            n = int(rng.choice([2, 5, 17, 64, 196]))
+            root = int(rng.integers(n))
+            if trial % 2:
+                w = rng.integers(1, 4, size=(n, n)).astype(float)
+                np.fill_diagonal(w, 0.0)
+                tree = fnf_tree(w, root)
+            else:
+                tree = binomial_tree(n, root)
+            alpha = rng.integers(0, 3, size=(n, n)).astype(float)
+            beta = rng.choice([1.0, 2.0, 4.0], size=(n, n))
+            nbytes = 4 * int(rng.integers(0, 3))
+            block_sizes = rng.integers(0, 3, size=n).astype(float)
+            want = reference_times(tree, alpha, beta, nbytes, block_sizes)
+            got = _library_times(tree, alpha, beta, nbytes, block_sizes)
+            assert {k: v.hex() for k, v in got.items()} == {
+                k: v.hex() for k, v in want.items()
+            }
+            ties += _fan_in_ties(tree, alpha, beta, nbytes)
+        assert ties > 0
+
+
+def _fan_in_ties(tree, alpha, beta, nbytes):
+    """Receives in a reduce where the parent's running time equals the
+    child's (non-zero) finish time."""
+    finish = [0.0] * tree.n_nodes
+    ties = 0
+    for u in reversed(tree.bfs_order):
+        t = 0.0
+        for c in reversed(tree.children[u]):
+            ties += t == finish[c] > 0
+            t = max(t, finish[c]) + float(alpha[c, u] + nbytes / beta[c, u])
+        finish[u] = t
+    return ties

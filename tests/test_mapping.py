@@ -18,6 +18,8 @@ from repro.mapping.taskgraph import (
     stencil_task_graph,
 )
 
+from .oracles import greedy_reference
+
 MB = 1024 * 1024
 
 
@@ -154,45 +156,6 @@ class TestGreedyMapping:
         )
 
 
-def _greedy_reference(task_graph, bandwidth):
-    """The greedy mapper as first written: every step re-derives the mapped
-    and unmapped index sets and scans their whole connection block."""
-    bw = np.asarray(bandwidth, dtype=np.float64)
-    n_machines, n_tasks = bw.shape[0], task_graph.n_tasks
-    vols = task_graph.volumes
-    sym_vols = vols + vols.T
-    sym_bw = (bw + bw.T) / 2.0
-    np.fill_diagonal(sym_bw, 0.0)
-    task_heft = sym_vols.sum(axis=1)
-    machine_heft = sym_bw.sum(axis=1)
-    mapping = np.full(n_tasks, -1, dtype=np.intp)
-    machine_used = np.zeros(n_machines, dtype=bool)
-    task_mapped = np.zeros(n_tasks, dtype=bool)
-
-    def seed_pair():
-        s0 = int(np.argmax(np.where(task_mapped, -np.inf, task_heft)))
-        v0 = int(np.argmax(np.where(machine_used, -np.inf, machine_heft)))
-        mapping[s0] = v0
-        task_mapped[s0] = True
-        machine_used[v0] = True
-
-    seed_pair()
-    while not task_mapped.all():
-        conn = sym_vols[np.ix_(np.flatnonzero(task_mapped), np.flatnonzero(~task_mapped))]
-        if conn.size == 0 or conn.max() <= 0:
-            seed_pair()
-            continue
-        mi, uj = np.unravel_index(int(np.argmax(conn)), conn.shape)
-        anchor_task = int(np.flatnonzero(task_mapped)[mi])
-        next_task = int(np.flatnonzero(~task_mapped)[uj])
-        cand = np.where(machine_used, -np.inf, sym_bw[int(mapping[anchor_task])])
-        next_machine = int(np.argmax(cand))
-        mapping[next_task] = next_machine
-        task_mapped[next_task] = True
-        machine_used[next_machine] = True
-    return mapping
-
-
 class TestGreedyMatchesReference:
     """The incremental mapper returns exactly the reference's mappings,
     tie-breaking included, from a bandwidth matrix or a MachineGraph."""
@@ -223,7 +186,7 @@ class TestGreedyMatchesReference:
             else:
                 bw = rng.random((n_machines, n_machines)) * 1e9
             graph = TaskGraph(volumes=self._volumes(rng, n, kind))
-            want = _greedy_reference(graph, bw)
+            want = greedy_reference(graph, bw)
             np.testing.assert_array_equal(greedy_mapping(graph, bw), want)
             np.testing.assert_array_equal(
                 greedy_mapping(graph, MachineGraph.from_bandwidth(bw)), want
@@ -236,7 +199,32 @@ class TestGreedyMatchesReference:
         for seed in range(20):
             graph = random_task_graph(16, seed=seed)
             np.testing.assert_array_equal(
-                greedy_mapping(graph, machines), _greedy_reference(graph, bw)
+                greedy_mapping(graph, machines), greedy_reference(graph, bw)
+            )
+
+    @pytest.mark.parametrize("kind", ["ties", "disconnected", "uniform"])
+    def test_tie_heavy_mid_scale(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+        for trial in range(12):
+            n = int(rng.integers(13, 65))
+            n_machines = n + int(rng.integers(0, 9))
+            bw = rng.integers(1, 4, size=(n_machines, n_machines)).astype(float)
+            graph = TaskGraph(volumes=self._volumes(rng, n, kind))
+            want = greedy_reference(graph, bw)
+            np.testing.assert_array_equal(greedy_mapping(graph, bw), want)
+            np.testing.assert_array_equal(
+                greedy_mapping(graph, MachineGraph.from_bandwidth(bw)), want
+            )
+
+    def test_full_cluster(self):
+        """196 tasks on 196 machines from a raw matrix, as the experiment
+        drivers map whole clusters."""
+        rng = np.random.default_rng(8)
+        bw = rng.random((196, 196)) * 1e9
+        for seed in range(2):
+            graph = random_task_graph(196, seed=seed)
+            np.testing.assert_array_equal(
+                greedy_mapping(graph, bw), greedy_reference(graph, bw)
             )
 
     def test_machine_graph_is_read_only(self):

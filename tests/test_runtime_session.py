@@ -285,3 +285,79 @@ class TestServingMatchesReference:
         # A memoized entry and one built after the mutations both ignore them.
         assert s.broadcast(root=3).expected == want["broadcast"]
         assert s.scatter(root=3).expected == want["scatter"]
+
+
+class TestLiveSnapshotValidation:
+    """The session checks each live snapshot finite once, then prices it
+    with ``check_finite=False``; the check is moved, not dropped."""
+
+    K = 11  # window 10 over 13 snapshots: operations visit 10, 11, 12, 10, ...
+    BAD = (2, 2)  # a diagonal entry: no tree edge or mapped pair reads it
+
+    @pytest.fixture()
+    def poisoned(self):
+        base = generate_trace(TraceConfig(n_machines=8, n_snapshots=13), seed=42)
+        alpha = base.alpha.copy()
+        alpha[(self.K, *self.BAD)] = np.nan
+        return CalibrationTrace(
+            alpha=alpha, beta=base.beta, timestamps=base.timestamps
+        )
+
+    def _session(self, trace):
+        return TraceSession(
+            trace, time_step=10, calibration_cost=0.0, solver="row_constant",
+            threshold=1e9,
+        )
+
+    @pytest.mark.parametrize("first", ["collective", "mapping"])
+    def test_every_visit_raises(self, poisoned, first):
+        s = self._session(poisoned)
+        graph = random_task_graph(5, seed=3)
+        on_k = [s.reduce, lambda: s.map_tasks(graph)]
+        if first == "mapping":
+            on_k.reverse()
+        for epoch in range(4):  # first visit, then after each wrap
+            assert s.broadcast(root=1).snapshot == 10
+            with pytest.raises(ValidationError, match="alpha contains non-finite"):
+                on_k[epoch % 2]()
+            assert s.gather(root=0).snapshot == 12
+        assert s.stats.epochs == 4
+        assert s.stats.operations == 8
+
+    def test_the_price_itself_would_not_notice(self, poisoned):
+        s = self._session(poisoned)
+        tree = fnf_tree(s.weight_matrix(), 4)
+        a, b = poisoned.alpha[self.K], poisoned.beta[self.K]
+        with pytest.raises(ValidationError, match="alpha contains non-finite"):
+            collective_time("reduce", tree, a, b, MB)
+        assert np.isfinite(collective_time("reduce", tree, a, b, MB, check_finite=False))
+        graph = random_task_graph(5, seed=3)
+        mapping = greedy_mapping(graph, bandwidth_from_weights(s.weight_matrix()))
+        with pytest.raises(ValidationError, match="alpha contains non-finite"):
+            mapping_total_time(graph, mapping, a, b)
+        assert np.isfinite(mapping_total_time(graph, mapping, a, b, check_finite=False))
+
+    def test_subcluster_operation_checks_its_own_block(self, poisoned):
+        s = self._session(poisoned)
+        s.broadcast()
+        with pytest.raises(ValidationError, match="alpha contains non-finite"):
+            s.run_collective("broadcast", machines=[0, 2, 5])
+        # A block without the bad entry prices as before.
+        s.broadcast()
+        s.broadcast()
+        assert s.run_collective("broadcast", machines=[0, 1, 5]).snapshot == self.K
+
+    def test_a_clean_snapshot_is_checked_once(self, small_trace, monkeypatch):
+        import repro.runtime.session as session_mod
+
+        calls = []
+        real = session_mod.as_square_matrix
+        monkeypatch.setattr(
+            session_mod, "as_square_matrix",
+            lambda a, name: calls.append(name) or real(a, name),
+        )
+        s = self._session(small_trace)
+        span = small_trace.n_snapshots - 10
+        for i in range(3 * span):
+            s.run_collective(("broadcast", "gather")[i % 2], root=i % 8)
+        assert calls == ["alpha"] * span
