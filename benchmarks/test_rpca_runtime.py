@@ -13,8 +13,10 @@ elementwise kernel (``repro.core.elementwise``). The final test writes
 share and elementwise share per cell, plus the auto-vs-exact speedup per
 solver — so future PRs can track the perf trajectory. Numerical parity
 (``auto`` against ``exact`` to solver tolerance, same iteration count; the
-fused elementwise kernel against the ufunc chain it replaces, bit for bit)
-is asserted unconditionally; the speedup target is only *asserted* when
+unmasked APG loop against its block-by-block oracle in ``tests/oracles.py``
+to 1e-12 with the same iteration count; IALM's fused elementwise kernel
+against the ufunc chain it replaces, bit for bit) is asserted
+unconditionally; the speedup target is only *asserted* when
 ``REPRO_PERF_STRICT=1`` (CI runs record timings but fail on parity, not on
 a noisy shared runner's clock).
 """
@@ -28,8 +30,9 @@ import pytest
 from repro import observability
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core import elementwise
-from repro.core.decompose import decompose
+from repro.core.decompose import constant_row, decompose
 from repro.observability.benchrecord import bench_record, write_bench_json
+from tests.oracles import apg_unmasked_reference
 
 MB = 1024 * 1024
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_rpca.json"
@@ -129,15 +132,25 @@ def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
         assert auto["rank"] == exact["rank"]
         # Steady state never falls back to a full-width SVD on this shape.
         assert auto["full_width_svds"] == 0
-        # The fused elementwise kernel is bit-identical to the historical
-        # ufunc chain it falls back to: re-solve with every step on it.
-        with monkeypatch.context() as mp:
-            mp.setattr(elementwise, "_fusable", lambda *arrays: False)
-            chain = decompose(tp_196, solver=solver, svd_backend="auto")
-        assert np.array_equal(chain.constant.row, auto["constant_row"]), (
-            f"{solver}: fused elementwise kernel broke bit-parity"
-        )
-        assert chain.solver_iterations == auto["iterations"]
+        if solver == "apg":
+            # The fused unmasked loop against the block-by-block oracle.
+            ref = apg_unmasked_reference(tp_196.data, svd_backend="auto")
+            want = constant_row(ref.low_rank)
+            gap = float(np.linalg.norm(auto["constant_row"] - want))
+            assert gap <= 1e-12 * float(np.linalg.norm(want)), (
+                f"apg: fused loop P_D drifted {gap:.3e} from the oracle"
+            )
+            assert ref.iterations == auto["iterations"]
+        else:
+            # The fused elementwise kernel is bit-identical to the historical
+            # ufunc chain it falls back to: re-solve with every step on it.
+            with monkeypatch.context() as mp:
+                mp.setattr(elementwise, "_fusable", lambda *arrays: False)
+                chain = decompose(tp_196, solver=solver, svd_backend="auto")
+            assert np.array_equal(chain.constant.row, auto["constant_row"]), (
+                f"{solver}: fused elementwise kernel broke bit-parity"
+            )
+            assert chain.solver_iterations == auto["iterations"]
         speedups[solver] = exact["mean_seconds"] / auto["mean_seconds"]
 
     record = bench_record(

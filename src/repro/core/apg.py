@@ -40,6 +40,17 @@ entries: the nuclear-norm prox *completes* ``D`` there, and ``E`` is kept
 supported on Ω (an unobserved entry cannot witness a transient error).
 With ``mask=None`` (or an all-true mask) every operation below reduces to
 the exact unmasked expressions, bit for bit.
+
+Partial SVD backends
+--------------------
+``svd_backend="exact"`` (the default) is the loop written above, pinned
+bit for bit. ``"gram"``/``"auto"`` run :func:`_rpca_apg_fast`: the same
+iteration over the kernel layers. Unmasked, it carries ``G = D − E + A``
+and shrinks through the ``m × m`` Gram operator, so one iteration is two
+GEMMs and one blocked elementwise sweep over four ``m × n`` buffers (about
+eight full-array passes), and ``D``/``E`` are formed once at the end. It
+takes the same iterations as the exact loop and agrees with it to solver
+tolerance, not bitwise.
 """
 
 from __future__ import annotations
@@ -55,6 +66,7 @@ from .result import SolverResult
 from .svd_ops import (
     singular_value_threshold,
     soft_threshold,
+    soft_threshold_into,
     spectral_norm,
     truncated_svd,
 )
@@ -113,7 +125,7 @@ def _unpack_warm_start(
         raise ValueError(
             f"warm_start shape {d0.shape}/{e0.shape} does not match data {shape}"
         )
-    return d0.copy(), e0.copy()
+    return d0, e0
 
 
 def rpca_apg(
@@ -323,15 +335,25 @@ def _rpca_apg_fast(
       :func:`~repro.core.svd_ops.spectral_norm`;
     * every iteration writes into a preallocated
       :class:`~repro.core.kernels.SolveWorkspace` — steady-state iterations
-      allocate no new ``m × n`` temporaries;
-    * the unmasked loop uses two algebraic identities of the exact
-      expressions: with ``T = Y_D − Y_E`` the two proximal inputs are
-      ``Y_D − G = (T + A)/2`` and ``Y_E − G = A − (Y_D − G)``, and the two
-      stationarity blocks satisfy ``S_E = −S_D`` with
-      ``S_D = T − (D₊ − E₊)``, so one ``m × n`` pass replaces six;
-    * the step recurrences themselves run on an
-      :class:`~repro.core.elementwise.ElementwiseKernel`, whose cache
-      blocking cuts the memory traffic of the remaining full-array passes.
+      allocate no new ``m × n`` temporaries.
+
+    The unmasked loop carries ``G = D − E + A`` and the prox input ``M_D``
+    instead of the two blocks and their momentum copies. With ``T = Y_D −
+    Y_E`` the exact loop's proximal inputs are ``M_D = (T + A)/2`` and
+    ``M_E = A − M_D``, and ``T + A = (1 + β)·G − β·G_prev``. Thresholding
+    ``M_D`` through the Gram kernel is the ``m × m`` shrink operator ``P``
+    (``D₊ = P·M_D``), and ``E₊ = (A − M_D) − clip(A − M_D, ±τ_E)``, so
+
+    * ``G₊ = (P + I)·M_D + clip(A − M_D, ±τ_E)`` — one GEMM and an
+      elementwise tail;
+    * the stationarity blocks satisfy ``S_E = −S_D`` with ``S_D = T − (D₊ −
+      E₊) = 2·M_D − G₊``, so ``‖S‖ = √2·‖S_D‖``;
+    * ``M_D′ = ((1 + β′)·G₊ − β′·G)/2`` needs only the two carriers.
+
+    Everything between the two GEMMs (Gram and ``(P + I)·M_D``) is one
+    blocked sweep (:meth:`~repro.core.elementwise.ElementwiseKernel.apg_step_unmasked`)
+    over four ``m × n`` buffers. ``D`` and ``E`` themselves are formed once,
+    from the last iteration's ``M_D``, after the residual test passes.
 
     The reordered floating-point arithmetic makes results agree with the
     exact path to solver tolerance (≈ ``tol`` on the relative residual),
@@ -341,12 +363,6 @@ def _rpca_apg_fast(
     ew = ElementwiseKernel()
     ws = SolveWorkspace(A.shape)
 
-    def svt_into(M: np.ndarray, tau: float, out: np.ndarray) -> int:
-        return kernel.svt(M, tau, out=out)[1]
-
-    def fro(X: np.ndarray) -> float:
-        return float(np.linalg.norm(X))
-
     mu_top = spectral_norm(A)
     mu_bar = mu_floor_factor * 0.99 * mu_top
 
@@ -355,52 +371,62 @@ def _rpca_apg_fast(
         D0, E0 = _unpack_warm_start(warm_start, A.shape)
         mu = max(mu_bar, warm_mu_factor * mu_top)
     else:
-        D0 = np.zeros_like(A)
-        E0 = np.zeros_like(A)
+        D0 = E0 = None
         mu = 0.99 * mu_top
     t, t_prev = 1.0, 1.0
     rank = 0
     residual = np.inf
     converged = False
     iterations = 0
-    sqrt2 = float(np.sqrt(2.0))
 
     if omega is None:
-        # Momentum state is carried through F = D − E (see docstring).
-        D, E, F, Fp, T, MD, ME, Dn, En, S = ws.bufs(
-            "D", "E", "F", "Fp", "T", "MD", "ME", "Dn", "En", "S"
-        )
-        np.copyto(D, D0)
-        np.copyto(E, E0)
-        np.subtract(D, E, out=F)
-        np.copyto(Fp, F)
+        # Carrier G = D − E + A and prox input M_D (see docstring). The
+        # first momentum weight is 0, so M_D starts at G/2.
+        G, Gn, MD, MDn = ws.bufs("G", "Gn", "MD", "MDn")
+        if warm:
+            np.subtract(D0, E0, out=G)
+            G += A
+        else:
+            np.copyto(G, A)
+        np.multiply(G, 0.5, out=MD)
         for iterations in range(1, max_iter + 1):
-            beta = (t_prev - 1.0) / t
-            rank = ew.apg_step_unmasked(
-                A, F, Fp, T, MD, ME, Dn, En, S,
-                beta, mu / 2.0, lam_v * mu / 2.0, svt_into,
-            )
-            F, Fp = Fp, F
-            residual = float(sqrt2 * np.linalg.norm(S) / norm_a)
-            D, Dn = Dn, D
-            E, En = En, E
+            if iterations > 1:
+                G, Gn = Gn, G
+                MD, MDn = MDn, MD
+            tau_e = lam_v * mu / 2.0
+            rank = kernel.svt(MD, mu / 2.0, out=Gn, plus_input=True)[1]
             t_prev, t = t, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            ss = ew.apg_step_unmasked(A, G, Gn, MD, MDn, tau_e, (t_prev - 1.0) / t)
+            residual = float(np.sqrt(2.0 * ss) / norm_a)
             mu = max(eta * mu, mu_bar)
             if residual < tol:
                 converged = True
                 break
+        # D₊ and E₊ of the last iteration, formed once from its prox input.
+        np.subtract(A, MD, out=MDn)
+        D, E = kernel.low_rank(MD, out=G), soft_threshold_into(MDn, tau_e, out=Gn)
     else:
         # Masked: the identities above do not survive P_Ω, so this is the
         # exact masked loop with every temporary routed through the
         # workspace (historically `E *= omega` and the gradient/diff
         # expressions re-allocated m×n arrays every iteration).
+        def svt_into(M: np.ndarray, tau: float, out: np.ndarray) -> int:
+            return kernel.svt(M, tau, out=out)[1]
+
+        def fro(X: np.ndarray) -> float:
+            return float(np.linalg.norm(X))
+
         D, Dp, Dn, E, Ep, En, YD, YE, G, M, S = ws.bufs(
             "D", "Dp", "Dn", "E", "Ep", "En", "YD", "YE", "G", "M", "S"
         )
-        np.copyto(D, D0)
-        np.copyto(Dp, D0)
-        np.copyto(E, E0)
-        np.copyto(Ep, E0)
+        if warm:
+            np.copyto(D, D0)
+            np.copyto(E, E0)
+        else:
+            D.fill(0.0)
+            E.fill(0.0)
+        np.copyto(Dp, D)
+        np.copyto(Ep, E)
         for iterations in range(1, max_iter + 1):
             beta = (t_prev - 1.0) / t
             rank, sd, se = ew.apg_step_masked(

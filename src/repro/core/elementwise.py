@@ -1,26 +1,34 @@
 """Fused elementwise kernel for the APG/IALM iteration recurrences.
 
-The partial-SVD kernel layer (:mod:`repro.core.kernels`) took singular
-value thresholding from ~90% of solve time down to ~28%; what remains of
-every APG/IALM step is 6–10 separate full-array ufunc passes over the
-``m × n`` iterate buffers (momentum extrapolation, proximal inputs, soft
-thresholding, stationarity/feasibility updates). :class:`ElementwiseKernel`
-owns those recurrences and runs them cache-block-wise: each step phase
-walks the buffers once in ``chunk``-element blocks, applying the whole
-ufunc chain to a block while it is hot in cache instead of streaming every
-buffer through memory once per operation.
+What remains of an APG/IALM step once the partial-SVD kernel layer
+(:mod:`repro.core.kernels`) has made thresholding cheap is a chain of
+full-array ufunc passes over the ``m × n`` iterate buffers (momentum
+extrapolation, proximal inputs, soft thresholding, stationarity and
+feasibility updates). :class:`ElementwiseKernel` owns those recurrences
+and runs them cache-block-wise: each step phase walks the buffers once in
+``chunk``-element blocks, applying the whole ufunc chain to a block while
+it is hot in cache instead of streaming every buffer through memory once
+per operation.
 
-Elementwise ufuncs commute with chunking, so the fused result is
-**bit-identical** to the historical one-pass-per-operation ufunc chain by
-construction. That chain stays in each step method, for two reasons: it is
-the fallback for non-contiguous buffers, where flat block views cannot be
-formed (counted as ``kernel.ew.fallback``), and it is the oracle the
-bit-identity tests compare the fused blocks against.
+Two kinds of step live here:
 
-Residual/feasibility **norms** are deliberately *not* part of this layer:
-``np.linalg.norm`` over a full buffer stays a single pairwise-summed call,
-because chunked partial sums would change summation order and break the
-bitwise iteration-count parity with the reference chain.
+* **Unmasked APG** (:meth:`ElementwiseKernel.apg_step_unmasked`) is one
+  sweep between the iteration's two GEMMs. The loop carries ``G = D − E +
+  A`` instead of the blocks (see :func:`repro.core.apg._rpca_apg_fast`),
+  so a single pass over four ``m × n`` buffers finishes the carrier,
+  accumulates the stationarity norm block by block and writes the next
+  prox input. It restructures the arithmetic, so it has no ufunc chain to
+  fall back to; its oracle is the block-by-block loop in the test suite,
+  which it matches to ~1e-12 with equal iteration counts. Only the
+  residual's block-wise sum depends on the chunk size.
+* **Masked APG and IALM** keep the historical one-pass-per-operation
+  chain's per-element order and only block the sweeps, so they are
+  **bit-identical** to that chain by construction. The chain stays in each
+  of those step methods, as the fallback for non-contiguous buffers (where
+  flat block views cannot be formed; counted as ``kernel.ew.fallback``)
+  and as the oracle the bit-identity tests compare the fused blocks
+  against. Their residual/feasibility norms stay whole-buffer
+  ``np.linalg.norm`` calls in the caller.
 
 Observability: every step emits ``kernel.ew.steps`` (a step count) and
 ``kernel.ew_seconds`` (elementwise time, excluding the SVT call in the
@@ -40,8 +48,9 @@ from .svd_ops import soft_threshold, soft_threshold_into
 
 __all__ = ["DEFAULT_EW_CHUNK", "ElementwiseKernel"]
 
-#: Fused block size in elements: 256 KiB of float64 — comfortably inside a
-#: per-core L2 slice together with the ~8 buffers a step touches.
+#: Fused block size in elements: 256 KiB of float64 per buffer. On a 2-CPU
+#: x86-64 VM the unmasked APG sweep was fastest here (8192 and 65536 were
+#: 1.3x and 1.1x slower at 10 × 38416).
 DEFAULT_EW_CHUNK = 32768
 
 
@@ -65,11 +74,11 @@ class ElementwiseKernel:
 
     One kernel serves one solve; it owns no ``m×n`` state of its own —
     all iterate buffers come from the caller's
-    :class:`~repro.core.kernels.SolveWorkspace` — only small per-shape row
-    scratch for :meth:`shrink`. Every step method matches the historical
-    module-level step functions argument for argument, with *svt* the
-    caller's singular-value-thresholding callable sandwiched between the
-    elementwise phases.
+    :class:`~repro.core.kernels.SolveWorkspace` — only one block of
+    scratch for the unmasked APG sweep and small per-shape row scratch for
+    :meth:`shrink`. The masked APG and IALM step methods take *svt*, the
+    caller's singular-value-thresholding callable, and sandwich it between
+    their elementwise phases.
     """
 
     def __init__(self, *, chunk: int = DEFAULT_EW_CHUNK) -> None:
@@ -77,6 +86,7 @@ class ElementwiseKernel:
             raise ValidationError("chunk must be >= 1")
         self.chunk = int(chunk)
         self._row_scratch: dict[tuple[int, ...], np.ndarray] = {}
+        self._block: np.ndarray | None = None
 
     # -- observability ----------------------------------------------------
     def _emit_step(self, elapsed: float) -> None:
@@ -91,59 +101,43 @@ class ElementwiseKernel:
         return False
 
     # -- APG, unmasked -----------------------------------------------------
-    def apg_step_unmasked(
-        self, A, F, Fp, T, MD, ME, Dn, En, S, beta, tau_d, tau_e, svt
-    ):
-        """One unmasked APG iteration over preallocated ``(m, n)`` buffers.
+    def apg_step_unmasked(self, A, G, Gn, MD, MDn, tau_e, beta):
+        """The elementwise half of one unmasked APG iteration, in one sweep.
 
-        *svt* is the caller's thresholding callable (returns the surviving
-        rank). Writes the new momentum carrier ``D₊ − E₊`` into *Fp*
-        (callers swap the names afterwards) and the stationarity block
-        ``S_D`` into *S*; the residual norm stays with the caller.
+        On entry *Gn* holds ``D₊ + M_D = (P + I)·M_D``, from
+        ``SVTKernel.svt(M_D, τ_D, out=Gn, plus_input=True)``, and *G* the
+        previous carrier ``D − E + A``. One blocked pass
+        finishes the carrier, ``G₊ = (P + I)·M_D + clip(A − M_D, ±τ_E)``
+        (in place in *Gn*), accumulates the stationarity norm ``‖S‖²`` of
+        ``S = 2·M_D − G₊`` and writes the next prox input ``M_D′ =
+        ((1 + β′)·G₊ − β′·G)/2`` into *MDn*, *beta* being the next
+        iteration's momentum weight. Returns ``‖S‖²``; the residual is
+        ``√(2·‖S‖²)/‖A‖``. All buffers must be C-contiguous (the solve
+        workspace's are).
         """
-        fused = self._fused(A, F, Fp, T, MD, ME, Dn, En, S)
         chunk = self.chunk
         t0 = time.perf_counter()
-        if fused:
-            a, f, fp, t, md, s = _flat(A, F, Fp, T, MD, S)
-            for lo in range(0, a.size, chunk):
-                sl = slice(lo, lo + chunk)
-                tc, mc = t[sl], md[sl]
-                np.multiply(f[sl], 1.0 + beta, out=tc)
-                np.multiply(fp[sl], beta, out=s[sl])
-                np.subtract(tc, s[sl], out=tc)
-                np.add(tc, a[sl], out=mc)
-                mc *= 0.5
-        else:
-            # T = Y_D − Y_E = (1 + β)·F − β·F_prev
-            np.multiply(F, 1.0 + beta, out=T)
-            np.multiply(Fp, beta, out=S)
-            np.subtract(T, S, out=T)
-            # Proximal input M_D = (T + A)/2.
-            np.add(T, A, out=MD)
-            MD *= 0.5
-        elapsed = time.perf_counter() - t0
-
-        rank = svt(MD, tau_d, Dn)
-
-        t0 = time.perf_counter()
-        if fused:
-            a, md, me, t, dn, en, fp, s = _flat(A, MD, ME, T, Dn, En, Fp, S)
-            for lo in range(0, a.size, chunk):
-                sl = slice(lo, lo + chunk)
-                mec = me[sl]
-                np.subtract(a[sl], md[sl], out=mec)
-                soft_threshold_into(mec, tau_e, out=en[sl])
-                np.subtract(dn[sl], en[sl], out=fp[sl])
-                np.subtract(t[sl], fp[sl], out=s[sl])
-        else:
-            np.subtract(A, MD, out=ME)  # M_E = A − M_D
-            soft_threshold_into(ME, tau_e, out=En)
-            # Stationarity: S_D = T − (D₊ − E₊), ‖S‖ = √2·‖S_D‖.
-            np.subtract(Dn, En, out=Fp)
-            np.subtract(T, Fp, out=S)
-        self._emit_step(elapsed + time.perf_counter() - t0)
-        return rank
+        a, g, gn, md, mdn = _flat(A, G, Gn, MD, MDn)
+        if self._block is None or self._block.size < min(a.size, chunk):
+            self._block = np.empty(min(a.size, chunk), dtype=np.float64)
+        tmp = self._block
+        up, down = 0.5 * (1.0 + beta), 0.5 * beta
+        ss = 0.0
+        for lo in range(0, a.size, chunk):
+            sl = slice(lo, lo + chunk)
+            gc, mc, nc = gn[sl], md[sl], mdn[sl]
+            c = tmp[: gc.size]
+            np.subtract(a[sl], mc, out=c)
+            np.clip(c, -tau_e, tau_e, out=c)
+            gc += c
+            np.multiply(mc, 2.0, out=c)
+            c -= gc
+            ss += float(np.dot(c, c))
+            np.multiply(gc, up, out=nc)
+            np.multiply(g[sl], down, out=c)
+            nc -= c
+        self._emit_step(time.perf_counter() - t0)
+        return ss
 
     # -- APG, masked -------------------------------------------------------
     def apg_step_masked(
@@ -355,10 +349,11 @@ class ElementwiseKernel:
     def shrink(self, x: np.ndarray, tau: float) -> np.ndarray:
         """Soft-threshold *x* — the streaming fold's per-row shrinkage.
 
-        Applies the arithmetic of :func:`~repro.core.svd_ops.soft_threshold`
-        through kernel-owned scratch (no temporaries), bit for bit. The
-        result is a buffer owned by this kernel, valid until the next
-        :meth:`shrink` call — callers that retain it must copy it (the
+        Equal under ``==`` to :func:`~repro.core.svd_ops.soft_threshold`
+        (only the sign of zeros can differ), computed by
+        :func:`~repro.core.svd_ops.soft_threshold_into` into kernel-owned
+        scratch (no temporaries). The result is a buffer owned by this
+        kernel, valid until the next :meth:`shrink` call — callers that retain it must copy it (the
         streaming window slide does, via ``np.vstack``). Non-contiguous
         input falls back to a fresh :func:`soft_threshold` array.
         """
@@ -367,18 +362,10 @@ class ElementwiseKernel:
             out = soft_threshold(x, tau)
             self._emit_step(time.perf_counter() - t0)
             return out
-        key = x.shape
-        bufs = self._row_scratch.get(key)
-        if bufs is None:
-            bufs = np.empty((2,) + key, dtype=np.float64)
-            self._row_scratch[key] = bufs
-        out, sgn = bufs[0], bufs[1]
-        # sign(x)·max(|x|−τ, 0) with every pass in place — the same
-        # per-element arithmetic as the reference spelling.
-        np.abs(x, out=out)
-        out -= tau
-        np.maximum(out, 0.0, out=out)
-        np.sign(x, out=sgn)
-        out *= sgn
+        out = self._row_scratch.get(x.shape)
+        if out is None:
+            out = np.empty(x.shape, dtype=np.float64)
+            self._row_scratch[x.shape] = out
+        soft_threshold_into(x, tau, out=out)
         self._emit_step(time.perf_counter() - t0)
         return out

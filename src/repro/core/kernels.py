@@ -12,7 +12,8 @@ LAPACK ``gesdd`` thin SVD every iteration. This module makes the SVD under
 ``gram``
     Exploits the extreme aspect ratio of TP-matrices (``m ≈ 10`` rows vs
     ``n ≈ 38416`` columns): eigendecompose the tiny ``A·Aᵀ`` Gram matrix
-    (``m × m``) and reconstruct only the triplets that survive the
+    (``m × m``) and rebuild the thresholded matrix with one GEMM through
+    the ``m × m`` shrink operator of the triplets that survive the
     threshold. Exact up to the squared-condition-number loss of forming the
     Gram matrix — singular values below ``σ₁·√ε ≈ σ₁·1.5e-8`` are noise,
     far below any RPCA threshold in practice.
@@ -172,8 +173,9 @@ class SVTKernel:
     """Singular value thresholding with a pluggable partial-SVD backend.
 
     One kernel serves one solve: it owns the small scratch state (the Gram
-    buffer) and the :class:`RankPredictor` threading
-    through the iterations. :meth:`svt` matches the contract of
+    buffer and the last call's shrink operator) and the
+    :class:`RankPredictor` threading through the iterations. :meth:`svt`
+    matches the contract of
     :func:`~repro.core.svd_ops.singular_value_threshold` — ``(D, rank,
     top_sv)`` — plus an optional preallocated output buffer.
 
@@ -208,6 +210,10 @@ class SVTKernel:
             )
         self.predictor = rank_predictor
         self._gram: np.ndarray | None = None  # min_dim × min_dim scratch
+        # What the last svt call thresholded with: the gram shrink operator
+        # (None at rank 0), or the exact path's dense result.
+        self._op: np.ndarray | None = None
+        self._dense: np.ndarray | None = None
 
     # -- policy -------------------------------------------------------------
     def choose(self) -> str:
@@ -218,19 +224,27 @@ class SVTKernel:
 
     # -- dispatch -----------------------------------------------------------
     def svt(
-        self, a: np.ndarray, tau: float, out: np.ndarray | None = None
+        self,
+        a: np.ndarray,
+        tau: float,
+        out: np.ndarray | None = None,
+        *,
+        plus_input: bool = False,
     ) -> tuple[np.ndarray, int, float]:
         """``D_tau(a)`` — see :func:`~repro.core.svd_ops.singular_value_threshold`.
 
         When *out* is given the thresholded matrix is written into it (and
-        returned); otherwise a fresh array is allocated.
+        returned); otherwise a fresh array is allocated. With *plus_input*
+        the result is ``D_tau(a) + a`` instead — the unmasked APG loop's
+        carrier update — which the ``gram`` backend forms in the same single
+        GEMM through its shrink operator plus the identity.
         """
         backend = self.choose()
         start = time.perf_counter()
         if backend == "exact":
-            d, rank, top = self._svt_exact(a, tau, out)
+            d, rank, top = self._svt_exact(a, tau, out, plus_input)
         else:
-            d, rank, top = self._svt_gram(a, tau, out)
+            d, rank, top = self._svt_gram(a, tau, out, plus_input)
         elapsed = time.perf_counter() - start
         self.predictor.observe(rank)
         observability.emit_count(f"kernel.svt.{backend}")
@@ -240,12 +254,32 @@ class SVTKernel:
         observability.emit_time(f"kernel.svt.{backend}_seconds", elapsed)
         return d, rank, top
 
+    def low_rank(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``D_tau(a)`` of the matrix the last :meth:`svt` call thresholded.
+
+        Rebuilt without a new decomposition: one GEMM through the stored
+        shrink operator (``gram``), or a copy of the retained result
+        (``exact``). *a* must be that same matrix, unchanged.
+        """
+        start = time.perf_counter()
+        if self._dense is not None:
+            np.copyto(out, self._dense)
+        elif self._op is None:
+            out[:] = 0.0
+        else:
+            self._apply(self._op, a, out)
+        observability.emit_time("kernel.svt_seconds", time.perf_counter() - start)
+        return out
+
     # -- backends -----------------------------------------------------------
     def _svt_exact(
-        self, a: np.ndarray, tau: float, out: np.ndarray | None
+        self, a: np.ndarray, tau: float, out: np.ndarray | None, plus_input: bool
     ) -> tuple[np.ndarray, int, float]:
         """The historical full-width path (bit-identical to ``svd_ops``)."""
         d, rank, top = singular_value_threshold(a, tau)
+        self._op, self._dense = None, d
+        if plus_input:
+            return np.add(d, a, out=out), rank, top
         if out is not None:
             np.copyto(out, d)
             return out, rank, top
@@ -256,22 +290,29 @@ class SVTKernel:
             self._gram = np.empty((self.min_dim, self.min_dim), dtype=np.float64)
         return self._gram
 
-    def _svt_gram(
-        self, a: np.ndarray, tau: float, out: np.ndarray | None
-    ) -> tuple[np.ndarray, int, float]:
-        """Eigendecompose the short-side Gram matrix; reconstruct survivors.
+    @staticmethod
+    def _apply(op: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``op·a`` for a wide *a*, ``a·op`` for a tall one: one GEMM."""
+        if a.shape[0] <= a.shape[1]:
+            return np.matmul(op, a, out=out)
+        return np.matmul(a, op, out=out)
 
-        For a wide matrix (``m ≤ n``): ``A·Aᵀ = U·diag(s²)·Uᵀ``, so the
-        left singular vectors and singular values come from an ``m × m``
-        symmetric eigenproblem and only the ``rank`` surviving right
-        vectors ``vᵢᵀ = uᵢᵀA / sᵢ`` are ever formed. Tall matrices use the
-        transposed identity. All ``min_dim`` singular values are available,
-        so the thresholded rank is exact by construction — no undershoot.
+    def _svt_gram(
+        self, a: np.ndarray, tau: float, out: np.ndarray | None, plus_input: bool
+    ) -> tuple[np.ndarray, int, float]:
+        """Eigendecompose the short-side Gram matrix; shrink through it.
+
+        For a wide matrix (``m ≤ n``): ``A·Aᵀ = U·diag(s²)·Uᵀ``, and the
+        thresholded matrix is ``D = P·A`` with the ``m × m`` shrink operator
+        ``P = U_k·diag((s_k − τ)/s_k)·U_kᵀ`` over the ``rank`` surviving
+        triplets — one GEMM over ``A``, no singular vectors of length
+        ``n``. Tall matrices use the transposed identity ``D = A·Q``. All
+        ``min_dim`` singular values are available, so the thresholded rank
+        is exact by construction — no undershoot.
         """
         m, n = a.shape
-        wide = m <= n
         gram = self._gram_buf()
-        if wide:
+        if m <= n:
             np.matmul(a, a.T, out=gram)
         else:
             np.matmul(a.T, a, out=gram)
@@ -280,18 +321,21 @@ class SVTKernel:
         top = float(s[0]) if s.size else 0.0
         shrunk = s - tau
         rank = int(np.count_nonzero(shrunk > 0.0))
+        self._dense = None
         if out is None:
             out = np.empty_like(np.asarray(a, dtype=np.float64))
         if rank == 0:
-            out[:] = 0.0
+            self._op = None
+            if plus_input:
+                np.copyto(out, a)
+            else:
+                out[:] = 0.0
             return out, 0, top
         basis = vecs[:, ::-1][:, :rank]  # top-`rank` eigenvectors
-        if wide:
-            # D = (U_k * shrunk) @ (U_kᵀ A / s_k)
-            vt = (basis.T @ a) / s[:rank, None]
-            np.matmul(basis * shrunk[:rank], vt, out=out)
-        else:
-            # D = (A V_k / s_k * shrunk) @ V_kᵀ
-            u = (a @ basis) / s[:rank]
-            np.matmul(u * shrunk[:rank], basis.T, out=out)
+        self._op = (basis * (shrunk[:rank] / s[:rank])) @ basis.T
+        op = self._op
+        if plus_input:
+            op = op.copy()
+            op.flat[:: op.shape[0] + 1] += 1.0
+        self._apply(op, a, out)
         return out, rank, top

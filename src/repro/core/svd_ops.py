@@ -38,17 +38,19 @@ __all__ = [
 def soft_threshold_into(
     x: np.ndarray, tau: float, out: np.ndarray
 ) -> np.ndarray:
-    """In-place soft threshold: the fixed four-pass ``out=`` spelling.
+    """In-place soft threshold ``x − clip(x, −τ, τ)``: two passes.
 
     Unvalidated hot-loop core shared by :func:`soft_threshold` and the
     fused elementwise kernel (:mod:`repro.core.elementwise`), which applies
-    it block by block; every pass is an elementwise ufunc, so blocking
-    cannot change the result.
+    it block by block; both passes are elementwise ufuncs, so blocking
+    cannot change the result. Equal under ``==`` to
+    ``sign(x)·max(|x| − τ, 0)``: above ``τ`` both compute ``x − τ``, below
+    ``−τ`` both round ``|x| − τ`` sign-symmetrically, and inside the band
+    both give a zero (``x − x`` is ``+0.0``; only the sign of that zero
+    can differ). *out* must not alias *x*.
     """
-    np.abs(x, out=out)
-    out -= tau
-    np.maximum(out, 0.0, out=out)
-    np.copysign(out, x, out=out)
+    np.clip(x, -tau, tau, out=out)
+    np.subtract(x, out, out=out)
     return out
 
 
@@ -62,11 +64,10 @@ def soft_threshold(
 
     With *out* the result is computed in a fixed number of in-place passes
     into the given buffer (no temporaries) — the hot-loop spelling used by
-    the fast solver paths. The two spellings agree except on the sign bit
-    of zeros (``copysign`` keeps the sign of shrunk-away negatives where
-    ``sign(x)*0`` normalizes to ``+0.0``), which no consumer observes; the
-    allocation-free form is therefore opt-in, keeping the historical path
-    bit-identical.
+    the fast solver paths. The two spellings agree under ``==``; only the
+    sign bit of shrunk-away zeros can differ, which no consumer observes.
+    The allocation-free form is therefore opt-in, keeping the historical
+    path bit-identical.
     """
     check_nonnegative(tau, "tau")
     if out is None:

@@ -1,14 +1,21 @@
-"""Plain reference implementations the optimized serving path is pinned to.
+"""Plain reference implementations the optimized paths are pinned to.
 
-Each oracle states its model one link, one task or one machine at a time,
-with no memoization and no vectorized schedule, so the library's fast
-paths must agree with it bit for bit. Shared by the unit tests and by
-``benchmarks/test_serving_path.py``.
+The serving-path oracles state their model one link, one task or one
+machine at a time, with no memoization and no vectorized schedule, so the
+library's fast paths must agree with them bit for bit. The APG oracle is
+the unmasked loop written block by block (separate ``D``, ``E`` and
+momentum buffers); the library's fused loop reorders its floating point,
+so the two agree to ~1e-12 relative with equal iteration counts. Shared by
+the unit tests and by ``benchmarks/``.
 """
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.core.apg import default_lambda
+from repro.core.kernels import SVTKernel
+from repro.core.result import SolverResult
+from repro.core.svd_ops import soft_threshold, spectral_norm
+from repro.errors import ConvergenceError, ValidationError
 
 # -- per-edge reference ------------------------------------------------------
 # The plain schedule, one link at a time, exactly as the α-β model states it.
@@ -109,3 +116,62 @@ def greedy_reference(task_graph, bandwidth):
         task_mapped[next_task] = True
         machine_used[next_machine] = True
     return mapping
+
+
+# -- unmasked APG reference --------------------------------------------------
+# The unmasked partial-backend APG loop as it was before the fused carrier:
+# the momentum state rides in F = D − E, with T = Y_D − Y_E the proximal
+# inputs are M_D = (T + A)/2 and M_E = A − M_D, and the stationarity blocks
+# satisfy S_E = −S_D = −(T − (D₊ − E₊)). One plain ufunc per operation.
+
+
+def apg_unmasked_reference(
+    a,
+    lam=None,
+    *,
+    tol=1e-7,
+    max_iter=500,
+    eta=0.9,
+    mu_floor_factor=1e-9,
+    raise_on_fail=False,
+    warm_start=None,
+    warm_mu_factor=0.1,
+    svd_backend="auto",
+):
+    A = np.ascontiguousarray(a, dtype=np.float64)
+    lam_v = default_lambda(A.shape) if lam is None else float(lam)
+    norm_a = np.linalg.norm(A)
+    kernel = SVTKernel(A.shape, svd_backend)
+    mu_top = spectral_norm(A)
+    mu_bar = mu_floor_factor * 0.99 * mu_top
+    warm = warm_start is not None
+    if warm:
+        D, E = (np.array(x, dtype=np.float64) for x in warm_start)
+        mu = max(mu_bar, warm_mu_factor * mu_top)
+    else:
+        D, E = np.zeros_like(A), np.zeros_like(A)
+        mu = 0.99 * mu_top
+    F = D - E
+    Fp = F.copy()
+    t, t_prev = 1.0, 1.0
+    rank, residual, converged, iterations = 0, np.inf, False, 0
+    for iterations in range(1, max_iter + 1):
+        beta = (t_prev - 1.0) / t
+        T = (1.0 + beta) * F - beta * Fp
+        MD = 0.5 * (T + A)
+        D, rank, _ = kernel.svt(MD, mu / 2.0)
+        E = soft_threshold(A - MD, lam_v * mu / 2.0)
+        Fp, F = F, D - E
+        residual = float(np.sqrt(2.0) * np.linalg.norm(T - F) / norm_a)
+        t_prev, t = t, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        mu = max(eta * mu, mu_bar)
+        if residual < tol:
+            converged = True
+            break
+    if not converged and raise_on_fail:
+        raise ConvergenceError(
+            f"APG RPCA did not converge in {max_iter} iterations",
+            iterations=iterations,
+            residual=residual,
+        )
+    return SolverResult(D, E, rank, iterations, converged, residual, warm_started=warm)

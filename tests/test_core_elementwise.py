@@ -3,13 +3,16 @@
 Mirrors the guarantees pinned for the SVD kernel layer in
 ``test_core_kernels.py``, one tier stricter where the design allows it:
 
-* **Bit identity** — the fused kernel preserves the historical ufunc
-  chain's per-element operation order (it only blocks the sweeps), so
-  fused solves are bit-identical to reference-chain solves on every solver
-  × masked/unmasked combination. That is asserted with
-  ``np.array_equal``, not a tolerance. The oracle is the same kernel with
-  ``elementwise._fusable`` patched to ``False``, which sends every step
-  down the reference chain (see :func:`reference_chain`).
+* **Bit identity** — for masked APG and for IALM the fused kernel
+  preserves the historical ufunc chain's per-element operation order (it
+  only blocks the sweeps), so fused solves are bit-identical to
+  reference-chain solves. That is asserted with ``np.array_equal``, not a
+  tolerance. The oracle is the same kernel with ``elementwise._fusable``
+  patched to ``False``, which sends those steps down the reference chain
+  (see :func:`reference_chain`). The unmasked APG step is one sweep with
+  no chain of its own: it restructures the iteration (``G = D − E + A``,
+  the Gram shrink operator), so its oracle is the block-by-block loop in
+  ``tests/oracles.py`` with a 1e-12 tolerance (``test_apg_oracle.py``).
 * **Fallback and observability** — non-contiguous buffers take the
   reference chain with a ``kernel.ew.fallback`` count instead of silently
   copying, and every step reports ``kernel.ew.steps`` /
@@ -124,12 +127,14 @@ class TestValidation:
 
     def test_engine_calibrations_bit_identical(self):
         fus = DecompositionEngine(
-            _FakeSource(), nbytes=8.0, time_step=10, svd_backend="auto"
+            _FakeSource(), nbytes=8.0, time_step=10, solver="ialm",
+            svd_backend="auto",
         )
         fused = [fus.calibrate(end).constant.row for end in (10, 12)]
         with reference_chain():
             ref = DecompositionEngine(
-                _FakeSource(), nbytes=8.0, time_step=10, svd_backend="auto"
+                _FakeSource(), nbytes=8.0, time_step=10, solver="ialm",
+                svd_backend="auto",
             )
             oracle = [ref.calibrate(end).constant.row for end in (10, 12)]
         for a, b in zip(oracle, fused):
@@ -144,9 +149,13 @@ def _solve_pair(solver, a, mask, **kw):
     return ref, fus
 
 
+# Solver × masked cases whose steps keep a reference chain: every one but
+# unmasked APG (see the module docstring).
+CHAIN_CASES = [("apg", True), ("ialm", False), ("ialm", True)]
+
+
 class TestFusedBitIdentity:
-    @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("solver", ["apg", "ialm"])
+    @pytest.mark.parametrize(("solver", "masked"), CHAIN_CASES)
     def test_single_solve(self, solver, masked):
         a = _rpca_problem(seed=11)
         mask = _mask(a.shape) if masked else None
@@ -157,13 +166,13 @@ class TestFusedBitIdentity:
 
     @settings(max_examples=12, deadline=None)
     @given(
-        solver=st.sampled_from(["apg", "ialm"]),
+        case=st.sampled_from(CHAIN_CASES),
         seed=st.integers(min_value=0, max_value=2**16),
         m=st.integers(min_value=4, max_value=10),
         n=st.integers(min_value=20, max_value=90),
-        masked=st.booleans(),
     )
-    def test_property_single_solve(self, solver, seed, m, n, masked):
+    def test_property_single_solve(self, case, seed, m, n):
+        solver, masked = case
         a = _rpca_problem(m=m, n=n, seed=seed)
         mask = _mask(a.shape, seed=seed + 1) if masked else None
         ref, fus = _solve_pair(solver, a, mask, max_iter=40)
@@ -172,22 +181,27 @@ class TestFusedBitIdentity:
         assert np.array_equal(ref.sparse, fus.sparse)
 
     def test_chunking_is_invisible(self, monkeypatch):
-        # A chunk smaller than a row exercises the block seams; results
-        # must not depend on the chunk size at all.
+        # A chunk smaller than a row exercises the block seams; iterates
+        # must not depend on the chunk size at all. The unmasked APG sweep
+        # sums its residual norm block by block, so only that last-bit sum
+        # moves with the chunk: same iteration count, same D and E.
         a = _rpca_problem(seed=5)
+        mask = _mask(a.shape)
         with reference_chain():
-            ref = rpca_apg(a, svd_backend="auto")
-        big = rpca_apg(a, svd_backend="auto")
+            ref = rpca_apg(a, mask=mask, svd_backend="auto")
+        big = [rpca_apg(a, mask=m, svd_backend="auto") for m in (mask, None)]
         real_init = ElementwiseKernel.__init__
 
         def tiny_chunks(self, *, chunk=DEFAULT_EW_CHUNK):
             real_init(self, chunk=17)
 
         monkeypatch.setattr(ElementwiseKernel, "__init__", tiny_chunks)
-        small = rpca_apg(a, svd_backend="auto")
-        assert np.array_equal(ref.low_rank, big.low_rank)
-        assert np.array_equal(big.low_rank, small.low_rank)
-        assert np.array_equal(big.sparse, small.sparse)
+        small = [rpca_apg(a, mask=m, svd_backend="auto") for m in (mask, None)]
+        assert np.array_equal(ref.low_rank, big[0].low_rank)
+        for b, s in zip(big, small):
+            assert b.iterations == s.iterations
+            assert np.array_equal(b.low_rank, s.low_rank)
+            assert np.array_equal(b.sparse, s.sparse)
 
 
 class TestRoutingAndObservability:
@@ -205,7 +219,7 @@ class TestRoutingAndObservability:
         a = _rpca_problem(seed=31)
         sink = Instrumentation("ew")
         with reference_chain(), instrumented(sink):
-            rpca_apg(a, svd_backend="auto")
+            rpca_ialm(a, svd_backend="auto")
         steps = sink.counters.get("kernel.ew.steps", 0)
         assert steps > 0
         assert sink.counters.get("kernel.ew.fallback", 0) >= steps
@@ -223,9 +237,9 @@ class TestRoutingAndObservability:
 
     def test_decompose_threads_backend(self):
         tp = TPMatrix(data=_rpca_problem(n=16), n_machines=4)
-        fus = decompose(tp, solver="apg", svd_backend="auto")
+        fus = decompose(tp, solver="ialm", svd_backend="auto")
         with reference_chain():
-            ref = decompose(tp, solver="apg", svd_backend="auto")
+            ref = decompose(tp, solver="ialm", svd_backend="auto")
         assert np.array_equal(ref.constant.row, fus.constant.row)
 
     def test_decompose_rejects_non_svt_solver(self):

@@ -210,6 +210,51 @@ def test_kernel_partial_backends_match_exact(backend, transpose, tau_scale):
     assert top_k == pytest.approx(top, rel=1e-6)
 
 
+@pytest.mark.parametrize("transpose", [False, True], ids=["wide", "tall"])
+@pytest.mark.parametrize("target", [0, 1, 2], ids=["rank0", "rank1", "rank2"])
+def test_gram_shrink_operator_matches_full_svd(transpose, target):
+    """One GEMM through the shrink operator: ``P·A`` wide, ``A·Q`` tall.
+
+    Checks the plain threshold, the ``plus_input`` form ``D + A`` the
+    unmasked APG loop takes, and :meth:`SVTKernel.low_rank`, which rebuilds
+    ``D`` from the stored operator without a new decomposition.
+    """
+    rng = np.random.default_rng(9)
+    a = np.outer(rng.uniform(1, 2, 12), rng.uniform(1, 2, 400)) * 4.0
+    a += np.outer(rng.standard_normal(12), rng.standard_normal(400)) * 0.3
+    a += 0.01 * rng.standard_normal(a.shape)
+    if transpose:
+        a = a.T.copy()
+    sigma = np.linalg.svd(a, compute_uv=False)
+    # τ between σ_target and σ_{target+1}; above σ₁ for rank 0.
+    tau = 1.5 * sigma[0] if target == 0 else float(np.sqrt(sigma[target - 1] * sigma[target]))
+    d_ref, rank_ref, _ = singular_value_threshold(a, tau)
+    assert rank_ref == target
+    kernel = SVTKernel(a.shape, "gram")
+    atol = 1e-12 * float(sigma[0])
+    d, rank, _ = kernel.svt(a, tau)
+    assert rank == rank_ref
+    np.testing.assert_allclose(d, d_ref, rtol=0, atol=atol)
+    plus = np.empty_like(a)
+    kernel.svt(a, tau, out=plus, plus_input=True)
+    np.testing.assert_allclose(plus, d_ref + a, rtol=0, atol=atol)
+    again = kernel.low_rank(a, out=np.empty_like(a))
+    np.testing.assert_allclose(again, d_ref, rtol=0, atol=atol)
+    if rank_ref == 0:
+        assert not d.any() and not again.any()
+        assert np.array_equal(plus, a)
+
+
+def test_exact_kernel_plus_input_and_low_rank_are_bitwise():
+    a = _rpca_problem(m=70, n=100, seed=8)
+    d_ref, _, _ = singular_value_threshold(a, 2.0)
+    kernel = SVTKernel(a.shape, "auto")
+    assert kernel.choose() == "exact"
+    plus, _, _ = kernel.svt(a, 2.0, out=np.empty_like(a), plus_input=True)
+    assert np.array_equal(plus, d_ref + a)
+    assert np.array_equal(kernel.low_rank(a, out=np.empty_like(a)), d_ref)
+
+
 def test_kernel_writes_into_out_buffer():
     a = _rpca_problem(seed=6)
     out = np.full(a.shape, np.nan)
@@ -372,6 +417,26 @@ def test_auto_steady_state_no_full_width_svd_and_no_mn_allocations():
     assert long.get("kernel.svt.full_width", 0) == 0
     assert long["kernel.svt.gram"] == 40
     assert long["kernel.workspace.alloc_mn"] == short["kernel.workspace.alloc_mn"]
+    # The unmasked loop carries G = D − E + A and the prox input, twice
+    # each; D and E are written into two of those at the end.
+    assert long["kernel.workspace.alloc_mn"] <= 5
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+@pytest.mark.parametrize("shape", [(10, 300), (300, 10), (64, 90)])
+def test_gram_equals_auto_bitwise_at_small_short_side(solver, masked, shape):
+    """``auto`` is the Gram kernel whenever the short side is at most 64."""
+    a = _rpca_problem(m=min(shape), n=max(shape), seed=17)
+    if shape[0] > shape[1]:
+        a = a.T.copy()
+    kwargs = {"mask": _mask(a.shape)} if masked else {}
+    fn = SOLVERS[solver]
+    gram = fn(a, svd_backend="gram", **kwargs)
+    auto = fn(a, svd_backend="auto", **kwargs)
+    assert gram.iterations == auto.iterations
+    assert np.array_equal(gram.low_rank, auto.low_rank)
+    assert np.array_equal(gram.sparse, auto.sparse)
 
 
 # ---------------------------------------------------------------------------

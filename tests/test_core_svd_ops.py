@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.svd_ops import singular_value_threshold, soft_threshold, truncated_svd
+from repro.core.svd_ops import (
+    singular_value_threshold,
+    soft_threshold,
+    soft_threshold_into,
+    truncated_svd,
+)
 from repro.errors import ValidationError
 
 
@@ -41,6 +48,47 @@ class TestSoftThreshold:
         zs = np.linspace(-3, 3, 20001)
         objective = tau * np.abs(zs) + 0.5 * (zs - x) ** 2
         assert abs(zs[np.argmin(objective)] - z_star) < 1e-3
+
+
+def _edge_values(tau):
+    """±τ, ±0 and the floats on either side of ±τ."""
+    near = [np.nextafter(tau, 0.0), tau, np.nextafter(tau, np.inf)]
+    return near + [-v for v in near] + [0.0, -0.0]
+
+
+class TestSoftThresholdInto:
+    """The two-pass ``x − clip(x, −τ, τ)`` against ``sign(x)·max(|x|−τ, 0)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tau=st.floats(0.0, 1e6, allow_nan=False, allow_subnormal=True),
+        xs=st.lists(
+            st.floats(allow_nan=False, allow_infinity=True, width=64),
+            min_size=0,
+            max_size=40,
+        ),
+    )
+    def test_equals_reference_spelling(self, tau, xs):
+        x = np.array(xs + _edge_values(tau), dtype=np.float64)
+        out = soft_threshold_into(x, tau, np.empty_like(x))
+        ref = np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+        assert np.all(out == ref)  # ±0 compare equal; only their sign may differ
+
+    def test_edges_shrink_to_zero_or_one_ulp(self):
+        tau = 0.7
+        x = np.array(_edge_values(tau))
+        out = soft_threshold_into(x, tau, np.empty_like(x))
+        step = np.nextafter(tau, np.inf) - tau
+        np.testing.assert_array_equal(out, [0, 0, step, 0, 0, -step, 0, 0])
+
+    def test_blocked_application_matches_whole(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(1000) * 2.0
+        whole = soft_threshold_into(x, 0.6, np.empty_like(x))
+        blocked = np.empty_like(x)
+        for lo in range(0, x.size, 37):
+            soft_threshold_into(x[lo : lo + 37], 0.6, blocked[lo : lo + 37])
+        assert np.array_equal(whole, blocked)
 
 
 class TestTruncatedSVD:

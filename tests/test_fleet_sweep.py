@@ -233,6 +233,26 @@ class TestSweepParity:
                 assert got.iterations == want.solver_iterations
 
 
+    @pytest.mark.parametrize("solver", ["apg", "ialm"])
+    def test_each_cluster_matches_its_single_gram_solve(self, solver):
+        # Short sides here are at most 64, where auto is the Gram kernel:
+        # the sweep's auto solves equal per-cluster gram solves bitwise.
+        clusters = _clusters(3) + [
+            ClusterSpec(name="masked0", trace=_trace(70, mask=True))
+        ]
+        cfg = FleetConfig(n_workers=N_WORKERS, solver=solver, **CFG)
+        report = FleetScheduler(clusters, cfg).run_sweep()
+        for spec in clusters:
+            count = min(cfg.window, spec.trace.n_snapshots)
+            tp = spec.trace.tp_matrix(
+                cfg.nbytes, start=spec.trace.n_snapshots - count, count=count
+            )
+            want = decompose(tp, solver=solver, svd_backend="gram")
+            got = report.clusters[spec.name]
+            assert np.array_equal(got.constant_row, want.constant.row)
+            assert got.iterations == want.solver_iterations
+
+
 def _sweep_spans(sink):
     return [s for s in sink.spans if s.context == "fleet-sweep"]
 
