@@ -12,6 +12,7 @@ import pytest
 
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.engine import DecompositionEngine
+from repro.core.options import SolveOptions
 from repro.observability import Instrumentation
 
 MB = 1024 * 1024
@@ -26,7 +27,8 @@ def trace_32():
 def _replay(trace, solver, warm_start):
     instr = Instrumentation("bench")
     eng = DecompositionEngine(
-        trace, nbytes=8 * MB, solver=solver, warm_start=warm_start,
+        trace, nbytes=8 * MB,
+        options=SolveOptions(solver=solver, warm_start=warm_start),
         instrumentation=instr,
     )
     for start, stop in WINDOWS:

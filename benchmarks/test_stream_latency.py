@@ -35,6 +35,7 @@ import pytest
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine
+from repro.core.options import SolveOptions
 from repro.observability import Instrumentation
 from repro.observability.benchrecord import bench_record, write_bench_json
 
@@ -59,8 +60,9 @@ def trace_196():
 
 def _engine(trace, **kwargs):
     return DecompositionEngine(
-        trace, nbytes=8 * MB, time_step=WINDOW, warm_start=False,
-        svd_backend=SVD_BACKEND, **kwargs
+        trace, nbytes=8 * MB, time_step=WINDOW,
+        options=SolveOptions(warm_start=False, svd_backend=SVD_BACKEND),
+        **kwargs
     )
 
 
@@ -97,7 +99,7 @@ def test_stream_fold_latency_and_emit(trace_196, emit):
             # unconditionally on every fallback the run produces.
             oracle = decompose(
                 trace_196.tp_matrix(8 * MB, start=end - WINDOW, count=WINDOW),
-                solver=stream.solver,
+                solver=stream.options.solver,
                 svd_backend=SVD_BACKEND,
             )
             assert np.array_equal(recal.constant.row, oracle.constant.row), (
@@ -117,7 +119,7 @@ def test_stream_fold_latency_and_emit(trace_196, emit):
     final = stream.last
     oracle = decompose(
         trace_196.tp_matrix(8 * MB, start=N_SNAPSHOTS - WINDOW, count=WINDOW),
-        solver=stream.solver,
+        solver=stream.options.solver,
         svd_backend=SVD_BACKEND,
     )
     scale = float(np.abs(oracle.constant.row).max())
@@ -190,8 +192,10 @@ def test_certified_fallback_bit_parity():
     """
     trace = generate_trace(TraceConfig(n_machines=24, n_snapshots=20), seed=7)
     eng = DecompositionEngine(
-        trace, nbytes=8 * MB, time_step=WINDOW, warm_start=False,
-        mode="streaming", stream_tolerance=1e-6,
+        trace, nbytes=8 * MB, time_step=WINDOW,
+        options=SolveOptions(
+            warm_start=False, mode="streaming", stream_tolerance=1e-6
+        ),
     )
     eng.calibrate(WINDOW)
     fallbacks = 0
@@ -207,7 +211,7 @@ def test_certified_fallback_bit_parity():
         recal = eng.calibrate(end)
         oracle = decompose(
             trace.tp_matrix(8 * MB, start=end - WINDOW, count=WINDOW),
-            solver=eng.solver,
+            solver=eng.options.solver,
         )
         assert np.array_equal(recal.constant.row, oracle.constant.row), (
             f"fallback ({reason}) at end={end} diverged from the cold oracle"

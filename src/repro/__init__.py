@@ -69,6 +69,7 @@ from .core import (
     register_solver,
     solver_spec,
     relative_error_norm,
+    SolveOptions,
     StreamingConfig,
     MaintenanceController,
     MaintenanceDecision,
@@ -138,6 +139,7 @@ __all__ = [
     "register_solver",
     "solver_spec",
     "relative_error_norm",
+    "SolveOptions",
     "StreamingConfig",
     "Instrumentation",
     "SolveSpan",

@@ -15,8 +15,11 @@ underlying machinery with one consistent configuration vocabulary:
 Configuration is a frozen dataclass per verb (:class:`SolveConfig`,
 :class:`SessionConfig`, :class:`~repro.fleet.FleetConfig`) sharing canonical
 field names: ``window`` for the calibration window length, ``threshold``
-for the maintenance threshold, ``n_workers`` for parallelism. Keyword
-overrides beat the config object.
+for the maintenance threshold, ``n_workers`` for parallelism. The solve
+knobs and their rules live in one place,
+:class:`~repro.core.options.SolveOptions`: ``FleetConfig`` extends
+``SessionConfig``, which extends ``SolveOptions``. Keyword overrides beat
+the config object.
 
 Removed legacy spellings (v1.1)
 -------------------------------
@@ -36,9 +39,7 @@ from typing import Any, Iterable
 
 from .cloudsim.trace import CalibrationTrace
 from .core.decompose import Decomposition, decompose
-from .core.detectors import validate_regime_detector
-from .core.kernels import validate_backend
-from .core.streaming import StreamingConfig, validate_mode
+from .core.options import SolveOptions
 from .errors import ValidationError
 from .fleet import (
     ClusterSpec,
@@ -48,6 +49,7 @@ from .fleet import (
     FleetSweepReport,
 )
 from .observability import Instrumentation
+from .runtime.config import SessionConfig
 from .runtime.session import TraceSession
 
 __all__ = [
@@ -78,78 +80,20 @@ class SolveConfig:
     """Settings for a one-shot :func:`solve`.
 
     ``window`` is the number of leading snapshots to calibrate from
-    (``None`` — the default — uses the whole trace).
+    (``None`` — the default — uses the whole trace). ``solver`` and
+    ``svd_backend`` follow :class:`~repro.core.options.SolveOptions`' rules.
     """
 
     nbytes: float = 8.0 * _MB
     window: int | None = None
-    solver: str = "apg"
+    solver: str = SolveOptions.solver
     extraction: str = "mean"
-    svd_backend: str = "exact"
+    svd_backend: str = SolveOptions.svd_backend
 
     def __post_init__(self) -> None:
         if self.window is not None and int(self.window) < 2:
             raise ValidationError("window must be >= 2 or None")
-        validate_backend(self.svd_backend)
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Settings for :func:`open_session` (paper defaults throughout).
-
-    ``regime_detector`` enables online regime-shift detection: the name of
-    a registered detector (``"cusum"``, ``"signature"``, ``"noise-robust"``,
-    ``"drift"`` — see :func:`repro.core.detectors.detector_names`), with
-    ``regime_params`` as config overrides for it. ``None`` (the default)
-    keeps the historical detector-free maintenance loop.
-
-    ``mode`` selects the decomposition path: ``"batch"`` (default, full
-    window re-solves) or ``"streaming"`` (O(row) per-snapshot folds with a
-    certified fallback to the batch oracle — see
-    :class:`~repro.core.streaming.StreamingDecomposer`).
-    ``stream_tolerance`` (drift ceiling) and ``stream_refresh_every``
-    (re-orthonormalization cadence) tune it; both require
-    ``mode="streaming"`` and default to
-    :class:`~repro.core.streaming.StreamingConfig`'s values when ``None``.
-    """
-
-    nbytes: float = 8.0 * _MB
-    window: int = 10
-    threshold: float = 1.0
-    consecutive: int = 1
-    solver: str = "apg"
-    warm_start: bool = True
-    svd_backend: str = "exact"
-    mode: str = "batch"
-    stream_tolerance: float | None = None
-    stream_refresh_every: int | None = None
-    regime_detector: str | None = None
-    regime_params: dict[str, Any] | None = None
-
-    def __post_init__(self) -> None:
-        if int(self.window) < 1:
-            raise ValidationError("window must be >= 1")
-        validate_backend(self.svd_backend)
-        validate_mode(self.mode)
-        if self.mode != "streaming" and (
-            self.stream_tolerance is not None
-            or self.stream_refresh_every is not None
-        ):
-            raise ValidationError(
-                "stream_tolerance/stream_refresh_every require mode='streaming'"
-            )
-        if self.mode == "streaming":
-            StreamingConfig(
-                **{
-                    k: v
-                    for k, v in (
-                        ("tolerance", self.stream_tolerance),
-                        ("refresh_every", self.stream_refresh_every),
-                    )
-                    if v is not None
-                }
-            )
-        validate_regime_detector(self.regime_detector, self.regime_params)
+        SolveOptions(solver=self.solver, svd_backend=self.svd_backend)
 
 
 def _resolve(default_cls: type, config: Any, overrides: dict[str, Any]) -> Any:
@@ -208,10 +152,8 @@ def solve(
     cfg = _resolve(SolveConfig, config, overrides)
     count = None if cfg.window is None else int(cfg.window)
     tp = trace.tp_matrix(cfg.nbytes, start=0, count=count)
-    # "exact" stays None so non-SVT solvers (pca, row_constant) keep working.
-    backend = None if cfg.svd_backend == "exact" else cfg.svd_backend
     return decompose(
-        tp, solver=cfg.solver, extraction=cfg.extraction, svd_backend=backend
+        tp, solver=cfg.solver, extraction=cfg.extraction, svd_backend=cfg.svd_backend
     )
 
 
@@ -229,20 +171,7 @@ def open_session(
     """
     cfg = _resolve(SessionConfig, config, overrides)
     return TraceSession(
-        trace,
-        nbytes=cfg.nbytes,
-        time_step=cfg.window,
-        threshold=cfg.threshold,
-        consecutive=cfg.consecutive,
-        solver=cfg.solver,
-        warm_start=cfg.warm_start,
-        svd_backend=cfg.svd_backend,
-        mode=cfg.mode,
-        stream_tolerance=cfg.stream_tolerance,
-        stream_refresh_every=cfg.stream_refresh_every,
-        regime=cfg.regime_detector,
-        regime_params=cfg.regime_params,
-        instrumentation=instrumentation,
+        trace, **cfg.session_kwargs(), instrumentation=instrumentation
     )
 
 

@@ -345,7 +345,7 @@ class Calibrator:
         solves. *n_snapshots* bounds the addressable snapshot range; it
         defaults to the substrate's own ``n_snapshots`` when it has one.
         Remaining keyword arguments go to the engine constructor
-        (``time_step``, ``solver``, ``warm_start``, ...).
+        (``time_step``, ``options``, ...).
         """
         from ..core.engine import DecompositionEngine
 

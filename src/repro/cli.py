@@ -38,11 +38,50 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+from .core.kernels import SVD_BACKENDS
+from .core.options import SolveOptions
+from .core.streaming import ENGINE_MODES
 from .errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
 MB = 1024 * 1024
+
+
+def _add_solver_arguments(cmd: argparse.ArgumentParser) -> None:
+    """``--solver`` and ``--svd-backend`` (``decompose``, ``replay``, ``fleet``)."""
+    cmd.add_argument("--solver", default=SolveOptions.solver)
+    cmd.add_argument("--svd-backend", default=SolveOptions.svd_backend,
+                     choices=SVD_BACKENDS,
+                     help="SVD kernel for the solver's thresholding "
+                          "(default exact — the bit-identical full SVD)")
+
+
+def _add_mode_arguments(cmd: argparse.ArgumentParser) -> None:
+    """``--mode`` and the two stream knobs (``replay``, ``fleet``)."""
+    cmd.add_argument("--mode", default=SolveOptions.mode, choices=ENGINE_MODES,
+                     help="decomposition mode: batch (full window re-solves) "
+                          "or streaming (O(row) per-snapshot folds with "
+                          "certified batch fallback)")
+    cmd.add_argument("--stream-tolerance", type=float, default=None,
+                     metavar="TOL",
+                     help="streaming drift ceiling (requires --mode streaming)")
+    cmd.add_argument("--stream-refresh-every", type=int, default=None,
+                     metavar="N",
+                     help="streaming re-orthonormalization cadence in folds "
+                          "(requires --mode streaming)")
+
+
+def _solve_options(args: argparse.Namespace) -> dict:
+    """The :class:`~repro.core.options.SolveOptions` keywords the flags set."""
+    return {
+        "solver": args.solver,
+        "svd_backend": args.svd_backend,
+        "warm_start": not getattr(args, "cold", False),
+        "mode": args.mode,
+        "stream_tolerance": args.stream_tolerance,
+        "stream_refresh_every": args.stream_refresh_every,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,11 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="RPCA-decompose a trace")
     dec.add_argument("trace", help="trace .npz path")
-    dec.add_argument("--solver", default="apg")
-    dec.add_argument("--svd-backend", default="exact",
-                     choices=["exact", "gram", "auto"],
-                     help="SVD kernel for the solver's thresholding "
-                          "(default exact — the bit-identical full SVD)")
+    _add_solver_arguments(dec)
     dec.add_argument("--time-step", type=int, default=10)
     dec.add_argument("--message-mb", type=float, default=8.0)
     dec.add_argument("--profile", action="store_true",
@@ -104,11 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--time-step", type=int, default=10)
     rep.add_argument("--threshold", type=float, default=1.0)
     rep.add_argument("--consecutive", type=int, default=1)
-    rep.add_argument("--solver", default="apg")
-    rep.add_argument("--svd-backend", default="exact",
-                     choices=["exact", "gram", "auto"],
-                     help="SVD kernel for re-calibration solves "
-                          "(default exact — the bit-identical full SVD)")
+    _add_solver_arguments(rep)
+    _add_mode_arguments(rep)
     rep.add_argument("--message-mb", type=float, default=8.0)
     rep.add_argument("--cold", action="store_true",
                      help="disable warm-started re-calibration solves")
@@ -122,18 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-snapshot completeness floor in resilient mode")
     rep.add_argument("--min-window-observed", type=float, default=0.5,
                      help="per-window completeness floor in resilient mode")
-    rep.add_argument("--mode", default="batch",
-                     choices=["batch", "streaming"],
-                     help="decomposition mode: batch (full window re-solves) "
-                          "or streaming (O(row) per-snapshot folds with "
-                          "certified batch fallback)")
-    rep.add_argument("--stream-tolerance", type=float, default=None,
-                     metavar="TOL",
-                     help="streaming drift ceiling (requires --mode streaming)")
-    rep.add_argument("--stream-refresh-every", type=int, default=None,
-                     metavar="N",
-                     help="streaming re-orthonormalization cadence in folds "
-                          "(requires --mode streaming)")
     rep.add_argument("--regime", nargs="?", const="__bare__", default=None,
                      metavar="DETECTOR",
                      help="enable online regime-shift detection with the "
@@ -199,24 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--window", type=int, default=10,
                      help="calibration window length")
     flt.add_argument("--threshold", type=float, default=1.0)
-    flt.add_argument("--solver", default="apg")
-    flt.add_argument("--svd-backend", default="exact",
-                     choices=["exact", "gram", "auto"],
-                     help="SVD kernel for every cluster's solver "
-                          "(default exact — the bit-identical full SVD)")
+    _add_solver_arguments(flt)
     flt.add_argument("--message-mb", type=float, default=8.0)
-    flt.add_argument("--mode", default="batch",
-                     choices=["batch", "streaming"],
-                     help="decomposition mode for every cluster's session "
-                          "(streaming folds snapshots incrementally with "
-                          "certified batch fallback)")
-    flt.add_argument("--stream-tolerance", type=float, default=None,
-                     metavar="TOL",
-                     help="streaming drift ceiling (requires --mode streaming)")
-    flt.add_argument("--stream-refresh-every", type=int, default=None,
-                     metavar="N",
-                     help="streaming re-orthonormalization cadence in folds "
-                          "(requires --mode streaming)")
+    _add_mode_arguments(flt)
     flt.add_argument("--batch-size", type=int, default=8,
                      help="operations shipped per scheduler tick (and, with "
                           "--sweep, cluster windows per worker shard)")
@@ -326,8 +331,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     trace = _load_any_trace(args.trace)
     count = min(args.time_step, trace.n_snapshots)
     tp = trace.tp_matrix(args.message_mb * MB, start=0, count=count)
-    backend = None if args.svd_backend == "exact" else args.svd_backend
-    dec = decompose(tp, solver=args.solver, svd_backend=backend)
+    dec = decompose(tp, solver=args.solver, svd_backend=args.svd_backend)
     print(f"solver:     {dec.solver} ({dec.solver_iterations} iterations, "
           f"converged={dec.solver_converged})")
     print(f"rank(D):    {dec.report.rank}")
@@ -488,12 +492,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         time_step=args.time_step,
         threshold=args.threshold,
         consecutive=args.consecutive,
-        solver=args.solver,
-        warm_start=not args.cold,
-        svd_backend=args.svd_backend,
-        mode=args.mode,
-        stream_tolerance=args.stream_tolerance,
-        stream_refresh_every=args.stream_refresh_every,
+        **_solve_options(args),
         faults=args.faults,
         fault_seed=args.fault_seed,
         resilience=resilience,
@@ -547,6 +546,27 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from .fleet import ClusterSpec, FleetConfig, FleetScheduler
     from .observability import active
 
+    config = FleetConfig(
+        n_workers=args.n_workers,
+        window=args.window,
+        threshold=args.threshold,
+        nbytes=args.message_mb * MB,
+        **_solve_options(args),
+        operations=args.operations,
+        op=args.op,
+        batch_size=args.batch_size,
+        checkpoint_root=args.checkpoint_root,
+        on_error=args.on_error,
+        max_task_retries=args.max_task_retries,
+        retry_backoff_s=args.retry_backoff,
+        max_worker_restarts=args.max_worker_restarts,
+        task_timeout_s=args.task_timeout,
+        regime_detector=args.regime,
+        regime_params=(
+            parse_detector_params(args.regime_params) or None
+        ),
+    )
+
     if args.synthesize is not None:
         if args.traces:
             print("error: give trace files or --synthesize, not both",
@@ -576,30 +596,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print("error: give trace files or --synthesize N", file=sys.stderr)
         return 2
 
-    config = FleetConfig(
-        n_workers=args.n_workers,
-        window=args.window,
-        threshold=args.threshold,
-        nbytes=args.message_mb * MB,
-        solver=args.solver,
-        svd_backend=args.svd_backend,
-        mode=args.mode,
-        stream_tolerance=args.stream_tolerance,
-        stream_refresh_every=args.stream_refresh_every,
-        operations=args.operations,
-        op=args.op,
-        batch_size=args.batch_size,
-        checkpoint_root=args.checkpoint_root,
-        on_error=args.on_error,
-        max_task_retries=args.max_task_retries,
-        retry_backoff_s=args.retry_backoff,
-        max_worker_restarts=args.max_worker_restarts,
-        task_timeout_s=args.task_timeout,
-        regime_detector=args.regime,
-        regime_params=(
-            parse_detector_params(args.regime_params) or None
-        ),
-    )
     # Under --profile the CLI sink is active: make it the fleet sink so the
     # per-cluster counters and solve spans merged back from the workers show
     # up in the final report.

@@ -12,10 +12,14 @@ Public surface
 * :class:`TPMatrix`, :class:`TCMatrix`, :class:`TEMatrix`,
   :class:`PerformanceMatrix` — the matrix containers of paper Sec III.
 * :func:`decompose` — TP → (TC, TE) via a chosen RPCA solver.
+* :class:`SolveOptions` — the six knobs of a re-calibration solve (solver,
+  SVD backend, warm start, batch/streaming mode, two stream knobs) and the
+  rules for combining them, checked once at construction.
 * :func:`rpca_apg`, :func:`rpca_ialm`, :func:`row_constant_decomposition` —
   the individual solvers.
-* :class:`SVTKernel`, :class:`RankPredictor`, :data:`SVD_BACKENDS` — the
-  pluggable partial-SVD kernel layer under the solvers (``svd_backend=``).
+* :class:`SVTKernel`, :data:`SVD_BACKENDS` — the pluggable SVD kernel
+  layer under the solvers (``svd_backend=``); :class:`RankPredictor`, the
+  rank heuristic the streaming fold bounds its subspace with.
 * :class:`ElementwiseKernel` — the cache-blocked elementwise kernel for
   the step recurrences of the partial-SVD solver loops.
 * :func:`relative_error_norm` — ``Norm(N_E)``, the effectiveness predictor.
@@ -60,6 +64,7 @@ from .solvers import (
     solver_spec,
     SolverSpec,
 )
+from .options import SolveOptions
 from .decompose import (
     decompose,
     decomposition_from_result,
@@ -127,6 +132,7 @@ __all__ = [
     "Decomposition",
     "constant_row",
     "DecompositionEngine",
+    "SolveOptions",
     "TraceWindowSource",
     "WindowSource",
     "ENGINE_MODES",

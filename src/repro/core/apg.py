@@ -61,7 +61,7 @@ from .. import observability
 from .._validation import as_float_matrix, check_positive
 from ..errors import ConvergenceError, ValidationError
 from .elementwise import ElementwiseKernel
-from .kernels import RankPredictor, SolveWorkspace, SVTKernel, validate_backend
+from .kernels import SolveWorkspace, SVTKernel, validate_backend
 from .result import SolverResult
 from .svd_ops import (
     singular_value_threshold,
@@ -141,7 +141,6 @@ def rpca_apg(
     warm_mu_factor: float = 0.1,
     mask: np.ndarray | None = None,
     svd_backend: str = "exact",
-    rank_predictor: RankPredictor | None = None,
 ) -> SolverResult:
     """Decompose ``a ≈ D + E`` with the APG RPCA solver.
 
@@ -187,11 +186,6 @@ def rpca_apg(
         kernel (see :mod:`repro.core.elementwise`) and a spectral-norm
         computation in place of the init-time full SVD; results agree
         with ``"exact"`` to solver tolerance, not bit-for-bit.
-    rank_predictor:
-        Adaptive rank-prediction state shared across solves (see
-        :class:`~repro.core.kernels.RankPredictor`); used only by the
-        partial backends. A fresh predictor is created per solve if
-        omitted — pass the previous solve's to start warm.
     """
     A = as_float_matrix(a, "a")
     m, n = A.shape
@@ -226,7 +220,6 @@ def rpca_apg(
             warm_mu_factor=warm_mu_factor,
             omega=omega,
             svd_backend=svd_backend,
-            rank_predictor=rank_predictor,
         )
 
     # mu_0 = second singular value heuristic is common; the reference code
@@ -322,15 +315,13 @@ def _rpca_apg_fast(
     warm_mu_factor: float,
     omega: np.ndarray | None,
     svd_backend: str,
-    rank_predictor: RankPredictor | None,
 ) -> SolverResult:
     """APG iteration over the partial-SVD and elementwise kernel layers.
 
     Same mathematics as the exact loop above, restructured for speed:
 
     * singular value thresholding goes through an
-      :class:`~repro.core.kernels.SVTKernel` (partial SVD + adaptive rank
-      prediction) instead of a full ``gesdd``;
+      :class:`~repro.core.kernels.SVTKernel` instead of a full ``gesdd``;
     * the init-time full SVD for ``σ₁`` becomes a
       :func:`~repro.core.svd_ops.spectral_norm`;
     * every iteration writes into a preallocated
@@ -359,7 +350,7 @@ def _rpca_apg_fast(
     exact path to solver tolerance (≈ ``tol`` on the relative residual),
     not bit-for-bit — which is why this path is opt-in via *svd_backend*.
     """
-    kernel = SVTKernel(A.shape, svd_backend, rank_predictor=rank_predictor)
+    kernel = SVTKernel(A.shape, svd_backend)
     ew = ElementwiseKernel()
     ws = SolveWorkspace(A.shape)
 

@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import ValidationError
 from .matrices import PerformanceMatrix, TCMatrix, TEMatrix, TPMatrix
 from .metrics import StabilityReport, stability_report
+from .options import SolveOptions
 from .result import SolverResult
 from .solvers import solve_rpca, solver_spec
 from .svd_ops import truncated_svd
@@ -173,7 +174,7 @@ class Decomposition:
 def decompose(
     tp: TPMatrix,
     *,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     extraction: str = "mean",
     svd_backend: str | None = None,
     **solver_kwargs: Any,
@@ -195,20 +196,15 @@ def decompose(
         the ``row_constant`` solver, whose output is exactly row-constant.
     svd_backend:
         SVD kernel for the per-iteration thresholding — one of
-        :data:`repro.core.kernels.SVD_BACKENDS`. Only meaningful for solvers
-        built on singular value thresholding (APG/IALM); ``None`` (default)
-        leaves the solver on its own default (``"exact"``).
+        :data:`repro.core.kernels.SVD_BACKENDS`, or ``None`` (default) for
+        ``"exact"``. Anything but ``"exact"`` needs a solver built on
+        singular value thresholding (APG/IALM); see
+        :class:`~repro.core.options.SolveOptions`.
     **solver_kwargs:
         Forwarded to the solver.
     """
-    if svd_backend is not None:
-        spec = solver_spec(solver)
-        if not spec.accepts_any_kwargs and "svd_backend" not in spec.accepted_kwargs:
-            raise ValidationError(
-                f"solver {solver!r} does not take an SVD backend; "
-                "only SVT-based solvers such as 'apg' or 'ialm' do"
-            )
-        solver_kwargs = dict(solver_kwargs, svd_backend=svd_backend)
+    options = SolveOptions(solver=solver, svd_backend=svd_backend or "exact")
+    solver_kwargs = dict(solver_kwargs, **options.solver_kwargs())
     if tp.mask is not None:
         spec = solver_spec(solver)
         if not spec.accepts_any_kwargs and "mask" not in spec.accepted_kwargs:

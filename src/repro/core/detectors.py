@@ -803,8 +803,8 @@ def validate_regime_detector(
 ) -> None:
     """Validate a ``(regime_detector, regime_params)`` config pair.
 
-    The shared ``__post_init__`` check behind ``SessionConfig`` and
-    ``FleetConfig``: ``None`` with no params is the detector-free default;
+    The ``__post_init__`` check behind ``SessionConfig`` (and so
+    ``FleetConfig``): ``None`` with no params is the detector-free default;
     otherwise the name must be registered and the params must build a valid
     config (the trial detector is discarded — sessions build their own).
     """

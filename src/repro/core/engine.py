@@ -27,8 +27,7 @@ measurement substrate.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -37,15 +36,10 @@ from .._validation import check_nonnegative, check_probability
 from ..errors import CalibrationError, ValidationError
 from ..observability import Instrumentation, instrumented
 from .decompose import Decomposition, decompose, decomposition_from_rows
-from .kernels import RankPredictor, validate_backend
 from .matrices import TPMatrix
+from .options import SolveOptions
 from .solvers import solver_spec
-from .streaming import (
-    StreamingConfig,
-    StreamingDecomposer,
-    StreamState,
-    validate_mode,
-)
+from .streaming import StreamingDecomposer, StreamState
 
 __all__ = [
     "WindowSource",
@@ -67,20 +61,12 @@ class EngineWarmState:
     through multiprocessing queues); a solve resumed from an imported
     capsule is bit-identical to one that never crossed the process
     boundary. The fleet scheduler round-trips this between ticks so any
-    worker can pick up any cluster's next window.
-
-    ``predictors`` carries the per-shape
-    :class:`~repro.core.kernels.RankPredictor` state (keyed by the short
-    side of the solved matrices) when the engine runs a partial SVD
-    backend, so a resumed engine's steady-state rank prediction is as warm
-    as its warm-start seed. Capsules from older releases lack the field;
-    :meth:`DecompositionEngine.import_warm_state` treats that as "no
-    predictor state".
+    worker can pick up any cluster's next window. Capsules from older
+    releases may carry a ``predictors`` attribute; it is ignored.
     """
 
     rows: dict[int, tuple[np.ndarray, np.ndarray | None]]
     last: Decomposition | None
-    predictors: dict[int, RankPredictor] = field(default_factory=dict)
     # Streaming-mode subspace state (None for batch engines and capsules
     # from releases that predate the streaming path).
     stream: StreamState | None = None
@@ -172,39 +158,16 @@ class DecompositionEngine:
         Message size the TP-matrix windows are built for.
     time_step:
         Calibration window length (paper default 10).
-    solver:
-        Registered solver name; validated at construction.
+    options:
+        How the solves run: solver, SVD backend, warm start and mode (see
+        :class:`~repro.core.options.SolveOptions`; default
+        ``SolveOptions()``). In ``"streaming"`` mode :meth:`calibrate`
+        runs a **cold** batch solve and seeds a
+        :class:`~repro.core.streaming.StreamingDecomposer`; single-snapshot
+        window slides then fold in O(row) via :meth:`stream_fold`.
     extraction:
         Constant-row extraction rule (see
         :func:`~repro.core.decompose.constant_row`).
-    warm_start:
-        Initialize each solve from the previous window's solution when the
-        solver supports it. Disable for bitwise cold-path reproduction.
-    svd_backend:
-        SVD kernel for the solver's singular value thresholding — one of
-        :data:`repro.core.kernels.SVD_BACKENDS` (default ``"exact"``, the
-        historical bit-identical path). With a partial backend the engine
-        additionally keeps one
-        :class:`~repro.core.kernels.RankPredictor` per solved shape and
-        threads it through successive solves, so warm re-calibrations skip
-        the rank ramp-up. Requires a solver that takes ``svd_backend``
-        (APG/IALM).
-    mode:
-        ``"batch"`` (default) — every :meth:`calibrate` is a full window
-        solve, the historical path. ``"streaming"`` — :meth:`calibrate`
-        runs a **cold** batch solve and seeds a
-        :class:`~repro.core.streaming.StreamingDecomposer`; single-snapshot
-        window slides then fold in O(row) via :meth:`stream_fold`, with any
-        rank-growth/drift/masked-row fallback routing back to a cold batch
-        solve bit-identical to :func:`~repro.core.decompose.decompose` on
-        the same window (the certified-oracle contract).
-    stream_tolerance:
-        Streaming drift ceiling (see
-        :class:`~repro.core.streaming.StreamingConfig.tolerance`); only
-        meaningful with ``mode="streaming"``.
-    stream_refresh_every:
-        Streaming re-orthonormalization cadence in folds; only meaningful
-        with ``mode="streaming"``.
     instrumentation:
         Sink for counters and solve spans; a fresh one is created if omitted.
     max_cached_rows:
@@ -228,13 +191,8 @@ class DecompositionEngine:
         *,
         nbytes: float,
         time_step: int = 10,
-        solver: str = "apg",
+        options: SolveOptions | None = None,
         extraction: str = "mean",
-        warm_start: bool = True,
-        svd_backend: str = "exact",
-        mode: str = "batch",
-        stream_tolerance: float | None = None,
-        stream_refresh_every: int | None = None,
         instrumentation: Instrumentation | None = None,
         max_cached_rows: int | None = None,
         min_snapshot_observed: float = 0.0,
@@ -249,34 +207,16 @@ class DecompositionEngine:
             raise ValidationError("time_step must be >= 1")
         if max_cached_rows is not None and int(max_cached_rows) < 1:
             raise ValidationError("max_cached_rows must be >= 1 or None")
+        misplaced = sorted(set(solver_kwargs) & {f.name for f in fields(SolveOptions)})
+        if misplaced:
+            raise TypeError(f"pass {misplaced} as options=SolveOptions(...)")
         self.nbytes = float(nbytes)
         self.time_step = int(time_step)
-        self.solver = solver
-        self.spec = solver_spec(solver)  # fails fast on unknown names
+        self.options = options if options is not None else SolveOptions()
+        self.spec = solver_spec(self.options.solver)
         self.spec.validate_kwargs(solver_kwargs)
         self.extraction = extraction
-        self.warm_start = bool(warm_start)
-        self.svd_backend = validate_backend(svd_backend)
-        if svd_backend != "exact" and not (
-            self.spec.accepts_any_kwargs or "svd_backend" in self.spec.accepted_kwargs
-        ):
-            raise ValidationError(
-                f"solver {solver!r} does not take an SVD backend; "
-                "only SVT-based solvers such as 'apg' or 'ialm' do"
-            )
-        self.mode = validate_mode(mode)
-        if self.mode != "streaming" and (
-            stream_tolerance is not None or stream_refresh_every is not None
-        ):
-            raise ValidationError(
-                "stream_tolerance/stream_refresh_every require mode='streaming'"
-            )
-        stream_overrides: dict[str, Any] = {}
-        if stream_tolerance is not None:
-            stream_overrides["tolerance"] = float(stream_tolerance)
-        if stream_refresh_every is not None:
-            stream_overrides["refresh_every"] = int(stream_refresh_every)
-        self.stream_config = StreamingConfig(**stream_overrides)
+        self.stream_config = self.options.stream_config
         self._streamer: StreamingDecomposer | None = None
         self.solver_kwargs = dict(solver_kwargs)
         self.instrumentation = (
@@ -294,10 +234,6 @@ class DecompositionEngine:
         # The cache stacked into checkpoint arrays; None once it changes.
         self._cache_arrays: dict[str, np.ndarray] | None = None
         self._last: Decomposition | None = None
-        # Per-shape adaptive rank prediction (partial SVD backends only),
-        # keyed by the short side of the solved matrix and threaded through
-        # every solve so recalibrations keep the steady-state rank.
-        self._predictors: dict[int, RankPredictor] = {}
         # Shared all-True mask row, allocated once and reused by every
         # partially-masked window instead of per call.
         self._full_mask_row: np.ndarray | None = None
@@ -385,7 +321,6 @@ class DecompositionEngine:
         return EngineWarmState(
             rows=self.export_cache(),
             last=self._last,
-            predictors=dict(self._predictors),
             stream=self.export_stream_state(),
         )
 
@@ -395,10 +330,6 @@ class DecompositionEngine:
         the exporting engine's."""
         self.import_cache(state.rows)
         self._last = state.last
-        # Older capsules predate predictor state; keep whatever we have.
-        predictors = getattr(state, "predictors", None)
-        if predictors:
-            self._predictors = dict(predictors)
         stream = getattr(state, "stream", None)
         if stream is not None:
             self.import_stream_state(stream)
@@ -413,7 +344,7 @@ class DecompositionEngine:
         Folds after the import are bit-identical to the exporting engine's
         — the property the SIGKILL chaos harness pins.
         """
-        if self.mode != "streaming":
+        if self.options.mode != "streaming":
             raise ValidationError("import_stream_state requires mode='streaming'")
         if state is None:
             if self._streamer is not None:
@@ -526,21 +457,13 @@ class DecompositionEngine:
         kwargs = dict(self.solver_kwargs)
         seed = self._last.solver_result if self._last is not None else None
         warm = (
-            self.warm_start
+            self.options.warm_start
             and self.spec.supports_warm_start
             and seed is not None
             and seed.shape == tp.data.shape
         )
         if warm:
             kwargs["warm_start"] = seed
-        if self.svd_backend != "exact":
-            kwargs["svd_backend"] = self.svd_backend
-            min_dim = min(tp.data.shape)
-            predictor = self._predictors.get(min_dim)
-            if predictor is None:
-                predictor = RankPredictor.for_shape(tp.data.shape)
-                self._predictors[min_dim] = predictor
-            kwargs["rank_predictor"] = predictor
         self.instrumentation.count(
             "engine.solve.warm" if warm else "engine.solve.cold"
         )
@@ -549,7 +472,11 @@ class DecompositionEngine:
         with instrumented(self.instrumentation):
             with self.instrumentation.timed("engine.solve_seconds"):
                 dec = decompose(
-                    tp, solver=self.solver, extraction=self.extraction, **kwargs
+                    tp,
+                    solver=self.options.solver,
+                    extraction=self.extraction,
+                    svd_backend=self.options.svd_backend,
+                    **kwargs,
                 )
         self._last = dec
         return dec
@@ -567,7 +494,7 @@ class DecompositionEngine:
         and the streaming subspace is (re)seeded from its result.
         """
         start = max(0, end - self.time_step)
-        if self.mode != "streaming":
+        if self.options.mode != "streaming":
             return self.solve(self.window(start, end))
         self._last = None  # certified: streaming-mode batch solves are cold
         tp = self.window(start, end)
@@ -604,7 +531,7 @@ class DecompositionEngine:
         Anything else (unseeded, gap, trace wraparound, short boot window)
         needs a batch solve via :meth:`calibrate`.
         """
-        if self.mode != "streaming":
+        if self.options.mode != "streaming":
             raise ValidationError("stream_plan requires mode='streaming'")
         st = self._streamer.state if self._streamer is not None else None
         end = int(end)
@@ -652,7 +579,7 @@ class DecompositionEngine:
                     rows,
                     self._streamer.as_result(self.extraction),
                     n_machines=self.source.n_machines,
-                    solver=self.solver,
+                    solver=self.options.solver,
                     extraction=self.extraction,
                 )
         self.instrumentation.count("kernel.stream.updates")

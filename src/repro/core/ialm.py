@@ -46,7 +46,7 @@ from .._validation import as_float_matrix, check_nonnegative, check_positive
 from ..errors import ConvergenceError
 from .apg import _unpack_warm_start, default_lambda, validate_mask
 from .elementwise import ElementwiseKernel
-from .kernels import RankPredictor, SolveWorkspace, SVTKernel, validate_backend
+from .kernels import SolveWorkspace, SVTKernel, validate_backend
 from .result import SolverResult
 from .svd_ops import (
     singular_value_threshold,
@@ -72,7 +72,6 @@ def rpca_ialm(
     warm_mu_steps: float = 8.0,
     mask: np.ndarray | None = None,
     svd_backend: str = "exact",
-    rank_predictor: RankPredictor | None = None,
 ) -> SolverResult:
     """Decompose ``a ≈ D + E`` with the IALM RPCA solver.
 
@@ -111,10 +110,6 @@ def rpca_ialm(
         (partial SVD + preallocated workspace + the fused elementwise
         kernel of :mod:`repro.core.elementwise`) and agree to solver
         tolerance rather than bitwise.
-    rank_predictor:
-        Optional :class:`~repro.core.kernels.RankPredictor` carried across
-        solves (the engine passes one per TP-matrix shape) so warm
-        recalibrations skip the rank ramp-up. Ignored by ``"exact"``.
     """
     A = as_float_matrix(a, "a")
     m, n = A.shape
@@ -145,7 +140,6 @@ def rpca_ialm(
             warm_mu_steps=warm_mu_steps,
             omega=omega,
             svd_backend=svd_backend,
-            rank_predictor=rank_predictor,
         )
 
     # Standard IALM initialization (Lin et al. 2010): Y = A / J(A) where
@@ -224,7 +218,6 @@ def _rpca_ialm_fast(
     warm_mu_steps: float,
     omega: np.ndarray | None,
     svd_backend: str,
-    rank_predictor: RankPredictor | None,
 ) -> SolverResult:
     """IALM iteration over the partial-SVD and elementwise kernel layers.
 
@@ -249,7 +242,7 @@ def _rpca_ialm_fast(
     solver tolerance, not bit-for-bit — which is why this path is opt-in
     via *svd_backend*.
     """
-    kernel = SVTKernel(A.shape, svd_backend, rank_predictor=rank_predictor)
+    kernel = SVTKernel(A.shape, svd_backend)
     ew = ElementwiseKernel()
     ws = SolveWorkspace(A.shape)
 

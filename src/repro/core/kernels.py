@@ -21,18 +21,12 @@ LAPACK ``gesdd`` thin SVD every iteration. This module makes the SVD under
     Picks per call: ``gram`` when the short side is small enough that the
     Gram eigendecomposition is trivial (at most 64), ``exact`` otherwise.
 
-Rank prediction follows the partial-SVD heuristic of the reference IALM
-implementation (Lin, Chen & Ma 2010): start at ``min(10, m)``, then
-grow/shrink from how many singular values survived the previous threshold,
-so steady-state iterations need ~``rank+1`` triplets instead of
-``min(m, n)``. :class:`RankPredictor` carries that state; the
-:class:`~repro.core.engine.DecompositionEngine` threads one predictor
-through successive warm-started re-calibrations so the steady-state rank is
-remembered across solves (and across processes — the predictor pickles with
-the engine's warm state). No SVT backend reads the prediction: ``gram``
-computes every singular value and ``exact`` is the full SVD, so the kernel
-only observes it. The streaming fold keeps its own predictor to bound its
-subspace growth.
+:class:`RankPredictor` is the partial-SVD rank heuristic of the reference
+IALM implementation (Lin, Chen & Ma 2010): start at ``min(10, m)``, then
+grow/shrink from how many singular values survived the previous threshold.
+No SVT backend needs it — ``gram`` computes every singular value and
+``exact`` is the full SVD — so only the streaming fold uses it, to bound
+its subspace growth.
 
 :class:`SolveWorkspace` rounds out the layer: a per-solve pool of
 preallocated ``m × n`` buffers the solver iterations write into (``out=``
@@ -173,8 +167,7 @@ class SVTKernel:
     """Singular value thresholding with a pluggable partial-SVD backend.
 
     One kernel serves one solve: it owns the small scratch state (the Gram
-    buffer and the last call's shrink operator) and the
-    :class:`RankPredictor` threading through the iterations. :meth:`svt`
+    buffer and the last call's shrink operator). :meth:`svt`
     matches the contract of
     :func:`~repro.core.svd_ops.singular_value_threshold` — ``(D, rank,
     top_sv)`` — plus an optional preallocated output buffer.
@@ -184,31 +177,14 @@ class SVTKernel:
     shape:
         Shape of the matrices this kernel will threshold.
     backend:
-        One of :data:`SVD_BACKENDS`. ``auto`` re-decides per call from the
-        current rank prediction.
-    rank_predictor:
-        Shared predictor state; a fresh one is created if omitted. Pass the
-        previous solve's predictor to start warm.
+        One of :data:`SVD_BACKENDS`. ``auto`` picks ``gram`` when the short
+        side is at most 64, ``exact`` otherwise.
     """
 
-    def __init__(
-        self,
-        shape: tuple[int, int],
-        backend: str = "auto",
-        *,
-        rank_predictor: RankPredictor | None = None,
-    ) -> None:
+    def __init__(self, shape: tuple[int, int], backend: str = "auto") -> None:
         self.shape = (int(shape[0]), int(shape[1]))
         self.backend = validate_backend(backend)
         self.min_dim = min(self.shape)
-        if rank_predictor is None:
-            rank_predictor = RankPredictor.for_shape(self.shape)
-        elif rank_predictor.min_dim != self.min_dim:
-            raise ValidationError(
-                f"rank predictor built for min_dim={rank_predictor.min_dim}, "
-                f"kernel shape {self.shape} has min_dim={self.min_dim}"
-            )
-        self.predictor = rank_predictor
         self._gram: np.ndarray | None = None  # min_dim × min_dim scratch
         # What the last svt call thresholded with: the gram shrink operator
         # (None at rank 0), or the exact path's dense result.
@@ -246,7 +222,6 @@ class SVTKernel:
         else:
             d, rank, top = self._svt_gram(a, tau, out, plus_input)
         elapsed = time.perf_counter() - start
-        self.predictor.observe(rank)
         observability.emit_count(f"kernel.svt.{backend}")
         if backend == "exact":
             observability.emit_count("kernel.svt.full_width")

@@ -97,8 +97,8 @@ def validate_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class StreamingConfig:
-    """Knobs of the streaming path (engine/session spell the first two
-    ``stream_tolerance`` / ``stream_refresh_every``).
+    """Knobs of the streaming path. The first two are settable through
+    :class:`~repro.core.options.SolveOptions`, with a ``stream_`` prefix.
 
     Attributes
     ----------

@@ -1,6 +1,7 @@
 """Fleet configuration: one frozen dataclass, canonical v1 names.
 
-``FleetConfig`` follows the v1.1 naming convention shared with
+``FleetConfig`` extends :class:`~repro.runtime.config.SessionConfig` and
+follows the v1.1 naming convention shared with
 :class:`~repro.api.SolveConfig` and :class:`~repro.api.SessionConfig`:
 ``n_workers`` (never ``workers``), ``window`` (never ``time_step`` /
 ``nsnap`` / ``n_snapshots``), ``threshold`` (never ``thresh``). As of
@@ -12,18 +13,13 @@ did-you-mean hint) instead of remapping them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .._validation import check_positive
 from ..cloudsim.trace import CalibrationTrace
-from ..core.detectors import validate_regime_detector
-from ..core.kernels import validate_backend
-from ..core.streaming import StreamingConfig, validate_mode
 from ..errors import ValidationError
+from ..runtime.config import SessionConfig
 
 __all__ = ["ClusterSpec", "FleetConfig", "ON_ERROR_POLICIES"]
-
-_MB = 1024 * 1024
 
 #: Valid values for :attr:`FleetConfig.on_error`.
 ON_ERROR_POLICIES = ("raise", "degrade")
@@ -66,44 +62,20 @@ class ClusterSpec:
 
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(SessionConfig):
     """How the fleet scheduler runs many clusters concurrently.
+
+    The solve and session fields come from
+    :class:`~repro.runtime.config.SessionConfig` (and through it from
+    :class:`~repro.core.options.SolveOptions`), apply to every cluster's
+    session and are checked there. Streaming and detector state travel
+    inside each session capsule, so they survive worker migration and
+    SIGKILL-resume bit-identically. The fleet's own fields:
 
     Attributes
     ----------
     n_workers:
         Worker processes in the pool.
-    window:
-        Calibration window length per cluster (the engine's ``time_step``;
-        paper default 10).
-    threshold:
-        Maintenance threshold per cluster (paper default 1.0).
-    consecutive:
-        Consecutive above-threshold observations before re-calibration.
-    nbytes:
-        Message size for calibration weights and collectives.
-    solver:
-        RPCA backend for every cluster.
-    warm_start:
-        Warm-start re-calibration solves (per cluster).
-    svd_backend:
-        SVD kernel for every cluster's solver — one of
-        :data:`repro.core.kernels.SVD_BACKENDS` (default ``"exact"``).
-        Partial backends carry their rank-prediction state inside each
-        session capsule, so it survives worker migration.
-    mode:
-        Decomposition mode for every cluster's session — ``"batch"``
-        (default, the historical full-window re-solves) or ``"streaming"``
-        (O(row) per-snapshot folds with certified batch fallback; see
-        :class:`~repro.core.streaming.StreamingDecomposer`). Streaming
-        subspace state travels inside each session capsule, so it survives
-        worker migration and SIGKILL-resume bit-identically.
-    stream_tolerance:
-        Streaming drift ceiling (``mode="streaming"`` only); ``None`` uses
-        :class:`~repro.core.streaming.StreamingConfig`'s default.
-    stream_refresh_every:
-        Streaming re-orthonormalization cadence in folds
-        (``mode="streaming"`` only).
     operations:
         Operations to run per cluster (unless a :class:`ClusterSpec`
         overrides it).
@@ -155,75 +127,28 @@ class FleetConfig:
         attempt's worker is killed (and respawned within budget) and the
         attempt counts against ``max_task_retries``. ``None`` disables
         deadlines.
-    regime_detector:
-        Online regime-shift detector every cluster's session runs — the
-        name of a registered detector (``"cusum"``, ``"signature"``,
-        ``"noise-robust"``, ``"drift"``; see
-        :func:`repro.core.detectors.detector_names`). ``None`` (default)
-        keeps the detector-free maintenance loop. Detector state travels
-        inside each session capsule, so it survives worker migration and
-        SIGKILL-resume bit-identically.
-    regime_params:
-        Config overrides for the named detector (keyword arguments of its
-        config dataclass). Requires ``regime_detector``.
     """
 
     n_workers: int = 2
-    window: int = 10
-    threshold: float = 1.0
-    consecutive: int = 1
-    nbytes: float = 8.0 * _MB
-    solver: str = "apg"
-    warm_start: bool = True
-    svd_backend: str = "exact"
-    mode: str = "batch"
-    stream_tolerance: float | None = None
-    stream_refresh_every: int | None = None
     operations: int = 60
     op: str = "broadcast"
     batch_size: int = 8
     queue_depth: int = 2
-    checkpoint_root: str | None = field(default=None)
+    checkpoint_root: str | None = None
     keep_checkpoints: int = 3
     on_error: str = "raise"
     max_task_retries: int = 2
     retry_backoff_s: float = 0.05
     max_worker_restarts: int = 3
     task_timeout_s: float | None = None
-    regime_detector: str | None = None
-    regime_params: dict | None = None
 
     def __post_init__(self) -> None:
-        for name in ("n_workers", "window", "consecutive", "operations",
-                     "batch_size", "keep_checkpoints"):
+        super().__post_init__()
+        for name in ("n_workers", "operations", "batch_size", "keep_checkpoints"):
             if int(getattr(self, name)) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if int(self.queue_depth) < 0:
             raise ValidationError("queue_depth must be >= 0")
-        check_positive(self.nbytes, "nbytes")
-        if self.threshold < 0:
-            raise ValidationError("threshold must be >= 0")
-        validate_backend(self.svd_backend)
-        validate_mode(self.mode)
-        if self.mode != "streaming" and (
-            self.stream_tolerance is not None
-            or self.stream_refresh_every is not None
-        ):
-            raise ValidationError(
-                "stream_tolerance/stream_refresh_every require mode='streaming'"
-            )
-        if self.mode == "streaming":
-            # Reuse the knob validation (ranges) without keeping the object.
-            StreamingConfig(
-                **{
-                    k: v
-                    for k, v in (
-                        ("tolerance", self.stream_tolerance),
-                        ("refresh_every", self.stream_refresh_every),
-                    )
-                    if v is not None
-                }
-            )
         if self.on_error not in ON_ERROR_POLICIES:
             raise ValidationError(
                 f"on_error must be one of {ON_ERROR_POLICIES}, "
@@ -236,7 +161,6 @@ class FleetConfig:
             raise ValidationError("retry_backoff_s must be >= 0")
         if self.task_timeout_s is not None and float(self.task_timeout_s) <= 0:
             raise ValidationError("task_timeout_s must be > 0 or None")
-        validate_regime_detector(self.regime_detector, self.regime_params)
 
     @property
     def max_inflight(self) -> int:

@@ -49,7 +49,7 @@ import traceback
 from multiprocessing import connection as mp_connection
 from multiprocessing import resource_tracker
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -346,23 +346,6 @@ class FleetScheduler:
 
     # -- planning ------------------------------------------------------
 
-    def _session_kwargs(self) -> dict[str, object]:
-        cfg = self.config
-        return {
-            "nbytes": cfg.nbytes,
-            "time_step": cfg.window,
-            "threshold": cfg.threshold,
-            "consecutive": cfg.consecutive,
-            "solver": cfg.solver,
-            "warm_start": cfg.warm_start,
-            "svd_backend": cfg.svd_backend,
-            "mode": cfg.mode,
-            "stream_tolerance": cfg.stream_tolerance,
-            "stream_refresh_every": cfg.stream_refresh_every,
-            "regime": cfg.regime_detector,
-            "regime_params": cfg.regime_params,
-        }
-
     def _operations_for(self, spec: ClusterSpec) -> int:
         return int(
             spec.operations if spec.operations is not None else self.config.operations
@@ -390,9 +373,7 @@ class FleetScheduler:
             "n_workers": self.config.n_workers,
             "window": self.config.window,
             "threshold": self.config.threshold,
-            "solver": self.config.solver,
-            "svd_backend": self.config.svd_backend,
-            "mode": self.config.mode,
+            **self.config.to_meta(),
             "op": self.config.op,
             "on_error": self.config.on_error,
             "regime_detector": self.config.regime_detector,
@@ -413,7 +394,7 @@ class FleetScheduler:
         """
         t0 = time.perf_counter()
         cfg = self.config
-        kwargs = self._session_kwargs()
+        kwargs = self.config.session_kwargs()
         reports: dict[str, ClusterReport] = {}
         total_ops = 0
         total_batches = 0
@@ -528,7 +509,7 @@ class FleetScheduler:
         superseded attempts are discarded by attempt id.
         """
         cfg = self.config
-        kwargs = self._session_kwargs()
+        kwargs = self.config.session_kwargs()
         ready: deque[str] = deque(sorted(states))
         deferred: list[tuple[float, int, str]] = []
         inflight: dict[int, _Inflight] = {}

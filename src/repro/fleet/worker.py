@@ -33,7 +33,8 @@ from typing import Any
 from ..cloudsim.trace import CalibrationTrace
 from ..core.decompose import decomposition_from_result
 from ..core.matrices import TPMatrix
-from ..core.solvers import solve_rpca, solver_spec
+from ..core.options import SolveOptions, takes_svd_backend
+from ..core.solvers import solve_rpca
 from ..observability import Instrumentation, instrumented
 from ..runtime.session import OperationSpec, SessionCapsule, TraceSession
 from .report import SweepClusterResult
@@ -142,10 +143,11 @@ def solve_shard(
     """
     if len(names) != len(tps):
         raise ValueError(f"{len(names)} names for {len(tps)} matrices")
-    svt = "svd_backend" in solver_spec(solver).accepted_kwargs
+    backend = "auto" if takes_svd_backend(solver) else "exact"
+    options = SolveOptions(solver=solver, svd_backend=backend)
     out: list[SweepClusterResult] = []
     for name, tp in zip(names, tps):
-        kwargs: dict[str, Any] = {"svd_backend": "auto"} if svt else {}
+        kwargs = options.solver_kwargs()
         if tp.mask is not None:
             kwargs["mask"] = tp.mask
         res = solve_rpca(tp.data, solver=solver, context="fleet-sweep", **kwargs)

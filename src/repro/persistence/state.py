@@ -362,23 +362,8 @@ def capture_session_state(
             "time_step": session.time_step,
             "threshold": session.controller.threshold,
             "consecutive": session.controller.consecutive,
-            "solver": session.solver,
             "calibration_cost": session.calibration_cost,
-            "warm_start": session._engine.warm_start,
-            "svd_backend": session._engine.svd_backend,
-            "mode": session.mode,
-            # Knobs only exist in streaming mode (the engine rejects them
-            # otherwise); None keeps batch checkpoints byte-compatible.
-            "stream_tolerance": (
-                session._engine.stream_config.tolerance
-                if session.mode == "streaming"
-                else None
-            ),
-            "stream_refresh_every": (
-                session._engine.stream_config.refresh_every
-                if session.mode == "streaming"
-                else None
-            ),
+            **session.options.to_meta(),
             "faults_spec": session.faults_spec,
             "fault_seed": session.fault_seed,
             "resilience": None if resilience is None else asdict(resilience),

@@ -7,6 +7,7 @@ and task mapping against the live network, re-calibrating itself when the
 expected-vs-real feedback says the constant component went stale.
 """
 
+from .config import SessionConfig
 from .session import (
     OperationRecord,
     OperationSpec,
@@ -17,6 +18,7 @@ from .session import (
 
 __all__ = [
     "TraceSession",
+    "SessionConfig",
     "OperationRecord",
     "OperationSpec",
     "SessionCapsule",

@@ -38,7 +38,6 @@ measurements as a trace (see
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,8 +67,9 @@ from ..core.maintenance import (
     MaintenanceDecision,
     ResilienceConfig,
 )
+from ..core.options import SolveOptions
 from ..core.solvers import solver_spec
-from ..core.streaming import stream_state_from_payload, validate_mode
+from ..core.streaming import stream_state_from_payload
 from ..errors import (
     CalibrationError,
     ConvergenceError,
@@ -290,35 +290,15 @@ class TraceSession:
         re-calibration fires (default 1, the paper's immediate rule).
         Use 2 to debounce one-off interference spikes when individual
         observations are single collectives rather than whole runs.
-    solver:
-        RPCA backend.
+    solver, svd_backend, warm_start, mode, stream_tolerance, stream_refresh_every:
+        The :class:`~repro.core.options.SolveOptions` of the session's
+        re-calibrations (see there for each knob and how they combine),
+        readable back as :attr:`options`. In ``mode="streaming"`` every
+        operation folds its snapshot into the decomposition in O(row) (no
+        calibration overhead charged), and only regime SHIFTs, rank growth,
+        drift or masked snapshots fall back to a certified cold batch solve.
     calibration_cost:
         Seconds charged per (re-)calibration; defaults to the Fig-4 model.
-    warm_start:
-        Warm-start re-calibration solves from the previous window's solution
-        (default on; only solvers that support it — APG/IALM — are affected).
-        Disable to reproduce the historical cold-solve path bit for bit.
-    svd_backend:
-        SVD kernel for the solver's singular value thresholding — one of
-        :data:`repro.core.kernels.SVD_BACKENDS` (default ``"exact"``, the
-        historical bit-identical path). Forwarded to the session's
-        :class:`~repro.core.engine.DecompositionEngine`, which keeps the
-        adaptive rank-prediction state across re-calibrations.
-    mode:
-        ``"batch"`` (default) — the historical Algorithm-1 loop: full
-        window re-solves when the maintenance controller fires.
-        ``"streaming"`` — the session is a true streaming consumer: every
-        operation folds its snapshot into the decomposition in O(row) via
-        the engine's :class:`~repro.core.streaming.StreamingDecomposer`
-        (no calibration overhead charged), and only regime SHIFTs, rank
-        growth past the predictor's bound, drift past ``stream_tolerance``
-        or masked snapshots fall back to a certified cold batch solve.
-    stream_tolerance:
-        Streaming drift ceiling (``mode="streaming"`` only); defaults to
-        :class:`~repro.core.streaming.StreamingConfig`'s.
-    stream_refresh_every:
-        Streaming re-orthonormalization cadence in folds
-        (``mode="streaming"`` only).
     instrumentation:
         Observability sink shared with the session's
         :class:`~repro.core.engine.DecompositionEngine`; a fresh one is
@@ -381,13 +361,13 @@ class TraceSession:
         time_step: int = 10,
         threshold: float = 1.0,
         consecutive: int = 1,
-        solver: str = "apg",
+        solver: str = SolveOptions.solver,
         calibration_cost: float | None = None,
-        warm_start: bool = True,
-        svd_backend: str = "exact",
-        mode: str = "batch",
-        stream_tolerance: float | None = None,
-        stream_refresh_every: int | None = None,
+        warm_start: bool = SolveOptions.warm_start,
+        svd_backend: str = SolveOptions.svd_backend,
+        mode: str = SolveOptions.mode,
+        stream_tolerance: float | None = SolveOptions.stream_tolerance,
+        stream_refresh_every: int | None = SolveOptions.stream_refresh_every,
         instrumentation: Instrumentation | None = None,
         faults: list[FaultModel] | tuple[FaultModel, ...] | str | None = None,
         fault_seed: int | None = None,
@@ -405,9 +385,14 @@ class TraceSession:
         self.trace = trace
         self.nbytes = float(nbytes)
         self.time_step = int(time_step)
-        self.solver = solver
-        self.svd_backend = svd_backend
-        self.mode = validate_mode(mode)
+        options = SolveOptions(
+            solver=solver,
+            svd_backend=svd_backend,
+            warm_start=warm_start,
+            mode=mode,
+            stream_tolerance=stream_tolerance,
+            stream_refresh_every=stream_refresh_every,
+        )
         self.controller = MaintenanceController(
             threshold=threshold, consecutive=consecutive
         )
@@ -441,12 +426,7 @@ class TraceSession:
             calibration_view,
             nbytes=self.nbytes,
             time_step=self.time_step,
-            solver=solver,
-            warm_start=warm_start,
-            svd_backend=svd_backend,
-            mode=self.mode,
-            stream_tolerance=stream_tolerance,
-            stream_refresh_every=stream_refresh_every,
+            options=options,
             instrumentation=(
                 instrumentation
                 if instrumentation is not None
@@ -606,6 +586,23 @@ class TraceSession:
     def instrumentation(self) -> Instrumentation:
         """Counters/timers/solve spans of this session's engine."""
         return self._engine.instrumentation
+
+    @property
+    def options(self) -> SolveOptions:
+        """How this session's re-calibrations solve."""
+        return self._engine.options
+
+    @property
+    def solver(self) -> str:
+        return self.options.solver
+
+    @property
+    def svd_backend(self) -> str:
+        return self.options.svd_backend
+
+    @property
+    def mode(self) -> str:
+        return self.options.mode
 
     @property
     def health_state(self) -> HealthState:
@@ -1208,24 +1205,7 @@ class TraceSession:
         self._trace_sha = meta["trace"]["sha256"]
         self.nbytes = float(cfg["nbytes"])
         self.time_step = int(cfg["time_step"])
-        self.solver = cfg["solver"]
-        # Checkpoints from releases before the kernel layer lack the key.
-        self.svd_backend = cfg.get("svd_backend", "exact")
-        if self.svd_backend == "randomized":
-            # The randomized sketch backend was retired; "auto" replaced it.
-            warnings.warn(
-                "this session was written with svd_backend='randomized', "
-                "which no longer exists; it resumes with svd_backend='auto', "
-                "so its re-calibrations no longer match the original run",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.svd_backend = "auto"
-        # Older checkpoints may name an "elementwise_backend"; it is ignored.
-        # Pre-streaming checkpoints lack the mode and knob keys.
-        self.mode = cfg.get("mode", "batch")
-        stream_tolerance = cfg.get("stream_tolerance")
-        stream_refresh_every = cfg.get("stream_refresh_every")
+        options = SolveOptions.from_meta(cfg)
         self.calibration_cost = float(cfg["calibration_cost"])
         self.controller = MaintenanceController(
             threshold=cfg["threshold"], consecutive=cfg["consecutive"]
@@ -1255,18 +1235,13 @@ class TraceSession:
             calibration_view,
             nbytes=self.nbytes,
             time_step=self.time_step,
-            solver=self.solver,
-            warm_start=bool(cfg["warm_start"]),
-            svd_backend=self.svd_backend,
-            mode=self.mode,
-            stream_tolerance=stream_tolerance,
-            stream_refresh_every=stream_refresh_every,
+            options=options,
             instrumentation=(
                 instrumentation
                 if instrumentation is not None
                 else Instrumentation("session")
             ),
-            **self._engine_kwargs(resilience, self.solver),
+            **self._engine_kwargs(resilience, options.solver),
         )
         self._engine.import_cache(engine_cache_from_state(arrays))
         self._engine.instrumentation.restore_state(meta["instrumentation"])

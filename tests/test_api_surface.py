@@ -84,7 +84,9 @@ def test_config_fields_match_manifest():
         documented[name.strip()] = [f.strip() for f in fields_csv.split(",")]
     live = {
         cls.__name__: [f.name for f in dataclasses.fields(cls)]
-        for cls in (api.SolveConfig, api.SessionConfig, repro.FleetConfig)
+        for cls in (
+            api.SolveConfig, api.SessionConfig, repro.FleetConfig, repro.SolveOptions
+        )
     }
     assert live == documented
 

@@ -10,6 +10,7 @@ from repro.calibration.calibrator import (
     CalibratorWindowSource,
     TraceSubstrate,
 )
+from repro.core.options import SolveOptions
 from repro.errors import CalibrationError
 from repro.faults import FaultySubstrate, ProbeLoss, VMOutage
 
@@ -121,7 +122,7 @@ class TestResilientWindowSource:
             _faulty(small_trace, [ProbeLoss(0.15)], seed=2),
             resilient=True, max_retries=1, min_observed=0.5,
         )
-        eng = cal.engine(nbytes=8 * MB, time_step=8, solver="apg")
+        eng = cal.engine(nbytes=8 * MB, time_step=8, options=SolveOptions(solver="apg"))
         dec = eng.calibrate(8)
         assert dec.solver_converged
         assert eng.instrumentation.counters.get("engine.solve.masked", 0) >= 1

@@ -37,6 +37,7 @@ from repro.core.elementwise import DEFAULT_EW_CHUNK, ElementwiseKernel
 from repro.core.engine import DecompositionEngine
 from repro.core.ialm import rpca_ialm
 from repro.core.matrices import TPMatrix
+from repro.core.options import SolveOptions
 from repro.core.streaming import StreamingDecomposer
 from repro.core.svd_ops import soft_threshold
 from repro.observability import Instrumentation, instrumented
@@ -115,7 +116,7 @@ class TestValidation:
     def test_engine_rejects_non_svt_solver(self):
         with pytest.raises(TypeError, match="elementwise_backend"):
             DecompositionEngine(
-                _FakeSource(), nbytes=8.0, solver="row_constant",
+                _FakeSource(), nbytes=8.0, options=SolveOptions(solver="row_constant"),
                 elementwise_backend="fused",
             )
 
@@ -127,14 +128,14 @@ class TestValidation:
 
     def test_engine_calibrations_bit_identical(self):
         fus = DecompositionEngine(
-            _FakeSource(), nbytes=8.0, time_step=10, solver="ialm",
-            svd_backend="auto",
+            _FakeSource(), nbytes=8.0, time_step=10,
+            options=SolveOptions(solver="ialm", svd_backend="auto"),
         )
         fused = [fus.calibrate(end).constant.row for end in (10, 12)]
         with reference_chain():
             ref = DecompositionEngine(
-                _FakeSource(), nbytes=8.0, time_step=10, solver="ialm",
-                svd_backend="auto",
+                _FakeSource(), nbytes=8.0, time_step=10,
+                options=SolveOptions(solver="ialm", svd_backend="auto"),
             )
             oracle = [ref.calibrate(end).constant.row for end in (10, 12)]
         for a, b in zip(oracle, fused):

@@ -16,6 +16,7 @@ from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.apg import rpca_apg
 from repro.core.engine import DecompositionEngine, TraceWindowSource, WindowSource
 from repro.core.ialm import rpca_ialm
+from repro.core.options import SolveOptions
 from repro.core.result import SolverResult
 from repro.core.solvers import register_solver, solve_rpca, solver_spec
 from repro.errors import CalibrationError, ValidationError
@@ -92,9 +93,12 @@ class TestWarmStart:
         """On the same rolling windows, warm re-solves iterate strictly less."""
         windows = [(0, 10), (2, 12), (4, 14), (6, 16)]
 
-        warm = DecompositionEngine(small_trace, nbytes=8 * MB, solver=solver)
+        warm = DecompositionEngine(
+            small_trace, nbytes=8 * MB, options=SolveOptions(solver=solver)
+        )
         cold = DecompositionEngine(
-            small_trace, nbytes=8 * MB, solver=solver, warm_start=False
+            small_trace, nbytes=8 * MB,
+            options=SolveOptions(solver=solver, warm_start=False),
         )
         warm_iters = cold_iters = 0
         for start, stop in windows:
@@ -111,11 +115,14 @@ class TestWarmStart:
     )
     def test_warm_solution_close_to_cold(self, small_trace, solver, tol):
         """Warm re-solves land within tolerance of the cold solution."""
-        warm = DecompositionEngine(small_trace, nbytes=8 * MB, solver=solver)
+        warm = DecompositionEngine(
+            small_trace, nbytes=8 * MB, options=SolveOptions(solver=solver)
+        )
         warm.calibrate(10)
         d_warm = warm.calibrate(12)
         d_cold = DecompositionEngine(
-            small_trace, nbytes=8 * MB, solver=solver, warm_start=False
+            small_trace, nbytes=8 * MB,
+            options=SolveOptions(solver=solver, warm_start=False),
         ).calibrate(12)
         assert d_warm.solver_result.warm_started
         assert not d_cold.solver_result.warm_started
@@ -147,7 +154,9 @@ class TestWarmStart:
 
     def test_exact_solver_ignores_warm_start(self, small_trace):
         """row_constant does not support warm starts; the engine stays cold."""
-        eng = DecompositionEngine(small_trace, nbytes=8 * MB, solver="row_constant")
+        eng = DecompositionEngine(
+            small_trace, nbytes=8 * MB, options=SolveOptions(solver="row_constant")
+        )
         eng.calibrate(10)
         eng.calibrate(12)
         assert eng.instrumentation.counters.get("engine.solve.warm", 0) == 0
@@ -216,10 +225,12 @@ class TestRegistryValidation:
 
     def test_engine_validates_at_construction(self, small_trace):
         with pytest.raises(ValueError, match="unknown RPCA solver"):
-            DecompositionEngine(small_trace, nbytes=8 * MB, solver="nope")
+            DecompositionEngine(
+                small_trace, nbytes=8 * MB, options=SolveOptions(solver="nope")
+            )
         with pytest.raises(TypeError, match="does not accept"):
             DecompositionEngine(
-                small_trace, nbytes=8 * MB, solver="pca", tol=1e-9
+                small_trace, nbytes=8 * MB, options=SolveOptions(solver="pca"), tol=1e-9
             )
 
     def test_capability_metadata(self):

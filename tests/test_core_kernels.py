@@ -35,6 +35,7 @@ from repro.core.kernels import (
     validate_backend,
 )
 from repro.core.matrices import TPMatrix
+from repro.core.options import SolveOptions
 from repro.core.svd_ops import (
     singular_value_threshold,
     soft_threshold,
@@ -181,11 +182,6 @@ def test_kernel_rejects_unknown_backend():
         SVTKernel((4, 10), "cholesky")
 
 
-def test_kernel_rejects_mismatched_predictor():
-    with pytest.raises(ValidationError, match="min_dim"):
-        SVTKernel((4, 10), "auto", rank_predictor=RankPredictor(min_dim=9))
-
-
 def test_kernel_exact_is_bit_identical_to_svd_ops():
     a = _rpca_problem(seed=4)
     d_ref, rank_ref, top_ref = singular_value_threshold(a, 0.5)
@@ -289,14 +285,9 @@ def test_auto_policy_prefers_gram_on_tp_shapes():
 
 
 def test_auto_policy_falls_back_to_exact_when_rank_saturates():
-    kernel = SVTKernel(
-        (100, 120), "auto", rank_predictor=RankPredictor(min_dim=100, sv=80)
-    )
+    kernel = SVTKernel((100, 120), "auto")
     assert kernel.choose() == "exact"
-    # Above the gram side the rank prediction does not matter: a low one
-    # also gets the exact SVD.
     kernel = SVTKernel((500, 600), "auto")
-    assert kernel.predictor.predict() == 10
     assert kernel.choose() == "exact"
     kernel = SVTKernel((65, 9000), "auto")
     assert kernel.choose() == "exact"
@@ -381,18 +372,6 @@ def test_solver_rejects_unknown_backend(solver):
         SOLVERS[solver](a, svd_backend="lanczos")
 
 
-def test_shared_predictor_carries_rank_across_solves():
-    a = _rpca_problem(seed=14)
-    predictor = RankPredictor.for_shape(a.shape)
-    rpca_apg(a, svd_backend="auto", rank_predictor=predictor)
-    first = predictor.observations
-    assert first > 0
-    rpca_apg(a, svd_backend="auto", rank_predictor=predictor)
-    assert predictor.observations > first
-    # Steady state on a rank-1-dominated problem: prediction near 2, not 10.
-    assert predictor.predict() <= 3
-
-
 # ---------------------------------------------------------------------------
 # The performance contract, as counters (not timing)
 # ---------------------------------------------------------------------------
@@ -475,7 +454,8 @@ def test_decompose_rejects_backend_for_non_svt_solver():
 def test_engine_rejects_backend_for_non_svt_solver():
     with pytest.raises(ValidationError, match="does not take an SVD backend"):
         DecompositionEngine(
-            _FakeSource(), nbytes=8.0, solver="pca", svd_backend="auto"
+            _FakeSource(), nbytes=8.0,
+            options=SolveOptions(solver="pca", svd_backend="auto"),
         )
 
 
@@ -500,42 +480,11 @@ class _FakeSource:
         return float(k)
 
 
-def test_engine_threads_predictor_through_recalibrations():
-    engine = DecompositionEngine(
-        _FakeSource(), nbytes=8.0, time_step=10, svd_backend="auto"
-    )
-    engine.calibrate(10)
-    assert len(engine._predictors) == 1
-    predictor = next(iter(engine._predictors.values()))
-    first = predictor.observations
-    engine.calibrate(12)
-    assert next(iter(engine._predictors.values())) is predictor
-    assert predictor.observations > first
-
-
-def test_engine_warm_state_round_trips_predictors():
-    import pickle
-
-    engine = DecompositionEngine(
-        _FakeSource(), nbytes=8.0, time_step=10, svd_backend="auto"
-    )
-    engine.calibrate(10)
-    engine.calibrate(12)
-    state = pickle.loads(pickle.dumps(engine.export_warm_state()))
-    other = DecompositionEngine(
-        _FakeSource(), nbytes=8.0, time_step=10, svd_backend="auto"
-    )
-    other.import_warm_state(state)
-    assert other._predictors == engine._predictors
-    ref = engine.calibrate(14)
-    res = other.calibrate(14)
-    np.testing.assert_array_equal(res.constant.row, ref.constant.row)
-
-
 def test_engine_exact_backend_solves_unchanged():
     ref_engine = DecompositionEngine(_FakeSource(), nbytes=8.0, time_step=10)
     exact_engine = DecompositionEngine(
-        _FakeSource(), nbytes=8.0, time_step=10, svd_backend="exact"
+        _FakeSource(), nbytes=8.0, time_step=10,
+        options=SolveOptions(svd_backend="exact"),
     )
     ref = ref_engine.calibrate(10)
     res = exact_engine.calibrate(10)

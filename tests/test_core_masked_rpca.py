@@ -11,6 +11,7 @@ from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine
 from repro.core.ialm import rpca_ialm
 from repro.core.matrices import TPMatrix
+from repro.core.options import SolveOptions
 from repro.errors import CalibrationError, ConvergenceError, ValidationError
 from repro.faults import ProbeLoss, VMOutage, inject_faults
 
@@ -176,7 +177,8 @@ class TestEngineMaskedWindows:
         # warm_start=False over a fully-observed trace must equal the direct
         # decompose of trace.tp_matrix — the historical cold path.
         eng = DecompositionEngine(
-            small_trace, nbytes=8 * MB, time_step=10, warm_start=False
+            small_trace, nbytes=8 * MB, time_step=10,
+            options=SolveOptions(warm_start=False),
         )
         for end in (10, 12, 15):
             via_engine = eng.calibrate(end)

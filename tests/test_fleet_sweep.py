@@ -194,10 +194,12 @@ class TestSweepParity:
             )
 
     def test_worker_failure_surfaces_as_fleet_error(self):
-        # An unknown solver passes FleetConfig but blows up inside the
-        # worker's solve; the scheduler must surface it as a FleetError
-        # naming the shard and carrying the worker traceback.
-        cfg = FleetConfig(n_workers=N_WORKERS, solver="no-such-solver", **CFG)
+        # FleetConfig rejects an unknown solver, so force one past it: it
+        # blows up inside the worker's solve, and the scheduler must surface
+        # it as a FleetError naming the shard and carrying the worker
+        # traceback.
+        cfg = FleetConfig(n_workers=N_WORKERS, **CFG)
+        object.__setattr__(cfg, "solver", "no-such-solver")
         with pytest.raises(FleetError, match="sweep shard") as exc_info:
             FleetScheduler(_clusters(2), cfg).run_sweep()
         assert "no-such-solver" in exc_info.value.worker_traceback

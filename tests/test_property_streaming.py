@@ -25,6 +25,7 @@ from repro.cloudsim.dynamics import DynamicsConfig
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine
+from repro.core.options import SolveOptions
 from repro.core.streaming import stream_state_from_payload, stream_state_to_payload
 from repro.persistence import read_checkpoint, write_checkpoint
 from repro.persistence.state import STATE_SCHEMA_VERSION
@@ -69,7 +70,8 @@ class TestStreamingStaysWithinTolerance:
     def test_every_served_window_tracks_the_batch_oracle(self, scenario):
         trace, time_step = scenario
         engine = DecompositionEngine(
-            trace, nbytes=8 * MB, time_step=time_step, mode="streaming"
+            trace, nbytes=8 * MB, time_step=time_step,
+            options=SolveOptions(mode="streaming"),
         )
         tol = engine.stream_config.tolerance
         for end, dec, was_fold in _run_stream(engine, trace, time_step):
@@ -117,7 +119,8 @@ class TestCheckpointSplitInvisible:
 
         # Uncut reference run, recording every served constant row.
         ref_engine = DecompositionEngine(
-            trace, nbytes=8 * MB, time_step=time_step, mode="streaming"
+            trace, nbytes=8 * MB, time_step=time_step,
+            options=SolveOptions(mode="streaming"),
         )
         reference = {
             end: dec.constant.row.copy()
@@ -127,7 +130,8 @@ class TestCheckpointSplitInvisible:
         # Cut run: stop after `split` slides, checkpoint the stream state,
         # rebuild a fresh engine from the file, finish the stream.
         a = DecompositionEngine(
-            trace, nbytes=8 * MB, time_step=time_step, mode="streaming"
+            trace, nbytes=8 * MB, time_step=time_step,
+            options=SolveOptions(mode="streaming"),
         )
         a.calibrate(time_step)
         for end in ends[:split]:
@@ -139,7 +143,8 @@ class TestCheckpointSplitInvisible:
 
         state = a.export_stream_state()
         b = DecompositionEngine(
-            trace, nbytes=8 * MB, time_step=time_step, mode="streaming"
+            trace, nbytes=8 * MB, time_step=time_step,
+            options=SolveOptions(mode="streaming"),
         )
         if state is not None:
             arrays, meta = stream_state_to_payload(state)
@@ -179,8 +184,9 @@ class TestFallbackRestoresBitParity:
     ):
         trace, time_step = scenario
         engine = DecompositionEngine(
-            trace, nbytes=8 * MB, time_step=time_step, mode="streaming",
-            stream_tolerance=1e-12,  # every fold trips the drift ceiling
+            trace, nbytes=8 * MB, time_step=time_step,
+            # every fold trips the drift ceiling
+            options=SolveOptions(mode="streaming", stream_tolerance=1e-12),
         )
         engine.calibrate(time_step)
         fallbacks = 0

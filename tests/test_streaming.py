@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.decompose import decompose, decomposition_from_result
 from repro.core.engine import DecompositionEngine
+from repro.core.options import SolveOptions
 from repro.core.result import SolverResult
 from repro.core.streaming import (
     ENGINE_MODES,
@@ -83,11 +84,13 @@ class TestModeValidation:
     def test_engine_rejects_knobs_in_batch_mode(self, tiny_trace):
         with pytest.raises(ValidationError, match="require mode='streaming'"):
             DecompositionEngine(
-                tiny_trace, nbytes=MB, time_step=4, stream_tolerance=0.1
+                tiny_trace, nbytes=MB, time_step=4,
+                options=SolveOptions(stream_tolerance=0.1),
             )
         with pytest.raises(ValidationError, match="require mode='streaming'"):
             DecompositionEngine(
-                tiny_trace, nbytes=MB, time_step=4, stream_refresh_every=4
+                tiny_trace, nbytes=MB, time_step=4,
+                options=SolveOptions(stream_refresh_every=4),
             )
 
 
@@ -255,7 +258,8 @@ def stream_trace():
 class TestEngineStreaming:
     def test_plan_lifecycle(self, stream_trace):
         eng = DecompositionEngine(
-            stream_trace, nbytes=MB, time_step=8, mode="streaming"
+            stream_trace, nbytes=MB, time_step=8,
+            options=SolveOptions(mode="streaming"),
         )
         assert eng.stream_plan(9) == "solve"  # unseeded
         eng.calibrate(8)
@@ -273,7 +277,8 @@ class TestEngineStreaming:
     def test_fold_matches_oracle_within_tolerance_and_counts(self, stream_trace):
         sink = Instrumentation("t")
         eng = DecompositionEngine(
-            stream_trace, nbytes=MB, time_step=8, mode="streaming",
+            stream_trace, nbytes=MB, time_step=8,
+            options=SolveOptions(mode="streaming"),
             instrumentation=sink,
         )
         eng.calibrate(8)
@@ -302,8 +307,9 @@ class TestEngineStreaming:
         self, stream_trace
     ):
         eng = DecompositionEngine(
-            stream_trace, nbytes=MB, time_step=8, mode="streaming",
-            stream_tolerance=1e-9,  # every fold trips the drift ceiling
+            stream_trace, nbytes=MB, time_step=8,
+            # every fold trips the drift ceiling
+            options=SolveOptions(mode="streaming", stream_tolerance=1e-9),
         )
         eng.calibrate(8)
         dec, reason = eng.stream_fold(9)
@@ -314,7 +320,8 @@ class TestEngineStreaming:
 
     def test_reset_warm_state_drops_stream(self, stream_trace):
         eng = DecompositionEngine(
-            stream_trace, nbytes=MB, time_step=8, mode="streaming"
+            stream_trace, nbytes=MB, time_step=8,
+            options=SolveOptions(mode="streaming"),
         )
         eng.calibrate(8)
         assert eng.export_stream_state() is not None
@@ -324,7 +331,8 @@ class TestEngineStreaming:
 
     def test_import_stream_state_requires_streaming_mode(self, stream_trace):
         streaming = DecompositionEngine(
-            stream_trace, nbytes=MB, time_step=8, mode="streaming"
+            stream_trace, nbytes=MB, time_step=8,
+            options=SolveOptions(mode="streaming"),
         )
         streaming.calibrate(8)
         batch = DecompositionEngine(stream_trace, nbytes=MB, time_step=8)
