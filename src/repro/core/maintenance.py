@@ -18,6 +18,7 @@ spot: below ~20% the loop thrashes, above ~150% it never re-calibrates).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -52,12 +53,16 @@ class MaintenanceDecision(Enum):
 
 @dataclass
 class MaintenanceStats:
-    """Running counters over the controller's lifetime."""
+    """Running counters over the controller's lifetime.
+
+    ``deviations`` holds one relative deviation per observation, as a
+    float64 ``array`` (8 bytes each; a list of floats costs 32).
+    """
 
     observations: int = 0
     recalibrations: int = 0
     max_relative_deviation: float = 0.0
-    deviations: list[float] = field(default_factory=list)
+    deviations: array = field(default_factory=lambda: array("d"))
 
 
 class MaintenanceController:
@@ -124,22 +129,30 @@ class MaintenanceController:
 
     # -- persistence -------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
-        """JSON-serializable snapshot of the controller's mutable state."""
+        """JSON-serializable snapshot of the controller's mutable state.
+
+        The deviation history (``stats.deviations``) is left out: it grows
+        with every observation, so checkpoints carry it as an array.
+        """
         return {
             "streak": self._streak,
             "observations": self.stats.observations,
             "recalibrations": self.stats.recalibrations,
             "max_relative_deviation": self.stats.max_relative_deviation,
-            "deviations": list(self.stats.deviations),
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Inverse of :meth:`state_dict` (thresholds come from ``__init__``)."""
+        """Inverse of :meth:`state_dict` (thresholds come from ``__init__``).
+
+        A ``deviations`` sequence in *state* replaces the deviation history;
+        without one the history is left as it is.
+        """
         self._streak = int(state["streak"])
         self.stats.observations = int(state["observations"])
         self.stats.recalibrations = int(state["recalibrations"])
         self.stats.max_relative_deviation = float(state["max_relative_deviation"])
-        self.stats.deviations = [float(d) for d in state["deviations"]]
+        if "deviations" in state:
+            self.stats.deviations = array("d", map(float, state["deviations"]))
 
 
 class HealthState(Enum):

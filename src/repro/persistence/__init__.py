@@ -10,7 +10,9 @@ Three layers, composed by the session when given a :class:`PersistenceConfig`:
 * :mod:`~repro.persistence.checkpoint` — versioned, checksummed snapshots of
   full session state (TP-window rows + masks, warm-start components,
   health-machine and detector state, counters) written atomically via temp
-  file + rename, with retention of the last few files.
+  file + rename, with retention of the last few files. Solver state and
+  sealed blocks of the operation history are mirrored segments written
+  once, so a checkpoint's cost does not grow with the session's age.
 * :mod:`~repro.persistence.recovery` — :func:`~repro.persistence.recovery.recover`
   loads the newest checkpoint that verifies, falls back to older ones on
   corruption, and returns the journal records past it for deterministic

@@ -16,10 +16,18 @@ partially flushed (CRC mismatch). :meth:`SnapshotJournal.replay` treats any
 such frame as the end of the journal: it never raises on a truncated file and
 never yields a partially-applied record, which is exactly the atomicity unit
 recovery needs (an operation either replays fully or never happened).
+
+A session's records are JSON objects (:meth:`SnapshotJournal.append_json`).
+A float array in a record — a mapping's task-graph volumes — travels as
+:func:`pack_float64`: its shape plus base64 of its little-endian float64
+bytes, a bit-exact round trip that encodes several times faster than a
+JSON list of numbers. :func:`unpack_float64` also reads the nested list
+that records written before that carry.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import struct
@@ -27,9 +35,18 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Iterator
 
+import numpy as np
+
 from ..errors import PersistenceError
 
-__all__ = ["JOURNAL_MAGIC", "JOURNAL_VERSION", "JournalScan", "SnapshotJournal"]
+__all__ = [
+    "JOURNAL_MAGIC",
+    "JOURNAL_VERSION",
+    "JournalScan",
+    "SnapshotJournal",
+    "pack_float64",
+    "unpack_float64",
+]
 
 JOURNAL_MAGIC = b"RPJL"
 JOURNAL_VERSION = 1
@@ -175,6 +192,26 @@ class SnapshotJournal:
         """Iterate the journal's records decoded as JSON objects."""
         for payload in cls.scan(path).records:
             yield json.loads(payload.decode("utf-8"))
+
+
+def pack_float64(values: np.ndarray) -> dict[str, Any]:
+    """*values* as JSON-ready fields: ``shape`` and ``le64``, the base64 of
+    its little-endian float64 bytes (inverse: :func:`unpack_float64`)."""
+    arr = np.ascontiguousarray(values, dtype="<f8")
+    return {
+        "shape": list(arr.shape),
+        "le64": base64.b64encode(arr.data).decode("ascii"),
+    }
+
+
+def unpack_float64(packed: dict[str, Any] | list) -> np.ndarray:
+    """A float64 array from :func:`pack_float64` fields or a nested list."""
+    if isinstance(packed, dict):
+        raw = base64.b64decode(packed["le64"], validate=True)
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(
+            packed["shape"]
+        )
+    return np.asarray(packed, dtype=np.float64)
 
 
 def _read_file(path: str) -> bytes:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -30,9 +30,11 @@ from ..core.metrics import StabilityReport
 from ..core.result import SolverResult
 from ..core.streaming import stream_state_to_payload
 from ..errors import CheckpointCorruption
+from .checkpoint import BLOCK_SEPARATOR
 
 __all__ = [
     "STATE_SCHEMA_VERSION",
+    "HISTORY_BLOCK_ROWS",
     "trace_sha256",
     "trace_to_arrays",
     "trace_from_arrays",
@@ -185,66 +187,120 @@ def engine_cache_from_state(
 # One record per operation for the session's whole lifetime, so the JSON
 # channel must not carry it: numeric fields go to arrays, categorical
 # strings become int32 codes plus a small legend in the metadata. The
-# encoders below extend their arrays by what was appended since the last
-# capture, so capture cost stays flat as the session ages.
+# encoders keep each column in fixed blocks of HISTORY_BLOCK_ROWS rows and
+# extend them by what was appended since the last capture. A full block is
+# sealed: read-only from then on and handed out as the arrays
+# ``<block>/<column>``, which a CheckpointStore writes once as a mirrored
+# segment of their own. Only the open tail (under the column's own name)
+# changes between captures, so capture and checkpoint cost stay flat as
+# the session ages; join_blocks puts the columns back together on load.
+# Block i of the history columns and of the deviations share the name
+# ``hist-<i>``: both hold operations i*4096 to (i+1)*4096 - 1, so they
+# seal together and go to one segment.
+HISTORY_BLOCK_ROWS = 4096
 _HISTORY_CATEGORICALS = ("op", "decision", "health", "regime")
 
 
 class _AppendCursor:
-    """Where an append-only list continues since the previous look at it.
+    """Where an append-only sequence continues since the previous look at it.
 
-    A list that was replaced or truncated — told by the identity of the
-    list and of the last item seen — starts over from index 0.
+    A sequence that was replaced or truncated — told by the identity of the
+    sequence and of the last item seen — starts over from index 0. With a
+    *key*, the last item is recognised by its key instead of its identity:
+    an ``array('d')`` hands out a new float object on every read.
     """
 
-    def __init__(self) -> None:
-        self._items: list[Any] | None = None
+    def __init__(self, key: Callable[[Any], Any] | None = None) -> None:
+        self._key = key
+        self._items: Any = None
         self._n = 0
         self._last: Any = None
 
-    def advance(self, items: list[Any]) -> int:
+    def _mark(self, item: Any) -> Any:
+        return item if self._key is None else self._key(item)
+
+    def advance(self, items: Sequence[Any]) -> int:
         """Index of the first item not seen before (0: all of them)."""
         n = self._n
         if items is not self._items or len(items) < n or (
-            n and items[n - 1] is not self._last
+            n and not self._seen(items[n - 1])
         ):
             n = 0
         self._items = items
         self._n = len(items)
-        self._last = items[-1] if items else None
+        self._last = self._mark(items[-1]) if len(items) else None
         return n
 
+    def _seen(self, item: Any) -> bool:
+        if self._key is None:
+            return item is self._last
+        return self._key(item) == self._last
 
-class _Column:
-    """A 1-D array grown by doubling; a view of its first entries never
-    changes, because later writes only land past them."""
 
-    def __init__(self, dtype: Any) -> None:
-        self._buf = np.empty(0, dtype)
+class _BlockedColumns:
+    """Equal-length append-only columns kept as sealed blocks plus a tail.
 
-    def write(self, start: int, values: Any, count: int) -> None:
-        end = start + count
-        if end > self._buf.shape[0]:
-            grown = np.empty(max(end, 2 * self._buf.shape[0], 64), self._buf.dtype)
-            grown[:start] = self._buf[:start]
-            self._buf = grown
-        self._buf[start:end] = np.fromiter(values, self._buf.dtype, count=count)
+    The tail grows by doubling up to :data:`HISTORY_BLOCK_ROWS` rows; once
+    full, its buffers become a sealed block as they are (no copy) and a new
+    tail starts. A view handed out of a tail never changes, because later
+    writes only land past it.
+    """
 
-    def view(self, n: int) -> np.ndarray:
-        view = self._buf[:n]
-        view.setflags(write=False)
-        return view
+    def __init__(self, dtypes: dict[str, Any]) -> None:
+        self._dtypes = dtypes
+        self._sealed: dict[str, np.ndarray] = {}  # exported names -> blocks
+        self._blocks = 0
+        self._tail = {name: np.empty(0, dtype) for name, dtype in dtypes.items()}
+        self._rows = 0  # filled rows of the tail
+
+    def extend(self, values: dict[str, np.ndarray]) -> None:
+        """Append rows given as one array per column."""
+        count = len(next(iter(values.values())))
+        done = 0
+        while done < count:
+            take = min(count - done, HISTORY_BLOCK_ROWS - self._rows)
+            end = self._rows + take
+            for name, buf in self._tail.items():
+                if end > buf.shape[0]:
+                    grown = np.empty(
+                        min(max(end, 2 * buf.shape[0], 64), HISTORY_BLOCK_ROWS),
+                        buf.dtype,
+                    )
+                    grown[: self._rows] = buf[: self._rows]
+                    self._tail[name] = buf = grown
+                buf[self._rows : end] = values[name][done : done + take]
+            self._rows = end
+            done += take
+            if self._rows == HISTORY_BLOCK_ROWS:
+                block = f"hist-{self._blocks:06d}"
+                for name, buf in self._tail.items():
+                    buf.setflags(write=False)
+                    self._sealed[f"{block}{BLOCK_SEPARATOR}{name}"] = buf
+                self._blocks += 1
+                self._tail = {
+                    name: np.empty(0, dtype) for name, dtype in self._dtypes.items()
+                }
+                self._rows = 0
+
+    def export(self, arrays: dict[str, np.ndarray]) -> None:
+        """Put the sealed blocks and a read-only view of the tail into *arrays*."""
+        arrays.update(self._sealed)
+        for name, buf in self._tail.items():
+            view = buf[: self._rows]
+            view.setflags(write=False)
+            arrays[name] = view
 
 
 class HistoryEncoder:
     """Columnar encoding of an append-only operation history, kept current.
 
-    Holds the ``hist_*`` columns in growable arrays and the categorical
-    legends in first-seen order, and on each :meth:`encode` encodes only
-    the records appended since the previous call. Prefix stability makes
-    that exact: a record's codes never change once assigned. A replaced or
-    truncated list is re-encoded from scratch, so the output always equals
-    a fresh encoding of the history passed in.
+    Holds the ``hist_*`` columns in sealed blocks plus an open tail and
+    the categorical legends in first-seen order, and on each
+    :meth:`encode` encodes only the records appended since the previous
+    call. Prefix stability makes that exact: a record's codes never change
+    once assigned. A replaced or truncated list is re-encoded from
+    scratch, so the joined output always equals a fresh encoding of the
+    history passed in.
     """
 
     _NUMERIC = (
@@ -256,7 +312,7 @@ class HistoryEncoder:
 
     def __init__(self) -> None:
         self._cursor = _AppendCursor()
-        self._columns: dict[str, _Column] = {}
+        self._columns: _BlockedColumns | None = None
         self._legends: dict[str, list[Any]] = {}
         self._index: dict[str, dict[Any, int]] = {}
 
@@ -265,23 +321,27 @@ class HistoryEncoder:
     ) -> dict[str, list[Any]]:
         """Put the ``hist_*`` columns of *history* into *arrays*; return legends.
 
-        The arrays are read-only views that later appends never overwrite.
+        Each column arrives as its sealed blocks ``hist-<i>/hist_<field>``
+        and its tail ``hist_<field>``, all read-only arrays that later
+        appends never overwrite.
         """
         start = self._cursor.advance(history)
         if start == 0:
             # Fresh buffers: arrays handed out earlier must keep their content.
-            self._columns = {name: _Column(dtype) for name, dtype in self._NUMERIC}
-            for field in _HISTORY_CATEGORICALS:
-                self._columns[field] = _Column(np.int32)
+            dtypes = {f"hist_{name}": dtype for name, dtype in self._NUMERIC}
+            dtypes.update({f"hist_{field}": np.int32 for field in _HISTORY_CATEGORICALS})
+            self._columns = _BlockedColumns(dtypes)
             self._legends = {field: [] for field in _HISTORY_CATEGORICALS}
             self._index = {field: {} for field in _HISTORY_CATEGORICALS}
         new = history[start:]
         k = len(new)
         if k:
-            for name, _ in self._NUMERIC:
-                self._columns[name].write(
-                    start, (getattr(r, name) for r in new), k
+            values = {
+                f"hist_{name}": np.fromiter(
+                    (getattr(r, name) for r in new), dtype, count=k
                 )
+                for name, dtype in self._NUMERIC
+            }
             for field in _HISTORY_CATEGORICALS:
                 legend = self._legends[field]
                 index = self._index[field]
@@ -295,28 +355,33 @@ class HistoryEncoder:
                         code = index[value] = len(legend)
                         legend.append(value)
                     codes.append(code)
-                self._columns[field].write(start, codes, k)
-        for name, column in self._columns.items():
-            arrays[f"hist_{name}"] = column.view(len(history))
+                values[f"hist_{field}"] = np.array(codes, dtype=np.int32)
+            self._columns.extend(values)
+        self._columns.export(arrays)
         return {field: list(legend) for field, legend in self._legends.items()}
 
 
 class FloatListEncoder:
-    """An append-only list of floats as a float64 array, extended by what
-    was appended since the previous :meth:`encode` (the maintenance
+    """An append-only sequence of floats (a list or an ``array('d')``) as a
+    float64 column in sealed blocks plus a tail, extended by what was
+    appended since the previous :meth:`encode` (the maintenance
     controller's deviation history)."""
 
     def __init__(self) -> None:
-        self._cursor = _AppendCursor()
-        self._column = _Column(np.float64)
+        self._cursor = _AppendCursor(key=float.hex)  # bit-exact, NaN included
+        self._column: _BlockedColumns | None = None
 
-    def encode(self, values: list[float]) -> np.ndarray:
-        """*values* as a read-only float64 array."""
+    def encode(self, values: Sequence[float], arrays: dict[str, np.ndarray]) -> None:
+        """Put *values* into *arrays* as the read-only float64 blocks
+        ``hist-<i>/ctrl_deviations`` and the tail ``ctrl_deviations``."""
         start = self._cursor.advance(values)
         if start == 0:
-            self._column = _Column(np.float64)
-        self._column.write(start, values[start:], len(values) - start)
-        return self._column.view(len(values))
+            self._column = _BlockedColumns({"ctrl_deviations": np.float64})
+        if len(values) > start:
+            self._column.extend(
+                {"ctrl_deviations": np.array(values[start:], dtype=np.float64)}
+            )
+        self._column.export(arrays)
 
 
 def history_rows_from_state(
@@ -421,12 +486,9 @@ def capture_session_state(
         stream_arrays, stream_meta = stream_state_to_payload(stream_state)
         arrays.update(stream_arrays)
         meta["stream"] = stream_meta
-    # The controller's deviation history can be long — keep it in the array
-    # channel rather than bloating the JSON member.
-    del meta["controller"]["deviations"]
-    arrays["ctrl_deviations"] = deviation_encoder.encode(
-        session.controller.stats.deviations
-    )
+    # The controller's deviation history can be long — it rides the array
+    # channel rather than the JSON member (state_dict leaves it out).
+    deviation_encoder.encode(session.controller.stats.deviations, arrays)
     arrays.update(session._engine.export_cache_arrays())
     return arrays, meta
 

@@ -100,6 +100,8 @@ from ..persistence import (
     recover,
     trace_sha256,
 )
+from ..persistence.checkpoint import join_blocks
+from ..persistence.journal import pack_float64, unpack_float64
 from ..persistence.state import FloatListEncoder, HistoryEncoder
 
 __all__ = [
@@ -632,6 +634,10 @@ class TraceSession:
         arrays, meta = capture_session_state(self)
         path = self._store.save(arrays, meta)
         self.instrumentation.count("session.checkpoint.written")
+        if self._store.blocks_written:
+            self.instrumentation.count(
+                "session.checkpoint.history_block_written", self._store.blocks_written
+            )
         if self._store.segment_written is not None:
             self.instrumentation.count(
                 "session.checkpoint.segment_written"
@@ -969,7 +975,7 @@ class TraceSession:
         """
         if graph.n_tasks > self.trace.n_machines:
             raise ValidationError("task graph larger than the cluster")
-        self._commit({"kind": "mapping", "volumes": graph.volumes.tolist()})
+        self._commit({"kind": "mapping", "volumes": pack_float64(graph.volumes)})
         self._check_crash()
         k = self._advance()
         plan = self._serving_plan()
@@ -1039,7 +1045,7 @@ class TraceSession:
             )
         return cls._rebuild(
             trace,
-            capsule.arrays,
+            join_blocks(capsule.arrays),
             capsule.meta,
             instrumentation=instrumentation,
             faults=faults,
@@ -1056,9 +1062,8 @@ class TraceSession:
                 machines=record["machines"],
             )
         elif kind == "mapping":
-            self.map_tasks(
-                TaskGraph(volumes=np.asarray(record["volumes"], dtype=np.float64))
-            )
+            # Records written before volumes were packed hold a nested list.
+            self.map_tasks(TaskGraph(volumes=unpack_float64(record["volumes"])))
         else:
             raise PersistenceError(f"unknown journal record kind {kind!r}")
 

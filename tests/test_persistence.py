@@ -1,9 +1,15 @@
 """Unit tests for the journal / checkpoint / recovery persistence layer."""
 
+import gc
+import json
 import os
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from repro.errors import CheckpointCorruption, PersistenceError
 from repro.persistence import (
@@ -17,8 +23,8 @@ from repro.persistence import (
     trace_to_arrays,
     write_checkpoint,
 )
-from repro.persistence.checkpoint import CHECKPOINT_MAGIC
-from repro.persistence.journal import JOURNAL_MAGIC
+from repro.persistence.checkpoint import CHECKPOINT_MAGIC, join_blocks
+from repro.persistence.journal import JOURNAL_MAGIC, pack_float64, unpack_float64
 from repro.persistence.recovery import journal_path
 from repro.persistence.state import STATE_SCHEMA_VERSION
 
@@ -334,6 +340,185 @@ class TestCheckpointSegments:
         state = recover(tmp_path)
         assert (fallbacks, state.fallbacks) == (1, 1)
         assert state.checkpoint_path == ckpt.path
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), np.asarray(b, dtype=np.float64).view(np.uint64)
+    )
+
+
+class TestPackedFloats:
+    """Journal records carry float arrays as base64 of their bytes."""
+
+    EDGE = np.array([[0.0, -0.0, 5e-324], [2.2250738585072014e-308, 1e300, -1e300]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        npst.arrays(
+            np.float64,
+            npst.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+            elements=st.floats(width=64, allow_nan=True, allow_infinity=True),
+        )
+    )
+    def test_round_trip_is_bit_exact(self, values):
+        packed = json.loads(json.dumps(pack_float64(values)))
+        assert _same_bits(unpack_float64(packed), values)
+
+    def test_edge_values_through_a_journal(self, tmp_path):
+        path = tmp_path / "j.journal"
+        with SnapshotJournal(path) as j:
+            j.append_json({"kind": "mapping", "volumes": pack_float64(self.EDGE)})
+        (record,) = SnapshotJournal.replay(path)
+        got = unpack_float64(record["volumes"])
+        assert _same_bits(got, self.EDGE)
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert np.signbit(got[0, 1]) and got[0, 2] == 5e-324
+
+    def test_legacy_nested_list_is_read(self):
+        got = unpack_float64(self.EDGE.tolist())
+        assert _same_bits(got, self.EDGE)
+
+    def test_bytes_are_little_endian(self):
+        big = np.array([1.5, -2.0], dtype=">f8")
+        packed = pack_float64(big)
+        assert _same_bits(unpack_float64(packed), big.astype(np.float64))
+        assert packed["shape"] == [2]
+
+
+class TestHistoryBlocks:
+    """Arrays named ``<block>/<column>`` are write-once segments of their own."""
+
+    META = {"schema": STATE_SCHEMA_VERSION, "journal_seq": 0}
+
+    @staticmethod
+    def _blocks(start, n_blocks, rows=4):
+        arrays = {}
+        for b in range(start, start + n_blocks):
+            base = float(b * rows)
+            arrays[f"hist-{b:06d}/hist_x"] = _frozen(np.arange(base, base + rows))
+            arrays[f"dev-{b:06d}/dev_y"] = _frozen(-np.arange(base, base + rows))
+        return arrays
+
+    def test_join_blocks_orders_blocks_then_tail(self):
+        arrays = {
+            "hist-000001/c": np.array([2.0, 3.0]),
+            "hist-000000/c": np.array([0.0, 1.0]),
+            "c": np.array([4.0]),
+            "other": np.array([9]),
+        }
+        joined = join_blocks(arrays)
+        assert sorted(joined) == ["c", "other"]
+        np.testing.assert_array_equal(joined["c"], np.arange(5.0))
+        assert joined["other"] is arrays["other"]
+        assert join_blocks({"c": arrays["c"]})["c"] is arrays["c"]
+        np.testing.assert_array_equal(
+            join_blocks({"hist-000000/c": np.ones(2)})["c"], np.ones(2)
+        )
+
+    def test_each_block_written_once_and_loaded_joined(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=2)
+        blocks = self._blocks(0, 2)
+        for i in range(4):
+            tail = {"hist_x": np.array([8.0 + i]), "dev_y": np.array([-8.0 - i])}
+            store.save({**blocks, **tail}, self.META)
+            assert store.blocks_written == (4 if i == 0 else 0)
+            assert store.segment_written is None
+        newest = read_checkpoint(sorted(tmp_path.glob("*.ckpt"))[-1])
+        assert sorted(newest.arrays) == ["dev_y", "hist_x"]
+        assert sorted(newest.meta["segments"]) == [
+            "dev-000000", "dev-000001", "hist-000000", "hist-000001",
+        ]
+        assert newest.meta["segments"]["hist-000001"]["name"] == (
+            "seg-00000000-hist-000001"
+        )
+        assert len(list(tmp_path.glob("seg-*.seg"))) == 8
+        ckpt = store.load_latest()
+        assert "segments" not in ckpt.meta and "segment" not in ckpt.meta
+        np.testing.assert_array_equal(ckpt.arrays["hist_x"], np.r_[np.arange(8.0), 11.0])
+        np.testing.assert_array_equal(ckpt.arrays["dev_y"], -np.r_[np.arange(8.0), 11.0])
+
+    def test_a_new_block_is_written_and_old_ones_named_again(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=1)
+        first = self._blocks(0, 1)
+        store.save(first, self.META)
+        store.save({**first, **self._blocks(1, 1)}, self.META)
+        assert store.blocks_written == 2
+        names = read_checkpoint(sorted(tmp_path.glob("*.ckpt"))[-1]).meta["segments"]
+        assert names["hist-000000"]["name"] == "seg-00000000-hist-000000"
+        assert names["hist-000001"]["name"] == "seg-00000001-hist-000001"
+        assert len(list(tmp_path.glob("seg-*.seg"))) == 8
+
+    def test_writeable_or_replaced_blocks_are_written_again(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=1)
+        store.save({"hist-000000/hist_x": np.zeros(3)}, self.META)
+        store.save({"hist-000000/hist_x": np.zeros(3)}, self.META)
+        assert store.blocks_written == 1  # writeable: cannot be trusted
+        blocks = self._blocks(0, 1)
+        store.save(blocks, self.META)
+        store.save(blocks, self.META)
+        assert store.blocks_written == 0
+        replaced = {**blocks, "hist-000000/hist_x": _frozen(np.zeros(4))}
+        store.save(replaced, self.META)
+        assert store.blocks_written == 1  # same name, other object
+        np.testing.assert_array_equal(store.load_latest().arrays["hist_x"], np.zeros(4))
+        # Only the pairs the newest checkpoint names are left.
+        assert len(list(tmp_path.glob("seg-*.seg"))) == 4
+
+    def test_a_block_whose_members_change_is_written_again(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=1)
+        a, b = _frozen(np.zeros(2)), _frozen(np.ones(2))
+        store.save({"hist-000000/a": a}, self.META)
+        store.save({"hist-000000/a": a, "hist-000000/b": b}, self.META)
+        assert store.blocks_written == 1  # a member joined
+        store.save({"hist-000000/a": a, "hist-000000/b": b}, self.META)
+        assert store.blocks_written == 0
+        store.save({"hist-000000/b": b}, self.META)
+        assert store.blocks_written == 1  # a member left
+        assert sorted(store.load_latest().arrays) == ["b"]
+        (segment,) = {p.name.split(".")[0] for p in tmp_path.glob("seg-*.seg")}
+        for mirror in "ab":
+            (tmp_path / f"{segment}.{mirror}.seg").unlink()
+        store.save({"hist-000000/b": b}, self.META)
+        assert store.blocks_written == 1  # its files went missing
+        np.testing.assert_array_equal(store.load_latest().arrays["b"], b)
+        b.setflags(write=True)
+        b[0] = 7.0
+        store.save({"hist-000000/b": b}, self.META)
+        assert store.blocks_written == 1  # writeable again: cannot be trusted
+        assert store.load_latest().arrays["b"][0] == 7.0
+
+    def test_arrays_of_segments_no_longer_named_are_let_go(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        blocks = self._blocks(0, 1)
+        watch = weakref.ref(blocks["hist-000000/hist_x"])
+        store.save({**blocks, "hist_x": np.ones(1)}, self.META)
+        store.save({"hist_x": np.ones(1)}, self.META)
+        del blocks
+        gc.collect()
+        assert watch() is None
+
+    def test_invalid_block_name_is_refused(self, tmp_path):
+        with pytest.raises(PersistenceError, match="invalid block name"):
+            CheckpointStore(tmp_path).save({"a.b/x": np.zeros(1)}, self.META)
+
+    def test_one_corrupt_block_mirror_is_survived(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save({**self._blocks(0, 1), "hist_x": np.ones(1)}, self.META)
+        _flip(tmp_path / "seg-00000000-hist-000000.a.seg")
+        ckpt, fallbacks = store.find_latest()
+        assert fallbacks == 0
+        np.testing.assert_array_equal(ckpt.arrays["hist_x"], [0.0, 1.0, 2.0, 3.0, 1.0])
+
+    def test_both_block_mirrors_corrupt_falls_back(self, tmp_path):
+        store = CheckpointStore(tmp_path, keep=3)
+        store.save({"hist_x": np.zeros(2)}, self.META)
+        store.save({**self._blocks(0, 1), "hist_x": np.ones(1)}, self.META)
+        for mirror in "ab":
+            _flip(tmp_path / f"seg-00000001-hist-000000.{mirror}.seg", 40)
+        ckpt, fallbacks = store.find_latest()
+        assert fallbacks == 1
+        np.testing.assert_array_equal(ckpt.arrays["hist_x"], np.zeros(2))
 
 
 class TestRecovery:

@@ -6,6 +6,8 @@ These tests exercise the full recovery protocol in-process (clean stop →
 resumed session must be indistinguishable from one that never stopped.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,21 @@ from repro.cloudsim.io import save_trace
 from repro.core.detectors import CusumRegimeDetector, detector_names
 from repro.errors import PersistenceError
 from repro.faults import ProbeLoss
-from repro.mapping.taskgraph import TaskGraph
+from repro.mapping.taskgraph import TaskGraph, random_task_graph
 from repro.persistence import (
     PersistenceConfig,
+    SnapshotJournal,
     capture_session_state,
+    journal_path,
     read_checkpoint,
+    recover,
     write_checkpoint,
 )
 from repro.persistence import checkpoint as checkpoint_mod
-from repro.persistence.checkpoint import CheckpointStore
+from repro.persistence import state as state_mod
+from repro.persistence.checkpoint import BLOCK_SEPARATOR, CheckpointStore, join_blocks
+from repro.persistence.journal import unpack_float64
+from repro.persistence.state import HISTORY_BLOCK_ROWS
 from repro.runtime.session import TraceSession
 
 
@@ -590,7 +598,8 @@ def _history_from_scratch(history):
 
 
 def _assert_history_encoded(session):
-    arrays, meta = capture_session_state(session)
+    captured, meta = capture_session_state(session)
+    arrays = join_blocks(captured)
     want_arrays, want_legends = _history_from_scratch(session.stats.history)
     for name, want in want_arrays.items():
         assert arrays[name].dtype == want.dtype, name
@@ -661,3 +670,270 @@ class TestHistoryEncoder:
         _assert_history_encoded(session)
         session.controller.stats.deviations = session.controller.stats.deviations[:3]
         _assert_history_encoded(session)
+
+    def test_blocks_seal_read_only_standalone_arrays(self, small_trace, monkeypatch):
+        monkeypatch.setattr(state_mod, "HISTORY_BLOCK_ROWS", 16)
+        session = TraceSession(small_trace, time_step=8, threshold=0.05, regime=True)
+        for n_ops in (5, 11, 1, 40, 13):  # lands on, before and past block edges
+            _drive(session, n_ops)
+            _assert_history_encoded(session)
+        first, _ = capture_session_state(session)
+        _drive(session, 3)
+        second, _ = capture_session_state(session)
+        blocks = sorted(k for k in first if BLOCK_SEPARATOR in k)
+        assert len(blocks) == 4 * 9  # 70 rows: 4 sealed blocks of 9 columns
+        assert {k.split(BLOCK_SEPARATOR)[0] for k in blocks} == {
+            f"hist-{i:06d}" for i in range(4)
+        }
+        for name in blocks:
+            arr = first[name]
+            assert second[name] is arr, name
+            assert arr.shape == (16,) and arr.base is None, name
+            assert not arr.flags.writeable, name
+        assert first["hist_snapshot"].shape == (70 - 64,)
+        assert first["ctrl_deviations"].shape == (70 - 64,)
+
+
+# -- sealed history blocks ----------------------------------------------------
+def _newest_checkpoint(directory):
+    return sorted(directory.glob("ckpt-*.ckpt"))[-1]
+
+
+@pytest.fixture(scope="module")
+def sealed_run(calm_trace, tmp_path_factory):
+    """A calm session run past three sealed blocks, checkpointing every 50
+    operations; after each checkpoint, the newest file's size and the
+    bytes of its JSON metadata."""
+    directory = tmp_path_factory.mktemp("sealed") / "state"
+    cfg = PersistenceConfig(directory=directory, checkpoint_every=50)
+    session = TraceSession(calm_trace, time_step=8, threshold=50.0, persistence=cfg)
+    sizes = []
+    while session.stats.operations < 3 * HISTORY_BLOCK_ROWS + 200:
+        _drive(session, 50)
+        newest = _newest_checkpoint(directory)
+        meta = read_checkpoint(newest).meta
+        sizes.append((newest.stat().st_size, len(json.dumps(meta, sort_keys=True))))
+    session.close()
+    return session, directory, sizes
+
+
+class TestSealedHistory:
+    """A checkpoint writes the open history tail; full blocks go once.
+
+    Sessions here run at a threshold (5.0, or 50 on the calm trace) that
+    no operation reaches: thousands of operations without a re-solve, so
+    the block edges, not the solver, set the test's cost.
+    """
+
+    def test_newest_checkpoint_stays_under_one_block(self, sealed_run):
+        session, _, sizes = sealed_run
+        assert session.stats.operations > 3 * HISTORY_BLOCK_ROWS
+        for size, meta_bytes in sizes:
+            # 56 B per operation (48 of history, 8 of deviation) in the
+            # tail, plus the metadata and a few hundred bytes of framing.
+            assert size <= HISTORY_BLOCK_ROWS * 56 + meta_bytes + 1024
+        assert max(meta for _, meta in sizes) < 16384
+
+    def test_each_block_pair_is_written_exactly_once(self, sealed_run):
+        session, directory, _ = sealed_run
+        counters = session.instrumentation.counters
+        assert counters["session.checkpoint.history_block_written"] == 3
+        assert counters["session.checkpoint.segment_written"] == 1
+        assert (
+            counters["session.checkpoint.segment_reused"]
+            == counters["session.checkpoint.written"] - 1
+        )
+        blocks = sorted(
+            p.name.split("-", 2)[2] for p in directory.glob("seg-*-*.seg")
+        )
+        assert blocks == [f"hist-{i:06d}.{mirror}.seg" for i in range(3) for mirror in "ab"]
+        meta = read_checkpoint(_newest_checkpoint(directory)).meta
+        assert sorted(meta["segments"]) == [f"hist-{i:06d}" for i in range(3)]
+        for ref in meta["segments"].values():
+            for mirror in "ab":
+                assert (directory / f"{ref['name']}.{mirror}.seg").exists()
+
+    def test_load_joins_blocks_into_todays_columns(self, sealed_run):
+        session, directory, _ = sealed_run
+        latest = CheckpointStore(directory).load_latest()
+        assert not any(BLOCK_SEPARATOR in name for name in latest.arrays)
+        want, _ = _history_from_scratch(session.stats.history)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(latest.arrays[name], arr, err_msg=name)
+        np.testing.assert_array_equal(
+            latest.arrays["ctrl_deviations"], session.controller.stats.deviations
+        )
+
+    @pytest.mark.parametrize("rows", [HISTORY_BLOCK_ROWS - 1, HISTORY_BLOCK_ROWS,
+                                      HISTORY_BLOCK_ROWS + 1])
+    def test_resume_and_capsule_at_block_edges(self, small_trace, tmp_path, rows):
+        reference = TraceSession(small_trace, time_step=8, threshold=5.0)
+        _drive(reference, rows + 20)
+        cfg = PersistenceConfig(directory=tmp_path / "state", checkpoint_every=10**9)
+        session = TraceSession(small_trace, time_step=8, threshold=5.0, persistence=cfg)
+        _drive(session, rows)
+        session.checkpoint()
+        capsule = session.capture_capsule()
+        session.close()
+        sealed = rows // HISTORY_BLOCK_ROWS
+        meta = read_checkpoint(_newest_checkpoint(cfg.directory)).meta
+        assert len(meta.get("segments", {})) == sealed
+        assert sum(BLOCK_SEPARATOR in k for k in capsule.arrays) == 9 * sealed
+
+        resumed = TraceSession.resume(cfg.directory, trace=small_trace)
+        revived = TraceSession.from_capsule(small_trace, capsule)
+        for revived_session in (resumed, revived):
+            assert len(revived_session.stats.history) == rows
+            _drive(revived_session, 20)
+            revived_session.close()
+            _assert_parity(revived_session, reference)
+            assert (
+                revived_session.controller.stats.deviations
+                == reference.controller.stats.deviations
+            )
+
+    def _past_one_block(self, trace, directory, n_ops):
+        cfg = PersistenceConfig(directory=directory, checkpoint_every=50)
+        session = TraceSession(trace, time_step=8, threshold=5.0, persistence=cfg)
+        _drive(session, n_ops)
+        session.close()
+        return cfg
+
+    def test_one_corrupt_block_mirror_resumes_bit_identically(
+        self, small_trace, tmp_path
+    ):
+        n_ops = HISTORY_BLOCK_ROWS + 60
+        reference = TraceSession(small_trace, time_step=8, threshold=5.0)
+        _drive(reference, n_ops + 20)
+        cfg = self._past_one_block(small_trace, tmp_path / "state", n_ops)
+        (mirror,) = cfg.directory.glob("seg-*-hist-000000.a.seg")
+        blob = bytearray(mirror.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        mirror.write_bytes(bytes(blob))
+
+        resumed = TraceSession.resume(cfg.directory, trace=small_trace)
+        assert "session.recovery.fallbacks" not in resumed.instrumentation.counters
+        _drive(resumed, 20)
+        resumed.close()
+        _assert_parity(resumed, reference)
+
+    def test_both_block_mirrors_corrupt_fall_back_past_the_block(
+        self, small_trace, tmp_path
+    ):
+        """The two newest checkpoints name the block, the oldest predates
+        it: recovery falls back to that one and replays the journal."""
+        n_ops = HISTORY_BLOCK_ROWS + 60  # checkpoints at 4050, 4100, 4150
+        reference = TraceSession(small_trace, time_step=8, threshold=5.0)
+        _drive(reference, n_ops + 20)
+        cfg = self._past_one_block(small_trace, tmp_path / "state", n_ops)
+        for mirror in cfg.directory.glob("seg-*-hist-000000.?.seg"):
+            blob = bytearray(mirror.read_bytes())
+            blob[40] ^= 0x01
+            mirror.write_bytes(bytes(blob))
+
+        resumed = TraceSession.resume(cfg.directory, trace=small_trace)
+        assert resumed.instrumentation.counters["session.recovery.fallbacks"] == 2
+        assert resumed.stats.operations == n_ops
+        _drive(resumed, 20)
+        resumed.close()
+        _assert_parity(resumed, reference)
+
+    def test_single_array_history_layout_still_resumes(self, small_trace, tmp_path):
+        """The layout before blocks: the solver-state segment plus whole
+        ``hist_*``/``ctrl_deviations`` arrays in the checkpoint."""
+        n_ops = HISTORY_BLOCK_ROWS + 10  # newest checkpoint at 4100
+        reference = TraceSession(small_trace, time_step=8, threshold=5.0)
+        _drive(reference, n_ops + 20)
+        cfg = self._past_one_block(small_trace, tmp_path / "state", n_ops)
+        latest = CheckpointStore(cfg.directory).load_latest()
+        for path in cfg.directory.glob("*.*seg"):
+            path.unlink()
+        for path in cfg.directory.glob("*.ckpt"):
+            path.unlink()
+        CheckpointStore(cfg.directory).save(latest.arrays, latest.meta)
+        legacy = read_checkpoint(_newest_checkpoint(cfg.directory))
+        assert "segments" not in legacy.meta and "segment" in legacy.meta
+        assert legacy.arrays["hist_snapshot"].shape == (HISTORY_BLOCK_ROWS + 4,)
+        assert legacy.arrays["ctrl_deviations"].shape == (HISTORY_BLOCK_ROWS + 4,)
+
+        resumed = TraceSession.resume(cfg.directory, trace=small_trace)
+        assert resumed.stats.operations == n_ops
+        _drive(resumed, 20)
+        resumed.close()
+        _assert_parity(resumed, reference)
+
+
+# -- journal records ------------------------------------------------------------
+_GRAPHS = [random_task_graph(6, seed=seed) for seed in range(3)]
+
+
+def _drive_mixed(session, n_ops):
+    """Collectives and task mappings; returns the mappings made."""
+    mappings = []
+    n = session.trace.n_machines
+    for _ in range(n_ops):
+        k = session.stats.operations
+        if k % 3 == 1:
+            mapping, _ = session.map_tasks(_GRAPHS[k % len(_GRAPHS)])
+            mappings.append(mapping)
+        else:
+            session.run_collective(("broadcast", "reduce", "scatter")[k % 3], root=k % n)
+    return mappings
+
+
+class TestJournalRecords:
+    def _stopped_between_checkpoints(self, trace, tmp_path):
+        cfg = PersistenceConfig(directory=tmp_path / "state", checkpoint_every=10)
+        session = TraceSession(trace, time_step=8, threshold=0.05, persistence=cfg)
+        _drive_mixed(session, 27)  # newest checkpoint at 20: 7 records to replay
+        session.close()
+        return cfg
+
+    def _reference(self, trace):
+        reference = TraceSession(trace, time_step=8, threshold=0.05)
+        return reference, _drive_mixed(reference, 40)
+
+    def test_mapping_records_pack_volumes(self, small_trace, tmp_path):
+        cfg = self._stopped_between_checkpoints(small_trace, tmp_path)
+        pending = recover(cfg.directory).pending
+        maps = [r for r in pending if r["kind"] == "mapping"]
+        assert len(pending) == 7 and len(maps) >= 2
+        for record in maps:
+            assert sorted(record["volumes"]) == ["le64", "shape"]
+        volumes = unpack_float64(maps[0]["volumes"])
+        assert any(np.array_equal(volumes, g.volumes) for g in _GRAPHS)
+
+    def test_mixed_session_resumes_bit_identically(self, small_trace, tmp_path):
+        reference, ref_mappings = self._reference(small_trace)
+        cfg = self._stopped_between_checkpoints(small_trace, tmp_path)
+        resumed = TraceSession.resume(cfg.directory, trace=small_trace)
+        assert resumed.stats.history == reference.stats.history[:27]
+        mappings = _drive_mixed(resumed, 13)
+        resumed.close()
+        _assert_parity(resumed, reference)
+        later = ref_mappings[-len(mappings):]
+        assert len(mappings) >= 4
+        for got, want in zip(mappings, later):
+            np.testing.assert_array_equal(got, want)
+
+    def test_legacy_list_form_mapping_records_resume(self, small_trace, tmp_path):
+        reference, _ = self._reference(small_trace)
+        cfg = self._stopped_between_checkpoints(small_trace, tmp_path)
+        jpath = journal_path(cfg.directory)
+        records = list(SnapshotJournal.replay(jpath))
+        for record in records:
+            if record["kind"] == "mapping":
+                record["volumes"] = unpack_float64(record["volumes"]).tolist()
+        with open(jpath, "wb"):
+            pass  # an empty file: the journal starts afresh
+        with SnapshotJournal(jpath) as journal:
+            for record in records:
+                journal.append_json(record)
+        assert any(
+            isinstance(r.get("volumes"), list) for r in recover(cfg.directory).pending
+        )
+
+        resumed = TraceSession.resume(cfg.directory, trace=small_trace)
+        _drive_mixed(resumed, 13)
+        resumed.close()
+        _assert_parity(resumed, reference)
