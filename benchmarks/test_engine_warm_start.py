@@ -5,7 +5,7 @@ lives; the :class:`~repro.core.engine.DecompositionEngine` seeds each solve
 from the previous window's solution. The benchmark replays the same rolling
 window sequence warm and cold and records wall time; the accompanying
 assertions pin the actual point of the feature — fewer solver iterations on
-every re-solve.
+every re-solve. Only APG is replayed: IALM takes no warm start.
 """
 
 import pytest
@@ -36,7 +36,7 @@ def _replay(trace, solver, warm_start):
     return instr
 
 
-@pytest.mark.parametrize("solver", ["apg", "ialm"])
+@pytest.mark.parametrize("solver", ["apg"])
 @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
 def test_rolling_recalibration_runtime(benchmark, trace_32, solver, warm):
     instr = benchmark(_replay, trace_32, solver, warm)
@@ -44,7 +44,7 @@ def test_rolling_recalibration_runtime(benchmark, trace_32, solver, warm):
     assert instr.warm_solves == (len(WINDOWS) - 1 if warm else 0)
 
 
-@pytest.mark.parametrize("solver", ["apg", "ialm"])
+@pytest.mark.parametrize("solver", ["apg"])
 def test_warm_replay_iterates_less(trace_32, solver):
     warm = _replay(trace_32, solver, True)
     cold = _replay(trace_32, solver, False)

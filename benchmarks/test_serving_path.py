@@ -11,7 +11,11 @@ sizes the repository runs them:
   :class:`~repro.mapping.greedy.MachineGraph` (what a session passes);
 * **the four collectives** on a 196-node FNF tree, with the default full
   finiteness check of α and with ``check_finite=False`` (a session's
-  already-checked snapshot).
+  already-checked snapshot);
+* **a re-plan after a stream fold**: the new ``P_D`` from its constant
+  row, its α-β pair, and each root's tree, kept from the previous
+  ``P_D`` and certified (:class:`~repro.collectives.fnf.FnfPicks`)
+  against building it again with ``fnf_tree``.
 
 Every timed result is compared bit for bit with the plain oracles in
 ``tests/oracles.py`` **unconditionally**. Each kernel is also timed against
@@ -28,12 +32,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.collectives.exec_model import collective_time
-from repro.collectives.fnf import fnf_tree
+from repro.collectives.exec_model import collective_time, weights_to_alphabeta
+from repro.collectives.fnf import FnfPicks, fnf_tree
+from repro.core.matrices import TCMatrix
 from repro.mapping.greedy import MachineGraph, greedy_mapping
 from repro.mapping.taskgraph import random_task_graph
 from repro.observability.benchrecord import bench_record, write_bench_json
-from tests.oracles import greedy_reference, reference_times
+from tests.oracles import (
+    greedy_reference,
+    performance_matrix_reference,
+    reference_times,
+    weights_to_alphabeta_reference,
+)
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
@@ -44,6 +54,10 @@ REPEATS = 7  # timed passes per cell; the median pass is recorded
 NBYTES = 8 * 1024 * 1024
 OPS = ("broadcast", "scatter", "reduce", "gather")
 SEED = 196
+#: Relative size of the P_D move a fold makes in the re-plan cell, and the
+#: roots re-planned there.
+FOLD_STEP = 1e-4
+REPLAN_ROOTS = 16
 
 
 def _seconds(run, calls: int) -> float:
@@ -67,6 +81,64 @@ def cluster():
     weights = rng.uniform(0.1, 10.0, size=(N_MACHINES, N_MACHINES))
     np.fill_diagonal(weights, 0.0)
     return bandwidth, alpha, beta, weights
+
+
+def _replan_cell(weights):
+    """A re-plan after a fold: time each part against its oracle.
+
+    The fold moves every link of ``P_D`` by a relative ``FOLD_STEP``.
+    ``pd`` and ``alphabeta`` are timed against the mask versions in
+    tests/oracles.py, ``tree`` (certify the kept tree, else build it) per
+    root against ``fnf_tree``. Every result is compared bit for bit.
+    """
+    rng = np.random.default_rng(SEED + 1)
+    row = (weights * (1.0 + FOLD_STEP * rng.standard_normal(weights.shape))).ravel()
+    tc = TCMatrix(row=row, n_rows=10, n_machines=N_MACHINES)
+    w = tc.performance_matrix().weights
+    assert w.tobytes() == performance_matrix_reference(row, N_MACHINES).tobytes()
+    pair, want_pair = weights_to_alphabeta(w, NBYTES), weights_to_alphabeta_reference(w, NBYTES)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, want_pair))
+
+    roots = list(range(0, N_MACHINES, N_MACHINES // REPLAN_ROOTS))[:REPLAN_ROOTS]
+    kept = {root: FnfPicks.of(fnf_tree(weights, root)) for root in roots}
+
+    def replanned(root):
+        picks = kept[root]
+        return picks.tree if picks.certifies(w, check_finite=False) else fnf_tree(w, root)
+
+    certified = 0
+    for root in roots:
+        got, want = replanned(root), fnf_tree(w, root)
+        assert np.array_equal(got.parent, want.parent) and got.children == want.children
+        certified += kept[root].certifies(w, check_finite=False)
+    def each(fn, args):
+        # Results are dropped as they come, as a session drops the last
+        # plan's: holding 20 N×N results would time page faults instead.
+        def run():
+            for arg in args:
+                fn(arg)
+
+        return _seconds(run, len(args))
+
+    twenty = [None] * 20
+    return {
+        "fold_step": FOLD_STEP,
+        "certified": certified,
+        "seconds": {
+            "pd": {
+                "one_pass": each(lambda _: tc.performance_matrix(), twenty),
+                "oracle": each(lambda _: performance_matrix_reference(row, N_MACHINES), twenty),
+            },
+            "alphabeta": {
+                "one_pass": each(lambda _: weights_to_alphabeta(w, NBYTES), twenty),
+                "oracle": each(lambda _: weights_to_alphabeta_reference(w, NBYTES), twenty),
+            },
+            "tree_per_root": {
+                "one_pass": each(replanned, roots),
+                "oracle": each(lambda root: fnf_tree(w, root), roots),
+            },
+        },
+    }
 
 
 def test_serving_path_and_emit(cluster, emit):
@@ -116,6 +188,7 @@ def test_serving_path_and_emit(cluster, emit):
     oracle_six_ops = _seconds(
         lambda: reference_times(tree, alpha, beta, NBYTES, block_sizes), 1
     )
+    replan = _replan_cell(weights)
 
     slow_cells = [
         f"greedy {n} tasks ({source})"
@@ -128,6 +201,11 @@ def test_serving_path_and_emit(cluster, emit):
     # scaled to the four timed ops.
     if priced_all_ops > oracle_six_ops * len(OPS) / 6:
         slow_cells.append("collective pricing")
+    slow_cells += [
+        f"re-plan {part}"
+        for part, row in replan["seconds"].items()
+        if row["one_pass"] > row["oracle"]
+    ]
 
     record = bench_record(
         "serving_path_196_instances",
@@ -138,6 +216,7 @@ def test_serving_path_and_emit(cluster, emit):
         greedy_mapping=mapper,
         collective_pricing=pricing,
         collective_oracle_six_ops_seconds=oracle_six_ops,
+        replan_after_fold=replan,
         parity="bitwise-vs-oracles",
     )
     write_bench_json(BENCH_JSON, record)
@@ -154,6 +233,14 @@ def test_serving_path_and_emit(cluster, emit):
             f"  {op:<9} checked {row['checked_seconds'] * 1e6:7.1f} us  "
             f"check_finite=False {row['unchecked_seconds'] * 1e6:7.1f} us"
         )
+    for part, row in replan["seconds"].items():
+        lines.append(
+            f"  re-plan {part:<13} {row['one_pass'] * 1e6:7.1f} us  "
+            f"oracle {row['oracle'] * 1e6:7.1f} us"
+        )
+    lines.append(
+        f"  re-plan trees certified on {replan['certified']} of {REPLAN_ROOTS} roots"
+    )
     lines.append(f"  (wrote {BENCH_JSON.name})")
     emit("\n".join(lines))
 

@@ -21,6 +21,7 @@ __all__ = [
     "check_probability",
     "check_in_range",
     "check_index",
+    "off_diagonal",
 ]
 
 
@@ -51,6 +52,22 @@ def as_square_matrix(
     if arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     return arr
+
+
+def off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a C-contiguous square array, as a view.
+
+    Diagonal entry ``i`` sits at flat index ``i·(n+1)``, so the flat array
+    from index 1 on, read as ``(n-1) × (n+1)``, holds each diagonal entry
+    in its last column. The view drops that column: it has the entries of
+    ``a[~np.eye(n, dtype=bool)]`` in the same (row-major) order, and
+    writing through it writes *a*, so one pass over it replaces a mask
+    gather (and its scatter back).
+    """
+    n = a.shape[0]
+    if not a.flags.c_contiguous:
+        raise ValueError("off_diagonal needs a C-contiguous array")
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
 
 
 def check_positive(value: float, name: str) -> float:

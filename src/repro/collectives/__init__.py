@@ -7,7 +7,7 @@ for broadcast, scatter, reduce and gather.
 """
 
 from .trees import CommTree, binomial_tree
-from .fnf import fnf_tree
+from .fnf import FnfPicks, fnf_tree
 from .exec_model import (
     broadcast_time,
     scatter_time,
@@ -35,6 +35,7 @@ __all__ = [
     "allreduce_time",
     "CommTree",
     "binomial_tree",
+    "FnfPicks",
     "fnf_tree",
     "broadcast_time",
     "scatter_time",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_square_matrix, check_nonnegative
+from .._validation import as_square_matrix, check_nonnegative, off_diagonal
 from ..errors import ValidationError
 from .trees import CommTree
 
@@ -45,14 +45,12 @@ def weights_to_alphabeta(
     """
     w = as_square_matrix(weights, "weights")
     check_nonnegative(nbytes, "nbytes")
-    n = w.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if np.any(w[off] <= 0):
+    if w.shape[0] > 1 and off_diagonal(w).min() <= 0:
         raise ValidationError("weights must be positive off-diagonal")
-    beta = np.full_like(w, np.inf)
-    beta[off] = nbytes / w[off]
-    alpha = np.zeros_like(w)
-    return alpha, beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.divide(nbytes, w)  # the zero diagonal divides to inf or NaN
+    np.fill_diagonal(beta, np.inf)
+    return np.zeros(w.shape), beta
 
 
 def _check_inputs(

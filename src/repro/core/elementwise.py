@@ -354,7 +354,7 @@ class ElementwiseKernel:
         :func:`~repro.core.svd_ops.soft_threshold_into` into kernel-owned
         scratch (no temporaries). The result is a buffer owned by this
         kernel, valid until the next :meth:`shrink` call — callers that retain it must copy it (the
-        streaming window slide does, via ``np.vstack``). Non-contiguous
+        streaming window slide does). Non-contiguous
         input falls back to a fresh :func:`soft_threshold` array.
         """
         t0 = time.perf_counter()

@@ -12,7 +12,8 @@ advances, and historically every layer re-derived the TP-matrix from scratch
 * **warm-started recalibration** — when the registered solver supports it
   (see :class:`~repro.core.solvers.SolverSpec.supports_warm_start`), each
   solve is initialized from the previous window's solution, cutting the
-  iteration count of APG/IALM re-solves;
+  iteration count of APG re-solves (IALM solves cold: see
+  :mod:`repro.core.ialm`);
 * **instrumentation** — every solve lands a
   :class:`~repro.observability.SolveSpan` plus warm/cold and cache-hit
   counters in the engine's :class:`~repro.observability.Instrumentation`

@@ -12,18 +12,15 @@ ascent on ``Y`` and a geometric increase of ``mu`` (Lin, Chen & Ma 2010).
 
 Warm starts
 -----------
-IALM's iteration count is governed by the penalty ramp: feasibility
-``A = D + E`` is only reached once ``mu`` has grown enough that the proximal
-thresholds ``1/mu`` and ``λ/mu`` stop leaving residual behind. Seeding
-``(D, E)`` from a previous overlapping window's solution therefore saves
-little by itself — the warm iterates get re-shrunk while ``mu`` is still
-small. A warm solve instead *also* advances the penalty ``warm_mu_steps``
-rho-steps up the ramp, skipping the early iterations whose only job is to
-grow ``mu`` past the scale the warm iterate has already resolved. As with
-any inexact path-following method the warm split can differ from the cold
-one (a few percent on the constant row at the default 8 steps on EC2-like
-traces); pass ``warm_mu_steps=0`` for maximum fidelity or omit
-``warm_start`` for the bitwise cold answer.
+None. A warm start cannot skip IALM's penalty ramp: feasibility ``A = D + E``
+is only reached once ``mu`` has grown enough that the proximal thresholds
+``1/mu`` and ``λ/mu`` stop leaving residual behind, and a seeded ``(D, E)``
+is re-shrunk while ``mu`` is still small. Starting further up the ramp
+instead made a warm solve converge on feasibility before the split: over a
+chain of re-calibrations on 64-instance EC2-like traces the constant row
+settled 22–27% from a cold solve of the same window. Without the head start
+a warm solve took as many iterations as a cold one. The solver therefore
+takes no ``warm_start``, and the registry declares it cold-only.
 
 Partial observations
 --------------------
@@ -42,9 +39,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import observability
-from .._validation import as_float_matrix, check_nonnegative, check_positive
+from .._validation import as_float_matrix, check_positive
 from ..errors import ConvergenceError
-from .apg import _unpack_warm_start, default_lambda, validate_mask
+from .apg import default_lambda, validate_mask
 from .elementwise import ElementwiseKernel
 from .kernels import SolveWorkspace, SVTKernel, validate_backend
 from .result import SolverResult
@@ -68,8 +65,6 @@ def rpca_ialm(
     max_iter: int = 1000,
     rho: float = 1.5,
     raise_on_fail: bool = False,
-    warm_start: object | None = None,
-    warm_mu_steps: float = 8.0,
     mask: np.ndarray | None = None,
     svd_backend: str = "exact",
 ) -> SolverResult:
@@ -94,14 +89,6 @@ def rpca_ialm(
         Penalty growth factor per iteration (> 1).
     raise_on_fail:
         Raise :class:`~repro.errors.ConvergenceError` on budget exhaustion.
-    warm_start:
-        Previous solution to start from — a
-        :class:`~repro.core.result.SolverResult` or a ``(low_rank, sparse)``
-        pair of the same shape as *a*.
-    warm_mu_steps:
-        How many ``rho``-steps up the penalty ramp a warm solve starts
-        (default 8). Larger skips more iterations but lets the warm split
-        drift further from the cold one; 0 keeps the cold ramp.
     svd_backend:
         SVD kernel used for the per-iteration singular value thresholding —
         one of :data:`repro.core.kernels.SVD_BACKENDS`. ``"exact"`` (the
@@ -116,7 +103,6 @@ def rpca_ialm(
     lam_v = default_lambda((m, n)) if lam is None else check_positive(lam, "lam")
     if rho <= 1.0:
         raise ValueError(f"rho must exceed 1, got {rho}")
-    check_nonnegative(warm_mu_steps, "warm_mu_steps")
     validate_backend(svd_backend)
     omega = validate_mask(mask, A.shape)
     if omega is not None:
@@ -136,8 +122,6 @@ def rpca_ialm(
             max_iter=max_iter,
             rho=rho,
             raise_on_fail=raise_on_fail,
-            warm_start=warm_start,
-            warm_mu_steps=warm_mu_steps,
             omega=omega,
             svd_backend=svd_backend,
         )
@@ -150,13 +134,8 @@ def rpca_ialm(
     mu = 1.25 / norm_two
     mu_bar = mu * 1e7
 
-    warm = warm_start is not None
-    if warm:
-        D, E = _unpack_warm_start(warm_start, A.shape)
-        mu = min(mu * rho**warm_mu_steps, mu_bar)
-    else:
-        D = np.zeros_like(A)
-        E = np.zeros_like(A)
+    D = np.zeros_like(A)
+    E = np.zeros_like(A)
     rank = 0
     residual = np.inf
     converged = False
@@ -201,7 +180,6 @@ def rpca_ialm(
         iterations=iterations,
         converged=converged,
         residual=residual,
-        warm_started=warm,
     )
 
 
@@ -214,8 +192,6 @@ def _rpca_ialm_fast(
     max_iter: int,
     rho: float,
     raise_on_fail: bool,
-    warm_start: object | None,
-    warm_mu_steps: float,
     omega: np.ndarray | None,
     svd_backend: str,
 ) -> SolverResult:
@@ -256,17 +232,9 @@ def _rpca_ialm_fast(
 
     D, E, Yinv, M, Z = ws.bufs("D", "E", "Yinv", "M", "Z")
 
-    warm = warm_start is not None
-    if warm:
-        D0, E0 = _unpack_warm_start(warm_start, A.shape)
-        np.copyto(D, D0)
-        np.copyto(E, E0)
-        mu = min(mu * rho**warm_mu_steps, mu_bar)
-    else:
-        D[...] = 0.0
-        E[...] = 0.0
-    # Ȳ₀ = Y₀/μ₀ with the *ramped* μ — the exact path's Y is fixed at A/J
-    # while a warm solve starts further up the penalty ramp.
+    D[...] = 0.0
+    E[...] = 0.0
+    # Ȳ₀ = Y₀/μ₀, with Y₀ = A/J(A) as in the exact path.
     np.multiply(A, 1.0 / (max(norm_two, norm_inf) * mu), out=Yinv)
     rank = 0
     residual = np.inf
@@ -310,5 +278,4 @@ def _rpca_ialm_fast(
         iterations=iterations,
         converged=converged,
         residual=residual,
-        warm_started=warm,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._validation import as_float_matrix, as_square_matrix
+from .._validation import as_float_matrix, as_square_matrix, off_diagonal
 from ..errors import ValidationError
 
 __all__ = ["PerformanceMatrix", "TPMatrix", "TCMatrix", "TEMatrix"]
@@ -47,8 +47,7 @@ class PerformanceMatrix:
         w = as_square_matrix(self.weights, "weights")
         if np.any(np.diagonal(w) != 0.0):
             raise ValidationError("PerformanceMatrix diagonal must be zero")
-        off = ~np.eye(w.shape[0], dtype=bool)
-        if w.shape[0] > 1 and np.any(w[off] <= 0.0):
+        if w.shape[0] > 1 and off_diagonal(w).min() <= 0.0:
             raise ValidationError("off-diagonal weights must be positive")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -253,13 +252,15 @@ class TCMatrix:
         """
         w = self.row.reshape(self.n_machines, self.n_machines).copy()
         np.fill_diagonal(w, 0.0)
-        off = ~np.eye(self.n_machines, dtype=bool)
         if self.n_machines > 1:
-            positive = w[off][w[off] > 0]
-            if positive.size == 0:
-                raise ValidationError("constant component has no positive weights")
-            floor = clip_floor if clip_floor is not None else float(positive.min()) * 1e-3
-            w[off] = np.maximum(w[off], floor)
+            off = off_diagonal(w)
+            smallest = off.min()
+            if not smallest > 0:  # the smallest positive entry needs a mask
+                smallest = off.min(initial=np.inf, where=off > 0)
+                if smallest == np.inf:
+                    raise ValidationError("constant component has no positive weights")
+            floor = clip_floor if clip_floor is not None else float(smallest) * 1e-3
+            np.maximum(off, floor, out=off)
         return PerformanceMatrix(weights=w)
 
 

@@ -52,7 +52,7 @@ class SolveOptions:
         always qualify).
     warm_start:
         Start each re-calibration solve from the previous window's
-        solution (default on). Only solvers that support it (APG/IALM) are
+        solution (default on). Only solvers that support it (APG) are
         affected; turn it off to reproduce the cold-solve path bit for bit.
     mode:
         ``"batch"`` (default) re-solves the whole window at every

@@ -179,7 +179,9 @@ def register_solver(
 
 
 register_solver("apg", rpca_apg, supports_warm_start=True)
-register_solver("ialm", rpca_ialm, supports_warm_start=True)
+# Cold-only: a warm-started IALM chain settles far from the cold answer
+# (see repro.core.ialm, "Warm starts").
+register_solver("ialm", rpca_ialm, supports_warm_start=False)
 register_solver("row_constant", row_constant_decomposition, exact_row_constant=True)
 # Non-robust straw man for the paper's PCA-vs-RPCA motivation (Sec II-B).
 register_solver("pca", pca_rank1_decomposition, exact_row_constant=True)

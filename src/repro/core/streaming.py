@@ -29,10 +29,13 @@ orthonormal rows, ``coeffs``: ``time_step × r``) plus the sparse component
    are merged or shrunk away, and the rank predictor observes the
    surviving rank.
 
-A fold allocates only O(row) temporaries besides the slid sparse window,
-and the in-service result carries the constant row ``mean(coeffs) · basis``
-(O(r · N²)); the reconstruction ``coeffs · basis`` is formed only if a
-caller reads :attr:`StreamResult.low_rank`.
+A fold allocates only O(row) temporaries, and the in-service result
+carries the constant row ``mean(coeffs) · basis`` (O(r · N²)); the
+reconstruction ``coeffs · basis`` is formed only if a caller reads
+:attr:`StreamResult.low_rank`. The sparse window slides as a list of rows:
+a fold drops the oldest row and appends a copy of the new one, and the
+``time_step × N²`` array is stacked only when something reads it (a
+checkpoint or capsule of the state, or :attr:`StreamResult.sparse`).
 
 The streaming path is an *approximation in service*, never an oracle: the
 engine seeds it from a **cold** batch solve, and any fallback (rank growth,
@@ -48,7 +51,8 @@ streaming state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -148,10 +152,10 @@ class StreamResult:
 
     Built either from an explicit ``low_rank`` or from the factors
     ``coeffs`` (``m × r``) and ``basis`` (``r × n``); in the second case
-    :attr:`low_rank` is their product, formed on first read.
+    :attr:`low_rank` is their product, formed on first read. ``sparse`` is
+    the ``m × n`` array or its ``m`` rows, stacked on first read.
     """
 
-    sparse: np.ndarray
     rank: int
     iterations: int
     converged: bool
@@ -162,7 +166,7 @@ class StreamResult:
     def __init__(
         self,
         *,
-        sparse: np.ndarray,
+        sparse: np.ndarray | Sequence[np.ndarray],
         rank: int,
         iterations: int,
         converged: bool,
@@ -176,7 +180,7 @@ class StreamResult:
         if low_rank is None and (coeffs is None or basis is None):
             raise ValidationError("StreamResult needs low_rank or coeffs and basis")
         for name, value in (
-            ("sparse", sparse),
+            ("_sparse", sparse),
             ("rank", rank),
             ("iterations", iterations),
             ("converged", converged),
@@ -197,29 +201,98 @@ class StreamResult:
         return self._low_rank
 
     @property
+    def sparse(self) -> np.ndarray:
+        """The sparse component ``S`` (stacked from its rows on first read)."""
+        if not isinstance(self._sparse, np.ndarray):
+            object.__setattr__(self, "_sparse", np.stack(self._sparse))
+        return self._sparse
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return self.sparse.shape  # type: ignore[return-value]
+        sparse = self._sparse
+        if isinstance(sparse, np.ndarray):
+            return sparse.shape  # type: ignore[return-value]
+        return len(sparse), int(sparse[0].size)
 
 
-@dataclass
 class StreamState:
     """Picklable subspace state of a :class:`StreamingDecomposer`.
 
     Plain float64/int64 numpy arrays plus scalars, so the state round-trips
     bit-identically through the checkpoint array channel (and through
-    ``pickle`` inside a :class:`~repro.runtime.session.SessionCapsule`).
+    ``pickle``, which stores the same fields as ever).
+
+    The sparse window is held as its ``m`` rows: :meth:`slide` drops the
+    oldest and appends one, in O(row). :attr:`sparse` stacks them into the
+    ``m × n`` array on first read after a slide.
     """
 
-    basis: np.ndarray  # (r, n) orthonormal rows
-    coeffs: np.ndarray  # (m, r)
-    sparse: np.ndarray  # (m, n)
-    keys: np.ndarray  # (m,) int64 snapshot indices, window order
-    row_err: np.ndarray  # (m,) relative L1 unexplained residual per row
-    end: int  # window is [end - m, end)
-    updates: int = 0  # folds since seed (drives the refresh cadence)
-    predictor: RankPredictor = field(
-        default_factory=lambda: RankPredictor(min_dim=1)
-    )
+    def __init__(
+        self,
+        basis: np.ndarray,  # (r, n) orthonormal rows
+        coeffs: np.ndarray,  # (m, r)
+        sparse: np.ndarray | Sequence[np.ndarray],  # (m, n), or its m rows
+        keys: np.ndarray,  # (m,) int64 snapshot indices, window order
+        row_err: np.ndarray,  # (m,) relative L1 unexplained residual per row
+        end: int,  # window is [end - m, end)
+        updates: int = 0,  # folds since seed (drives the refresh cadence)
+        predictor: RankPredictor | None = None,
+    ) -> None:
+        self.basis = basis
+        self.coeffs = coeffs
+        self.keys = keys
+        self.row_err = row_err
+        self.end = end
+        self.updates = updates
+        if predictor is None:
+            predictor = RankPredictor(min_dim=1)
+        self.predictor = predictor
+        self._sparse_rows = list(sparse)
+        self._sparse = sparse if isinstance(sparse, np.ndarray) else None
+
+    @property
+    def sparse(self) -> np.ndarray:
+        """The ``m × n`` sparse window (stacked on first read after a slide)."""
+        if self._sparse is None:
+            self._sparse = np.stack(self._sparse_rows)
+        return self._sparse
+
+    @property
+    def sparse_rows(self) -> tuple[np.ndarray, ...]:
+        """The sparse window's rows, oldest first, without stacking them."""
+        return tuple(self._sparse_rows)
+
+    def slide(
+        self, coeffs: np.ndarray, sparse: np.ndarray, key: int, rel: float
+    ) -> None:
+        """Drop the window's oldest row and append snapshot *key*'s.
+
+        *sparse* is copied (the fold's shrinkage writes into scratch), the
+        other rows are kept as they are.
+        """
+        self.coeffs = np.vstack([self.coeffs[1:], coeffs[None, :]])
+        del self._sparse_rows[0]
+        self._sparse_rows.append(sparse.copy())
+        self._sparse = None
+        self.keys = np.append(self.keys[1:], np.int64(key))
+        self.row_err = np.append(self.row_err[1:], rel)
+        self.end = int(key) + 1
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {
+            "basis": self.basis,
+            "coeffs": self.coeffs,
+            "sparse": self.sparse,
+            "keys": self.keys,
+            "row_err": self.row_err,
+            "end": self.end,
+            "updates": self.updates,
+            "predictor": self.predictor,
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # Also the field dict of states pickled when this was a dataclass.
+        self.__init__(**state)  # type: ignore[misc]
 
     @property
     def rank(self) -> int:
@@ -277,8 +350,8 @@ class StreamingDecomposer:
         self.shape = (int(shape[0]), int(shape[1]))
         self.config = config if config is not None else StreamingConfig()
         # Per-fold shrinkage reuses the elementwise kernel's scratch row
-        # (safe: the window slide copies the shrunk row into the new sparse
-        # window before the next fold shrinks again).
+        # (safe: the window slide copies the shrunk row before the next
+        # fold shrinks again).
         self._ew = ElementwiseKernel()
         self.state: StreamState | None = None
 
@@ -350,13 +423,15 @@ class StreamingDecomposer:
                 f"stream state for window {state.sparse.shape} does not fit "
                 f"decomposer shape {self.shape}"
             )
-        self.state = replace(
-            state,
+        self.state = StreamState(
             basis=np.asarray(state.basis, dtype=np.float64),
             coeffs=np.asarray(state.coeffs, dtype=np.float64),
             sparse=np.asarray(state.sparse, dtype=np.float64),
             keys=np.asarray(state.keys, dtype=np.int64),
             row_err=np.asarray(state.row_err, dtype=np.float64),
+            end=state.end,
+            updates=state.updates,
+            predictor=state.predictor,
         )
 
     # -- folding -----------------------------------------------------------
@@ -395,12 +470,7 @@ class StreamingDecomposer:
                 v, s_row, resid = self._project(y, st.basis, 1)
                 rel = _rel_l1(resid - s_row, y)
 
-        # Slide the window: oldest row out, new row in.
-        st.coeffs = np.vstack([st.coeffs[1:], v[None, :]])
-        st.sparse = np.vstack([st.sparse[1:], s_row[None, :]])
-        st.keys = np.append(st.keys[1:], np.int64(key))
-        st.row_err = np.append(st.row_err[1:], rel)
-        st.end = int(key) + 1
+        st.slide(v, s_row, key, rel)
         st.updates += 1
         if st.updates % cfg.refresh_every == 0:
             self._refresh(st)
@@ -461,7 +531,7 @@ class StreamingDecomposer:
         return StreamResult(
             coeffs=st.coeffs,
             basis=st.basis,
-            sparse=st.sparse,
+            sparse=st.sparse_rows,
             rank=st.rank,
             iterations=self.config.passes,
             converged=True,

@@ -49,7 +49,7 @@ import traceback
 from multiprocessing import connection as mp_connection
 from multiprocessing import resource_tracker
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,6 +93,36 @@ class _ClusterState:
     finished: bool = False
     status: str = "ok"
     error: str | None = None
+    # Arrays of the last checkpoint saved to ``store``.
+    saved: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def _as_saved(
+    saved: dict[str, np.ndarray], arrays: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """*arrays* frozen, each one equal to the last save's array of its name
+    replaced by that object.
+
+    Capsules reach the scheduler unpickled, as new writeable arrays, but a
+    :class:`~repro.persistence.CheckpointStore` names a segment written
+    before again only for the same read-only objects. Without this, every
+    save of a cluster rewrote its solver-state segment and each sealed
+    history block, however little had changed.
+    """
+    out = {}
+    for name, arr in arrays.items():
+        old = saved.get(name)
+        if (
+            old is not None
+            and old.dtype == arr.dtype
+            and old.shape == arr.shape
+            and np.array_equal(old, arr)
+        ):
+            out[name] = old
+        else:
+            arr.setflags(write=False)
+            out[name] = arr
+    return out
 
 
 @dataclass
@@ -645,7 +675,8 @@ class FleetScheduler:
                 state.batches += 1
                 total_batches += 1
                 if state.store is not None:
-                    state.store.save(result.capsule.arrays, result.capsule.meta)
+                    state.saved = _as_saved(state.saved, result.capsule.arrays)
+                    state.store.save(state.saved, result.capsule.meta)
                 if state.remaining > 0:
                     ready.append(result.cluster)
                 else:

@@ -47,7 +47,7 @@ from .._validation import as_square_matrix, check_nonnegative, check_positive
 from ..calibration.overhead import calibration_overhead_seconds
 from ..cloudsim.trace import CalibrationTrace
 from ..collectives.exec_model import collective_time, weights_to_alphabeta
-from ..collectives.fnf import fnf_tree
+from ..collectives.fnf import FnfPicks, fnf_tree
 from ..collectives.trees import CommTree
 from ..core.decompose import Decomposition
 from ..core.engine import DecompositionEngine
@@ -227,9 +227,19 @@ class _ServingPlan:
     machine graph. A plan is tied to the decomposition object it was
     built from; the session builds a new one as soon as a different
     decomposition is in service. It is derived state and is never captured.
+
+    Trees also outlive their plan. A plan takes over its predecessor's
+    last tree per root with the picks FNF made for it
+    (:class:`~repro.collectives.fnf.FnfPicks`), and serves a kept tree
+    again only when the new weights certify it, i.e. when ``fnf_tree``
+    would provably return the same tree. A streamed ``P_D`` moves on every
+    fold but its trees rarely change, so most re-plans cost one
+    certificate per root instead of one FNF build.
     """
 
-    def __init__(self, decomposition: Decomposition) -> None:
+    def __init__(
+        self, decomposition: Decomposition, previous: "_ServingPlan | None" = None
+    ) -> None:
         self.decomposition = decomposition
         # Validated, zero-diagonal and read-only (a PerformanceMatrix's).
         self.weights = decomposition.performance_matrix().weights
@@ -237,11 +247,20 @@ class _ServingPlan:
         self._alphabeta: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._expected: dict[tuple[str, int, float], float] = {}
         self._machines: MachineGraph | None = None
+        # Root -> picks of the last tree built or certified for it, shared
+        # along the chain of plans.
+        self._kept: dict[int, FnfPicks] = {} if previous is None else previous._kept
 
     def tree(self, root: int) -> CommTree:
         tree = self._trees.get(root)
         if tree is None:
-            tree = self._trees[root] = fnf_tree(self.weights, root)
+            kept = self._kept.get(root)
+            if kept is not None and kept.certifies(self.weights, check_finite=False):
+                tree = kept.tree
+            else:
+                tree = fnf_tree(self.weights, root)
+                self._kept[root] = FnfPicks.of(tree)
+            self._trees[root] = tree
         return tree
 
     def alphabeta(self, nbytes: float) -> tuple[np.ndarray, np.ndarray]:
@@ -692,7 +711,7 @@ class TraceSession:
         """
         plan = self._plan
         if plan is None or plan.decomposition is not self._decomposition:
-            plan = self._plan = _ServingPlan(self.decomposition)
+            plan = self._plan = _ServingPlan(self.decomposition, plan)
         return plan
 
     def _live_snapshot(self, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,9 @@
 
 The serving-path oracles state their model one link, one task or one
 machine at a time, with no memoization and no vectorized schedule, so the
-library's fast paths must agree with them bit for bit. The APG oracle is
+library's fast paths must agree with them bit for bit. The re-planning
+oracles build ``P_D`` and its α-β pair with boolean off-diagonal masks, and
+serve a session whose plans build every tree with ``fnf_tree``. The APG oracle is
 the unmasked loop written block by block (separate ``D``, ``E`` and
 momentum buffers); the library's fused loop reorders its floating point,
 so the two agree to ~1e-12 relative with equal iteration counts. Shared by
@@ -11,11 +13,14 @@ the unit tests and by ``benchmarks/``.
 
 import numpy as np
 
+from repro._validation import as_square_matrix, check_nonnegative
+from repro.collectives.fnf import fnf_tree
 from repro.core.apg import default_lambda
 from repro.core.kernels import SVTKernel
 from repro.core.result import SolverResult
 from repro.core.svd_ops import soft_threshold, spectral_norm
 from repro.errors import ConvergenceError, ValidationError
+from repro.runtime import session as session_module
 
 # -- per-edge reference ------------------------------------------------------
 # The plain schedule, one link at a time, exactly as the α-β model states it.
@@ -116,6 +121,69 @@ def greedy_reference(task_graph, bandwidth):
         task_mapped[next_task] = True
         machine_used[next_machine] = True
     return mapping
+
+
+# -- re-planning references ---------------------------------------------------
+# P_D, its checks and its α-β pair as first written, with ~np.eye masks; and
+# a session whose serving plans never keep a tree across a change of P_D.
+
+
+def performance_matrix_reference(row, n_machines, clip_floor=None):
+    """``TCMatrix.performance_matrix`` weights, with boolean-mask gathers."""
+    w = np.asarray(row, dtype=np.float64).reshape(n_machines, n_machines).copy()
+    np.fill_diagonal(w, 0.0)
+    off = ~np.eye(n_machines, dtype=bool)
+    if n_machines > 1:
+        positive = w[off][w[off] > 0]
+        if positive.size == 0:
+            raise ValidationError("constant component has no positive weights")
+        floor = clip_floor if clip_floor is not None else float(positive.min()) * 1e-3
+        w[off] = np.maximum(w[off], floor)
+    return w
+
+
+def check_performance_matrix_reference(weights):
+    """``PerformanceMatrix``'s checks, with a boolean-mask gather."""
+    w = as_square_matrix(weights, "weights")
+    if np.any(np.diagonal(w) != 0.0):
+        raise ValidationError("PerformanceMatrix diagonal must be zero")
+    off = ~np.eye(w.shape[0], dtype=bool)
+    if w.shape[0] > 1 and np.any(w[off] <= 0.0):
+        raise ValidationError("off-diagonal weights must be positive")
+    return w
+
+
+def weights_to_alphabeta_reference(weights, nbytes):
+    """``weights_to_alphabeta`` with boolean-mask gathers and scatter."""
+    w = as_square_matrix(weights, "weights")
+    check_nonnegative(nbytes, "nbytes")
+    off = ~np.eye(w.shape[0], dtype=bool)
+    if np.any(w[off] <= 0):
+        raise ValidationError("weights must be positive off-diagonal")
+    beta = np.full_like(w, np.inf)
+    beta[off] = nbytes / w[off]
+    return np.zeros_like(w), beta
+
+
+class _FreshTreePlan(session_module._ServingPlan):
+    """A serving plan that builds every tree with ``fnf_tree``."""
+
+    def tree(self, root):
+        tree = self._trees.get(root)
+        if tree is None:
+            tree = self._trees[root] = fnf_tree(self.weights, root)
+        return tree
+
+
+class FreshTreeSession(session_module.TraceSession):
+    """A ``TraceSession`` whose plans never reuse a tree of an earlier
+    ``P_D``: one ``fnf_tree`` per root and plan, as before certified reuse."""
+
+    def _serving_plan(self):
+        plan = self._plan
+        if plan is None or plan.decomposition is not self._decomposition:
+            plan = self._plan = _FreshTreePlan(self.decomposition)
+        return plan
 
 
 # -- unmasked APG reference --------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives.fnf import fnf_tree
+from repro.collectives.fnf import FnfPicks, fnf_tree
+from repro.collectives.trees import CommTree
 from repro.errors import ValidationError
 
 
@@ -194,3 +195,104 @@ class TestFNFMatchesFrozenLoop:
             parent, children = _frozen_fnf(w, root)
             assert np.array_equal(tree.parent, parent)
             assert tree.children == children
+
+
+def _strict_picks(w, picks):
+    """The certificate's definition, one pick at a time: each pick's weight
+    is strictly below its sender's weight to every machine picked later."""
+    s, r = picks.senders.tolist(), picks.receivers.tolist()
+    return all(
+        all(w[s[t], r[t]] < w[s[t], r[u]] for u in range(t + 1, len(r)))
+        for t in range(len(r))
+    )
+
+
+def _same_tree(a, b):
+    return np.array_equal(a.parent, b.parent) and a.children == b.children
+
+
+class TestFnfPicksCertificate:
+    """A kept tree certified on new weights is the tree FNF builds on them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=24),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        change=st.sampled_from(["self", "perturbed", "fresh", "quantized"]),
+        scale=st.sampled_from([1e-9, 1e-6, 1e-3, 1e-1]),
+        data=st.data(),
+    )
+    def test_certified_tree_equals_fnf_tree(self, n, seed, change, scale, data):
+        rng = np.random.default_rng(seed)
+        w = wmatrix(rng.random((n, n)) + 0.1)
+        if change == "quantized":
+            w = wmatrix(np.round(w * 4) / 4 + 0.1)  # ties on most rows
+        root = data.draw(st.integers(min_value=0, max_value=n - 1), label="root")
+        picks = FnfPicks.of(fnf_tree(w, root))
+        if change == "self":
+            w2 = w
+        elif change == "perturbed":
+            w2 = wmatrix(w * (1.0 + scale * rng.standard_normal((n, n))))
+        elif change == "fresh":
+            w2 = wmatrix(rng.random((n, n)) + 0.1)
+        else:  # quantized again after a perturbation: ties stay ties
+            w2 = wmatrix(np.round(w * (1.0 + scale * rng.standard_normal((n, n))) * 4) / 4 + 0.1)
+        certified = picks.certifies(w2)
+        # Exactly the definition: any tie, or any later machine cheaper,
+        # fails it ...
+        assert certified == _strict_picks(w2, picks)
+        # ... and a pass is a proof: FNF on the new weights repeats the tree.
+        if certified:
+            assert _same_tree(picks.tree, fnf_tree(w2, root))
+
+    def test_tie_forces_rebuild_even_when_the_tree_is_the_same(self):
+        n = 6
+        w = wmatrix(np.ones((n, n)))  # every pick is a tie
+        picks = FnfPicks.of(fnf_tree(w, 0))
+        assert _same_tree(picks.tree, fnf_tree(w, 0))
+        assert not picks.certifies(w)
+
+    def test_one_tie_fails_an_otherwise_strict_tree(self):
+        rng = np.random.default_rng(5)
+        w = wmatrix(rng.random((12, 12)) + 0.1)
+        picks = FnfPicks.of(fnf_tree(w, 3))
+        assert picks.certifies(w)
+        t = 4  # make pick t tie with a machine picked later
+        s, r, later = picks.senders[t], picks.receivers[t], picks.receivers[t + 1]
+        w2 = w.copy()
+        w2[s, later] = w2[s, r]
+        assert not picks.certifies(w2)
+
+    def test_picks_follow_fnf_order(self):
+        # Fig 1 walk-through: root 0 picks 2; then 0 picks 1 and 2 picks 5.
+        w = wmatrix(
+            [
+                [0, 2, 1, 4, 5, 6],
+                [2, 0, 3, 4, 5, 6],
+                [1, 3, 0, 4, 5, 2],
+                [4, 4, 4, 0, 6, 6],
+                [5, 5, 5, 6, 0, 6],
+                [6, 6, 2, 6, 6, 0],
+            ]
+        )
+        picks = FnfPicks.of(fnf_tree(w, 0))
+        assert list(zip(picks.senders.tolist(), picks.receivers.tolist()))[:3] == [
+            (0, 2), (0, 1), (2, 5),
+        ]
+        assert sorted(picks.receivers.tolist()) == [1, 2, 3, 4, 5]
+
+    def test_size_change_and_non_fnf_tree(self):
+        w = wmatrix(np.arange(16, dtype=float).reshape(4, 4) + 1.0)
+        picks = FnfPicks.of(fnf_tree(w, 0))
+        assert not picks.certifies(wmatrix(np.ones((5, 5)) + np.eye(5)))
+        chain = CommTree.from_parent(0, np.array([-1, 0, 1, 2]))
+        with pytest.raises(ValidationError, match="FNF"):
+            FnfPicks.of(chain)
+
+    def test_non_finite_weights_rejected_unless_checked_already(self):
+        w = wmatrix(np.ones((3, 3)) + np.arange(9).reshape(3, 3))
+        picks = FnfPicks.of(fnf_tree(w, 0))
+        bad = w.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            picks.certifies(bad)

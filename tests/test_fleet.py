@@ -243,6 +243,30 @@ class TestCheckpointing:
                 ckpt.arrays["dec_row"], report.clusters[spec.name].constant_row
             )
 
+    def test_unchanged_solver_state_is_written_once(self, tmp_path, calm_trace):
+        # Each batch's capsule reaches the scheduler as new arrays; the
+        # checkpoints of a cluster that never re-calibrates still all name
+        # the first save's solver-state segment.
+        from repro.persistence.checkpoint import read_checkpoint
+
+        root = tmp_path / "root"
+        cfg = FleetConfig(
+            n_workers=1, checkpoint_root=str(root), operations=20, batch_size=4,
+            window=6, threshold=50.0,
+        )
+        report = FleetScheduler([ClusterSpec(name="calm", trace=calm_trace)], cfg).run()
+        assert report.clusters["calm"].recalibrations == 0
+        ckpts = sorted((root / "calm").glob("ckpt-*.ckpt"))
+        assert len(ckpts) == cfg.keep_checkpoints < 5  # five saves, oldest pruned
+        names = {read_checkpoint(p).meta["segment"]["name"] for p in ckpts}
+        assert names == {"seg-00000000"}
+        assert sorted(p.name for p in (root / "calm").glob("seg-*")) == [
+            "seg-00000000.a.seg", "seg-00000000.b.seg",
+        ]
+        ckpt = CheckpointStore(str(root / "calm")).load_latest()
+        assert int(ckpt.meta["stats"]["operations"]) == 20
+        assert np.array_equal(ckpt.arrays["dec_row"], report.clusters["calm"].constant_row)
+
     def test_checkpointed_cluster_resumable_as_session(self, tmp_path):
         # A fleet checkpoint is a full session capsule: from_capsule on its
         # payload yields a live session that continues where the fleet left

@@ -132,6 +132,6 @@ class TestSolveRpcaEmission:
         a = tiny_trace.tp_matrix(8 * MB).data
         sink = Instrumentation()
         with instrumented(sink):
-            cold = solve_rpca(a, solver="ialm")
-            solve_rpca(a, solver="ialm", warm_start=cold)
+            cold = solve_rpca(a, solver="apg")
+            solve_rpca(a, solver="apg", warm_start=cold)
         assert [s.warm for s in sink.spans] == [False, True]

@@ -17,7 +17,9 @@ from repro.mapping.evaluate import bandwidth_from_weights, mapping_total_time
 from repro.mapping.greedy import greedy_mapping
 from repro.mapping.taskgraph import random_task_graph
 from repro.persistence import PersistenceConfig
+from repro.runtime import session as session_module
 from repro.runtime.session import TraceSession
+from tests.oracles import FreshTreeSession
 
 MB = 1024 * 1024
 
@@ -285,6 +287,85 @@ class TestServingMatchesReference:
         # A memoized entry and one built after the mutations both ignore them.
         assert s.broadcast(root=3).expected == want["broadcast"]
         assert s.scatter(root=3).expected == want["scatter"]
+
+
+# Paper scale: 196 instances, a fold per operation, one trace wrap (the
+# window slides over 360 snapshots per pass).
+REPLAN_N = 196
+REPLAN_OPS = 720
+
+
+def _record_key(r):
+    return (
+        r.op, r.snapshot, r.root, r.elapsed.hex(), r.expected.hex(),
+        r.decision, r.health, r.regime,
+    )
+
+
+@pytest.fixture(scope="module")
+def replanned_pair():
+    """The same streamed run served with certified tree reuse and by the
+    oracle session that builds every tree with ``fnf_tree``."""
+    trace = generate_trace(
+        TraceConfig(
+            n_machines=REPLAN_N, n_snapshots=370,
+            dynamics=DynamicsConfig(hotspot_probability=0.0),
+        ),
+        seed=21,
+    )
+    roots = np.random.default_rng(3).integers(REPLAN_N, size=REPLAN_OPS).tolist()
+    ops = ("broadcast", "scatter", "reduce", "gather")
+    built = []
+
+    def run(cls):
+        s = cls(
+            trace, threshold=1.0, mode="streaming", regime="drift",
+            svd_backend="auto", calibration_cost=0.0,
+        )
+        for i, root in enumerate(roots):
+            s.run_collective(ops[i % 4], root=root)
+        return s
+
+    original = session_module.fnf_tree
+
+    def counting(weights, root=0):
+        built.append(root)
+        return original(weights, root)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(session_module, "fnf_tree", counting)
+        certified = run(TraceSession)
+    return certified, run(FreshTreeSession), roots, built
+
+
+class TestCertifiedTreeReuse:
+    def test_records_and_pd_bit_identical_to_fresh_trees(self, replanned_pair):
+        certified, fresh, _, _ = replanned_pair
+        assert certified.stats.epochs >= 1  # crossed a trace wrap
+        assert certified.stats.stream_updates >= REPLAN_OPS - 10
+        assert certified.stats.recalibrations >= 1  # the wrap re-solved
+        assert [_record_key(r) for r in certified.stats.history] == [
+            _record_key(r) for r in fresh.stats.history
+        ]
+        assert np.array_equal(certified.weight_matrix(), fresh.weight_matrix())
+
+    def test_kept_trees_are_fnf_trees_of_the_pd_in_service(self, replanned_pair):
+        certified, _, roots, _ = replanned_pair
+        plan = certified._serving_plan()
+        for root in sorted(set(roots))[::7]:
+            want = fnf_tree(plan.weights, root)
+            got = plan.tree(root)
+            assert np.array_equal(got.parent, want.parent)
+            assert got.children == want.children
+
+    def test_most_replans_reuse_a_certified_tree(self, replanned_pair):
+        _, _, roots, built = replanned_pair
+        distinct = len(set(roots))
+        # Without reuse, P_D moves on every fold: one build per operation.
+        # With it: one per root in use, plus a rebuild where a pick changed
+        # or tied (136 of the 529 later lookups when this was written).
+        assert len(set(built)) == distinct
+        assert len(built) - distinct < (REPLAN_OPS - distinct) / 2
 
 
 class TestLiveSnapshotValidation:

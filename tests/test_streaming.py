@@ -240,6 +240,43 @@ class TestStatePersistence:
         assert np.array_equal(ra.low_rank, rb.low_rank)
         assert np.array_equal(ra.sparse, rb.sparse)
 
+    def test_window_slides_as_rows_and_stacks_to_the_vstack_window(self):
+        """The sparse window is the array the old np.vstack slide built,
+        byte for byte, in the payload and in every result."""
+        rows = _rank1_stream(total=30)
+        dec = _seeded(rows)
+        window = dec.export_state().sparse.copy()
+        for k in range(6, rows.shape[0]):
+            seen = dec.export_state().sparse_rows
+            assert dec.fold(k, rows[k]) is None
+            st = dec.export_state()
+            # Rows that stay in the window are the same objects, not copies.
+            assert all(a is b for a, b in zip(st.sparse_rows, seen[1:]))
+            window = np.vstack([window[1:], st.sparse_rows[-1][None, :]])
+            result = dec.as_result()
+            assert result.shape == window.shape
+            assert result.sparse.tobytes() == window.tobytes()
+            arrays, _ = stream_state_to_payload(st)
+            assert arrays["stream_sparse"].tobytes() == window.tobytes()
+            assert arrays["stream_sparse"].flags.c_contiguous
+
+    def test_state_pickles_its_fields(self):
+        import pickle
+
+        rows = _rank1_stream()
+        dec = _seeded(rows)
+        for k in range(6, 9):
+            dec.fold(k, rows[k])
+        st = dec.export_state()
+        back = pickle.loads(pickle.dumps(st))
+        assert set(st.__getstate__()) == {
+            "basis", "coeffs", "sparse", "keys", "row_err", "end", "updates",
+            "predictor",
+        }
+        for name in ("basis", "coeffs", "sparse", "keys", "row_err"):
+            assert getattr(back, name).tobytes() == getattr(st, name).tobytes()
+        assert (back.end, back.updates, back.rank) == (st.end, st.updates, st.rank)
+
     def test_import_rejects_wrong_shape(self):
         rows = _rank1_stream()
         dec = _seeded(rows)
