@@ -14,6 +14,9 @@ advances, and historically every layer re-derived the TP-matrix from scratch
   solve is initialized from the previous window's solution, cutting the
   iteration count of APG re-solves (IALM solves cold: see
   :mod:`repro.core.ialm`);
+* **streaming wrap reuse** — a streaming-mode re-calibration over the very
+  same cached rows as the last cold solve (a replay wrapping onto its
+  first window again) is served from that solve's result;
 * **instrumentation** — every solve lands a
   :class:`~repro.observability.SolveSpan` plus warm/cold and cache-hit
   counters in the engine's :class:`~repro.observability.Instrumentation`
@@ -33,12 +36,13 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .._validation import check_nonnegative, check_probability
+from .._validation import check_nonnegative, check_probability, off_diagonal
 from ..errors import CalibrationError, ValidationError
 from ..observability import Instrumentation, instrumented
 from .decompose import Decomposition, decompose, decomposition_from_rows
 from .matrices import TPMatrix
 from .options import SolveOptions
+from .result import SolverResult
 from .solvers import solver_spec
 from .streaming import StreamingDecomposer, StreamState
 
@@ -118,7 +122,6 @@ class TraceWindowSource:
                     f"trace-like source must expose {attr!r}; got {type(trace).__name__}"
                 )
         self.trace = trace
-        self._off = ~np.eye(trace.n_machines, dtype=bool)
 
     @property
     def n_machines(self) -> int:
@@ -129,10 +132,14 @@ class TraceWindowSource:
         return int(self.trace.n_snapshots)
 
     def snapshot_row(self, k: int, nbytes: float) -> np.ndarray:
-        a = self.trace.alpha[k]
-        b = self.trace.beta[k]
+        a = np.ascontiguousarray(self.trace.alpha[k], dtype=np.float64)
+        b = np.ascontiguousarray(self.trace.beta[k], dtype=np.float64)
         w = np.zeros_like(a)
-        w[self._off] = a[self._off] + nbytes / b[self._off]
+        # α + nbytes/β written straight into w's off-diagonal view: the same
+        # two ufuncs, in the same operand order, as trace.tp_matrix.
+        off = off_diagonal(w)
+        np.divide(nbytes, off_diagonal(b), out=off)
+        np.add(off_diagonal(a), off, out=off)
         return w.reshape(-1)
 
     def snapshot_mask(self, k: int) -> np.ndarray | None:
@@ -238,6 +245,10 @@ class DecompositionEngine:
         # Shared all-True mask row, allocated once and reused by every
         # partially-masked window instead of per call.
         self._full_mask_row: np.ndarray | None = None
+        # Streaming mode: the row-cache entries of the last cold-solved,
+        # fully observed window (their identity is the key) and the result
+        # of that solve. Never exported: a rebuilt engine misses once.
+        self._solved: tuple[tuple[Any, ...], SolverResult] | None = None
 
     # -- state ------------------------------------------------------------
     @property
@@ -492,14 +503,40 @@ class DecompositionEngine:
         In streaming mode every calibrate is the *certified oracle*: the
         warm-start chain is dropped first, so the solve is bit-identical to
         a cold :func:`~repro.core.decompose.decompose` of the same window,
-        and the streaming subspace is (re)seeded from its result.
+        and the streaming subspace is (re)seeded from its result. A cold
+        solve depends only on the window's rows, so when the window is
+        built from the very same row-cache entries as the last cold-solved
+        fully observed window (a replay that wraps onto the same snapshots
+        again) that solve's result is served instead of solving again,
+        counted as ``engine.solve.reused``. A row that was re-measured,
+        re-imported or evicted since is a new object, hence a new solve.
         """
         start = max(0, end - self.time_step)
         if self.options.mode != "streaming":
             return self.solve(self.window(start, end))
         self._last = None  # certified: streaming-mode batch solves are cold
         tp = self.window(start, end)
-        dec = self.solve(tp)
+        # The entries window() just read; None where the LRU bound already
+        # evicted one.
+        entries = tuple(self._rows.get(k) for k in range(start, end))
+        memo = self._solved
+        if memo is not None and len(memo[0]) == len(entries) and all(
+            a is b for a, b in zip(memo[0], entries)
+        ):
+            self.instrumentation.count("engine.solve.reused")
+            dec = decomposition_from_rows(
+                [row for row, _ in entries],
+                memo[1],
+                n_machines=self.source.n_machines,
+                solver=self.options.solver,
+                extraction=self.extraction,
+            )
+            self._last = dec
+        else:
+            dec = self.solve(tp)
+            sr = dec.solver_result
+            if tp.mask is None and sr is not None and None not in entries:
+                self._solved = (entries, sr)
         self._seed_stream(end, tp, dec)
         return dec
 

@@ -3,8 +3,9 @@
 The serving-path oracles state their model one link, one task or one
 machine at a time, with no memoization and no vectorized schedule, so the
 library's fast paths must agree with them bit for bit. The re-planning
-oracles build ``P_D`` and its α-β pair with boolean off-diagonal masks, and
-serve a session whose plans build every tree with ``fnf_tree``. The APG oracle is
+oracles build ``P_D`` and its α-β pair with boolean off-diagonal masks,
+serve a session whose plans build every tree with ``fnf_tree``, and one
+whose engine re-solves every streaming trace wrap. The APG oracle is
 the unmasked loop written block by block (separate ``D``, ``E`` and
 momentum buffers); the library's fused loop reorders its floating point,
 so the two agree to ~1e-12 relative with equal iteration counts. Shared by
@@ -184,6 +185,15 @@ class FreshTreeSession(session_module.TraceSession):
         if plan is None or plan.decomposition is not self._decomposition:
             plan = self._plan = _FreshTreePlan(self.decomposition)
         return plan
+
+
+class AlwaysSolveSession(session_module.TraceSession):
+    """A ``TraceSession`` whose engine solves every re-calibration: the
+    streaming trace-wrap re-solve is never served from the last cold solve."""
+
+    def _calibrate(self, end, *, charge):
+        self._engine._solved = None
+        super()._calibrate(end, charge=charge)
 
 
 # -- unmasked APG reference --------------------------------------------------

@@ -14,6 +14,7 @@ from repro.calibration import Calibrator, CalibratorWindowSource, TraceSubstrate
 from repro.cloudsim.dynamics import DynamicsConfig
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.apg import rpca_apg
+from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine, TraceWindowSource, WindowSource
 from repro.core.ialm import rpca_ialm
 from repro.core.options import SolveOptions
@@ -51,6 +52,27 @@ class TestWindowCache:
             assert win.data.tobytes() == direct.data.tobytes()
             assert win.timestamps.tolist() == direct.timestamps.tolist()
             assert win.n_machines == direct.n_machines
+
+    @pytest.mark.parametrize("n_machines", [2, 8])
+    def test_snapshot_rows_byte_identical_to_tp_matrix(self, n_machines):
+        trace = generate_trace(
+            TraceConfig(n_machines=n_machines, n_snapshots=6), seed=5
+        )
+        src = TraceWindowSource(trace)
+        direct = trace.tp_matrix(8 * MB).data
+        for k in range(trace.n_snapshots):
+            assert src.snapshot_row(k, 8 * MB).tobytes() == direct[k].tobytes()
+
+    def test_masked_trace_rows_byte_identical_to_tp_matrix(self, small_trace):
+        from repro.faults import ProbeLoss, inject_faults
+
+        trace = inject_faults(small_trace, [ProbeLoss(0.2)], seed=3).trace
+        assert trace.mask is not None
+        eng = DecompositionEngine(trace, nbytes=8 * MB)
+        direct = trace.tp_matrix(8 * MB, start=2, count=10)
+        win = eng.window(2, 12)
+        assert win.data.tobytes() == direct.data.tobytes()
+        assert win.mask.tobytes() == direct.mask.tobytes()
 
     def test_overlapping_windows_hit_cache(self, small_trace):
         eng = DecompositionEngine(small_trace, nbytes=8 * MB)
@@ -478,3 +500,262 @@ class TestWindowMaskFastPath:
         assert first is not None and not first.flags.writeable
         eng.window(2, 10)
         assert eng._full_mask_row is first  # reused, not reallocated
+
+
+def _streaming_engine(trace, **kwargs):
+    return DecompositionEngine(
+        trace, nbytes=8 * MB, options=SolveOptions(mode="streaming"), **kwargs
+    )
+
+
+def _solve_counts(eng):
+    counters = eng.instrumentation.counters
+    return counters.get("engine.solve.cold", 0), counters.get("engine.solve.reused", 0)
+
+
+def _assert_same_decomposition(got, want):
+    assert got.constant.row.tobytes() == want.constant.row.tobytes()
+    assert got.error.data.tobytes() == want.error.data.tobytes()
+    assert got.norm_ne == want.norm_ne
+    assert got.solver_iterations == want.solver_iterations
+    assert got.solver_result.low_rank.tobytes() == want.solver_result.low_rank.tobytes()
+    assert got.solver_result.sparse.tobytes() == want.solver_result.sparse.tobytes()
+
+
+def _stream_bytes(eng):
+    st = eng.export_stream_state()
+    return (st.basis.tobytes(), st.coeffs.tobytes(), st.sparse.tobytes(),
+            st.keys.tobytes(), st.row_err.tobytes(), st.end)
+
+
+class TestWrapSolveReuse:
+    """A streaming calibrate over the very row-cache entries of the last
+    cold-solved window serves that solve's result instead of solving again."""
+
+    def test_same_entries_reuse_the_cold_solve_bitwise(self, small_trace):
+        eng = _streaming_engine(small_trace)
+        first = eng.calibrate(11)
+        seeded = _stream_bytes(eng)
+        for end in (12, 13):
+            assert eng.stream_fold(end)[0] is not None
+        again = eng.calibrate(11)  # the replay wrapped back onto [1, 11)
+        assert _solve_counts(eng) == (1, 1)
+        assert len(eng.instrumentation.spans) == 1
+        assert again.solver_result is first.solver_result
+        assert eng.last is again
+        _assert_same_decomposition(again, first)
+        _assert_same_decomposition(
+            again, decompose(small_trace.tp_matrix(8 * MB, start=1, count=10))
+        )
+        assert _stream_bytes(eng) == seeded
+        assert "engine.solve.reused" in eng.instrumentation.report()
+
+    def test_reimported_rows_of_equal_value_are_a_miss(self, small_trace):
+        eng = _streaming_engine(small_trace)
+        first = eng.calibrate(11)
+        eng.import_cache(
+            {k: (row.copy(), mask) for k, (row, mask) in eng.export_cache().items()}
+        )
+        again = eng.calibrate(11)
+        assert _solve_counts(eng) == (2, 0)
+        assert again.solver_result is not first.solver_result
+        _assert_same_decomposition(again, first)
+
+    def test_evicted_rows_are_a_miss(self, small_trace):
+        eng = _streaming_engine(small_trace, max_cached_rows=10)
+        first = eng.calibrate(11)
+        eng.window(12, 22)  # evicts every row of [1, 11)
+        again = eng.calibrate(11)
+        assert _solve_counts(eng) == (2, 0)
+        _assert_same_decomposition(again, first)
+
+    def test_a_cache_smaller_than_the_window_never_reuses(self, small_trace):
+        eng = _streaming_engine(small_trace, max_cached_rows=5)
+        first = eng.calibrate(11)
+        again = eng.calibrate(11)
+        assert _solve_counts(eng) == (2, 0)
+        _assert_same_decomposition(again, first)
+
+    def test_masked_window_is_a_miss(self):
+        from repro.cloudsim.trace import CalibrationTrace
+
+        base = generate_trace(TraceConfig(n_machines=5, n_snapshots=12), seed=17)
+        mask = np.ones(base.alpha.shape, dtype=bool)
+        mask[3, 0, 1] = False
+        trace = CalibrationTrace(
+            alpha=base.alpha, beta=base.beta, timestamps=base.timestamps, mask=mask
+        )
+        eng = _streaming_engine(trace)
+        first = eng.calibrate(10)
+        again = eng.calibrate(10)
+        assert _solve_counts(eng) == (2, 0)
+        assert eng.instrumentation.counters["engine.solve.masked"] == 2
+        _assert_same_decomposition(again, first)
+        assert eng.export_stream_state() is None  # masked windows never seed
+
+    def test_batch_mode_never_reuses(self, small_trace):
+        eng = DecompositionEngine(small_trace, nbytes=8 * MB)
+        eng.calibrate(11)
+        eng.calibrate(11)
+        counters = eng.instrumentation.counters
+        assert counters["engine.solve.warm"] == 1
+        assert "engine.solve.reused" not in counters
+
+
+# Paper scale: 196 instances and a 15-snapshot trace, so a pass over the
+# trace is 5 folds and the run crosses WRAPS trace wraps.
+WRAP_N = 196
+WRAP_PASS = 5
+WRAPS = 3
+
+
+def _full_record(r):
+    return (
+        r.op, r.snapshot, r.root, r.elapsed.hex(), r.expected.hex(),
+        r.decision, r.health, r.regime,
+    )
+
+
+def _arrays_bytes(arrays):
+    return {name: (arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in arrays.items()}
+
+
+@pytest.fixture(scope="module")
+def wrapped_pair():
+    """One streamed session at paper scale that crosses WRAPS wraps, and the
+    oracle session that re-solves every wrap."""
+    from tests.oracles import AlwaysSolveSession
+
+    trace = generate_trace(
+        TraceConfig(
+            n_machines=WRAP_N, n_snapshots=10 + WRAP_PASS,
+            dynamics=DynamicsConfig(hotspot_probability=0.0),
+        ),
+        seed=21,
+    )
+    roots = np.random.default_rng(4).integers(WRAP_N, size=WRAP_PASS * WRAPS + 1)
+    ops = ("broadcast", "scatter", "reduce", "gather")
+
+    def run(cls):
+        s = cls(trace, threshold=1.0, mode="streaming", regime="drift", svd_backend="auto")
+        for i, root in enumerate(roots.tolist()):
+            s.run_collective(ops[i % 4], root=root)
+        return s
+
+    return run(TraceSession), run(AlwaysSolveSession)
+
+
+class TestWrapReuseAtPaperScale:
+    def test_session_matches_the_always_solve_oracle(self, wrapped_pair):
+        session, oracle = wrapped_pair
+        wraps = session.stats.epochs
+        assert wraps == WRAPS
+        # Only wraps re-calibrate: no fold fell back and no shift fired.
+        assert session.stats.stream_fallbacks == 0
+        assert session.stats.regime_shifts == 0
+        assert session.stats.recalibrations == wraps
+        assert [_full_record(r) for r in session.stats.history] == [
+            _full_record(r) for r in oracle.stats.history
+        ]
+        assert session.stats == oracle.stats  # recalibrations, overhead_seconds
+        assert (
+            session.decomposition.constant.row.tobytes()
+            == oracle.decomposition.constant.row.tobytes()
+        )
+        assert session.weight_matrix().tobytes() == oracle.weight_matrix().tobytes()
+
+    def test_every_wrap_after_the_first_is_reused(self, wrapped_pair):
+        session, oracle = wrapped_pair
+        wraps = session.stats.epochs
+        counters = session.instrumentation.counters
+        assert counters["engine.solve.reused"] == wraps - 1
+        assert counters["engine.solve.cold"] == 2  # boot window, first wrap
+        assert len(session.instrumentation.spans) == 2
+        assert "engine.solve.reused" not in oracle.instrumentation.counters
+        assert oracle.instrumentation.counters["engine.solve.cold"] == wraps + 1
+        fleet = Instrumentation("fleet")
+        fleet.merge(session.instrumentation.state_dict())
+        assert fleet.counters["engine.solve.reused"] == wraps - 1
+
+    def test_capsule_arrays_match_the_oracle(self, wrapped_pair):
+        session, oracle = wrapped_pair
+        assert _arrays_bytes(session.capture_capsule().arrays) == _arrays_bytes(
+            oracle.capture_capsule().arrays
+        )
+
+
+class TestWrapReuseAcrossResume:
+    """A session rebuilt in the middle of a pass misses once at the next
+    wrap and then continues exactly like the uninterrupted one."""
+
+    OPS = 6 * 4 + 1  # 16 snapshots, window 10: 6 folds a pass, 4 wraps
+    MID = 9  # two operations into the second pass
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate_trace(TraceConfig(n_machines=8, n_snapshots=16), seed=21)
+
+    @staticmethod
+    def _session(trace, cls=TraceSession, **kwargs):
+        return cls(trace, threshold=1.0, mode="streaming", regime="drift", **kwargs)
+
+    @staticmethod
+    def _drive(session, stop):
+        n = session.trace.n_machines
+        while session.stats.operations < stop:
+            k = session.stats.operations
+            session.run_collective(("broadcast", "reduce")[k % 2], root=k % n)
+
+    def _assert_parity(self, got, want):
+        assert got.stats == want.stats
+        assert got.decomposition.constant.row.tobytes() == (
+            want.decomposition.constant.row.tobytes()
+        )
+        assert _arrays_bytes(got.capture_capsule().arrays) == _arrays_bytes(
+            want.capture_capsule().arrays
+        )
+
+    def test_from_capsule_mid_pass(self, trace):
+        from tests.oracles import AlwaysSolveSession
+
+        reference = self._session(trace)
+        self._drive(reference, self.OPS)
+        assert reference.stats.epochs == 4
+        assert reference.instrumentation.counters["engine.solve.reused"] == 3
+        oracle = self._session(trace, AlwaysSolveSession)
+        self._drive(oracle, self.OPS)
+        self._assert_parity(reference, oracle)
+
+        interrupted = self._session(trace)
+        self._drive(interrupted, self.MID)
+        rebuilt = TraceSession.from_capsule(trace, interrupted.capture_capsule())
+        self._drive(rebuilt, self.OPS)
+        # The rebuilt engine missed the first wrap after the rebuild.
+        assert rebuilt.instrumentation.counters["engine.solve.reused"] == 2
+        self._assert_parity(rebuilt, reference)
+
+    def test_resume_mid_pass(self, trace, tmp_path):
+        from repro.persistence import CheckpointStore, PersistenceConfig
+
+        def persisted(name):
+            return PersistenceConfig(directory=tmp_path / name, checkpoint_every=4)
+
+        reference = self._session(trace, persistence=persisted("whole"))
+        self._drive(reference, self.OPS)
+        reference.close()
+
+        crashed = self._session(trace, persistence=persisted("crashed"))
+        self._drive(crashed, self.MID)  # abandoned without close()
+        resumed = TraceSession.resume(
+            tmp_path / "crashed", trace=trace, persistence=persisted("crashed")
+        )
+        assert resumed.stats.operations == self.MID
+        self._drive(resumed, self.OPS)
+        resumed.close()
+        assert resumed.instrumentation.counters["engine.solve.reused"] == 2
+        self._assert_parity(resumed, reference)
+
+        want = CheckpointStore(str(tmp_path / "whole")).load_latest()
+        got = CheckpointStore(str(tmp_path / "crashed")).load_latest()
+        assert got.meta["stats"] == want.meta["stats"]
+        assert _arrays_bytes(got.arrays) == _arrays_bytes(want.arrays)
