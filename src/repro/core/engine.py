@@ -31,7 +31,7 @@ measurement substrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -50,31 +50,7 @@ __all__ = [
     "WindowSource",
     "TraceWindowSource",
     "DecompositionEngine",
-    "EngineWarmState",
 ]
-
-
-@dataclass(frozen=True)
-class EngineWarmState:
-    """Picklable capsule of an engine's warm state.
-
-    Everything a :class:`DecompositionEngine` accumulates across solves that
-    is worth shipping to another process: the rolling row cache (LRU order
-    preserved by dict insertion order) and the last decomposition — the
-    warm-start seed. Both are plain numpy arrays and frozen dataclasses, so
-    the capsule round-trips losslessly through ``pickle`` (and therefore
-    through multiprocessing queues); a solve resumed from an imported
-    capsule is bit-identical to one that never crossed the process
-    boundary. The fleet scheduler round-trips this between ticks so any
-    worker can pick up any cluster's next window. Capsules from older
-    releases may carry a ``predictors`` attribute; it is ignored.
-    """
-
-    rows: dict[int, tuple[np.ndarray, np.ndarray | None]]
-    last: Decomposition | None
-    # Streaming-mode subspace state (None for batch engines and capsules
-    # from releases that predate the streaming path).
-    stream: StreamState | None = None
 
 
 @runtime_checkable
@@ -327,24 +303,6 @@ class DecompositionEngine:
                     arr.setflags(write=False)
             self._cache_arrays = arrays
         return dict(arrays)
-
-    def export_warm_state(self) -> EngineWarmState:
-        """Everything warm about this engine, as a picklable capsule."""
-        return EngineWarmState(
-            rows=self.export_cache(),
-            last=self._last,
-            stream=self.export_stream_state(),
-        )
-
-    def import_warm_state(self, state: EngineWarmState) -> None:
-        """Adopt a capsule exported (possibly in another process) by
-        :meth:`export_warm_state`; subsequent solves are bit-identical to
-        the exporting engine's."""
-        self.import_cache(state.rows)
-        self._last = state.last
-        stream = getattr(state, "stream", None)
-        if stream is not None:
-            self.import_stream_state(stream)
 
     def export_stream_state(self) -> StreamState | None:
         """Streaming subspace state, if seeded (always None in batch mode)."""

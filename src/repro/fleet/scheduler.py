@@ -50,6 +50,7 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import resource_tracker
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -79,14 +80,14 @@ _POLL_S = 0.1
 
 @dataclass
 class _ClusterState:
-    """Scheduler-side bookkeeping for one cluster."""
+    """Scheduler-side bookkeeping for one cluster, a unit of work of a run."""
 
     spec: ClusterSpec
     remaining: int
     capsule: SessionCapsule | None = None
-    inflight: bool = False
     batches: int = 0
     store: CheckpointStore | None = None
+    block: SharedTraceBlock | None = None  # created at first dispatch
     attempt: int = -1  # id of the current (most recent) dispatched attempt
     failures: int = 0  # failed attempts of the current batch; reset on success
     retries: int = 0  # total task retries over the run
@@ -95,6 +96,20 @@ class _ClusterState:
     error: str | None = None
     # Arrays of the last checkpoint saved to ``store``.
     saved: dict[str, np.ndarray] = field(default_factory=dict)
+
+    # What an attempt is called when it blows its deadline.
+    noun = "task"
+
+    def describe(self) -> str:
+        return self.spec.name
+
+    def fleet_error(self, error_text: str, kind: str) -> FleetError:
+        return FleetError(
+            f"cluster {self.spec.name!r} failed after {self.failures} attempt(s) "
+            f"({kind})",
+            cluster=self.spec.name,
+            worker_traceback=error_text,
+        )
 
 
 def _as_saved(
@@ -127,21 +142,41 @@ def _as_saved(
 
 @dataclass
 class _ShardState:
-    """Scheduler-side bookkeeping for one sweep shard."""
+    """Scheduler-side bookkeeping for one shard, a unit of work of a sweep."""
 
     shard: "SweepShard"
-    block: SharedStackBlock | None = None
+    block: SharedStackBlock | None = None  # created at first dispatch
     attempt: int = -1
     failures: int = 0
     retries: int = 0
     finished: bool = False
+
+    noun = "shard"
+
+    def describe(self) -> str:
+        return f"shard {self.shard.index} ({', '.join(self.shard.names)})"
+
+    def fleet_error(self, error_text: str, kind: str) -> FleetError:
+        return FleetError(
+            f"sweep shard {self.shard.index} (clusters "
+            f"{', '.join(self.shard.names)}) failed after "
+            f"{self.failures} attempt(s) ({kind})",
+            worker_traceback=error_text,
+        )
+
+
+def _release(state: _ClusterState | _ShardState) -> None:
+    """Unlink the shared-memory block a unit holds, if any."""
+    if state.block is not None:
+        state.block.unlink()
+        state.block = None
 
 
 @dataclass
 class _Inflight:
     """One dispatched-but-unfinished attempt.
 
-    ``key`` is the cluster name (session runs) or shard index (sweeps);
+    ``key`` is the unit's: a cluster name (runs) or shard index (sweeps);
     ``worker_pid`` is filled in when the worker's :class:`TaskStarted`
     ack arrives (diagnostics — task→worker attribution itself lives in
     the pool's assignment map, which is authoritative even when a worker
@@ -472,6 +507,7 @@ class FleetScheduler:
         cfg = self.config
         t0 = time.perf_counter()
         self._write_manifest()
+        kwargs = cfg.session_kwargs()
         states = {
             spec.name: _ClusterState(
                 spec=spec,
@@ -480,26 +516,38 @@ class FleetScheduler:
             )
             for spec in self.clusters
         }
+
+        def task(name: str, attempt: int) -> BatchTask:
+            state = states[name]
+            if state.block is None:
+                state.block = SharedTraceBlock.create(state.spec.trace)
+            return BatchTask(
+                cluster=name,
+                descriptor=state.block.descriptor,
+                specs=self._next_specs(state),
+                capsule=state.capsule,
+                session_kwargs={} if state.capsule is not None else dict(kwargs),
+                attempt=attempt,
+            )
+
+        def accept(name: str, result) -> bool:
+            state = states[name]
+            state.capsule = result.capsule
+            state.remaining -= result.operations
+            state.batches += 1
+            if state.store is not None:
+                state.saved = _as_saved(state.saved, result.capsule.arrays)
+                state.store.save(state.saved, result.capsule.meta)
+            return state.remaining > 0
+
+        def give_up(name: str, error_text: str, kind: str) -> None:
+            state = states[name]
+            state.status = "quarantined" if kind == "error" else "failed"
+            state.error = error_text
+            self.instrumentation.count(f"fleet.cluster.{state.status}")
+
         n_workers = min(int(cfg.n_workers), len(self.clusters))
-        blocks: dict[str, SharedTraceBlock] = {}
-        pool = _WorkerPool(
-            mp.get_context(),
-            max_restarts=cfg.max_worker_restarts, sink=self.instrumentation,
-        )
-        try:
-            # The shared-memory resource tracker must exist before the first
-            # fork, or each forked worker spawns its own tracker and "cleans
-            # up" segments the scheduler still owns.
-            resource_tracker.ensure_running()
-            for spec in self.clusters:
-                blocks[spec.name] = SharedTraceBlock.create(spec.trace)
-            pool.start(n_workers)
-            total_batches = self._drive(states, blocks, pool)
-            pool.stop()
-        finally:
-            pool.shutdown()
-            for block in blocks.values():
-                block.unlink()
+        self._drive(n_workers, states, task=task, accept=accept, give_up=give_up)
 
         reports: dict[str, ClusterReport] = {}
         total_ops = 0
@@ -508,6 +556,7 @@ class FleetScheduler:
                 self.instrumentation.merge(state.capsule.meta["instrumentation"])
             reports[name] = self._cluster_report(name, state)
             total_ops += reports[name].operations
+        total_batches = sum(state.batches for state in states.values())
         elapsed = time.perf_counter() - t0
         self._account(
             n_workers=n_workers, elapsed=elapsed, ops=total_ops, batches=total_batches
@@ -521,51 +570,76 @@ class FleetScheduler:
             instrumentation=self.instrumentation.state_dict(),
         )
 
+    # -- supervision ---------------------------------------------------
+
     def _drive(
         self,
-        states: dict[str, _ClusterState],
-        blocks: dict[str, SharedTraceBlock],
-        pool: _WorkerPool,
-    ) -> int:
-        """The supervised scheduler loop: dispatch, drain, heal.
+        n_workers: int,
+        units: dict[Any, _ClusterState | _ShardState],
+        *,
+        task: Callable[[Any, int], Any],
+        accept: Callable[[Any, Any], bool],
+        give_up: Callable[[Any, str, str], None],
+    ) -> None:
+        """Work off *units* on a supervised pool of *n_workers* processes.
 
-        ``ready`` is a FIFO deque — clusters rejoin at the back after each
-        completed batch, so with one batch in flight per cluster the fleet
-        round-robins and no cluster can starve another. ``deferred`` holds
-        clusters sleeping out a retry backoff; ``inflight`` maps attempt
-        ids to dispatched tasks and is the source of truth for what is
-        outstanding. Worker deaths requeue the lost attempts, deadline
-        violations kill-and-replace the stuck worker, and results from
-        superseded attempts are discarded by attempt id.
+        The one scheduler loop of :meth:`run` (a unit is a cluster, keyed by
+        name, worked off one batch at a time) and :meth:`run_sweep` (a unit
+        is a shard, keyed by index). A unit kind supplies three things:
+        ``task(key, attempt)`` builds the worker task of the unit's next
+        attempt, ``accept(key, result)`` takes a successful result and says
+        whether the unit has more work, and ``give_up(key, error_text,
+        kind)`` quarantines a unit out of retries under
+        ``on_error="degrade"``. Shared-memory blocks the units hold are
+        unlinked however the run ends.
+        """
+        pool = _WorkerPool(
+            mp.get_context(),
+            max_restarts=self.config.max_worker_restarts, sink=self.instrumentation,
+        )
+        try:
+            # The shared-memory resource tracker must exist before the first
+            # fork: blocks are created at dispatch, after it, and each forked
+            # worker would otherwise spawn its own tracker and "clean up"
+            # segments the scheduler still owns.
+            resource_tracker.ensure_running()
+            pool.start(n_workers)
+            self._supervise(units, pool, task, accept, give_up)
+            pool.stop()
+        finally:
+            pool.shutdown()
+            for state in units.values():
+                _release(state)
+
+    def _supervise(self, units, pool: _WorkerPool, task, accept, give_up) -> None:
+        """The supervised loop of :meth:`_drive`: dispatch, drain, heal.
+
+        ``ready`` is a FIFO deque — a unit with more work rejoins at the
+        back after each accepted result, so with one attempt in flight per
+        unit the fleet round-robins and no cluster can starve another.
+        ``deferred`` holds units sleeping out a retry backoff; ``inflight``
+        maps attempt ids to dispatched tasks and is the source of truth for
+        what is outstanding. Worker deaths requeue the lost attempts,
+        deadline violations kill-and-replace the stuck worker, and results
+        from superseded attempts are discarded by attempt id.
         """
         cfg = self.config
-        kwargs = self.config.session_kwargs()
-        ready: deque[str] = deque(sorted(states))
-        deferred: list[tuple[float, int, str]] = []
+        ready: deque = deque(sorted(units))
+        deferred: list[tuple[float, int, Any]] = []
         inflight: dict[int, _Inflight] = {}
         done = 0
-        total_batches = 0
 
-        def dispatch(name: str) -> None:
-            state = states[name]
+        def dispatch(key) -> None:
+            state = units[key]
             attempt = next(self._attempt_seq)
             state.attempt = attempt
-            state.inflight = True
-            task = BatchTask(
-                cluster=name,
-                descriptor=blocks[name].descriptor,
-                specs=self._next_specs(state),
-                capsule=state.capsule,
-                session_kwargs={} if state.capsule is not None else dict(kwargs),
-                attempt=attempt,
-            )
-            inflight[attempt] = _Inflight(key=name, dispatched_at=time.monotonic())
-            pool.assign(attempt, task)
+            work = task(key, attempt)
+            inflight[attempt] = _Inflight(key=key, dispatched_at=time.monotonic())
+            pool.assign(attempt, work)
 
-        def fail(name: str, error_text: str, *, kind: str) -> None:
+        def fail(key, error_text: str, *, kind: str) -> None:
             nonlocal done
-            state = states[name]
-            state.inflight = False
+            state = units[key]
             state.failures += 1
             if state.failures <= cfg.max_task_retries:
                 state.retries += 1
@@ -575,55 +649,69 @@ class FleetScheduler:
                     _MAX_BACKOFF_S,
                 )
                 heapq.heappush(
-                    deferred,
-                    (time.monotonic() + delay, next(self._defer_seq), name),
+                    deferred, (time.monotonic() + delay, next(self._defer_seq), key)
                 )
                 return
-            if cfg.on_error == "degrade":
-                state.finished = True
-                state.status = "quarantined" if kind == "error" else "failed"
-                state.error = error_text
-                counter = (
-                    "fleet.cluster.quarantined" if kind == "error"
-                    else "fleet.cluster.failed"
+            if cfg.on_error != "degrade":
+                raise state.fleet_error(error_text, kind)
+            give_up(key, error_text, kind)
+            state.finished = True
+            done += 1
+
+        def heal() -> None:
+            # Reap deaths, requeue lost work, enforce deadlines.
+            pool.poll()
+            deaths = pool.take_deaths()
+            lost: set[int] = set()
+            for _pid, _code, _expected, attempts in deaths:
+                lost.update(a for a in attempts if a in inflight)
+            if pool.n_alive == 0:
+                # Supervision only runs while work remains, so an empty pool
+                # is fatal whether or not this tick saw the deaths itself.
+                codes = sorted({code for _pid, code, _exp, _a in deaths}, key=repr)
+                stuck = sorted(units[e.key].describe() for e in inflight.values())
+                raise FleetError(
+                    f"fleet worker(s) exited (exit codes {codes or 'seen earlier'}) "
+                    f"with no live workers left and the restart budget "
+                    f"({cfg.max_worker_restarts}) exhausted; stuck: "
+                    f"{', '.join(stuck) or 'none in flight'}"
                 )
-                self.instrumentation.count(counter)
-                done += 1
-                return
-            raise FleetError(
-                f"cluster {name!r} failed after {state.failures} attempt(s) "
-                f"({kind})",
-                cluster=name,
-                worker_traceback=error_text,
-            )
-
-        def lost(entry: _Inflight) -> None:
-            # A worker died holding this attempt: requeue from the cluster's
-            # last capsule. Deterministic replay makes the rerun
-            # bit-identical, so this is not charged as a task retry.
-            dispatch(str(entry.key))
-
-        def timed_out(entry: _Inflight) -> None:
-            name = str(entry.key)
-            fail(
-                name,
-                f"task deadline exceeded ({self.config.task_timeout_s}s) on "
-                f"attempt {states[name].failures + 1}",
-                kind="timeout",
-            )
+            for attempt in sorted(lost):
+                # Deterministic replay makes the rerun bit-identical, so a
+                # death is not charged as a task retry.
+                dispatch(inflight.pop(attempt).key)
+            timeout_s = cfg.task_timeout_s
+            if timeout_s is not None:
+                now = time.monotonic()
+                expired = [
+                    attempt
+                    for attempt, entry in inflight.items()
+                    if now - entry.dispatched_at > float(timeout_s)
+                ]
+                for attempt in expired:
+                    key = inflight.pop(attempt).key
+                    self.instrumentation.count("fleet.task.timeouts")
+                    # The assigned worker is presumed stuck on this attempt:
+                    # kill it (replaced at the next poll, not charged to the
+                    # budget) and forget the assignment.
+                    pool.kill_attempt_owner(attempt)
+                    pool.complete(attempt)
+                    state = units[key]
+                    fail(
+                        key,
+                        f"{state.noun} deadline exceeded ({timeout_s}s) on "
+                        f"attempt {state.failures + 1}",
+                        kind="timeout",
+                    )
 
         last_tick = time.monotonic()
-        while done < len(states):
+        while done < len(units):
             now = time.monotonic()
             if now - last_tick >= _POLL_S:
-                # Supervision runs on a cadence, not only when the queue is
+                # Supervision runs on a cadence, not only when the pipes are
                 # quiet: a steady result stream must not starve death
                 # detection or deadline enforcement.
-                self._supervise(
-                    pool, inflight,
-                    on_lost=lost, on_timeout=timed_out,
-                    describe=lambda key: str(key),
-                )
+                heal()
                 last_tick = now
             while deferred and deferred[0][0] <= now:
                 ready.append(heapq.heappop(deferred)[2])
@@ -635,110 +723,33 @@ class FleetScheduler:
                 timeout = min(_POLL_S, max(0.01, deferred[0][0] - now))
             messages = pool.receive(timeout)
             if not messages:
-                self._supervise(
-                    pool, inflight,
-                    on_lost=lost, on_timeout=timed_out,
-                    describe=lambda key: str(key),
-                )
+                heal()
                 last_tick = time.monotonic()
                 continue
 
             for msg in messages:
+                entry = inflight.get(msg.attempt)
                 if isinstance(msg, TaskStarted):
-                    entry = inflight.get(msg.attempt)
                     if entry is not None:
                         entry.worker_pid = msg.worker_pid
                     continue
-
-                result = msg
-                pool.complete(result.attempt)
-                state = states[result.cluster]
-                if (
-                    result.attempt not in inflight
-                    or state.attempt != result.attempt
-                    or state.finished
-                ):
+                pool.complete(msg.attempt)
+                if entry is None:
                     # Superseded attempt (requeued after a death or deadline):
                     # the current attempt's result is the one that counts.
                     self.instrumentation.count("fleet.task.stale_results")
                     continue
-                del inflight[result.attempt]
-                state.inflight = False
-
-                if result.error is not None:
-                    fail(result.cluster, result.error, kind="error")
+                del inflight[msg.attempt]
+                if msg.error is not None:
+                    fail(entry.key, msg.error, kind="error")
                     continue
-
+                state = units[entry.key]
                 state.failures = 0
-                state.capsule = result.capsule
-                state.remaining -= result.operations
-                state.batches += 1
-                total_batches += 1
-                if state.store is not None:
-                    state.saved = _as_saved(state.saved, result.capsule.arrays)
-                    state.store.save(state.saved, result.capsule.meta)
-                if state.remaining > 0:
-                    ready.append(result.cluster)
+                if accept(entry.key, msg):
+                    ready.append(entry.key)
                 else:
                     state.finished = True
                     done += 1
-        return total_batches
-
-    # -- supervision ---------------------------------------------------
-
-    def _supervise(
-        self,
-        pool: _WorkerPool,
-        inflight: dict[int, _Inflight],
-        *,
-        on_lost,
-        on_timeout,
-        describe,
-    ) -> None:
-        """One supervision tick: reap deaths, requeue lost work, enforce deadlines.
-
-        Runs whenever the result pipes are quiet, and on a cadence.
-        ``on_lost(entry)`` must redispatch the attempt (not charged as a
-        retry); ``on_timeout(entry)`` must route it through the retry/give-up
-        path. ``describe(key)``
-        renders an in-flight key (cluster name / shard index) for the
-        no-workers-left :class:`FleetError`.
-        """
-        pool.poll()
-        deaths = pool.take_deaths()
-        lost: set[int] = set()
-        for _pid, _code, _expected, attempts in deaths:
-            lost.update(a for a in attempts if a in inflight)
-        if pool.n_alive == 0:
-            # _supervise only runs while work remains, so an empty pool is
-            # fatal whether or not this tick saw the deaths itself.
-            codes = sorted({code for _pid, code, _exp, _a in deaths}, key=repr)
-            stuck = sorted(describe(e.key) for e in inflight.values())
-            raise FleetError(
-                f"fleet worker(s) exited (exit codes {codes or 'seen earlier'}) "
-                f"with no live workers left and the restart budget "
-                f"({self.config.max_worker_restarts}) exhausted; stuck: "
-                f"{', '.join(stuck) or 'none in flight'}"
-            )
-        for attempt in sorted(lost):
-            on_lost(inflight.pop(attempt))
-        timeout_s = self.config.task_timeout_s
-        if timeout_s is not None:
-            now = time.monotonic()
-            expired = [
-                attempt
-                for attempt, entry in inflight.items()
-                if now - entry.dispatched_at > float(timeout_s)
-            ]
-            for attempt in expired:
-                entry = inflight.pop(attempt)
-                self.instrumentation.count("fleet.task.timeouts")
-                # The assigned worker is presumed stuck on this attempt:
-                # kill it (replaced at the next poll, not charged to the
-                # budget) and forget the assignment.
-                pool.kill_attempt_owner(attempt)
-                pool.complete(attempt)
-                on_timeout(entry)
 
     # -- reporting -----------------------------------------------------
 
@@ -904,37 +915,47 @@ class FleetScheduler:
         solves its shard's windows one at a time through
         :func:`~repro.fleet.worker.solve_shard` and sends back per-cluster
         results plus its instrumentation ``state_dict`` — one solve span per
-        window — which is merged into the fleet sink. The same supervision
-        as :meth:`run` applies: dead workers are respawned and their shards
+        window — which is merged into the fleet sink. The supervision loop
+        is :meth:`run`'s: dead workers are respawned and their shards
         requeued (bit-identical on replay), failing shards retry with
         backoff, and ``on_error="degrade"`` quarantines an exhausted shard's
-        clusters instead of aborting the sweep.
+        clusters instead of aborting the sweep. A shard's block is created
+        at first dispatch and unlinked as soon as its result lands (or it is
+        quarantined), so shared memory stays bounded by the in-flight cap,
+        not the fleet size; a requeued shard reuses its block.
         """
         cfg = self.config
         t0 = time.perf_counter()
         shards = self.plan_sweep()
-        shard_states = [_ShardState(shard=shard) for shard in shards]
-        n_workers = min(int(cfg.n_workers), len(shards))
+        states = {shard.index: _ShardState(shard=shard) for shard in shards}
         results: dict[str, SweepClusterResult] = {}
-        pool = _WorkerPool(
-            mp.get_context(),
-            max_restarts=cfg.max_worker_restarts, sink=self.instrumentation,
-        )
-        try:
-            # Stack blocks are created lazily at dispatch (below), which is
-            # *after* the fork — so the shared-memory resource tracker must
-            # be running first, or each forked worker spawns its own tracker
-            # and "cleans up" segments the scheduler already unlinked.
-            resource_tracker.ensure_running()
-            pool.start(n_workers)
-            self._drive_sweep(shard_states, results, pool)
-            pool.stop()
-        finally:
-            pool.shutdown()
-            for state in shard_states:
-                if state.block is not None:
-                    state.block.unlink()
-                    state.block = None
+
+        def task(index: int, attempt: int) -> SweepTask:
+            state = states[index]
+            if state.block is None:
+                state.block = SharedStackBlock.create(state.shard.tps)
+            return SweepTask(
+                shard=index,
+                descriptor=state.block.descriptor,
+                clusters=state.shard.names,
+                solver=cfg.solver,
+                attempt=attempt,
+            )
+
+        def accept(index: int, result) -> bool:
+            if result.instrumentation:
+                self.instrumentation.merge(result.instrumentation)
+            for res in result.results:
+                results[res.name] = res
+            _release(states[index])
+            return False
+
+        def give_up(index: int, error_text: str, kind: str) -> None:
+            self._quarantine_shard(states[index].shard, results, error_text, kind=kind)
+            _release(states[index])
+
+        n_workers = min(int(cfg.n_workers), len(shards))
+        self._drive(n_workers, states, task=task, accept=accept, give_up=give_up)
 
         elapsed = time.perf_counter() - t0
         self._account_sweep(n_workers=n_workers, elapsed=elapsed, shards=len(shards))
@@ -946,149 +967,6 @@ class FleetScheduler:
             batch_size=int(cfg.batch_size),
             instrumentation=self.instrumentation.state_dict(),
         )
-
-    def _drive_sweep(
-        self,
-        shard_states: list[_ShardState],
-        results: dict[str, SweepClusterResult],
-        pool: _WorkerPool,
-    ) -> None:
-        """Supervised dispatch/drain loop for sweep shards.
-
-        Mirrors :meth:`_drive`; the unit of retry is the shard. Blocks are
-        created at first dispatch and unlinked as soon as the shard's
-        result lands (or the shard is quarantined), so shared memory stays
-        bounded by the in-flight cap, not the fleet size. A requeued shard
-        reuses its existing block — the segment is immutable input.
-        """
-        cfg = self.config
-        pending: deque[int] = deque(range(len(shard_states)))
-        deferred: list[tuple[float, int, int]] = []
-        inflight: dict[int, _Inflight] = {}
-        finished = 0
-
-        def dispatch(index: int) -> None:
-            state = shard_states[index]
-            if state.block is None:
-                state.block = SharedStackBlock.create(state.shard.tps)
-            attempt = next(self._attempt_seq)
-            state.attempt = attempt
-            task = SweepTask(
-                shard=index,
-                descriptor=state.block.descriptor,
-                clusters=state.shard.names,
-                solver=cfg.solver,
-                attempt=attempt,
-            )
-            inflight[attempt] = _Inflight(key=index, dispatched_at=time.monotonic())
-            pool.assign(attempt, task)
-
-        def finish(state: _ShardState) -> None:
-            nonlocal finished
-            state.finished = True
-            finished += 1
-            if state.block is not None:
-                state.block.unlink()
-                state.block = None
-
-        def fail(index: int, error_text: str, *, kind: str) -> None:
-            state = shard_states[index]
-            state.failures += 1
-            if state.failures <= cfg.max_task_retries:
-                state.retries += 1
-                self.instrumentation.count("fleet.task.retries")
-                delay = min(
-                    float(cfg.retry_backoff_s) * (2 ** (state.failures - 1)),
-                    _MAX_BACKOFF_S,
-                )
-                heapq.heappush(
-                    deferred,
-                    (time.monotonic() + delay, next(self._defer_seq), index),
-                )
-                return
-            if cfg.on_error == "degrade":
-                self._quarantine_shard(state.shard, results, error_text, kind=kind)
-                finish(state)
-                return
-            raise FleetError(
-                f"sweep shard {index} (clusters "
-                f"{', '.join(state.shard.names)}) failed after "
-                f"{state.failures} attempt(s) ({kind})",
-                worker_traceback=error_text,
-            )
-
-        def lost(entry: _Inflight) -> None:
-            dispatch(int(entry.key))
-
-        def timed_out(entry: _Inflight) -> None:
-            index = int(entry.key)
-            fail(
-                index,
-                f"shard deadline exceeded ({self.config.task_timeout_s}s) on "
-                f"attempt {shard_states[index].failures + 1}",
-                kind="timeout",
-            )
-
-        def describe(key: object) -> str:
-            return f"shard {key} ({', '.join(shard_states[int(key)].shard.names)})"
-
-        last_tick = time.monotonic()
-        while finished < len(shard_states):
-            now = time.monotonic()
-            if now - last_tick >= _POLL_S:
-                # Cadenced supervision: steady traffic must not starve
-                # death detection or deadline enforcement.
-                self._supervise(
-                    pool, inflight,
-                    on_lost=lost, on_timeout=timed_out, describe=describe,
-                )
-                last_tick = now
-            while deferred and deferred[0][0] <= now:
-                pending.append(heapq.heappop(deferred)[2])
-            while pending and len(inflight) < cfg.max_inflight:
-                dispatch(pending.popleft())
-
-            timeout = _POLL_S
-            if not inflight and deferred:
-                timeout = min(_POLL_S, max(0.01, deferred[0][0] - now))
-            messages = pool.receive(timeout)
-            if not messages:
-                self._supervise(
-                    pool, inflight,
-                    on_lost=lost, on_timeout=timed_out, describe=describe,
-                )
-                last_tick = time.monotonic()
-                continue
-
-            for msg in messages:
-                if isinstance(msg, TaskStarted):
-                    entry = inflight.get(msg.attempt)
-                    if entry is not None:
-                        entry.worker_pid = msg.worker_pid
-                    continue
-
-                result = msg
-                pool.complete(result.attempt)
-                state = shard_states[result.shard]
-                if (
-                    result.attempt not in inflight
-                    or state.attempt != result.attempt
-                    or state.finished
-                ):
-                    self.instrumentation.count("fleet.task.stale_results")
-                    continue
-                del inflight[result.attempt]
-
-                if result.error is not None:
-                    fail(result.shard, result.error, kind="error")
-                    continue
-
-                if result.instrumentation:
-                    self.instrumentation.merge(result.instrumentation)
-                state.failures = 0
-                for res in result.results:
-                    results[res.name] = res
-                finish(state)
 
     def _account_sweep(self, *, n_workers: int, elapsed: float, shards: int) -> None:
         sink = self.instrumentation

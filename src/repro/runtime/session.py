@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -403,9 +403,6 @@ class TraceSession:
                 "trace too short: need more snapshots than the time step"
             )
         check_positive(nbytes, "nbytes")
-        self.trace = trace
-        self.nbytes = float(nbytes)
-        self.time_step = int(time_step)
         options = SolveOptions(
             solver=solver,
             svd_backend=svd_backend,
@@ -414,60 +411,32 @@ class TraceSession:
             stream_tolerance=stream_tolerance,
             stream_refresh_every=stream_refresh_every,
         )
-        self.controller = MaintenanceController(
-            threshold=threshold, consecutive=consecutive
-        )
-        self.calibration_cost = (
-            calibration_cost
-            if calibration_cost is not None
-            else calibration_overhead_seconds(trace.n_machines, time_step)
-        )
-        check_nonnegative(self.calibration_cost, "calibration_cost")
-
-        # Fault view. The seed is resolved (and remembered) here so a
-        # resumed session re-materializes the identical schedule.
-        self.faults_spec = faults if isinstance(faults, str) else None
+        if calibration_cost is None:
+            calibration_cost = calibration_overhead_seconds(trace.n_machines, time_step)
+        check_nonnegative(calibration_cost, "calibration_cost")
+        # The seed is resolved (and remembered) here so a resumed session
+        # re-materializes the identical schedule.
         if faults is not None and fault_seed is None:
             fault_seed = int(spawn_rng(None).integers(0, 2**31 - 1))
-        self.fault_seed = None if fault_seed is None else int(fault_seed)
-        calibration_view, self.fault_schedule, crash_models = (
-            self._build_fault_view(trace, faults, self.fault_seed)
+        crash_models = self._assemble(
+            trace,
+            nbytes=nbytes,
+            time_step=time_step,
+            threshold=threshold,
+            consecutive=consecutive,
+            calibration_cost=calibration_cost,
+            options=options,
+            faults=faults,
+            faults_spec=faults if isinstance(faults, str) else None,
+            fault_seed=fault_seed,
+            resilience=resilience,
+            regime_detector=self._build_regime_detector(regime, regime_params),
+            instrumentation=instrumentation,
+            trace_sha=trace_sha256(trace),  # hashed once, reused per checkpoint
         )
         if crash_after is not None:
             crash_models = crash_models + (CrashFault(at_operation=crash_after),)
         self._crash_models = crash_models
-        if self.fault_schedule is not None and resilience is None:
-            resilience = ResilienceConfig()
-        self.resilience = resilience
-        self.health: DegradedModeController | None = (
-            DegradedModeController(resilience) if resilience is not None else None
-        )
-
-        self._engine = DecompositionEngine(
-            calibration_view,
-            nbytes=self.nbytes,
-            time_step=self.time_step,
-            options=options,
-            instrumentation=(
-                instrumentation
-                if instrumentation is not None
-                else Instrumentation("session")
-            ),
-            **self._engine_kwargs(resilience, solver),
-        )
-        self.regime_detector: RegimeDetector | None = (
-            self._build_regime_detector(regime, regime_params)
-        )
-
-        self.stats = SessionStats()
-        self._history_encoder = HistoryEncoder()
-        self._deviation_encoder = FloatListEncoder()
-        self._trace_sha = trace_sha256(trace)  # hashed once, reused per checkpoint
-        self._cursor = self.time_step  # next live snapshot
-        self._decomposition: Decomposition | None = None
-        self._replaying = False
-        self._journal: SnapshotJournal | None = None
-        self._store: CheckpointStore | None = None
         # The session cannot start without one good constant component, so
         # the initial calibration is not fault-tolerant: a failure here
         # propagates even in resilient mode (pick fault schedules, window
@@ -480,6 +449,74 @@ class TraceSession:
         if self.persistence is not None:
             self._attach_persistence(self.persistence, fresh=True)
             self.checkpoint()  # checkpoint 0: the booted state
+
+    def _assemble(
+        self,
+        trace: CalibrationTrace,
+        *,
+        nbytes: float,
+        time_step: int,
+        threshold: float,
+        consecutive: int,
+        calibration_cost: float,
+        options: SolveOptions,
+        faults: list[FaultModel] | tuple[FaultModel, ...] | str | None,
+        faults_spec: str | None,
+        fault_seed: int | None,
+        resilience: ResilienceConfig | None,
+        regime_detector: RegimeDetector | None,
+        instrumentation: Instrumentation | None,
+        trace_sha: str,
+    ) -> tuple[CrashFault, ...]:
+        """Lay out a session at its boot point, before any calibration.
+
+        Shared by a new session (which then calibrates its first window)
+        and a restored one (which then loads captured state over it). The
+        session has no persistence attached; the fault view's crash models
+        are returned for the caller to arm or drop.
+        """
+        self.trace = trace
+        self.nbytes = float(nbytes)
+        self.time_step = int(time_step)
+        self.controller = MaintenanceController(
+            threshold=threshold, consecutive=consecutive
+        )
+        self.calibration_cost = calibration_cost
+        self.faults_spec = faults_spec
+        self.fault_seed = None if fault_seed is None else int(fault_seed)
+        calibration_view, self.fault_schedule, crash_models = (
+            self._build_fault_view(trace, faults, self.fault_seed)
+        )
+        if self.fault_schedule is not None and resilience is None:
+            resilience = ResilienceConfig()
+        self.resilience = resilience
+        self.health: DegradedModeController | None = (
+            DegradedModeController(resilience) if resilience is not None else None
+        )
+        self._engine = DecompositionEngine(
+            calibration_view,
+            nbytes=self.nbytes,
+            time_step=self.time_step,
+            options=options,
+            instrumentation=(
+                instrumentation
+                if instrumentation is not None
+                else Instrumentation("session")
+            ),
+            **self._engine_kwargs(resilience, options.solver),
+        )
+        self.regime_detector: RegimeDetector | None = regime_detector
+        self.stats = SessionStats()
+        self._history_encoder = HistoryEncoder()
+        self._deviation_encoder = FloatListEncoder()
+        self._trace_sha = trace_sha
+        self._cursor = self.time_step  # next live snapshot
+        self._decomposition: Decomposition | None = None
+        self._replaying = False
+        self.persistence: PersistenceConfig | None = None
+        self._journal: SnapshotJournal | None = None
+        self._store: CheckpointStore | None = None
+        return crash_models
 
     # -- construction helpers ----------------------------------------------
     @staticmethod
@@ -739,8 +776,8 @@ class TraceSession:
         if charge:
             self.stats.overhead_seconds += self.calibration_cost
 
-    def _request_recalibration(self, end: int) -> None:
-        """Algorithm-1 re-calibration, degraded-mode aware.
+    def _recalibrate(self, end: int, *, cold: bool = False) -> None:
+        """Algorithm-1 re-calibration from the window ending at *end*.
 
         Without a health controller this is the historical strict path: a
         calibration failure propagates to the caller. With one, a failed
@@ -748,12 +785,34 @@ class TraceSession:
         the last good constant component in service — HOLDOVER — and backs
         off exponentially before the next attempt; a deferred request
         (still inside backoff) is counted but does not re-measure.
+
+        ``cold=True`` is the regime-SHIFT path: the constant component
+        itself has moved, so the warm-start chain is dropped (the old
+        solution would pull the solver toward the dead regime) and the
+        solve bypasses retry backoff — holding over a stale ``P_D`` is
+        exactly wrong when the change is structural rather than a
+        measurement fault.
         """
-        if self.health is None:
+        health = self.health
+        if cold:
+            self._engine.reset_warm_state()
+            self.controller.reset()
+            if self.mode == "streaming":
+                # A SHIFT is a certified-fallback trigger: the reset above
+                # dropped the streaming subspace and the cold solve below
+                # reseeds it.
+                self.stats.stream_fallbacks += 1
+                self.instrumentation.count("kernel.stream.fallbacks")
+                self.instrumentation.count("kernel.stream.fallback_shift")
+            self.instrumentation.count("session.regime.cold_recalibration")
+            # Unprefixed twin of the counter above: fleet reports merge
+            # worker instrumentation under the "regime.*" namespace.
+            self.instrumentation.count("regime.forced_recalibrations")
+        elif health is None:
             self._calibrate(end=end, charge=True)
             self.stats.recalibrations += 1
             return
-        if not self.health.should_attempt():
+        elif not health.should_attempt():
             self.stats.deferred_recalibrations += 1
             self.instrumentation.count("session.recalibration.deferred")
             return
@@ -762,71 +821,36 @@ class TraceSession:
         except (CalibrationError, ConvergenceError) as exc:
             self.stats.failed_recalibrations += 1
             self.instrumentation.count("session.recalibration.failed")
-            self.health.record_failure(exc)
+            if health is None:
+                raise
             # The engine may have been left warm-seeded by a failed solve's
             # predecessor; the last *good* decomposition stays in service.
+            health.record_failure(exc)
             return
         self.stats.recalibrations += 1
         self.instrumentation.count("session.recalibration.ok")
-        self.health.record_success()
+        if health is not None:
+            health.record_success()
 
-    def _force_cold_recalibration(self, end: int) -> None:
-        """Regime shift: the constant component itself has moved.
-
-        Drop the warm-start chain (the old solution would pull the solver
-        toward the dead regime) and re-solve cold, bypassing retry backoff —
-        holding over a stale ``P_D`` is exactly wrong when the change is
-        structural rather than a measurement fault.
-        """
-        self._engine.reset_warm_state()
-        self.controller.reset()
-        if self.mode == "streaming":
-            # A SHIFT is a certified-fallback trigger: the reset above
-            # dropped the streaming subspace and the cold solve below
-            # reseeds it.
-            self.stats.stream_fallbacks += 1
-            self.instrumentation.count("kernel.stream.fallbacks")
-            self.instrumentation.count("kernel.stream.fallback_shift")
-        self.instrumentation.count("session.regime.cold_recalibration")
-        # Unprefixed twin of the counter above: fleet reports merge worker
-        # instrumentation under the "regime.*" namespace.
-        self.instrumentation.count("regime.forced_recalibrations")
-        try:
-            self._calibrate(end=end, charge=True)
-        except (CalibrationError, ConvergenceError) as exc:
-            self.stats.failed_recalibrations += 1
-            self.instrumentation.count("session.recalibration.failed")
-            if self.health is None:
-                raise
-            self.health.record_failure(exc)
-            return
-        self.stats.recalibrations += 1
-        self.instrumentation.count("session.recalibration.ok")
-        if self.health is not None:
-            self.health.record_success()
-
-    def _observe_regime(self, k: int) -> str:
-        """Feed snapshot *k*'s residual to the detector; act on the verdict.
+    def _observe_regime(self, k: int) -> RegimeVerdict:
+        """Feed snapshot *k*'s residual to the detector and count its verdict.
 
         Must run before any re-calibration at this operation: the residual
-        is measured against the constant component *in service*, and a SHIFT
-        pre-empts the ordinary threshold-triggered re-calibration (the cold
-        path subsumes it).
+        is measured against the constant component *in service*.
         """
         if self.regime_detector is None:
-            return RegimeVerdict.STABLE.value
+            return RegimeVerdict.STABLE
         residual = self._engine.snapshot_residual(k)
         verdict = self.regime_detector.observe(residual)
         if verdict is RegimeVerdict.SHIFT:
             self.stats.regime_shifts += 1
             self.instrumentation.count("session.regime.shift")
             self.instrumentation.count("regime.shift")
-            self._force_cold_recalibration(end=k + 1)
         elif verdict is RegimeVerdict.SPIKE:
             self.stats.regime_spikes += 1
             self.instrumentation.count("session.regime.spike")
             self.instrumentation.count("regime.spike")
-        return verdict.value
+        return verdict
 
     def _consume_stream(self, k: int) -> None:
         """Serve operation *k*'s window slide through the streaming path.
@@ -847,7 +871,7 @@ class TraceSession:
                 self.stats.stream_updates += 1
                 return
             self.stats.stream_fallbacks += 1
-        self._request_recalibration(end=end)
+        self._recalibrate(end=end)
 
     def _advance(self) -> int:
         k = self._cursor
@@ -860,6 +884,47 @@ class TraceSession:
             if not self.health.healthy:
                 self.stats.holdover_operations += 1
         return k
+
+    def _serve(
+        self,
+        entry: dict[str, Any],
+        op: str,
+        root: int,
+        price: Callable[[int, _ServingPlan], tuple[float, float, Any]],
+    ) -> tuple[OperationRecord, Any]:
+        """Serve one operation: the Algorithm-1 loop every operation kind shares.
+
+        The stages run in this order: write-ahead commit of the journal
+        *entry* and crash check, advance to the live snapshot ``k``, the
+        serving plan of the ``P_D`` in service, ``price(k, plan)`` (the
+        operation's own part: its expected time on ``P_D``, its elapsed time
+        on snapshot ``k`` and a result handed back to the caller), the
+        maintenance controller, the regime detector, stream-or-recalibrate,
+        the record, and the checkpoint cadence.
+        """
+        self._commit(entry)
+        self._check_crash()
+        k = self._advance()
+        expected, elapsed, result = price(k, self._serving_plan())
+        decision = self.controller.observe(expected, elapsed)
+        regime = self._observe_regime(k)
+        if regime is RegimeVerdict.SHIFT:
+            # Pre-empts the threshold rule and the stream fold alike.
+            self._recalibrate(end=k + 1, cold=True)
+        elif self.mode == "streaming":
+            self._consume_stream(k)
+        elif decision is MaintenanceDecision.RECALIBRATE:
+            self._recalibrate(end=k + 1)
+        record = OperationRecord(
+            op=op, snapshot=k, root=root, elapsed=elapsed,
+            expected=expected, decision=decision,
+            health=self.health_state.value, regime=regime.value,
+        )
+        self.stats.operations += 1
+        self.stats.communication_seconds += elapsed
+        self.stats.history.append(record)
+        self._maybe_checkpoint()
+        return record, result
 
     # -- operations -----------------------------------------------------------
     def run_collective(
@@ -886,63 +951,40 @@ class TraceSession:
                 raise ValidationError("machines must be >= 2 distinct indices")
             if idx.min() < 0 or idx.max() >= self.trace.n_machines:
                 raise ValidationError("machine index out of range")
-        self._commit(
-            {
-                "kind": "collective",
-                "op": op,
-                "root": int(root),
-                "nbytes": size,
-                "machines": None if idx is None else idx.tolist(),
-            }
-        )
-        self._check_crash()
-        k = self._advance()
-        plan = self._serving_plan()
-        if idx is None:
-            expected = plan.expected(op, int(root), size)
-            tree = plan.tree(int(root))
-            live_alpha, live_beta = self._live_snapshot(k)
-            # _live_snapshot has checked the whole snapshot already.
-            check_finite = False
-        else:
-            # Sub-cluster trees are built per operation: the machine sets a
-            # caller picks are open-ended, so they are not memoized.
-            sel = np.ix_(idx, idx)
-            weights = plan.weights[sel]
-            np.fill_diagonal(weights, 0.0)
-            live_alpha = self.trace.alpha[k][sel]
-            live_beta = self.trace.beta[k][sel]
-            tree = fnf_tree(weights, root)
-            ea, eb = weights_to_alphabeta(weights, size)
-            expected = collective_time(op, tree, ea, eb, size)
-            # The gathered sub-matrix is new on every call: check it.
-            check_finite = True
-        elapsed = collective_time(
-            op, tree, live_alpha, live_beta, size, check_finite=check_finite
-        )
 
-        decision = self.controller.observe(expected, elapsed)
-        regime = self._observe_regime(k)
-        if self.mode == "streaming":
-            # A SHIFT already forced the cold reseed inside _observe_regime.
-            if regime != RegimeVerdict.SHIFT.value:
-                self._consume_stream(k)
-        elif (
-            regime != RegimeVerdict.SHIFT.value
-            and decision is MaintenanceDecision.RECALIBRATE
-        ):
-            self._request_recalibration(end=k + 1)
+        def price(k: int, plan: _ServingPlan) -> tuple[float, float, None]:
+            if idx is None:
+                expected = plan.expected(op, int(root), size)
+                tree = plan.tree(int(root))
+                live_alpha, live_beta = self._live_snapshot(k)
+                # _live_snapshot has checked the whole snapshot already.
+                check_finite = False
+            else:
+                # Sub-cluster trees are built per operation: the machine sets
+                # a caller picks are open-ended, so they are not memoized.
+                sel = np.ix_(idx, idx)
+                weights = plan.weights[sel]
+                np.fill_diagonal(weights, 0.0)
+                live_alpha = self.trace.alpha[k][sel]
+                live_beta = self.trace.beta[k][sel]
+                tree = fnf_tree(weights, root)
+                ea, eb = weights_to_alphabeta(weights, size)
+                expected = collective_time(op, tree, ea, eb, size)
+                # The gathered sub-matrix is new on every call: check it.
+                check_finite = True
+            elapsed = collective_time(
+                op, tree, live_alpha, live_beta, size, check_finite=check_finite
+            )
+            return expected, elapsed, None
 
-        record = OperationRecord(
-            op=op, snapshot=k, root=int(root), elapsed=elapsed,
-            expected=expected, decision=decision,
-            health=self.health_state.value, regime=regime,
-        )
-        self.stats.operations += 1
-        self.stats.communication_seconds += elapsed
-        self.stats.history.append(record)
-        self._maybe_checkpoint()
-        return record
+        entry = {
+            "kind": "collective",
+            "op": op,
+            "root": int(root),
+            "nbytes": size,
+            "machines": None if idx is None else idx.tolist(),
+        }
+        return self._serve(entry, op, int(root), price)[0]
 
     def step(self, spec: OperationSpec | None = None) -> OperationRecord:
         """Execute one externally-planned operation (non-owning driver mode).
@@ -994,38 +1036,20 @@ class TraceSession:
         """
         if graph.n_tasks > self.trace.n_machines:
             raise ValidationError("task graph larger than the cluster")
-        self._commit({"kind": "mapping", "volumes": pack_float64(graph.volumes)})
-        self._check_crash()
-        k = self._advance()
-        plan = self._serving_plan()
-        mapping = greedy_mapping(graph, plan.machines())
-        ea, eb = plan.alphabeta(self.nbytes)
-        expected = mapping_total_time(graph, mapping, ea, eb, check_finite=False)
-        live_alpha, live_beta = self._live_snapshot(k)
-        elapsed = mapping_total_time(
-            graph, mapping, live_alpha, live_beta, check_finite=False
-        )
-        decision = self.controller.observe(expected, elapsed)
-        regime = self._observe_regime(k)
-        if self.mode == "streaming":
-            if regime != RegimeVerdict.SHIFT.value:
-                self._consume_stream(k)
-        elif (
-            regime != RegimeVerdict.SHIFT.value
-            and decision is MaintenanceDecision.RECALIBRATE
-        ):
-            self._request_recalibration(end=k + 1)
-        self.stats.operations += 1
-        self.stats.communication_seconds += elapsed
-        self.stats.history.append(
-            OperationRecord(
-                op="mapping", snapshot=k, root=-1, elapsed=elapsed,
-                expected=expected, decision=decision,
-                health=self.health_state.value, regime=regime,
+
+        def price(k: int, plan: _ServingPlan) -> tuple[float, float, np.ndarray]:
+            mapping = greedy_mapping(graph, plan.machines())
+            ea, eb = plan.alphabeta(self.nbytes)
+            expected = mapping_total_time(graph, mapping, ea, eb, check_finite=False)
+            live_alpha, live_beta = self._live_snapshot(k)
+            elapsed = mapping_total_time(
+                graph, mapping, live_alpha, live_beta, check_finite=False
             )
-        )
-        self._maybe_checkpoint()
-        return mapping, elapsed
+            return expected, elapsed, mapping
+
+        entry = {"kind": "mapping", "volumes": pack_float64(graph.volumes)}
+        record, mapping = self._serve(entry, "mapping", -1, price)
+        return mapping, record.elapsed
 
     # -- suspension (in-memory) ---------------------------------------------
     def capture_capsule(self) -> SessionCapsule:
@@ -1136,7 +1160,6 @@ class TraceSession:
         directory = os.fspath(directory)
         state = recover(directory)
         meta = state.meta
-        cfg = meta["config"]
 
         if trace is None:
             path = meta["trace"]["path"]
@@ -1178,20 +1201,14 @@ class TraceSession:
         self._crash_models = (
             (CrashFault(at_operation=crash_after),) if crash_after is not None else ()
         )
-        self._store = CheckpointStore(
-            directory, keep=persistence.keep_checkpoints, fsync=persistence.fsync
-        )
-        self._journal = None  # replay first; reattach in append mode after
-
+        # Replay first, then reattach the journal in append mode.
         self._replaying = True
         try:
             for record in state.pending:
                 self._replay_record(record)
         finally:
             self._replaying = False
-        self._journal = SnapshotJournal(
-            journal_path(directory), fsync=persistence.fsync
-        )
+        self._attach_persistence(persistence, fresh=False)
         if self._journal.seq != self.stats.operations:
             raise PersistenceError(
                 f"journal/state divergence after replay: journal at seq "
@@ -1224,49 +1241,42 @@ class TraceSession:
         crash models armed.
         """
         cfg = meta["config"]
-        self = cls.__new__(cls)
-        self.trace = trace
-        self._trace_sha = meta["trace"]["sha256"]
-        self.nbytes = float(cfg["nbytes"])
-        self.time_step = int(cfg["time_step"])
-        options = SolveOptions.from_meta(cfg)
-        self.calibration_cost = float(cfg["calibration_cost"])
-        self.controller = MaintenanceController(
-            threshold=cfg["threshold"], consecutive=cfg["consecutive"]
-        )
-        ctrl_state = dict(meta["controller"])
-        ctrl_state["deviations"] = arrays["ctrl_deviations"].tolist()
-        self.controller.restore_state(ctrl_state)
-
         res_meta = cfg["resilience"]
-        resilience = None if res_meta is None else ResilienceConfig(**res_meta)
-        self.resilience = resilience
-        self.health = (
-            DegradedModeController(resilience) if resilience is not None else None
-        )
-        if self.health is not None and meta["health"] is not None:
-            self.health.restore_state(meta["health"])
-
-        self.faults_spec = cfg["faults_spec"]
-        self.fault_seed = cfg["fault_seed"]
-        fault_source = faults if faults is not None else self.faults_spec
-        calibration_view, self.fault_schedule, _ = self._build_fault_view(
-            trace, fault_source, self.fault_seed
+        regime_cfg = cfg["regime"]
+        if regime_cfg is None:
+            detector = None
+        elif "name" in regime_cfg:
+            detector = build_detector(regime_cfg["name"], regime_cfg["params"])
+        else:
+            # Pre-registry checkpoints stored bare CUSUM config fields.
+            detector = CusumRegimeDetector(RegimeConfig(**regime_cfg))
+        self = cls.__new__(cls)
+        self._assemble(
+            trace,
+            nbytes=cfg["nbytes"],
+            time_step=cfg["time_step"],
+            threshold=cfg["threshold"],
+            consecutive=cfg["consecutive"],
+            calibration_cost=float(cfg["calibration_cost"]),
+            options=SolveOptions.from_meta(cfg),
+            faults=faults if faults is not None else cfg["faults_spec"],
+            faults_spec=cfg["faults_spec"],
+            fault_seed=cfg["fault_seed"],
+            resilience=None if res_meta is None else ResilienceConfig(**res_meta),
+            regime_detector=detector,
+            instrumentation=instrumentation,
+            trace_sha=meta["trace"]["sha256"],
         )
         self._crash_models = ()
 
-        self._engine = DecompositionEngine(
-            calibration_view,
-            nbytes=self.nbytes,
-            time_step=self.time_step,
-            options=options,
-            instrumentation=(
-                instrumentation
-                if instrumentation is not None
-                else Instrumentation("session")
-            ),
-            **self._engine_kwargs(resilience, options.solver),
-        )
+        ctrl_state = dict(meta["controller"])
+        ctrl_state["deviations"] = arrays["ctrl_deviations"].tolist()
+        self.controller.restore_state(ctrl_state)
+        if self.health is not None and meta["health"] is not None:
+            self.health.restore_state(meta["health"])
+        if detector is not None and meta["regime_state"] is not None:
+            detector.restore_state(meta["regime_state"])
+
         self._engine.import_cache(engine_cache_from_state(arrays))
         self._engine.instrumentation.restore_state(meta["instrumentation"])
         dec = decomposition_from_state(arrays, meta["decomposition"])
@@ -1277,19 +1287,6 @@ class TraceSession:
             self._engine.import_stream_state(
                 stream_state_from_payload(arrays, stream_meta)
             )
-
-        regime_cfg = cfg["regime"]
-        if regime_cfg is None:
-            self.regime_detector = None
-        elif "name" in regime_cfg:
-            self.regime_detector = build_detector(
-                regime_cfg["name"], regime_cfg["params"]
-            )
-        else:
-            # Pre-registry checkpoints stored bare CUSUM config fields.
-            self.regime_detector = CusumRegimeDetector(RegimeConfig(**regime_cfg))
-        if self.regime_detector is not None and meta["regime_state"] is not None:
-            self.regime_detector.restore_state(meta["regime_state"])
 
         st = meta["stats"]
         self.stats = SessionStats(
@@ -1320,12 +1317,5 @@ class TraceSession:
                 for h in history_rows_from_state(arrays, st["history_legends"])
             ],
         )
-        self._history_encoder = HistoryEncoder()
-        self._deviation_encoder = FloatListEncoder()
         self._cursor = int(meta["cursor"])
-
-        self.persistence = None
-        self._store = None
-        self._journal = None
-        self._replaying = False
         return self

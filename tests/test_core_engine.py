@@ -404,29 +404,6 @@ class TestCalibratorAdapter:
 class TestWarmStatePickling:
     """Warm state must survive process boundaries losslessly (fleet contract)."""
 
-    def test_engine_warm_state_pickle_round_trip(self, small_trace):
-        import pickle
-
-        from repro.core.engine import EngineWarmState
-
-        a = DecompositionEngine(small_trace, nbytes=8 * MB)
-        b = DecompositionEngine(small_trace, nbytes=8 * MB)
-        a.calibrate(10)
-        state = pickle.loads(pickle.dumps(a.export_warm_state()))
-        assert isinstance(state, EngineWarmState)
-        b.import_warm_state(state)
-
-        # Continuing either engine yields bit-identical solves: same warm
-        # seed, same row cache, same result arrays.
-        dec_a = a.calibrate(14)
-        dec_b = b.calibrate(14)
-        assert np.array_equal(dec_a.constant.row, dec_b.constant.row)
-        assert dec_a.norm_ne == dec_b.norm_ne
-        assert dec_a.solver_iterations == dec_b.solver_iterations
-        # The imported cache served the overlap: no extra window misses
-        # beyond the four genuinely new snapshots.
-        assert b.instrumentation.counters["engine.window.miss"] == 4
-
     def test_warm_vectors_through_shared_memory_views(self, small_trace):
         """An engine fed shm-backed trace views solves bit-identically."""
         from repro.fleet.shm import SharedTraceBlock

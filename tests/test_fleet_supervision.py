@@ -271,6 +271,55 @@ class TestSweepSupervision:
         assert report.health()["task_retries"] >= 1
 
 
+    @requires_fork
+    def test_transient_shard_failure_retried_to_success(self, monkeypatch, tmp_path):
+        flag = tmp_path / "fail-once"
+        flag.touch()
+        real = worker_mod.solve_shard
+
+        def hook(names, tps, **kwargs):
+            if "c0" in names and flag.exists():
+                flag.unlink()
+                raise RuntimeError("injected transient shard failure")
+            return real(names, tps, **kwargs)
+
+        clusters = _clusters(4)
+        config = FleetConfig(
+            max_task_retries=2, retry_backoff_s=0.01,
+            window=6, batch_size=2, n_workers=2,
+        )
+        serial = FleetScheduler(clusters, config).run_sweep_serial()
+        monkeypatch.setattr(worker_mod, "solve_shard", hook)
+        report = FleetScheduler(clusters, config).run_sweep()
+        assert not flag.exists()  # the failure really happened
+        assert report.instrumentation["counters"]["fleet.task.retries"] == 1
+        assert set(report.statuses().values()) == {"ok"}
+        for name, res in report.clusters.items():
+            want = serial.clusters[name].constant_row
+            assert res.constant_row.tobytes() == want.tobytes()
+
+    @requires_fork
+    def test_deadline_exhaustion_degrades_shard_to_failed(self, monkeypatch):
+        real = worker_mod.solve_shard
+
+        def hook(names, tps, **kwargs):
+            if "c0" in names:
+                time.sleep(60.0)
+            return real(names, tps, **kwargs)
+
+        monkeypatch.setattr(worker_mod, "solve_shard", hook)
+        config = FleetConfig(
+            on_error="degrade", task_timeout_s=0.5, max_task_retries=0,
+            retry_backoff_s=0.01, window=6, batch_size=2, n_workers=2,
+        )
+        report = FleetScheduler(_clusters(4), config).run_sweep()
+        statuses = report.statuses()
+        # The stuck shard is {c0, c1}; both its clusters fail together.
+        assert {n for n, s in statuses.items() if s == "failed"} == {"c0", "c1"}
+        assert "deadline exceeded" in report.clusters["c0"].error
+        assert report.instrumentation["counters"]["fleet.task.timeouts"] >= 1
+
+
 class TestShmHygiene:
     """The scheduler must never leak shared-memory segments, even on failure."""
 

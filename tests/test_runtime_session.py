@@ -11,12 +11,13 @@ from repro.cloudsim.trace import CalibrationTrace
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.collectives.exec_model import collective_time, weights_to_alphabeta
 from repro.collectives.fnf import fnf_tree
+from repro.core.engine import DecompositionEngine
 from repro.core.maintenance import MaintenanceController, MaintenanceDecision
 from repro.errors import ValidationError
 from repro.mapping.evaluate import bandwidth_from_weights, mapping_total_time
 from repro.mapping.greedy import greedy_mapping
 from repro.mapping.taskgraph import random_task_graph
-from repro.persistence import PersistenceConfig
+from repro.persistence import CheckpointStore, PersistenceConfig, SnapshotJournal
 from repro.runtime import session as session_module
 from repro.runtime.session import TraceSession
 from tests.oracles import FreshTreeSession
@@ -287,6 +288,72 @@ class TestServingMatchesReference:
         # A memoized entry and one built after the mutations both ignore them.
         assert s.broadcast(root=3).expected == want["broadcast"]
         assert s.scatter(root=3).expected == want["scatter"]
+
+
+# The call sites bench/tracing.py wraps by name (``Tracer.install`` and
+# ``Tracer.watch_session``). A hook the program stops calling where the
+# tracer looks it up reads zero in the benchmark's per-layer metrics.
+TRACED_SESSION_GLOBALS = (
+    "fnf_tree",
+    "collective_time",
+    "weights_to_alphabeta",
+    "greedy_mapping",
+    "mapping_total_time",
+    "bandwidth_from_weights",
+    "capture_session_state",
+)
+TRACED_ENGINE_METHODS = (
+    "snapshot_residual", "calibrate", "window", "solve", "stream_fold",
+)
+
+
+class TestTracerHooks:
+    def test_every_traced_hook_fires(self, serve_trace, tmp_path, monkeypatch):
+        calls = {}
+
+        def count(owner, attr):
+            original = getattr(owner, attr)
+            name = f"{owner.__name__}.{attr}"
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for attr in TRACED_SESSION_GLOBALS:
+            count(session_module, attr)
+        count(TraceSession, "weight_matrix")
+        count(MaintenanceController, "observe")
+        for attr in TRACED_ENGINE_METHODS:
+            count(DecompositionEngine, attr)
+        count(SnapshotJournal, "append_json")
+        count(CheckpointStore, "save")
+
+        def persisted(name):
+            return PersistenceConfig(directory=tmp_path / name, checkpoint_every=1000)
+
+        batch = TraceSession(
+            serve_trace, threshold=0.05, calibration_cost=0.0,
+            persistence=persisted("batch"),
+        )
+        stream = TraceSession(
+            serve_trace, threshold=0.05, calibration_cost=0.0, mode="streaming",
+            regime="drift", persistence=persisted("stream"),
+        )
+        count(type(stream.regime_detector), "observe")
+        for session in (batch, stream):
+            for i in range(6):
+                session.broadcast(root=i % N_SERVE)
+                session.run_collective("reduce", root=1, machines=[0, 3, 4, 8])
+                session.map_tasks(random_task_graph(5, seed=i))
+            session.communicator()  # a live view: builds on weight_matrix()
+            session.checkpoint()
+            session.close()
+        assert batch.stats.recalibrations > 0
+        assert stream.stats.stream_updates > 0
+        assert [name for name, n in calls.items() if n == 0] == []
 
 
 # Paper scale: 196 instances, a fold per operation, one trace wrap (the

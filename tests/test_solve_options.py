@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import pickle
 
-import numpy as np
 import pytest
 
 import repro
@@ -241,20 +239,6 @@ class TestRoundTrips:
         assert resumed.options == SolveOptions(**STREAMING)
         manifest = (root / "fleet.json").read_text(encoding="utf-8")
         assert '"stream_refresh_every": 5' in manifest
-
-    def test_warm_state_carrying_predictors_still_imports(self, small_trace):
-        # Capsules from releases that threaded rank predictors through the
-        # engine carry a ``predictors`` attribute; it is ignored.
-        engine = DecompositionEngine(small_trace, nbytes=8 << 20, time_step=8)
-        engine.calibrate(8)
-        state = engine.export_warm_state()
-        object.__setattr__(state, "predictors", {8: repro.core.RankPredictor(8)})
-        state = pickle.loads(pickle.dumps(state))
-        other = DecompositionEngine(small_trace, nbytes=8 << 20, time_step=8)
-        other.import_warm_state(state)
-        np.testing.assert_array_equal(
-            other.calibrate(9).constant.row, engine.calibrate(9).constant.row
-        )
 
 
 class TestFleetCli:
