@@ -111,7 +111,6 @@ def _checkpoint_share(trace, directory, seed):
         trace,
         threshold=5.0,
         solver="apg",
-        svd_backend="auto",
         persistence=PersistenceConfig(
             directory=directory, checkpoint_every=SHARE_CADENCE, fsync=False
         ),

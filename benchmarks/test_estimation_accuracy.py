@@ -10,6 +10,12 @@ simulator (competing with live background traffic), and the estimate is the
 RPCA tree's estimates are more accurate than the Baseline tree's because
 FNF deliberately routes over the *stable* links — the same reason the paper
 observed 9% vs 18%.
+
+The study pools five independent scenarios (simulator seeds 17-21, 20
+broadcasts each). One scenario's broadcasts share a single simulator sample
+path, so its two means carry standard errors near 0.03 — as large as the
+gap being ranked — and an exactly tied FNF pick that falls the other way on
+a 1e-11 change to ``P_D`` moves them by that much.
 """
 
 import numpy as np
@@ -27,7 +33,11 @@ from repro.netsim.topology import GBIT
 MB = 1024 * 1024
 
 
-def run_study():
+SCENARIO_SEEDS = (17, 18, 19, 20, 21)
+REPS_PER_SCENARIO = 20
+
+
+def scenario_diffs(seed: int) -> dict[str, list[float]]:
     scenario = build_scenario(
         n_racks=8,
         servers_per_rack=8,
@@ -36,7 +46,7 @@ def run_study():
             n_pairs=48, message_bytes=100 * MB, mean_wait_seconds=2.0
         ),
         core_bandwidth=2.5 * GBIT,
-        seed=17,
+        seed=seed,
     )
     trace = calibrate_netsim_trace(scenario, n_snapshots=10, gap_seconds=15.0)
     constant = decompose(
@@ -46,7 +56,7 @@ def run_study():
     n = scenario.n_machines
     rng = np.random.default_rng(5)
     diffs: dict[str, list[float]] = {"Baseline": [], "RPCA": []}
-    for rep in range(20):
+    for rep in range(REPS_PER_SCENARIO):
         root = int(rng.integers(n))
         trees = {
             "Baseline": binomial_tree(n, root),
@@ -61,7 +71,15 @@ def run_study():
             ).elapsed
             diffs[name].append(abs(est - measured) / measured)
             scenario.sim.run_until(scenario.sim.now + 5.0)  # decorrelate reps
-    return {name: float(np.mean(v)) for name, v in diffs.items()}
+    return diffs
+
+
+def run_study():
+    pooled: dict[str, list[float]] = {"Baseline": [], "RPCA": []}
+    for seed in SCENARIO_SEEDS:
+        for name, values in scenario_diffs(seed).items():
+            pooled[name].extend(values)
+    return {name: float(np.mean(v)) for name, v in pooled.items()}
 
 
 def test_estimation_accuracy(benchmark, emit):

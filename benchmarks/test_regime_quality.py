@@ -264,7 +264,7 @@ def test_emit_bench_json(matrix, emit):
     record = bench_record(
         "regime_detection_quality",
         seeds=SEEDS,
-        backend="exact",  # detector sessions run the default exact kernel
+        backend="auto",  # detector sessions run the one loop's default kernel
         matrix={
             "detectors": list(detector_names()),
             "scenarios": ["step", "drift", "burst"],

@@ -5,10 +5,12 @@ the experiments with 196 instances" (a 10 × 38416 matrix), and the RPCA
 calculation contributes <2% of total overhead. Our numpy solvers are far
 faster than that bound; the benchmark records the actual per-solve time.
 
-The backend matrix below runs each solver under both SVD paths
-(``repro.core.kernels``): ``exact``, the historical full-SVD loop, and
-``auto``, which on this shape is the Gram kernel plus the fused
-elementwise kernel (``repro.core.elementwise``). The final test writes
+The backend matrix below runs each solver in two arms: ``exact``, the
+plain full-SVD loop, which now lives only as a test oracle
+(``tests/oracles.py``) and stays the timing baseline, and ``auto``, the
+library's one loop, which on this shape thresholds through the Gram
+kernel (``repro.core.kernels``) and steps with the fused elementwise
+kernel (``repro.core.elementwise``). The final test writes
 ``BENCH_rpca.json`` at the repo root — mean solve time, iterations, SVD
 share and elementwise share per cell, plus the auto-vs-exact speedup per
 solver — so future PRs can track the perf trajectory. Numerical parity
@@ -22,6 +24,7 @@ a noisy shared runner's clock).
 """
 
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +33,9 @@ import pytest
 from repro import observability
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core import elementwise
-from repro.core.decompose import constant_row, decompose
+from repro.core.decompose import constant_row, decompose, decomposition_from_result
 from repro.observability.benchrecord import bench_record, write_bench_json
-from tests.oracles import apg_unmasked_reference
+from tests.oracles import apg_unmasked_reference, rpca_apg_plain, rpca_ialm_plain
 
 MB = 1024 * 1024
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_rpca.json"
@@ -40,8 +43,9 @@ SPEEDUP_TARGET = 5.0  # auto vs exact
 ROUNDS = 3
 SEED = 196
 
-# The svd_backend cells each solver runs.
+# The arms each solver runs: the plain full-SVD loop and the library's.
 SVD_CELLS = ["exact", "auto"]
+PLAIN_LOOPS = {"apg": rpca_apg_plain, "ialm": rpca_ialm_plain}
 
 # Filled by the backend-matrix benchmarks, consumed (and written out) by
 # test_backend_speedup_and_emit below. Keyed by (solver, svd).
@@ -68,16 +72,22 @@ def test_rpca_solver_runtime_196_instances(benchmark, tp_196, solver):
 def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd):
     """One (solver, svd) cell: benchmark it and record the diagnostics."""
     sink = observability.Instrumentation(f"{solver}-{svd}")
+    plain_seconds = []  # the oracle emits no solve span; time its calls
 
     def run():
         with observability.instrumented(sink):
-            return decompose(tp_196, solver=solver, svd_backend=svd)
+            if svd == "auto":
+                return decompose(tp_196, solver=solver)
+            start = time.perf_counter()
+            result = PLAIN_LOOPS[solver](tp_196.data)
+            plain_seconds.append(time.perf_counter() - start)
+            return decomposition_from_result(tp_196, result, solver=solver)
 
     dec = benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=0)
     stats = benchmark.stats.stats
     assert stats.mean < 60.0  # the paper's bound holds for every backend
 
-    total_seconds = float(sum(span.seconds for span in sink.spans))
+    total_seconds = float(sum(span.seconds for span in sink.spans) + sum(plain_seconds))
     svt_seconds = sink.timers.get("kernel.svt_seconds")
     ew_seconds = sink.timers.get("kernel.ew_seconds")
 
@@ -95,8 +105,8 @@ def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd):
         "iterations": dec.solver_iterations,
         "rank": dec.solver_result.rank,
         "converged": dec.solver_converged,
-        # Both SVT paths report svd_share: partial backends time
-        # SVTKernel.svt, the exact path times its full-SVD shrinkage.
+        # Both arms report svd_share: the library times SVTKernel.svt,
+        # the plain loop times its full-SVD shrinkage.
         # ew_share is the step-recurrence time outside SVT and norms.
         "svd_share": share(svt_seconds),
         "ew_share": share(ew_seconds),
@@ -121,7 +131,7 @@ def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
     for solver in ("apg", "ialm"):
         exact = _MATRIX[(solver, "exact")]
         auto = _MATRIX[(solver, "auto")]
-        # Cold partial-backend solves agree with exact to solver tolerance.
+        # Cold one-loop solves agree with the plain loop to solver tolerance.
         scale = float(np.abs(exact["constant_row"]).max())
         diff = float(np.abs(auto["constant_row"] - exact["constant_row"]).max())
         assert diff <= 1e-6 * scale, (
@@ -146,7 +156,7 @@ def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
             # ufunc chain it falls back to: re-solve with every step on it.
             with monkeypatch.context() as mp:
                 mp.setattr(elementwise, "_fusable", lambda *arrays: False)
-                chain = decompose(tp_196, solver=solver, svd_backend="auto")
+                chain = decompose(tp_196, solver=solver)
             assert np.array_equal(chain.constant.row, auto["constant_row"]), (
                 f"{solver}: fused elementwise kernel broke bit-parity"
             )

@@ -7,9 +7,8 @@ every fallback to the batch path stays a *certified* oracle (bit-identical
 to a cold solve of the same window).
 
 Two arms over the same paper-scale trace (196 instances, ``10 × 38416``
-windows), both on ``svd_backend="auto"`` — the fastest batch
-configuration, so the speedup is not measured against the bit-pinned
-``exact`` path:
+windows), both on the solver's one loop with its shape-chosen (``auto``)
+SVT kernel — the fastest batch configuration:
 
 * **batch** — cold ``calibrate()`` per slide, the historical Algorithm-1
   re-calibration cost;
@@ -48,7 +47,7 @@ N_SNAPSHOTS = 34  # seeds at 10, then 24 single-snapshot slides
 SEED = 1960
 SPEEDUP_TARGET = 5.0
 BATCH_SAMPLE = 4  # cold batch solves timed for the baseline
-SVD_BACKEND = "auto"  # both arms and the cold oracle
+SVD_BACKEND = "auto"  # the kernel both arms and the cold oracle run
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +57,10 @@ def trace_196():
     )
 
 
-def _engine(trace, **kwargs):
+def _engine(trace, *, mode="batch", **kwargs):
     return DecompositionEngine(
         trace, nbytes=8 * MB, time_step=WINDOW,
-        options=SolveOptions(warm_start=False, svd_backend=SVD_BACKEND),
+        options=SolveOptions(warm_start=False, mode=mode),
         **kwargs
     )
 
@@ -100,7 +99,6 @@ def test_stream_fold_latency_and_emit(trace_196, emit):
             oracle = decompose(
                 trace_196.tp_matrix(8 * MB, start=end - WINDOW, count=WINDOW),
                 solver=stream.options.solver,
-                svd_backend=SVD_BACKEND,
             )
             assert np.array_equal(recal.constant.row, oracle.constant.row), (
                 f"fallback ({reason}) at end={end} diverged from the "
@@ -120,7 +118,6 @@ def test_stream_fold_latency_and_emit(trace_196, emit):
     oracle = decompose(
         trace_196.tp_matrix(8 * MB, start=N_SNAPSHOTS - WINDOW, count=WINDOW),
         solver=stream.options.solver,
-        svd_backend=SVD_BACKEND,
     )
     scale = float(np.abs(oracle.constant.row).max())
     drift = float(np.abs(final.constant.row - oracle.constant.row).max())

@@ -80,20 +80,19 @@ class SolveConfig:
     """Settings for a one-shot :func:`solve`.
 
     ``window`` is the number of leading snapshots to calibrate from
-    (``None`` — the default — uses the whole trace). ``solver`` and
-    ``svd_backend`` follow :class:`~repro.core.options.SolveOptions`' rules.
+    (``None`` — the default — uses the whole trace). ``solver`` follows
+    :class:`~repro.core.options.SolveOptions`' rules.
     """
 
     nbytes: float = 8.0 * _MB
     window: int | None = None
     solver: str = SolveOptions.solver
     extraction: str = "mean"
-    svd_backend: str = SolveOptions.svd_backend
 
     def __post_init__(self) -> None:
         if self.window is not None and int(self.window) < 2:
             raise ValidationError("window must be >= 2 or None")
-        SolveOptions(solver=self.solver, svd_backend=self.svd_backend)
+        SolveOptions(solver=self.solver)
 
 
 def _resolve(default_cls: type, config: Any, overrides: dict[str, Any]) -> Any:
@@ -152,9 +151,7 @@ def solve(
     cfg = _resolve(SolveConfig, config, overrides)
     count = None if cfg.window is None else int(cfg.window)
     tp = trace.tp_matrix(cfg.nbytes, start=0, count=count)
-    return decompose(
-        tp, solver=cfg.solver, extraction=cfg.extraction, svd_backend=cfg.svd_backend
-    )
+    return decompose(tp, solver=cfg.solver, extraction=cfg.extraction)
 
 
 def open_session(
@@ -242,14 +239,12 @@ def sweep_fleet(
     The one-shot counterpart of :func:`run_fleet`'s per-cluster sessions:
     one sweep solves each cluster's trailing ``window`` TP-matrix. Workers
     take shards of up to ``batch_size`` same-shape windows and solve them
-    one at a time, each exactly as
-    ``decompose(tp, solver=solver, svd_backend="auto")`` would, so
-    per-cluster ``P_D`` is bit-identical to that single solve.
+    one at a time, each exactly as ``decompose(tp, solver=solver)`` would,
+    so per-cluster ``P_D`` is bit-identical to that single solve: one
+    solver loop whose SVT kernel the window's shape picks.
     ``serial=True`` runs the identical shard plan in-process — the
-    determinism oracle and the speedup baseline. The sweep always uses
-    ``svd_backend="auto"``; the configured ``svd_backend`` only affects
-    :func:`run_fleet` sessions. The same supervision as :func:`run_fleet`
-    applies (worker respawn, shard retries, deadlines,
+    determinism oracle and the speedup baseline. The same supervision as
+    :func:`run_fleet` applies (worker respawn, shard retries, deadlines,
     ``on_error="degrade"`` quarantine).
 
     >>> report = sweep_fleet([("a", trace_a), ("b", trace_b)], n_workers=4)

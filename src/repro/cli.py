@@ -38,7 +38,6 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .core.kernels import SVD_BACKENDS
 from .core.options import SolveOptions
 from .core.streaming import ENGINE_MODES
 from .errors import ReproError
@@ -46,15 +45,6 @@ from .errors import ReproError
 __all__ = ["main", "build_parser"]
 
 MB = 1024 * 1024
-
-
-def _add_solver_arguments(cmd: argparse.ArgumentParser) -> None:
-    """``--solver`` and ``--svd-backend`` (``decompose``, ``replay``, ``fleet``)."""
-    cmd.add_argument("--solver", default=SolveOptions.solver)
-    cmd.add_argument("--svd-backend", default=SolveOptions.svd_backend,
-                     choices=SVD_BACKENDS,
-                     help="SVD kernel for the solver's thresholding "
-                          "(default exact — the bit-identical full SVD)")
 
 
 def _add_mode_arguments(cmd: argparse.ArgumentParser) -> None:
@@ -76,7 +66,6 @@ def _solve_options(args: argparse.Namespace) -> dict:
     """The :class:`~repro.core.options.SolveOptions` keywords the flags set."""
     return {
         "solver": args.solver,
-        "svd_backend": args.svd_backend,
         "warm_start": not getattr(args, "cold", False),
         "mode": args.mode,
         "stream_tolerance": args.stream_tolerance,
@@ -110,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="RPCA-decompose a trace")
     dec.add_argument("trace", help="trace .npz path")
-    _add_solver_arguments(dec)
+    dec.add_argument("--solver", default=SolveOptions.solver)
     dec.add_argument("--time-step", type=int, default=10)
     dec.add_argument("--message-mb", type=float, default=8.0)
     dec.add_argument("--profile", action="store_true",
@@ -139,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--time-step", type=int, default=10)
     rep.add_argument("--threshold", type=float, default=1.0)
     rep.add_argument("--consecutive", type=int, default=1)
-    _add_solver_arguments(rep)
+    rep.add_argument("--solver", default=SolveOptions.solver)
     _add_mode_arguments(rep)
     rep.add_argument("--message-mb", type=float, default=8.0)
     rep.add_argument("--cold", action="store_true",
@@ -219,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--window", type=int, default=10,
                      help="calibration window length")
     flt.add_argument("--threshold", type=float, default=1.0)
-    _add_solver_arguments(flt)
+    flt.add_argument("--solver", default=SolveOptions.solver)
     flt.add_argument("--message-mb", type=float, default=8.0)
     _add_mode_arguments(flt)
     flt.add_argument("--batch-size", type=int, default=8,
@@ -331,7 +320,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     trace = _load_any_trace(args.trace)
     count = min(args.time_step, trace.n_snapshots)
     tp = trace.tp_matrix(args.message_mb * MB, start=0, count=count)
-    dec = decompose(tp, solver=args.solver, svd_backend=args.svd_backend)
+    dec = decompose(tp, solver=args.solver)
     print(f"solver:     {dec.solver} ({dec.solver_iterations} iterations, "
           f"converged={dec.solver_converged})")
     print(f"rank(D):    {dec.report.rank}")

@@ -12,16 +12,16 @@ Public surface
 * :class:`TPMatrix`, :class:`TCMatrix`, :class:`TEMatrix`,
   :class:`PerformanceMatrix` — the matrix containers of paper Sec III.
 * :func:`decompose` — TP → (TC, TE) via a chosen RPCA solver.
-* :class:`SolveOptions` — the six knobs of a re-calibration solve (solver,
-  SVD backend, warm start, batch/streaming mode, two stream knobs) and the
-  rules for combining them, checked once at construction.
+* :class:`SolveOptions` — the five knobs of a re-calibration solve (solver,
+  warm start, batch/streaming mode, two stream knobs) and the rules for
+  combining them, checked once at construction.
 * :func:`rpca_apg`, :func:`rpca_ialm`, :func:`row_constant_decomposition` —
   the individual solvers.
-* :class:`SVTKernel`, :data:`SVD_BACKENDS` — the pluggable SVD kernel
-  layer under the solvers (``svd_backend=``); :class:`RankPredictor`, the
+* :class:`SVTKernel`, :data:`SVD_BACKENDS` — the SVD kernel layer under
+  the solvers, chosen by shape; :class:`RankPredictor`, the
   rank heuristic the streaming fold bounds its subspace with.
 * :class:`ElementwiseKernel` — the cache-blocked elementwise kernel for
-  the step recurrences of the partial-SVD solver loops.
+  the step recurrences of the solver loops.
 * :func:`relative_error_norm` — ``Norm(N_E)``, the effectiveness predictor.
 * :class:`MaintenanceController` — paper Algorithm 1 (adaptive update
   maintenance driven by expected-vs-real performance feedback).

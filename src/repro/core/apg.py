@@ -38,38 +38,50 @@ term with ``1/2 ||P_Ω(D + E - A)||_F²`` (Ω the observed set), so the
 gradient — and therefore all data pressure — vanishes on unobserved
 entries: the nuclear-norm prox *completes* ``D`` there, and ``E`` is kept
 supported on Ω (an unobserved entry cannot witness a transient error).
-With ``mask=None`` (or an all-true mask) every operation below reduces to
-the exact unmasked expressions, bit for bit.
 
-Partial SVD backends
---------------------
-``svd_backend="exact"`` (the default) is the loop written above, pinned
-bit for bit. ``"gram"``/``"auto"`` run :func:`_rpca_apg_fast`: the same
-iteration over the kernel layers. Unmasked, it carries ``G = D − E + A``
-and shrinks through the ``m × m`` Gram operator, so one iteration is two
-GEMMs and one blocked elementwise sweep over four ``m × n`` buffers (about
-eight full-array passes), and ``D``/``E`` are formed once at the end. It
-takes the same iterations as the exact loop and agrees with it to solver
-tolerance, not bitwise.
+The loop
+--------
+There is one iteration loop, over the kernel layers: the singular value
+thresholding runs on an :class:`~repro.core.kernels.SVTKernel` (the
+``m × m`` Gram kernel when the short side is at most 64, the full SVD
+otherwise), ``σ₁`` comes from :func:`~repro.core.svd_ops.spectral_norm`,
+and every iteration writes into a preallocated
+:class:`~repro.core.kernels.SolveWorkspace`.
+
+Unmasked, the loop carries ``G = D − E + A`` and the prox input ``M_D``
+instead of the two blocks and their momentum copies. With ``T = Y_D −
+Y_E`` the proximal inputs are ``M_D = (T + A)/2`` and ``M_E = A − M_D``,
+and ``T + A = (1 + β)·G − β·G_prev``. Thresholding ``M_D`` through the
+Gram kernel is the ``m × m`` shrink operator ``P`` (``D₊ = P·M_D``), and
+``E₊ = (A − M_D) − clip(A − M_D, ±τ_E)``, so
+
+* ``G₊ = (P + I)·M_D + clip(A − M_D, ±τ_E)`` — one GEMM and an
+  elementwise tail;
+* the stationarity blocks satisfy ``S_E = −S_D`` with ``S_D = T − (D₊ −
+  E₊) = 2·M_D − G₊``, so ``‖S‖ = √2·‖S_D‖``;
+* ``M_D′ = ((1 + β′)·G₊ − β′·G)/2`` needs only the two carriers.
+
+Everything between the two GEMMs (Gram and ``(P + I)·M_D``) is one blocked
+sweep (:meth:`~repro.core.elementwise.ElementwiseKernel.apg_step_unmasked`)
+over four ``m × n`` buffers, and ``D``/``E`` are formed once, from the last
+iteration's ``M_D``, after the residual test passes. Masked, the identities
+do not survive ``P_Ω``, so the loop keeps both blocks and their momentum
+copies (:meth:`~repro.core.elementwise.ElementwiseKernel.apg_step_masked`).
+The iteration as stated above, block by block with a full SVD per step,
+is the test oracle ``rpca_apg_plain`` in ``tests/oracles.py``; the loop
+agrees with it to solver tolerance with equal iteration counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import observability
 from .._validation import as_float_matrix, check_positive
 from ..errors import ConvergenceError, ValidationError
 from .elementwise import ElementwiseKernel
 from .kernels import SolveWorkspace, SVTKernel, validate_backend
 from .result import SolverResult
-from .svd_ops import (
-    singular_value_threshold,
-    soft_threshold,
-    soft_threshold_into,
-    spectral_norm,
-    truncated_svd,
-)
+from .svd_ops import soft_threshold_into, spectral_norm
 
 __all__ = ["APGResult", "rpca_apg", "default_lambda", "validate_mask"]
 
@@ -140,7 +152,7 @@ def rpca_apg(
     warm_start: object | None = None,
     warm_mu_factor: float = 0.1,
     mask: np.ndarray | None = None,
-    svd_backend: str = "exact",
+    svd_backend: str = "auto",
 ) -> SolverResult:
     """Decompose ``a ≈ D + E`` with the APG RPCA solver.
 
@@ -178,14 +190,9 @@ def rpca_apg(
         starts always use the reference 0.99). Smaller is faster but lets
         the warm split drift further from the cold one; must be in (0, 1).
     svd_backend:
-        SVD backend under the singular value thresholding (see
-        :mod:`repro.core.kernels`). ``"exact"`` (default) is the historical
-        full-``gesdd`` path, bit-identical to previous releases. The
-        partial backends (``"gram"``, ``"auto"``) also switch the
-        iteration loop to a preallocated workspace, the fused elementwise
-        kernel (see :mod:`repro.core.elementwise`) and a spectral-norm
-        computation in place of the init-time full SVD; results agree
-        with ``"exact"`` to solver tolerance, not bit-for-bit.
+        Forces the SVT kernel (see :mod:`repro.core.kernels`): ``"auto"``
+        (default) picks it from the shape, ``"gram"`` and ``"exact"`` (the
+        full SVD) force one. It selects no other loop.
     """
     A = as_float_matrix(a, "a")
     m, n = A.shape
@@ -201,159 +208,16 @@ def rpca_apg(
     if omega is not None:
         A = np.where(omega, A, 0.0)  # placeholder values must carry no signal
 
-    norm_a = np.linalg.norm(A)
+    norm_a = float(np.linalg.norm(A))
     if norm_a == 0.0:
         zero = np.zeros_like(A)
         return SolverResult(zero, zero.copy(), 0, 0, True, 0.0)
 
-    if svd_backend != "exact":
-        return _rpca_apg_fast(
-            A,
-            lam_v,
-            norm_a=norm_a,
-            tol=tol,
-            max_iter=max_iter,
-            eta=eta,
-            mu_floor_factor=mu_floor_factor,
-            raise_on_fail=raise_on_fail,
-            warm_start=warm_start,
-            warm_mu_factor=warm_mu_factor,
-            omega=omega,
-            svd_backend=svd_backend,
-        )
-
-    # mu_0 = second singular value heuristic is common; the reference code
-    # starts at 0.99 * ||A||_2 which is cheap and robust. L = 2 (two blocks).
-    _, s, _ = truncated_svd(A)
-    mu_top = float(s[0])
-    mu_bar = mu_floor_factor * 0.99 * mu_top
-
-    warm = warm_start is not None
-    if warm:
-        D, E = _unpack_warm_start(warm_start, A.shape)
-        mu = max(mu_bar, warm_mu_factor * mu_top)
-    else:
-        D = np.zeros_like(A)
-        E = np.zeros_like(A)
-        mu = 0.99 * mu_top
-    D_prev = D.copy()
-    E_prev = E.copy()
-    t, t_prev = 1.0, 1.0
-
-    rank = 0
-    residual = np.inf
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        beta = (t_prev - 1.0) / t
-        YD = D + beta * (D - D_prev)
-        YE = E + beta * (E - E_prev)
-
-        # Gradient of 1/2||P_Ω(D+E-A)||_F^2 w.r.t. both blocks is
-        # P_Ω(YD + YE - A); the Lipschitz constant over the joint block
-        # variable is 2. Unmasked, P_Ω is the identity.
-        G = 0.5 * (YD + YE - A)
-        if omega is not None:
-            G *= omega
-        M = YD - G
-        with observability.timed("kernel.svt_seconds"):
-            D_new, rank, _ = singular_value_threshold(M, mu / 2.0)
-        E_new = soft_threshold(YE - G, lam_v * mu / 2.0)
-        if omega is not None:
-            E_new *= omega  # a transient error needs a witness
-
-        # Stationarity gap of the reference implementation:
-        # S = 2(Y - X_{k+1}) + (X_{k+1} - Y) summed over blocks.
-        diff = D_new + E_new - YD - YE
-        if omega is not None:
-            diff = diff * omega
-        SD = 2.0 * (YD - D_new) + diff
-        SE = 2.0 * (YE - E_new) + diff
-        residual = float(
-            np.sqrt(np.linalg.norm(SD) ** 2 + np.linalg.norm(SE) ** 2) / norm_a
-        )
-
-        D_prev, E_prev = D, E
-        D, E = D_new, E_new
-        t_prev, t = t, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        mu = max(eta * mu, mu_bar)
-
-        if residual < tol:
-            converged = True
-            break
-
-    if not converged and raise_on_fail:
-        raise ConvergenceError(
-            f"APG RPCA did not converge in {max_iter} iterations "
-            f"(residual {residual:.3e} > tol {tol:.3e})",
-            iterations=iterations,
-            residual=residual,
-        )
-    return SolverResult(
-        low_rank=D,
-        sparse=E,
-        rank=rank,
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-        warm_started=warm,
-    )
-
-
-def _rpca_apg_fast(
-    A: np.ndarray,
-    lam_v: float,
-    *,
-    norm_a: float,
-    tol: float,
-    max_iter: int,
-    eta: float,
-    mu_floor_factor: float,
-    raise_on_fail: bool,
-    warm_start: object | None,
-    warm_mu_factor: float,
-    omega: np.ndarray | None,
-    svd_backend: str,
-) -> SolverResult:
-    """APG iteration over the partial-SVD and elementwise kernel layers.
-
-    Same mathematics as the exact loop above, restructured for speed:
-
-    * singular value thresholding goes through an
-      :class:`~repro.core.kernels.SVTKernel` instead of a full ``gesdd``;
-    * the init-time full SVD for ``σ₁`` becomes a
-      :func:`~repro.core.svd_ops.spectral_norm`;
-    * every iteration writes into a preallocated
-      :class:`~repro.core.kernels.SolveWorkspace` — steady-state iterations
-      allocate no new ``m × n`` temporaries.
-
-    The unmasked loop carries ``G = D − E + A`` and the prox input ``M_D``
-    instead of the two blocks and their momentum copies. With ``T = Y_D −
-    Y_E`` the exact loop's proximal inputs are ``M_D = (T + A)/2`` and
-    ``M_E = A − M_D``, and ``T + A = (1 + β)·G − β·G_prev``. Thresholding
-    ``M_D`` through the Gram kernel is the ``m × m`` shrink operator ``P``
-    (``D₊ = P·M_D``), and ``E₊ = (A − M_D) − clip(A − M_D, ±τ_E)``, so
-
-    * ``G₊ = (P + I)·M_D + clip(A − M_D, ±τ_E)`` — one GEMM and an
-      elementwise tail;
-    * the stationarity blocks satisfy ``S_E = −S_D`` with ``S_D = T − (D₊ −
-      E₊) = 2·M_D − G₊``, so ``‖S‖ = √2·‖S_D‖``;
-    * ``M_D′ = ((1 + β′)·G₊ − β′·G)/2`` needs only the two carriers.
-
-    Everything between the two GEMMs (Gram and ``(P + I)·M_D``) is one
-    blocked sweep (:meth:`~repro.core.elementwise.ElementwiseKernel.apg_step_unmasked`)
-    over four ``m × n`` buffers. ``D`` and ``E`` themselves are formed once,
-    from the last iteration's ``M_D``, after the residual test passes.
-
-    The reordered floating-point arithmetic makes results agree with the
-    exact path to solver tolerance (≈ ``tol`` on the relative residual),
-    not bit-for-bit — which is why this path is opt-in via *svd_backend*.
-    """
     kernel = SVTKernel(A.shape, svd_backend)
     ew = ElementwiseKernel()
     ws = SolveWorkspace(A.shape)
 
+    # The reference code starts mu at 0.99 * ||A||_2. L = 2 (two blocks).
     mu_top = spectral_norm(A)
     mu_bar = mu_floor_factor * 0.99 * mu_top
 
@@ -371,8 +235,8 @@ def _rpca_apg_fast(
     iterations = 0
 
     if omega is None:
-        # Carrier G = D − E + A and prox input M_D (see docstring). The
-        # first momentum weight is 0, so M_D starts at G/2.
+        # Carrier G = D − E + A and prox input M_D (see module docstring).
+        # The first momentum weight is 0, so M_D starts at G/2.
         G, Gn, MD, MDn = ws.bufs("G", "Gn", "MD", "MDn")
         if warm:
             np.subtract(D0, E0, out=G)
@@ -397,10 +261,9 @@ def _rpca_apg_fast(
         np.subtract(A, MD, out=MDn)
         D, E = kernel.low_rank(MD, out=G), soft_threshold_into(MDn, tau_e, out=Gn)
     else:
-        # Masked: the identities above do not survive P_Ω, so this is the
-        # exact masked loop with every temporary routed through the
-        # workspace (historically `E *= omega` and the gradient/diff
-        # expressions re-allocated m×n arrays every iteration).
+        # Masked: the carrier identities do not survive P_Ω, so the loop
+        # keeps both blocks and their momentum copies, with every temporary
+        # routed through the workspace.
         def svt_into(M: np.ndarray, tau: float, out: np.ndarray) -> int:
             return kernel.svt(M, tau, out=out)[1]
 

@@ -176,7 +176,6 @@ def decompose(
     *,
     solver: str = SolveOptions.solver,
     extraction: str = "mean",
-    svd_backend: str | None = None,
     **solver_kwargs: Any,
 ) -> Decomposition:
     """Decompose a TP-matrix into constant + error components.
@@ -194,17 +193,10 @@ def decompose(
     extraction:
         Constant-row extraction rule (see :func:`constant_row`). Ignored for
         the ``row_constant`` solver, whose output is exactly row-constant.
-    svd_backend:
-        SVD kernel for the per-iteration thresholding — one of
-        :data:`repro.core.kernels.SVD_BACKENDS`, or ``None`` (default) for
-        ``"exact"``. Anything but ``"exact"`` needs a solver built on
-        singular value thresholding (APG/IALM); see
-        :class:`~repro.core.options.SolveOptions`.
     **solver_kwargs:
-        Forwarded to the solver.
+        Forwarded to the solver (``tol``, ``max_iter``, ...).
     """
-    options = SolveOptions(solver=solver, svd_backend=svd_backend or "exact")
-    solver_kwargs = dict(solver_kwargs, **options.solver_kwargs())
+    SolveOptions(solver=solver)  # rejects an unknown solver name
     if tp.mask is not None:
         spec = solver_spec(solver)
         if not spec.accepts_any_kwargs and "mask" not in spec.accepted_kwargs:

@@ -14,7 +14,7 @@ Two kinds of step live here:
 
 * **Unmasked APG** (:meth:`ElementwiseKernel.apg_step_unmasked`) is one
   sweep between the iteration's two GEMMs. The loop carries ``G = D − E +
-  A`` instead of the blocks (see :func:`repro.core.apg._rpca_apg_fast`),
+  A`` instead of the blocks (see :func:`repro.core.apg.rpca_apg`),
   so a single pass over four ``m × n`` buffers finishes the carrier,
   accumulates the stationarity norm block by block and writes the next
   prox input. It restructures the arithmetic, so it has no ufunc chain to
@@ -243,7 +243,7 @@ class ElementwiseKernel:
 
         *svt* is the caller's thresholding callable. ``mu_ratio =
         μ_k/μ_{k+1}`` folds the dual ascent (see
-        :func:`repro.core.ialm._rpca_ialm_fast`); the feasibility gap is
+        :func:`repro.core.ialm.rpca_ialm`); the feasibility gap is
         left in *Z* for the caller's residual norm.
         """
         fused = self._fused(A, D, E, Yinv, M, Z)

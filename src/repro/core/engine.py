@@ -143,7 +143,7 @@ class DecompositionEngine:
     time_step:
         Calibration window length (paper default 10).
     options:
-        How the solves run: solver, SVD backend, warm start and mode (see
+        How the solves run: solver, warm start and mode (see
         :class:`~repro.core.options.SolveOptions`; default
         ``SolveOptions()``). In ``"streaming"`` mode :meth:`calibrate`
         runs a **cold** batch solve and seeds a
@@ -445,7 +445,6 @@ class DecompositionEngine:
                     tp,
                     solver=self.options.solver,
                     extraction=self.extraction,
-                    svd_backend=self.options.svd_backend,
                     **kwargs,
                 )
         self._last = dec

@@ -2,13 +2,9 @@
 
 The solvers spend nearly all their time inside singular value thresholding
 (SVT) of an ``n_snapshots × N²`` iterate whose effective rank is tiny — the
-TC-matrix target is rank one — yet the historical implementation paid a full
-LAPACK ``gesdd`` thin SVD every iteration. This module makes the SVD under
-:func:`~repro.core.svd_ops.singular_value_threshold` pluggable:
+TC-matrix target is rank one. Each solver has one iteration loop, and
+:class:`SVTKernel` chooses the SVD under its thresholding from the shape:
 
-``exact``
-    The historical ``gesdd``/``gesvd`` path, bit-identical to
-    :func:`~repro.core.svd_ops.singular_value_threshold`. The default.
 ``gram``
     Exploits the extreme aspect ratio of TP-matrices (``m ≈ 10`` rows vs
     ``n ≈ 38416`` columns): eigendecompose the tiny ``A·Aᵀ`` Gram matrix
@@ -16,15 +12,20 @@ LAPACK ``gesdd`` thin SVD every iteration. This module makes the SVD under
     the ``m × m`` shrink operator of the triplets that survive the
     threshold. Exact up to the squared-condition-number loss of forming the
     Gram matrix — singular values below ``σ₁·√ε ≈ σ₁·1.5e-8`` are noise,
-    far below any RPCA threshold in practice.
-``auto``
-    Picks per call: ``gram`` when the short side is small enough that the
-    Gram eigendecomposition is trivial (at most 64), ``exact`` otherwise.
+    far below any RPCA threshold in practice. Chosen when the short side is
+    at most 64.
+``exact``
+    The full ``gesdd``/``gesvd`` thin SVD,
+    :func:`~repro.core.svd_ops.singular_value_threshold`. Chosen otherwise.
+
+``auto`` (the default) is that shape rule. The solvers' ``svd_backend``
+keyword forces one kernel instead — for a test, or a bitwise comparison
+with a ``gram`` solve; it never selects a different loop.
 
 :class:`RankPredictor` is the partial-SVD rank heuristic of the reference
 IALM implementation (Lin, Chen & Ma 2010): start at ``min(10, m)``, then
 grow/shrink from how many singular values survived the previous threshold.
-No SVT backend needs it — ``gram`` computes every singular value and
+No SVT kernel needs it — ``gram`` computes every singular value and
 ``exact`` is the full SVD — so only the streaming fold uses it, to bound
 its subspace growth.
 
@@ -56,7 +57,7 @@ __all__ = [
 
 SVD_BACKENDS = ("exact", "gram", "auto")
 
-# `auto` policy threshold: the Gram trick is preferred whenever the short
+# `auto` policy threshold: the Gram kernel is chosen whenever the short
 # side is small enough that an m×m eigendecomposition is trivially cheap
 # (the paper's TP-matrices have m ≈ 10).
 _GRAM_MAX_SIDE = 64
@@ -164,7 +165,7 @@ class SolveWorkspace:
 
 
 class SVTKernel:
-    """Singular value thresholding with a pluggable partial-SVD backend.
+    """Singular value thresholding through a kernel chosen from the shape.
 
     One kernel serves one solve: it owns the small scratch state (the Gram
     buffer and the last call's shrink operator). :meth:`svt`
@@ -250,7 +251,7 @@ class SVTKernel:
     def _svt_exact(
         self, a: np.ndarray, tau: float, out: np.ndarray | None, plus_input: bool
     ) -> tuple[np.ndarray, int, float]:
-        """The historical full-width path (bit-identical to ``svd_ops``)."""
+        """The full-width SVD (bit-identical to ``svd_ops``)."""
         d, rank, top = singular_value_threshold(a, tau)
         self._op, self._dense = None, d
         if plus_input:

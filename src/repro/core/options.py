@@ -1,9 +1,9 @@
 """One value for every knob that decides how a re-calibration solve runs.
 
 Algorithm 1's re-calibration is one RPCA solve. :class:`SolveOptions` holds
-the six settings that shape it and checks how they combine, once, when it
+the five settings that shape it and checks how they combine, once, when it
 is built. Everything that runs or records a solve reads this value instead
-of carrying the six fields itself: the
+of carrying the five fields itself: the
 :class:`~repro.core.engine.DecompositionEngine` takes it, a session's
 checkpoint writes it with :meth:`SolveOptions.to_meta` and reads it back
 with :meth:`SolveOptions.from_meta`, and
@@ -18,20 +18,15 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..errors import ValidationError
-from .kernels import validate_backend
 from .solvers import solver_spec
 from .streaming import StreamingConfig, validate_mode
 
-__all__ = ["SolveOptions", "takes_svd_backend"]
+__all__ = ["SolveOptions"]
 
-
-def takes_svd_backend(solver: str) -> bool:
-    """Whether the registered *solver* thresholds singular values (APG/IALM).
-
-    Only such solvers accept an ``svd_backend`` keyword.
-    """
-    spec = solver_spec(solver)
-    return spec.accepts_any_kwargs or "svd_backend" in spec.accepted_kwargs
+# Recorded SVD backends whose solves the one solver loop still reproduces:
+# it runs the Gram kernel on any window of at most 64 snapshots, as those
+# sessions did.
+_SAME_LOOP_BACKENDS = ("auto", "gram")
 
 
 @dataclass(frozen=True)
@@ -43,13 +38,8 @@ class SolveOptions:
     solver:
         Registered RPCA solver (see
         :func:`~repro.core.solvers.available_solvers`; default ``"apg"``).
-    svd_backend:
-        SVD kernel under the solver's singular value thresholding, one of
-        :data:`~repro.core.kernels.SVD_BACKENDS`. ``"exact"`` (default) is
-        the historical full SVD, bit-identical to earlier releases;
-        ``"gram"`` eigendecomposes the short-side Gram matrix; ``"auto"``
-        picks ``gram`` whenever the short side is at most 64 (TP-matrices
-        always qualify).
+        APG and IALM choose their SVT kernel from the window's shape (see
+        :mod:`repro.core.kernels`).
     warm_start:
         Start each re-calibration solve from the previous window's
         solution (default on). Only solvers that support it (APG) are
@@ -72,15 +62,12 @@ class SolveOptions:
     The rules, checked at construction (each failure is a
     :class:`~repro.errors.ValidationError`):
 
-    * *solver* is registered and *svd_backend* is a known backend;
-    * a backend other than ``"exact"`` needs an SVT solver (APG/IALM) —
-      ``"pca"`` and ``"row_constant"`` take only ``"exact"``;
+    * *solver* is registered;
     * the two stream knobs need ``mode="streaming"`` and are range-checked
       by :class:`~repro.core.streaming.StreamingConfig`.
     """
 
     solver: str = "apg"
-    svd_backend: str = "exact"
     warm_start: bool = True
     mode: str = "batch"
     stream_tolerance: float | None = None
@@ -88,14 +75,9 @@ class SolveOptions:
 
     def __post_init__(self) -> None:
         try:
-            svt = takes_svd_backend(self.solver)
+            solver_spec(self.solver)
         except ValueError as exc:  # the registry's unknown-name error
             raise ValidationError(str(exc)) from None
-        if validate_backend(self.svd_backend) != "exact" and not svt:
-            raise ValidationError(
-                f"solver {self.solver!r} does not take an SVD backend; "
-                "only SVT-based solvers such as 'apg' or 'ialm' do"
-            )
         if validate_mode(self.mode) != "streaming" and (
             self.stream_tolerance is not None or self.stream_refresh_every is not None
         ):
@@ -114,16 +96,6 @@ class SolveOptions:
             overrides["refresh_every"] = int(self.stream_refresh_every)
         return StreamingConfig(**overrides)
 
-    def solver_kwargs(self) -> dict[str, Any]:
-        """The solver keywords these options add to a solve.
-
-        ``"exact"`` is every solver's own path and adds nothing, so solvers
-        without SVT run unchanged.
-        """
-        if self.svd_backend == "exact":
-            return {}
-        return {"svd_backend": self.svd_backend}
-
     def to_meta(self) -> dict[str, Any]:
         """The options as a checkpoint's ``config`` keys.
 
@@ -135,7 +107,6 @@ class SolveOptions:
         return {
             "solver": self.solver,
             "warm_start": bool(self.warm_start),
-            "svd_backend": self.svd_backend,
             "mode": self.mode,
             "stream_tolerance": stream.tolerance if streaming else None,
             "stream_refresh_every": stream.refresh_every if streaming else None,
@@ -145,26 +116,29 @@ class SolveOptions:
     def from_meta(cls, config: dict[str, Any]) -> "SolveOptions":
         """The options a checkpoint's ``config`` block records.
 
-        Reads blocks written by any release: a missing ``svd_backend``
-        (before the kernel layer) means ``"exact"``; the retired
-        ``"randomized"`` backend resumes as ``"auto"`` with a
-        ``RuntimeWarning``; an ``elementwise_backend`` key is ignored; a
-        block without ``mode`` and the stream keys (before the streaming
-        path) means batch.
+        Reads blocks written by any release. A recorded ``svd_backend``
+        is ignored, as is an ``elementwise_backend``: each solver has one
+        loop now. A session recorded under ``"auto"`` or ``"gram"`` ran
+        that loop on the Gram kernel and resumes unchanged; any other value
+        (``"exact"``, the old default, ran a plain loop) resumes with a
+        ``RuntimeWarning``. A block without the key was written either by
+        this release or before the kernel layer existed; the two cannot be
+        told apart, so it resumes silently. A block without ``mode`` and the
+        stream keys (before the streaming path) means batch.
         """
-        backend = config.get("svd_backend", "exact")
-        if backend == "randomized":
+        backend = config.get("svd_backend")
+        if backend is not None and backend not in _SAME_LOOP_BACKENDS:
             warnings.warn(
-                "this session was written with svd_backend='randomized', "
-                "which no longer exists; it resumes with svd_backend='auto', "
-                "so its re-calibrations no longer match the original run",
+                f"this session was written with svd_backend={backend!r}; "
+                "sessions no longer choose an SVD backend, so it resumes on "
+                "the one solver loop with the shape-chosen ('auto') SVT "
+                "kernel, and its re-calibrations may no longer match the "
+                "original run",
                 RuntimeWarning,
                 stacklevel=4,
             )
-            backend = "auto"
         return cls(
             solver=config["solver"],
-            svd_backend=backend,
             warm_start=bool(config["warm_start"]),
             mode=config.get("mode", "batch"),
             stream_tolerance=config.get("stream_tolerance"),

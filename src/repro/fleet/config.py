@@ -123,10 +123,12 @@ class FleetConfig(SessionConfig):
         last capsule; past the budget the pool just shrinks, and the run
         fails only when no live worker is left with work still pending.
     task_timeout_s:
-        Optional per-attempt deadline, measured from dispatch. A timed-out
-        attempt's worker is killed (and respawned within budget) and the
-        attempt counts against ``max_task_retries``. ``None`` disables
-        deadlines.
+        Optional per-attempt deadline, measured from the moment a worker
+        picks the attempt up (its ``TaskStarted`` ack), so time spent
+        queued behind another task does not count. A timed-out attempt's
+        worker is killed (and respawned within budget) and the attempt
+        counts against ``max_task_retries``; attempts still queued on that
+        worker are requeued uncharged. ``None`` disables deadlines.
     """
 
     n_workers: int = 2

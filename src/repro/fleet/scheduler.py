@@ -176,15 +176,16 @@ def _release(state: _ClusterState | _ShardState) -> None:
 class _Inflight:
     """One dispatched-but-unfinished attempt.
 
-    ``key`` is the unit's: a cluster name (runs) or shard index (sweeps);
-    ``worker_pid`` is filled in when the worker's :class:`TaskStarted`
-    ack arrives (diagnostics — task→worker attribution itself lives in
-    the pool's assignment map, which is authoritative even when a worker
-    dies before its ack flushes).
+    ``key`` is the unit's: a cluster name (runs) or shard index (sweeps).
+    ``started_at`` and ``worker_pid`` are filled in when the worker's
+    :class:`TaskStarted` ack arrives: the deadline runs from pickup, so an
+    attempt still waiting in a worker's queue cannot time out. (Task→worker
+    attribution itself lives in the pool's assignment map, which is
+    authoritative even when a worker dies before its ack flushes.)
     """
 
     key: object
-    dispatched_at: float
+    started_at: float | None = None
     worker_pid: int | None = None
 
 
@@ -605,6 +606,9 @@ class FleetScheduler:
             resource_tracker.ensure_running()
             pool.start(n_workers)
             self._supervise(units, pool, task, accept, give_up)
+            # A run shorter than one supervision tick ends without a heal():
+            # reap once more so every death during the run is recorded.
+            pool.poll()
             pool.stop()
         finally:
             pool.shutdown()
@@ -634,7 +638,7 @@ class FleetScheduler:
             attempt = next(self._attempt_seq)
             state.attempt = attempt
             work = task(key, attempt)
-            inflight[attempt] = _Inflight(key=key, dispatched_at=time.monotonic())
+            inflight[attempt] = _Inflight(key=key)
             pool.assign(attempt, work)
 
         def fail(key, error_text: str, *, kind: str) -> None:
@@ -686,7 +690,8 @@ class FleetScheduler:
                 expired = [
                     attempt
                     for attempt, entry in inflight.items()
-                    if now - entry.dispatched_at > float(timeout_s)
+                    if entry.started_at is not None
+                    and now - entry.started_at > float(timeout_s)
                 ]
                 for attempt in expired:
                     key = inflight.pop(attempt).key
@@ -731,6 +736,7 @@ class FleetScheduler:
                 entry = inflight.get(msg.attempt)
                 if isinstance(msg, TaskStarted):
                     if entry is not None:
+                        entry.started_at = time.monotonic()
                         entry.worker_pid = msg.worker_pid
                     continue
                 pool.complete(msg.attempt)

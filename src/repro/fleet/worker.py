@@ -33,7 +33,6 @@ from typing import Any
 from ..cloudsim.trace import CalibrationTrace
 from ..core.decompose import decomposition_from_result
 from ..core.matrices import TPMatrix
-from ..core.options import SolveOptions, takes_svd_backend
 from ..core.solvers import solve_rpca
 from ..observability import Instrumentation, instrumented
 from ..runtime.session import OperationSpec, SessionCapsule, TraceSession
@@ -136,20 +135,15 @@ def solve_shard(
     (:meth:`~repro.fleet.FleetScheduler.run_sweep_serial`) calls it
     in-process on the scheduler's TP-matrices, workers call it on matrices
     rebuilt from the shared stack block. Each window is a cold
-    :func:`~repro.core.solvers.solve_rpca` with ``svd_backend="auto"``
-    (SVT solvers only), so per-cluster ``P_D`` equals a single
-    ``decompose(tp, solver=solver, svd_backend="auto")`` bit for bit,
-    whatever the worker count or shard placement.
+    :func:`~repro.core.solvers.solve_rpca`, so per-cluster ``P_D`` equals a
+    single ``decompose(tp, solver=solver)`` bit for bit, whatever the
+    worker count or shard placement.
     """
     if len(names) != len(tps):
         raise ValueError(f"{len(names)} names for {len(tps)} matrices")
-    backend = "auto" if takes_svd_backend(solver) else "exact"
-    options = SolveOptions(solver=solver, svd_backend=backend)
     out: list[SweepClusterResult] = []
     for name, tp in zip(names, tps):
-        kwargs = options.solver_kwargs()
-        if tp.mask is not None:
-            kwargs["mask"] = tp.mask
+        kwargs = {} if tp.mask is None else {"mask": tp.mask}
         res = solve_rpca(tp.data, solver=solver, context="fleet-sweep", **kwargs)
         dec = decomposition_from_result(tp, res, solver=solver, extraction=extraction)
         out.append(

@@ -311,7 +311,7 @@ class TraceSession:
         re-calibration fires (default 1, the paper's immediate rule).
         Use 2 to debounce one-off interference spikes when individual
         observations are single collectives rather than whole runs.
-    solver, svd_backend, warm_start, mode, stream_tolerance, stream_refresh_every:
+    solver, warm_start, mode, stream_tolerance, stream_refresh_every:
         The :class:`~repro.core.options.SolveOptions` of the session's
         re-calibrations (see there for each knob and how they combine),
         readable back as :attr:`options`. In ``mode="streaming"`` every
@@ -385,7 +385,6 @@ class TraceSession:
         solver: str = SolveOptions.solver,
         calibration_cost: float | None = None,
         warm_start: bool = SolveOptions.warm_start,
-        svd_backend: str = SolveOptions.svd_backend,
         mode: str = SolveOptions.mode,
         stream_tolerance: float | None = SolveOptions.stream_tolerance,
         stream_refresh_every: int | None = SolveOptions.stream_refresh_every,
@@ -405,7 +404,6 @@ class TraceSession:
         check_positive(nbytes, "nbytes")
         options = SolveOptions(
             solver=solver,
-            svd_backend=svd_backend,
             warm_start=warm_start,
             mode=mode,
             stream_tolerance=stream_tolerance,
@@ -653,10 +651,6 @@ class TraceSession:
     @property
     def solver(self) -> str:
         return self.options.solver
-
-    @property
-    def svd_backend(self) -> str:
-        return self.options.svd_backend
 
     @property
     def mode(self) -> str:

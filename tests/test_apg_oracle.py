@@ -1,4 +1,4 @@
-"""The unmasked partial-backend APG loop against its block-by-block oracle.
+"""The unmasked APG loop against its block-by-block oracle.
 
 The library's unmasked loop carries ``G = D − E + A`` and shrinks through
 the Gram kernel's ``m × m`` operator, so it reorders floating point

@@ -62,17 +62,22 @@ class TestCommands:
         assert "row_constant" in out and "Norm(N_E)" in out
 
     def test_decompose_svd_backend(self, trace_file, capsys):
-        assert main(["decompose", trace_file, "--svd-backend", "auto"]) == 0
+        # No flag picks the kernel: the window's shape selects the Gram one.
+        assert main(["decompose", trace_file, "--profile"]) == 0
         out = capsys.readouterr().out
         assert "apg" in out and "Norm(N_E)" in out
+        assert "kernel.svt.gram" in out and "kernel.svt.full_width" not in out
 
     def test_decompose_svd_backend_rejected_for_non_svt_solver(
         self, trace_file, capsys
     ):
-        code = main(["decompose", trace_file, "--solver", "pca",
-                     "--svd-backend", "auto"])
-        assert code == 1
-        assert "does not take an SVD backend" in capsys.readouterr().err
+        # The flag is retired on every command, SVT solver or not.
+        for solver in ("pca", "apg"):
+            with pytest.raises(SystemExit) as exc:
+                main(["decompose", trace_file, "--solver", solver,
+                      "--svd-backend", "auto"])
+            assert exc.value.code == 2
+            assert "--svd-backend" in capsys.readouterr().err
 
     def test_compare(self, trace_file, capsys):
         assert main(["compare", trace_file, "--repetitions", "8",

@@ -129,13 +129,13 @@ class TestValidation:
     def test_engine_calibrations_bit_identical(self):
         fus = DecompositionEngine(
             _FakeSource(), nbytes=8.0, time_step=10,
-            options=SolveOptions(solver="ialm", svd_backend="auto"),
+            options=SolveOptions(solver="ialm"),
         )
         fused = [fus.calibrate(end).constant.row for end in (10, 12)]
         with reference_chain():
             ref = DecompositionEngine(
                 _FakeSource(), nbytes=8.0, time_step=10,
-                options=SolveOptions(solver="ialm", svd_backend="auto"),
+                options=SolveOptions(solver="ialm"),
             )
             oracle = [ref.calibrate(end).constant.row for end in (10, 12)]
         for a, b in zip(oracle, fused):
@@ -245,18 +245,20 @@ class TestRoutingAndObservability:
 
     def test_decompose_rejects_non_svt_solver(self):
         tp = TPMatrix(data=_rpca_problem(n=16), n_machines=4)
-        for solver, svd in (("row_constant", None), ("apg", "auto")):
+        for solver in ("row_constant", "apg"):
             with pytest.raises(TypeError, match="elementwise_backend"):
-                decompose(
-                    tp, solver=solver, svd_backend=svd, elementwise_backend="fused"
-                )
+                decompose(tp, solver=solver, elementwise_backend="fused")
 
-    def test_exact_loop_runs_no_elementwise_steps(self):
-        # The bit-pinned exact loop has no seam for the kernel at all.
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_full_svd_kernel_keeps_the_steps(self, solver):
+        # Forcing the full SVD swaps the SVT kernel only: the one loop and
+        # its elementwise steps are the same, one step per iteration.
         sink = Instrumentation("ew")
         with instrumented(sink):
-            rpca_apg(_rpca_problem(seed=31))
-        assert "kernel.ew.steps" not in sink.counters
+            res = SOLVERS[solver](_rpca_problem(seed=31), svd_backend="exact")
+        assert sink.counters["kernel.ew.steps"] == res.iterations
+        assert sink.counters["kernel.svt.full_width"] == res.iterations
+        assert "kernel.svt.gram" not in sink.counters
 
 
 class TestStreamingShrink:

@@ -167,7 +167,7 @@ class TestWarmStart:
         low-rank/sparse split did. IALM now solves every window cold.
         """
         trace = generate_trace(TraceConfig(n_machines=64, n_snapshots=60), seed=7)
-        options = SolveOptions(solver="ialm", svd_backend="auto")
+        options = SolveOptions(solver="ialm")
         chain = DecompositionEngine(trace, nbytes=8 * MB, options=options)
         chain.calibrate(10)
         for end in range(11, 26):
@@ -176,7 +176,7 @@ class TestWarmStart:
                 continue
             cold = DecompositionEngine(
                 trace, nbytes=8 * MB,
-                options=SolveOptions(solver="ialm", svd_backend="auto", warm_start=False),
+                options=SolveOptions(solver="ialm", warm_start=False),
             ).calibrate(end)
             row, want = dec.constant.row, cold.constant.row
             assert np.linalg.norm(row - want) <= 1e-3 * np.linalg.norm(want), end
@@ -614,7 +614,7 @@ def wrapped_pair():
     ops = ("broadcast", "scatter", "reduce", "gather")
 
     def run(cls):
-        s = cls(trace, threshold=1.0, mode="streaming", regime="drift", svd_backend="auto")
+        s = cls(trace, threshold=1.0, mode="streaming", regime="drift")
         for i, root in enumerate(roots.tolist()):
             s.run_collective(ops[i % 4], root=root)
         return s

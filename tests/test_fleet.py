@@ -230,8 +230,10 @@ class TestCheckpointing:
         report = FleetScheduler(clusters, cfg).run()
         assert sorted(os.listdir(root)) == ["c0", "c1", "fleet.json"]
         manifest = json.loads((root / "fleet.json").read_text(encoding="utf-8"))
-        assert manifest["svd_backend"] == cfg.svd_backend
-        # The elementwise kernel is no longer a choice, so nothing records one.
+        assert manifest["solver"] == cfg.solver
+        # The SVD and elementwise kernels are no longer choices, so nothing
+        # records one.
+        assert "svd_backend" not in manifest
         assert "elementwise_backend" not in manifest
         for spec in clusters:
             store = CheckpointStore(str(root / spec.name))

@@ -162,6 +162,29 @@ class TestDeadlines:
         assert "deadline exceeded" in sick.error
         assert report.statuses()["c1"] == "ok"
 
+    @requires_fork
+    def test_deadline_runs_from_pickup_not_dispatch(self, monkeypatch):
+        """Four clusters on two workers: ``c2`` waits in the queue of the
+        worker stuck on ``c0``. Its deadline starts when a worker picks it
+        up, so only ``c0`` times out; ``c2`` is requeued uncharged when the
+        stuck worker is killed."""
+
+        def hook(real, task, traces):
+            if task.cluster == "c0":
+                time.sleep(60.0)
+            return real(task, traces)
+
+        _patch_batches(monkeypatch, hook)
+        config = FleetConfig(
+            on_error="degrade", task_timeout_s=0.5, max_task_retries=0,
+            retry_backoff_s=0.01, **CFG,
+        )
+        report = FleetScheduler(_clusters(4), config).run()
+        assert report.statuses() == {
+            "c0": "failed", "c1": "ok", "c2": "ok", "c3": "ok"
+        }
+        assert report.instrumentation["counters"]["fleet.task.timeouts"] == 1
+
 
 class TestWorkerDeath:
     @requires_fork

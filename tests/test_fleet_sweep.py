@@ -2,7 +2,8 @@
 
 A sweep solves every cluster's trailing window once. The windows travel
 to workers in shards through :class:`SharedStackBlock` segments, and each
-worker solves its shard one window at a time with ``svd_backend="auto"``.
+worker solves its shard one window at a time, as a single ``decompose``
+would.
 These tests pin the transport round-trip, the deterministic shard plan,
 bit parity of the parallel run, the serial oracle and a per-cluster
 :func:`~repro.core.decompose.decompose`, worker-failure surfacing, and
@@ -220,7 +221,6 @@ class TestSweepParity:
         cfg = FleetConfig(n_workers=N_WORKERS, solver=solver, **CFG)
         sched = FleetScheduler(clusters, cfg)
         assert len({s.tps[0].data.shape for s in sched.plan_sweep()}) == 2
-        svd_backend = None if solver == "pca" else "auto"
         reports = [sched.run_sweep(), sched.run_sweep_serial()]
         for spec in clusters:
             count = min(cfg.window, spec.trace.n_snapshots)
@@ -228,7 +228,7 @@ class TestSweepParity:
                 cfg.nbytes, start=spec.trace.n_snapshots - count, count=count
             )
             assert (tp.mask is not None) == spec.name.startswith("masked")
-            want = decompose(tp, solver=solver, svd_backend=svd_backend)
+            want = decompose(tp, solver=solver)
             for report in reports:
                 got = report.clusters[spec.name]
                 assert np.array_equal(got.constant_row, want.constant.row)

@@ -387,7 +387,7 @@ def replanned_pair():
     def run(cls):
         s = cls(
             trace, threshold=1.0, mode="streaming", regime="drift",
-            svd_backend="auto", calibration_cost=0.0,
+            calibration_cost=0.0,
         )
         for i, root in enumerate(roots):
             s.run_collective(ops[i % 4], root=root)

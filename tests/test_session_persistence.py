@@ -7,11 +7,13 @@ resumed session must be indistinguishable from one that never stopped.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.cloudsim.io import save_trace
+from repro.core.options import SolveOptions
 from repro.core.detectors import CusumRegimeDetector, detector_names
 from repro.errors import PersistenceError
 from repro.faults import ProbeLoss
@@ -244,25 +246,50 @@ class TestResumeParity:
         record the choice; one written on a host with numba says "jit".
         The key is ignored on resume, so such a checkpoint resumes onto
         the fused kernel and the run stays bit-identical."""
-        reference = TraceSession(small_trace, time_step=8, svd_backend="auto")
+        reference = TraceSession(small_trace, time_step=8)
         _drive(reference, 16)
-
-        session = TraceSession(
-            small_trace, time_step=8, svd_backend="auto", persistence=persist_cfg
+        resumed = _resume_checkpoint_recording(
+            small_trace, persist_cfg, elementwise_backend="jit"
         )
-        _drive(session, 9)
-        session.close()
-
-        store = CheckpointStore(persist_cfg.directory)
-        ckpt = store.load_latest()
-        ckpt.meta["config"]["elementwise_backend"] = "jit"
-        store.save(ckpt.arrays, ckpt.meta)
-
-        resumed = TraceSession.resume(persist_cfg.directory)
-        assert resumed.stats.operations == 9
-        _drive(resumed, 7)
-        resumed.close()
         _assert_parity(resumed, reference)
+
+    @pytest.mark.parametrize("backend", ["auto", "gram"])
+    def test_checkpoint_recording_a_gram_backend_resumes_silently(
+        self, small_trace, persist_cfg, backend
+    ):
+        """``auto`` and ``gram`` sessions ran today's one loop on the Gram
+        kernel: the recorded key is ignored, with no warning, and the
+        resumed run equals the uninterrupted one bit for bit."""
+        reference = TraceSession(small_trace, time_step=8)
+        _drive(reference, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resumed = _resume_checkpoint_recording(
+                small_trace, persist_cfg, svd_backend=backend
+            )
+        _assert_parity(resumed, reference)
+
+    def test_capsule_recording_the_auto_backend_resumes_silently(
+        self, small_trace
+    ):
+        reference = TraceSession(small_trace, time_step=8)
+        _drive(reference, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resumed = _resume_capsule_recording(small_trace, "auto")
+        _assert_parity(resumed, reference)
+
+    def test_checkpoint_recording_the_exact_backend_resumes_with_warning(
+        self, small_trace, persist_cfg
+    ):
+        """``exact`` was the default before the one-loop solvers, so most
+        older checkpoints record it; that run's plain loop is gone, and the
+        resume says so."""
+        with pytest.warns(RuntimeWarning, match="'exact'.*'auto'"):
+            resumed = _resume_checkpoint_recording(
+                small_trace, persist_cfg, svd_backend="exact"
+            )
+        assert resumed.options == SolveOptions()
 
     def test_checkpoint_naming_the_retired_randomized_backend_resumes_on_auto(
         self, small_trace, persist_cfg
@@ -270,43 +297,53 @@ class TestResumeParity:
         """``randomized`` was retired and ``auto`` took its place. A
         checkpoint that names it resumes on ``auto`` with a RuntimeWarning
         saying so; from there the run matches an ``auto`` session."""
-        reference = TraceSession(small_trace, time_step=8, svd_backend="auto")
+        reference = TraceSession(small_trace, time_step=8)
         _drive(reference, 16)
-
-        session = TraceSession(
-            small_trace, time_step=8, svd_backend="auto", persistence=persist_cfg
-        )
-        _drive(session, 9)
-        session.close()
-
-        store = CheckpointStore(persist_cfg.directory)
-        ckpt = store.load_latest()
-        ckpt.meta["config"]["svd_backend"] = "randomized"
-        store.save(ckpt.arrays, ckpt.meta)
-
         with pytest.warns(RuntimeWarning, match="randomized.*'auto'"):
-            resumed = TraceSession.resume(persist_cfg.directory)
-        assert resumed.svd_backend == "auto"
-        _drive(resumed, 7)
-        resumed.close()
+            resumed = _resume_checkpoint_recording(
+                small_trace, persist_cfg, svd_backend="randomized"
+            )
+        assert resumed.options == SolveOptions()
         _assert_parity(resumed, reference)
 
     def test_capsule_naming_the_retired_randomized_backend_resumes_on_auto(
         self, small_trace
     ):
-        reference = TraceSession(small_trace, time_step=8, svd_backend="auto")
+        reference = TraceSession(small_trace, time_step=8)
         _drive(reference, 16)
-
-        session = TraceSession(small_trace, time_step=8, svd_backend="auto")
-        _drive(session, 9)
-        capsule = session.capture_capsule()
-        capsule.meta["config"]["svd_backend"] = "randomized"
-
         with pytest.warns(RuntimeWarning, match="randomized.*'auto'"):
-            resumed = TraceSession.from_capsule(small_trace, capsule)
-        assert resumed.svd_backend == "auto"
-        _drive(resumed, 7)
+            resumed = _resume_capsule_recording(small_trace, "randomized")
+        assert resumed.options == SolveOptions()
         _assert_parity(resumed, reference)
+
+
+def _resume_checkpoint_recording(small_trace, persist_cfg, **recorded):
+    """Run 9 operations with checkpoints, add *recorded* to the last
+    checkpoint's ``config`` block as an older release wrote it, resume and
+    run 7 more."""
+    session = TraceSession(small_trace, time_step=8, persistence=persist_cfg)
+    _drive(session, 9)
+    session.close()
+    store = CheckpointStore(persist_cfg.directory)
+    ckpt = store.load_latest()
+    ckpt.meta["config"].update(recorded)
+    store.save(ckpt.arrays, ckpt.meta)
+    resumed = TraceSession.resume(persist_cfg.directory)
+    assert resumed.stats.operations == 9
+    _drive(resumed, 7)
+    resumed.close()
+    return resumed
+
+
+def _resume_capsule_recording(small_trace, backend):
+    """The capsule analogue: 9 operations, record *backend*, restore, 7 more."""
+    session = TraceSession(small_trace, time_step=8)
+    _drive(session, 9)
+    capsule = session.capture_capsule()
+    capsule.meta["config"]["svd_backend"] = backend
+    resumed = TraceSession.from_capsule(small_trace, capsule)
+    _drive(resumed, 7)
+    return resumed
 
 
 class TestGuards:

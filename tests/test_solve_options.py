@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import warnings
 
 import pytest
 
@@ -29,33 +30,34 @@ OPTION_FIELDS = [f.name for f in dataclasses.fields(SolveOptions)]
 #: A streaming configuration with every knob off its default.
 STREAMING = dict(
     solver="ialm",
-    svd_backend="auto",
     warm_start=False,
     mode="streaming",
     stream_tolerance=0.3,
     stream_refresh_every=5,
 )
 
+# Ids are pinned, not positional, so each case keeps its established test
+# name when rows are added or retired.
 BAD_COMBINATIONS = [
-    (dict(solver="nope"), "unknown RPCA solver 'nope'"),
-    (dict(solver="pca", svd_backend="auto"), "does not take an SVD backend"),
-    (dict(solver="row_constant", svd_backend="gram"), "does not take an SVD backend"),
-    (dict(svd_backend="randomized"), "unknown SVD backend"),
-    (dict(mode="online"), "unknown engine mode"),
-    (dict(stream_tolerance=0.3), "require mode='streaming'"),
-    (dict(stream_refresh_every=4), "require mode='streaming'"),
-    (dict(mode="streaming", stream_tolerance=0.0), "tolerance must be > 0"),
-    (dict(mode="streaming", stream_refresh_every=0), "refresh_every must be >= 1"),
+    pytest.param(dict(solver="nope"), "unknown RPCA solver 'nope'",
+                 id="kwargs0-unknown RPCA solver 'nope'"),
+    pytest.param(dict(mode="online"), "unknown engine mode",
+                 id="kwargs4-unknown engine mode"),
+    pytest.param(dict(stream_tolerance=0.3), "require mode='streaming'",
+                 id="kwargs5-require mode='streaming'"),
+    pytest.param(dict(stream_refresh_every=4), "require mode='streaming'",
+                 id="kwargs6-require mode='streaming'"),
+    pytest.param(dict(mode="streaming", stream_tolerance=0.0),
+                 "tolerance must be > 0", id="kwargs7-tolerance must be > 0"),
+    pytest.param(dict(mode="streaming", stream_refresh_every=0),
+                 "refresh_every must be >= 1", id="kwargs8-refresh_every must be >= 1"),
 ]
 
 
 class TestRules:
     def test_defaults_are_the_historical_path(self):
         opts = SolveOptions()
-        assert (opts.solver, opts.svd_backend, opts.warm_start, opts.mode) == (
-            "apg", "exact", True, "batch"
-        )
-        assert opts.solver_kwargs() == {}
+        assert (opts.solver, opts.warm_start, opts.mode) == ("apg", True, "batch")
         assert opts.stream_config == repro.StreamingConfig()
 
     @pytest.mark.parametrize("kwargs,message", BAD_COMBINATIONS)
@@ -75,7 +77,6 @@ class TestRules:
         "kwargs,message",
         [
             (dict(solver="nope"), "unknown RPCA solver"),
-            (dict(solver="pca", svd_backend="auto"), "does not take an SVD backend"),
         ],
     )
     def test_solve_config_checks_solver_and_backend(self, kwargs, message):
@@ -83,9 +84,12 @@ class TestRules:
             repro.SolveConfig(**kwargs)
 
     def test_exact_backend_works_for_every_solver(self, small_trace):
+        # Every solver decomposes with its defaults; the SVT solvers also
+        # take ``svd_backend="exact"``, which forces the full-SVD kernel.
         tp = small_trace.tp_matrix(8 << 20, count=10)
         for solver in repro.available_solvers():
-            dec = repro.decompose(tp, solver=solver, svd_backend="exact")
+            forced = {"svd_backend": "exact"} if solver in ("apg", "ialm") else {}
+            dec = repro.decompose(tp, solver=solver, **forced)
             assert dec.solver == solver
 
     def test_streaming_knobs_resolve_through_streaming_config(self):
@@ -95,26 +99,29 @@ class TestRules:
 
     def test_engine_rejects_a_knob_passed_beside_options(self, small_trace):
         with pytest.raises(TypeError, match="options=SolveOptions"):
-            DecompositionEngine(small_trace, nbytes=8 << 20, svd_backend="auto")
+            DecompositionEngine(small_trace, nbytes=8 << 20, mode="streaming")
 
 
 class TestOnePlace:
     def test_every_option_is_a_config_field_and_a_session_keyword(self):
         session_params = inspect.signature(TraceSession).parameters
         for cls in (SessionConfig, FleetConfig):
-            assert [f.name for f in dataclasses.fields(cls)][:6] == OPTION_FIELDS
+            fields = [f.name for f in dataclasses.fields(cls)]
+            assert fields[: len(OPTION_FIELDS)] == OPTION_FIELDS
         for name in OPTION_FIELDS:
             assert session_params[name].kind is inspect.Parameter.KEYWORD_ONLY
             assert session_params[name].default == getattr(SolveOptions(), name)
 
     def test_solver_and_backend_stay_flat_keywords(self):
         # The benchmark picks its configuration by reading these signatures
-        # (bench/workloads.py, fastest_config): a knob it cannot see there
-        # silently falls back to the default exact path.
+        # (bench/workloads.py, fastest_config): the solver stays a flat
+        # keyword, and no entry point takes an SVD backend any more, so the
+        # one solver loop with its shape-chosen kernel is what runs.
         for target in (repro.decompose, TraceSession, FleetConfig):
             params = inspect.signature(target).parameters
-            assert "solver" in params and "svd_backend" in params
+            assert "solver" in params and "svd_backend" not in params
         assert "mode" in inspect.signature(TraceSession).parameters
+        assert len(OPTION_FIELDS) == 5
 
     def test_session_config_maps_onto_the_session(self, small_trace):
         cfg = SessionConfig(
@@ -150,7 +157,8 @@ class TestMeta:
         assert meta["stream_refresh_every"] == repro.StreamingConfig().refresh_every
 
     def test_captured_config_blocks_are_unchanged(self, small_trace):
-        # Literal blocks written by the release before SolveOptions existed.
+        # Literal blocks written by the release before SolveOptions existed,
+        # less the retired ``svd_backend`` key.
         common = {
             "nbytes": 8388608.0, "time_step": 6, "threshold": 1.0,
             "consecutive": 1, "calibration_cost": 0.5, "faults_spec": None,
@@ -158,18 +166,17 @@ class TestMeta:
         }
         batch = TraceSession(small_trace, time_step=6, calibration_cost=0.5)
         assert capture_session_state(batch)[1]["config"] == dict(
-            common, solver="apg", warm_start=True, svd_backend="exact",
-            mode="batch", stream_tolerance=None, stream_refresh_every=None,
+            common, solver="apg", warm_start=True, mode="batch",
+            stream_tolerance=None, stream_refresh_every=None,
             regime=None,
         )
         streaming = TraceSession(
             small_trace, time_step=6, calibration_cost=0.5, mode="streaming",
-            svd_backend="auto", warm_start=False, stream_tolerance=0.3,
-            regime="drift",
+            warm_start=False, stream_tolerance=0.3, regime="drift",
         )
         assert capture_session_state(streaming)[1]["config"] == dict(
-            common, solver="apg", warm_start=False, svd_backend="auto",
-            mode="streaming", stream_tolerance=0.3, stream_refresh_every=16,
+            common, solver="apg", warm_start=False, mode="streaming",
+            stream_tolerance=0.3, stream_refresh_every=16,
             regime={
                 "name": "drift",
                 "params": {"window": 4, "decision": 2.0, "warmup": 6,
@@ -185,27 +192,39 @@ class TestMeta:
             # Before streaming: no mode or stream keys.
             (
                 {"solver": "ialm", "warm_start": False, "svd_backend": "gram"},
-                SolveOptions(solver="ialm", warm_start=False, svd_backend="gram"),
+                SolveOptions(solver="ialm", warm_start=False),
             ),
             # Selectable elementwise kernels: the key is ignored.
             (
                 {"solver": "apg", "warm_start": True, "svd_backend": "auto",
                  "elementwise_backend": "jit", "mode": "batch",
                  "stream_tolerance": None, "stream_refresh_every": None},
-                SolveOptions(svd_backend="auto"),
+                SolveOptions(),
             ),
         ],
         ids=["no-backend", "no-mode", "elementwise"],
     )
     def test_legacy_blocks_resolve(self, legacy, expected):
-        assert SolveOptions.from_meta(legacy) == expected
+        # "auto" and "gram" sessions ran today's loop: they resume silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SolveOptions.from_meta(legacy) == expected
 
     def test_randomized_backend_resumes_as_auto_with_warning(self):
         with pytest.warns(RuntimeWarning, match="randomized.*'auto'"):
             opts = SolveOptions.from_meta(
                 {"solver": "apg", "warm_start": True, "svd_backend": "randomized"}
             )
-        assert opts.svd_backend == "auto"
+        assert opts == SolveOptions()
+
+    def test_exact_backend_resumes_with_warning(self):
+        # "exact" was the default, so most checkpoints written before the
+        # one-loop solvers record it; they ran the plain loop.
+        with pytest.warns(RuntimeWarning, match="'exact'.*'auto'"):
+            opts = SolveOptions.from_meta(
+                {"solver": "ialm", "warm_start": False, "svd_backend": "exact"}
+            )
+        assert opts == SolveOptions(solver="ialm", warm_start=False)
 
 
 class TestRoundTrips:
@@ -245,10 +264,10 @@ class TestFleetCli:
     @pytest.mark.parametrize(
         "flags,fleet_only",
         [
-            (["--solver", "pca", "--svd-backend", "auto"], []),
+            (["--stream-tolerance", "0.3"], []),
             (["--solver", "nope"], ["--on-error", "degrade"]),
         ],
-        ids=["pca-auto", "unknown-solver"],
+        ids=["stream-knob-in-batch", "unknown-solver"],
     )
     def test_invalid_solve_flags_fail_before_any_worker(
         self, flags, fleet_only, small_trace, tmp_path, capsys, monkeypatch
