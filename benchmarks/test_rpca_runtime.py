@@ -10,7 +10,10 @@ plain full-SVD loop, which now lives only as a test oracle
 (``tests/oracles.py``) and stays the timing baseline, and ``auto``, the
 library's one loop, which on this shape thresholds through the Gram
 kernel (``repro.core.kernels``) and steps with the fused elementwise
-kernel (``repro.core.elementwise``). The final test writes
+kernel (``repro.core.elementwise``). APG runs a third arm,
+``auto-1thread``: the same loop with a thread budget of one, so that its
+two column panels (``repro.core.panels``) share the calling thread; its
+answer must equal ``auto``'s bit for bit. The final test writes
 ``BENCH_rpca.json`` at the repo root — mean solve time, iterations, SVD
 share and elementwise share per cell, plus the auto-vs-exact speedup per
 solver — so future PRs can track the perf trajectory. Numerical parity
@@ -32,7 +35,7 @@ import pytest
 
 from repro import observability
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
-from repro.core import elementwise
+from repro.core import elementwise, panels
 from repro.core.decompose import constant_row, decompose, decomposition_from_result
 from repro.observability.benchrecord import bench_record, write_bench_json
 from tests.oracles import apg_unmasked_reference, rpca_apg_plain, rpca_ialm_plain
@@ -46,6 +49,11 @@ SEED = 196
 # The arms each solver runs: the plain full-SVD loop and the library's.
 SVD_CELLS = ["exact", "auto"]
 PLAIN_LOOPS = {"apg": rpca_apg_plain, "ialm": rpca_ialm_plain}
+# APG's library loop once more with a thread budget of one: its two column
+# panels then run on the calling thread, for the same answer bit for bit.
+ONE_THREAD = "auto-1thread"
+CELLS = [(solver, svd) for solver in ("apg", "ialm") for svd in SVD_CELLS]
+CELLS.insert(2, ("apg", ONE_THREAD))
 
 # Filled by the backend-matrix benchmarks, consumed (and written out) by
 # test_backend_speedup_and_emit below. Keyed by (solver, svd).
@@ -67,8 +75,7 @@ def test_rpca_solver_runtime_196_instances(benchmark, tp_196, solver):
     assert stats.mean < 60.0
 
 
-@pytest.mark.parametrize("svd", SVD_CELLS)
-@pytest.mark.parametrize("solver", ["apg", "ialm"])
+@pytest.mark.parametrize("solver,svd", CELLS)
 def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd):
     """One (solver, svd) cell: benchmark it and record the diagnostics."""
     sink = observability.Instrumentation(f"{solver}-{svd}")
@@ -78,6 +85,12 @@ def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd):
         with observability.instrumented(sink):
             if svd == "auto":
                 return decompose(tp_196, solver=solver)
+            if svd == ONE_THREAD:
+                panels.set_thread_budget(1)
+                try:
+                    return decompose(tp_196, solver=solver)
+                finally:
+                    panels.set_thread_budget(None)
             start = time.perf_counter()
             result = PLAIN_LOOPS[solver](tp_196.data)
             plain_seconds.append(time.perf_counter() - start)
@@ -111,6 +124,7 @@ def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd):
         "svd_share": share(svt_seconds),
         "ew_share": share(ew_seconds),
         "full_width_svds": sink.counters.get("kernel.svt.full_width", 0),
+        "threaded_steps": sink.counters.get("kernel.apg.threaded_steps", 0),
         "constant_row": dec.constant.row,
     }
 
@@ -123,9 +137,13 @@ def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
     assertion under ``REPRO_PERF_STRICT=1`` so CI fails on correctness,
     not on a loaded runner's timings.
     """
-    assert len(_MATRIX) == 2 * len(SVD_CELLS), (
+    assert len(_MATRIX) == len(CELLS), (
         "backend matrix did not populate (run the whole module)"
     )
+    one = _MATRIX[("apg", ONE_THREAD)]
+    assert one["threaded_steps"] == 0
+    assert np.array_equal(one["constant_row"], _MATRIX[("apg", "auto")]["constant_row"])
+    assert one["iterations"] == _MATRIX[("apg", "auto")]["iterations"]
 
     speedups = {}
     for solver in ("apg", "ialm"):

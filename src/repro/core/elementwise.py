@@ -13,14 +13,15 @@ per operation.
 Two kinds of step live here:
 
 * **Unmasked APG** (:meth:`ElementwiseKernel.apg_step_unmasked`) is one
-  sweep between the iteration's two GEMMs. The loop carries ``G = D − E +
+  sweep per column panel and iteration. The loop carries ``G = D − E +
   A`` instead of the blocks (see :func:`repro.core.apg.rpca_apg`),
-  so a single pass over four ``m × n`` buffers finishes the carrier,
-  accumulates the stationarity norm block by block and writes the next
-  prox input. It restructures the arithmetic, so it has no ufunc chain to
-  fall back to; its oracle is the block-by-block loop in the test suite,
-  which it matches to ~1e-12 with equal iteration counts. Only the
-  residual's block-wise sum depends on the chunk size.
+  so a single pass over three carriers and ``A`` (one column panel of the
+  tall layout) applies the shrink operator, finishes the carrier, accumulates the stationarity norm block
+  by block and writes the next prox input. It restructures the
+  arithmetic, so it has no ufunc chain to fall back to; its oracle is the
+  block-by-block loop in the test suite, which it matches to ~1e-12 with
+  equal iteration counts. Only the residual's block-wise sum depends on
+  the chunk size and the panel bounds.
 * **Masked APG and IALM** keep the historical one-pass-per-operation
   chain's per-element order and only block the sweeps, so they are
   **bit-identical** to that chain by construction. The chain stays in each
@@ -33,7 +34,9 @@ Two kinds of step live here:
 Observability: every step emits ``kernel.ew.steps`` (a step count) and
 ``kernel.ew_seconds`` (elementwise time, excluding the SVT call in the
 middle of the step) — the peers of ``kernel.svt.<backend>`` /
-``kernel.svt_seconds``.
+``kernel.svt_seconds``. The unmasked APG sweep may run on a helper
+thread, so there the loop emits them (:meth:`ElementwiseKernel.record_step`)
+for the sweeps its own thread ran.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ class ElementwiseKernel:
         self._block: np.ndarray | None = None
 
     # -- observability ----------------------------------------------------
-    def _emit_step(self, elapsed: float) -> None:
+    def record_step(self, elapsed: float) -> None:
+        """Count one step and add *elapsed* seconds to the elementwise timer."""
         observability.emit_count("kernel.ew.steps")
         observability.emit_time("kernel.ew_seconds", elapsed)
 
@@ -101,43 +105,54 @@ class ElementwiseKernel:
         return False
 
     # -- APG, unmasked -----------------------------------------------------
-    def apg_step_unmasked(self, A, G, Gn, MD, MDn, tau_e, beta):
+    def apg_step_unmasked(self, A, G, Gn, MD, tau_e, beta, shrink=None):
         """The elementwise half of one unmasked APG iteration, in one sweep.
 
-        On entry *Gn* holds ``D₊ + M_D = (P + I)·M_D``, from
-        ``SVTKernel.svt(M_D, τ_D, out=Gn, plus_input=True)``, and *G* the
-        previous carrier ``D − E + A``. One blocked pass
-        finishes the carrier, ``G₊ = (P + I)·M_D + clip(A − M_D, ±τ_E)``
-        (in place in *Gn*), accumulates the stationarity norm ``‖S‖²`` of
-        ``S = 2·M_D − G₊`` and writes the next prox input ``M_D′ =
-        ((1 + β′)·G₊ − β′·G)/2`` into *MDn*, *beta* being the next
-        iteration's momentum weight. Returns ``‖S‖²``; the residual is
-        ``√(2·‖S‖²)/‖A‖``. All buffers must be C-contiguous (the solve
-        workspace's are).
+        *G* holds the previous carrier ``D − E + A`` and *Gn* must come to
+        hold ``D₊ + M_D = (P + I)·M_D``: given *shrink*, the ``k × k``
+        operator ``P + I`` of a tall ``rows × k`` panel, the sweep forms
+        it block by block (``M_D·(P + I)``, one small GEMM per block);
+        without, *Gn* already holds it. One blocked pass then finishes the
+        carrier, ``G₊ = (P + I)·M_D + clip(A − M_D, ±τ_E)`` (in place in
+        *Gn*), accumulates the stationarity norm ``‖S‖²`` of ``S = 2·M_D
+        − G₊`` and writes the next prox input ``M_D′ = ((1 + β′)·G₊ −
+        β′·G)/2`` over *G*, which it no longer needs, *beta* being the
+        next iteration's momentum weight. Blocks are whole rows of about
+        :attr:`chunk` elements. Returns ``(‖S‖², seconds spent in the
+        GEMMs)``; the residual is ``√(2·‖S‖²)/‖A‖``. All buffers must be
+        C-contiguous (the solve workspace's, and row ranges of them, are).
+
+        The buffers may be one column panel of the solve (see
+        :mod:`repro.core.panels`), swept on a helper thread, so this emits
+        nothing: the loop reports the step with :meth:`record_step`. Two
+        panels swept at once need one kernel each (each owns its block).
         """
-        chunk = self.chunk
-        t0 = time.perf_counter()
-        a, g, gn, md, mdn = _flat(A, G, Gn, MD, MDn)
-        if self._block is None or self._block.size < min(a.size, chunk):
-            self._block = np.empty(min(a.size, chunk), dtype=np.float64)
+        rows, k = A.shape
+        step = max(1, self.chunk // k)
+        size = min(rows, step) * k
+        if self._block is None or self._block.size < size:
+            self._block = np.empty(size, dtype=np.float64)
         tmp = self._block
         up, down = 0.5 * (1.0 + beta), 0.5 * beta
-        ss = 0.0
-        for lo in range(0, a.size, chunk):
-            sl = slice(lo, lo + chunk)
-            gc, mc, nc = gn[sl], md[sl], mdn[sl]
+        ss = gemm_s = 0.0
+        for lo in range(0, rows, step):
+            sl = slice(lo, lo + step)
+            if shrink is not None:
+                t0 = time.perf_counter()
+                np.matmul(MD[sl], shrink, out=Gn[sl])
+                gemm_s += time.perf_counter() - t0
+            a, g, gc, mc = _flat(A[sl], G[sl], Gn[sl], MD[sl])
             c = tmp[: gc.size]
-            np.subtract(a[sl], mc, out=c)
+            np.subtract(a, mc, out=c)
             np.clip(c, -tau_e, tau_e, out=c)
             gc += c
             np.multiply(mc, 2.0, out=c)
             c -= gc
             ss += float(np.dot(c, c))
-            np.multiply(gc, up, out=nc)
-            np.multiply(g[sl], down, out=c)
-            nc -= c
-        self._emit_step(time.perf_counter() - t0)
-        return ss
+            np.multiply(g, down, out=c)
+            np.multiply(gc, up, out=g)
+            g -= c
+        return ss, gemm_s
 
     # -- APG, masked -------------------------------------------------------
     def apg_step_masked(
@@ -233,7 +248,7 @@ class ElementwiseKernel:
             np.subtract(YE, En, out=G)
             G *= 2.0
             G += S
-        self._emit_step(elapsed + time.perf_counter() - t0)
+        self.record_step(elapsed + time.perf_counter() - t0)
         se = norms(G)
         return rank, sd, se
 
@@ -285,7 +300,7 @@ class ElementwiseKernel:
             # Folded dual ascent: Ȳ_{k+1} = (μ_k/μ_{k+1})·(Ȳ_k + Z_k).
             Yinv += Z
             Yinv *= mu_ratio
-        self._emit_step(elapsed + time.perf_counter() - t0)
+        self.record_step(elapsed + time.perf_counter() - t0)
         return rank
 
     # -- IALM, masked ------------------------------------------------------
@@ -342,7 +357,7 @@ class ElementwiseKernel:
             Z *= omega
             Yinv += Z
             Yinv *= mu_ratio
-        self._emit_step(elapsed + time.perf_counter() - t0)
+        self.record_step(elapsed + time.perf_counter() - t0)
         return rank
 
     # -- streaming row shrinkage ------------------------------------------
@@ -360,12 +375,12 @@ class ElementwiseKernel:
         t0 = time.perf_counter()
         if not self._fused(x):
             out = soft_threshold(x, tau)
-            self._emit_step(time.perf_counter() - t0)
+            self.record_step(time.perf_counter() - t0)
             return out
         out = self._row_scratch.get(x.shape)
         if out is None:
             out = np.empty(x.shape, dtype=np.float64)
             self._row_scratch[x.shape] = out
         soft_threshold_into(x, tau, out=out)
-        self._emit_step(time.perf_counter() - t0)
+        self.record_step(time.perf_counter() - t0)
         return out

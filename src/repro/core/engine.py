@@ -44,7 +44,7 @@ from .matrices import TPMatrix
 from .options import SolveOptions
 from .result import SolverResult
 from .solvers import solver_spec
-from .streaming import StreamingDecomposer, StreamState
+from .streaming import StreamingDecomposer, StreamSeed, StreamState
 
 __all__ = [
     "WindowSource",
@@ -222,9 +222,10 @@ class DecompositionEngine:
         # partially-masked window instead of per call.
         self._full_mask_row: np.ndarray | None = None
         # Streaming mode: the row-cache entries of the last cold-solved,
-        # fully observed window (their identity is the key) and the result
-        # of that solve. Never exported: a rebuilt engine misses once.
-        self._solved: tuple[tuple[Any, ...], SolverResult] | None = None
+        # fully observed window (their identity is the key), the result of
+        # that solve and the stream seed prepared from it. Never exported:
+        # a rebuilt engine misses once.
+        self._solved: tuple[tuple[Any, ...], SolverResult, StreamSeed] | None = None
 
     # -- state ------------------------------------------------------------
     @property
@@ -465,7 +466,8 @@ class DecompositionEngine:
         built from the very same row-cache entries as the last cold-solved
         fully observed window (a replay that wraps onto the same snapshots
         again) that solve's result is served instead of solving again,
-        counted as ``engine.solve.reused``. A row that was re-measured,
+        counted as ``engine.solve.reused``, and the stream is reseeded from
+        the seed prepared from it then. A row that was re-measured,
         re-imported or evicted since is a new object, hence a new solve.
         """
         start = max(0, end - self.time_step)
@@ -489,12 +491,14 @@ class DecompositionEngine:
                 extraction=self.extraction,
             )
             self._last = dec
-        else:
-            dec = self.solve(tp)
-            sr = dec.solver_result
-            if tp.mask is None and sr is not None and None not in entries:
-                self._solved = (entries, sr)
-        self._seed_stream(end, tp, dec)
+            streamer = self._streamer_for(tp.data.shape)
+            with instrumented(self.instrumentation):
+                streamer.reseed(end, memo[2])
+            return dec
+        dec = self.solve(tp)
+        seed = self._seed_stream(end, tp, dec)
+        if seed is not None and None not in entries:
+            self._solved = (entries, dec.solver_result, seed)
         return dec
 
     # -- streaming ---------------------------------------------------------
@@ -503,7 +507,10 @@ class DecompositionEngine:
             self._streamer = StreamingDecomposer(shape, self.stream_config)
         return self._streamer
 
-    def _seed_stream(self, end: int, tp: TPMatrix, dec: Decomposition) -> None:
+    def _seed_stream(
+        self, end: int, tp: TPMatrix, dec: Decomposition
+    ) -> StreamSeed | None:
+        """Seed the stream from a batch solve; return the seed it used."""
         sr = dec.solver_result
         if tp.mask is not None or sr is None:
             # Partially-observed windows (and solvers returning no raw
@@ -511,12 +518,12 @@ class DecompositionEngine:
             # and stream_plan keeps answering "solve".
             if self._streamer is not None:
                 self._streamer.state = None
-            return
+            return None
         streamer = self._streamer_for(tp.data.shape)
+        seed = streamer.prepare_seed(tp.data, sr.low_rank, sr.sparse)
         with instrumented(self.instrumentation):
-            streamer.seed(
-                end=end, data=tp.data, low_rank=sr.low_rank, sparse=sr.sparse
-            )
+            streamer.reseed(end, seed)
+        return seed
 
     def stream_plan(self, end: int) -> str:
         """How to serve the window ending at *end*: ``"fold"`` or ``"solve"``.

@@ -191,6 +191,7 @@ class SVTKernel:
         # (None at rank 0), or the exact path's dense result.
         self._op: np.ndarray | None = None
         self._dense: np.ndarray | None = None
+        self._right = False  # whether _op came from the column Gram aᵀ·a
 
     # -- policy -------------------------------------------------------------
     def choose(self) -> str:
@@ -222,13 +223,41 @@ class SVTKernel:
             d, rank, top = self._svt_exact(a, tau, out, plus_input)
         else:
             d, rank, top = self._svt_gram(a, tau, out, plus_input)
-        elapsed = time.perf_counter() - start
         observability.emit_count(f"kernel.svt.{backend}")
         if backend == "exact":
             observability.emit_count("kernel.svt.full_width")
-        observability.emit_time("kernel.svt_seconds", elapsed)
-        observability.emit_time(f"kernel.svt.{backend}_seconds", elapsed)
+        self.charge(time.perf_counter() - start)
         return d, rank, top
+
+    def shrink_operator(
+        self, gram: np.ndarray, tau: float
+    ) -> tuple[np.ndarray | None, int, float]:
+        """``(P + I, rank, top_sv)`` of the ``a`` whose column Gram is *gram*.
+
+        The ``gram`` kernel split in two, for a caller that forms the Gram
+        matrix ``aᵀ·a`` of a tall *a* and applies the operator itself (the
+        unmasked APG loop does both per row range): ``D_tau(a) + a`` is
+        then ``a·(P + I)``. ``None`` instead of ``P + I`` at rank 0, where
+        ``D_tau(a) + a = a``. :meth:`low_rank` rebuilds ``D_tau(a)`` from
+        ``P`` afterwards, as after :meth:`svt`. Counts one
+        ``kernel.svt.gram`` call; the caller charges the time it spends
+        applying the operator with :meth:`charge`.
+        """
+        start = time.perf_counter()
+        op, rank, top = self._shrink_op(gram, tau)
+        self._dense, self._right = None, True
+        plus = None
+        if op is not None:
+            plus = op.copy()
+            plus.flat[:: plus.shape[0] + 1] += 1.0
+        observability.emit_count("kernel.svt.gram")
+        self.charge(time.perf_counter() - start)
+        return plus, rank, top
+
+    def charge(self, seconds: float) -> None:
+        """Add *seconds* of thresholding work to the kernel timers."""
+        observability.emit_time("kernel.svt_seconds", seconds)
+        observability.emit_time(f"kernel.svt.{self.choose()}_seconds", seconds)
 
     def low_rank(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``D_tau(a)`` of the matrix the last :meth:`svt` call thresholded.
@@ -266,12 +295,11 @@ class SVTKernel:
             self._gram = np.empty((self.min_dim, self.min_dim), dtype=np.float64)
         return self._gram
 
-    @staticmethod
-    def _apply(op: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``op·a`` for a wide *a*, ``a·op`` for a tall one: one GEMM."""
-        if a.shape[0] <= a.shape[1]:
-            return np.matmul(op, a, out=out)
-        return np.matmul(a, op, out=out)
+    def _apply(self, op: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``op·a`` after a row Gram, ``a·op`` after a column Gram: one GEMM."""
+        if self._right:
+            return np.matmul(a, op, out=out)
+        return np.matmul(op, a, out=out)
 
     def _svt_gram(
         self, a: np.ndarray, tau: float, out: np.ndarray | None, plus_input: bool
@@ -288,30 +316,40 @@ class SVTKernel:
         """
         m, n = a.shape
         gram = self._gram_buf()
-        if m <= n:
-            np.matmul(a, a.T, out=gram)
-        else:
+        self._right = m > n
+        if self._right:
             np.matmul(a.T, a, out=gram)
-        w, vecs = np.linalg.eigh(gram)  # ascending
-        s = np.sqrt(np.clip(w[::-1], 0.0, None))
-        top = float(s[0]) if s.size else 0.0
-        shrunk = s - tau
-        rank = int(np.count_nonzero(shrunk > 0.0))
+        else:
+            np.matmul(a, a.T, out=gram)
+        op, rank, top = self._shrink_op(gram, tau)
         self._dense = None
         if out is None:
             out = np.empty_like(np.asarray(a, dtype=np.float64))
-        if rank == 0:
-            self._op = None
+        if op is None:
             if plus_input:
                 np.copyto(out, a)
             else:
                 out[:] = 0.0
             return out, 0, top
-        basis = vecs[:, ::-1][:, :rank]  # top-`rank` eigenvectors
-        self._op = (basis * (shrunk[:rank] / s[:rank])) @ basis.T
-        op = self._op
         if plus_input:
             op = op.copy()
             op.flat[:: op.shape[0] + 1] += 1.0
         self._apply(op, a, out)
         return out, rank, top
+
+    def _shrink_op(
+        self, gram: np.ndarray, tau: float
+    ) -> tuple[np.ndarray | None, int, float]:
+        """Eigendecompose *gram*; store and return the shrink operator ``P``
+        (``None`` at rank 0) with the rank and ``σ₁``."""
+        w, vecs = np.linalg.eigh(gram)  # ascending
+        s = np.sqrt(np.clip(w[::-1], 0.0, None))
+        top = float(s[0]) if s.size else 0.0
+        shrunk = s - tau
+        rank = int(np.count_nonzero(shrunk > 0.0))
+        if rank == 0:
+            self._op = None
+            return None, 0, top
+        basis = vecs[:, ::-1][:, :rank]  # top-`rank` eigenvectors
+        self._op = (basis * (shrunk[:rank] / s[:rank])) @ basis.T
+        return self._op, rank, top

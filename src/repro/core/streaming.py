@@ -66,6 +66,7 @@ __all__ = [
     "ENGINE_MODES",
     "StreamingConfig",
     "StreamResult",
+    "StreamSeed",
     "StreamState",
     "StreamingDecomposer",
     "stream_state_from_payload",
@@ -213,6 +214,31 @@ class StreamResult:
         if isinstance(sparse, np.ndarray):
             return sparse.shape  # type: ignore[return-value]
         return len(sparse), int(sparse[0].size)
+
+
+@dataclass(frozen=True)
+class StreamSeed:
+    """Streaming state as seeded from one batch solve, before any fold.
+
+    ``basis`` (``r × n``) and ``coeffs`` (``m × r``) factor the low-rank
+    part, ``sparse`` is the ``m × n`` sparse window and ``row_err`` the
+    per-row unexplained residual. The arrays are made read-only: a fold
+    replaces the state's arrays instead of writing into them, so a seed
+    kept beside a solve result reseeds any later state for that window.
+    """
+
+    basis: np.ndarray
+    coeffs: np.ndarray
+    sparse: np.ndarray
+    row_err: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.basis, self.coeffs, self.sparse, self.row_err):
+            arr.setflags(write=False)
+
+    @property
+    def rank(self) -> int:
+        return int(self.basis.shape[0])
 
 
 class StreamState:
@@ -367,9 +393,20 @@ class StreamingDecomposer:
         """(Re)initialize streaming state from a batch solve of ``data``.
 
         ``low_rank``/``sparse`` are the solver's ``D``/``E`` for the window
-        ``[end - m, end)`` whose rows are ``data``. The thin SVD here is of
-        an ``m × n`` matrix with ``m ≈ 10`` rows — trivial next to the
-        solve that produced it.
+        ``[end - m, end)`` whose rows are ``data``. Same as
+        :meth:`reseed` with :meth:`prepare_seed` of the solve.
+        """
+        return self.reseed(end, self.prepare_seed(data, low_rank, sparse))
+
+    def prepare_seed(
+        self, data: np.ndarray, low_rank: np.ndarray, sparse: np.ndarray
+    ) -> StreamSeed:
+        """What seeding computes from a batch solve, for :meth:`reseed`.
+
+        A thin SVD of the ``m × n`` ``low_rank`` (``m ≈ 10`` rows), a copy
+        of ``sparse`` and the per-row residuals: cheap next to the solve,
+        but not free, so a caller serving the same solve again keeps the
+        seed and calls :meth:`reseed` with it.
         """
         m, n = self.shape
         if data.shape != (m, n):
@@ -382,21 +419,34 @@ class StreamingDecomposer:
             r = max(1, int((s > s[0] * _REFRESH_RTOL).sum()))
         else:
             r = 1
-        basis = vt[:r].copy()
-        coeffs = (u[:, :r] * s[:r]).copy()
-        sparse = np.asarray(sparse, dtype=np.float64).copy()
+        sparse = np.array(sparse, dtype=np.float64, order="C")
         unexplained = data - low_rank - sparse
         row_err = np.array(
             [_rel_l1(unexplained[i], data[i]) for i in range(m)]
         )
-        predictor = RankPredictor.for_shape(self.shape)
-        predictor.observe(r)
-        self.state = StreamState(
-            basis=basis,
-            coeffs=coeffs,
+        return StreamSeed(
+            basis=vt[:r].copy(),
+            coeffs=(u[:, :r] * s[:r]).copy(),
             sparse=sparse,
-            keys=np.arange(end - m, end, dtype=np.int64),
             row_err=row_err,
+        )
+
+    def reseed(self, end: int, seed: StreamSeed) -> StreamState:
+        """(Re)initialize streaming state for the window ``[end - m, end)``
+        from a :class:`StreamSeed` of a batch solve of that window.
+
+        The state starts on the seed's arrays, not copies: folds replace
+        them (copy-on-fold), so one seed can start any number of states.
+        """
+        m = self.shape[0]
+        predictor = RankPredictor.for_shape(self.shape)
+        predictor.observe(seed.rank)
+        self.state = StreamState(
+            basis=seed.basis,
+            coeffs=seed.coeffs,
+            sparse=seed.sparse,
+            keys=np.arange(end - m, end, dtype=np.int64),
+            row_err=seed.row_err,
             end=int(end),
             updates=0,
             predictor=predictor,

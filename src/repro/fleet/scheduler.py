@@ -54,6 +54,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..core.panels import thread_budget
 from ..errors import FleetError, ValidationError
 from ..observability import Instrumentation, instrumented
 from ..persistence import CheckpointStore
@@ -235,10 +236,13 @@ class _WorkerPool:
     charged against the budget); past the budget the pool just shrinks.
     """
 
-    def __init__(self, ctx, *, max_restarts: int, sink: Instrumentation) -> None:
+    def __init__(
+        self, ctx, *, max_restarts: int, sink: Instrumentation, threads: int = 1
+    ) -> None:
         self._ctx = ctx
         self._max_restarts = int(max_restarts)
         self._sink = sink
+        self._threads = int(threads)  # each worker's solve thread budget
         self.workers: list[_Worker] = []
         self.restarts = 0
         self._spawned = 0
@@ -255,7 +259,7 @@ class _WorkerPool:
         results, sender = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(task_queue, sender),
+            args=(task_queue, sender, self._threads),
             daemon=True,
             name=f"repro-fleet-worker-{self._spawned}",
         )
@@ -594,9 +598,12 @@ class FleetScheduler:
         ``on_error="degrade"``. Shared-memory blocks the units hold are
         unlinked however the run ends.
         """
+        # The workers share this process's CPUs: each gets its share as
+        # its solve thread budget (see repro.core.panels).
         pool = _WorkerPool(
             mp.get_context(),
             max_restarts=self.config.max_worker_restarts, sink=self.instrumentation,
+            threads=max(1, thread_budget() // n_workers),
         )
         try:
             # The shared-memory resource tracker must exist before the first

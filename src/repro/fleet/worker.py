@@ -33,6 +33,7 @@ from typing import Any
 from ..cloudsim.trace import CalibrationTrace
 from ..core.decompose import decomposition_from_result
 from ..core.matrices import TPMatrix
+from ..core.panels import set_thread_budget
 from ..core.solvers import solve_rpca
 from ..observability import Instrumentation, instrumented
 from ..runtime.session import OperationSpec, SessionCapsule, TraceSession
@@ -208,7 +209,7 @@ def _run_batch(
     return session.capture_capsule()
 
 
-def worker_main(task_queue: Any, result_conn: Any) -> None:
+def worker_main(task_queue: Any, result_conn: Any, threads: int = 1) -> None:
     """Worker loop: consume :class:`BatchTask`\\ s until the ``None`` sentinel.
 
     Runs in a child process. Every message goes to ``result_conn``, the
@@ -217,8 +218,11 @@ def worker_main(task_queue: Any, result_conn: Any) -> None:
     exception inside a batch is caught and shipped back as text in
     :attr:`BatchResult.error` — exception *objects* don't survive process
     boundaries reliably, and a poisoned cluster must not take the worker
-    (and every other cluster queued behind it) down.
+    (and every other cluster queued behind it) down. *threads* is this
+    worker's solve thread budget (:func:`repro.core.panels.set_thread_budget`),
+    its share of the scheduler's CPUs.
     """
+    set_thread_budget(threads)
     pid = os.getpid()
     blocks: dict[str, SharedTraceBlock] = {}
     traces: dict[str, CalibrationTrace] = {}

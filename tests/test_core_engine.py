@@ -736,3 +736,23 @@ class TestWrapReuseAcrossResume:
         got = CheckpointStore(str(tmp_path / "crashed")).load_latest()
         assert got.meta["stats"] == want.meta["stats"]
         assert _arrays_bytes(got.arrays) == _arrays_bytes(want.arrays)
+
+    def test_reused_wraps_reseed_without_preparing_a_seed(self, trace, monkeypatch):
+        # A served wrap reseeds the stream from the seed kept beside the
+        # solve: no thin SVD and no sparse copy on any pass after the first.
+        from repro.core.streaming import StreamingDecomposer
+
+        prepared = []
+        real = StreamingDecomposer.prepare_seed
+
+        def counted(self, *args, **kwargs):
+            prepared.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingDecomposer, "prepare_seed", counted)
+        session = self._session(trace)
+        self._drive(session, self.OPS)
+        counters = session.instrumentation.counters
+        assert counters["engine.solve.reused"] == 3
+        assert len(prepared) == counters["engine.solve.cold"] == 2
+        assert counters["kernel.stream.reseeds"] == 2 + 3

@@ -404,8 +404,9 @@ def test_auto_steady_state_no_full_width_svd_and_no_mn_allocations():
     assert long.get("kernel.svt.full_width", 0) == 0
     assert long["kernel.svt.gram"] == 40
     assert long["kernel.workspace.alloc_mn"] == short["kernel.workspace.alloc_mn"]
-    # The unmasked loop carries G = D − E + A and the prox input, twice
-    # each; D and E are written into two of those at the end.
+    # The unmasked loop carries a tall copy of A and three carriers
+    # (G = D − E + A, the prox input and a free one); D and E are written
+    # into two of those at the end.
     assert long["kernel.workspace.alloc_mn"] <= 5
 
 

@@ -222,9 +222,9 @@ class TestWorkerDeath:
         pipe = {}
         real_main = scheduler_mod.worker_main
 
-        def main(task_queue, result_conn):
+        def main(task_queue, result_conn, *args):
             pipe["conn"] = result_conn
-            real_main(task_queue, result_conn)
+            real_main(task_queue, result_conn, *args)
 
         def hook(real, task, traces):
             if task.cluster == "c1" and flag.exists():
