@@ -34,7 +34,7 @@ def run_study():
     n = 24
     trace = generate_trace(TraceConfig(n_machines=n, n_snapshots=30), seed=77)
     constant = decompose(
-        trace.tp_matrix(8 * MB, start=0, count=10), solver="apg"
+        trace.tp_matrix(8 * MB, start=0, count=10), solver="ialm"
     ).performance_matrix().weights
 
     tri = triangle_violation_stats(constant)

@@ -27,7 +27,7 @@ def run_all():
             HeuristicStrategy("mean"),
             HeuristicStrategy("min"),
             HeuristicStrategy("ewma", ewma_alpha=0.3),
-            RPCAStrategy("apg", time_step=10),
+            RPCAStrategy("ialm", time_step=10),
         ]
         res = collective_comparison(ctx, arms, repetitions=80, seed=seed)
         norm_means.append(res.normalized_means())

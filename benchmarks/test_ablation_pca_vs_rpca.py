@@ -56,15 +56,15 @@ def run_sweeps():
     for frac in (0.0, 0.05, 0.15, 0.30):
         tp, truth = sparse_corrupted(frac)
         sparse.append(
-            (frac, err(tp, truth, "pca"), err(tp, truth, "apg"),
+            (frac, err(tp, truth, "pca"), err(tp, truth, "ialm"),
              err(tp, truth, "row_constant"))
         )
     storms = []
     for k in (0, 1, 2, 3):
         tp, truth = storm_corrupted(k)
         storms.append(
-            (k, err(tp, truth, "pca"), err(tp, truth, "apg", "mean"),
-             err(tp, truth, "apg", "median"))
+            (k, err(tp, truth, "pca"), err(tp, truth, "ialm", "mean"),
+             err(tp, truth, "ialm", "median"))
         )
     return sparse, storms
 
@@ -74,15 +74,15 @@ def test_ablation_pca_vs_rpca(benchmark, emit):
 
     emit(
         format_table(
-            ["corrupted cell fraction", "PCA", "RPCA-APG", "row-median"],
+            ["corrupted cell fraction", "PCA", "RPCA-IALM", "row-median"],
             sparse,
             title="Ablation A: sparse gross errors (RPCA's regime)",
         )
     )
     emit(
         format_table(
-            ["storm snapshots (of 10)", "PCA", "APG + mean extraction",
-             "APG + median extraction"],
+            ["storm snapshots (of 10)", "PCA", "IALM + mean extraction",
+             "IALM + median extraction"],
             storms,
             title="Ablation B: whole-snapshot storms (low-rank corruption)",
         )

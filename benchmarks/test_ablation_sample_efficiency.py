@@ -26,7 +26,7 @@ ESTIMATORS = ("RPCA", "mean", "percentile-90")
 
 def estimate(kind: str, tp) -> np.ndarray:
     if kind == "RPCA":
-        return decompose(tp, solver="apg").constant.row
+        return decompose(tp, solver="ialm").constant.row
     if kind == "mean":
         h = HeuristicStrategy("mean")
     else:

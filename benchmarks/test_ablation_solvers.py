@@ -1,11 +1,11 @@
 """Ablation — RPCA solver choice (DESIGN.md Sec 5).
 
-Compares the paper's APG solver against IALM and the exact row-constant
-median on (a) constant-row recovery accuracy against the generator's ground
-truth and (b) the downstream broadcast improvement they enable. Finding to
-verify: the three solvers are interchangeable for this workload (the
-row-constant projection dominates), so the paper's APG choice is about
-generality, not accuracy.
+Compares the paper's IALM solver against the exact row-constant median on
+(a) constant-row recovery accuracy against the generator's ground truth and
+(b) the downstream broadcast improvement they enable. Finding to verify:
+the solvers are interchangeable for this workload (the row-constant
+projection dominates), so the paper's RPCA choice is about generality, not
+accuracy.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.experiments.report import format_table
 from repro.strategies import BaselineStrategy, RPCAStrategy
 
 MB = 1024 * 1024
-SOLVERS = ("apg", "ialm", "row_constant")
+SOLVERS = ("ialm", "row_constant")
 
 
 def test_ablation_solver_choice(benchmark, emit):
@@ -72,13 +72,13 @@ def test_ablation_solver_choice(benchmark, emit):
 
 
 def test_ablation_constant_row_extraction(benchmark, emit):
-    # Column-mean vs top-singular-vector extraction from APG's low-rank D.
+    # Column-mean vs top-singular-vector extraction from IALM's low-rank D.
     trace = generate_trace(TraceConfig(n_machines=24, n_snapshots=20), seed=3)
     tp = trace.tp_matrix(8 * MB, start=0, count=10)
 
     def run_both():
-        mean_row = decompose(tp, solver="apg", extraction="mean").constant.row
-        sv_row = decompose(tp, solver="apg", extraction="top_sv").constant.row
+        mean_row = decompose(tp, solver="ialm", extraction="mean").constant.row
+        sv_row = decompose(tp, solver="ialm", extraction="top_sv").constant.row
         return mean_row, sv_row
 
     mean_row, sv_row = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -3,7 +3,7 @@
 A fleet of 64 clusters, each a paper-scale ``10 × 38416`` TP-matrix
 (196 instances), decomposed four ways:
 
-* **exact** — the plain per-cluster full-SVD APG loop, kept as a test
+* **exact** — the plain per-cluster full-SVD IALM loop, kept as a test
   oracle (``tests/oracles.py``) so the baseline stays the same run
   (sampled: a few clusters timed, extrapolated to the fleet — one plain
   solve takes seconds, so timing all 64 would dominate the run);
@@ -41,7 +41,7 @@ from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.decompose import constant_row, decompose
 from repro.fleet import ClusterSpec
 from repro.observability.benchrecord import bench_record, write_bench_json
-from tests.oracles import rpca_apg_plain
+from tests.oracles import rpca_ialm_plain
 
 MB = 1024 * 1024
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
@@ -75,7 +75,7 @@ def test_batch_sweep_throughput_and_emit(fleet, emit):
     exact_rows = {}
     t0 = time.perf_counter()
     for spec in sample:
-        res = rpca_apg_plain(spec.trace.tp_matrix(8 * MB).data)
+        res = rpca_ialm_plain(spec.trace.tp_matrix(8 * MB).data)
         exact_rows[spec.name] = constant_row(res.low_rank)
     exact_mean = (time.perf_counter() - t0) / len(sample)
     exact_fleet_est = exact_mean * N_CLUSTERS

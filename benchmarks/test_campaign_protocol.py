@@ -26,7 +26,7 @@ def test_campaign_protocol(benchmark, emit):
     result = benchmark.pedantic(
         run_campaign,
         args=(trace,),
-        kwargs=dict(time_step=10, threshold=1.0, solver="apg", seed=0),
+        kwargs=dict(time_step=10, threshold=1.0, solver="ialm", seed=0),
         rounds=1,
         iterations=1,
     )

@@ -110,7 +110,7 @@ def _checkpoint_share(trace, directory, seed):
     session = TraceSession(
         trace,
         threshold=5.0,
-        solver="apg",
+        solver="ialm",
         persistence=PersistenceConfig(
             directory=directory, checkpoint_every=SHARE_CADENCE, fsync=False
         ),

@@ -50,7 +50,7 @@ def scenario_diffs(seed: int) -> dict[str, list[float]]:
     )
     trace = calibrate_netsim_trace(scenario, n_snapshots=10, gap_seconds=15.0)
     constant = decompose(
-        trace.tp_matrix(8 * MB), solver="apg"
+        trace.tp_matrix(8 * MB), solver="ialm"
     ).performance_matrix().weights
 
     n = scenario.n_machines

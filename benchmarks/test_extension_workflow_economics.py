@@ -29,7 +29,7 @@ def run_workflow_comparison():
     arms = [
         BaselineStrategy(),
         HeuristicStrategy("mean"),
-        RPCAStrategy("apg", time_step=10),
+        RPCAStrategy("ialm", time_step=10),
     ]
     ctx.fit(arms)
     # Heavy tiles + light stage computation make the workflow communication-

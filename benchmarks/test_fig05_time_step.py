@@ -29,7 +29,7 @@ def test_fig05_time_step(benchmark, emit):
         fig05_time_step.run,
         trace,
         time_steps=(2, 4, 6, 8, 10, 15, 20, 30),
-        solver="apg",
+        solver="ialm",
     )
 
     emit(

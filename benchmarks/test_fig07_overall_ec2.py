@@ -22,7 +22,7 @@ def run_all():
     for seed in TRACE_SEEDS:
         trace = generate_trace(TraceConfig(n_machines=64, n_snapshots=30), seed=seed)
         results.append(
-            fig07_overall_ec2.run(trace, repetitions=100, solver="apg", seed=seed)
+            fig07_overall_ec2.run(trace, repetitions=100, solver="ialm", seed=seed)
         )
     return results
 

@@ -25,7 +25,7 @@ def run_all():
             n_snapshots=30,
             time_step=10,
             repetitions=100,
-            solver="apg",
+            solver="ialm",
             colocation=1.0,
             seed=seed,
         )

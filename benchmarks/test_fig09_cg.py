@@ -19,7 +19,7 @@ def test_fig09a_cg_breakdown(benchmark, emit):
     result = benchmark.pedantic(
         fig09_apps.run_cg,
         args=(trace,),
-        kwargs=dict(vector_sizes=VECTOR_SIZES, time_step=10, solver="apg", seed=0),
+        kwargs=dict(vector_sizes=VECTOR_SIZES, time_step=10, solver="ialm", seed=0),
         rounds=1,
         iterations=1,
     )

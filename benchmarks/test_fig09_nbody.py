@@ -25,7 +25,7 @@ def test_fig09b_nbody_steps(benchmark, emit):
     result = benchmark.pedantic(
         fig09_apps.run_nbody_steps,
         args=(trace,),
-        kwargs=dict(step_counts=STEPS, message_bytes=1.0 * MB, time_step=10, solver="apg"),
+        kwargs=dict(step_counts=STEPS, message_bytes=1.0 * MB, time_step=10, solver="ialm"),
         rounds=1,
         iterations=1,
     )
@@ -56,7 +56,7 @@ def test_fig09c_nbody_message_size(benchmark, emit):
     result = benchmark.pedantic(
         fig09_apps.run_nbody_msgsize,
         args=(trace,),
-        kwargs=dict(message_sizes=SIZES, n_steps=2560, time_step=10, solver="apg"),
+        kwargs=dict(message_sizes=SIZES, n_steps=2560, time_step=10, solver="ialm"),
         rounds=1,
         iterations=1,
     )

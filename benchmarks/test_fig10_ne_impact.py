@@ -34,7 +34,7 @@ def test_fig10_norm_ne_impact(benchmark, emit):
     result = benchmark.pedantic(
         fig10_ne_impact.run,
         args=(trace,),
-        kwargs=dict(targets=TARGETS, repetitions=80, solver="apg", seed=0),
+        kwargs=dict(targets=TARGETS, repetitions=80, solver="ialm", seed=0),
         rounds=1,
         iterations=1,
     )

@@ -18,7 +18,7 @@ def test_fig11_detailed_ne02(benchmark, emit):
     result = benchmark.pedantic(
         fig11_ne02.run,
         args=(trace,),
-        kwargs=dict(target_norm_ne=0.2, repetitions=100, solver="apg", seed=0),
+        kwargs=dict(target_norm_ne=0.2, repetitions=100, solver="ialm", seed=0),
         rounds=1,
         iterations=1,
     )

@@ -29,7 +29,7 @@ def test_fig13_simulated_cluster(benchmark, emit):
             time_step=10,
             gap_seconds=20.0,
             repetitions=60,
-            solver="apg",
+            solver="ialm",
             core_bandwidth=5.0 * GBIT,  # 3.2:1 oversubscription as in the paper
             seed=0,
         ),

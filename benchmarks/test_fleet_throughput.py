@@ -8,7 +8,7 @@ unconditionally; only the speedup needs cores, so it is skipped on
 machines with fewer than 4).
 
 Per-cluster work is deliberately heavy relative to the per-batch IPC
-(32-machine clusters, a dynamic trace forcing frequent warm re-solves):
+(32-machine clusters, a dynamic trace forcing frequent re-solves):
 the benchmark measures scheduling, shared-memory transport and capsule
 round-trips under realistic solver load, not queue ping-pong.
 """

@@ -5,29 +5,31 @@ the experiments with 196 instances" (a 10 × 38416 matrix), and the RPCA
 calculation contributes <2% of total overhead. Our numpy solvers are far
 faster than that bound; the benchmark records the actual per-solve time.
 
-The backend matrix below runs each solver in two arms: ``exact``, the
-plain full-SVD loop, which now lives only as a test oracle
-(``tests/oracles.py``) and stays the timing baseline, and ``auto``, the
-library's one loop, which on this shape thresholds through the Gram
-kernel (``repro.core.kernels``) and steps with the fused elementwise
-kernel (``repro.core.elementwise``). APG runs a third arm,
-``auto-1thread``: the same loop with a thread budget of one, so that its
-two column panels (``repro.core.panels``) share the calling thread; its
-answer must equal ``auto``'s bit for bit. The final test writes
+The backend matrix below runs IALM, the one relaxed RPCA solver, in three
+arms: ``exact``, the plain full-SVD loop, which lives only as a test
+oracle (``tests/oracles.py``) and stays the timing baseline; ``auto``, the
+library's one loop, which on this shape thresholds through the Gram kernel
+(``repro.core.kernels``) and steps with the fused elementwise kernel
+(``repro.core.elementwise``), on the process's BLAS pool as it stands; and
+``auto-1thread``, the same loop with numpy's OpenBLAS pool resized to one
+thread for the solve (skipped where the library exposes no such control).
+Each cell records the BLAS thread count it ran on. The final test writes
 ``BENCH_rpca.json`` at the repo root — mean solve time, iterations, SVD
-share and elementwise share per cell, plus the auto-vs-exact speedup per
-solver — so future PRs can track the perf trajectory. Numerical parity
-(``auto`` against ``exact`` to solver tolerance, same iteration count; the
-unmasked APG loop against its block-by-block oracle in ``tests/oracles.py``
-to 1e-12 with the same iteration count; IALM's fused elementwise kernel
-against the ufunc chain it replaces, bit for bit) is asserted
-unconditionally; the speedup target is only *asserted* when
+share and elementwise share per cell, plus the auto-vs-exact speedup — so
+future PRs can track the perf trajectory. Numerical parity (``auto``
+against ``exact`` to solver tolerance, same iteration count; the fused
+elementwise kernel against the ufunc chain it replaces, bit for bit) is
+asserted unconditionally; the speedup target and the one-thread arm's
+±10% bound on the pooled one are only *asserted* when
 ``REPRO_PERF_STRICT=1`` (CI runs record timings but fail on parity, not on
 a noisy shared runner's clock).
 """
 
+import ctypes
+import glob
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +37,10 @@ import pytest
 
 from repro import observability
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
-from repro.core import elementwise, panels
-from repro.core.decompose import constant_row, decompose, decomposition_from_result
+from repro.core import elementwise
+from repro.core.decompose import decompose, decomposition_from_result
 from repro.observability.benchrecord import bench_record, write_bench_json
-from tests.oracles import apg_unmasked_reference, rpca_apg_plain, rpca_ialm_plain
+from tests.oracles import rpca_ialm_plain
 
 MB = 1024 * 1024
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_rpca.json"
@@ -46,14 +48,50 @@ SPEEDUP_TARGET = 5.0  # auto vs exact
 ROUNDS = 3
 SEED = 196
 
-# The arms each solver runs: the plain full-SVD loop and the library's.
-SVD_CELLS = ["exact", "auto"]
-PLAIN_LOOPS = {"apg": rpca_apg_plain, "ialm": rpca_ialm_plain}
-# APG's library loop once more with a thread budget of one: its two column
-# panels then run on the calling thread, for the same answer bit for bit.
+SOLVER = "ialm"
+# The plain full-SVD loop, the library's loop on the BLAS pool as it
+# stands, and the library's loop on one BLAS thread.
 ONE_THREAD = "auto-1thread"
-CELLS = [(solver, svd) for solver in ("apg", "ialm") for svd in SVD_CELLS]
-CELLS.insert(2, ("apg", ONE_THREAD))
+CELLS = [(SOLVER, "exact"), (SOLVER, "auto"), (SOLVER, ONE_THREAD)]
+#: The one-thread arm's time may differ from the pooled one by this much.
+POOL_TOLERANCE = 0.10
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS (already loaded), or None for other builds."""
+    import numpy
+
+    libs = os.path.join(os.path.dirname(numpy.__file__), "..", "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+_BLAS = _openblas()
+
+
+def blas_threads() -> int | None:
+    """Threads in numpy's OpenBLAS pool, or None when it cannot be read."""
+    return None if _BLAS is None else int(_BLAS.scipy_openblas_get_num_threads64_())
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body on a one-thread OpenBLAS pool, then restore its size."""
+    if _BLAS is None:
+        pytest.skip("numpy's BLAS exposes no thread-count control")
+    before = blas_threads()
+    _BLAS.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        _BLAS.scipy_openblas_set_num_threads64_(before)
 
 # Filled by the backend-matrix benchmarks, consumed (and written out) by
 # test_backend_speedup_and_emit below. Keyed by (solver, svd).
@@ -66,7 +104,7 @@ def tp_196():
     return trace.tp_matrix(8 * MB)
 
 
-@pytest.mark.parametrize("solver", ["apg", "ialm", "row_constant"])
+@pytest.mark.parametrize("solver", ["ialm", "row_constant"])
 def test_rpca_solver_runtime_196_instances(benchmark, tp_196, solver):
     dec = benchmark(decompose, tp_196, solver=solver)
     assert dec.constant.row.size == 196 * 196
@@ -83,20 +121,20 @@ def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd):
 
     def run():
         with observability.instrumented(sink):
-            if svd == "auto":
+            if svd != "exact":
                 return decompose(tp_196, solver=solver)
-            if svd == ONE_THREAD:
-                panels.set_thread_budget(1)
-                try:
-                    return decompose(tp_196, solver=solver)
-                finally:
-                    panels.set_thread_budget(None)
             start = time.perf_counter()
-            result = PLAIN_LOOPS[solver](tp_196.data)
+            result = rpca_ialm_plain(tp_196.data)
             plain_seconds.append(time.perf_counter() - start)
             return decomposition_from_result(tp_196, result, solver=solver)
 
-    dec = benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=0)
+    if svd == ONE_THREAD:
+        with one_blas_thread():
+            threads = blas_threads()
+            dec = benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=1)
+    else:
+        threads = blas_threads()
+        dec = benchmark.pedantic(run, rounds=ROUNDS, iterations=1, warmup_rounds=1)
     stats = benchmark.stats.stats
     assert stats.mean < 60.0  # the paper's bound holds for every backend
 
@@ -113,6 +151,7 @@ def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd):
     _MATRIX[(solver, svd)] = {
         "solver": solver,
         "backend": svd,
+        "blas_threads": threads,
         "rounds": ROUNDS,
         "mean_seconds": float(stats.mean),
         "iterations": dec.solver_iterations,
@@ -124,7 +163,6 @@ def test_rpca_backend_matrix_196_instances(benchmark, tp_196, solver, svd):
         "svd_share": share(svt_seconds),
         "ew_share": share(ew_seconds),
         "full_width_svds": sink.counters.get("kernel.svt.full_width", 0),
-        "threaded_steps": sink.counters.get("kernel.apg.threaded_steps", 0),
         "constant_row": dec.constant.row,
     }
 
@@ -137,49 +175,39 @@ def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
     assertion under ``REPRO_PERF_STRICT=1`` so CI fails on correctness,
     not on a loaded runner's timings.
     """
-    assert len(_MATRIX) == len(CELLS), (
+    # The one-thread cell is skipped where numpy's BLAS has no thread-count
+    # control; every other cell must have run.
+    expected = [c for c in CELLS if _BLAS is not None or c[1] != ONE_THREAD]
+    assert sorted(_MATRIX) == sorted(expected), (
         "backend matrix did not populate (run the whole module)"
     )
-    one = _MATRIX[("apg", ONE_THREAD)]
-    assert one["threaded_steps"] == 0
-    assert np.array_equal(one["constant_row"], _MATRIX[("apg", "auto")]["constant_row"])
-    assert one["iterations"] == _MATRIX[("apg", "auto")]["iterations"]
-
-    speedups = {}
-    for solver in ("apg", "ialm"):
-        exact = _MATRIX[(solver, "exact")]
-        auto = _MATRIX[(solver, "auto")]
-        # Cold one-loop solves agree with the plain loop to solver tolerance.
-        scale = float(np.abs(exact["constant_row"]).max())
-        diff = float(np.abs(auto["constant_row"] - exact["constant_row"]).max())
-        assert diff <= 1e-6 * scale, (
-            f"{solver}: auto backend P_D diverged from exact "
-            f"(max abs diff {diff:.3e} vs scale {scale:.3e})"
-        )
-        assert auto["iterations"] == exact["iterations"]
-        assert auto["rank"] == exact["rank"]
-        # Steady state never falls back to a full-width SVD on this shape.
-        assert auto["full_width_svds"] == 0
-        if solver == "apg":
-            # The fused unmasked loop against the block-by-block oracle.
-            ref = apg_unmasked_reference(tp_196.data, svd_backend="auto")
-            want = constant_row(ref.low_rank)
-            gap = float(np.linalg.norm(auto["constant_row"] - want))
-            assert gap <= 1e-12 * float(np.linalg.norm(want)), (
-                f"apg: fused loop P_D drifted {gap:.3e} from the oracle"
-            )
-            assert ref.iterations == auto["iterations"]
-        else:
-            # The fused elementwise kernel is bit-identical to the historical
-            # ufunc chain it falls back to: re-solve with every step on it.
-            with monkeypatch.context() as mp:
-                mp.setattr(elementwise, "_fusable", lambda *arrays: False)
-                chain = decompose(tp_196, solver=solver)
-            assert np.array_equal(chain.constant.row, auto["constant_row"]), (
-                f"{solver}: fused elementwise kernel broke bit-parity"
-            )
-            assert chain.solver_iterations == auto["iterations"]
-        speedups[solver] = exact["mean_seconds"] / auto["mean_seconds"]
+    exact = _MATRIX[(SOLVER, "exact")]
+    auto = _MATRIX[(SOLVER, "auto")]
+    one = _MATRIX.get((SOLVER, ONE_THREAD))
+    # Cold one-loop solves agree with the plain loop to solver tolerance.
+    scale = float(np.abs(exact["constant_row"]).max())
+    diff = float(np.abs(auto["constant_row"] - exact["constant_row"]).max())
+    assert diff <= 1e-6 * scale, (
+        f"auto backend P_D diverged from exact "
+        f"(max abs diff {diff:.3e} vs scale {scale:.3e})"
+    )
+    assert auto["iterations"] == exact["iterations"]
+    if one is not None:
+        assert one["iterations"] == auto["iterations"]
+    assert auto["rank"] == exact["rank"]
+    # Steady state never falls back to a full-width SVD on this shape.
+    assert auto["full_width_svds"] == 0
+    # The fused elementwise kernel is bit-identical to the historical ufunc
+    # chain it falls back to: re-solve with every step on it.
+    with monkeypatch.context() as mp:
+        mp.setattr(elementwise, "_fusable", lambda *arrays: False)
+        chain = decompose(tp_196, solver=SOLVER)
+    assert np.array_equal(chain.constant.row, auto["constant_row"]), (
+        "fused elementwise kernel broke bit-parity"
+    )
+    assert chain.solver_iterations == auto["iterations"]
+    speedups = {SOLVER: exact["mean_seconds"] / auto["mean_seconds"]}
+    pool_ratio = None if one is None else auto["mean_seconds"] / one["mean_seconds"]
 
     record = bench_record(
         "rpca_runtime_196_instances",
@@ -188,6 +216,7 @@ def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
         matrix_shape=[tp_196.data.shape[0], tp_196.data.shape[1]],
         speedup_target=SPEEDUP_TARGET,
         speedup_auto_vs_exact={k: float(v) for k, v in speedups.items()},
+        pooled_vs_one_thread=pool_ratio,
         results=[
             {k: v for k, v in cell.items() if k != "constant_row"}
             for cell in _MATRIX.values()
@@ -202,7 +231,8 @@ def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
             return "—" if share is None else f"{share:.0%}"
 
         lines.append(
-            f"  {cell['solver']:<5} {cell['backend']:<6} "
+            f"  {cell['solver']:<5} {cell['backend']:<12} "
+            f"blas {cell['blas_threads']}  "
             f"{cell['mean_seconds'] * 1e3:9.1f} ms  "
             f"{cell['iterations']:4d} iters  "
             f"svd {fmt(cell['svd_share'])}  ew {fmt(cell['ew_share'])}"
@@ -212,10 +242,15 @@ def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
         + ", ".join(f"{s} {v:.1f}x" for s, v in speedups.items())
         + f"  (target >= {SPEEDUP_TARGET}x, wrote {BENCH_JSON.name})"
     )
+    if pool_ratio is not None:
+        lines.append(f"  pooled / one-thread BLAS time: {pool_ratio:.2f}")
     emit("\n".join(lines))
 
     best = max(speedups.values())
     if os.environ.get("REPRO_PERF_STRICT") == "1":
+        assert pool_ratio is None or abs(pool_ratio - 1.0) <= POOL_TOLERANCE, (
+            f"the pooled BLAS solve took {pool_ratio:.2f}x the one-thread one"
+        )
         assert best >= SPEEDUP_TARGET, (
             f"expected >= {SPEEDUP_TARGET}x auto-vs-exact speedup on at "
             f"least one solver, measured {speedups}"

@@ -60,7 +60,7 @@ def trace_196():
 def _engine(trace, *, mode="batch", **kwargs):
     return DecompositionEngine(
         trace, nbytes=8 * MB, time_step=WINDOW,
-        options=SolveOptions(warm_start=False, mode=mode),
+        options=SolveOptions(mode=mode),
         **kwargs
     )
 
@@ -72,7 +72,6 @@ def test_stream_fold_latency_and_emit(trace_196, emit):
     batch = _engine(trace_196)
     batch_times = []
     for end in list(ends)[:BATCH_SAMPLE]:
-        batch.reset_warm_state()
         t0 = time.perf_counter()
         batch.calibrate(end)
         batch_times.append(time.perf_counter() - t0)
@@ -190,9 +189,7 @@ def test_certified_fallback_bit_parity():
     trace = generate_trace(TraceConfig(n_machines=24, n_snapshots=20), seed=7)
     eng = DecompositionEngine(
         trace, nbytes=8 * MB, time_step=WINDOW,
-        options=SolveOptions(
-            warm_start=False, mode="streaming", stream_tolerance=1e-6
-        ),
+        options=SolveOptions(mode="streaming", stream_tolerance=1e-6),
     )
     eng.calibrate(WINDOW)
     fallbacks = 0

@@ -48,7 +48,7 @@ def two_regime_trace() -> CalibrationTrace:
 def main() -> None:
     trace = two_regime_trace()
     session = TraceSession(
-        trace, time_step=10, threshold=1.0, solver="apg", calibration_cost=45.0
+        trace, time_step=10, threshold=1.0, solver="ialm", calibration_cost=45.0
     )
     print(f"initial calibration: Norm(N_E)={session.norm_ne:.3f} "
           f"({session.verdict}); threshold=100% (paper default)\n")

@@ -68,7 +68,7 @@ def main() -> None:
         time_step=8,
         gap_seconds=15.0,
         repetitions=40,
-        solver="apg",
+        solver="ialm",
         core_bandwidth=CORE,
         seed=3,
     )

@@ -30,7 +30,7 @@ def main(n_machines: int = 24) -> None:
     arms = [
         BaselineStrategy(),
         HeuristicStrategy("mean"),
-        RPCAStrategy("apg", time_step=10),
+        RPCAStrategy("ialm", time_step=10),
     ]
 
     bcast = collective_comparison(

@@ -61,7 +61,7 @@ def main() -> None:
     trace = generate_trace(TraceConfig(n_machines=n_ranks, n_snapshots=20), seed=5)
     live_a, live_b = trace.alpha[15], trace.beta[15]
     constant = decompose(
-        trace.tp_matrix(8 * MB, start=0, count=10), solver="apg"
+        trace.tp_matrix(8 * MB, start=0, count=10), solver="ialm"
     ).performance_matrix().weights
 
     results = {}

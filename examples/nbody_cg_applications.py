@@ -45,7 +45,7 @@ def demo_distributed_breakdown() -> None:
     print("=== distributed execution (replayed trace) ================")
     trace = generate_trace(TraceConfig(n_machines=16, n_snapshots=24), seed=42)
 
-    cg_res = run_cg(trace, vector_sizes=(8000, 256000), time_step=10, solver="apg")
+    cg_res = run_cg(trace, vector_sizes=(8000, 256000), time_step=10, solver="ialm")
     rows = [
         (int(p.x), p.strategy, p.breakdown.computation, p.breakdown.communication,
          p.breakdown.overhead, p.breakdown.total)
@@ -58,7 +58,7 @@ def demo_distributed_breakdown() -> None:
     print()
 
     nb_res = run_nbody_steps(
-        trace, step_counts=(160, 2560), message_bytes=1 * MB, time_step=10, solver="apg"
+        trace, step_counts=(160, 2560), message_bytes=1 * MB, time_step=10, solver="ialm"
     )
     rows = [
         (int(p.x), p.strategy, p.breakdown.communication, p.breakdown.total)

@@ -31,7 +31,7 @@ def main() -> None:
     print(f"TP-matrix: {tp.n_snapshots} snapshots x {tp.n_machines}^2 links")
 
     # --- 2. Decompose ------------------------------------------------------
-    dec = decompose(tp, solver="apg")
+    dec = decompose(tp, solver="ialm")
     print(
         f"RPCA ({dec.solver}): {dec.solver_iterations} iterations, "
         f"converged={dec.solver_converged}"

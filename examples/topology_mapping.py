@@ -35,7 +35,7 @@ def main() -> None:
         arms = [
             BaselineStrategy(),
             HeuristicStrategy("mean"),
-            RPCAStrategy("apg", time_step=10),
+            RPCAStrategy("ialm", time_step=10),
         ]
         res = mapping_comparison(ctx, arms, graphs, seed=5)
         norm = res.normalized_means()

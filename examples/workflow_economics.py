@@ -33,7 +33,7 @@ def main() -> None:
     arms = [
         BaselineStrategy(),
         HeuristicStrategy("mean"),
-        RPCAStrategy("apg", time_step=10),
+        RPCAStrategy("ialm", time_step=10),
     ]
     ctx.fit(arms)
 

@@ -21,7 +21,7 @@ Sub-packages
 ------------
 core
     RPCA solvers, TP/TC/TE matrices, Norm(N_E), Algorithm-1 maintenance,
-    and the warm-started :class:`DecompositionEngine`.
+    and the :class:`DecompositionEngine`.
 observability
     Counters, timers and per-solve span records; ``--profile`` plumbing.
 netmodel
@@ -61,7 +61,6 @@ from .core import (
     SolverResult,
     SVD_BACKENDS,
     spectral_norm,
-    rpca_apg,
     rpca_ialm,
     row_constant_decomposition,
     solve_rpca,
@@ -131,7 +130,6 @@ __all__ = [
     "SolverResult",
     "SVD_BACKENDS",
     "spectral_norm",
-    "rpca_apg",
     "rpca_ialm",
     "row_constant_decomposition",
     "solve_rpca",

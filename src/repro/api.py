@@ -92,7 +92,7 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if self.window is not None and int(self.window) < 2:
             raise ValidationError("window must be >= 2 or None")
-        SolveOptions(solver=self.solver)
+        object.__setattr__(self, "solver", SolveOptions(solver=self.solver).solver)
 
 
 def _resolve(default_cls: type, config: Any, overrides: dict[str, Any]) -> Any:
@@ -144,7 +144,7 @@ def solve(
 ) -> Decomposition:
     """Decompose *trace* into constant + error components, one shot.
 
-    >>> dec = solve(trace, window=10, solver="apg")
+    >>> dec = solve(trace, window=10)
     >>> dec.report.verdict
     'stable'
     """

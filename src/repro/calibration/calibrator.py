@@ -341,8 +341,7 @@ class Calibrator:
 
         The engine reads snapshots through :class:`CalibratorWindowSource`,
         so rolling re-calibration windows share measurements (enable
-        ``cache_snapshots`` to also avoid re-probing) and warm-start their
-        solves. *n_snapshots* bounds the addressable snapshot range; it
+        ``cache_snapshots`` to also avoid re-probing). *n_snapshots* bounds the addressable snapshot range; it
         defaults to the substrate's own ``n_snapshots`` when it has one.
         Remaining keyword arguments go to the engine constructor
         (``time_step``, ``options``, ...).

@@ -66,7 +66,6 @@ def _solve_options(args: argparse.Namespace) -> dict:
     """The :class:`~repro.core.options.SolveOptions` keywords the flags set."""
     return {
         "solver": args.solver,
-        "warm_start": not getattr(args, "cold", False),
         "mode": args.mode,
         "stream_tolerance": args.stream_tolerance,
         "stream_refresh_every": args.stream_refresh_every,
@@ -111,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["broadcast", "scatter", "reduce", "gather"])
     cmp_.add_argument("--repetitions", type=int, default=60)
     cmp_.add_argument("--time-step", type=int, default=10)
-    cmp_.add_argument("--solver", default="apg")
+    cmp_.add_argument("--solver", default=SolveOptions.solver)
     cmp_.add_argument("--message-mb", type=float, default=8.0)
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--profile", action="store_true",
@@ -131,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--solver", default=SolveOptions.solver)
     _add_mode_arguments(rep)
     rep.add_argument("--message-mb", type=float, default=8.0)
-    rep.add_argument("--cold", action="store_true",
-                     help="disable warm-started re-calibration solves")
     rep.add_argument("--faults", default=None, metavar="SPEC",
                      help="fault spec: a profile (mild, harsh) or tokens like "
                           "probe_loss=0.1,straggler=0.05,vm_outage=3:12:2,"

@@ -40,8 +40,8 @@ def measure_trace_norm_ne(
     """Decompose the trace's TP-matrix and return ``Norm(N_E)``.
 
     The default solver is the exact row-constant decomposition — for a
-    measurement loop we want a deterministic, fast inner metric; the APG
-    solver gives indistinguishable ``Norm(N_E)`` at ~100× the cost.
+    measurement loop we want a deterministic, fast inner metric; the IALM
+    solver gives indistinguishable ``Norm(N_E)`` at several times the cost.
     """
     count = time_step if time_step is not None else trace.n_snapshots
     tp = trace.tp_matrix(nbytes, start=0, count=count)

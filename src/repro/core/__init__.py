@@ -12,11 +12,13 @@ Public surface
 * :class:`TPMatrix`, :class:`TCMatrix`, :class:`TEMatrix`,
   :class:`PerformanceMatrix` — the matrix containers of paper Sec III.
 * :func:`decompose` — TP → (TC, TE) via a chosen RPCA solver.
-* :class:`SolveOptions` — the five knobs of a re-calibration solve (solver,
-  warm start, batch/streaming mode, two stream knobs) and the rules for
-  combining them, checked once at construction.
-* :func:`rpca_apg`, :func:`rpca_ialm`, :func:`row_constant_decomposition` —
-  the individual solvers.
+* :class:`SolveOptions` — the four knobs of a re-calibration solve (solver,
+  batch/streaming mode, two stream knobs) and the rules for combining
+  them, checked once at construction.
+* :func:`rpca_ialm` (the paper's IALM, the one relaxed RPCA solver),
+  :func:`row_constant_decomposition` — the individual solvers.
+* :func:`certify` — primal residual and relative duality gap of an RPCA
+  answer, from its output alone.
 * :class:`SVTKernel`, :data:`SVD_BACKENDS` — the SVD kernel layer under
   the solvers, chosen by shape; :class:`RankPredictor`, the
   rank heuristic the streaming fold bounds its subspace with.
@@ -25,8 +27,8 @@ Public surface
 * :func:`relative_error_norm` — ``Norm(N_E)``, the effectiveness predictor.
 * :class:`MaintenanceController` — paper Algorithm 1 (adaptive update
   maintenance driven by expected-vs-real performance feedback).
-* :class:`DecompositionEngine` — rolling-window cache + warm-started
-  re-calibration + instrumentation, for long-running Algorithm-1 loops;
+* :class:`DecompositionEngine` — rolling-window cache + re-calibration
+  + instrumentation, for long-running Algorithm-1 loops;
   masked windows (partial snapshots) complete through mask-aware RPCA.
 * :class:`StreamingDecomposer`, :class:`StreamingConfig`,
   :data:`ENGINE_MODES` — the online/streaming RPCA path
@@ -53,14 +55,14 @@ from .kernels import (
     validate_backend,
 )
 from .elementwise import ElementwiseKernel
-from .result import SolverResult
-from .apg import rpca_apg, APGResult
+from .result import Certificate, SolverResult, certify
 from .ialm import rpca_ialm, IALMResult
 from .row_constant import row_constant_decomposition
 from .solvers import (
     solve_rpca,
     available_solvers,
     register_solver,
+    resolve_solver,
     solver_spec,
     SolverSpec,
 )
@@ -117,14 +119,15 @@ __all__ = [
     "SVTKernel",
     "validate_backend",
     "SolverResult",
-    "rpca_apg",
-    "APGResult",
+    "Certificate",
+    "certify",
     "rpca_ialm",
     "IALMResult",
     "row_constant_decomposition",
     "solve_rpca",
     "available_solvers",
     "register_solver",
+    "resolve_solver",
     "solver_spec",
     "SolverSpec",
     "decompose",

@@ -77,8 +77,10 @@ class Decomposition:
     """Result of :func:`decompose`: ``N_A ≈ N_D + N_E`` plus diagnostics.
 
     ``solver_result`` keeps the raw :class:`~repro.core.result.SolverResult`
-    so a later overlapping re-calibration can warm-start from this solve
-    (see :class:`~repro.core.engine.DecompositionEngine`).
+    (``None`` for a streaming fold or a restored checkpoint): a streaming
+    engine seeds its stream from it (see
+    :class:`~repro.core.engine.DecompositionEngine`), and
+    :func:`~repro.core.result.certify` reads it.
 
     ``error`` and ``report`` are built on first read — from the window the
     decomposition was made from (:func:`decomposition_from_rows`) — and
@@ -185,25 +187,26 @@ def decompose(
     tp:
         The calibrated temporal performance matrix ``N_A``. When it carries
         an observation mask (partial snapshot), the mask is forwarded to the
-        solver — which must support masked decomposition (APG/IALM do) —
+        solver — which must support masked decomposition (IALM does) —
         and unobserved entries are excluded from the error component and
         the stability report.
     solver:
-        RPCA backend name (see :func:`~repro.core.solvers.available_solvers`).
+        RPCA backend name (see :func:`~repro.core.solvers.available_solvers`;
+        the legacy ``"apg"`` resolves to ``"ialm"`` with a warning).
     extraction:
         Constant-row extraction rule (see :func:`constant_row`). Ignored for
         the ``row_constant`` solver, whose output is exactly row-constant.
     **solver_kwargs:
         Forwarded to the solver (``tol``, ``max_iter``, ...).
     """
-    SolveOptions(solver=solver)  # rejects an unknown solver name
+    solver = SolveOptions(solver=solver).solver  # resolved; unknown names rejected
     if tp.mask is not None:
         spec = solver_spec(solver)
         if not spec.accepts_any_kwargs and "mask" not in spec.accepted_kwargs:
             raise ValidationError(
                 f"solver {solver!r} cannot decompose a partially-observed "
                 f"TP-matrix ({tp.observed_fraction:.1%} observed); use a "
-                "mask-aware solver such as 'apg' or 'ialm'"
+                "mask-aware solver such as 'ialm'"
             )
         solver_kwargs = dict(solver_kwargs, mask=tp.mask)
     result = solve_rpca(tp.data, solver=solver, **solver_kwargs)
@@ -220,8 +223,8 @@ def decomposition_from_result(
     """Build a :class:`Decomposition` from an already-computed solver result.
 
     The post-solve tail of :func:`decompose` for callers that obtain their
-    :class:`~repro.core.result.SolverResult` some other way (the engine's
-    warm-started solves, the fleet sweep); see
+    :class:`~repro.core.result.SolverResult` some other way (the fleet
+    sweep); see
     :func:`decomposition_from_rows`.
     """
     return decomposition_from_rows(

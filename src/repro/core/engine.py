@@ -1,24 +1,20 @@
-"""The decomposition engine: rolling windows, warm starts, instrumentation.
+"""The decomposition engine: rolling windows, streaming, instrumentation.
 
 Algorithm 1 keeps re-running "calibrate a window, RPCA it" as the trace
 advances, and historically every layer re-derived the TP-matrix from scratch
-(``trace.tp_matrix(...)``) and solved cold each time. The
-:class:`DecompositionEngine` owns that loop for long-running operation:
+(``trace.tp_matrix(...)``). The :class:`DecompositionEngine` owns that loop
+for long-running operation:
 
 * a **rolling window cache** — per-snapshot weight rows are computed once
   and stitched into TP-matrix windows, byte-identical to
   ``trace.tp_matrix(nbytes, start, count)``, so successive overlapping
-  windows share all their unchanged rows;
-* **warm-started recalibration** — when the registered solver supports it
-  (see :class:`~repro.core.solvers.SolverSpec.supports_warm_start`), each
-  solve is initialized from the previous window's solution, cutting the
-  iteration count of APG re-solves (IALM solves cold: see
-  :mod:`repro.core.ialm`);
+  windows share all their unchanged rows; every solve of a window is cold
+  (see :mod:`repro.core.ialm` for why IALM takes no warm start);
 * **streaming wrap reuse** — a streaming-mode re-calibration over the very
   same cached rows as the last cold solve (a replay wrapping onto its
   first window again) is served from that solve's result;
 * **instrumentation** — every solve lands a
-  :class:`~repro.observability.SolveSpan` plus warm/cold and cache-hit
+  :class:`~repro.observability.SolveSpan` plus solve and cache-hit
   counters in the engine's :class:`~repro.observability.Instrumentation`
   (and any outer sink activated via
   :func:`~repro.observability.instrumented`).
@@ -130,7 +126,7 @@ class TraceWindowSource:
 
 
 class DecompositionEngine:
-    """Warm-started decomposition over rolling windows of a snapshot source.
+    """Decomposition over rolling windows of a snapshot source.
 
     Parameters
     ----------
@@ -143,7 +139,7 @@ class DecompositionEngine:
     time_step:
         Calibration window length (paper default 10).
     options:
-        How the solves run: solver, warm start and mode (see
+        How the solves run: solver and mode (see
         :class:`~repro.core.options.SolveOptions`; default
         ``SolveOptions()``). In ``"streaming"`` mode :meth:`calibrate`
         runs a **cold** batch solve and seeds a
@@ -197,8 +193,7 @@ class DecompositionEngine:
         self.nbytes = float(nbytes)
         self.time_step = int(time_step)
         self.options = options if options is not None else SolveOptions()
-        self.spec = solver_spec(self.options.solver)
-        self.spec.validate_kwargs(solver_kwargs)
+        solver_spec(self.options.solver).validate_kwargs(solver_kwargs)
         self.extraction = extraction
         self.stream_config = self.options.stream_config
         self._streamer: StreamingDecomposer | None = None
@@ -230,26 +225,16 @@ class DecompositionEngine:
     # -- state ------------------------------------------------------------
     @property
     def last(self) -> Decomposition | None:
-        """The most recent decomposition (the warm-start seed), if any."""
+        """The decomposition in service, if any.
+
+        Set by every solve and fold, and by the recovery path, which hands
+        the checkpointed decomposition back here so that
+        :meth:`snapshot_residual` measures against it.
+        """
         return self._last
 
-    def reset_warm_state(self) -> None:
-        """Forget the previous solution; the next solve starts cold.
-
-        In streaming mode this also drops the streaming subspace state, so
-        a regime-shift cold re-calibration reseeds the stream from scratch.
-        """
-        self._last = None
-        if self._streamer is not None:
-            self._streamer.state = None
-
-    def restore_warm_state(self, dec: Decomposition) -> None:
-        """Seed the warm-start chain with a restored decomposition.
-
-        The recovery path re-materializes the checkpointed decomposition and
-        hands it back here, so post-recovery re-calibrations warm-start from
-        exactly the solution the crashed process would have used.
-        """
+    @last.setter
+    def last(self, dec: Decomposition | None) -> None:
         self._last = dec
 
     def snapshot_residual(self, k: int) -> float:
@@ -424,20 +409,8 @@ class DecompositionEngine:
 
     # -- solving -----------------------------------------------------------
     def solve(self, tp: TPMatrix) -> Decomposition:
-        """Decompose *tp*, warm-starting from the previous solve if possible."""
-        kwargs = dict(self.solver_kwargs)
-        seed = self._last.solver_result if self._last is not None else None
-        warm = (
-            self.options.warm_start
-            and self.spec.supports_warm_start
-            and seed is not None
-            and seed.shape == tp.data.shape
-        )
-        if warm:
-            kwargs["warm_start"] = seed
-        self.instrumentation.count(
-            "engine.solve.warm" if warm else "engine.solve.cold"
-        )
+        """Decompose *tp* cold and put the result in service."""
+        self.instrumentation.count("engine.solve.cold")
         if tp.mask is not None:
             self.instrumentation.count("engine.solve.masked")
         with instrumented(self.instrumentation):
@@ -446,7 +419,7 @@ class DecompositionEngine:
                     tp,
                     solver=self.options.solver,
                     extraction=self.extraction,
-                    **kwargs,
+                    **self.solver_kwargs,
                 )
         self._last = dec
         return dec
@@ -455,14 +428,13 @@ class DecompositionEngine:
         """Solve the trailing ``time_step`` window ending at snapshot *end*.
 
         The Algorithm-1 re-calibration primitive: windows from successive
-        calls overlap, so rows come from the cache and the solve warm-starts
-        from the previous solution.
+        calls overlap, so rows come from the cache. The solve is
+        bit-identical to a :func:`~repro.core.decompose.decompose` of the
+        same window.
 
         In streaming mode every calibrate is the *certified oracle*: the
-        warm-start chain is dropped first, so the solve is bit-identical to
-        a cold :func:`~repro.core.decompose.decompose` of the same window,
-        and the streaming subspace is (re)seeded from its result. A cold
-        solve depends only on the window's rows, so when the window is
+        streaming subspace is (re)seeded from its result. A cold solve
+        depends only on the window's rows, so when the window is
         built from the very same row-cache entries as the last cold-solved
         fully observed window (a replay that wraps onto the same snapshots
         again) that solve's result is served instead of solving again,
@@ -471,10 +443,9 @@ class DecompositionEngine:
         re-imported or evicted since is a new object, hence a new solve.
         """
         start = max(0, end - self.time_step)
-        if self.options.mode != "streaming":
-            return self.solve(self.window(start, end))
-        self._last = None  # certified: streaming-mode batch solves are cold
         tp = self.window(start, end)
+        if self.options.mode != "streaming":
+            return self.solve(tp)
         # The entries window() just read; None where the LRU bound already
         # evicted one.
         entries = tuple(self._rows.get(k) for k in range(start, end))
@@ -550,10 +521,9 @@ class DecompositionEngine:
         """Fold the single-snapshot slide to window end *end* in O(row).
 
         Returns ``(decomposition, None)`` on success — the decomposition is
-        now in service (with ``solver_result=None``: it can never seed a
-        warm start). On fallback returns ``(None, reason)`` with streaming
-        state dropped; the caller must :meth:`calibrate`, which re-solves
-        cold and reseeds.
+        now in service (with ``solver_result=None``). On fallback returns
+        ``(None, reason)`` with streaming state dropped; the caller must
+        :meth:`calibrate`, which re-solves cold and reseeds.
         """
         if self.stream_plan(end) != "fold":
             raise ValidationError(

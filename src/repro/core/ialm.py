@@ -1,26 +1,31 @@
 """RPCA via the inexact augmented Lagrange multiplier (IALM) method.
 
-Included as an alternative to :mod:`~repro.core.apg` for the solver-ablation
-study (DESIGN.md Sec 5). IALM solves the constrained convex relaxation
+The paper runs RPCA with "the inexact augmented Lagrange multipliers (IALM)
+method [28]" (Lin, Chen & Ma 2010), and so does this package: it is the one
+relaxed RPCA solver in the registry. IALM solves the constrained convex
+relaxation
 
     minimize ||D||_* + λ ||E||_1   subject to   A = D + E
 
 through the augmented Lagrangian ``L(D, E, Y, mu) = ||D||_* + λ||E||_1 +
 <Y, A - D - E> + mu/2 ||A - D - E||_F²``, alternating exact minimizations in
 ``D`` (singular value thresholding) and ``E`` (soft thresholding) with a dual
-ascent on ``Y`` and a geometric increase of ``mu`` (Lin, Chen & Ma 2010).
+ascent on ``Y`` and a geometric increase of ``mu``.
 
-Warm starts
------------
-None. A warm start cannot skip IALM's penalty ramp: feasibility ``A = D + E``
-is only reached once ``mu`` has grown enough that the proximal thresholds
-``1/mu`` and ``λ/mu`` stop leaving residual behind, and a seeded ``(D, E)``
-is re-shrunk while ``mu`` is still small. Starting further up the ramp
-instead made a warm solve converge on feasibility before the split: over a
-chain of re-calibrations on 64-instance EC2-like traces the constant row
-settled 22–27% from a cold solve of the same window. Without the head start
-a warm solve took as many iterations as a cold one. The solver therefore
-takes no ``warm_start``, and the registry declares it cold-only.
+Every solve is cold. A warm start cannot skip IALM's penalty ramp:
+feasibility ``A = D + E`` is only reached once ``mu`` has grown enough that
+the proximal thresholds ``1/mu`` and ``λ/mu`` stop leaving residual behind,
+and a seeded ``(D, E)`` is re-shrunk while ``mu`` is still small. Starting
+further up the ramp instead made a warm solve converge on feasibility before
+the split: over a chain of re-calibrations on 64-instance EC2-like traces
+the constant row settled 22–27% from a cold solve of the same window.
+
+IALM stops on feasibility, so the ``D`` it returns keeps singular values a
+few orders of magnitude below ``σ₁`` (1e-5 to 1e-7 of it on paper-scale
+windows) that the program cannot pin down; see
+:meth:`~repro.core.streaming.StreamingDecomposer.prepare_seed` for what the
+streaming path drops. :func:`~repro.core.result.certify` bounds how far an
+answer is from optimal.
 
 Partial observations
 --------------------
@@ -54,17 +59,45 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import as_float_matrix, check_positive
-from ..errors import ConvergenceError
-from .apg import default_lambda, validate_mask
+from ..errors import ConvergenceError, ValidationError
 from .elementwise import ElementwiseKernel
 from .kernels import SolveWorkspace, SVTKernel, validate_backend
 from .result import SolverResult
 from .svd_ops import spectral_norm
 
-__all__ = ["IALMResult", "rpca_ialm"]
+__all__ = ["IALMResult", "default_lambda", "rpca_ialm", "validate_mask"]
 
 # Backward-compatible alias: every solver now returns the shared contract.
 IALMResult = SolverResult
+
+
+def default_lambda(shape: tuple[int, int]) -> float:
+    """The standard RPCA trade-off ``λ = 1 / sqrt(max(m, n))`` (Candès et al.)."""
+    return 1.0 / np.sqrt(max(shape))
+
+
+def validate_mask(
+    mask: object | None, shape: tuple[int, int]
+) -> np.ndarray | None:
+    """Validate an observation mask against the data shape.
+
+    Returns ``None`` when the mask is absent *or* all-true, so callers can
+    gate every masked code path on ``mask is not None`` and keep the
+    fully-observed path identical to the historical one. An all-false mask
+    is rejected — there is nothing to decompose.
+    """
+    if mask is None:
+        return None
+    m = np.asarray(mask)
+    if m.dtype != np.bool_:
+        raise ValidationError("mask must be a boolean array")
+    if m.shape != shape:
+        raise ValidationError(f"mask shape {m.shape} does not match data {shape}")
+    if m.all():
+        return None
+    if not m.any():
+        raise ValidationError("mask must observe at least one entry")
+    return np.ascontiguousarray(m)
 
 
 def rpca_ialm(

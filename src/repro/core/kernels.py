@@ -168,8 +168,7 @@ class SVTKernel:
     """Singular value thresholding through a kernel chosen from the shape.
 
     One kernel serves one solve: it owns the small scratch state (the Gram
-    buffer and the last call's shrink operator). :meth:`svt`
-    matches the contract of
+    buffer). :meth:`svt` matches the contract of
     :func:`~repro.core.svd_ops.singular_value_threshold` — ``(D, rank,
     top_sv)`` — plus an optional preallocated output buffer.
 
@@ -187,11 +186,6 @@ class SVTKernel:
         self.backend = validate_backend(backend)
         self.min_dim = min(self.shape)
         self._gram: np.ndarray | None = None  # min_dim × min_dim scratch
-        # What the last svt call thresholded with: the gram shrink operator
-        # (None at rank 0), or the exact path's dense result.
-        self._op: np.ndarray | None = None
-        self._dense: np.ndarray | None = None
-        self._right = False  # whether _op came from the column Gram aᵀ·a
 
     # -- policy -------------------------------------------------------------
     def choose(self) -> str:
@@ -202,107 +196,32 @@ class SVTKernel:
 
     # -- dispatch -----------------------------------------------------------
     def svt(
-        self,
-        a: np.ndarray,
-        tau: float,
-        out: np.ndarray | None = None,
-        *,
-        plus_input: bool = False,
+        self, a: np.ndarray, tau: float, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, int, float]:
         """``D_tau(a)`` — see :func:`~repro.core.svd_ops.singular_value_threshold`.
 
         When *out* is given the thresholded matrix is written into it (and
-        returned); otherwise a fresh array is allocated. With *plus_input*
-        the result is ``D_tau(a) + a`` instead — the unmasked APG loop's
-        carrier update — which the ``gram`` backend forms in the same single
-        GEMM through its shrink operator plus the identity.
+        returned); otherwise a fresh array is allocated.
         """
         backend = self.choose()
         start = time.perf_counter()
         if backend == "exact":
-            d, rank, top = self._svt_exact(a, tau, out, plus_input)
-        else:
-            d, rank, top = self._svt_gram(a, tau, out, plus_input)
-        observability.emit_count(f"kernel.svt.{backend}")
-        if backend == "exact":
+            d, rank, top = singular_value_threshold(a, tau)
+            if out is not None:
+                np.copyto(out, d)
+                d = out
             observability.emit_count("kernel.svt.full_width")
-        self.charge(time.perf_counter() - start)
-        return d, rank, top
-
-    def shrink_operator(
-        self, gram: np.ndarray, tau: float
-    ) -> tuple[np.ndarray | None, int, float]:
-        """``(P + I, rank, top_sv)`` of the ``a`` whose column Gram is *gram*.
-
-        The ``gram`` kernel split in two, for a caller that forms the Gram
-        matrix ``aᵀ·a`` of a tall *a* and applies the operator itself (the
-        unmasked APG loop does both per row range): ``D_tau(a) + a`` is
-        then ``a·(P + I)``. ``None`` instead of ``P + I`` at rank 0, where
-        ``D_tau(a) + a = a``. :meth:`low_rank` rebuilds ``D_tau(a)`` from
-        ``P`` afterwards, as after :meth:`svt`. Counts one
-        ``kernel.svt.gram`` call; the caller charges the time it spends
-        applying the operator with :meth:`charge`.
-        """
-        start = time.perf_counter()
-        op, rank, top = self._shrink_op(gram, tau)
-        self._dense, self._right = None, True
-        plus = None
-        if op is not None:
-            plus = op.copy()
-            plus.flat[:: plus.shape[0] + 1] += 1.0
-        observability.emit_count("kernel.svt.gram")
-        self.charge(time.perf_counter() - start)
-        return plus, rank, top
-
-    def charge(self, seconds: float) -> None:
-        """Add *seconds* of thresholding work to the kernel timers."""
-        observability.emit_time("kernel.svt_seconds", seconds)
-        observability.emit_time(f"kernel.svt.{self.choose()}_seconds", seconds)
-
-    def low_rank(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``D_tau(a)`` of the matrix the last :meth:`svt` call thresholded.
-
-        Rebuilt without a new decomposition: one GEMM through the stored
-        shrink operator (``gram``), or a copy of the retained result
-        (``exact``). *a* must be that same matrix, unchanged.
-        """
-        start = time.perf_counter()
-        if self._dense is not None:
-            np.copyto(out, self._dense)
-        elif self._op is None:
-            out[:] = 0.0
         else:
-            self._apply(self._op, a, out)
-        observability.emit_time("kernel.svt_seconds", time.perf_counter() - start)
-        return out
-
-    # -- backends -----------------------------------------------------------
-    def _svt_exact(
-        self, a: np.ndarray, tau: float, out: np.ndarray | None, plus_input: bool
-    ) -> tuple[np.ndarray, int, float]:
-        """The full-width SVD (bit-identical to ``svd_ops``)."""
-        d, rank, top = singular_value_threshold(a, tau)
-        self._op, self._dense = None, d
-        if plus_input:
-            return np.add(d, a, out=out), rank, top
-        if out is not None:
-            np.copyto(out, d)
-            return out, rank, top
+            d, rank, top = self._svt_gram(a, tau, out)
+        observability.emit_count(f"kernel.svt.{backend}")
+        elapsed = time.perf_counter() - start
+        observability.emit_time("kernel.svt_seconds", elapsed)
+        observability.emit_time(f"kernel.svt.{backend}_seconds", elapsed)
         return d, rank, top
 
-    def _gram_buf(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = np.empty((self.min_dim, self.min_dim), dtype=np.float64)
-        return self._gram
-
-    def _apply(self, op: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``op·a`` after a row Gram, ``a·op`` after a column Gram: one GEMM."""
-        if self._right:
-            return np.matmul(a, op, out=out)
-        return np.matmul(op, a, out=out)
-
+    # -- gram backend -------------------------------------------------------
     def _svt_gram(
-        self, a: np.ndarray, tau: float, out: np.ndarray | None, plus_input: bool
+        self, a: np.ndarray, tau: float, out: np.ndarray | None
     ) -> tuple[np.ndarray, int, float]:
         """Eigendecompose the short-side Gram matrix; shrink through it.
 
@@ -315,41 +234,28 @@ class SVTKernel:
         is exact by construction — no undershoot.
         """
         m, n = a.shape
-        gram = self._gram_buf()
-        self._right = m > n
-        if self._right:
+        if self._gram is None:
+            self._gram = np.empty((self.min_dim, self.min_dim), dtype=np.float64)
+        gram = self._gram
+        tall = m > n
+        if tall:
             np.matmul(a.T, a, out=gram)
         else:
             np.matmul(a, a.T, out=gram)
-        op, rank, top = self._shrink_op(gram, tau)
-        self._dense = None
-        if out is None:
-            out = np.empty_like(np.asarray(a, dtype=np.float64))
-        if op is None:
-            if plus_input:
-                np.copyto(out, a)
-            else:
-                out[:] = 0.0
-            return out, 0, top
-        if plus_input:
-            op = op.copy()
-            op.flat[:: op.shape[0] + 1] += 1.0
-        self._apply(op, a, out)
-        return out, rank, top
-
-    def _shrink_op(
-        self, gram: np.ndarray, tau: float
-    ) -> tuple[np.ndarray | None, int, float]:
-        """Eigendecompose *gram*; store and return the shrink operator ``P``
-        (``None`` at rank 0) with the rank and ``σ₁``."""
         w, vecs = np.linalg.eigh(gram)  # ascending
         s = np.sqrt(np.clip(w[::-1], 0.0, None))
         top = float(s[0]) if s.size else 0.0
         shrunk = s - tau
         rank = int(np.count_nonzero(shrunk > 0.0))
+        if out is None:
+            out = np.empty_like(np.asarray(a, dtype=np.float64))
         if rank == 0:
-            self._op = None
-            return None, 0, top
+            out[:] = 0.0
+            return out, 0, top
         basis = vecs[:, ::-1][:, :rank]  # top-`rank` eigenvectors
-        self._op = (basis * (shrunk[:rank] / s[:rank])) @ basis.T
-        return self._op, rank, top
+        op = (basis * (shrunk[:rank] / s[:rank])) @ basis.T
+        if tall:
+            np.matmul(a, op, out=out)
+        else:
+            np.matmul(op, a, out=out)
+        return out, rank, top

@@ -1,9 +1,9 @@
 """One value for every knob that decides how a re-calibration solve runs.
 
 Algorithm 1's re-calibration is one RPCA solve. :class:`SolveOptions` holds
-the five settings that shape it and checks how they combine, once, when it
+the four settings that shape it and checks how they combine, once, when it
 is built. Everything that runs or records a solve reads this value instead
-of carrying the five fields itself: the
+of carrying the four fields itself: the
 :class:`~repro.core.engine.DecompositionEngine` takes it, a session's
 checkpoint writes it with :meth:`SolveOptions.to_meta` and reads it back
 with :meth:`SolveOptions.from_meta`, and
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..errors import ValidationError
-from .solvers import solver_spec
+from .solvers import resolve_solver, solver_spec
 from .streaming import StreamingConfig, validate_mode
 
 __all__ = ["SolveOptions"]
@@ -37,13 +37,11 @@ class SolveOptions:
     ----------
     solver:
         Registered RPCA solver (see
-        :func:`~repro.core.solvers.available_solvers`; default ``"apg"``).
-        APG and IALM choose their SVT kernel from the window's shape (see
-        :mod:`repro.core.kernels`).
-    warm_start:
-        Start each re-calibration solve from the previous window's
-        solution (default on). Only solvers that support it (APG) are
-        affected; turn it off to reproduce the cold-solve path bit for bit.
+        :func:`~repro.core.solvers.available_solvers`; default ``"ialm"``,
+        the paper's method). IALM chooses its SVT kernel from the window's
+        shape (see :mod:`repro.core.kernels`). Every solve is cold. The
+        legacy name ``"apg"`` resolves to ``"ialm"`` with a
+        ``RuntimeWarning`` (:func:`~repro.core.solvers.resolve_solver`).
     mode:
         ``"batch"`` (default) re-solves the whole window at every
         re-calibration. ``"streaming"`` folds each new snapshot into the
@@ -62,18 +60,20 @@ class SolveOptions:
     The rules, checked at construction (each failure is a
     :class:`~repro.errors.ValidationError`):
 
-    * *solver* is registered;
+    * *solver* is registered (after legacy names are resolved);
     * the two stream knobs need ``mode="streaming"`` and are range-checked
       by :class:`~repro.core.streaming.StreamingConfig`.
     """
 
-    solver: str = "apg"
-    warm_start: bool = True
+    solver: str = "ialm"
     mode: str = "batch"
     stream_tolerance: float | None = None
     stream_refresh_every: int | None = None
 
     def __post_init__(self) -> None:
+        # Attributed to whoever built the options (past the generated
+        # __init__).
+        object.__setattr__(self, "solver", resolve_solver(self.solver, stacklevel=3))
         try:
             solver_spec(self.solver)
         except ValueError as exc:  # the registry's unknown-name error
@@ -106,7 +106,6 @@ class SolveOptions:
         stream = self.stream_config
         return {
             "solver": self.solver,
-            "warm_start": bool(self.warm_start),
             "mode": self.mode,
             "stream_tolerance": stream.tolerance if streaming else None,
             "stream_refresh_every": stream.refresh_every if streaming else None,
@@ -116,15 +115,19 @@ class SolveOptions:
     def from_meta(cls, config: dict[str, Any]) -> "SolveOptions":
         """The options a checkpoint's ``config`` block records.
 
-        Reads blocks written by any release. A recorded ``svd_backend``
-        is ignored, as is an ``elementwise_backend``: each solver has one
-        loop now. A session recorded under ``"auto"`` or ``"gram"`` ran
-        that loop on the Gram kernel and resumes unchanged; any other value
-        (``"exact"``, the old default, ran a plain loop) resumes with a
-        ``RuntimeWarning``. A block without the key was written either by
-        this release or before the kernel layer existed; the two cannot be
-        told apart, so it resumes silently. A block without ``mode`` and the
-        stream keys (before the streaming path) means batch.
+        Reads blocks written by any release. A recorded ``warm_start`` is
+        ignored (every solve is cold now), and a recorded ``"apg"`` solver
+        resumes on IALM with one ``RuntimeWarning`` (see
+        :func:`~repro.core.solvers.resolve_solver`). A recorded
+        ``svd_backend`` is ignored, as is an ``elementwise_backend``: each
+        solver has one loop now. A session recorded under ``"auto"`` or
+        ``"gram"`` ran that loop on the Gram kernel and resumes unchanged;
+        any other value (``"exact"``, the old default, ran a plain loop)
+        resumes with a ``RuntimeWarning``. A block without the key was
+        written either by this release or before the kernel layer existed;
+        the two cannot be told apart, so it resumes silently. A block
+        without ``mode`` and the stream keys (before the streaming path)
+        means batch.
         """
         backend = config.get("svd_backend")
         if backend is not None and backend not in _SAME_LOOP_BACKENDS:
@@ -139,7 +142,6 @@ class SolveOptions:
             )
         return cls(
             solver=config["solver"],
-            warm_start=bool(config["warm_start"]),
             mode=config.get("mode", "batch"),
             stream_tolerance=config.get("stream_tolerance"),
             stream_refresh_every=config.get("stream_refresh_every"),

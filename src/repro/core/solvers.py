@@ -2,29 +2,35 @@
 
 Every registered solver shares the concrete contract ``a → SolverResult``
 (see :mod:`repro.core.result`). Each registration carries a
-:class:`SolverSpec` of capability metadata — whether the backend supports
-warm starts, whether its low-rank output is exactly row-constant, and which
-keyword arguments it accepts — so :func:`solve_rpca` can reject unsupported
-kwargs up front instead of silently swallowing them (historically
-``decompose(tp, solver="pca", tol=...)`` dropped ``tol`` on the floor).
+:class:`SolverSpec` of capability metadata — whether its low-rank output is
+exactly row-constant, and which keyword arguments it accepts — so
+:func:`solve_rpca` can reject unsupported kwargs up front instead of
+silently swallowing them (historically ``decompose(tp, solver="pca",
+tol=...)`` dropped ``tol`` on the floor).
 
 :func:`solve_rpca` is also the instrumentation boundary: every dispatch
 emits a :class:`~repro.observability.SolveSpan` (iterations, residual, rank,
-warm-vs-cold, wall time) into any active
-:class:`~repro.observability.Instrumentation` sink.
+wall time) into any active :class:`~repro.observability.Instrumentation`
+sink.
+
+Legacy names: ``"apg"`` named an accelerated-proximal-gradient solver for
+the same program, retired for IALM (faster, and closer to optimal by
+:func:`~repro.core.result.certify`). :func:`resolve_solver` maps it to
+``"ialm"`` with a ``RuntimeWarning``; every surface that takes a solver name
+goes through it.
 """
 
 from __future__ import annotations
 
 import inspect
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from .. import observability
-from .apg import rpca_apg
 from .ialm import rpca_ialm
 from .pca import pca_rank1_decomposition
 from .result import SolverResult
@@ -36,6 +42,7 @@ __all__ = [
     "solve_rpca",
     "available_solvers",
     "register_solver",
+    "resolve_solver",
     "solver_spec",
 ]
 
@@ -53,9 +60,6 @@ class SolverSpec:
         Registry name.
     fn:
         The solver callable ``(a, **kwargs) -> SolverResult``.
-    supports_warm_start:
-        Whether ``fn`` accepts a ``warm_start`` keyword (previous solution
-        used to initialize the iterates).
     exact_row_constant:
         Whether ``fn`` returns a result whose ``low_rank`` is exactly
         row-constant (``constant_row`` is set), so no extraction is needed.
@@ -67,7 +71,6 @@ class SolverSpec:
 
     name: str
     fn: Callable[..., SolverResult]
-    supports_warm_start: bool = False
     exact_row_constant: bool = False
     accepted_kwargs: frozenset[str] = field(default_factory=frozenset)
     accepts_any_kwargs: bool = False
@@ -109,6 +112,29 @@ def _introspect_kwargs(fn: Callable[..., Any]) -> tuple[frozenset[str], bool]:
 
 _SOLVERS: dict[str, SolverSpec] = {}
 
+#: Retired solver names and the registered solver each now resolves to.
+_LEGACY_NAMES = {"apg": "ialm"}
+
+
+def resolve_solver(name: str, *, stacklevel: int = 2) -> str:
+    """The registered name *name* stands for, warning if it is a legacy one.
+
+    ``"apg"`` resolves to ``"ialm"`` with one ``RuntimeWarning``, attributed
+    *stacklevel* frames up from the caller; any other name is returned
+    unchanged (unknown names are left to :func:`solver_spec` to reject).
+    """
+    target = _LEGACY_NAMES.get(name) if isinstance(name, str) else None
+    if target is None:
+        return name
+    warnings.warn(
+        f"solver {name!r} has been retired; solving with {target!r}, the "
+        "paper's IALM method, instead (answers may differ from the "
+        "original run's by about 1e-2 relative)",
+        RuntimeWarning,
+        stacklevel=stacklevel + 1,
+    )
+    return target
+
 
 def available_solvers() -> tuple[str, ...]:
     """Names accepted by :func:`solve_rpca`, in registration order."""
@@ -130,7 +156,6 @@ def register_solver(
     fn: Callable[..., SolverResult],
     *,
     overwrite: bool = False,
-    supports_warm_start: bool = False,
     exact_row_constant: bool = False,
     accepted_kwargs: tuple[str, ...] | frozenset[str] | None = None,
 ) -> SolverSpec:
@@ -145,8 +170,6 @@ def register_solver(
         Callable ``(a, **kwargs) -> SolverResult``.
     overwrite:
         Allow replacing an existing registration.
-    supports_warm_start:
-        Declare that *fn* accepts a ``warm_start`` keyword.
     exact_row_constant:
         Declare that *fn* returns an exactly row-constant ``low_rank``
         (with ``constant_row`` set).
@@ -169,7 +192,6 @@ def register_solver(
     spec = SolverSpec(
         name=name,
         fn=fn,
-        supports_warm_start=supports_warm_start,
         exact_row_constant=exact_row_constant,
         accepted_kwargs=kwargs_names,
         accepts_any_kwargs=any_kwargs,
@@ -178,17 +200,14 @@ def register_solver(
     return spec
 
 
-register_solver("apg", rpca_apg, supports_warm_start=True)
-# Cold-only: a warm-started IALM chain settles far from the cold answer
-# (see repro.core.ialm, "Warm starts").
-register_solver("ialm", rpca_ialm, supports_warm_start=False)
+register_solver("ialm", rpca_ialm)
 register_solver("row_constant", row_constant_decomposition, exact_row_constant=True)
 # Non-robust straw man for the paper's PCA-vs-RPCA motivation (Sec II-B).
 register_solver("pca", pca_rank1_decomposition, exact_row_constant=True)
 
 
 def solve_rpca(
-    a: np.ndarray, solver: str = "apg", *, context: str = "", **kwargs: Any
+    a: np.ndarray, solver: str = "ialm", *, context: str = "", **kwargs: Any
 ) -> SolverResult:
     """Run the named RPCA solver on data matrix *a*.
 
@@ -197,15 +216,16 @@ def solve_rpca(
     a:
         Data matrix.
     solver:
-        One of :func:`available_solvers` (default ``"apg"``, the paper's
-        choice).
+        One of :func:`available_solvers` (default ``"ialm"``, the paper's
+        method), or a legacy name (see :func:`resolve_solver`).
     context:
         Free-form label recorded on the instrumentation span (who asked).
     **kwargs:
         Forwarded to the solver (``lam``, ``tol``, ``max_iter``,
-        ``warm_start``, ...). Keywords the solver does not accept raise
+        ``mask``, ...). Keywords the solver does not accept raise
         ``TypeError`` instead of being silently dropped.
     """
+    solver = resolve_solver(solver)
     spec = solver_spec(solver)
     spec.validate_kwargs(kwargs)
     start = time.perf_counter()
@@ -222,7 +242,6 @@ def solve_rpca(
                 rank=int(getattr(result, "rank", 0)),
                 residual=float(getattr(result, "residual", 0.0)),
                 converged=bool(getattr(result, "converged", False)),
-                warm=bool(getattr(result, "warm_started", False)),
                 seconds=elapsed,
                 context=context,
             )

@@ -41,12 +41,11 @@ The streaming path is an *approximation in service*, never an oracle: the
 engine seeds it from a **cold** batch solve, and any fallback (rank growth,
 drift, masked row, regime shift upstream) routes back to another cold batch
 solve — bit-identical to :func:`~repro.core.decompose.decompose` on the
-same window, which is what "certified fallback" means. To keep that
-certification airtight, a fold's in-service result is deliberately *not* a
-:class:`~repro.core.result.SolverResult`:
+same window, which is what "certified fallback" means. A fold's in-service
+result is deliberately *not* a :class:`~repro.core.result.SolverResult`:
 :func:`~repro.core.decompose.decomposition_from_result` therefore stores
-``solver_result=None`` and no batch solve can ever warm-start from
-streaming state.
+``solver_result=None``, and nothing that needs a batch solve's result (a
+stream seed, a served trace wrap) can take a fold's for one.
 """
 
 from __future__ import annotations
@@ -85,6 +84,16 @@ _TINY = 1e-300
 _MAD_SIGMA = 1.4826
 _TAU_SIGMAS = 3.0
 
+# Singular values below this fraction of σ₁ are dropped when a batch solve
+# seeds the stream. IALM stops on feasibility, so its D keeps singular
+# values at 1e-5 to 1e-7 of σ₁ that carry no structure: seeded with them, a
+# paper-scale stream ran at rank 3-4, every fold turned P_D slightly and the
+# serving path's certified FNF trees had to be rebuilt ~30x as often. 1e-3
+# sits below the 5.3e-3 by which two convergent RPCA solvers (IALM and the
+# retired APG) disagree on the same program, so it drops nothing either
+# could pin down. What it drops is charged to the seed's per-row residuals,
+# so the drift certificate sees it.
+_SEED_RTOL = 1e-3
 # Singular values below this fraction of σ₁ are dropped at refresh — far
 # below any structure RPCA could certify, so the truncation is lossless for
 # every consumer of the reconstruction.
@@ -148,8 +157,7 @@ class StreamResult:
     :func:`~repro.core.decompose.decomposition_from_result` stores
     ``solver_result=None`` for anything that is not a real
     :class:`~repro.core.result.SolverResult`, so a streaming decomposition
-    can never seed a warm start and every batch solve in streaming mode
-    stays a certified cold solve.
+    can never stand in for a batch solve.
 
     Built either from an explicit ``low_rank`` or from the factors
     ``coeffs`` (``m × r``) and ``basis`` (``r × n``); in the second case
@@ -162,7 +170,6 @@ class StreamResult:
     converged: bool
     residual: float
     constant_row: np.ndarray | None = None
-    warm_started: bool = True
 
     def __init__(
         self,
@@ -176,7 +183,6 @@ class StreamResult:
         coeffs: np.ndarray | None = None,
         basis: np.ndarray | None = None,
         constant_row: np.ndarray | None = None,
-        warm_started: bool = True,
     ) -> None:
         if low_rank is None and (coeffs is None or basis is None):
             raise ValidationError("StreamResult needs low_rank or coeffs and basis")
@@ -187,7 +193,6 @@ class StreamResult:
             ("converged", converged),
             ("residual", residual),
             ("constant_row", constant_row),
-            ("warm_started", warm_started),
             ("_low_rank", low_rank),
             ("_factors", (coeffs, basis)),
         ):
@@ -416,17 +421,20 @@ class StreamingDecomposer:
         u, s, vt = np.linalg.svd(np.asarray(low_rank, dtype=np.float64),
                                  full_matrices=False)
         if s.size and s[0] > 0.0:
-            r = max(1, int((s > s[0] * _REFRESH_RTOL).sum()))
+            r = max(1, int((s > s[0] * _SEED_RTOL).sum()))
         else:
             r = 1
+        coeffs = u[:, :r] * s[:r]
+        basis = vt[:r]
         sparse = np.array(sparse, dtype=np.float64, order="C")
-        unexplained = data - low_rank - sparse
+        # Against the truncated model the stream serves, not the solver's D.
+        unexplained = data - coeffs @ basis - sparse
         row_err = np.array(
             [_rel_l1(unexplained[i], data[i]) for i in range(m)]
         )
         return StreamSeed(
-            basis=vt[:r].copy(),
-            coeffs=(u[:, :r] * s[:r]).copy(),
+            basis=basis.copy(),
+            coeffs=coeffs,
             sparse=sparse,
             row_err=row_err,
         )

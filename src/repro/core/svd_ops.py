@@ -13,8 +13,8 @@ short-fat matrices RPCA sees (``n_snapshots × N²`` with n_snapshots ≈ 10),
 the thin SVD is orders of magnitude cheaper than the full decomposition.
 
 ``spectral_norm`` computes ``σ₁ = ||A||₂`` without a full SVD — the
-solvers only need the top singular value at initialization (APG's
-continuation start, IALM's dual scaling), and paying a whole ``gesdd`` for
+solver only needs the top singular value at initialization (IALM's
+penalty and dual scaling), and paying a whole ``gesdd`` for
 one number is the kind of waste the kernel layer (:mod:`repro.core.kernels`)
 exists to remove.
 """
@@ -138,8 +138,7 @@ def singular_value_threshold(
 
     Returns ``(D, rank, top_sv)`` where ``D = U @ diag(max(s - tau, 0)) @ Vt``,
     ``rank`` is the number of singular values exceeding ``tau``, and
-    ``top_sv`` is the largest singular value of *a* (used by APG stopping
-    criteria and continuation schedules).
+    ``top_sv`` is the largest singular value of *a*.
     """
     check_nonnegative(tau, "tau")
     u, s, vt = truncated_svd(a)

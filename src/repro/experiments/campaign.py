@@ -24,6 +24,7 @@ from ..calibration.overhead import calibration_overhead_seconds
 from ..cloudsim.trace import CalibrationTrace
 from ..collectives.exec_model import collective_time
 from ..collectives.operations import build_tree
+from ..core.options import SolveOptions
 from ..economics.pricing import InstancePricing, run_cost_usd
 from ..errors import ValidationError
 from ..mapping.evaluate import bandwidth_from_weights, mapping_total_time
@@ -86,7 +87,7 @@ def run_campaign(
     threshold: float = 1.0,
     consecutive: int = 2,
     nbytes: float = 8.0 * MB,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     collectives_per_run: int = 100,
     pricing: InstancePricing | None = None,
     seed: int = 0,

@@ -16,6 +16,7 @@ import numpy as np
 from ..cloudsim.trace import CalibrationTrace
 from ..core.decompose import decompose
 from ..core.metrics import relative_difference
+from ..core.options import SolveOptions
 from ..errors import ValidationError
 
 __all__ = ["Fig05Result", "run", "select_time_step"]
@@ -49,7 +50,7 @@ def run(
     *,
     time_steps: tuple[int, ...] = (2, 4, 6, 8, 10, 15, 20, 30),
     nbytes: float = 8.0 * 1024 * 1024,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     tolerance: float = 0.10,
 ) -> Fig05Result:
     """Sweep calibration time steps against the whole-trace oracle."""

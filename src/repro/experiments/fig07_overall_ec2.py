@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cloudsim.trace import CalibrationTrace
+from ..core.options import SolveOptions
 from ..mapping.taskgraph import random_task_graph
 from ..strategies.baseline import BaselineStrategy
 from ..strategies.heuristics import HeuristicStrategy
@@ -23,7 +24,7 @@ from .harness import ComparisonResult, ReplayContext, collective_comparison, map
 __all__ = ["Fig07Result", "run", "default_strategies"]
 
 
-def default_strategies(*, solver: str = "apg", time_step: int = 10) -> list:
+def default_strategies(*, solver: str = SolveOptions.solver, time_step: int = 10) -> list:
     """The three EC2 arms (Topology-aware is netsim-only, as in the paper)."""
     return [
         BaselineStrategy(),
@@ -65,7 +66,7 @@ def run(
     nbytes: float = 8.0 * 1024 * 1024,
     repetitions: int = 100,
     n_tasks: int | None = None,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     seed: int = 0,
 ) -> Fig07Result:
     """Run the three applications over one trace replay."""

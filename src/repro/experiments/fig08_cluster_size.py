@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cloudsim.tracegen import TraceConfig, generate_trace
+from ..core.options import SolveOptions
 from ..utils.seeding import derive_seed
 from .fig07_overall_ec2 import default_strategies
 from .harness import ReplayContext, collective_comparison
@@ -55,7 +56,7 @@ def run(
     n_snapshots: int = 30,
     time_step: int = 10,
     repetitions: int = 60,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     colocation: float = 0.98,
     servers_per_rack: int = 64,
     seed: int = 0,

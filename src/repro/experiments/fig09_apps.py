@@ -20,6 +20,7 @@ from ..apps.cg import CGConfig, cg_profile
 from ..apps.nbody import NBodyConfig, nbody_profile
 from ..calibration.overhead import calibration_overhead_seconds
 from ..cloudsim.trace import CalibrationTrace
+from ..core.options import SolveOptions
 from ..strategies.base import Strategy
 from ..utils.seeding import derive_seed
 from .fig07_overall_ec2 import default_strategies
@@ -122,7 +123,7 @@ def run_cg(
     *,
     vector_sizes: tuple[int, ...] = (1000, 8000, 64000, 256000, 1024000),
     time_step: int = 10,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     seed: int = 0,
 ) -> Fig09Result:
     """Fig 9(a): CG total-time breakdown across vector sizes."""
@@ -146,7 +147,7 @@ def run_nbody_steps(
     step_counts: tuple[int, ...] = (10, 40, 160, 640, 2560),
     message_bytes: float = 1.0 * MB,
     time_step: int = 10,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
 ) -> Fig09Result:
     """Fig 9(b): N-body total time across #Step at fixed message size."""
     points: list[AppPoint] = []
@@ -169,7 +170,7 @@ def run_nbody_msgsize(
     message_sizes: tuple[float, ...] = (1 * KB, 8 * KB, 64 * KB, 256 * KB, 1 * MB),
     n_steps: int = 2560,
     time_step: int = 10,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
 ) -> Fig09Result:
     """Fig 9(c): N-body total time across message sizes at fixed #Step."""
     points: list[AppPoint] = []

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from ..cloudsim.noise import inject_noise_to_target
 from ..cloudsim.trace import CalibrationTrace
+from ..core.options import SolveOptions
 from ..mapping.taskgraph import random_task_graph
 from ..utils.seeding import derive_seed, spawn_rng
 from .fig07_overall_ec2 import default_strategies
@@ -67,7 +68,7 @@ def run(
     time_step: int = 10,
     nbytes: float = 8.0 * 1024 * 1024,
     repetitions: int = 60,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     seed: int = 0,
 ) -> Fig10Result:
     """Sweep target Norm(N_E) levels by noise injection on one base trace."""

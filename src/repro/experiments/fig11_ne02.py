@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ..cloudsim.noise import inject_noise_to_target
 from ..cloudsim.trace import CalibrationTrace
+from ..core.options import SolveOptions
 from ..utils.seeding import derive_seed
 from .fig07_overall_ec2 import Fig07Result
 from .fig07_overall_ec2 import run as run_fig07
@@ -34,7 +35,7 @@ def run(
     time_step: int = 10,
     nbytes: float = 8.0 * 1024 * 1024,
     repetitions: int = 100,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     seed: int = 0,
 ) -> Fig11Result:
     """Noise the trace to the target level and re-run the Fig 7 comparison."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cloudsim.bands import BandTiers
+from ..core.options import SolveOptions
 from ..mapping.taskgraph import random_task_graph
 from ..netsim.background import BackgroundConfig
 from ..strategies.baseline import BaselineStrategy
@@ -67,7 +68,7 @@ def run(
     gap_seconds: float = 30.0,
     nbytes: float = 8.0 * MB,
     repetitions: int = 60,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     core_bandwidth: float | None = None,
     seed: int = 0,
 ) -> Fig13Result:

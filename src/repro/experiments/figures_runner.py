@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..cloudsim.tracegen import TraceConfig, generate_trace
+from ..core.options import SolveOptions
 from ..netsim.background import BackgroundConfig
 from ..netsim.topology import GBIT
 from . import (
@@ -115,7 +116,7 @@ def run_all_figures(
         trace,
         time_step=p["time_step"],
         repetitions=p["repetitions"],
-        solver="row_constant" if scale == "quick" else "apg",
+        solver="row_constant" if scale == "quick" else SolveOptions.solver,
         seed=seed,
     )
     add("fig07", format_table(
@@ -130,7 +131,7 @@ def run_all_figures(
         n_snapshots=p["n_snapshots"],
         time_step=p["time_step"],
         repetitions=p["repetitions"],
-        solver="row_constant" if scale == "quick" else "apg",
+        solver="row_constant" if scale == "quick" else SolveOptions.solver,
         colocation=1.0,
         seed=seed,
     )
@@ -143,7 +144,7 @@ def run_all_figures(
         trace,
         vector_sizes=(8000, 256000),
         time_step=p["time_step"],
-        solver="row_constant" if scale == "quick" else "apg",
+        solver="row_constant" if scale == "quick" else SolveOptions.solver,
         seed=seed,
     )
     add("fig09", format_table(
@@ -156,7 +157,7 @@ def run_all_figures(
         trace,
         targets=(0.2, 0.4) if scale == "quick" else (0.05, 0.1, 0.2, 0.3, 0.5),
         repetitions=p["repetitions"],
-        solver="row_constant" if scale == "quick" else "apg",
+        solver="row_constant" if scale == "quick" else SolveOptions.solver,
         seed=seed,
     )
     add("fig10", format_table(
@@ -168,7 +169,7 @@ def run_all_figures(
     r11 = fig11_ne02.run(
         trace,
         repetitions=p["repetitions"],
-        solver="row_constant" if scale == "quick" else "apg",
+        solver="row_constant" if scale == "quick" else SolveOptions.solver,
         seed=seed,
     )
     add("fig11", format_table(
@@ -207,7 +208,7 @@ def run_all_figures(
             time_step=5 if scale == "quick" else 10,
             gap_seconds=geom["gap_seconds"],
             repetitions=p["repetitions"],
-            solver="row_constant" if scale == "quick" else "apg",
+            solver="row_constant" if scale == "quick" else SolveOptions.solver,
             core_bandwidth=geom["core_bandwidth"],
             seed=seed,
         )

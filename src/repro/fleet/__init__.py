@@ -2,7 +2,7 @@
 
 Runs many independent per-cluster calibration/maintenance sessions (paper
 Algorithm 1) concurrently across a process pool, with traces shipped
-zero-copy through shared memory and warm solver state round-tripped between
+zero-copy through shared memory and session state round-tripped between
 scheduler and workers as picklable session capsules. See
 :class:`FleetScheduler` for the scheduling contract (bounded queue,
 backpressure, round-robin fairness, deterministic per-cluster results).

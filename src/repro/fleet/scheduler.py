@@ -14,7 +14,7 @@ one per virtual cluster — concurrently across a pool of worker processes:
   its **own** result pipe, so a worker killed mid-``get()`` or mid-write
   cannot wedge its siblings on a shared lock or a torn shared stream.
 * At most one batch per cluster is in flight at a time (the capsule is the
-  cluster's single warm-state token), and completed clusters re-enter the
+  cluster's single state token), and completed clusters re-enter the
   ready queue at the **back**. Together these give round-robin fairness: a
   straggler cluster — say one whose network is too dynamic and re-solves
   every window — occupies at most one worker while the rest of the fleet
@@ -54,7 +54,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..core.panels import thread_budget
 from ..errors import FleetError, ValidationError
 from ..observability import Instrumentation, instrumented
 from ..persistence import CheckpointStore
@@ -236,13 +235,10 @@ class _WorkerPool:
     charged against the budget); past the budget the pool just shrinks.
     """
 
-    def __init__(
-        self, ctx, *, max_restarts: int, sink: Instrumentation, threads: int = 1
-    ) -> None:
+    def __init__(self, ctx, *, max_restarts: int, sink: Instrumentation) -> None:
         self._ctx = ctx
         self._max_restarts = int(max_restarts)
         self._sink = sink
-        self._threads = int(threads)  # each worker's solve thread budget
         self.workers: list[_Worker] = []
         self.restarts = 0
         self._spawned = 0
@@ -259,7 +255,7 @@ class _WorkerPool:
         results, sender = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(task_queue, sender, self._threads),
+            args=(task_queue, sender),
             daemon=True,
             name=f"repro-fleet-worker-{self._spawned}",
         )
@@ -598,12 +594,9 @@ class FleetScheduler:
         ``on_error="degrade"``. Shared-memory blocks the units hold are
         unlinked however the run ends.
         """
-        # The workers share this process's CPUs: each gets its share as
-        # its solve thread budget (see repro.core.panels).
         pool = _WorkerPool(
             mp.get_context(),
             max_restarts=self.config.max_worker_restarts, sink=self.instrumentation,
-            threads=max(1, thread_budget() // n_workers),
         )
         try:
             # The shared-memory resource tracker must exist before the first

@@ -2,7 +2,7 @@
 
 A worker is a plain loop over a task queue. Each :class:`BatchTask` names a
 cluster, carries a batch of :class:`~repro.runtime.session.OperationSpec`\\ s
-and either the cluster's warm :class:`~repro.runtime.session.SessionCapsule`
+and either the cluster's :class:`~repro.runtime.session.SessionCapsule`
 (later batches) or the session constructor kwargs (first batch). The trace
 itself never rides along — only a :class:`TraceBlockDescriptor`, which the
 worker maps once per cluster and caches for the rest of its life.
@@ -33,8 +33,8 @@ from typing import Any
 from ..cloudsim.trace import CalibrationTrace
 from ..core.decompose import decomposition_from_result
 from ..core.matrices import TPMatrix
-from ..core.panels import set_thread_budget
-from ..core.solvers import solve_rpca
+from ..core.options import SolveOptions
+from ..core.solvers import resolve_solver, solve_rpca
 from ..observability import Instrumentation, instrumented
 from ..runtime.session import OperationSpec, SessionCapsule, TraceSession
 from .report import SweepClusterResult
@@ -100,9 +100,12 @@ class SweepTask:
     shard: int
     descriptor: StackBlockDescriptor
     clusters: tuple[str, ...]
-    solver: str = "apg"
+    solver: str = SolveOptions.solver
     extraction: str = "mean"
     attempt: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "solver", resolve_solver(self.solver, stacklevel=3))
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +130,7 @@ def solve_shard(
     names: tuple[str, ...] | list[str],
     tps: list[TPMatrix],
     *,
-    solver: str = "apg",
+    solver: str = SolveOptions.solver,
     extraction: str = "mean",
 ) -> list[SweepClusterResult]:
     """Solve one shard of TP-matrices, one window at a time.
@@ -209,7 +212,7 @@ def _run_batch(
     return session.capture_capsule()
 
 
-def worker_main(task_queue: Any, result_conn: Any, threads: int = 1) -> None:
+def worker_main(task_queue: Any, result_conn: Any) -> None:
     """Worker loop: consume :class:`BatchTask`\\ s until the ``None`` sentinel.
 
     Runs in a child process. Every message goes to ``result_conn``, the
@@ -218,11 +221,8 @@ def worker_main(task_queue: Any, result_conn: Any, threads: int = 1) -> None:
     exception inside a batch is caught and shipped back as text in
     :attr:`BatchResult.error` — exception *objects* don't survive process
     boundaries reliably, and a poisoned cluster must not take the worker
-    (and every other cluster queued behind it) down. *threads* is this
-    worker's solve thread budget (:func:`repro.core.panels.set_thread_budget`),
-    its share of the scheduler's CPUs.
+    (and every other cluster queued behind it) down.
     """
-    set_thread_budget(threads)
     pid = os.getpid()
     blocks: dict[str, SharedTraceBlock] = {}
     traces: dict[str, CalibrationTrace] = {}

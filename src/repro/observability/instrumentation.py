@@ -36,8 +36,6 @@ class SolveSpan:
         Final relative residual the solver reported.
     converged:
         Whether the solver met its stopping criterion.
-    warm:
-        Whether the solve was warm-started from a previous solution.
     seconds:
         Wall-clock time of the solve.
     context:
@@ -51,9 +49,14 @@ class SolveSpan:
     rank: int
     residual: float
     converged: bool
-    warm: bool
     seconds: float
     context: str = ""
+
+
+def _span_from_state(span: dict[str, Any]) -> SolveSpan:
+    """A span from :meth:`Instrumentation.state_dict` output; the ``warm``
+    flag that older states carry is dropped (every solve is cold now)."""
+    return SolveSpan(**{k: v for k, v in span.items() if k != "warm"})
 
 
 class Instrumentation:
@@ -115,7 +118,7 @@ class Instrumentation:
         self.name = str(state["name"])
         self.counters = {str(k): int(v) for k, v in state["counters"].items()}
         self.timers = {str(k): float(v) for k, v in state["timers"].items()}
-        self.spans = [SolveSpan(**span) for span in state["spans"]]
+        self.spans = [_span_from_state(span) for span in state["spans"]]
 
     def merge(self, other: "Instrumentation | dict[str, Any]") -> None:
         """Fold another sink's recorded data into this one (additive).
@@ -131,20 +134,14 @@ class Instrumentation:
         for key, value in state["timers"].items():
             self.add_time(str(key), float(value))
         for span in state["spans"]:
-            self.record_span(span if isinstance(span, SolveSpan) else SolveSpan(**span))
+            self.record_span(
+                span if isinstance(span, SolveSpan) else _span_from_state(span)
+            )
 
     # -- aggregates -------------------------------------------------------
     @property
     def solves(self) -> int:
         return len(self.spans)
-
-    @property
-    def warm_solves(self) -> int:
-        return sum(1 for s in self.spans if s.warm)
-
-    @property
-    def cold_solves(self) -> int:
-        return sum(1 for s in self.spans if not s.warm)
 
     @property
     def solve_seconds(self) -> float:
@@ -160,21 +157,19 @@ class Instrumentation:
         lines = [f"instrumentation report [{self.name}]"]
         if self.spans:
             lines.append(
-                f"  solves: {self.solves} "
-                f"({self.warm_solves} warm, {self.cold_solves} cold), "
+                f"  solves: {self.solves}, "
                 f"{self.solve_iterations} iterations, "
                 f"{self.solve_seconds * 1e3:.1f} ms total"
             )
             header = (
-                f"  {'#':>3} {'solver':<14} {'shape':<12} {'mode':<4} "
+                f"  {'#':>3} {'solver':<14} {'shape':<12} "
                 f"{'iters':>5} {'rank':>4} {'residual':>10} {'ms':>8}  context"
             )
             lines.append(header)
             for i, s in enumerate(self.spans):
-                mode = "warm" if s.warm else "cold"
                 flag = "" if s.converged else " (not converged)"
                 lines.append(
-                    f"  {i:>3} {s.solver:<14} {s.rows}x{s.cols:<9} {mode:<4} "
+                    f"  {i:>3} {s.solver:<14} {s.rows}x{s.cols:<9} "
                     f"{s.iterations:>5} {s.rank:>4} {s.residual:>10.3e} "
                     f"{s.seconds * 1e3:>8.2f}  {s.context}{flag}"
                 )

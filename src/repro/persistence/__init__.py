@@ -8,7 +8,7 @@ Three layers, composed by the session when given a :class:`PersistenceConfig`:
   (append-only, length+CRC32-framed, torn-tail tolerant). Every operation is
   committed *before* it executes.
 * :mod:`~repro.persistence.checkpoint` — versioned, checksummed snapshots of
-  full session state (TP-window rows + masks, warm-start components,
+  full session state (TP-window rows + masks, the decomposition in service,
   health-machine and detector state, counters) written atomically via temp
   file + rename, with retention of the last few files. Solver state and
   sealed blocks of the operation history are mirrored segments written

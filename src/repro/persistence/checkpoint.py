@@ -87,7 +87,7 @@ _BLOCK_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 #: Arrays a store keeps in a checkpoint's segment rather than in the
 #: checkpoint itself: those fixed by the decomposition in service, plus
 #: every array named with :data:`SEGMENT_PREFIX` (the engine's row cache).
-SEGMENT_ARRAYS = ("dec_row", "dec_error", "sr_low_rank", "sr_sparse", "sr_constant_row")
+SEGMENT_ARRAYS = ("dec_row", "dec_error")
 SEGMENT_PREFIX = "cache_"
 SEGMENT_MIRRORS = ("a", "b")
 

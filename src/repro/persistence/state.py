@@ -1,10 +1,10 @@
 """Serializing full session state to checkpoint arrays + metadata.
 
 The split follows the checkpoint container's two channels: everything
-array-shaped (TP-window row cache, warm-start components, the decomposition
-in service, the deviation history) goes into the numpy payload; everything
-scalar or structured (config, cursor, counters, health machine, detector
-state) goes into the JSON metadata. ``STATE_SCHEMA_VERSION`` guards the
+array-shaped (TP-window row cache, the decomposition in service, the
+deviation history) goes into the numpy payload; everything scalar or
+structured (config, cursor, counters, health machine, detector state) goes
+into the JSON metadata. ``STATE_SCHEMA_VERSION`` guards the
 layout — recovery refuses a checkpoint written by an incompatible schema
 rather than misinterpreting its arrays.
 
@@ -27,7 +27,6 @@ from ..cloudsim.trace import CalibrationTrace
 from ..core.decompose import Decomposition
 from ..core.matrices import TCMatrix, TEMatrix
 from ..core.metrics import StabilityReport
-from ..core.result import SolverResult
 from ..core.streaming import stream_state_to_payload
 from ..errors import CheckpointCorruption
 from .checkpoint import BLOCK_SEPARATOR
@@ -93,8 +92,7 @@ def _decomposition_to_state(
 ) -> dict[str, Any]:
     arrays["dec_row"] = dec.constant.row
     arrays["dec_error"] = dec.error.data
-    sr = dec.solver_result
-    meta: dict[str, Any] = {
+    return {
         "solver": dec.solver,
         "iterations": dec.solver_iterations,
         "converged": bool(dec.solver_converged),
@@ -106,43 +104,19 @@ def _decomposition_to_state(
             "rank": dec.report.rank,
             "verdict": dec.report.verdict,
         },
-        "solver_result": None,
     }
-    if sr is not None:
-        arrays["sr_low_rank"] = sr.low_rank
-        arrays["sr_sparse"] = sr.sparse
-        if sr.constant_row is not None:
-            arrays["sr_constant_row"] = sr.constant_row
-        meta["solver_result"] = {
-            "rank": sr.rank,
-            "iterations": sr.iterations,
-            "converged": bool(sr.converged),
-            "residual": sr.residual,
-            "warm_started": bool(sr.warm_started),
-            "has_constant_row": sr.constant_row is not None,
-        }
-    return meta
 
 
 def decomposition_from_state(
     arrays: dict[str, np.ndarray], meta: dict[str, Any]
 ) -> Decomposition:
-    """Re-materialize the decomposition in service from checkpoint state."""
-    solver_result = None
-    sr_meta = meta.get("solver_result")
-    if sr_meta is not None:
-        solver_result = SolverResult(
-            low_rank=arrays["sr_low_rank"],
-            sparse=arrays["sr_sparse"],
-            rank=int(sr_meta["rank"]),
-            iterations=int(sr_meta["iterations"]),
-            converged=bool(sr_meta["converged"]),
-            residual=float(sr_meta["residual"]),
-            constant_row=(
-                arrays["sr_constant_row"] if sr_meta["has_constant_row"] else None
-            ),
-            warm_started=bool(sr_meta["warm_started"]),
-        )
+    """Re-materialize the decomposition in service from checkpoint state.
+
+    Its ``solver_result`` is ``None``: nothing reads a restored solve's raw
+    components. States written when a warm-starting solver existed also
+    carry them (``sr_*`` arrays, a ``solver_result`` entry); both are
+    ignored.
+    """
     report = StabilityReport(
         norm_ne=float(meta["report"]["norm_ne"]),
         norm_ne_l0=float(meta["report"]["norm_ne_l0"]),
@@ -160,7 +134,6 @@ def decomposition_from_state(
         solver=str(meta["solver"]),
         solver_iterations=int(meta["iterations"]),
         solver_converged=bool(meta["converged"]),
-        solver_result=solver_result,
     )
 
 

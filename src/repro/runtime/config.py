@@ -26,9 +26,9 @@ _MB = 1024 * 1024
 class SessionConfig(SolveOptions):
     """Settings for :func:`~repro.api.open_session` (paper defaults throughout).
 
-    The first five fields are :class:`~repro.core.options.SolveOptions`
-    (solver, warm start, batch or streaming mode and the two stream
-    knobs), with their rules. The rest:
+    The first four fields are :class:`~repro.core.options.SolveOptions`
+    (solver, batch or streaming mode and the two stream knobs), with their
+    rules. The rest:
 
     ``nbytes`` is the message size for calibration weights and collectives,
     ``window`` the calibration window length, ``threshold`` the maintenance

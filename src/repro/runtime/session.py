@@ -10,10 +10,9 @@ window, charging the calibration overhead) when the relative deviation
 crosses the threshold — exactly lines 4–9 of the paper's Algorithm 1.
 
 Calibration goes through a :class:`~repro.core.engine.DecompositionEngine`:
-TP-matrix rows are cached across overlapping windows and re-calibration
-solves warm-start from the previous solution (pass ``warm_start=False`` for
-the historical cold path). The engine's instrumentation — per-solve spans,
-warm/cold and cache counters — is exposed as
+TP-matrix rows are cached across overlapping windows and every
+re-calibration solves its window cold. The engine's instrumentation —
+per-solve spans, solve and cache counters — is exposed as
 :attr:`TraceSession.instrumentation`.
 
 Two orthogonal hardening layers ride on the loop:
@@ -27,8 +26,7 @@ Two orthogonal hardening layers ride on the loop:
 * **Regime detection** (``regime=``): a CUSUM change-point detector over
   per-snapshot residual norms distinguishes transient interference spikes
   (keep serving ``P_D`` — RPCA's sparse term absorbs them) from sustained
-  regime shifts, which force a *cold* re-calibration that drops the
-  warm-start chain.
+  regime shifts, which force an immediate re-calibration.
 
 The same class serves live substrates by first materializing their
 measurements as a trace (see
@@ -311,7 +309,7 @@ class TraceSession:
         re-calibration fires (default 1, the paper's immediate rule).
         Use 2 to debounce one-off interference spikes when individual
         observations are single collectives rather than whole runs.
-    solver, warm_start, mode, stream_tolerance, stream_refresh_every:
+    solver, mode, stream_tolerance, stream_refresh_every:
         The :class:`~repro.core.options.SolveOptions` of the session's
         re-calibrations (see there for each knob and how they combine),
         readable back as :attr:`options`. In ``mode="streaming"`` every
@@ -357,8 +355,8 @@ class TraceSession:
         ``"cusum"``, ``"signature"``, ``"noise-robust"``, ``"drift"``),
         ``True`` for the default CUSUM detector, or a
         :class:`~repro.core.detectors.RegimeConfig` (the historical CUSUM
-        spelling). A detected SHIFT forces a cold re-calibration
-        (warm-start chain dropped, backoff bypassed); SPIKEs are counted
+        spelling). A detected SHIFT forces a re-calibration (streaming
+        state dropped, backoff bypassed); SPIKEs are counted
         but keep ``P_D`` in service.
     regime_params:
         Config overrides for the named detector (keyword arguments of its
@@ -384,7 +382,6 @@ class TraceSession:
         consecutive: int = 1,
         solver: str = SolveOptions.solver,
         calibration_cost: float | None = None,
-        warm_start: bool = SolveOptions.warm_start,
         mode: str = SolveOptions.mode,
         stream_tolerance: float | None = SolveOptions.stream_tolerance,
         stream_refresh_every: int | None = SolveOptions.stream_refresh_every,
@@ -404,7 +401,6 @@ class TraceSession:
         check_positive(nbytes, "nbytes")
         options = SolveOptions(
             solver=solver,
-            warm_start=warm_start,
             mode=mode,
             stream_tolerance=stream_tolerance,
             stream_refresh_every=stream_refresh_every,
@@ -781,20 +777,18 @@ class TraceSession:
         (still inside backoff) is counted but does not re-measure.
 
         ``cold=True`` is the regime-SHIFT path: the constant component
-        itself has moved, so the warm-start chain is dropped (the old
-        solution would pull the solver toward the dead regime) and the
-        solve bypasses retry backoff — holding over a stale ``P_D`` is
+        itself has moved, so the streaming subspace (if any) is dropped and
+        the solve bypasses retry backoff — holding over a stale ``P_D`` is
         exactly wrong when the change is structural rather than a
         measurement fault.
         """
         health = self.health
         if cold:
-            self._engine.reset_warm_state()
             self.controller.reset()
             if self.mode == "streaming":
-                # A SHIFT is a certified-fallback trigger: the reset above
-                # dropped the streaming subspace and the cold solve below
-                # reseeds it.
+                # A SHIFT is a certified-fallback trigger: drop the
+                # streaming subspace; the cold solve below reseeds it.
+                self._engine.import_stream_state(None)
                 self.stats.stream_fallbacks += 1
                 self.instrumentation.count("kernel.stream.fallbacks")
                 self.instrumentation.count("kernel.stream.fallback_shift")
@@ -817,8 +811,7 @@ class TraceSession:
             self.instrumentation.count("session.recalibration.failed")
             if health is None:
                 raise
-            # The engine may have been left warm-seeded by a failed solve's
-            # predecessor; the last *good* decomposition stays in service.
+            # The last *good* decomposition stays in service.
             health.record_failure(exc)
             return
         self.stats.recalibrations += 1
@@ -1066,8 +1059,8 @@ class TraceSession:
         The process-migration counterpart of :meth:`resume`: state comes
         from a :class:`SessionCapsule` instead of a checkpoint directory and
         there is no journal tail to re-execute, so the rebuilt session is
-        *exactly* the captured one — same cursor, same ``P_D``, same
-        warm-start seed — and continues bit-identically. *trace* must be
+        *exactly* the captured one — same cursor, same ``P_D`` — and
+        continues bit-identically. *trace* must be
         the same trace the captured session ran on (e.g. a shared-memory
         view of it); pass ``verify_trace=True`` to check its content hash
         against the captured one instead of trusting the caller — off by
@@ -1119,11 +1112,11 @@ class TraceSession:
 
         Loads the newest checkpoint that passes verification (falling back
         to older ones past corruption), restores the full session state —
-        engine row cache, warm-start chain, controllers, detector, stats,
-        instrumentation — and deterministically re-executes the journal
-        records committed after the checkpoint. The resumed session then
-        continues exactly where the dead one would have been: same cursor,
-        same ``P_D``, same warm-start seed.
+        engine row cache, decomposition in service, controllers, detector,
+        stats, instrumentation — and deterministically re-executes the
+        journal records committed after the checkpoint. The resumed session
+        then continues exactly where the dead one would have been: same
+        cursor, same ``P_D``.
 
         Parameters
         ----------
@@ -1275,7 +1268,7 @@ class TraceSession:
         self._engine.instrumentation.restore_state(meta["instrumentation"])
         dec = decomposition_from_state(arrays, meta["decomposition"])
         self._decomposition = dec
-        self._engine.restore_warm_state(dec)
+        self._engine.last = dec
         stream_meta = meta.get("stream")
         if stream_meta is not None:
             self._engine.import_stream_state(

@@ -15,6 +15,7 @@ import numpy as np
 from ..core.decompose import Decomposition, decompose
 from ..core.maintenance import MaintenanceController, MaintenanceDecision
 from ..core.matrices import TPMatrix
+from ..core.options import SolveOptions
 from ..errors import ValidationError
 from .base import Strategy
 
@@ -27,7 +28,7 @@ class RPCAStrategy(Strategy):
     Parameters
     ----------
     solver:
-        RPCA backend (``"apg"`` — the paper's choice — ``"ialm"`` or
+        RPCA backend (default ``"ialm"``, the paper's method, or
         ``"row_constant"``).
     threshold:
         Maintenance threshold (paper default 1.0 = 100%).
@@ -45,7 +46,7 @@ class RPCAStrategy(Strategy):
 
     def __init__(
         self,
-        solver: str = "apg",
+        solver: str = SolveOptions.solver,
         *,
         threshold: float = 1.0,
         time_step: int = 10,

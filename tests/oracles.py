@@ -5,13 +5,10 @@ machine at a time, with no memoization and no vectorized schedule, so the
 library's fast paths must agree with them bit for bit. The re-planning
 oracles build ``P_D`` and its α-β pair with boolean off-diagonal masks,
 serve a session whose plans build every tree with ``fnf_tree``, and one
-whose engine re-solves every streaming trace wrap. The APG oracle is
-the unmasked loop written block by block (separate ``D``, ``E`` and
-momentum buffers); the library's fused loop reorders its floating point,
-so the two agree to ~1e-12 relative with equal iteration counts. The plain
-APG and IALM loops are the solvers as first written, with a full SVD under
-every threshold; they are also the baseline the solver benchmarks time the
-library against. Shared by the unit tests and by ``benchmarks/``.
+whose engine re-solves every streaming trace wrap. The plain IALM loop is
+the solver as first written, with a full SVD under every threshold; it is
+also the baseline the solver benchmarks time the library against. Shared
+by the unit tests and by ``benchmarks/``.
 """
 
 import numpy as np
@@ -24,15 +21,9 @@ from repro._validation import (
     check_positive,
 )
 from repro.collectives.fnf import fnf_tree
-from repro.core.apg import _unpack_warm_start, default_lambda, validate_mask
-from repro.core.kernels import SVTKernel
+from repro.core.ialm import default_lambda, validate_mask
 from repro.core.result import SolverResult
-from repro.core.svd_ops import (
-    singular_value_threshold,
-    soft_threshold,
-    spectral_norm,
-    truncated_svd,
-)
+from repro.core.svd_ops import singular_value_threshold, soft_threshold
 from repro.errors import ConvergenceError, ValidationError
 from repro.runtime import session as session_module
 
@@ -209,181 +200,12 @@ class AlwaysSolveSession(session_module.TraceSession):
         super()._calibrate(end, charge=charge)
 
 
-# -- unmasked APG reference --------------------------------------------------
-# The unmasked APG workspace loop as it was before the fused carrier:
-# the momentum state rides in F = D − E, with T = Y_D − Y_E the proximal
-# inputs are M_D = (T + A)/2 and M_E = A − M_D, and the stationarity blocks
-# satisfy S_E = −S_D = −(T − (D₊ − E₊)). One plain ufunc per operation.
-
-
-def apg_unmasked_reference(
-    a,
-    lam=None,
-    *,
-    tol=1e-7,
-    max_iter=500,
-    eta=0.9,
-    mu_floor_factor=1e-9,
-    raise_on_fail=False,
-    warm_start=None,
-    warm_mu_factor=0.1,
-    svd_backend="auto",
-):
-    A = np.ascontiguousarray(a, dtype=np.float64)
-    lam_v = default_lambda(A.shape) if lam is None else float(lam)
-    norm_a = np.linalg.norm(A)
-    kernel = SVTKernel(A.shape, svd_backend)
-    mu_top = spectral_norm(A)
-    mu_bar = mu_floor_factor * 0.99 * mu_top
-    warm = warm_start is not None
-    if warm:
-        D, E = (np.array(x, dtype=np.float64) for x in warm_start)
-        mu = max(mu_bar, warm_mu_factor * mu_top)
-    else:
-        D, E = np.zeros_like(A), np.zeros_like(A)
-        mu = 0.99 * mu_top
-    F = D - E
-    Fp = F.copy()
-    t, t_prev = 1.0, 1.0
-    rank, residual, converged, iterations = 0, np.inf, False, 0
-    for iterations in range(1, max_iter + 1):
-        beta = (t_prev - 1.0) / t
-        T = (1.0 + beta) * F - beta * Fp
-        MD = 0.5 * (T + A)
-        D, rank, _ = kernel.svt(MD, mu / 2.0)
-        E = soft_threshold(A - MD, lam_v * mu / 2.0)
-        Fp, F = F, D - E
-        residual = float(np.sqrt(2.0) * np.linalg.norm(T - F) / norm_a)
-        t_prev, t = t, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        mu = max(eta * mu, mu_bar)
-        if residual < tol:
-            converged = True
-            break
-    if not converged and raise_on_fail:
-        raise ConvergenceError(
-            f"APG RPCA did not converge in {max_iter} iterations",
-            iterations=iterations,
-            residual=residual,
-        )
-    return SolverResult(D, E, rank, iterations, converged, residual, warm_started=warm)
-
-
-# -- plain APG and IALM loops -------------------------------------------------
-# The solvers' original loops: full SVD under every threshold, fresh m×n
+# -- plain IALM loop -----------------------------------------------------------
+# The solver's original loop: full SVD under every threshold, fresh m×n
 # temporaries each iteration, Y carried as the dual itself. The library runs
-# one workspace loop per solver whose SVT kernel is chosen by shape, so the
-# two agree to solver tolerance (≤ 1e-6 of ‖A‖_F) with equal iteration
-# counts, masked and unmasked, warm and cold.
-
-
-def rpca_apg_plain(
-    a,
-    lam=None,
-    *,
-    tol=1e-7,
-    max_iter=500,
-    eta=0.9,
-    mu_floor_factor=1e-9,
-    raise_on_fail=False,
-    warm_start=None,
-    warm_mu_factor=0.1,
-    mask=None,
-):
-    A = as_float_matrix(a, "a")
-    m, n = A.shape
-    lam_v = default_lambda((m, n)) if lam is None else check_positive(lam, "lam")
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
-    if not 0.0 < warm_mu_factor < 1.0:
-        raise ValueError(f"warm_mu_factor must be in (0, 1), got {warm_mu_factor}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    omega = validate_mask(mask, A.shape)
-    if omega is not None:
-        A = np.where(omega, A, 0.0)  # placeholder values must carry no signal
-
-    norm_a = np.linalg.norm(A)
-    if norm_a == 0.0:
-        zero = np.zeros_like(A)
-        return SolverResult(zero, zero.copy(), 0, 0, True, 0.0)
-
-    # mu_0 = second singular value heuristic is common; the reference code
-    # starts at 0.99 * ||A||_2 which is cheap and robust. L = 2 (two blocks).
-    _, s, _ = truncated_svd(A)
-    mu_top = float(s[0])
-    mu_bar = mu_floor_factor * 0.99 * mu_top
-
-    warm = warm_start is not None
-    if warm:
-        D, E = _unpack_warm_start(warm_start, A.shape)
-        mu = max(mu_bar, warm_mu_factor * mu_top)
-    else:
-        D = np.zeros_like(A)
-        E = np.zeros_like(A)
-        mu = 0.99 * mu_top
-    D_prev = D.copy()
-    E_prev = E.copy()
-    t, t_prev = 1.0, 1.0
-
-    rank = 0
-    residual = np.inf
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        beta = (t_prev - 1.0) / t
-        YD = D + beta * (D - D_prev)
-        YE = E + beta * (E - E_prev)
-
-        # Gradient of 1/2||P_Ω(D+E-A)||_F^2 w.r.t. both blocks is
-        # P_Ω(YD + YE - A); the Lipschitz constant over the joint block
-        # variable is 2. Unmasked, P_Ω is the identity.
-        G = 0.5 * (YD + YE - A)
-        if omega is not None:
-            G *= omega
-        M = YD - G
-        with observability.timed("kernel.svt_seconds"):
-            D_new, rank, _ = singular_value_threshold(M, mu / 2.0)
-        E_new = soft_threshold(YE - G, lam_v * mu / 2.0)
-        if omega is not None:
-            E_new *= omega  # a transient error needs a witness
-
-        # Stationarity gap of the reference implementation:
-        # S = 2(Y - X_{k+1}) + (X_{k+1} - Y) summed over blocks.
-        diff = D_new + E_new - YD - YE
-        if omega is not None:
-            diff = diff * omega
-        SD = 2.0 * (YD - D_new) + diff
-        SE = 2.0 * (YE - E_new) + diff
-        residual = float(
-            np.sqrt(np.linalg.norm(SD) ** 2 + np.linalg.norm(SE) ** 2) / norm_a
-        )
-
-        D_prev, E_prev = D, E
-        D, E = D_new, E_new
-        t_prev, t = t, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        mu = max(eta * mu, mu_bar)
-
-        if residual < tol:
-            converged = True
-            break
-
-    if not converged and raise_on_fail:
-        raise ConvergenceError(
-            f"APG RPCA did not converge in {max_iter} iterations "
-            f"(residual {residual:.3e} > tol {tol:.3e})",
-            iterations=iterations,
-            residual=residual,
-        )
-    return SolverResult(
-        low_rank=D,
-        sparse=E,
-        rank=rank,
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-        warm_started=warm,
-    )
+# one workspace loop whose SVT kernel is chosen by shape, so the two agree
+# to solver tolerance (≤ 1e-6 of ‖A‖_F) with equal iteration counts, masked
+# and unmasked.
 
 
 def rpca_ialm_plain(

@@ -1,17 +1,17 @@
-"""Unit tests for warm-started APG and online time-step selection."""
+"""Unit tests for re-calibration solve determinism and online time-step selection."""
 
 import numpy as np
 import pytest
 
 from repro.calibration.adaptive import select_time_step_online
-from repro.core.apg import rpca_apg
+from repro.core.ialm import rpca_ialm
 from repro.core.decompose import decompose
 from repro.errors import CalibrationError, ValidationError
 
 MB = 1024 * 1024
 
 
-class TestAPGDeterminism:
+class TestSolveDeterminism:
     def test_overlapping_windows_stay_consistent(self, small_trace):
         # Algorithm-1 re-calibrations solve cold on overlapping windows;
         # consecutive constant rows must agree closely (same network).
@@ -19,15 +19,15 @@ class TestAPGDeterminism:
         tp2 = small_trace.tp_matrix(8 * MB, start=1, count=10)
         from repro.core.decompose import constant_row
 
-        r1 = constant_row(rpca_apg(tp1.data).low_rank)
-        r2 = constant_row(rpca_apg(tp2.data).low_rank)
+        r1 = constant_row(rpca_ialm(tp1.data).low_rank)
+        r2 = constant_row(rpca_ialm(tp2.data).low_rank)
         rel = np.abs(r1 - r2)[r1 > 0] / r1[r1 > 0]
         assert np.median(rel) < 0.05
 
     def test_repeat_solve_identical(self, small_trace):
         tp = small_trace.tp_matrix(8 * MB, start=0, count=10)
-        a = rpca_apg(tp.data)
-        b = rpca_apg(tp.data)
+        a = rpca_ialm(tp.data)
+        b = rpca_ialm(tp.data)
         np.testing.assert_array_equal(a.low_rank, b.low_rank)
         assert a.iterations == b.iterations
 

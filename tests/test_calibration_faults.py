@@ -122,7 +122,7 @@ class TestResilientWindowSource:
             _faulty(small_trace, [ProbeLoss(0.15)], seed=2),
             resilient=True, max_retries=1, min_observed=0.5,
         )
-        eng = cal.engine(nbytes=8 * MB, time_step=8, options=SolveOptions(solver="apg"))
+        eng = cal.engine(nbytes=8 * MB, time_step=8, options=SolveOptions(solver="ialm"))
         dec = eng.calibrate(8)
         assert dec.solver_converged
         assert eng.instrumentation.counters.get("engine.solve.masked", 0) >= 1

@@ -296,5 +296,5 @@ class TestCsvPartialLogs:
         trace = load_trace_csv(path, allow_missing=True)
         from repro.core.decompose import decompose
 
-        dec = decompose(trace.tp_matrix(8 << 20), solver="apg")
+        dec = decompose(trace.tp_matrix(8 << 20), solver="ialm")
         assert dec.solver_converged

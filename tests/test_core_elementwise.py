@@ -3,16 +3,13 @@
 Mirrors the guarantees pinned for the SVD kernel layer in
 ``test_core_kernels.py``, one tier stricter where the design allows it:
 
-* **Bit identity** — for masked APG and for IALM the fused kernel
+* **Bit identity** — for IALM, masked and unmasked, the fused kernel
   preserves the historical ufunc chain's per-element operation order (it
   only blocks the sweeps), so fused solves are bit-identical to
   reference-chain solves. That is asserted with ``np.array_equal``, not a
   tolerance. The oracle is the same kernel with ``elementwise._fusable``
   patched to ``False``, which sends those steps down the reference chain
-  (see :func:`reference_chain`). The unmasked APG step is one sweep with
-  no chain of its own: it restructures the iteration (``G = D − E + A``,
-  the Gram shrink operator), so its oracle is the block-by-block loop in
-  ``tests/oracles.py`` with a 1e-12 tolerance (``test_apg_oracle.py``).
+  (see :func:`reference_chain`).
 * **Fallback and observability** — non-contiguous buffers take the
   reference chain with a ``kernel.ew.fallback`` count instead of silently
   copying, and every step reports ``kernel.ew.steps`` /
@@ -31,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.core import elementwise
-from repro.core.apg import rpca_apg
 from repro.core.decompose import decompose
 from repro.core.elementwise import DEFAULT_EW_CHUNK, ElementwiseKernel
 from repro.core.engine import DecompositionEngine
@@ -51,7 +47,7 @@ def reference_chain():
         yield
 
 
-SOLVERS = {"apg": rpca_apg, "ialm": rpca_ialm}
+SOLVERS = {"ialm": rpca_ialm}
 
 
 class _FakeSource:
@@ -150,9 +146,8 @@ def _solve_pair(solver, a, mask, **kw):
     return ref, fus
 
 
-# Solver × masked cases whose steps keep a reference chain: every one but
-# unmasked APG (see the module docstring).
-CHAIN_CASES = [("apg", True), ("ialm", False), ("ialm", True)]
+# Solver × masked cases; every step keeps a reference chain.
+CHAIN_CASES = [("ialm", False), ("ialm", True)]
 
 
 class TestFusedBitIdentity:
@@ -183,21 +178,19 @@ class TestFusedBitIdentity:
 
     def test_chunking_is_invisible(self, monkeypatch):
         # A chunk smaller than a row exercises the block seams; iterates
-        # must not depend on the chunk size at all. The unmasked APG sweep
-        # sums its residual norm block by block, so only that last-bit sum
-        # moves with the chunk: same iteration count, same D and E.
+        # must not depend on the chunk size at all.
         a = _rpca_problem(seed=5)
         mask = _mask(a.shape)
         with reference_chain():
-            ref = rpca_apg(a, mask=mask, svd_backend="auto")
-        big = [rpca_apg(a, mask=m, svd_backend="auto") for m in (mask, None)]
+            ref = rpca_ialm(a, mask=mask, svd_backend="auto")
+        big = [rpca_ialm(a, mask=m, svd_backend="auto") for m in (mask, None)]
         real_init = ElementwiseKernel.__init__
 
         def tiny_chunks(self, *, chunk=DEFAULT_EW_CHUNK):
             real_init(self, chunk=17)
 
         monkeypatch.setattr(ElementwiseKernel, "__init__", tiny_chunks)
-        small = [rpca_apg(a, mask=m, svd_backend="auto") for m in (mask, None)]
+        small = [rpca_ialm(a, mask=m, svd_backend="auto") for m in (mask, None)]
         assert np.array_equal(ref.low_rank, big[0].low_rank)
         for b, s in zip(big, small):
             assert b.iterations == s.iterations
@@ -210,7 +203,7 @@ class TestRoutingAndObservability:
         a = _rpca_problem(seed=31)
         sink = Instrumentation("ew")
         with instrumented(sink):
-            rpca_apg(a, svd_backend="auto")
+            rpca_ialm(a, svd_backend="auto")
         assert sink.counters.get("kernel.ew.steps", 0) > 0
         assert sink.counters.get("kernel.ew.fallback", 0) == 0
         assert sink.timers.get("kernel.ew_seconds", 0.0) > 0.0
@@ -245,7 +238,7 @@ class TestRoutingAndObservability:
 
     def test_decompose_rejects_non_svt_solver(self):
         tp = TPMatrix(data=_rpca_problem(n=16), n_machines=4)
-        for solver in ("row_constant", "apg"):
+        for solver in ("row_constant", "ialm"):
             with pytest.raises(TypeError, match="elementwise_backend"):
                 decompose(tp, solver=solver, elementwise_backend="fused")
 
@@ -264,7 +257,7 @@ class TestRoutingAndObservability:
 class TestStreamingShrink:
     def _seeded(self, rows):
         window = rows[:10]
-        res = rpca_apg(window, svd_backend="auto")
+        res = rpca_ialm(window, svd_backend="auto")
         dec = StreamingDecomposer(window.shape)
         dec.seed(end=10, data=window, low_rank=res.low_rank, sparse=res.sparse)
         return dec

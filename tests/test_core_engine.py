@@ -1,8 +1,8 @@
-"""Engine layer: rolling-window cache, warm starts, registry validation.
+"""Engine layer: rolling-window cache, cold solves, registry validation.
 
-Covers the DecompositionEngine itself, its TraceSession integration
-(fixed-seed warm-vs-cold replay equivalence), the Calibrator adapter, and
-the solver-registry capability metadata the engine relies on.
+Covers the DecompositionEngine itself, its TraceSession integration, the
+Calibrator adapter, and the solver-registry capability metadata the engine
+relies on.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 from repro.calibration import Calibrator, CalibratorWindowSource, TraceSubstrate
 from repro.cloudsim.dynamics import DynamicsConfig
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
-from repro.core.apg import rpca_apg
 from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine, TraceWindowSource, WindowSource
 from repro.core.ialm import rpca_ialm
@@ -110,53 +109,8 @@ class TestWindowCache:
 
 
 class TestWarmStart:
-    @pytest.mark.parametrize("solver", ["apg"])
-    def test_warm_uses_fewer_iterations_than_cold(self, small_trace, solver):
-        """On the same rolling windows, warm re-solves iterate strictly less."""
-        windows = [(0, 10), (2, 12), (4, 14), (6, 16)]
-
-        warm = DecompositionEngine(
-            small_trace, nbytes=8 * MB, options=SolveOptions(solver=solver)
-        )
-        cold = DecompositionEngine(
-            small_trace, nbytes=8 * MB,
-            options=SolveOptions(solver=solver, warm_start=False),
-        )
-        warm_iters = cold_iters = 0
-        for start, stop in windows:
-            warm_iters += warm.solve(warm.window(start, stop)).solver_iterations
-            cold_iters += cold.solve(cold.window(start, stop)).solver_iterations
-        assert warm_iters < cold_iters
-        assert warm.instrumentation.counters["engine.solve.warm"] == len(windows) - 1
-        assert warm.instrumentation.counters["engine.solve.cold"] == 1
-        assert cold.instrumentation.counters["engine.solve.cold"] == len(windows)
-
-    @pytest.mark.parametrize(
-        "solver,tol",
-        [("apg", 0.05), ("ialm", 0.2)],
-    )
-    def test_warm_solution_close_to_cold(self, small_trace, solver, tol):
-        """Warm re-solves land within tolerance of the cold solution; IALM
-        refuses warm starts, so its "warm" engine stays cold and lands on
-        the cold solution exactly."""
-        warm = DecompositionEngine(
-            small_trace, nbytes=8 * MB, options=SolveOptions(solver=solver)
-        )
-        warm.calibrate(10)
-        d_warm = warm.calibrate(12)
-        d_cold = DecompositionEngine(
-            small_trace, nbytes=8 * MB,
-            options=SolveOptions(solver=solver, warm_start=False),
-        ).calibrate(12)
-        warm_capable = solver_spec(solver).supports_warm_start
-        assert d_warm.solver_result.warm_started is warm_capable
-        assert not d_cold.solver_result.warm_started
-        w_warm = d_warm.performance_matrix().weights
-        w_cold = d_cold.performance_matrix().weights
-        drift = np.linalg.norm(w_warm - w_cold) / np.linalg.norm(w_cold)
-        assert drift < tol
-        if not warm_capable:
-            assert np.array_equal(w_warm, w_cold)
+    """There is no warm start: every engine solve is a cold solve of its
+    window, bitwise equal to :func:`~repro.core.decompose.decompose`."""
 
     def test_ialm_chain_stays_on_the_cold_answer(self):
         """A 64-instance IALM re-calibration chain serves the cold P_D.
@@ -167,103 +121,87 @@ class TestWarmStart:
         low-rank/sparse split did. IALM now solves every window cold.
         """
         trace = generate_trace(TraceConfig(n_machines=64, n_snapshots=60), seed=7)
-        options = SolveOptions(solver="ialm")
-        chain = DecompositionEngine(trace, nbytes=8 * MB, options=options)
+        chain = DecompositionEngine(trace, nbytes=8 * MB)
         chain.calibrate(10)
         for end in range(11, 26):
             dec = chain.calibrate(end)
             if (end - 10) % 5:
                 continue
-            cold = DecompositionEngine(
-                trace, nbytes=8 * MB,
-                options=SolveOptions(solver="ialm", warm_start=False),
-            ).calibrate(end)
-            row, want = dec.constant.row, cold.constant.row
-            assert np.linalg.norm(row - want) <= 1e-3 * np.linalg.norm(want), end
-        assert chain.instrumentation.counters.get("engine.solve.warm", 0) == 0
+            want = decompose(trace.tp_matrix(8 * MB, start=end - 10, count=10))
+            assert np.array_equal(dec.constant.row, want.constant.row), end
+        assert "engine.solve.warm" not in chain.instrumentation.counters
+
+    @pytest.mark.parametrize("solver,tol", [("ialm", 0.2)])
+    def test_warm_solution_close_to_cold(self, small_trace, solver, tol):
+        """An engine that re-calibrates lands on a fresh engine's answer for
+        the same window exactly: the earlier solve leaves no state behind."""
+        chain = DecompositionEngine(
+            small_trace, nbytes=8 * MB, options=SolveOptions(solver=solver)
+        )
+        chain.calibrate(10)
+        d_chain = chain.calibrate(12)
+        d_cold = DecompositionEngine(
+            small_trace, nbytes=8 * MB, options=SolveOptions(solver=solver)
+        ).calibrate(12)
+        w_chain = d_chain.performance_matrix().weights
+        w_cold = d_cold.performance_matrix().weights
+        drift = np.linalg.norm(w_chain - w_cold) / np.linalg.norm(w_cold)
+        assert drift < tol
+        assert np.array_equal(w_chain, w_cold)
+        assert chain.instrumentation.counters["engine.solve.cold"] == 2
 
     def test_first_solve_is_cold(self, small_trace):
         eng = DecompositionEngine(small_trace, nbytes=8 * MB)
         dec = eng.calibrate(10)
-        assert not dec.solver_result.warm_started
         assert eng.last is dec
-
-    def test_reset_warm_state_forces_cold(self, small_trace):
-        eng = DecompositionEngine(small_trace, nbytes=8 * MB)
-        eng.calibrate(10)
-        eng.reset_warm_state()
-        assert eng.last is None
-        dec = eng.calibrate(12)
-        assert not dec.solver_result.warm_started
+        assert eng.instrumentation.counters["engine.solve.cold"] == 1
 
     def test_shape_change_falls_back_to_cold(self, small_trace):
         eng = DecompositionEngine(small_trace, nbytes=8 * MB, time_step=10)
         eng.calibrate(10)
-        # A shorter head window (fewer rows) cannot reuse the 10-row seed.
+        # A shorter head window (fewer rows) solves on its own.
         dec = eng.solve(eng.window(0, 6))
-        assert not dec.solver_result.warm_started
+        want = decompose(small_trace.tp_matrix(8 * MB, start=0, count=6))
+        assert np.array_equal(dec.constant.row, want.constant.row)
 
     def test_exact_solver_ignores_warm_start(self, small_trace):
-        """row_constant does not support warm starts; the engine stays cold."""
+        """row_constant solves every window cold, like every solver."""
         eng = DecompositionEngine(
             small_trace, nbytes=8 * MB, options=SolveOptions(solver="row_constant")
         )
         eng.calibrate(10)
         eng.calibrate(12)
-        assert eng.instrumentation.counters.get("engine.solve.warm", 0) == 0
+        assert "engine.solve.warm" not in eng.instrumentation.counters
         assert eng.instrumentation.counters["engine.solve.cold"] == 2
 
 
 class TestSolverWarmStartAPI:
-    def test_warm_start_accepts_result_and_pair(self, small_trace):
-        a = small_trace.tp_matrix(8 * MB, start=0, count=10).data
-        cold = rpca_apg(a)
-        from_result = rpca_apg(a, warm_start=cold)
-        from_pair = rpca_apg(a, warm_start=(cold.low_rank, cold.sparse))
-        assert from_result.warm_started and from_pair.warm_started
-        assert from_result.iterations == from_pair.iterations
-
-    def test_warm_start_shape_mismatch(self, small_trace):
-        a = small_trace.tp_matrix(8 * MB, start=0, count=10).data
-        cold = rpca_apg(a)
-        with pytest.raises(ValueError, match="shape"):
-            rpca_apg(a[:5], warm_start=cold)
-
     def test_ialm_refuses_warm_start(self, small_trace):
         a = small_trace.tp_matrix(8 * MB, start=0, count=10).data
         cold = rpca_ialm(a)
-        assert not cold.warm_started
         with pytest.raises(TypeError, match="warm_start"):
             solve_rpca(a, solver="ialm", warm_start=cold)
         with pytest.raises(TypeError, match="warm_start"):
             rpca_ialm(a, warm_start=cold)
 
-    def test_warm_start_bad_type(self, small_trace):
-        a = small_trace.tp_matrix(8 * MB, start=0, count=10).data
-        with pytest.raises(TypeError):
-            rpca_apg(a, warm_start="previous")
-
 
 class TestRegistryValidation:
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_solver("apg", rpca_apg)
+            register_solver("ialm", rpca_ialm)
 
     def test_overwrite_allows_replacement(self):
-        original = solver_spec("apg")
+        original = solver_spec("ialm")
         try:
-            register_solver("apg", rpca_apg, overwrite=True)
+            register_solver("ialm", rpca_ialm, overwrite=True)
         finally:
-            register_solver(
-                "apg", original.fn, overwrite=True,
-                supports_warm_start=original.supports_warm_start,
-            )
-        assert solver_spec("apg").supports_warm_start
+            register_solver("ialm", original.fn, overwrite=True)
+        assert solver_spec("ialm").fn is rpca_ialm
 
     @pytest.mark.parametrize("name", ["", None, 3])
     def test_bad_names_rejected(self, name):
         with pytest.raises(ValueError, match="non-empty string"):
-            register_solver(name, rpca_apg)
+            register_solver(name, rpca_ialm)
 
     def test_non_callable_rejected(self):
         with pytest.raises(TypeError, match="callable"):
@@ -278,7 +216,7 @@ class TestRegistryValidation:
 
     def test_supported_kwargs_pass(self, tiny_trace):
         a = tiny_trace.tp_matrix(8 * MB).data
-        res = solve_rpca(a, solver="apg", tol=1e-6, max_iter=50)
+        res = solve_rpca(a, solver="ialm", tol=1e-6, max_iter=50)
         assert isinstance(res, SolverResult)
 
     def test_engine_validates_at_construction(self, small_trace):
@@ -292,50 +230,23 @@ class TestRegistryValidation:
             )
 
     def test_capability_metadata(self):
-        assert solver_spec("apg").supports_warm_start
-        assert not solver_spec("ialm").supports_warm_start
+        assert not solver_spec("ialm").exact_row_constant
+        assert "mask" in solver_spec("ialm").accepted_kwargs
         assert solver_spec("row_constant").exact_row_constant
         assert solver_spec("pca").exact_row_constant
-        assert not solver_spec("pca").supports_warm_start
 
 
 class TestSessionIntegration:
     N_OPS = 120
 
-    def _replay(self, trace, warm_start):
-        session = TraceSession(trace, warm_start=warm_start)
+    def _replay(self, trace):
+        session = TraceSession(trace)
         for i in range(self.N_OPS):
             session.broadcast(root=i % trace.n_machines)
         return session
 
-    def test_warm_replay_matches_cold_stats(self, busy_trace):
-        """Acceptance: fixed-seed replay through the warm engine reproduces
-        the historical cold path's SessionStats, with >= 5 recalibrations."""
-        warm = self._replay(busy_trace, warm_start=True)
-        cold = self._replay(busy_trace, warm_start=False)
-        assert cold.stats.recalibrations >= 5
-        assert warm.stats.operations == cold.stats.operations
-        assert warm.stats.recalibrations == cold.stats.recalibrations
-        assert warm.stats.communication_seconds == pytest.approx(
-            cold.stats.communication_seconds, abs=1e-9
-        )
-        assert warm.stats.overhead_seconds == cold.stats.overhead_seconds
-        assert [r.decision for r in warm.stats.history] == [
-            r.decision for r in cold.stats.history
-        ]
-
-    def test_warm_replay_saves_iterations(self, busy_trace):
-        warm = self._replay(busy_trace, warm_start=True)
-        cold = self._replay(busy_trace, warm_start=False)
-        assert warm.instrumentation.warm_solves >= 5
-        assert cold.instrumentation.warm_solves == 0
-        assert (
-            warm.instrumentation.solve_iterations
-            < cold.instrumentation.solve_iterations
-        )
-
     def test_epochs_count_cursor_wraps(self, busy_trace):
-        session = self._replay(busy_trace, warm_start=True)
+        session = self._replay(busy_trace)
         # 120 ops over a 20-snapshot evaluation window wrap exactly 6 times.
         n_eval = busy_trace.n_snapshots - session.time_step
         assert session.stats.epochs == self.N_OPS // n_eval
@@ -402,7 +313,7 @@ class TestCalibratorAdapter:
 
 
 class TestWarmStatePickling:
-    """Warm state must survive process boundaries losslessly (fleet contract)."""
+    """Session state must survive process boundaries losslessly (fleet contract)."""
 
     def test_warm_vectors_through_shared_memory_views(self, small_trace):
         """An engine fed shm-backed trace views solves bit-identically."""
@@ -575,7 +486,7 @@ class TestWrapSolveReuse:
         eng.calibrate(11)
         eng.calibrate(11)
         counters = eng.instrumentation.counters
-        assert counters["engine.solve.warm"] == 1
+        assert counters["engine.solve.cold"] == 2
         assert "engine.solve.reused" not in counters
 
 

@@ -11,7 +11,7 @@ Three classes of guarantee are pinned here:
   reconstructs only the surviving triplets, but the thresholded rank is
   exact by construction (no undershoot) and solver outputs agree with the
   oracles to solver tolerance, with equal iteration counts, on masked and
-  unmasked, warm and cold solves, whichever kernel runs.
+  unmasked solves, whichever kernel runs.
 * **The performance contract** — under ``auto`` on wide TP-shaped
   matrices, steady-state iterations perform no full-width SVD and allocate
   no new ``m × n`` temporaries; both are instrumentation-counter
@@ -23,7 +23,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.apg import rpca_apg
 from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine
 from repro.core.ialm import rpca_ialm
@@ -44,10 +43,10 @@ from repro.core.svd_ops import (
 from repro.errors import ValidationError
 from repro.observability import Instrumentation, instrumented
 
-from .oracles import rpca_apg_plain, rpca_ialm_plain
+from .oracles import rpca_ialm_plain
 
-SOLVERS = {"apg": rpca_apg, "ialm": rpca_ialm}
-ORACLES = {"apg": rpca_apg_plain, "ialm": rpca_ialm_plain}
+SOLVERS = {"ialm": rpca_ialm}
+ORACLES = {"ialm": rpca_ialm_plain}
 
 
 def _rpca_problem(m=10, n=800, rank=1, sparsity=0.05, seed=0):
@@ -212,12 +211,7 @@ def test_kernel_partial_backends_match_exact(backend, transpose, tau_scale):
 @pytest.mark.parametrize("transpose", [False, True], ids=["wide", "tall"])
 @pytest.mark.parametrize("target", [0, 1, 2], ids=["rank0", "rank1", "rank2"])
 def test_gram_shrink_operator_matches_full_svd(transpose, target):
-    """One GEMM through the shrink operator: ``P·A`` wide, ``A·Q`` tall.
-
-    Checks the plain threshold, the ``plus_input`` form ``D + A`` the
-    unmasked APG loop takes, and :meth:`SVTKernel.low_rank`, which rebuilds
-    ``D`` from the stored operator without a new decomposition.
-    """
+    """One GEMM through the shrink operator: ``P·A`` wide, ``A·Q`` tall."""
     rng = np.random.default_rng(9)
     a = np.outer(rng.uniform(1, 2, 12), rng.uniform(1, 2, 400)) * 4.0
     a += np.outer(rng.standard_normal(12), rng.standard_normal(400)) * 0.3
@@ -234,24 +228,17 @@ def test_gram_shrink_operator_matches_full_svd(transpose, target):
     d, rank, _ = kernel.svt(a, tau)
     assert rank == rank_ref
     np.testing.assert_allclose(d, d_ref, rtol=0, atol=atol)
-    plus = np.empty_like(a)
-    kernel.svt(a, tau, out=plus, plus_input=True)
-    np.testing.assert_allclose(plus, d_ref + a, rtol=0, atol=atol)
-    again = kernel.low_rank(a, out=np.empty_like(a))
-    np.testing.assert_allclose(again, d_ref, rtol=0, atol=atol)
     if rank_ref == 0:
-        assert not d.any() and not again.any()
-        assert np.array_equal(plus, a)
+        assert not d.any()
 
 
-def test_exact_kernel_plus_input_and_low_rank_are_bitwise():
+def test_exact_kernel_is_the_full_svd_bitwise():
     a = _rpca_problem(m=70, n=100, seed=8)
     d_ref, _, _ = singular_value_threshold(a, 2.0)
     kernel = SVTKernel(a.shape, "auto")
     assert kernel.choose() == "exact"
-    plus, _, _ = kernel.svt(a, 2.0, out=np.empty_like(a), plus_input=True)
-    assert np.array_equal(plus, d_ref + a)
-    assert np.array_equal(kernel.low_rank(a, out=np.empty_like(a)), d_ref)
+    d, _, _ = kernel.svt(a, 2.0, out=np.empty_like(a))
+    assert np.array_equal(d, d_ref)
 
 
 def test_kernel_writes_into_out_buffer():
@@ -320,7 +307,7 @@ def test_workspace_counts_allocations():
 
 
 # ---------------------------------------------------------------------------
-# Solver-level parity with the plain loops: masked/unmasked, warm/cold
+# Solver-level parity with the plain loops: masked/unmasked
 # ---------------------------------------------------------------------------
 
 
@@ -358,21 +345,6 @@ def test_partial_backends_match_exact_solves(solver, backend, masked):
     assert np.linalg.norm(res.sparse - ref.sparse) <= 1e-6 * scale
 
 
-# IALM takes no warm start (see repro.core.ialm).
-@pytest.mark.parametrize("solver", ["apg"])
-def test_partial_backend_warm_start_matches_exact_warm_start(solver):
-    a = _rpca_problem(seed=12)
-    fn, oracle = SOLVERS[solver], ORACLES[solver]
-    seed = oracle(a)
-    b = a + 0.01 * np.outer(np.ones(a.shape[0]), np.random.default_rng(1).standard_normal(a.shape[1]))
-    ref = oracle(b, warm_start=seed)
-    res = fn(b, warm_start=seed, svd_backend="auto")
-    assert res.warm_started and ref.warm_started
-    assert res.iterations == ref.iterations
-    scale = float(np.linalg.norm(b))
-    assert np.linalg.norm(res.low_rank - ref.low_rank) <= 1e-6 * scale
-
-
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_solver_rejects_unknown_backend(solver):
     a = _rpca_problem(seed=13)
@@ -389,7 +361,7 @@ def _auto_solve_counters(max_iter):
     a = _rpca_problem(m=10, n=1500, seed=15)
     instr = Instrumentation("t")
     with instrumented(instr):
-        res = rpca_apg(a, svd_backend="auto", max_iter=max_iter, tol=0.0)
+        res = rpca_ialm(a, svd_backend="auto", max_iter=max_iter, tol=0.0)
     assert res.iterations == max_iter
     return instr.counters
 
@@ -404,9 +376,8 @@ def test_auto_steady_state_no_full_width_svd_and_no_mn_allocations():
     assert long.get("kernel.svt.full_width", 0) == 0
     assert long["kernel.svt.gram"] == 40
     assert long["kernel.workspace.alloc_mn"] == short["kernel.workspace.alloc_mn"]
-    # The unmasked loop carries a tall copy of A and three carriers
-    # (G = D − E + A, the prox input and a free one); D and E are written
-    # into two of those at the end.
+    # The unmasked loop carries D, E, the scaled dual, the prox input and
+    # the feasibility gap.
     assert long["kernel.workspace.alloc_mn"] <= 5
 
 
@@ -448,8 +419,8 @@ def _tp(seed=16, m=10, n_machines=14):
 def test_decompose_accepts_svd_backend():
     # decompose forwards the kernel keyword to the solver like any other.
     tp = _tp()
-    ref = decompose(tp, solver="apg", svd_backend="exact")
-    dec = decompose(tp, solver="apg")
+    ref = decompose(tp, svd_backend="exact")
+    dec = decompose(tp)
     np.testing.assert_allclose(
         dec.constant.row, ref.constant.row, rtol=0, atol=1e-8 * abs(ref.constant.row).max()
     )
@@ -497,7 +468,7 @@ def test_engine_exact_backend_solves_unchanged():
     engine = DecompositionEngine(_FakeSource(), nbytes=8.0, time_step=10)
     res = engine.calibrate(10)
     tp = engine.window(0, 10)
-    ref = rpca_apg_plain(tp.data)
+    ref = rpca_ialm_plain(tp.data)
     assert res.solver_iterations == ref.iterations
     scale = float(np.linalg.norm(tp.data))
     assert np.linalg.norm(res.solver_result.low_rank - ref.low_rank) <= 1e-6 * scale

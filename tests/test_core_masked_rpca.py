@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
-from repro.core.apg import rpca_apg, validate_mask
 from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine
-from repro.core.ialm import rpca_ialm
+from repro.core.ialm import rpca_ialm, validate_mask
 from repro.core.matrices import TPMatrix
-from repro.core.options import SolveOptions
 from repro.errors import CalibrationError, ConvergenceError, ValidationError
 from repro.faults import ProbeLoss, VMOutage, inject_faults
 
@@ -72,7 +70,7 @@ class TestTPMatrixMask:
 
 
 class TestMaskedSolvers:
-    @pytest.mark.parametrize("solver_fn", [rpca_apg, rpca_ialm])
+    @pytest.mark.parametrize("solver_fn", [rpca_ialm])
     def test_all_true_mask_is_bitwise_identical_to_unmasked(
         self, tiny_trace, solver_fn
     ):
@@ -83,7 +81,7 @@ class TestMaskedSolvers:
         assert np.array_equal(plain.sparse, masked.sparse)
         assert plain.iterations == masked.iterations
 
-    @pytest.mark.parametrize("solver", ["apg", "ialm"])
+    @pytest.mark.parametrize("solver", ["ialm"])
     @pytest.mark.parametrize("loss", [0.1, 0.2])
     def test_masked_constant_row_within_5pct_of_full(self, solver, loss):
         # Acceptance criterion: with <= 20% of entries missing, the masked
@@ -96,13 +94,13 @@ class TestMaskedSolvers:
         rel = np.abs(got - ref).sum() / np.abs(ref).sum()
         assert rel < 0.05
 
-    @pytest.mark.parametrize("solver_fn", [rpca_apg, rpca_ialm])
+    @pytest.mark.parametrize("solver_fn", [rpca_ialm])
     def test_sparse_term_supported_on_observed_set(self, tiny_trace, solver_fn):
         _, masked = _masked_tp(tiny_trace, loss=0.2, seed=3)
         res = solver_fn(masked.data, mask=masked.mask)
         assert np.all(res.sparse[~masked.mask] == 0.0)
 
-    @pytest.mark.parametrize("solver_fn", [rpca_apg, rpca_ialm])
+    @pytest.mark.parametrize("solver_fn", [rpca_ialm])
     def test_convergence_error_on_exhausted_budget(self, tiny_trace, solver_fn):
         _, masked = _masked_tp(tiny_trace, loss=0.15, seed=4)
         with pytest.raises(ConvergenceError) as exc:
@@ -122,15 +120,15 @@ class TestMaskedDecompose:
 
     def test_report_treats_holes_as_on_constant(self, tiny_trace):
         _, masked = _masked_tp(tiny_trace, loss=0.2, seed=5)
-        dec = decompose(masked, solver="apg")
+        dec = decompose(masked)
         err = dec.error.data
         assert np.all(err[~masked.mask] == 0.0)
 
     def test_unmasked_decompose_unchanged(self, tiny_trace):
         # The masked machinery must not touch the fully-observed path.
         tp = tiny_trace.tp_matrix(8 * MB)
-        a = decompose(tp, solver="apg")
-        b = decompose(tp, solver="apg")
+        a = decompose(tp)
+        b = decompose(tp)
         assert np.array_equal(a.constant.row, b.constant.row)
 
 
@@ -174,17 +172,13 @@ class TestEngineMaskedWindows:
             eng.window(5, 5)
 
     def test_cold_full_observation_path_is_bitwise_stable(self, small_trace):
-        # warm_start=False over a fully-observed trace must equal the direct
-        # decompose of trace.tp_matrix — the historical cold path.
-        eng = DecompositionEngine(
-            small_trace, nbytes=8 * MB, time_step=10,
-            options=SolveOptions(warm_start=False),
-        )
+        # Re-calibrations over a fully-observed trace must equal the direct
+        # decompose of trace.tp_matrix — every solve is cold.
+        eng = DecompositionEngine(small_trace, nbytes=8 * MB, time_step=10)
         for end in (10, 12, 15):
             via_engine = eng.calibrate(end)
             direct = decompose(
-                small_trace.tp_matrix(8 * MB, start=end - 10, count=10),
-                solver="apg",
+                small_trace.tp_matrix(8 * MB, start=end - 10, count=10)
             )
             assert np.array_equal(via_engine.constant.row, direct.constant.row)
             assert np.array_equal(via_engine.error.data, direct.error.data)

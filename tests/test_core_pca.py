@@ -79,6 +79,6 @@ class TestPCAVsRPCARobustness:
         tp, truth = self.make_tp_with_outlier(outlier_scale=1.0)
         off = truth > 0
         pca_row = decompose(tp, solver="pca").constant.row
-        rpca_row = decompose(tp, solver="apg").constant.row
+        rpca_row = decompose(tp, solver="ialm").constant.row
         rel = np.abs(pca_row[off] - rpca_row[off]) / truth[off]
         assert np.median(rel) < 0.05

@@ -1,4 +1,4 @@
-"""Unit tests for the three RPCA solvers (APG, IALM, row-constant).
+"""Unit tests for the RPCA solvers (IALM, row-constant) and their registry.
 
 The canonical recovery scenario: a ground-truth low-rank matrix plus sparse
 corruption; a correct solver separates the two to good accuracy.
@@ -7,10 +7,14 @@ corruption; a correct solver separates the two to good accuracy.
 import numpy as np
 import pytest
 
-from repro.core.apg import APGResult, default_lambda, rpca_apg
-from repro.core.ialm import IALMResult, rpca_ialm
+from repro.core.ialm import IALMResult, default_lambda, rpca_ialm
 from repro.core.row_constant import row_constant_decomposition
-from repro.core.solvers import available_solvers, register_solver, solve_rpca
+from repro.core.solvers import (
+    available_solvers,
+    register_solver,
+    resolve_solver,
+    solve_rpca,
+)
 from repro.errors import ConvergenceError, ValidationError
 
 
@@ -22,10 +26,21 @@ def make_low_rank_plus_sparse(m=30, n=40, rank=2, sparsity=0.05, seed=0):
     return low, sparse
 
 
+def solve_as_apg(a, **kwargs):
+    """Solve *a* under the retired name ``"apg"``, asserting its one warning."""
+    with pytest.warns(RuntimeWarning, match="retired") as record:
+        res = solve_rpca(a, solver="apg", **kwargs)
+    assert len(record) == 1
+    return res
+
+
 class TestAPG:
+    """The retired name ``"apg"`` still solves, on IALM, with the keywords
+    old callers pass (``bench/workloads.py`` ``FASTEST`` is one of them)."""
+
     def test_recovers_low_rank_plus_sparse(self):
         low, sparse = make_low_rank_plus_sparse()
-        res = rpca_apg(low + sparse, max_iter=800)
+        res = solve_as_apg(low + sparse, max_iter=800)
         assert res.converged
         err_low = np.linalg.norm(res.low_rank - low) / np.linalg.norm(low)
         assert err_low < 0.05
@@ -36,60 +51,29 @@ class TestAPG:
     def test_sum_is_close_to_input(self):
         low, sparse = make_low_rank_plus_sparse(seed=1)
         a = low + sparse
-        res = rpca_apg(a)
-        # APG solves a relaxation; the split must still track the data.
+        res = solve_as_apg(a)
         assert np.linalg.norm(res.low_rank + res.sparse - a) / np.linalg.norm(a) < 0.05
 
     def test_zero_matrix(self):
-        res = rpca_apg(np.zeros((5, 6)))
+        res = solve_as_apg(np.zeros((5, 6)))
         assert res.converged and res.rank == 0 and res.iterations == 0
         np.testing.assert_array_equal(res.low_rank, 0)
         np.testing.assert_array_equal(res.sparse, 0)
 
-    def test_pure_low_rank_yields_small_sparse(self):
-        low, _ = make_low_rank_plus_sparse(sparsity=0.0, seed=2)
-        res = rpca_apg(low)
-        assert np.abs(res.sparse).sum() / np.abs(low).sum() < 0.02
-
-    def test_rank_one_input_detected(self):
-        rng = np.random.default_rng(3)
-        a = np.outer(np.ones(10), rng.uniform(1, 2, size=12))
-        res = rpca_apg(a)
-        assert res.rank == 1
-
     def test_result_type(self):
-        res = rpca_apg(np.eye(4))
-        assert isinstance(res, APGResult)
+        res = solve_as_apg(np.eye(4))
+        assert isinstance(res, IALMResult)
 
     def test_raise_on_fail(self):
         low, sparse = make_low_rank_plus_sparse()
-        with pytest.raises(ConvergenceError) as exc:
-            rpca_apg(low + sparse, max_iter=2, tol=1e-14, raise_on_fail=True)
+        with pytest.warns(RuntimeWarning, match="retired"):
+            with pytest.raises(ConvergenceError) as exc:
+                solve_rpca(
+                    low + sparse, solver="apg", max_iter=2, tol=1e-14,
+                    raise_on_fail=True,
+                )
         assert exc.value.iterations == 2
         assert exc.value.residual > 0
-
-    def test_no_raise_by_default(self):
-        low, sparse = make_low_rank_plus_sparse()
-        res = rpca_apg(low + sparse, max_iter=2, tol=1e-14)
-        assert not res.converged and res.iterations == 2
-
-    def test_bad_eta_rejected(self):
-        with pytest.raises(ValueError):
-            rpca_apg(np.eye(3), eta=1.5)
-
-    def test_bad_lambda_rejected(self):
-        with pytest.raises(ValidationError):
-            rpca_apg(np.eye(3), lam=-1.0)
-
-    def test_nonfinite_rejected(self):
-        a = np.eye(3)
-        a[0, 0] = np.nan
-        with pytest.raises(ValidationError):
-            rpca_apg(a)
-
-    def test_default_lambda(self):
-        assert default_lambda((4, 25)) == pytest.approx(0.2)
-        assert default_lambda((25, 4)) == pytest.approx(0.2)
 
 
 class TestIALM:
@@ -99,6 +83,9 @@ class TestIALM:
         assert res.converged
         err = np.linalg.norm(res.low_rank - low) / np.linalg.norm(low)
         assert err < 0.05
+        # Sparse support recovered: large corruption entries show up in E.
+        big = np.abs(sparse) > 2.0
+        assert np.all(np.abs(res.sparse[big]) > 0.1)
 
     def test_feasibility(self):
         low, sparse = make_low_rank_plus_sparse(seed=5)
@@ -108,7 +95,20 @@ class TestIALM:
 
     def test_zero_matrix(self):
         res = rpca_ialm(np.zeros((4, 4)))
-        assert res.converged and res.rank == 0
+        assert res.converged and res.rank == 0 and res.iterations == 0
+        np.testing.assert_array_equal(res.low_rank, 0)
+        np.testing.assert_array_equal(res.sparse, 0)
+
+    def test_pure_low_rank_yields_small_sparse(self):
+        low, _ = make_low_rank_plus_sparse(sparsity=0.0, seed=2)
+        res = rpca_ialm(low)
+        assert np.abs(res.sparse).sum() / np.abs(low).sum() < 0.02
+
+    def test_rank_one_input_detected(self):
+        rng = np.random.default_rng(3)
+        a = np.outer(np.ones(10), rng.uniform(1, 2, size=12))
+        res = rpca_ialm(a)
+        assert res.rank == 1
 
     def test_result_type(self):
         assert isinstance(rpca_ialm(np.eye(4)), IALMResult)
@@ -117,18 +117,31 @@ class TestIALM:
         with pytest.raises(ValueError):
             rpca_ialm(np.eye(3), rho=0.9)
 
+    def test_bad_lambda_rejected(self):
+        with pytest.raises(ValidationError):
+            rpca_ialm(np.eye(3), lam=-1.0)
+
+    def test_nonfinite_rejected(self):
+        a = np.eye(3)
+        a[0, 0] = np.nan
+        with pytest.raises(ValidationError):
+            rpca_ialm(a)
+
     def test_raise_on_fail(self):
         low, sparse = make_low_rank_plus_sparse(seed=6)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as exc:
             rpca_ialm(low + sparse, max_iter=1, tol=1e-15, raise_on_fail=True)
+        assert exc.value.iterations == 1
+        assert exc.value.residual > 0
 
-    def test_agrees_with_apg(self):
-        low, sparse = make_low_rank_plus_sparse(seed=7)
-        a = low + sparse
-        r1 = rpca_apg(a, max_iter=1000)
-        r2 = rpca_ialm(a)
-        rel = np.linalg.norm(r1.low_rank - r2.low_rank) / np.linalg.norm(low)
-        assert rel < 0.10
+    def test_no_raise_by_default(self):
+        low, sparse = make_low_rank_plus_sparse()
+        res = rpca_ialm(low + sparse, max_iter=2, tol=1e-14)
+        assert not res.converged and res.iterations == 2
+
+    def test_default_lambda(self):
+        assert default_lambda((4, 25)) == pytest.approx(0.2)
+        assert default_lambda((25, 4)) == pytest.approx(0.2)
 
 
 class TestRowConstant:
@@ -175,11 +188,12 @@ class TestRowConstant:
 class TestSolverRegistry:
     def test_available(self):
         names = available_solvers()
-        assert {"apg", "ialm", "row_constant"} <= set(names)
+        assert {"ialm", "row_constant"} <= set(names)
+        assert "apg" not in names
 
     def test_dispatch(self):
         a = np.random.default_rng(11).uniform(1, 2, size=(6, 8))
-        for name in ("apg", "ialm", "row_constant"):
+        for name in ("ialm", "row_constant"):
             res = solve_rpca(a, solver=name)
             assert res.low_rank.shape == a.shape
             assert res.sparse.shape == a.shape
@@ -189,7 +203,8 @@ class TestSolverRegistry:
             solve_rpca(np.eye(3), solver="nope")
 
     def test_kwargs_forwarded(self):
-        res = solve_rpca(np.eye(6) * 3, solver="apg", max_iter=5, tol=1e-20)
+        a = np.random.default_rng(11).uniform(1, 2, size=(6, 8))
+        res = solve_rpca(a, solver="ialm", max_iter=5, tol=1e-20)
         assert res.iterations == 5
 
     def test_register_custom(self):
@@ -206,3 +221,12 @@ class TestSolverRegistry:
     def test_register_non_callable_rejected(self):
         with pytest.raises(TypeError):
             register_solver("bad", 42)
+
+    def test_legacy_apg_name_resolves_to_ialm(self):
+        a = np.random.default_rng(12).uniform(1, 2, size=(6, 8))
+        with pytest.warns(RuntimeWarning, match="retired") as record:
+            res = solve_rpca(a, solver="apg")
+        assert len(record) == 1
+        want = solve_rpca(a, solver="ialm")
+        assert np.array_equal(res.low_rank, want.low_rank)
+        assert resolve_solver("ialm") == "ialm"

@@ -43,7 +43,7 @@ class TestPaperFig2WalkThrough:
 
     def test_constant_component_recovers_base(self):
         tp = self.make_tp()
-        dec = decompose(tp, solver="apg")
+        dec = decompose(tp, solver="ialm")
         base = tp.data[0].copy()
         base[2] -= 0.0  # row 0 is clean
         # The constant row should be (close to) the uncorrupted pattern.
@@ -82,7 +82,7 @@ class TestEndToEndPipeline:
     def test_calibrator_to_decomposition(self, trace):
         cal = Calibrator(TraceSubstrate(trace))
         tp = cal.calibrate(range(10), nbytes=8 * MB)
-        dec = decompose(tp, solver="apg")
+        dec = decompose(tp, solver="ialm")
         assert dec.report.verdict in ("stable", "moderately-stable")
         assert dec.solver_converged
 
@@ -91,7 +91,7 @@ class TestEndToEndPipeline:
         arms = [
             BaselineStrategy(),
             HeuristicStrategy("mean"),
-            RPCAStrategy("apg", time_step=10),
+            RPCAStrategy("ialm", time_step=10),
         ]
         res = collective_comparison(ctx, arms, repetitions=30, seed=0)
         # The paper's headline ordering on a stable network.
@@ -145,7 +145,7 @@ class TestEndToEndPipeline:
         # Algorithm 1 line 3: optimize an operation on C' ⊆ C using the
         # full cluster's constant component.
         tp = trace.tp_matrix(8 * MB, start=0, count=10)
-        pm = decompose(tp, solver="apg").performance_matrix()
+        pm = decompose(tp, solver="ialm").performance_matrix()
         sub = pm.restrict([0, 2, 4, 6])
         tree = fnf_tree(sub.weights, 0)
         assert tree.n_nodes == 4

@@ -20,8 +20,8 @@ MB = 1024 * 1024
 
 def _span(**overrides):
     base = dict(
-        solver="apg", rows=10, cols=64, iterations=100, rank=3,
-        residual=1e-8, converged=True, warm=False, seconds=0.01,
+        solver="ialm", rows=10, cols=64, iterations=100, rank=3,
+        residual=1e-8, converged=True, seconds=0.01,
     )
     base.update(overrides)
     return SolveSpan(**base)
@@ -44,10 +44,8 @@ class TestInstrumentation:
     def test_span_aggregates(self):
         instr = Instrumentation()
         instr.record_span(_span())
-        instr.record_span(_span(warm=True, iterations=60))
+        instr.record_span(_span(iterations=60))
         assert instr.solves == 2
-        assert instr.warm_solves == 1
-        assert instr.cold_solves == 1
         assert instr.solve_iterations == 160
         assert instr.solve_seconds == pytest.approx(0.02)
 
@@ -61,13 +59,13 @@ class TestInstrumentation:
 
     def test_report_contains_everything(self):
         instr = Instrumentation("rep")
-        instr.record_span(_span(warm=True))
-        instr.count("engine.solve.warm")
+        instr.record_span(_span())
+        instr.count("engine.solve.cold")
         instr.add_time("engine.solve_seconds", 0.25)
         text = instr.report()
         assert "instrumentation report [rep]" in text
-        assert "1 warm" in text and "warm" in text
-        assert "engine.solve.warm" in text
+        assert "solves: 1," in text and "ialm" in text
+        assert "engine.solve.cold" in text
         assert "engine.solve_seconds" in text
 
     def test_report_empty(self):
@@ -114,9 +112,9 @@ class TestSolveRpcaEmission:
         a = tiny_trace.tp_matrix(8 * MB).data
         sink = Instrumentation()
         with instrumented(sink):
-            res = solve_rpca(a, solver="apg", context="unit-test")
+            res = solve_rpca(a, solver="ialm", context="unit-test")
         (span,) = sink.spans
-        assert span.solver == "apg"
+        assert span.solver == "ialm"
         assert (span.rows, span.cols) == a.shape
         assert span.iterations == res.iterations
         assert span.converged == res.converged
@@ -128,10 +126,16 @@ class TestSolveRpcaEmission:
         res = solve_rpca(a, solver="row_constant")
         assert res.constant_row is not None  # solve itself unaffected
 
-    def test_warm_flag_lands_on_span(self, tiny_trace):
+    def test_legacy_warm_flag_is_dropped_on_restore(self, tiny_trace):
+        # States captured when solves could be warm carry a ``warm`` flag
+        # per span; restoring or merging one drops it.
         a = tiny_trace.tp_matrix(8 * MB).data
         sink = Instrumentation()
         with instrumented(sink):
-            cold = solve_rpca(a, solver="apg")
-            solve_rpca(a, solver="apg", warm_start=cold)
-        assert [s.warm for s in sink.spans] == [False, True]
+            solve_rpca(a, solver="ialm")
+        state = sink.state_dict()
+        state["spans"] = [dict(span, warm=True) for span in state["spans"]]
+        restored = Instrumentation()
+        restored.restore_state(state)
+        restored.merge(state)
+        assert restored.spans == sink.spans * 2

@@ -185,15 +185,17 @@ class TestFallbackRestoresBitParity:
         trace, time_step = scenario
         engine = DecompositionEngine(
             trace, nbytes=8 * MB, time_step=time_step,
-            # every fold trips the drift ceiling
-            options=SolveOptions(mode="streaming", stream_tolerance=1e-12),
+            # every fold trips the drift ceiling: IALM's seed explains most
+            # of its rows to rounding (~1e-16), so a ceiling like 1e-12 can
+            # be met once the row carrying its feasibility gap slides out
+            options=SolveOptions(mode="streaming", stream_tolerance=1e-300),
         )
         engine.calibrate(time_step)
         fallbacks = 0
         for end in range(time_step + 1, trace.n_snapshots + 1):
             if engine.stream_plan(end) == "fold":
                 dec, reason = engine.stream_fold(end)
-                assert dec is None, "1e-12 drift ceiling cannot be met"
+                assert dec is None, "1e-300 drift ceiling cannot be met"
                 fallbacks += 1
             recal = engine.calibrate(end)
             oracle = decompose(

@@ -467,13 +467,15 @@ class TestCheckpointSegments:
         first, _ = capture_session_state(session)
         _drive(session, 3)
         second, _ = capture_session_state(session)
-        for name in ("dec_row", "dec_error", "sr_low_rank", "sr_sparse",
+        for name in ("dec_row", "dec_error",
                      "cache_keys", "cache_rows", "cache_has_mask"):
             assert second[name] is first[name], name
             assert not second[name].flags.writeable, name
+        # The solver's raw components are not state: nothing reads them.
+        assert not [name for name in first if name.startswith("sr_")]
         session._calibrate(end=session._cursor, charge=False)
         third, _ = capture_session_state(session)
-        assert third["sr_low_rank"] is not first["sr_low_rank"]
+        assert third["dec_error"] is not first["dec_error"]
         # The re-calibration moved the row cache; its arrays follow.
         cache = session._engine.export_cache()
         assert third["cache_keys"].tolist() == list(cache)
@@ -974,3 +976,49 @@ class TestJournalRecords:
         _drive_mixed(resumed, 13)
         resumed.close()
         _assert_parity(resumed, reference)
+
+
+class TestWarmStartEraState:
+    """State captured when APG warm-started its re-calibrations names the
+    retired solver, records ``warm_start``, carries the warm components
+    (``sr_*``) and flags each solve span ``warm``. It resumes on IALM with
+    one ``RuntimeWarning`` and continues exactly as an IALM session would."""
+
+    def _legacy_capsule(self, session):
+        capsule = session.capture_capsule()
+        meta = json.loads(json.dumps(capsule.meta))
+        meta["config"].update(solver="apg", warm_start=True)
+        meta["decomposition"]["solver_result"] = {
+            "rank": 1, "iterations": 7, "converged": True, "residual": 1e-7,
+            "warm_started": True, "has_constant_row": False,
+        }
+        meta["instrumentation"]["spans"] = [
+            dict(span, warm=True) for span in meta["instrumentation"]["spans"]
+        ]
+        dec = session.decomposition
+        arrays = dict(
+            capsule.arrays,
+            sr_low_rank=np.zeros_like(dec.error.data),
+            sr_sparse=np.zeros_like(dec.error.data),
+        )
+        return type(capsule)(arrays=arrays, meta=meta)
+
+    def test_resumes_on_ialm_with_one_warning(self, small_trace):
+        control = TraceSession(small_trace, time_step=8, threshold=0.01)
+        _drive(control, 6)
+        legacy = self._legacy_capsule(control)
+        with pytest.warns(RuntimeWarning, match="'apg' has been retired") as record:
+            resumed = TraceSession.from_capsule(small_trace, legacy)
+        assert len(record) == 1
+        assert resumed.options == control.options
+        assert resumed.decomposition.solver_result is None
+        assert resumed.instrumentation.spans == control.instrumentation.spans
+        _drive(control, 10)
+        _drive(resumed, 10)
+        assert resumed.stats.recalibrations == control.stats.recalibrations > 1
+        assert np.array_equal(
+            resumed.decomposition.constant.row, control.decomposition.constant.row
+        )
+        assert [r.elapsed for r in resumed.stats.history] == [
+            r.elapsed for r in control.stats.history
+        ]

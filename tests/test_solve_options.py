@@ -27,10 +27,9 @@ from repro.runtime import SessionCapsule, SessionConfig, TraceSession
 
 OPTION_FIELDS = [f.name for f in dataclasses.fields(SolveOptions)]
 
-#: A streaming configuration with every knob off its default.
+#: A streaming configuration with every knob but the solver off its default.
 STREAMING = dict(
     solver="ialm",
-    warm_start=False,
     mode="streaming",
     stream_tolerance=0.3,
     stream_refresh_every=5,
@@ -57,7 +56,7 @@ BAD_COMBINATIONS = [
 class TestRules:
     def test_defaults_are_the_historical_path(self):
         opts = SolveOptions()
-        assert (opts.solver, opts.warm_start, opts.mode) == ("apg", True, "batch")
+        assert (opts.solver, opts.mode) == ("ialm", "batch")
         assert opts.stream_config == repro.StreamingConfig()
 
     @pytest.mark.parametrize("kwargs,message", BAD_COMBINATIONS)
@@ -88,7 +87,7 @@ class TestRules:
         # take ``svd_backend="exact"``, which forces the full-SVD kernel.
         tp = small_trace.tp_matrix(8 << 20, count=10)
         for solver in repro.available_solvers():
-            forced = {"svd_backend": "exact"} if solver in ("apg", "ialm") else {}
+            forced = {"svd_backend": "exact"} if solver == "ialm" else {}
             dec = repro.decompose(tp, solver=solver, **forced)
             assert dec.solver == solver
 
@@ -121,7 +120,7 @@ class TestOnePlace:
             params = inspect.signature(target).parameters
             assert "solver" in params and "svd_backend" not in params
         assert "mode" in inspect.signature(TraceSession).parameters
-        assert len(OPTION_FIELDS) == 5
+        assert len(OPTION_FIELDS) == 4
 
     def test_session_config_maps_onto_the_session(self, small_trace):
         cfg = SessionConfig(
@@ -148,7 +147,7 @@ class TestMeta:
         assert SolveOptions.from_meta(meta) == opts
 
     def test_batch_meta_round_trips(self):
-        opts = SolveOptions(solver="pca", warm_start=False)
+        opts = SolveOptions(solver="pca")
         assert SolveOptions.from_meta(opts.to_meta()) == opts
 
     def test_streaming_defaults_are_recorded_resolved(self):
@@ -158,7 +157,8 @@ class TestMeta:
 
     def test_captured_config_blocks_are_unchanged(self, small_trace):
         # Literal blocks written by the release before SolveOptions existed,
-        # less the retired ``svd_backend`` key.
+        # less the retired ``svd_backend`` and ``warm_start`` keys and with
+        # the default solver now IALM.
         common = {
             "nbytes": 8388608.0, "time_step": 6, "threshold": 1.0,
             "consecutive": 1, "calibration_cost": 0.5, "faults_spec": None,
@@ -166,16 +166,16 @@ class TestMeta:
         }
         batch = TraceSession(small_trace, time_step=6, calibration_cost=0.5)
         assert capture_session_state(batch)[1]["config"] == dict(
-            common, solver="apg", warm_start=True, mode="batch",
+            common, solver="ialm", mode="batch",
             stream_tolerance=None, stream_refresh_every=None,
             regime=None,
         )
         streaming = TraceSession(
             small_trace, time_step=6, calibration_cost=0.5, mode="streaming",
-            warm_start=False, stream_tolerance=0.3, regime="drift",
+            stream_tolerance=0.3, regime="drift",
         )
         assert capture_session_state(streaming)[1]["config"] == dict(
-            common, solver="apg", warm_start=False, mode="streaming",
+            common, solver="ialm", mode="streaming",
             stream_tolerance=0.3, stream_refresh_every=16,
             regime={
                 "name": "drift",
@@ -187,16 +187,17 @@ class TestMeta:
     @pytest.mark.parametrize(
         "legacy,expected",
         [
-            # Before the kernel layer: no backend key.
-            ({"solver": "apg", "warm_start": True}, SolveOptions()),
+            # Before the kernel layer: no backend key. A recorded
+            # ``warm_start`` is ignored: every solve is cold now.
+            ({"solver": "ialm", "warm_start": True}, SolveOptions()),
             # Before streaming: no mode or stream keys.
             (
                 {"solver": "ialm", "warm_start": False, "svd_backend": "gram"},
-                SolveOptions(solver="ialm", warm_start=False),
+                SolveOptions(solver="ialm"),
             ),
             # Selectable elementwise kernels: the key is ignored.
             (
-                {"solver": "apg", "warm_start": True, "svd_backend": "auto",
+                {"solver": "ialm", "warm_start": True, "svd_backend": "auto",
                  "elementwise_backend": "jit", "mode": "batch",
                  "stream_tolerance": None, "stream_refresh_every": None},
                 SolveOptions(),
@@ -210,10 +211,29 @@ class TestMeta:
             warnings.simplefilter("error")
             assert SolveOptions.from_meta(legacy) == expected
 
+    def test_apg_block_resumes_on_ialm_with_one_warning(self):
+        legacy = {"solver": "apg", "warm_start": True, "svd_backend": "auto",
+                  "mode": "batch", "stream_tolerance": None,
+                  "stream_refresh_every": None}
+        with pytest.warns(RuntimeWarning, match="'apg' has been retired") as record:
+            opts = SolveOptions.from_meta(legacy)
+        assert len(record) == 1
+        assert opts == SolveOptions()
+        assert opts.to_meta()["solver"] == "ialm"
+
+    @pytest.mark.parametrize(
+        "cls", [SolveOptions, SessionConfig, FleetConfig, repro.SolveConfig]
+    )
+    def test_apg_name_resolves_to_ialm_on_every_config(self, cls):
+        with pytest.warns(RuntimeWarning, match="retired") as record:
+            cfg = cls(solver="apg")
+        assert len(record) == 1
+        assert cfg.solver == "ialm"
+
     def test_randomized_backend_resumes_as_auto_with_warning(self):
         with pytest.warns(RuntimeWarning, match="randomized.*'auto'"):
             opts = SolveOptions.from_meta(
-                {"solver": "apg", "warm_start": True, "svd_backend": "randomized"}
+                {"solver": "ialm", "warm_start": True, "svd_backend": "randomized"}
             )
         assert opts == SolveOptions()
 
@@ -224,7 +244,7 @@ class TestMeta:
             opts = SolveOptions.from_meta(
                 {"solver": "ialm", "warm_start": False, "svd_backend": "exact"}
             )
-        assert opts == SolveOptions(solver="ialm", warm_start=False)
+        assert opts == SolveOptions(solver="ialm")
 
 
 class TestRoundTrips:

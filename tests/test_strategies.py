@@ -103,7 +103,7 @@ class TestHeuristics:
 
 class TestRPCA:
     def test_fit_and_estimate(self, small_trace):
-        s = RPCAStrategy("apg", time_step=10)
+        s = RPCAStrategy("ialm", time_step=10)
         s.fit(make_tp(small_trace, count=15))
         w = s.weight_matrix()
         assert w.shape == (8, 8)
@@ -126,12 +126,12 @@ class TestRPCA:
         assert not np.allclose(s_all.weight_matrix()[off], got[off])
 
     def test_norm_ne_exposed(self, small_trace):
-        s = RPCAStrategy("apg")
+        s = RPCAStrategy("ialm")
         s.fit(make_tp(small_trace))
         assert 0.0 < s.norm_ne < 1.0
 
     def test_observe_delegates_to_controller(self, small_trace):
-        s = RPCAStrategy("apg", threshold=0.5)
+        s = RPCAStrategy("ialm", threshold=0.5)
         assert s.observe(1.0, 1.2) is MaintenanceDecision.KEEP
         assert s.observe(1.0, 2.0) is MaintenanceDecision.RECALIBRATE
 
@@ -143,8 +143,8 @@ class TestRPCA:
             _ = s.norm_ne
 
     def test_name_defaults_and_override(self):
-        assert RPCAStrategy("apg").name == "RPCA"
-        assert RPCAStrategy("ialm").name == "RPCA"  # same arm, different solver
+        assert RPCAStrategy().name == "RPCA"
+        assert RPCAStrategy("row_constant").name == "RPCA"  # same arm, different solver
         assert RPCAStrategy("ialm", name="RPCA-ialm").name == "RPCA-ialm"
 
     def test_bad_time_step(self):

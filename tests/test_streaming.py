@@ -3,7 +3,7 @@
 Covers the decomposer itself (seed/fold/refresh/rank growth/fallback
 reasons), the persistence payload round-trip, mode validation across every
 config surface, and the engine-level certification plumbing (cold-oracle
-parity, warm-start quarantine of streaming results).
+parity, streaming results never standing in for a batch solve).
 """
 
 import importlib
@@ -56,7 +56,7 @@ def _seeded(rows, m=6, config=None):
 def decompose_window(window):
     from repro.core.solvers import solve_rpca
 
-    res = solve_rpca(window, solver="apg")
+    res = solve_rpca(window, solver="ialm")
     return res.low_rank, res.sparse
 
 
@@ -103,7 +103,7 @@ class TestStreamResultQuarantine:
         assert not isinstance(r, SolverResult)
         assert r.shape == (2, 4)
 
-    def test_decomposition_from_stream_result_cannot_seed_warm_start(
+    def test_decomposition_from_stream_result_keeps_no_solver_result(
         self, tiny_trace
     ):
         tp = tiny_trace.tp_matrix(MB, start=0, count=4)
@@ -112,7 +112,7 @@ class TestStreamResultQuarantine:
             low_rank=low_rank, sparse=sparse, rank=1,
             iterations=2, converged=True, residual=0.0,
         )
-        dec = decomposition_from_result(tp, r, solver="apg")
+        dec = decomposition_from_result(tp, r, solver="ialm")
         assert dec.solver_result is None
 
 
@@ -355,14 +355,15 @@ class TestEngineStreaming:
         oracle = decompose(stream_trace.tp_matrix(MB, start=1, count=8))
         assert np.array_equal(recal.constant.row, oracle.constant.row)
 
-    def test_reset_warm_state_drops_stream(self, stream_trace):
+    def test_importing_no_state_drops_stream(self, stream_trace):
+        # What a regime SHIFT does before its re-calibration.
         eng = DecompositionEngine(
             stream_trace, nbytes=MB, time_step=8,
             options=SolveOptions(mode="streaming"),
         )
         eng.calibrate(8)
         assert eng.export_stream_state() is not None
-        eng.reset_warm_state()
+        eng.import_stream_state(None)
         assert eng.export_stream_state() is None
         assert eng.stream_plan(9) == "solve"
 
@@ -525,3 +526,78 @@ class TestLazyErrorInStreamingSessions:
             resumed.decomposition.error.data.tobytes()
             == reference.decomposition.error.data.tobytes()
         )
+
+
+class TestIalmSeed:
+    """A stream seeded from an IALM solve keeps the window's rank.
+
+    IALM stops on feasibility, so its D keeps singular values at 1e-5 to
+    1e-7 of σ₁. Seeded with them, a stream ran at rank 3-4 and every fold
+    turned P_D slightly, so the serving path rebuilt far more FNF trees
+    than under a solver whose D is rank one to rounding.
+    """
+
+    def test_paper_scale_seed_is_rank_one(self):
+        trace = generate_trace(TraceConfig(n_machines=196, n_snapshots=10), seed=1)
+        tp = trace.tp_matrix(8 * MB, count=10)
+        res = decompose(tp, solver="ialm").solver_result
+        assert np.linalg.svd(res.low_rank, compute_uv=False)[1] > 0.0
+        seed = StreamingDecomposer(tp.data.shape).prepare_seed(
+            tp.data, res.low_rank, res.sparse
+        )
+        assert seed.rank == 1
+
+    def test_one_pass_builds_no_more_trees_than_a_rank_one_seed(self, monkeypatch):
+        import repro.runtime.session as session_module
+        from repro.cloudsim.dynamics import DynamicsConfig
+        from repro.runtime.session import TraceSession
+
+        trace = generate_trace(
+            TraceConfig(
+                n_machines=64, n_snapshots=200,
+                dynamics=DynamicsConfig(hotspot_probability=0.0),
+            ),
+            seed=5,
+        )
+        roots = np.random.default_rng(3).integers(64, size=200).tolist()
+        built = []
+        original = session_module.fnf_tree
+
+        def counting(weights, root=0):
+            built.append(root)
+            return original(weights, root)
+
+        monkeypatch.setattr(session_module, "fnf_tree", counting)
+        session = TraceSession(
+            trace, threshold=1.0, mode="streaming", regime="drift", solver="ialm"
+        )
+        for root in roots:
+            session.broadcast(root=root)
+        assert session.stats.stream_updates == 199
+        # 70 builds when the stream was seeded from a rank-one APG solve of
+        # the same window; 132 from IALM's D before the seed truncation.
+        assert len(built) <= 70
+
+    def test_seed_truncation_is_charged_to_drift(self):
+        # A rank-two D whose second component sits below the seed cutoff
+        # (1e-4 of σ₁ < 1e-3): the seed serves rank one, and what it drops
+        # shows in its residuals, so a drift ceiling below that loss makes
+        # the first fold fall back instead of certifying the truncated model.
+        rng = np.random.default_rng(0)
+        m, n = 6, 40
+        u, _ = np.linalg.qr(rng.standard_normal((m, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+        low_rank = (u * [10.0, 1e-3]) @ v.T
+        data = low_rank.copy()
+        sparse = np.zeros_like(data)
+        stream = StreamingDecomposer(
+            (m, n), StreamingConfig(tolerance=1e-6, growth_tol=1.0)
+        )
+        seed = stream.prepare_seed(data, low_rank, sparse)
+        assert seed.rank == 1
+        assert seed.row_err.mean() > 1e-6
+        stream.reseed(m, seed)
+        # The new row lies on the kept component: the fold itself explains
+        # it; the seed rows still in the window carry the truncation.
+        assert stream.fold(m, 10.0 * v[:, 0]) == "drift"
+        assert stream.state is None
