@@ -13,10 +13,13 @@ the restart blackout after a crash.
 The age test runs a calm session past three sealed history blocks at
 ``checkpoint_every=50`` and writes ``BENCH_persistence.json`` at the repo
 root: the median save time of the first and the last tenth of its
-checkpoints, the checkpoint file sizes, and the journal append cost per
-record kind. The file-size bound (one open block of history plus the
-metadata) is asserted always; last tenth ≤ 1.5 × first tenth only under
-``REPRO_PERF_STRICT=1``.
+checkpoints, the checkpoint file sizes, the journal append cost per
+record kind, and the size of a 196-instance batch capsule after 12
+re-calibrations (its arrays besides the history columns, and the
+solver-state segment a store writes for it). The file-size bound (one open
+block of history plus the metadata) and the capsule bound
+(:data:`CAPSULE_BOUND` of arrays besides the history) are asserted always;
+last tenth ≤ 1.5 × first tenth only under ``REPRO_PERF_STRICT=1``.
 """
 
 import json
@@ -33,7 +36,13 @@ from repro.cloudsim.io import save_trace
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.mapping.taskgraph import random_task_graph
 from repro.observability.benchrecord import bench_record, write_bench_json
-from repro.persistence import PersistenceConfig, SnapshotJournal, read_checkpoint
+from repro.persistence import (
+    CheckpointStore,
+    PersistenceConfig,
+    SnapshotJournal,
+    read_checkpoint,
+)
+from repro.persistence.checkpoint import BLOCK_SEPARATOR
 from repro.persistence.journal import pack_float64
 from repro.persistence.state import HISTORY_BLOCK_ROWS
 from repro.runtime.session import TraceSession
@@ -181,6 +190,42 @@ def test_checkpoint_share_within_steady_durable_budget(tmp_path, emit):
     )
 
 
+# -- capsule size at paper scale --------------------------------------------
+CAPSULE_RECALIBRATIONS = 12
+# Arrays besides the history columns: P_D (0.31 MB at 196 instances) and
+# snapshot keys. N_E and the cached rows, 10 MB after 12 re-calibrations,
+# are re-derived from the trace on restore and must not come back.
+CAPSULE_BOUND = 1 << 20
+
+
+def _history_array(name):
+    column = name.split(BLOCK_SEPARATOR, 1)[-1]
+    return column.startswith("hist_") or column == "ctrl_deviations"
+
+
+def _paper_capsule_sizes(directory):
+    """Sizes of a 196-instance batch capsule after 12 re-calibrations."""
+    trace = generate_trace(TraceConfig(n_machines=196, n_snapshots=24), seed=1)
+    session = TraceSession(trace, threshold=0.01, solver="ialm")
+    while session.stats.recalibrations < CAPSULE_RECALIBRATIONS:
+        session.broadcast(root=session.stats.operations % trace.n_machines)
+    capsule = session.capture_capsule()
+    CheckpointStore(directory).save(capsule.arrays, capsule.meta)
+    (segment,) = directory.glob("seg-*.a.seg")
+    arrays = {name: int(arr.nbytes) for name, arr in capsule.arrays.items()}
+    return {
+        "n_machines": trace.n_machines,
+        "operations": session.stats.operations,
+        "recalibrations": session.stats.recalibrations,
+        "array_bytes": sum(arrays.values()),
+        "array_bytes_besides_history": sum(
+            size for name, size in arrays.items() if not _history_array(name)
+        ),
+        "array_bytes_by_name": arrays,
+        "solver_segment_bytes": segment.stat().st_size,
+    }
+
+
 # -- checkpoint cost against session age ------------------------------------
 AGE_BLOCKS = 3
 AGE_CADENCE = 50
@@ -265,6 +310,7 @@ def test_checkpoint_cost_is_flat_with_age(trace_16, tmp_path, emit):
     save_first, save_last = _tenths(saves)
     ckpt_first, ckpt_last = _tenths(checkpoints)
     journal = _journal_append_seconds(tmp_path)
+    paper_capsule = _paper_capsule_sizes(tmp_path / "capsule")
     record = bench_record(
         "persistence_checkpoint_age",
         seeds=[16],
@@ -285,6 +331,7 @@ def test_checkpoint_cost_is_flat_with_age(trace_16, tmp_path, emit):
         checkpoint_bytes_bound=size_bound,
         metadata_bytes=meta_bytes,
         journal_append_seconds=journal,
+        paper_capsule=paper_capsule,
     )
     write_bench_json(BENCH_JSON, record)
     emit(
@@ -300,8 +347,12 @@ def test_checkpoint_cost_is_flat_with_age(trace_16, tmp_path, emit):
             f"  journal     {kind:<18} {sec * 1e6:7.1f} us/append\n"
             for kind, sec in journal.items()
         )
+        + f"  capsule     196 instances, {paper_capsule['recalibrations']} recals: "
+        f"{paper_capsule['array_bytes_besides_history']} B of arrays besides "
+        f"history, solver segment {paper_capsule['solver_segment_bytes']} B\n"
         + f"  (wrote {BENCH_JSON.name})"
     )
+    assert paper_capsule["array_bytes_besides_history"] <= CAPSULE_BOUND
 
     assert largest <= size_bound, (
         f"a checkpoint of {largest} B exceeds one open block of history "

@@ -11,7 +11,9 @@ prefixes or derived estimates.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +96,21 @@ class CalibrationTrace:
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "mask", mask)
+
+    @cached_property
+    def sha256(self) -> str:
+        """Hex SHA-256 of the content: α, β and timestamps, then the mask if any.
+
+        Checkpoints and capsules record it so that a resume can tell the
+        trace is the one the session ran on. Computed on first read over
+        the arrays' own buffers (C-contiguous and read-only, so no copy is
+        made) and then kept: a trace never changes.
+        """
+        h = hashlib.sha256()
+        for arr in (self.alpha, self.beta, self.timestamps, self.mask):
+            if arr is not None:
+                h.update(arr)
+        return h.hexdigest()
 
     @property
     def n_snapshots(self) -> int:

@@ -87,9 +87,11 @@ class Decomposition:
     then kept, so every later read returns the same objects. Operations
     only need ``constant``; a streaming session that folds a snapshot per
     operation never pays for the ``n × N²`` error matrix unless a
-    checkpoint, a verdict or a report asks for it. Passing ``error`` and
-    ``report`` to the constructor (as checkpoint restore does) skips the
-    window altogether.
+    checkpoint, a verdict or a report asks for it. A checkpoint restore
+    passes the window again, its rows re-read from the trace, so ``N_E`` is
+    never stored. Passing ``error`` and ``report`` to the constructor skips
+    the window altogether (the restore of a state that recorded no window
+    does so).
     """
 
     constant: TCMatrix

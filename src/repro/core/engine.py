@@ -28,7 +28,7 @@ measurement substrate.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -210,9 +210,9 @@ class DecompositionEngine:
         )
         # Insertion order == LRU order; values are (row, mask_row | None).
         self._rows: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-        # The cache stacked into checkpoint arrays; None once it changes.
-        self._cache_arrays: dict[str, np.ndarray] | None = None
         self._last: Decomposition | None = None
+        # Snapshot keys of the window _last was built from.
+        self._last_window: range | None = None
         # Shared all-True mask row, allocated once and reused by every
         # partially-masked window instead of per call.
         self._full_mask_row: np.ndarray | None = None
@@ -227,15 +227,21 @@ class DecompositionEngine:
     def last(self) -> Decomposition | None:
         """The decomposition in service, if any.
 
-        Set by every solve and fold, and by the recovery path, which hands
-        the checkpointed decomposition back here so that
-        :meth:`snapshot_residual` measures against it.
+        Set by every solve and fold, and by :meth:`restore_last`, through
+        which the recovery path puts the checkpointed decomposition back
+        so that :meth:`snapshot_residual` measures against it.
         """
         return self._last
 
-    @last.setter
-    def last(self, dec: Decomposition | None) -> None:
-        self._last = dec
+    @property
+    def last_window(self) -> range | None:
+        """Snapshot keys of the window :attr:`last` was built from.
+
+        Known after :meth:`calibrate` and :meth:`stream_fold`; ``None``
+        after a :meth:`solve` of a caller's TP-matrix. Checkpoints record
+        it instead of ``N_E``, which is a function of these rows and ``P_D``.
+        """
+        return self._last_window
 
     def snapshot_residual(self, k: int) -> float:
         """Relative L1 residual of snapshot *k* against the constant in service.
@@ -262,34 +268,6 @@ class DecompositionEngine:
         """The rolling row cache, LRU order preserved (oldest first)."""
         return dict(self._rows)
 
-    def export_cache_arrays(self) -> dict[str, np.ndarray]:
-        """The row cache stacked into read-only ``cache_*`` arrays.
-
-        ``cache_keys`` (LRU order), ``cache_rows``, ``cache_has_mask`` and,
-        when any row is masked, ``cache_masks`` (all-True rows for unmasked
-        ones); empty when the cache is. Memoized until the cache changes,
-        so captures in between hand out the very same array objects.
-        """
-        arrays = self._cache_arrays
-        if arrays is None:
-            arrays = {}
-            if self._rows:
-                entries = list(self._rows.values())
-                rows = np.stack([row for row, _ in entries])
-                has_mask = np.array([m is not None for _, m in entries], dtype=bool)
-                arrays["cache_keys"] = np.array(list(self._rows), dtype=np.int64)
-                arrays["cache_rows"] = rows
-                arrays["cache_has_mask"] = has_mask
-                if has_mask.any():
-                    full = np.ones(rows.shape[1], dtype=bool)
-                    arrays["cache_masks"] = np.stack(
-                        [full if m is None else m for _, m in entries]
-                    )
-                for arr in arrays.values():
-                    arr.setflags(write=False)
-            self._cache_arrays = arrays
-        return dict(arrays)
-
     def export_stream_state(self) -> StreamState | None:
         """Streaming subspace state, if seeded (always None in batch mode)."""
         return self._streamer.export_state() if self._streamer is not None else None
@@ -309,39 +287,57 @@ class DecompositionEngine:
         shape = (int(state.sparse.shape[0]), int(state.sparse.shape[1]))
         self._streamer_for(shape).import_state(state)
 
-    def import_cache(
-        self, rows: dict[int, tuple[np.ndarray, np.ndarray | None]]
-    ) -> None:
-        """Replace the row cache with a restored one (insertion order = LRU)."""
-        restored: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-        for k, (row, mask_row) in rows.items():
-            row = np.asarray(row, dtype=np.float64)
-            row.setflags(write=False)
-            if mask_row is not None:
-                mask_row = np.asarray(mask_row, dtype=bool)
-                mask_row.setflags(write=False)
-            restored[int(k)] = (row, mask_row)
-        self._rows = restored
-        self._cache_arrays = None
+    def reload_cache(self, keys: Iterable[int]) -> None:
+        """Replace the row cache with snapshots *keys* re-read from the source.
+
+        *keys* in LRU order (oldest first), as :meth:`export_cache` lists
+        them. A source read is deterministic, so each row is byte-identical
+        to the one cached before; the reads are not counted as window
+        misses, since the engine that exported the keys counted them.
+        """
+        self._rows = {int(k): self._read_row(int(k)) for k in keys}
+
+    def restore_last(self, dec: Decomposition, window: range | None) -> None:
+        """Put *dec*, built from the snapshots *window*, back in service."""
+        self._last = dec
+        self._last_window = window
+
+    def window_rows(
+        self, window: range
+    ) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """The rows and observation mask of the snapshots *window*, as read.
+
+        Cached rows are used as they are and the others re-read from the
+        source, with no counter and no change to the cache: the restore
+        path rebuilds a decomposition's window with it.
+        """
+        entries = [self._rows.get(k) or self._read_row(k) for k in window]
+        return [row for row, _ in entries], self._stack_masks(
+            [mask_row for _, mask_row in entries]
+        )
 
     # -- rolling window cache ---------------------------------------------
+    def _read_row(self, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Snapshot *k* read from the source as a cache entry (uncounted)."""
+        row = np.asarray(self.source.snapshot_row(k, self.nbytes), dtype=np.float64)
+        row.setflags(write=False)
+        mask_fn = getattr(self.source, "snapshot_mask", None)
+        mask_row = mask_fn(k) if callable(mask_fn) else None
+        if mask_row is not None:
+            mask_row = np.asarray(mask_row, dtype=bool).reshape(-1)
+            if mask_row.all():
+                mask_row = None
+            else:
+                mask_row.setflags(write=False)
+        return row, mask_row
+
     def _row(self, k: int) -> tuple[np.ndarray, np.ndarray | None]:
-        self._cache_arrays = None
         entry = self._rows.pop(k, None)
         if entry is None:
             self.instrumentation.count("engine.window.miss")
-            row = np.asarray(self.source.snapshot_row(k, self.nbytes), dtype=np.float64)
-            row.setflags(write=False)
-            mask_fn = getattr(self.source, "snapshot_mask", None)
-            mask_row = mask_fn(k) if callable(mask_fn) else None
-            if mask_row is not None:
-                mask_row = np.asarray(mask_row, dtype=bool).reshape(-1)
-                if mask_row.all():
-                    mask_row = None
-                else:
-                    mask_row.setflags(write=False)
-                    self.instrumentation.count("engine.window.masked_rows")
-            entry = (row, mask_row)
+            entry = self._read_row(k)
+            if entry[1] is not None:
+                self.instrumentation.count("engine.window.masked_rows")
         else:
             self.instrumentation.count("engine.window.hit")
         self._rows[k] = entry  # re-insert: most recently used
@@ -365,26 +361,10 @@ class DecompositionEngine:
         t = self.source.n_snapshots
         if not 0 <= start < stop <= t:
             raise ValidationError(f"invalid window [{start}, {stop}) for {t} snapshots")
-        row_list: list[np.ndarray] = []
-        mask_list: list[np.ndarray | None] = []
-        has_mask = False
-        for k in range(start, stop):
-            row, mask_row = self._row(k)
-            row_list.append(row)
-            mask_list.append(mask_row)
-            has_mask = has_mask or mask_row is not None
-        rows = np.stack(row_list)
+        entries = [self._row(k) for k in range(start, stop)]
+        rows = np.stack([row for row, _ in entries])
         ts = np.array([self.source.timestamp(k) for k in range(start, stop)])
-        # Fully-observed windows (every cached mask None) short-circuit to
-        # mask=None — no per-call mask allocation on the fleet hot loop.
-        mask = None
-        if has_mask:
-            full = self._full_mask_row
-            if full is None or full.shape[0] != rows.shape[1]:
-                full = np.ones(rows.shape[1], dtype=bool)
-                full.setflags(write=False)
-                self._full_mask_row = full
-            mask = np.stack([full if m is None else m for m in mask_list])
+        mask = self._stack_masks([mask_row for _, mask_row in entries])
         tp = TPMatrix(
             data=rows, n_machines=self.source.n_machines, timestamps=ts, mask=mask
         )
@@ -407,6 +387,22 @@ class DecompositionEngine:
                 )
         return tp
 
+    def _stack_masks(self, mask_rows: list[np.ndarray | None]) -> np.ndarray | None:
+        """A window's observation mask from its rows' (None: fully observed).
+
+        Fully observed windows (every mask row None) short-circuit to None:
+        no per-call mask allocation on the fleet hot loop.
+        """
+        masked = [m for m in mask_rows if m is not None]
+        if not masked:
+            return None
+        full = self._full_mask_row
+        if full is None or full.shape[0] != masked[0].shape[0]:
+            full = np.ones(masked[0].shape[0], dtype=bool)
+            full.setflags(write=False)
+            self._full_mask_row = full
+        return np.stack([full if m is None else m for m in mask_rows])
+
     # -- solving -----------------------------------------------------------
     def solve(self, tp: TPMatrix) -> Decomposition:
         """Decompose *tp* cold and put the result in service."""
@@ -422,6 +418,7 @@ class DecompositionEngine:
                     **self.solver_kwargs,
                 )
         self._last = dec
+        self._last_window = None
         return dec
 
     def calibrate(self, end: int) -> Decomposition:
@@ -445,7 +442,9 @@ class DecompositionEngine:
         start = max(0, end - self.time_step)
         tp = self.window(start, end)
         if self.options.mode != "streaming":
-            return self.solve(tp)
+            dec = self.solve(tp)
+            self._last_window = range(start, end)
+            return dec
         # The entries window() just read; None where the LRU bound already
         # evicted one.
         entries = tuple(self._rows.get(k) for k in range(start, end))
@@ -461,12 +460,13 @@ class DecompositionEngine:
                 solver=self.options.solver,
                 extraction=self.extraction,
             )
-            self._last = dec
+            self.restore_last(dec, range(start, end))
             streamer = self._streamer_for(tp.data.shape)
             with instrumented(self.instrumentation):
                 streamer.reseed(end, memo[2])
             return dec
         dec = self.solve(tp)
+        self._last_window = range(start, end)
         seed = self._seed_stream(end, tp, dec)
         if seed is not None and None not in entries:
             self._solved = (entries, dec.solver_result, seed)
@@ -555,7 +555,7 @@ class DecompositionEngine:
                     extraction=self.extraction,
                 )
         self.instrumentation.count("kernel.stream.updates")
-        self._last = dec
+        self.restore_last(dec, range(end - self.time_step, end))
         return dec, None
 
     def _stream_fallback(self, reason: str) -> None:

@@ -4,9 +4,10 @@ Shipping a :class:`~repro.cloudsim.trace.CalibrationTrace` to a worker by
 pickling it copies ``2 * T * N * N`` float64s per batch — the dominant IPC
 cost for realistic traces. Instead the scheduler writes each cluster's trace
 into one :class:`multiprocessing.shared_memory.SharedMemory` segment *once*
-and passes workers a tiny :class:`TraceBlockDescriptor` (name + shape).
-Workers map the segment and hand the engine read-only numpy views of it; no
-trace bytes ever cross a pipe.
+and passes workers a tiny :class:`TraceBlockDescriptor` (name, shape and
+the trace's SHA-256). Workers map the segment and hand the engine read-only
+numpy views of it; no trace bytes ever cross a pipe, and no worker hashes
+a trace.
 
 Layout of a block (single contiguous segment)::
 
@@ -61,12 +62,18 @@ def _unregister_attached(shm: shared_memory.SharedMemory) -> None:
 
 @dataclass(frozen=True, slots=True)
 class TraceBlockDescriptor:
-    """Pickle-cheap handle for a shared trace block (name + geometry)."""
+    """Pickle-cheap handle for a shared trace block (name + geometry + digest).
+
+    ``sha256`` is the trace's
+    :attr:`~repro.cloudsim.trace.CalibrationTrace.sha256`, handed to every
+    view of the block so that no attaching process hashes it again.
+    """
 
     name: str
     n_snapshots: int
     n_machines: int
     has_mask: bool
+    sha256: str
 
     @property
     def nbytes(self) -> int:
@@ -103,14 +110,15 @@ class SharedTraceBlock:
     @classmethod
     def create(cls, trace: CalibrationTrace) -> "SharedTraceBlock":
         """Copy *trace* into a fresh shared-memory segment (owner side)."""
-        t, n = trace.n_snapshots, trace.n_machines
-        desc_probe = TraceBlockDescriptor(
-            name="", n_snapshots=t, n_machines=n, has_mask=trace.mask is not None
+        geometry = dict(
+            n_snapshots=trace.n_snapshots,
+            n_machines=trace.n_machines,
+            has_mask=trace.mask is not None,
+            sha256=trace.sha256,
         )
-        shm = shared_memory.SharedMemory(create=True, size=desc_probe.nbytes)
-        descriptor = TraceBlockDescriptor(
-            name=shm.name, n_snapshots=t, n_machines=n, has_mask=trace.mask is not None
-        )
+        size = TraceBlockDescriptor(name="", **geometry).nbytes
+        shm = shared_memory.SharedMemory(create=True, size=size)
+        descriptor = TraceBlockDescriptor(name=shm.name, **geometry)
         block = cls(shm, descriptor, owner=True)
         alpha, beta, ts, mask = block._views()
         alpha[...] = trace.alpha
@@ -159,14 +167,18 @@ class SharedTraceBlock:
 
         The returned trace aliases this block's memory: keep the block
         open for as long as the trace (or any session built on it) lives.
+        It holds the creator's trace byte for byte, so its ``sha256`` is
+        the descriptor's, filled in rather than computed again.
         """
         alpha, beta, ts, mask = self._views()
-        return CalibrationTrace(
+        trace = CalibrationTrace(
             alpha=alpha,
             beta=beta,
             timestamps=ts,
             mask=None if mask is None else mask.astype(bool),
         )
+        vars(trace)["sha256"] = self.descriptor.sha256  # the cached_property's slot
+        return trace
 
     # -- lifecycle -----------------------------------------------------
 

@@ -8,11 +8,13 @@ Three layers, composed by the session when given a :class:`PersistenceConfig`:
   (append-only, length+CRC32-framed, torn-tail tolerant). Every operation is
   committed *before* it executes.
 * :mod:`~repro.persistence.checkpoint` — versioned, checksummed snapshots of
-  full session state (TP-window rows + masks, the decomposition in service,
-  health-machine and detector state, counters) written atomically via temp
-  file + rename, with retention of the last few files. Solver state and
-  sealed blocks of the operation history are mirrored segments written
-  once, so a checkpoint's cost does not grow with the session's age.
+  full session state (the constant row in service and the snapshot keys
+  of its window and of the row cache, health-machine and detector state,
+  counters; rows and ``N_E`` are re-read from the trace) written
+  atomically via temp file + rename, with retention of the last few
+  files. Solver state and sealed blocks of the operation history are
+  mirrored segments written once, so a checkpoint's cost does not grow
+  with the session's age.
 * :mod:`~repro.persistence.recovery` — :func:`~repro.persistence.recovery.recover`
   loads the newest checkpoint that verifies, falls back to older ones on
   corruption, and returns the journal records past it for deterministic
@@ -41,7 +43,6 @@ from .state import (
     STATE_SCHEMA_VERSION,
     capture_session_state,
     decomposition_from_state,
-    engine_cache_from_state,
     history_rows_from_state,
     trace_from_arrays,
     trace_sha256,
@@ -63,7 +64,6 @@ __all__ = [
     "STATE_SCHEMA_VERSION",
     "capture_session_state",
     "decomposition_from_state",
-    "engine_cache_from_state",
     "history_rows_from_state",
     "trace_sha256",
     "trace_to_arrays",

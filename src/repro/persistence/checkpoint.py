@@ -13,7 +13,7 @@ container (``.npz``) costs more than the arrays themselves at this size.
 A :class:`CheckpointStore` directory holds, next to the journal::
 
     ckpt-<seq>.ckpt                 open history tail, stream state, meta
-    seg-<seq>.a.seg                 the solver-state segment (SEGMENT_ARRAYS + cache_*)
+    seg-<seq>.a.seg                 the solver-state segment (SEGMENT_ARRAYS)
     seg-<seq>.b.seg                 its mirror: the same bytes, written second
     seg-<seq>-<block>.a.seg/.b.seg  one sealed history block, mirrored likewise
 
@@ -22,12 +22,13 @@ checkpoints and is written once: a checkpoint's metadata records each
 segment's name, CRC and length (``segment`` for the solver state,
 ``segments`` mapping block name to reference for the blocks), and later
 checkpoints name the same pair while its arrays are the same read-only
-objects. The solver-state segment holds what the decomposition in service
-and the engine's row cache fix — ~12 MB at paper scale — and changes once
-per decomposition. A block array is named ``<block>/<column>``
-(:data:`BLOCK_SEPARATOR`): a sealed leading chunk of the column
-``<column>``, whose open tail stays in the checkpoint under the plain
-name. Sealed blocks never change, so a checkpoint writes only the tail
+objects. The solver-state segment holds the constant row in service
+(``dec_row``, 0.3 MB at paper scale) and changes once per decomposition;
+segments written before rows and ``N_E`` were re-read from the trace also
+hold ``dec_error`` and ``cache_*``, and still load. A block array is
+named ``<block>/<column>`` (:data:`BLOCK_SEPARATOR`): a sealed leading
+chunk of the column ``<column>``, whose open tail stays in the checkpoint
+under the plain name. Sealed blocks never change, so a checkpoint writes only the tail
 and its metadata however old the session is. Loading takes the first
 mirror of each segment that verifies and matches the recorded CRC and
 length, so one corrupted file never strands every checkpoint sharing the
@@ -62,7 +63,6 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
     "SEGMENT_ARRAYS",
-    "SEGMENT_PREFIX",
     "BLOCK_SEPARATOR",
     "Checkpoint",
     "join_blocks",
@@ -85,10 +85,8 @@ _SEGMENT_RE = re.compile(r"^seg-(\d{8})(?:-[A-Za-z0-9_-]+)?\.[ab]\.seg$")
 _BLOCK_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 #: Arrays a store keeps in a checkpoint's segment rather than in the
-#: checkpoint itself: those fixed by the decomposition in service, plus
-#: every array named with :data:`SEGMENT_PREFIX` (the engine's row cache).
-SEGMENT_ARRAYS = ("dec_row", "dec_error")
-SEGMENT_PREFIX = "cache_"
+#: checkpoint itself: those fixed by the decomposition in service.
+SEGMENT_ARRAYS = ("dec_row",)
 SEGMENT_MIRRORS = ("a", "b")
 
 #: ``<block>/<column>`` names a sealed leading chunk of ``<column>``; a store
@@ -328,7 +326,7 @@ def _group(name: str) -> str | None:
         if not _BLOCK_RE.match(block):
             raise PersistenceError(f"array {name!r}: invalid block name {block!r}")
         return block
-    if name in SEGMENT_ARRAYS or name.startswith(SEGMENT_PREFIX):
+    if name in SEGMENT_ARRAYS:
         return _STATE
     return None
 

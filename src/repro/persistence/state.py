@@ -1,12 +1,14 @@
 """Serializing full session state to checkpoint arrays + metadata.
 
 The split follows the checkpoint container's two channels: everything
-array-shaped (TP-window row cache, the decomposition in service, the
-deviation history) goes into the numpy payload; everything scalar or
-structured (config, cursor, counters, health machine, detector state) goes
-into the JSON metadata. ``STATE_SCHEMA_VERSION`` guards the
-layout — recovery refuses a checkpoint written by an incompatible schema
-rather than misinterpreting its arrays.
+array-shaped (the constant row in service, the row cache's snapshot keys,
+the operation and deviation history) goes into the numpy payload;
+everything scalar or structured (config, cursor, counters, health machine,
+detector state, the window the decomposition was built from) goes into the
+JSON metadata. What the trace determines is not captured: the cached rows
+and ``N_E`` (window rows − ``P_D``) are re-read and rebuilt on restore.
+``STATE_SCHEMA_VERSION`` guards the layout — recovery refuses a checkpoint
+written by an incompatible schema rather than misinterpreting its arrays.
 
 The capture functions take the session duck-typed (this module must not
 import :mod:`repro.runtime.session`, which imports it back); restoration of
@@ -17,7 +19,6 @@ the session object itself lives in
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict
 from typing import Any, Callable, Sequence
 
@@ -42,7 +43,6 @@ __all__ = [
     "FloatListEncoder",
     "history_rows_from_state",
     "decomposition_from_state",
-    "engine_cache_from_state",
     "check_schema",
 ]
 
@@ -51,13 +51,12 @@ STATE_SCHEMA_VERSION = 1
 
 # -- trace identity and round-trip ----------------------------------------
 def trace_sha256(trace: CalibrationTrace) -> str:
-    """Content hash of a trace (values + mask), for recovery validation."""
-    h = hashlib.sha256()
-    for arr in (trace.alpha, trace.beta, trace.timestamps):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    if trace.mask is not None:
-        h.update(np.ascontiguousarray(trace.mask).tobytes())
-    return h.hexdigest()
+    """Content hash of a trace (values + mask), for recovery validation.
+
+    The trace's own :attr:`~repro.cloudsim.trace.CalibrationTrace.sha256`,
+    computed once per trace object.
+    """
+    return trace.sha256
 
 
 def trace_to_arrays(
@@ -88,16 +87,20 @@ def trace_from_arrays(
 
 # -- decomposition ---------------------------------------------------------
 def _decomposition_to_state(
-    dec: Decomposition, arrays: dict[str, np.ndarray]
+    dec: Decomposition, window: range | None, arrays: dict[str, np.ndarray]
 ) -> dict[str, Any]:
     arrays["dec_row"] = dec.constant.row
-    arrays["dec_error"] = dec.error.data
+    if window is None:
+        # Restored from a state that recorded no window: N_E rides along
+        # until the next decomposition replaces this one.
+        arrays["dec_error"] = dec.error.data
     return {
         "solver": dec.solver,
         "iterations": dec.solver_iterations,
         "converged": bool(dec.solver_converged),
         "n_rows": dec.constant.n_rows,
         "n_machines": dec.constant.n_machines,
+        "window": None if window is None else [window.start, window.stop],
         "report": {
             "norm_ne": dec.report.norm_ne,
             "norm_ne_l0": dec.report.norm_ne_l0,
@@ -108,52 +111,55 @@ def _decomposition_to_state(
 
 
 def decomposition_from_state(
-    arrays: dict[str, np.ndarray], meta: dict[str, Any]
-) -> Decomposition:
+    arrays: dict[str, np.ndarray],
+    meta: dict[str, Any],
+    read_window: Callable[[range], tuple[list[np.ndarray], np.ndarray | None]],
+) -> tuple[Decomposition, range | None]:
     """Re-materialize the decomposition in service from checkpoint state.
+
+    Returns it with the snapshot keys of the window it was built from.
+    *read_window* returns that window's ``(rows, mask)`` re-read from the
+    trace (:meth:`~repro.core.engine.DecompositionEngine.window_rows`):
+    ``error`` and ``report`` are rebuilt from them and the captured ``P_D``
+    on first read, bit for bit as the captured session built them. A state
+    written before windows were recorded (window ``None``) restores both
+    from its ``dec_error`` array and metadata instead.
 
     Its ``solver_result`` is ``None``: nothing reads a restored solve's raw
     components. States written when a warm-starting solver existed also
     carry them (``sr_*`` arrays, a ``solver_result`` entry); both are
-    ignored.
+    ignored, as are the ``cache_rows``/``cache_masks``/``cache_has_mask``
+    arrays of states written before cached rows were re-read.
     """
-    report = StabilityReport(
-        norm_ne=float(meta["report"]["norm_ne"]),
-        norm_ne_l0=float(meta["report"]["norm_ne_l0"]),
-        rank=int(meta["report"]["rank"]),
-        verdict=str(meta["report"]["verdict"]),
+    n_machines = int(meta["n_machines"])
+    constant = TCMatrix(
+        row=arrays["dec_row"], n_rows=int(meta["n_rows"]), n_machines=n_machines
     )
-    return Decomposition(
-        constant=TCMatrix(
-            row=arrays["dec_row"],
-            n_rows=int(meta["n_rows"]),
-            n_machines=int(meta["n_machines"]),
+    fields: dict[str, Any] = {
+        "solver": str(meta["solver"]),
+        "solver_iterations": int(meta["iterations"]),
+        "solver_converged": bool(meta["converged"]),
+    }
+    report = meta["report"]
+    if meta.get("window") is not None:
+        window = range(*meta["window"])
+        rows, mask = read_window(window)
+        dec = Decomposition(
+            constant, window=(rows, mask, int(report["rank"])), **fields
+        )
+        return dec, window
+    dec = Decomposition(
+        constant,
+        error=TEMatrix(data=arrays["dec_error"], n_machines=n_machines),
+        report=StabilityReport(
+            norm_ne=float(report["norm_ne"]),
+            norm_ne_l0=float(report["norm_ne_l0"]),
+            rank=int(report["rank"]),
+            verdict=str(report["verdict"]),
         ),
-        error=TEMatrix(data=arrays["dec_error"], n_machines=int(meta["n_machines"])),
-        report=report,
-        solver=str(meta["solver"]),
-        solver_iterations=int(meta["iterations"]),
-        solver_converged=bool(meta["converged"]),
+        **fields,
     )
-
-
-# -- engine row cache ------------------------------------------------------
-# Captured through DecompositionEngine.export_cache_arrays (memoized there).
-def engine_cache_from_state(
-    arrays: dict[str, np.ndarray],
-) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-    """Rebuild the engine's row cache (LRU order preserved by key order)."""
-    if "cache_keys" not in arrays:
-        return {}
-    keys = arrays["cache_keys"]
-    rows = arrays["cache_rows"]
-    has_mask = arrays["cache_has_mask"]
-    masks = arrays.get("cache_masks")
-    cache: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    for i, k in enumerate(keys):
-        mask_row = masks[i] if (masks is not None and has_mask[i]) else None
-        cache[int(k)] = (rows[i], mask_row)
-    return cache
+    return dec, None
 
 
 # -- operation history -----------------------------------------------------
@@ -386,6 +392,7 @@ def capture_session_state(
     """
     arrays: dict[str, np.ndarray] = {}
     stats = session.stats
+    engine = session._engine
     # Sessions keep their encoders across captures; others encode anew.
     history_encoder = getattr(session, "_history_encoder", None) or HistoryEncoder()
     deviation_encoder = (
@@ -415,11 +422,7 @@ def capture_session_state(
             ),
         },
         "trace": {
-            # The trace is immutable for the session's lifetime; hashing its
-            # ~MBs once (cached by the session) keeps checkpoints cheap.
-            "sha256": (
-                getattr(session, "_trace_sha", None) or trace_sha256(session.trace)
-            ),
+            "sha256": session.trace.sha256,  # hashed once per trace object
             "n_machines": session.trace.n_machines,
             "n_snapshots": session.trace.n_snapshots,
             "path": None if persistence is None else persistence.trace_path,
@@ -449,12 +452,14 @@ def capture_session_state(
             else session.regime_detector.state_dict()
         ),
         "instrumentation": session.instrumentation.state_dict(),
-        "decomposition": _decomposition_to_state(session.decomposition, arrays),
+        "decomposition": _decomposition_to_state(
+            session.decomposition, engine.last_window, arrays
+        ),
         "stream": None,
     }
     # Streaming subspace state rides the (bit-exact) array channel so a
     # resumed session's folds are bit-identical to the captured one's.
-    stream_state = session._engine.export_stream_state()
+    stream_state = engine.export_stream_state()
     if stream_state is not None:
         stream_arrays, stream_meta = stream_state_to_payload(stream_state)
         arrays.update(stream_arrays)
@@ -462,7 +467,9 @@ def capture_session_state(
     # The controller's deviation history can be long — it rides the array
     # channel rather than the JSON member (state_dict leaves it out).
     deviation_encoder.encode(session.controller.stats.deviations, arrays)
-    arrays.update(session._engine.export_cache_arrays())
+    # The row cache as its snapshot keys, in LRU order: its rows are
+    # re-read from the trace on restore.
+    arrays["cache_keys"] = np.fromiter(engine.export_cache(), np.int64)
     return arrays, meta
 
 

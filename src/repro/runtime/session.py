@@ -92,11 +92,9 @@ from ..persistence import (
     SnapshotJournal,
     capture_session_state,
     decomposition_from_state,
-    engine_cache_from_state,
     history_rows_from_state,
     journal_path,
     recover,
-    trace_sha256,
 )
 from ..persistence.checkpoint import join_blocks
 from ..persistence.journal import pack_float64, unpack_float64
@@ -426,7 +424,6 @@ class TraceSession:
             resilience=resilience,
             regime_detector=self._build_regime_detector(regime, regime_params),
             instrumentation=instrumentation,
-            trace_sha=trace_sha256(trace),  # hashed once, reused per checkpoint
         )
         if crash_after is not None:
             crash_models = crash_models + (CrashFault(at_operation=crash_after),)
@@ -460,7 +457,6 @@ class TraceSession:
         resilience: ResilienceConfig | None,
         regime_detector: RegimeDetector | None,
         instrumentation: Instrumentation | None,
-        trace_sha: str,
     ) -> tuple[CrashFault, ...]:
         """Lay out a session at its boot point, before any calibration.
 
@@ -503,7 +499,6 @@ class TraceSession:
         self.stats = SessionStats()
         self._history_encoder = HistoryEncoder()
         self._deviation_encoder = FloatListEncoder()
-        self._trace_sha = trace_sha
         self._cursor = self.time_step  # next live snapshot
         self._decomposition: Decomposition | None = None
         self._replaying = False
@@ -1063,11 +1058,14 @@ class TraceSession:
         continues bit-identically. *trace* must be
         the same trace the captured session ran on (e.g. a shared-memory
         view of it); pass ``verify_trace=True`` to check its content hash
-        against the captured one instead of trusting the caller — off by
-        default because hashing the whole trace on every fleet batch would
-        dwarf the work being resumed.
+        (:attr:`~repro.cloudsim.trace.CalibrationTrace.sha256`) against the
+        captured one instead of trusting the caller. Only the first check
+        on a trace object hashes it, and a fleet worker's view of a shared
+        trace arrives with its digest. The rows of the row cache and of the
+        decomposition's window are re-read from *trace*, so a different
+        trace would silently diverge.
         """
-        if verify_trace and trace_sha256(trace) != capsule.meta["trace"]["sha256"]:
+        if verify_trace and trace.sha256 != capsule.meta["trace"]["sha256"]:
             raise PersistenceError(
                 "trace content does not match the captured session "
                 "(sha256 mismatch) — resuming on a different trace would "
@@ -1161,8 +1159,7 @@ class TraceSession:
                 if str(path).lower().endswith(".csv")
                 else load_trace(path)
             )
-        trace_sha = trace_sha256(trace)
-        if trace_sha != meta["trace"]["sha256"]:
+        if trace.sha256 != meta["trace"]["sha256"]:
             raise PersistenceError(
                 "trace content does not match the checkpointed session "
                 "(sha256 mismatch) — resuming on a different trace would "
@@ -1252,7 +1249,6 @@ class TraceSession:
             resilience=None if res_meta is None else ResilienceConfig(**res_meta),
             regime_detector=detector,
             instrumentation=instrumentation,
-            trace_sha=meta["trace"]["sha256"],
         )
         self._crash_models = ()
 
@@ -1264,16 +1260,19 @@ class TraceSession:
         if detector is not None and meta["regime_state"] is not None:
             detector.restore_state(meta["regime_state"])
 
-        self._engine.import_cache(engine_cache_from_state(arrays))
-        self._engine.instrumentation.restore_state(meta["instrumentation"])
-        dec = decomposition_from_state(arrays, meta["decomposition"])
+        # Rows are re-read through the fault view, as the captured session
+        # read them; P_D comes from the state, N_E is rebuilt from both.
+        engine = self._engine
+        engine.reload_cache(arrays.get("cache_keys", ()))
+        engine.instrumentation.restore_state(meta["instrumentation"])
+        dec, window = decomposition_from_state(
+            arrays, meta["decomposition"], engine.window_rows
+        )
         self._decomposition = dec
-        self._engine.last = dec
+        engine.restore_last(dec, window)
         stream_meta = meta.get("stream")
         if stream_meta is not None:
-            self._engine.import_stream_state(
-                stream_state_from_payload(arrays, stream_meta)
-            )
+            engine.import_stream_state(stream_state_from_payload(arrays, stream_meta))
 
         st = meta["stats"]
         self.stats = SessionStats(

@@ -441,9 +441,11 @@ class TestWrapSolveReuse:
     def test_reimported_rows_of_equal_value_are_a_miss(self, small_trace):
         eng = _streaming_engine(small_trace)
         first = eng.calibrate(11)
-        eng.import_cache(
-            {k: (row.copy(), mask) for k, (row, mask) in eng.export_cache().items()}
-        )
+        before = eng.export_cache()
+        eng.reload_cache(before)  # re-read: equal bytes, new objects
+        for k, (row, _) in eng.export_cache().items():
+            assert row is not before[k][0]
+            assert row.tobytes() == before[k][0].tobytes()
         again = eng.calibrate(11)
         assert _solve_counts(eng) == (2, 0)
         assert again.solver_result is not first.solver_result

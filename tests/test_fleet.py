@@ -85,12 +85,54 @@ class TestSharedTraceBlock:
             assert len(blob) < 512  # the point of the descriptor
             assert pickle.loads(blob) == block.descriptor
 
+    def test_views_carry_the_digest(self, monkeypatch):
+        from repro.cloudsim import trace as trace_mod
+
+        trace = _trace(6, mask=True)
+        with SharedTraceBlock.create(trace) as block:
+            assert block.descriptor.sha256 == trace.sha256
+
+            class NoHashing:
+                def sha256(self):
+                    raise AssertionError("a view of a block rehashed its trace")
+
+            monkeypatch.setattr(trace_mod, "hashlib", NoHashing())
+            assert block.trace().sha256 == trace.sha256
+
     def test_attach_after_unlink_raises(self):
         block = SharedTraceBlock.create(_trace(5))
         desc = block.descriptor
         block.unlink()
         with pytest.raises(FleetError, match="gone"):
             SharedTraceBlock.attach(desc)
+
+
+class TestTraceHashing:
+    def test_run_hashes_each_trace_once_and_only_in_the_scheduler(
+        self, tmp_path, monkeypatch
+    ):
+        # Workers inherit the patched module when they fork; a digest
+        # computed anywhere leaves its process id in the log.
+        import hashlib
+
+        from repro.cloudsim import trace as trace_mod
+
+        log = tmp_path / "digests.log"
+
+        class PidLog:
+            def sha256(self):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return hashlib.sha256()
+
+        monkeypatch.setattr(trace_mod, "hashlib", PidLog())
+        clusters = _clusters(3)
+        report = FleetScheduler(
+            clusters, FleetConfig(n_workers=N_WORKERS, **CFG)
+        ).run()
+        assert report.total_operations == 3 * CFG["operations"]
+        pids = log.read_text().split() if log.exists() else []
+        assert pids == [str(os.getpid())] * len(clusters)
 
 
 class TestConfigValidation:

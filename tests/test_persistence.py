@@ -601,6 +601,93 @@ class TestTraceStateHelpers:
         assert trace_sha256(other) != trace_sha256(tiny_trace)
 
 
+def _hand_trace(masked):
+    from repro.cloudsim.trace import CalibrationTrace
+
+    alpha = np.arange(18, dtype=float).reshape(2, 3, 3) * 1e-4
+    beta = np.full((2, 3, 3), 1e9)
+    for k in range(2):
+        np.fill_diagonal(alpha[k], 0.0)
+        np.fill_diagonal(beta[k], np.inf)
+    mask = None
+    if masked:
+        mask = np.ones((2, 3, 3), dtype=bool)
+        mask[1, 0, 1] = False
+    return CalibrationTrace(
+        alpha=alpha, beta=beta, timestamps=np.array([0.0, 60.0]), mask=mask
+    )
+
+
+class _HashCounter:
+    """Stands in for :mod:`hashlib` in the trace module, counting digests."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self):
+        import hashlib
+
+        self.calls += 1
+        return hashlib.sha256()
+
+
+class TestTraceDigest:
+    """A trace hashes itself once, on first use, with the historical digest."""
+
+    # Digests the copying recipe (tobytes of alpha, beta, timestamps, mask)
+    # gave, which checkpoints already on disk record.
+    PINNED = {
+        False: "1c6f4770676dd5637737a09f33d5e6d83529c978bfb95dec52b2af9a01bb9195",
+        True: "32ed52ae2368e03f1dfa9fdf0ddfaf44fc369f2491db263e305882c76a134d0a",
+    }
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_digest_is_todays(self, masked):
+        trace = _hand_trace(masked)
+        assert trace.sha256 == self.PINNED[masked]
+        assert trace_sha256(trace) == trace.sha256
+
+    def test_digest_matches_the_copying_recipe(self, small_trace):
+        import hashlib
+
+        for trace in (small_trace, _hand_trace(True)):
+            h = hashlib.sha256()
+            for arr in (trace.alpha, trace.beta, trace.timestamps, trace.mask):
+                if arr is not None:
+                    h.update(np.ascontiguousarray(arr).tobytes())
+            assert trace.sha256 == h.hexdigest()
+
+    def test_hashed_once_on_first_read(self, monkeypatch):
+        from repro.cloudsim import trace as trace_mod
+
+        counter = _HashCounter()
+        monkeypatch.setattr(trace_mod, "hashlib", counter)
+        trace = _hand_trace(True)
+        assert counter.calls == 0
+        first = trace.sha256
+        assert trace.sha256 == trace_sha256(trace) == first
+        assert counter.calls == 1
+
+    def test_session_without_persistence_computes_no_digest(
+        self, small_trace, monkeypatch
+    ):
+        from repro.cloudsim import trace as trace_mod
+        from repro.runtime.session import TraceSession
+
+        counter = _HashCounter()
+        monkeypatch.setattr(trace_mod, "hashlib", counter)
+        trace = small_trace.window(0, small_trace.n_snapshots)  # a new object
+        session = TraceSession(trace, time_step=8, threshold=0.05)
+        for _ in range(12):
+            session.broadcast(root=0)
+        assert session.stats.recalibrations > 0
+        assert counter.calls == 0
+        assert "sha256" not in vars(trace)
+        capsule = session.capture_capsule()  # a capsule names its trace
+        assert counter.calls == 1
+        assert capsule.meta["trace"]["sha256"] == trace.sha256
+
+
 class TestPersistenceConfig:
     def test_validation(self, tmp_path):
         with pytest.raises(PersistenceError):

@@ -467,21 +467,27 @@ class TestCheckpointSegments:
         first, _ = capture_session_state(session)
         _drive(session, 3)
         second, _ = capture_session_state(session)
-        for name in ("dec_row", "dec_error",
-                     "cache_keys", "cache_rows", "cache_has_mask"):
-            assert second[name] is first[name], name
-            assert not second[name].flags.writeable, name
-        # The solver's raw components are not state: nothing reads them.
-        assert not [name for name in first if name.startswith("sr_")]
+        assert second["dec_row"] is first["dec_row"]
+        assert not second["dec_row"].flags.writeable
+        # What the trace determines is not state: the solver's raw
+        # components, N_E and the cached rows are rebuilt on restore.
+        for arrays in (first, second):
+            assert not [
+                name for name in arrays
+                if name.startswith("sr_") or name in (
+                    "dec_error", "cache_rows", "cache_masks", "cache_has_mask"
+                )
+            ]
         session._calibrate(end=session._cursor, charge=False)
-        third, _ = capture_session_state(session)
-        assert third["dec_error"] is not first["dec_error"]
-        # The re-calibration moved the row cache; its arrays follow.
+        third, meta = capture_session_state(session)
+        assert third["dec_row"] is not first["dec_row"]
+        assert meta["decomposition"]["window"] == [
+            session._cursor - 8, session._cursor
+        ]
+        # The re-calibration moved the row cache; its keys follow.
         cache = session._engine.export_cache()
         assert third["cache_keys"].tolist() == list(cache)
         assert third["cache_keys"].tolist() != first["cache_keys"].tolist()
-        for i, (row, _) in enumerate(cache.values()):
-            np.testing.assert_array_equal(third["cache_rows"][i], row)
 
     def _calm_run(self, calm_trace, tmp_path, n_ops):
         cfg = PersistenceConfig(
@@ -976,6 +982,199 @@ class TestJournalRecords:
         _drive_mixed(resumed, 13)
         resumed.close()
         _assert_parity(resumed, reference)
+
+
+# -- restores re-derive what the state no longer carries ---------------------
+# Each case: (trace fixture, session kwargs, operations before the capture,
+# operations in all). "mild-faults" restores masked windows, "holdover" a
+# decomposition held over past failed re-calibrations, "streaming" a folded
+# one (the capture lands mid-pass, before the replay wraps).
+RESTORE_CASES = {
+    "batch": ("small_trace", dict(time_step=8, threshold=0.05), 9, 20),
+    "mild-faults": (
+        "small_trace",
+        dict(time_step=8, threshold=0.05, faults="mild", fault_seed=4),
+        9,
+        20,
+    ),
+    "holdover": (
+        "holdover_trace",
+        dict(
+            time_step=10, threshold=0.05,
+            faults="probe_loss=0.1,vm_outage=3:12:3", fault_seed=11,
+        ),
+        36,
+        45,
+    ),
+    "streaming": (
+        "small_trace", dict(time_step=8, mode="streaming", regime="drift"), 9, 14
+    ),
+}
+
+# Counters only a persisted or resumed session keeps.
+_PERSISTENCE_COUNTERS = ("session.checkpoint.", "session.recovered")
+
+
+@pytest.fixture(scope="module")
+def holdover_trace():
+    from repro.cloudsim.tracegen import TraceConfig, generate_trace
+
+    return generate_trace(TraceConfig(n_machines=16, n_snapshots=40), seed=3)
+
+
+@pytest.fixture(params=sorted(RESTORE_CASES))
+def restore_case(request):
+    fixture, kwargs, split, total = RESTORE_CASES[request.param]
+    trace = request.getfixturevalue(fixture)
+    return request.param, trace, kwargs, split, total
+
+
+def _check_case_shape(name, session):
+    """The captured state is the case it claims to be."""
+    engine = session._engine
+    if name == "mild-faults":
+        assert engine.window_rows(engine.last_window)[1] is not None
+    elif name == "holdover":
+        assert session.health_state.value != "healthy"
+        assert session.staleness >= 2
+    elif name == "streaming":
+        assert session.stats.stream_updates > 0
+        assert session.decomposition.solver_result is None
+
+
+def _counters(session):
+    return {
+        key: value
+        for key, value in session.instrumentation.counters.items()
+        if not key.startswith(_PERSISTENCE_COUNTERS)
+    }
+
+
+def _assert_same_session(a, b):
+    """Bitwise: P_D, N_E, report, records, stats, cursor, health, counters."""
+    da, db = a.decomposition, b.decomposition
+    assert da.constant.row.tobytes() == db.constant.row.tobytes()
+    assert da.error.data.tobytes() == db.error.data.tobytes()
+    assert da.report == db.report
+    assert [r.elapsed.hex() for r in a.stats.history] == [
+        r.elapsed.hex() for r in b.stats.history
+    ]
+    assert a.stats == b.stats
+    assert a._cursor == b._cursor
+    assert a.health_state == b.health_state
+    assert a.staleness == b.staleness
+    assert _counters(a) == _counters(b)
+
+
+def _assert_same_cache(a, b):
+    ca, cb = a._engine.export_cache(), b._engine.export_cache()
+    assert list(ca) == list(cb)  # LRU order included
+    for k, (row, mask) in ca.items():
+        assert row.tobytes() == cb[k][0].tobytes()
+        assert (mask is None) == (cb[k][1] is None)
+        if mask is not None:
+            assert mask.tobytes() == cb[k][1].tobytes()
+
+
+def _legacy_checkpoint(session, directory):
+    """Rewrite the newest checkpoint of *directory* as one written before
+    rows and N_E were re-read: ``dec_error``, ``cache_*`` and ``sr_*``
+    arrays, and no window in the metadata."""
+    latest = CheckpointStore(directory).load_latest()
+    meta = json.loads(json.dumps(latest.meta))
+    for key in ("segment", "segments"):
+        meta.pop(key, None)
+    del meta["decomposition"]["window"]
+    dec = session.decomposition
+    cache = session._engine.export_cache()
+    entries = list(cache.values())
+    arrays = dict(
+        latest.arrays,
+        dec_error=dec.error.data,
+        cache_rows=np.stack([row for row, _ in entries]),
+        cache_has_mask=np.array([m is not None for _, m in entries]),
+        sr_low_rank=np.zeros_like(dec.error.data),
+        sr_sparse=np.zeros_like(dec.error.data),
+    )
+    if any(m is not None for _, m in entries):
+        full = np.ones(entries[0][0].shape[0], dtype=bool)
+        arrays["cache_masks"] = np.stack(
+            [full if m is None else m for _, m in entries]
+        )
+    CheckpointStore(directory).save(arrays, meta)
+
+
+class TestRestoreRederivesState:
+    """Capsules and checkpoints carry ``P_D`` and snapshot keys; a restore
+    re-reads the rows and rebuilds ``N_E`` and the report from them, and the
+    continued session equals the uninterrupted one bit for bit."""
+
+    def test_capsule_carries_keys_not_derived_arrays(self, restore_case):
+        name, trace, kwargs, split, _ = restore_case
+        session = TraceSession(trace, **kwargs)
+        _drive(session, split)
+        _check_case_shape(name, session)
+        capsule = session.capture_capsule()
+        derived = {"dec_error", "cache_rows", "cache_masks", "cache_has_mask"}
+        assert not derived & set(capsule.arrays)
+        assert capsule.arrays["cache_keys"].tolist() == list(
+            session._engine.export_cache()
+        )
+        window = session._engine.last_window
+        assert capsule.meta["decomposition"]["window"] == [window.start, window.stop]
+
+    def test_from_capsule_equals_uninterrupted(self, restore_case):
+        name, trace, kwargs, split, total = restore_case
+        reference = TraceSession(trace, **kwargs)
+        _drive(reference, total)
+        interrupted = TraceSession(trace, **kwargs)
+        _drive(interrupted, split)
+        _check_case_shape(name, interrupted)
+        restored = TraceSession.from_capsule(trace, interrupted.capture_capsule())
+        _assert_same_session(restored, interrupted)
+        _assert_same_cache(restored, interrupted)
+        _drive(restored, total - split)
+        _assert_same_session(restored, reference)
+
+    def test_resume_equals_uninterrupted(self, restore_case, tmp_path):
+        name, trace, kwargs, split, total = restore_case
+        reference = TraceSession(trace, **kwargs)
+        _drive(reference, total)
+        cfg = PersistenceConfig(directory=tmp_path / "state", checkpoint_every=4)
+        session = TraceSession(trace, persistence=cfg, **kwargs)
+        _drive(session, split)
+        _check_case_shape(name, session)
+        session.close()
+        resumed = TraceSession.resume(cfg.directory, trace=trace)
+        _assert_same_session(resumed, session)
+        _assert_same_cache(resumed, session)
+        _drive(resumed, total - split)
+        resumed.close()
+        _assert_same_session(resumed, reference)
+
+    def test_legacy_shaped_checkpoint_resumes_bitwise(self, restore_case, tmp_path):
+        name, trace, kwargs, split, total = restore_case
+        reference = TraceSession(trace, **kwargs)
+        _drive(reference, total)
+        cfg = PersistenceConfig(directory=tmp_path / "state", checkpoint_every=10**6)
+        session = TraceSession(trace, persistence=cfg, **kwargs)
+        _drive(session, split)
+        session.checkpoint()
+        session.close()
+        _legacy_checkpoint(session, cfg.directory)
+        resumed = TraceSession.resume(cfg.directory, trace=trace)
+        _assert_same_session(resumed, session)
+        _assert_same_cache(resumed, session)
+        # With no window on record, N_E rides along in the next capture.
+        capsule = resumed.capture_capsule()
+        assert capsule.meta["decomposition"]["window"] is None
+        assert "dec_error" in capsule.arrays
+        again = TraceSession.from_capsule(trace, capsule)
+        _drive(again, total - split)
+        _drive(resumed, total - split)
+        resumed.close()
+        _assert_same_session(resumed, reference)
+        _assert_same_session(again, reference)
 
 
 class TestWarmStartEraState:
