@@ -15,10 +15,11 @@ The age test runs a calm session past three sealed history blocks at
 root: the median save time of the first and the last tenth of its
 checkpoints, the checkpoint file sizes, the journal append cost per
 record kind, and the size of a 196-instance batch capsule after 12
-re-calibrations (its arrays besides the history columns, and the
-solver-state segment a store writes for it). The file-size bound (one open
-block of history plus the metadata) and the capsule bound
-(:data:`CAPSULE_BOUND` of arrays besides the history) are asserted always;
+re-calibrations and of a 196-instance streaming capsule (their arrays
+besides the history columns, and the solver-state segment a store writes
+for each). The file-size bound (one open block of history plus the
+metadata) and the capsule bound (:data:`CAPSULE_BOUND` of arrays besides
+the history, for both capsules) are asserted always;
 last tenth ≤ 1.5 × first tenth only under ``REPRO_PERF_STRICT=1``.
 """
 
@@ -196,6 +197,9 @@ CAPSULE_RECALIBRATIONS = 12
 # snapshot keys. N_E and the cached rows, 10 MB after 12 re-calibrations,
 # are re-derived from the trace on restore and must not come back.
 CAPSULE_BOUND = 1 << 20
+# A streaming capsule also carries the stream's factors and per-row
+# residuals (0.31 MB at rank 1), and no sparse window (3.07 MB).
+STREAM_CAPSULE_OPERATIONS = 25
 
 
 def _history_array(name):
@@ -203,18 +207,38 @@ def _history_array(name):
     return column.startswith("hist_") or column == "ctrl_deviations"
 
 
+def _paper_trace():
+    return generate_trace(TraceConfig(n_machines=196, n_snapshots=24), seed=1)
+
+
 def _paper_capsule_sizes(directory):
     """Sizes of a 196-instance batch capsule after 12 re-calibrations."""
-    trace = generate_trace(TraceConfig(n_machines=196, n_snapshots=24), seed=1)
+    trace = _paper_trace()
     session = TraceSession(trace, threshold=0.01, solver="ialm")
     while session.stats.recalibrations < CAPSULE_RECALIBRATIONS:
         session.broadcast(root=session.stats.operations % trace.n_machines)
+    return _capsule_sizes(session, directory)
+
+
+def _stream_capsule_sizes(directory):
+    """Sizes of a 196-instance streaming capsule with its stream seeded."""
+    trace = _paper_trace()
+    session = TraceSession(trace, mode="streaming", regime="drift")
+    for k in range(STREAM_CAPSULE_OPERATIONS):
+        session.broadcast(root=k % trace.n_machines)
+    sizes = _capsule_sizes(session, directory)
+    assert "stream_basis" in sizes["array_bytes_by_name"]
+    sizes["stream_updates"] = session.stats.stream_updates
+    return sizes
+
+
+def _capsule_sizes(session, directory):
     capsule = session.capture_capsule()
     CheckpointStore(directory).save(capsule.arrays, capsule.meta)
     (segment,) = directory.glob("seg-*.a.seg")
     arrays = {name: int(arr.nbytes) for name, arr in capsule.arrays.items()}
     return {
-        "n_machines": trace.n_machines,
+        "n_machines": session.trace.n_machines,
         "operations": session.stats.operations,
         "recalibrations": session.stats.recalibrations,
         "array_bytes": sum(arrays.values()),
@@ -311,6 +335,7 @@ def test_checkpoint_cost_is_flat_with_age(trace_16, tmp_path, emit):
     ckpt_first, ckpt_last = _tenths(checkpoints)
     journal = _journal_append_seconds(tmp_path)
     paper_capsule = _paper_capsule_sizes(tmp_path / "capsule")
+    stream_capsule = _stream_capsule_sizes(tmp_path / "stream-capsule")
     record = bench_record(
         "persistence_checkpoint_age",
         seeds=[16],
@@ -332,6 +357,7 @@ def test_checkpoint_cost_is_flat_with_age(trace_16, tmp_path, emit):
         metadata_bytes=meta_bytes,
         journal_append_seconds=journal,
         paper_capsule=paper_capsule,
+        stream_capsule=stream_capsule,
     )
     write_bench_json(BENCH_JSON, record)
     emit(
@@ -350,9 +376,13 @@ def test_checkpoint_cost_is_flat_with_age(trace_16, tmp_path, emit):
         + f"  capsule     196 instances, {paper_capsule['recalibrations']} recals: "
         f"{paper_capsule['array_bytes_besides_history']} B of arrays besides "
         f"history, solver segment {paper_capsule['solver_segment_bytes']} B\n"
+        + f"  stream      196 instances, {stream_capsule['operations']} ops: "
+        f"{stream_capsule['array_bytes_besides_history']} B of arrays besides "
+        f"history\n"
         + f"  (wrote {BENCH_JSON.name})"
     )
     assert paper_capsule["array_bytes_besides_history"] <= CAPSULE_BOUND
+    assert stream_capsule["array_bytes_besides_history"] <= CAPSULE_BOUND
 
     assert largest <= size_bound, (
         f"a checkpoint of {largest} B exceeds one open block of history "

@@ -35,6 +35,7 @@ from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.decompose import decompose
 from repro.core.engine import DecompositionEngine
 from repro.core.options import SolveOptions
+from repro.core.streaming import StreamingConfig
 from repro.observability import Instrumentation
 from repro.observability.benchrecord import bench_record, write_bench_json
 
@@ -189,8 +190,9 @@ def test_certified_fallback_bit_parity():
     trace = generate_trace(TraceConfig(n_machines=24, n_snapshots=20), seed=7)
     eng = DecompositionEngine(
         trace, nbytes=8 * MB, time_step=WINDOW,
-        options=SolveOptions(mode="streaming", stream_tolerance=1e-6),
+        options=SolveOptions(mode="streaming"),
     )
+    eng.stream_config = StreamingConfig(tolerance=1e-6)
     eng.calibrate(WINDOW)
     fallbacks = 0
     for end in range(WINDOW + 1, 21):

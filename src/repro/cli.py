@@ -48,28 +48,16 @@ MB = 1024 * 1024
 
 
 def _add_mode_arguments(cmd: argparse.ArgumentParser) -> None:
-    """``--mode`` and the two stream knobs (``replay``, ``fleet``)."""
+    """``--mode`` (``replay``, ``fleet``)."""
     cmd.add_argument("--mode", default=SolveOptions.mode, choices=ENGINE_MODES,
                      help="decomposition mode: batch (full window re-solves) "
                           "or streaming (O(row) per-snapshot folds with "
                           "certified batch fallback)")
-    cmd.add_argument("--stream-tolerance", type=float, default=None,
-                     metavar="TOL",
-                     help="streaming drift ceiling (requires --mode streaming)")
-    cmd.add_argument("--stream-refresh-every", type=int, default=None,
-                     metavar="N",
-                     help="streaming re-orthonormalization cadence in folds "
-                          "(requires --mode streaming)")
 
 
 def _solve_options(args: argparse.Namespace) -> dict:
     """The :class:`~repro.core.options.SolveOptions` keywords the flags set."""
-    return {
-        "solver": args.solver,
-        "mode": args.mode,
-        "stream_tolerance": args.stream_tolerance,
-        "stream_refresh_every": args.stream_refresh_every,
-    }
+    return {"solver": args.solver, "mode": args.mode}
 
 
 def build_parser() -> argparse.ArgumentParser:

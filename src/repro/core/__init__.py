@@ -12,9 +12,8 @@ Public surface
 * :class:`TPMatrix`, :class:`TCMatrix`, :class:`TEMatrix`,
   :class:`PerformanceMatrix` — the matrix containers of paper Sec III.
 * :func:`decompose` — TP → (TC, TE) via a chosen RPCA solver.
-* :class:`SolveOptions` — the four knobs of a re-calibration solve (solver,
-  batch/streaming mode, two stream knobs) and the rules for combining
-  them, checked once at construction.
+* :class:`SolveOptions` — the two knobs of a re-calibration solve (solver
+  and batch/streaming mode), checked once at construction.
 * :func:`rpca_ialm` (the paper's IALM, the one relaxed RPCA solver),
   :func:`row_constant_decomposition` — the individual solvers.
 * :func:`certify` — primal residual and relative duality gap of an RPCA

@@ -40,7 +40,7 @@ from .matrices import TPMatrix
 from .options import SolveOptions
 from .result import SolverResult
 from .solvers import solver_spec
-from .streaming import StreamingDecomposer, StreamSeed, StreamState
+from .streaming import StreamingConfig, StreamingDecomposer, StreamSeed, StreamState
 
 __all__ = [
     "WindowSource",
@@ -144,7 +144,9 @@ class DecompositionEngine:
         ``SolveOptions()``). In ``"streaming"`` mode :meth:`calibrate`
         runs a **cold** batch solve and seeds a
         :class:`~repro.core.streaming.StreamingDecomposer`; single-snapshot
-        window slides then fold in O(row) via :meth:`stream_fold`.
+        window slides then fold in O(row) via :meth:`stream_fold`. The
+        decomposer is built from the ``stream_config`` attribute, a plain
+        :class:`~repro.core.streaming.StreamingConfig`.
     extraction:
         Constant-row extraction rule (see
         :func:`~repro.core.decompose.constant_row`).
@@ -195,7 +197,7 @@ class DecompositionEngine:
         self.options = options if options is not None else SolveOptions()
         solver_spec(self.options.solver).validate_kwargs(solver_kwargs)
         self.extraction = extraction
-        self.stream_config = self.options.stream_config
+        self.stream_config = StreamingConfig()
         self._streamer: StreamingDecomposer | None = None
         self.solver_kwargs = dict(solver_kwargs)
         self.instrumentation = (
@@ -284,8 +286,7 @@ class DecompositionEngine:
             if self._streamer is not None:
                 self._streamer.state = None
             return
-        shape = (int(state.sparse.shape[0]), int(state.sparse.shape[1]))
-        self._streamer_for(shape).import_state(state)
+        self._streamer_for(state.window_shape).import_state(state)
 
     def reload_cache(self, keys: Iterable[int]) -> None:
         """Replace the row cache with snapshots *keys* re-read from the source.

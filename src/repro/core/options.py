@@ -1,9 +1,9 @@
 """One value for every knob that decides how a re-calibration solve runs.
 
 Algorithm 1's re-calibration is one RPCA solve. :class:`SolveOptions` holds
-the four settings that shape it and checks how they combine, once, when it
-is built. Everything that runs or records a solve reads this value instead
-of carrying the four fields itself: the
+the two settings that shape it and checks them, once, when it is built.
+Everything that runs or records a solve reads this value instead of
+carrying the fields itself: the
 :class:`~repro.core.engine.DecompositionEngine` takes it, a session's
 checkpoint writes it with :meth:`SolveOptions.to_meta` and reads it back
 with :meth:`SolveOptions.from_meta`, and
@@ -49,26 +49,16 @@ class SolveOptions:
         :class:`~repro.core.streaming.StreamingDecomposer`) and falls back
         to a cold batch solve, bit-identical to
         :func:`~repro.core.decompose.decompose` on the same window, on rank
-        growth, drift or a masked snapshot.
-    stream_tolerance:
-        Streaming drift ceiling; ``None`` uses
-        :attr:`StreamingConfig.tolerance <repro.core.streaming.StreamingConfig>`.
-    stream_refresh_every:
-        Streaming re-orthonormalization cadence in folds; ``None`` uses
-        :attr:`StreamingConfig.refresh_every <repro.core.streaming.StreamingConfig>`.
+        growth, drift or a masked snapshot. Its constants live in
+        :class:`~repro.core.streaming.StreamingConfig`.
 
-    The rules, checked at construction (each failure is a
-    :class:`~repro.errors.ValidationError`):
-
-    * *solver* is registered (after legacy names are resolved);
-    * the two stream knobs need ``mode="streaming"`` and are range-checked
-      by :class:`~repro.core.streaming.StreamingConfig`.
+    Both are checked at construction (each failure is a
+    :class:`~repro.errors.ValidationError`): *solver* must be registered
+    (after legacy names are resolved) and *mode* known.
     """
 
     solver: str = "ialm"
     mode: str = "batch"
-    stream_tolerance: float | None = None
-    stream_refresh_every: int | None = None
 
     def __post_init__(self) -> None:
         # Attributed to whoever built the options (past the generated
@@ -78,38 +68,11 @@ class SolveOptions:
             solver_spec(self.solver)
         except ValueError as exc:  # the registry's unknown-name error
             raise ValidationError(str(exc)) from None
-        if validate_mode(self.mode) != "streaming" and (
-            self.stream_tolerance is not None or self.stream_refresh_every is not None
-        ):
-            raise ValidationError(
-                "stream_tolerance/stream_refresh_every require mode='streaming'"
-            )
-        _ = self.stream_config  # StreamingConfig range-checks the knobs
-
-    @property
-    def stream_config(self) -> StreamingConfig:
-        """The streaming path's configuration: defaults plus the two knobs."""
-        overrides: dict[str, Any] = {}
-        if self.stream_tolerance is not None:
-            overrides["tolerance"] = float(self.stream_tolerance)
-        if self.stream_refresh_every is not None:
-            overrides["refresh_every"] = int(self.stream_refresh_every)
-        return StreamingConfig(**overrides)
+        validate_mode(self.mode)
 
     def to_meta(self) -> dict[str, Any]:
-        """The options as a checkpoint's ``config`` keys.
-
-        A streaming session records its resolved knobs (defaults filled
-        in); a batch one records ``None`` for both.
-        """
-        streaming = self.mode == "streaming"
-        stream = self.stream_config
-        return {
-            "solver": self.solver,
-            "mode": self.mode,
-            "stream_tolerance": stream.tolerance if streaming else None,
-            "stream_refresh_every": stream.refresh_every if streaming else None,
-        }
+        """The options as a checkpoint's ``config`` keys."""
+        return {"solver": self.solver, "mode": self.mode}
 
     @classmethod
     def from_meta(cls, config: dict[str, Any]) -> "SolveOptions":
@@ -126,8 +89,15 @@ class SolveOptions:
         resumes with a ``RuntimeWarning``. A block without the key was
         written either by this release or before the kernel layer existed;
         the two cannot be told apart, so it resumes silently. A block
-        without ``mode`` and the stream keys (before the streaming path)
-        means batch.
+        without ``mode`` (before the streaming path) means batch.
+
+        The retired ``stream_tolerance``/``stream_refresh_every`` keys are
+        ignored: a session resumes on the
+        :class:`~repro.core.streaming.StreamingConfig` constants. A
+        recorded value other than the constant's resumes with a
+        single ``RuntimeWarning``, since that run's folds and fallbacks may
+        differ from the original's; ``None`` (a batch session) and the
+        constant itself resume silently.
         """
         backend = config.get("svd_backend")
         if backend is not None and backend not in _SAME_LOOP_BACKENDS:
@@ -140,9 +110,22 @@ class SolveOptions:
                 RuntimeWarning,
                 stacklevel=4,
             )
-        return cls(
-            solver=config["solver"],
-            mode=config.get("mode", "batch"),
-            stream_tolerance=config.get("stream_tolerance"),
-            stream_refresh_every=config.get("stream_refresh_every"),
-        )
+        stream = StreamingConfig()
+        retired = {
+            key: config[key]
+            for key, constant in (
+                ("stream_tolerance", stream.tolerance),
+                ("stream_refresh_every", stream.refresh_every),
+            )
+            if config.get(key) is not None and config[key] != constant
+        }
+        if retired:
+            warnings.warn(
+                f"this session was written with {retired}; the stream knobs "
+                "have been retired, so it resumes on the StreamingConfig "
+                "constants, and its folds and fallbacks may no longer match "
+                "the original run",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        return cls(solver=config["solver"], mode=config.get("mode", "batch"))

@@ -5,8 +5,8 @@ re-calibration, but a service ingesting live calibration data sees exactly
 one new snapshot per operation: the window slides by a single row. The
 :class:`StreamingDecomposer` exploits that — it keeps the current low-rank
 component factored as ``L = coeffs · basis`` (``basis``: ``r × N²``
-orthonormal rows, ``coeffs``: ``time_step × r``) plus the sparse component
-``S``, and folds each arriving snapshot with work linear in the row:
+orthonormal rows, ``coeffs``: ``time_step × r``) and folds each arriving
+snapshot with work linear in the row:
 
 1. **Robust projection** — alternate a least-squares projection of the new
    row onto ``basis`` with MAD-scaled soft-thresholding of the residual, so
@@ -18,10 +18,12 @@ orthonormal rows, ``coeffs``: ``time_step × r``) plus the sparse component
    layer's :class:`~repro.core.kernels.RankPredictor`: exceeding its
    predicted rank means the subspace itself has moved, which is a batch
    solver's job — the fold reports a ``"rank"`` fallback instead.
-3. **Sliding window** — the oldest row's coefficients and sparse row drop
-   off; per-row unexplained residuals slide along with them and their mean
-   is the **drift** of the streaming model. Drift past the configured
-   tolerance reports a ``"drift"`` fallback.
+3. **Sliding window** — the oldest row's coefficients drop off; per-row
+   unexplained residuals slide along with them and their mean is the
+   **drift** of the streaming model. Drift past the configured tolerance
+   reports a ``"drift"`` fallback. A row's sparse part decides its
+   residual and is then dropped: nothing downstream of the fold reads
+   ``S``, only ``P_D``, which the low-rank factors carry.
 4. **Periodic re-orthonormalization** — every ``refresh_every`` folds the
    factorization is re-orthonormalized without forming the ``time_step ×
    N²`` reconstruction: a thin QR of ``basisᵀ`` (``N² × r``) and an SVD of
@@ -32,10 +34,7 @@ orthonormal rows, ``coeffs``: ``time_step × r``) plus the sparse component
 A fold allocates only O(row) temporaries, and the in-service result
 carries the constant row ``mean(coeffs) · basis`` (O(r · N²)); the
 reconstruction ``coeffs · basis`` is formed only if a caller reads
-:attr:`StreamResult.low_rank`. The sparse window slides as a list of rows:
-a fold drops the oldest row and appends a copy of the new one, and the
-``time_step × N²`` array is stacked only when something reads it (a
-checkpoint or capsule of the state, or :attr:`StreamResult.sparse`).
+:attr:`StreamResult.low_rank`.
 
 The streaming path is an *approximation in service*, never an oracle: the
 engine seeds it from a **cold** batch solve, and any fallback (rank growth,
@@ -50,7 +49,6 @@ stream seed, a served trace wrap) can take a fold's for one.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -111,8 +109,11 @@ def validate_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class StreamingConfig:
-    """Knobs of the streaming path. The first two are settable through
-    :class:`~repro.core.options.SolveOptions`, with a ``stream_`` prefix.
+    """Constants of the streaming path.
+
+    No session, fleet or CLI setting reaches them: a
+    :class:`~repro.core.engine.DecompositionEngine` builds its decomposer
+    from its ``stream_config`` attribute, a plain ``StreamingConfig()``.
 
     Attributes
     ----------
@@ -161,8 +162,8 @@ class StreamResult:
 
     Built either from an explicit ``low_rank`` or from the factors
     ``coeffs`` (``m × r``) and ``basis`` (``r × n``); in the second case
-    :attr:`low_rank` is their product, formed on first read. ``sparse`` is
-    the ``m × n`` array or its ``m`` rows, stacked on first read.
+    :attr:`low_rank` is their product, formed on first read. It carries no
+    sparse component: a fold does not keep one.
     """
 
     rank: int
@@ -174,7 +175,6 @@ class StreamResult:
     def __init__(
         self,
         *,
-        sparse: np.ndarray | Sequence[np.ndarray],
         rank: int,
         iterations: int,
         converged: bool,
@@ -187,7 +187,6 @@ class StreamResult:
         if low_rank is None and (coeffs is None or basis is None):
             raise ValidationError("StreamResult needs low_rank or coeffs and basis")
         for name, value in (
-            ("_sparse", sparse),
             ("rank", rank),
             ("iterations", iterations),
             ("converged", converged),
@@ -206,39 +205,24 @@ class StreamResult:
             object.__setattr__(self, "_low_rank", coeffs @ basis)
         return self._low_rank
 
-    @property
-    def sparse(self) -> np.ndarray:
-        """The sparse component ``S`` (stacked from its rows on first read)."""
-        if not isinstance(self._sparse, np.ndarray):
-            object.__setattr__(self, "_sparse", np.stack(self._sparse))
-        return self._sparse
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        sparse = self._sparse
-        if isinstance(sparse, np.ndarray):
-            return sparse.shape  # type: ignore[return-value]
-        return len(sparse), int(sparse[0].size)
-
 
 @dataclass(frozen=True)
 class StreamSeed:
     """Streaming state as seeded from one batch solve, before any fold.
 
     ``basis`` (``r × n``) and ``coeffs`` (``m × r``) factor the low-rank
-    part, ``sparse`` is the ``m × n`` sparse window and ``row_err`` the
-    per-row unexplained residual. The arrays are made read-only: a fold
-    replaces the state's arrays instead of writing into them, so a seed
-    kept beside a solve result reseeds any later state for that window.
+    part and ``row_err`` is the per-row unexplained residual. The arrays
+    are made read-only: a fold replaces the state's arrays instead of
+    writing into them, so a seed kept beside a solve result reseeds any
+    later state for that window.
     """
 
     basis: np.ndarray
     coeffs: np.ndarray
-    sparse: np.ndarray
     row_err: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.basis, self.coeffs, self.sparse, self.row_err):
+        for arr in (self.basis, self.coeffs, self.row_err):
             arr.setflags(write=False)
 
     @property
@@ -249,21 +233,17 @@ class StreamSeed:
 class StreamState:
     """Picklable subspace state of a :class:`StreamingDecomposer`.
 
-    Plain float64/int64 numpy arrays plus scalars, so the state round-trips
-    bit-identically through the checkpoint array channel (and through
-    ``pickle``, which stores the same fields as ever).
-
-    The sparse window is held as its ``m`` rows: :meth:`slide` drops the
-    oldest and appends one, in O(row). :attr:`sparse` stacks them into the
-    ``m × n`` array on first read after a slide.
+    Plain float64 numpy arrays plus scalars, so the state round-trips
+    bit-identically through the checkpoint array channel and ``pickle``.
+    The window's snapshot keys are ``range(end - m, end)``: the engine
+    folds only one-row slides. States pickled or checkpointed with a
+    ``sparse`` window or ``keys`` still load; those are ignored.
     """
 
     def __init__(
         self,
         basis: np.ndarray,  # (r, n) orthonormal rows
         coeffs: np.ndarray,  # (m, r)
-        sparse: np.ndarray | Sequence[np.ndarray],  # (m, n), or its m rows
-        keys: np.ndarray,  # (m,) int64 snapshot indices, window order
         row_err: np.ndarray,  # (m,) relative L1 unexplained residual per row
         end: int,  # window is [end - m, end)
         updates: int = 0,  # folds since seed (drives the refresh cadence)
@@ -271,41 +251,16 @@ class StreamState:
     ) -> None:
         self.basis = basis
         self.coeffs = coeffs
-        self.keys = keys
         self.row_err = row_err
         self.end = end
         self.updates = updates
         if predictor is None:
             predictor = RankPredictor(min_dim=1)
         self.predictor = predictor
-        self._sparse_rows = list(sparse)
-        self._sparse = sparse if isinstance(sparse, np.ndarray) else None
 
-    @property
-    def sparse(self) -> np.ndarray:
-        """The ``m × n`` sparse window (stacked on first read after a slide)."""
-        if self._sparse is None:
-            self._sparse = np.stack(self._sparse_rows)
-        return self._sparse
-
-    @property
-    def sparse_rows(self) -> tuple[np.ndarray, ...]:
-        """The sparse window's rows, oldest first, without stacking them."""
-        return tuple(self._sparse_rows)
-
-    def slide(
-        self, coeffs: np.ndarray, sparse: np.ndarray, key: int, rel: float
-    ) -> None:
-        """Drop the window's oldest row and append snapshot *key*'s.
-
-        *sparse* is copied (the fold's shrinkage writes into scratch), the
-        other rows are kept as they are.
-        """
+    def slide(self, coeffs: np.ndarray, key: int, rel: float) -> None:
+        """Drop the window's oldest row and append snapshot *key*'s."""
         self.coeffs = np.vstack([self.coeffs[1:], coeffs[None, :]])
-        del self._sparse_rows[0]
-        self._sparse_rows.append(sparse.copy())
-        self._sparse = None
-        self.keys = np.append(self.keys[1:], np.int64(key))
         self.row_err = np.append(self.row_err[1:], rel)
         self.end = int(key) + 1
 
@@ -313,8 +268,6 @@ class StreamState:
         return {
             "basis": self.basis,
             "coeffs": self.coeffs,
-            "sparse": self.sparse,
-            "keys": self.keys,
             "row_err": self.row_err,
             "end": self.end,
             "updates": self.updates,
@@ -322,12 +275,19 @@ class StreamState:
         }
 
     def __setstate__(self, state: dict[str, Any]) -> None:
-        # Also the field dict of states pickled when this was a dataclass.
+        # Also the field dict of states pickled when this was a dataclass,
+        # or with the retired sparse window and key list.
+        state = {k: v for k, v in state.items() if k not in ("sparse", "keys")}
         self.__init__(**state)  # type: ignore[misc]
 
     @property
     def rank(self) -> int:
         return int(self.basis.shape[0])
+
+    @property
+    def window_shape(self) -> tuple[int, int]:
+        """``(m, n)`` of the window the state covers."""
+        return int(self.coeffs.shape[0]), int(self.basis.shape[1])
 
     @property
     def drift(self) -> float:
@@ -381,8 +341,7 @@ class StreamingDecomposer:
         self.shape = (int(shape[0]), int(shape[1]))
         self.config = config if config is not None else StreamingConfig()
         # Per-fold shrinkage reuses the elementwise kernel's scratch row
-        # (safe: the window slide copies the shrunk row before the next
-        # fold shrinks again).
+        # (safe: the fold reads the shrunk row and keeps none of it).
         self._ew = ElementwiseKernel()
         self.state: StreamState | None = None
 
@@ -408,10 +367,10 @@ class StreamingDecomposer:
     ) -> StreamSeed:
         """What seeding computes from a batch solve, for :meth:`reseed`.
 
-        A thin SVD of the ``m × n`` ``low_rank`` (``m ≈ 10`` rows), a copy
-        of ``sparse`` and the per-row residuals: cheap next to the solve,
-        but not free, so a caller serving the same solve again keeps the
-        seed and calls :meth:`reseed` with it.
+        A thin SVD of the ``m × n`` ``low_rank`` (``m ≈ 10`` rows) and the
+        per-row residuals, which read ``sparse`` but do not keep it: cheap
+        next to the solve, but not free, so a caller serving the same solve
+        again keeps the seed and calls :meth:`reseed` with it.
         """
         m, n = self.shape
         if data.shape != (m, n):
@@ -426,16 +385,14 @@ class StreamingDecomposer:
             r = 1
         coeffs = u[:, :r] * s[:r]
         basis = vt[:r]
-        sparse = np.array(sparse, dtype=np.float64, order="C")
         # Against the truncated model the stream serves, not the solver's D.
-        unexplained = data - coeffs @ basis - sparse
+        unexplained = data - coeffs @ basis - np.asarray(sparse, dtype=np.float64)
         row_err = np.array(
             [_rel_l1(unexplained[i], data[i]) for i in range(m)]
         )
         return StreamSeed(
             basis=basis.copy(),
             coeffs=coeffs,
-            sparse=sparse,
             row_err=row_err,
         )
 
@@ -446,14 +403,11 @@ class StreamingDecomposer:
         The state starts on the seed's arrays, not copies: folds replace
         them (copy-on-fold), so one seed can start any number of states.
         """
-        m = self.shape[0]
         predictor = RankPredictor.for_shape(self.shape)
         predictor.observe(seed.rank)
         self.state = StreamState(
             basis=seed.basis,
             coeffs=seed.coeffs,
-            sparse=seed.sparse,
-            keys=np.arange(end - m, end, dtype=np.int64),
             row_err=seed.row_err,
             end=int(end),
             updates=0,
@@ -478,14 +432,12 @@ class StreamingDecomposer:
             state.coeffs.shape[0] != self.shape[0]
         ):
             raise ValidationError(
-                f"stream state for window {state.sparse.shape} does not fit "
+                f"stream state for window {state.window_shape} does not fit "
                 f"decomposer shape {self.shape}"
             )
         self.state = StreamState(
             basis=np.asarray(state.basis, dtype=np.float64),
             coeffs=np.asarray(state.coeffs, dtype=np.float64),
-            sparse=np.asarray(state.sparse, dtype=np.float64),
-            keys=np.asarray(state.keys, dtype=np.int64),
             row_err=np.asarray(state.row_err, dtype=np.float64),
             end=state.end,
             updates=state.updates,
@@ -528,7 +480,7 @@ class StreamingDecomposer:
                 v, s_row, resid = self._project(y, st.basis, 1)
                 rel = _rel_l1(resid - s_row, y)
 
-        st.slide(v, s_row, key, rel)
+        st.slide(v, key, rel)
         st.updates += 1
         if st.updates % cfg.refresh_every == 0:
             self._refresh(st)
@@ -589,7 +541,6 @@ class StreamingDecomposer:
         return StreamResult(
             coeffs=st.coeffs,
             basis=st.basis,
-            sparse=st.sparse_rows,
             rank=st.rank,
             iterations=self.config.passes,
             converged=True,
@@ -603,15 +554,13 @@ def stream_state_to_payload(
 ) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
     """Split a :class:`StreamState` into checkpoint arrays + JSON metadata.
 
-    Float64/int64 arrays travel the (bit-exact) array channel; scalars and
-    the rank-predictor state travel the JSON channel. Inverse:
+    Float64 arrays travel the (bit-exact) array channel; scalars and the
+    rank-predictor state travel the JSON channel. Inverse:
     :func:`stream_state_from_payload`.
     """
     arrays = {
         "stream_basis": state.basis,
         "stream_coeffs": state.coeffs,
-        "stream_sparse": state.sparse,
-        "stream_keys": state.keys,
         "stream_row_err": state.row_err,
     }
     meta = {
@@ -630,13 +579,15 @@ def stream_state_to_payload(
 def stream_state_from_payload(
     arrays: dict[str, np.ndarray], meta: dict[str, Any]
 ) -> StreamState:
-    """Rebuild a :class:`StreamState` from :func:`stream_state_to_payload`."""
+    """Rebuild a :class:`StreamState` from :func:`stream_state_to_payload`.
+
+    Payloads that still carry ``stream_sparse``/``stream_keys`` load; the
+    two arrays are ignored.
+    """
     pred = meta["predictor"]
     return StreamState(
         basis=np.asarray(arrays["stream_basis"], dtype=np.float64),
         coeffs=np.asarray(arrays["stream_coeffs"], dtype=np.float64),
-        sparse=np.asarray(arrays["stream_sparse"], dtype=np.float64),
-        keys=np.asarray(arrays["stream_keys"], dtype=np.int64),
         row_err=np.asarray(arrays["stream_row_err"], dtype=np.float64),
         end=int(meta["end"]),
         updates=int(meta["updates"]),

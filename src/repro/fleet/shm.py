@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import multiprocessing
 from multiprocessing import resource_tracker, shared_memory
+import os
 
 import numpy as np
 
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-def _unregister_attached(shm: shared_memory.SharedMemory) -> None:
+def _unregister_attached(shm: shared_memory.SharedMemory, creator_pid: int) -> None:
     """Deregister a worker-side attach from the resource tracker.
 
     CPython's SharedMemory registers *every* handle with a resource
@@ -51,8 +52,12 @@ def _unregister_attached(shm: shared_memory.SharedMemory) -> None:
     scheduler still owns, so the attach must be deregistered. Under
     fork the tracker process is shared with the creator: registration
     is idempotent there, and unregistering would strip the *owner's*
-    entry instead. Ownership is strictly creator-side either way.
+    entry instead. The same holds for an attach in the creating process
+    itself, whatever the start method (``None`` until a process picks
+    one). Ownership is strictly creator-side either way.
     """
+    if creator_pid == os.getpid():
+        return
     if multiprocessing.get_start_method(allow_none=True) != "fork":
         try:
             resource_tracker.unregister(shm._name, "shared_memory")
@@ -67,6 +72,7 @@ class TraceBlockDescriptor:
     ``sha256`` is the trace's
     :attr:`~repro.cloudsim.trace.CalibrationTrace.sha256`, handed to every
     view of the block so that no attaching process hashes it again.
+    ``creator_pid`` is the owner's process id.
     """
 
     name: str
@@ -74,6 +80,7 @@ class TraceBlockDescriptor:
     n_machines: int
     has_mask: bool
     sha256: str
+    creator_pid: int = 0
 
     @property
     def nbytes(self) -> int:
@@ -118,7 +125,9 @@ class SharedTraceBlock:
         )
         size = TraceBlockDescriptor(name="", **geometry).nbytes
         shm = shared_memory.SharedMemory(create=True, size=size)
-        descriptor = TraceBlockDescriptor(name=shm.name, **geometry)
+        descriptor = TraceBlockDescriptor(
+            name=shm.name, creator_pid=os.getpid(), **geometry
+        )
         block = cls(shm, descriptor, owner=True)
         alpha, beta, ts, mask = block._views()
         alpha[...] = trace.alpha
@@ -138,7 +147,7 @@ class SharedTraceBlock:
                 f"shared trace block {descriptor.name!r} is gone "
                 "(scheduler unlinked it early?)"
             ) from exc
-        _unregister_attached(shm)
+        _unregister_attached(shm, descriptor.creator_pid)
         return cls(shm, descriptor, owner=False)
 
     # -- access --------------------------------------------------------
@@ -210,7 +219,10 @@ class SharedTraceBlock:
 
 @dataclass(frozen=True, slots=True)
 class StackBlockDescriptor:
-    """Pickle-cheap handle for a shared TP-matrix stack (name + geometry)."""
+    """Pickle-cheap handle for a shared TP-matrix stack (name + geometry).
+
+    ``creator_pid`` is the owner's process id.
+    """
 
     name: str
     batch: int
@@ -218,6 +230,7 @@ class StackBlockDescriptor:
     cols: int
     n_machines: int
     has_mask: bool
+    creator_pid: int = 0
 
     @property
     def nbytes(self) -> int:
@@ -282,7 +295,7 @@ class SharedStackBlock:
         shm = shared_memory.SharedMemory(create=True, size=probe.nbytes)
         descriptor = StackBlockDescriptor(
             name=shm.name, batch=len(tps), rows=m, cols=n,
-            n_machines=n_machines, has_mask=has_mask,
+            n_machines=n_machines, has_mask=has_mask, creator_pid=os.getpid(),
         )
         block = cls(shm, descriptor, owner=True)
         data, ts, mask = block._views()
@@ -306,7 +319,7 @@ class SharedStackBlock:
                 f"shared stack block {descriptor.name!r} is gone "
                 "(scheduler unlinked it early?)"
             ) from exc
-        _unregister_attached(shm)
+        _unregister_attached(shm, descriptor.creator_pid)
         return cls(shm, descriptor, owner=False)
 
     # -- access --------------------------------------------------------

@@ -26,9 +26,8 @@ _MB = 1024 * 1024
 class SessionConfig(SolveOptions):
     """Settings for :func:`~repro.api.open_session` (paper defaults throughout).
 
-    The first four fields are :class:`~repro.core.options.SolveOptions`
-    (solver, batch or streaming mode and the two stream knobs), with their
-    rules. The rest:
+    The first two fields are :class:`~repro.core.options.SolveOptions`
+    (solver and batch or streaming mode), with their rules. The rest:
 
     ``nbytes`` is the message size for calibration weights and collectives,
     ``window`` the calibration window length, ``threshold`` the maintenance

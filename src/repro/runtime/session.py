@@ -307,9 +307,9 @@ class TraceSession:
         re-calibration fires (default 1, the paper's immediate rule).
         Use 2 to debounce one-off interference spikes when individual
         observations are single collectives rather than whole runs.
-    solver, mode, stream_tolerance, stream_refresh_every:
+    solver, mode:
         The :class:`~repro.core.options.SolveOptions` of the session's
-        re-calibrations (see there for each knob and how they combine),
+        re-calibrations (see there for each knob and how it is checked),
         readable back as :attr:`options`. In ``mode="streaming"`` every
         operation folds its snapshot into the decomposition in O(row) (no
         calibration overhead charged), and only regime SHIFTs, rank growth,
@@ -381,8 +381,6 @@ class TraceSession:
         solver: str = SolveOptions.solver,
         calibration_cost: float | None = None,
         mode: str = SolveOptions.mode,
-        stream_tolerance: float | None = SolveOptions.stream_tolerance,
-        stream_refresh_every: int | None = SolveOptions.stream_refresh_every,
         instrumentation: Instrumentation | None = None,
         faults: list[FaultModel] | tuple[FaultModel, ...] | str | None = None,
         fault_seed: int | None = None,
@@ -397,12 +395,7 @@ class TraceSession:
                 "trace too short: need more snapshots than the time step"
             )
         check_positive(nbytes, "nbytes")
-        options = SolveOptions(
-            solver=solver,
-            mode=mode,
-            stream_tolerance=stream_tolerance,
-            stream_refresh_every=stream_refresh_every,
-        )
+        options = SolveOptions(solver=solver, mode=mode)
         if calibration_cost is None:
             calibration_cost = calibration_overhead_seconds(trace.n_machines, time_step)
         check_nonnegative(calibration_cost, "calibration_cost")

@@ -16,7 +16,8 @@ from repro.cloudsim.dynamics import DynamicsConfig
 from repro.cloudsim.io import save_trace
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.errors import PersistenceError
-from repro.persistence.chaos import kill_and_recover
+from repro.persistence import read_checkpoint
+from repro.persistence.chaos import _run_cli, kill_and_recover
 
 pytestmark = pytest.mark.chaos
 
@@ -95,6 +96,36 @@ def test_kill_with_each_registered_detector(tmp_path, detector):
     )
     assert result.parity
     assert result.max_abs_diff == 0.0
+
+
+def test_streaming_kill_and_resume_matches_an_uninterrupted_replay(tmp_path):
+    # The CI trace, driven through the CLI directly: streaming folds with
+    # the drift detector, killed after 19 operations and resumed. The
+    # checkpoints carry the stream's factors and residuals, and no sparse
+    # window or key list.
+    trace = str(tmp_path / "ci.npz")
+    save_trace(generate_trace(TraceConfig(n_machines=8, n_snapshots=30), seed=1), trace)
+    flags = ["--mode", "streaming", "--regime", "drift", "--time-step", "8",
+             "--threshold", "0.5", "--operations", "40", "--json"]
+    reference = _run_cli(["replay", trace, *flags], expect_kill=False)
+    state = str(tmp_path / "state")
+    _run_cli(
+        ["replay", trace, *flags, "--checkpoint-dir", state,
+         "--checkpoint-every", "5", "--crash-after", "19"],
+        expect_kill=True,
+    )
+    ckpts = sorted((tmp_path / "state").glob("ckpt-*.ckpt"))
+    assert ckpts
+    arrays = read_checkpoint(ckpts[-1]).arrays
+    assert "stream_basis" in arrays
+    assert "stream_sparse" not in arrays and "stream_keys" not in arrays
+    recovered = _run_cli(
+        ["resume", state, "--operations", "40", "--json"], expect_kill=False
+    )
+    assert recovered.pop("recovered_at") == 20
+    assert reference.pop("recovered_at") is None
+    assert recovered == reference
+    assert (reference["stream_updates"], reference["recalibrations"]) == (39, 1)
 
 
 class TestHarnessValidation:

@@ -412,8 +412,7 @@ def _assert_same_decomposition(got, want):
 
 def _stream_bytes(eng):
     st = eng.export_stream_state()
-    return (st.basis.tobytes(), st.coeffs.tobytes(), st.sparse.tobytes(),
-            st.keys.tobytes(), st.row_err.tobytes(), st.end)
+    return (st.basis.tobytes(), st.coeffs.tobytes(), st.row_err.tobytes(), st.end)
 
 
 class TestWrapSolveReuse:

@@ -3,10 +3,14 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import run_fleet
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.errors import FleetError, ValidationError
@@ -105,6 +109,30 @@ class TestSharedTraceBlock:
         block.unlink()
         with pytest.raises(FleetError, match="gone"):
             SharedTraceBlock.attach(desc)
+
+    def test_attach_in_the_creating_process_keeps_the_owner_registered(self):
+        # A fresh interpreter has chosen no start method. Attaching there
+        # must not strip the owner's resource-tracker entry, or the owner's
+        # unlink makes the tracker print a KeyError traceback at exit.
+        script = (
+            "from repro.cloudsim.tracegen import TraceConfig, generate_trace\n"
+            "from repro.fleet.shm import SharedStackBlock, SharedTraceBlock\n"
+            "trace = generate_trace(TraceConfig(n_machines=4, n_snapshots=6), seed=0)\n"
+            "owner = SharedTraceBlock.create(trace)\n"
+            "SharedTraceBlock.attach(owner.descriptor).close()\n"
+            "owner.unlink()\n"
+            "stack = SharedStackBlock.create([trace.tp_matrix(1 << 20, count=3)])\n"
+            "SharedStackBlock.attach(stack.descriptor).close()\n"
+            "stack.unlink()\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
 
 
 class TestTraceHashing:

@@ -117,6 +117,37 @@ class TestFaultySession:
         ) / base.stats.communication_seconds
         assert rel < 0.10
 
+    def test_pooled_cost_is_close_to_fault_free_both_ways(self):
+        # The one-sided bound above compares two single runs on a spiky
+        # trace, where which FNF tree a P_D picks around an 18x spike
+        # decides the sign. Pooled over fault seeds on a spike-free trace,
+        # the faulty runs must cost neither more nor less than 10% off the
+        # fault-free run in the median.
+        trace = generate_trace(
+            TraceConfig(
+                n_machines=16, n_snapshots=40,
+                dynamics=DynamicsConfig(spike_probability=0.0, hotspot_probability=0.0),
+            ),
+            seed=3,
+        )
+
+        def cost(**faults):
+            sess = TraceSession(trace, time_step=10, threshold=0.1, **faults)
+            for _ in range(60):
+                sess.run_collective("broadcast", root=0)
+            return sess.stats.communication_seconds
+
+        base = cost()
+        rel = {
+            seed: cost(faults=FAULTS, fault_seed=seed) / base - 1.0
+            for seed in range(5, 17)
+        }
+        median = float(np.median(list(rel.values())))
+        assert abs(median) <= 0.10, (
+            f"median {median:+.1%}; per seed: "
+            + ", ".join(f"{seed}: {r:+.1%}" for seed, r in rel.items())
+        )
+
     def test_transitions_cite_the_failure(self, replay_trace):
         sess = TraceSession(
             replay_trace, time_step=10, threshold=0.1,

@@ -28,28 +28,25 @@ from repro.runtime import SessionCapsule, SessionConfig, TraceSession
 OPTION_FIELDS = [f.name for f in dataclasses.fields(SolveOptions)]
 
 #: A streaming configuration with every knob but the solver off its default.
-STREAMING = dict(
-    solver="ialm",
-    mode="streaming",
-    stream_tolerance=0.3,
-    stream_refresh_every=5,
-)
+STREAMING = dict(solver="ialm", mode="streaming")
 
 # Ids are pinned, not positional, so each case keeps its established test
-# name when rows are added or retired.
+# name when rows are added or retired. kwargs5-8 were the rules of the
+# retired stream knobs; each now pins that the knob is refused when the
+# value is built, as any unknown keyword is.
 BAD_COMBINATIONS = [
-    pytest.param(dict(solver="nope"), "unknown RPCA solver 'nope'",
+    pytest.param(dict(solver="nope"), ValidationError, "unknown RPCA solver 'nope'",
                  id="kwargs0-unknown RPCA solver 'nope'"),
-    pytest.param(dict(mode="online"), "unknown engine mode",
+    pytest.param(dict(mode="online"), ValidationError, "unknown engine mode",
                  id="kwargs4-unknown engine mode"),
-    pytest.param(dict(stream_tolerance=0.3), "require mode='streaming'",
+    pytest.param(dict(stream_tolerance=0.3), TypeError, "'stream_tolerance'",
                  id="kwargs5-require mode='streaming'"),
-    pytest.param(dict(stream_refresh_every=4), "require mode='streaming'",
+    pytest.param(dict(stream_refresh_every=4), TypeError, "'stream_refresh_every'",
                  id="kwargs6-require mode='streaming'"),
-    pytest.param(dict(mode="streaming", stream_tolerance=0.0),
-                 "tolerance must be > 0", id="kwargs7-tolerance must be > 0"),
-    pytest.param(dict(mode="streaming", stream_refresh_every=0),
-                 "refresh_every must be >= 1", id="kwargs8-refresh_every must be >= 1"),
+    pytest.param(dict(mode="streaming", stream_tolerance=0.0), TypeError,
+                 "'stream_tolerance'", id="kwargs7-tolerance must be > 0"),
+    pytest.param(dict(mode="streaming", stream_refresh_every=0), TypeError,
+                 "'stream_refresh_every'", id="kwargs8-refresh_every must be >= 1"),
 ]
 
 
@@ -57,19 +54,19 @@ class TestRules:
     def test_defaults_are_the_historical_path(self):
         opts = SolveOptions()
         assert (opts.solver, opts.mode) == ("ialm", "batch")
-        assert opts.stream_config == repro.StreamingConfig()
+        assert dataclasses.asdict(opts) == {"solver": "ialm", "mode": "batch"}
 
-    @pytest.mark.parametrize("kwargs,message", BAD_COMBINATIONS)
-    def test_bad_combination_raises_at_construction(self, kwargs, message):
-        with pytest.raises(ValidationError, match=message):
+    @pytest.mark.parametrize("kwargs,error,message", BAD_COMBINATIONS)
+    def test_bad_combination_raises_at_construction(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
             SolveOptions(**kwargs)
 
     @pytest.mark.parametrize("cls", [SessionConfig, FleetConfig])
-    @pytest.mark.parametrize("kwargs,message", BAD_COMBINATIONS)
+    @pytest.mark.parametrize("kwargs,error,message", BAD_COMBINATIONS)
     def test_session_and_fleet_configs_apply_the_same_rules(
-        self, cls, kwargs, message
+        self, cls, kwargs, error, message
     ):
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(error, match=message):
             cls(**kwargs)
 
     @pytest.mark.parametrize(
@@ -91,10 +88,16 @@ class TestRules:
             dec = repro.decompose(tp, solver=solver, **forced)
             assert dec.solver == solver
 
-    def test_streaming_knobs_resolve_through_streaming_config(self):
-        opts = SolveOptions(mode="streaming", stream_refresh_every=4)
-        assert opts.stream_config.refresh_every == 4
-        assert opts.stream_config.tolerance == repro.StreamingConfig().tolerance
+    def test_streaming_knobs_resolve_through_streaming_config(self, small_trace):
+        # The stream's constants have one home; the engine builds its
+        # decomposer from a plain StreamingConfig().
+        eng = DecompositionEngine(
+            small_trace, nbytes=8 << 20, time_step=6,
+            options=SolveOptions(mode="streaming"),
+        )
+        assert eng.stream_config == repro.StreamingConfig()
+        eng.calibrate(6)
+        assert eng._streamer.config is eng.stream_config
 
     def test_engine_rejects_a_knob_passed_beside_options(self, small_trace):
         with pytest.raises(TypeError, match="options=SolveOptions"):
@@ -120,7 +123,11 @@ class TestOnePlace:
             params = inspect.signature(target).parameters
             assert "solver" in params and "svd_backend" not in params
         assert "mode" in inspect.signature(TraceSession).parameters
-        assert len(OPTION_FIELDS) == 4
+        assert OPTION_FIELDS == ["solver", "mode"]
+        for target in (TraceSession, FleetConfig, SessionConfig):
+            params = inspect.signature(target).parameters
+            assert "stream_tolerance" not in params
+            assert "stream_refresh_every" not in params
 
     def test_session_config_maps_onto_the_session(self, small_trace):
         cfg = SessionConfig(
@@ -151,14 +158,42 @@ class TestMeta:
         assert SolveOptions.from_meta(opts.to_meta()) == opts
 
     def test_streaming_defaults_are_recorded_resolved(self):
-        meta = SolveOptions(mode="streaming").to_meta()
-        assert meta["stream_tolerance"] == repro.StreamingConfig().tolerance
-        assert meta["stream_refresh_every"] == repro.StreamingConfig().refresh_every
+        # Streaming checkpoints written before the knobs were retired record
+        # the resolved constants; they resume silently. New ones record
+        # neither key.
+        stream = repro.StreamingConfig()
+        legacy = {"solver": "ialm", "mode": "streaming",
+                  "stream_tolerance": stream.tolerance,
+                  "stream_refresh_every": stream.refresh_every}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SolveOptions.from_meta(legacy) == SolveOptions(mode="streaming")
+        assert SolveOptions(mode="streaming").to_meta() == {
+            "solver": "ialm", "mode": "streaming"
+        }
+
+    @pytest.mark.parametrize(
+        "recorded",
+        [
+            {"stream_tolerance": 0.3},
+            {"stream_refresh_every": 5},
+            {"stream_tolerance": 0.3, "stream_refresh_every": 5},
+        ],
+        ids=["tolerance", "refresh", "both"],
+    )
+    def test_retired_stream_knob_resumes_with_one_warning(self, recorded):
+        legacy = {"solver": "ialm", "mode": "streaming",
+                  "stream_tolerance": 0.25, "stream_refresh_every": 16,
+                  **recorded}
+        with pytest.warns(RuntimeWarning, match="stream knobs") as record:
+            opts = SolveOptions.from_meta(legacy)
+        assert len(record) == 1
+        assert opts == SolveOptions(mode="streaming")
 
     def test_captured_config_blocks_are_unchanged(self, small_trace):
         # Literal blocks written by the release before SolveOptions existed,
-        # less the retired ``svd_backend`` and ``warm_start`` keys and with
-        # the default solver now IALM.
+        # less the retired ``svd_backend``, ``warm_start`` and stream-knob
+        # keys and with the default solver now IALM.
         common = {
             "nbytes": 8388608.0, "time_step": 6, "threshold": 1.0,
             "consecutive": 1, "calibration_cost": 0.5, "faults_spec": None,
@@ -166,17 +201,14 @@ class TestMeta:
         }
         batch = TraceSession(small_trace, time_step=6, calibration_cost=0.5)
         assert capture_session_state(batch)[1]["config"] == dict(
-            common, solver="ialm", mode="batch",
-            stream_tolerance=None, stream_refresh_every=None,
-            regime=None,
+            common, solver="ialm", mode="batch", regime=None,
         )
         streaming = TraceSession(
             small_trace, time_step=6, calibration_cost=0.5, mode="streaming",
-            stream_tolerance=0.3, regime="drift",
+            regime="drift",
         )
         assert capture_session_state(streaming)[1]["config"] == dict(
             common, solver="ialm", mode="streaming",
-            stream_tolerance=0.3, stream_refresh_every=16,
             regime={
                 "name": "drift",
                 "params": {"window": 4, "decision": 2.0, "warmup": 6,
@@ -277,17 +309,17 @@ class TestRoundTrips:
         resumed = TraceSession.from_capsule(small_trace, capsule)
         assert resumed.options == SolveOptions(**STREAMING)
         manifest = (root / "fleet.json").read_text(encoding="utf-8")
-        assert '"stream_refresh_every": 5' in manifest
+        assert '"mode": "streaming"' in manifest
+        assert "stream_tolerance" not in manifest
 
 
 class TestFleetCli:
     @pytest.mark.parametrize(
         "flags,fleet_only",
         [
-            (["--stream-tolerance", "0.3"], []),
             (["--solver", "nope"], ["--on-error", "degrade"]),
         ],
-        ids=["stream-knob-in-batch", "unknown-solver"],
+        ids=["unknown-solver"],
     )
     def test_invalid_solve_flags_fail_before_any_worker(
         self, flags, fleet_only, small_trace, tmp_path, capsys, monkeypatch
@@ -306,3 +338,11 @@ class TestFleetCli:
         assert fleet_error == replay_error
         assert fleet_error.startswith("error: ")
         assert "attempt" not in fleet_error
+
+    @pytest.mark.parametrize("flag", ["--stream-tolerance", "--stream-refresh-every"])
+    @pytest.mark.parametrize("command", ["replay", "fleet"])
+    def test_retired_stream_flags_are_usage_errors(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "t.npz", flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

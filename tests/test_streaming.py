@@ -23,6 +23,7 @@ from repro.core.streaming import (
     StreamingConfig,
     StreamingDecomposer,
     StreamResult,
+    StreamState,
     _median,
     stream_state_from_payload,
     stream_state_to_payload,
@@ -82,34 +83,33 @@ class TestModeValidation:
             StreamingConfig(**bad)
 
     def test_engine_rejects_knobs_in_batch_mode(self, tiny_trace):
-        with pytest.raises(ValidationError, match="require mode='streaming'"):
-            DecompositionEngine(
-                tiny_trace, nbytes=MB, time_step=4,
-                options=SolveOptions(stream_tolerance=0.1),
-            )
-        with pytest.raises(ValidationError, match="require mode='streaming'"):
-            DecompositionEngine(
-                tiny_trace, nbytes=MB, time_step=4,
-                options=SolveOptions(stream_refresh_every=4),
-            )
+        # The stream knobs are retired: neither the options nor the engine
+        # take them, in batch mode or any other.
+        for knob, value in (("stream_tolerance", 0.1), ("stream_refresh_every", 4)):
+            with pytest.raises(TypeError, match=knob):
+                SolveOptions(**{knob: value})
+            with pytest.raises(TypeError, match=knob):
+                DecompositionEngine(
+                    tiny_trace, nbytes=MB, time_step=4, **{knob: value}
+                )
 
 
 class TestStreamResultQuarantine:
     def test_stream_result_is_not_a_solver_result(self):
         r = StreamResult(
-            low_rank=np.ones((2, 4)), sparse=np.zeros((2, 4)),
+            low_rank=np.ones((2, 4)),
             rank=1, iterations=2, converged=True, residual=0.0,
         )
         assert not isinstance(r, SolverResult)
-        assert r.shape == (2, 4)
+        assert not hasattr(r, "sparse")
 
     def test_decomposition_from_stream_result_keeps_no_solver_result(
         self, tiny_trace
     ):
         tp = tiny_trace.tp_matrix(MB, start=0, count=4)
-        low_rank, sparse = decompose_window(tp.data)
+        low_rank, _sparse = decompose_window(tp.data)
         r = StreamResult(
-            low_rank=low_rank, sparse=sparse, rank=1,
+            low_rank=low_rank, rank=1,
             iterations=2, converged=True, residual=0.0,
         )
         dec = decomposition_from_result(tp, r, solver="ialm")
@@ -125,7 +125,7 @@ class TestFold:
         st = dec.state
         assert st.end == rows.shape[0]
         assert st.updates == rows.shape[0] - 6
-        assert list(st.keys) == list(range(rows.shape[0] - 6, rows.shape[0]))
+        assert st.window_shape == (6, rows.shape[1])
         assert st.drift <= dec.config.tolerance
 
     def test_fold_reconstruction_explains_the_window(self):
@@ -135,7 +135,8 @@ class TestFold:
             assert dec.fold(k, rows[k]) is None
         res = dec.as_result()
         window = rows[-6:]
-        unexplained = window - res.low_rank - res.sparse
+        # A spike-free stream: the low-rank part alone explains the window.
+        unexplained = window - res.low_rank
         rel = np.abs(unexplained).sum() / np.abs(window).sum()
         assert rel <= dec.config.tolerance
 
@@ -152,7 +153,12 @@ class TestFold:
         assert dec.fold(6, spiked) is None
         st = dec.state
         assert st.rank == rank_before  # no subspace pollution
-        assert abs(st.sparse[-1, 3]) > 1.0  # absorbed as sparse
+        # The spike is absorbed as sparse: the model's row stays near the
+        # clean one, and what neither explains is small.
+        low_rank_row = dec.as_result().low_rank[-1]
+        assert spiked[3] - low_rank_row[3] > 1.0
+        assert abs(low_rank_row[3] - rows[6, 3]) < 0.1
+        assert st.row_err[-1] <= dec.config.growth_tol
 
     def test_refresh_cadence_and_counter(self):
         rows = _rank1_stream(total=30)
@@ -219,7 +225,8 @@ class TestStatePersistence:
         back = stream_state_from_payload(
             {k: v.copy() for k, v in arrays.items()}, dict(meta)
         )
-        for name in ("basis", "coeffs", "sparse", "keys", "row_err"):
+        assert sorted(arrays) == ["stream_basis", "stream_coeffs", "stream_row_err"]
+        for name in ("basis", "coeffs", "row_err"):
             assert getattr(back, name).tobytes() == getattr(st, name).tobytes()
         assert back.end == st.end and back.updates == st.updates
         assert back.predictor.sv == st.predictor.sv
@@ -238,27 +245,28 @@ class TestStatePersistence:
             assert b.fold(k, rows[k]) is None
         ra, rb = a.as_result(), b.as_result()
         assert np.array_equal(ra.low_rank, rb.low_rank)
-        assert np.array_equal(ra.sparse, rb.sparse)
+        assert np.array_equal(ra.constant_row, rb.constant_row)
+        assert a.state.row_err.tobytes() == b.state.row_err.tobytes()
 
-    def test_window_slides_as_rows_and_stacks_to_the_vstack_window(self):
-        """The sparse window is the array the old np.vstack slide built,
-        byte for byte, in the payload and in every result."""
+    def test_legacy_payload_with_sparse_window_and_keys_loads(self):
+        """Checkpoints and capsules written with the retired ``stream_sparse``
+        and ``stream_keys`` arrays load; the two are ignored."""
         rows = _rank1_stream(total=30)
-        dec = _seeded(rows)
-        window = dec.export_state().sparse.copy()
-        for k in range(6, rows.shape[0]):
-            seen = dec.export_state().sparse_rows
-            assert dec.fold(k, rows[k]) is None
-            st = dec.export_state()
-            # Rows that stay in the window are the same objects, not copies.
-            assert all(a is b for a, b in zip(st.sparse_rows, seen[1:]))
-            window = np.vstack([window[1:], st.sparse_rows[-1][None, :]])
-            result = dec.as_result()
-            assert result.shape == window.shape
-            assert result.sparse.tobytes() == window.tobytes()
-            arrays, _ = stream_state_to_payload(st)
-            assert arrays["stream_sparse"].tobytes() == window.tobytes()
-            assert arrays["stream_sparse"].flags.c_contiguous
+        a = _seeded(rows)
+        for k in range(6, 12):
+            assert a.fold(k, rows[k]) is None
+        arrays, meta = stream_state_to_payload(a.export_state())
+        legacy = dict(
+            arrays,
+            stream_sparse=np.zeros((6, rows.shape[1])),
+            stream_keys=np.arange(6, 12, dtype=np.int64),
+        )
+        b = StreamingDecomposer(a.shape, a.config)
+        b.import_state(stream_state_from_payload(legacy, meta))
+        for k in range(12, rows.shape[0]):
+            assert a.fold(k, rows[k]) is None
+            assert b.fold(k, rows[k]) is None
+        assert a.as_result().constant_row.tobytes() == b.as_result().constant_row.tobytes()
 
     def test_state_pickles_its_fields(self):
         import pickle
@@ -270,12 +278,21 @@ class TestStatePersistence:
         st = dec.export_state()
         back = pickle.loads(pickle.dumps(st))
         assert set(st.__getstate__()) == {
-            "basis", "coeffs", "sparse", "keys", "row_err", "end", "updates",
-            "predictor",
+            "basis", "coeffs", "row_err", "end", "updates", "predictor",
         }
-        for name in ("basis", "coeffs", "sparse", "keys", "row_err"):
+        for name in ("basis", "coeffs", "row_err"):
             assert getattr(back, name).tobytes() == getattr(st, name).tobytes()
         assert (back.end, back.updates, back.rank) == (st.end, st.updates, st.rank)
+        # A state pickled with the retired sparse window and key list loads.
+        legacy = dict(
+            st.__getstate__(),
+            sparse=np.zeros((6, rows.shape[1])),
+            keys=np.arange(3, 9, dtype=np.int64),
+        )
+        old = StreamState.__new__(StreamState)
+        old.__setstate__(legacy)
+        assert old.coeffs.tobytes() == st.coeffs.tobytes()
+        assert not hasattr(old, "sparse") and not hasattr(old, "keys")
 
     def test_import_rejects_wrong_shape(self):
         rows = _rank1_stream()
@@ -345,9 +362,10 @@ class TestEngineStreaming:
     ):
         eng = DecompositionEngine(
             stream_trace, nbytes=MB, time_step=8,
-            # every fold trips the drift ceiling
-            options=SolveOptions(mode="streaming", stream_tolerance=1e-9),
+            options=SolveOptions(mode="streaming"),
         )
+        # every fold trips the drift ceiling
+        eng.stream_config = StreamingConfig(tolerance=1e-9)
         eng.calibrate(8)
         dec, reason = eng.stream_fold(9)
         assert dec is None and reason == "drift"
