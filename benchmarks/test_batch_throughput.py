@@ -11,10 +11,10 @@ A fleet of 64 clusters, each a paper-scale ``10 × 38416`` TP-matrix
   ``decompose(tp)`` (the library's one loop, Gram kernel on this shape),
   sampled and extrapolated the same way. This is the baseline a sweep has
   to beat;
-* **sweep serial** — ``sweep_fleet(serial=True)``: the shard plan solved
+* **sweep serial** — ``sweep_fleet(serial=True)``: every window solved
   in-process, one ``auto`` solve per window;
 * **sweep parallel** — ``sweep_fleet`` across ``min(4, cpu)`` workers,
-  shards shipped as shared-memory stack blocks.
+  one task per cluster with its window in the task.
 
 The test writes ``BENCH_batch.json`` at the repo root — per-arm wall times
 and the sweep speedups over both single-solve baselines — so future
@@ -49,7 +49,6 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 N_CLUSTERS = 64
 N_INSTANCES = 196
 WINDOW = 10
-BATCH_SIZE = 8  # clusters per shard
 SPEEDUP_TARGET = 20.0
 EXACT_SAMPLE = 4
 STRICT_MIN_CORES = 4
@@ -89,15 +88,13 @@ def test_batch_sweep_throughput_and_emit(fleet, emit):
 
     # -- serial sweep ---------------------------------------------------
     t0 = time.perf_counter()
-    serial = sweep_fleet(fleet, serial=True, batch_size=BATCH_SIZE, window=WINDOW)
+    serial = sweep_fleet(fleet, serial=True, window=WINDOW)
     serial_s = time.perf_counter() - t0
 
     # -- parallel sweep -------------------------------------------------
     n_workers = min(STRICT_MIN_CORES, os.cpu_count() or 1)
     t0 = time.perf_counter()
-    parallel = sweep_fleet(
-        fleet, n_workers=n_workers, batch_size=BATCH_SIZE, window=WINDOW
-    )
+    parallel = sweep_fleet(fleet, n_workers=n_workers, window=WINDOW)
     parallel_s = time.perf_counter() - t0
 
     # -- parity: unconditional, bit for bit -----------------------------
@@ -128,7 +125,6 @@ def test_batch_sweep_throughput_and_emit(fleet, emit):
         backend="auto",  # every sweep window is a default one-loop solve
         matrix_shape=[WINDOW, N_INSTANCES * N_INSTANCES],
         n_clusters=N_CLUSTERS,
-        batch_size=BATCH_SIZE,
         n_workers=n_workers,
         exact_sample=len(sample),
         exact_mean_seconds=exact_mean,
@@ -142,7 +138,6 @@ def test_batch_sweep_throughput_and_emit(fleet, emit):
         speedup_serial_vs_auto=auto_fleet_est / serial_s,
         speedup_parallel_vs_auto=auto_fleet_est / parallel_s,
         speedup_target=SPEEDUP_TARGET,
-        total_shards=serial.total_shards,
         parity="bitwise",
     )
     write_bench_json(BENCH_JSON, record)
@@ -150,8 +145,7 @@ def test_batch_sweep_throughput_and_emit(fleet, emit):
     emit(
         "\n".join(
             [
-                f"fleet sweep ({N_CLUSTERS} clusters x {N_INSTANCES} instances, "
-                f"batch_size={BATCH_SIZE}):",
+                f"fleet sweep ({N_CLUSTERS} clusters x {N_INSTANCES} instances):",
                 f"  exact    {exact_mean:6.2f} s/cluster  "
                 f"(~{exact_fleet_est:6.1f} s fleet, {len(sample)} sampled)",
                 f"  auto     {auto_mean:6.2f} s/cluster  "
@@ -163,7 +157,7 @@ def test_batch_sweep_throughput_and_emit(fleet, emit):
                 f"{speedup_parallel:5.1f}x vs exact  "
                 f"{record['speedup_parallel_vs_auto']:4.2f}x vs auto  "
                 f"({n_workers} workers)",
-                f"  shards {serial.total_shards}  parity bitwise  "
+                f"  parity bitwise  "
                 f"(target >= {SPEEDUP_TARGET}x vs exact, wrote {BENCH_JSON.name})",
             ]
         )

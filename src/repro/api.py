@@ -237,15 +237,14 @@ def sweep_fleet(
     """Decompose every cluster's trailing window once, across workers.
 
     The one-shot counterpart of :func:`run_fleet`'s per-cluster sessions:
-    one sweep solves each cluster's trailing ``window`` TP-matrix. Workers
-    take shards of up to ``batch_size`` same-shape windows and solve them
-    one at a time, each exactly as ``decompose(tp, solver=solver)`` would,
-    so per-cluster ``P_D`` is bit-identical to that single solve: one
-    solver loop whose SVT kernel the window's shape picks.
-    ``serial=True`` runs the identical shard plan in-process — the
+    one sweep solves each cluster's trailing ``window`` TP-matrix. Each
+    cluster is one worker task, solved exactly as ``decompose(tp,
+    solver=solver)`` would, so per-cluster ``P_D`` is bit-identical to that
+    single solve: one solver loop whose SVT kernel the window's shape
+    picks. ``serial=True`` solves the same windows in-process — the
     determinism oracle and the speedup baseline. The same supervision as
-    :func:`run_fleet` applies (worker respawn, shard retries, deadlines,
-    ``on_error="degrade"`` quarantine).
+    :func:`run_fleet` applies (worker respawn, per-cluster retries,
+    deadlines, ``on_error="degrade"`` quarantine).
 
     >>> report = sweep_fleet([("a", trace_a), ("b", trace_b)], n_workers=4)
     >>> report.clusters["a"].verdict

@@ -197,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--message-mb", type=float, default=8.0)
     _add_mode_arguments(flt)
     flt.add_argument("--batch-size", type=int, default=8,
-                     help="operations shipped per scheduler tick (and, with "
-                          "--sweep, cluster windows per worker shard)")
+                     help="operations shipped per scheduler tick "
+                          "(ignored by --sweep)")
     flt.add_argument("--sweep", action="store_true",
                      help="solve every cluster's trailing window once "
                           "instead of running full sessions")
@@ -590,8 +590,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             return exit_code
         mode = "serial" if args.serial else f"{report.n_workers} worker(s)"
         print(f"sweep:    {len(report.clusters)} cluster(s), {mode}")
-        print(f"shards:   {report.total_shards} "
-              f"(batch size {report.batch_size})")
         print(f"elapsed:  {report.elapsed_s:.3f} s "
               f"({report.throughput_solves_s:.1f} solves/s)")
         _print_fleet_health(report)

@@ -16,20 +16,15 @@ from .report import (
     FleetSweepReport,
     SweepClusterResult,
 )
-from .scheduler import FleetScheduler, SweepShard
-from .shm import (
-    SharedStackBlock,
-    SharedTraceBlock,
-    StackBlockDescriptor,
-    TraceBlockDescriptor,
-)
+from .scheduler import FleetScheduler
+from .shm import SharedTraceBlock, TraceBlockDescriptor
 from .worker import (
     BatchResult,
     BatchTask,
     SweepResult,
     SweepTask,
     TaskStarted,
-    solve_shard,
+    solve_window,
     worker_main,
 )
 
@@ -44,15 +39,12 @@ __all__ = [
     "FleetScheduler",
     "FleetSweepReport",
     "ON_ERROR_POLICIES",
-    "SharedStackBlock",
     "SharedTraceBlock",
-    "StackBlockDescriptor",
     "SweepClusterResult",
     "SweepResult",
-    "SweepShard",
     "SweepTask",
     "TaskStarted",
     "TraceBlockDescriptor",
-    "solve_shard",
+    "solve_window",
     "worker_main",
 ]

@@ -84,10 +84,9 @@ class FleetConfig(SessionConfig):
     batch_size:
         Operations per scheduler tick: the unit of work shipped to a
         worker. Larger batches amortize the capsule round-trip; smaller
-        ones re-balance stragglers sooner. For sweeps
-        (:meth:`~repro.fleet.FleetScheduler.run_sweep`) it is also the
-        shard width: how many same-shape cluster windows travel to a
-        worker in one shared stack block and solve there one after another.
+        ones re-balance stragglers sooner. Sweeps
+        (:meth:`~repro.fleet.FleetScheduler.run_sweep`) ignore it: their
+        unit of work is one cluster's window.
     queue_depth:
         Bounded backlog beyond the workers themselves. The task queue
         holds at most ``n_workers + queue_depth`` entries, so a scheduler
@@ -105,7 +104,7 @@ class FleetConfig(SessionConfig):
         What to do when a task exhausts its retry budget. ``"raise"``
         (default) aborts the run with a :class:`~repro.errors.FleetError`
         — the historical behavior. ``"degrade"`` quarantines the sick
-        cluster (or sweep shard) into the report with a per-cluster
+        cluster alone into the report with a per-cluster
         ``status`` and traceback and keeps serving every healthy cluster;
         see ``docs/fleet_failures.md``.
     max_task_retries:

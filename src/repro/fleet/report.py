@@ -207,8 +207,6 @@ class FleetSweepReport:
     clusters: dict[str, SweepClusterResult]
     n_workers: int
     elapsed_s: float
-    total_shards: int
-    batch_size: int
     instrumentation: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -235,8 +233,6 @@ class FleetSweepReport:
         return {
             "n_workers": self.n_workers,
             "elapsed_s": round(self.elapsed_s, 3),
-            "total_shards": self.total_shards,
-            "batch_size": self.batch_size,
             "throughput_solves_s": round(self.throughput_solves_s, 2),
             "degraded": self.degraded,
             "health": self.health(),

@@ -54,22 +54,17 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..core.matrices import TPMatrix
 from ..errors import FleetError, ValidationError
 from ..observability import Instrumentation, instrumented
 from ..persistence import CheckpointStore
 from ..runtime.session import OperationSpec, SessionCapsule, TraceSession
 from .config import ClusterSpec, FleetConfig
 from .report import ClusterReport, FleetReport, FleetSweepReport, SweepClusterResult
-from .shm import SharedStackBlock, SharedTraceBlock
-from .worker import (
-    BatchTask,
-    SweepTask,
-    TaskStarted,
-    solve_shard,
-    worker_main,
-)
+from .shm import SharedTraceBlock
+from .worker import BatchTask, SweepTask, TaskStarted, solve_window, worker_main
 
-__all__ = ["FleetScheduler", "SweepShard"]
+__all__ = ["FleetScheduler"]
 
 # A timed-out or lost task's retry backoff never exceeds this.
 _MAX_BACKOFF_S = 30.0
@@ -80,7 +75,7 @@ _POLL_S = 0.1
 
 @dataclass
 class _ClusterState:
-    """Scheduler-side bookkeeping for one cluster, a unit of work of a run."""
+    """Scheduler bookkeeping for one cluster, the unit of work of runs and sweeps."""
 
     spec: ClusterSpec
     remaining: int
@@ -96,20 +91,6 @@ class _ClusterState:
     error: str | None = None
     # Arrays of the last checkpoint saved to ``store``.
     saved: dict[str, np.ndarray] = field(default_factory=dict)
-
-    # What an attempt is called when it blows its deadline.
-    noun = "task"
-
-    def describe(self) -> str:
-        return self.spec.name
-
-    def fleet_error(self, error_text: str, kind: str) -> FleetError:
-        return FleetError(
-            f"cluster {self.spec.name!r} failed after {self.failures} attempt(s) "
-            f"({kind})",
-            cluster=self.spec.name,
-            worker_traceback=error_text,
-        )
 
 
 def _as_saved(
@@ -141,42 +122,10 @@ def _as_saved(
 
 
 @dataclass
-class _ShardState:
-    """Scheduler-side bookkeeping for one shard, a unit of work of a sweep."""
-
-    shard: "SweepShard"
-    block: SharedStackBlock | None = None  # created at first dispatch
-    attempt: int = -1
-    failures: int = 0
-    retries: int = 0
-    finished: bool = False
-
-    noun = "shard"
-
-    def describe(self) -> str:
-        return f"shard {self.shard.index} ({', '.join(self.shard.names)})"
-
-    def fleet_error(self, error_text: str, kind: str) -> FleetError:
-        return FleetError(
-            f"sweep shard {self.shard.index} (clusters "
-            f"{', '.join(self.shard.names)}) failed after "
-            f"{self.failures} attempt(s) ({kind})",
-            worker_traceback=error_text,
-        )
-
-
-def _release(state: _ClusterState | _ShardState) -> None:
-    """Unlink the shared-memory block a unit holds, if any."""
-    if state.block is not None:
-        state.block.unlink()
-        state.block = None
-
-
-@dataclass
 class _Inflight:
     """One dispatched-but-unfinished attempt.
 
-    ``key`` is the unit's: a cluster name (runs) or shard index (sweeps).
+    ``key`` is the cluster's name.
     ``started_at`` and ``worker_pid`` are filled in when the worker's
     :class:`TaskStarted` ack arrives: the deadline runs from pickup, so an
     attempt still waiting in a worker's queue cannot time out. (Task→worker
@@ -187,19 +136,6 @@ class _Inflight:
     key: object
     started_at: float | None = None
     worker_pid: int | None = None
-
-
-@dataclass(frozen=True)
-class SweepShard:
-    """One unit of sweep work: up to ``batch_size`` same-shape cluster windows.
-
-    Produced by :meth:`FleetScheduler.plan_sweep`; ``tps[i]`` is cluster
-    ``names[i]``'s trailing calibration window.
-    """
-
-    index: int
-    names: tuple[str, ...]
-    tps: tuple[object, ...]  # TPMatrix per cluster, shape-homogeneous
 
 
 class _Worker:
@@ -491,7 +427,9 @@ class FleetScheduler:
             total_ops += ops
             total_batches += batches
         elapsed = time.perf_counter() - t0
-        self._account(n_workers=1, elapsed=elapsed, ops=total_ops, batches=total_batches)
+        self._account(
+            n_workers=1, elapsed=elapsed, operations=total_ops, batches=total_batches
+        )
         return FleetReport(
             clusters=reports,
             n_workers=1,
@@ -541,14 +479,8 @@ class FleetScheduler:
                 state.store.save(state.saved, result.capsule.meta)
             return state.remaining > 0
 
-        def give_up(name: str, error_text: str, kind: str) -> None:
-            state = states[name]
-            state.status = "quarantined" if kind == "error" else "failed"
-            state.error = error_text
-            self.instrumentation.count(f"fleet.cluster.{state.status}")
-
         n_workers = min(int(cfg.n_workers), len(self.clusters))
-        self._drive(n_workers, states, task=task, accept=accept, give_up=give_up)
+        self._drive(n_workers, states, task=task, accept=accept)
 
         reports: dict[str, ClusterReport] = {}
         total_ops = 0
@@ -560,7 +492,8 @@ class FleetScheduler:
         total_batches = sum(state.batches for state in states.values())
         elapsed = time.perf_counter() - t0
         self._account(
-            n_workers=n_workers, elapsed=elapsed, ops=total_ops, batches=total_batches
+            n_workers=n_workers, elapsed=elapsed,
+            operations=total_ops, batches=total_batches,
         )
         return FleetReport(
             clusters=reports,
@@ -576,23 +509,22 @@ class FleetScheduler:
     def _drive(
         self,
         n_workers: int,
-        units: dict[Any, _ClusterState | _ShardState],
+        states: dict[str, _ClusterState],
         *,
-        task: Callable[[Any, int], Any],
-        accept: Callable[[Any, Any], bool],
-        give_up: Callable[[Any, str, str], None],
+        task: Callable[[str, int], Any],
+        accept: Callable[[str, Any], bool],
     ) -> None:
-        """Work off *units* on a supervised pool of *n_workers* processes.
+        """Work off *states*' clusters on a supervised pool of *n_workers* processes.
 
-        The one scheduler loop of :meth:`run` (a unit is a cluster, keyed by
-        name, worked off one batch at a time) and :meth:`run_sweep` (a unit
-        is a shard, keyed by index). A unit kind supplies three things:
-        ``task(key, attempt)`` builds the worker task of the unit's next
-        attempt, ``accept(key, result)`` takes a successful result and says
-        whether the unit has more work, and ``give_up(key, error_text,
-        kind)`` quarantines a unit out of retries under
-        ``on_error="degrade"``. Shared-memory blocks the units hold are
-        unlinked however the run ends.
+        The one scheduler loop of :meth:`run` (a cluster is worked off one
+        batch at a time) and :meth:`run_sweep` (a cluster's one task solves
+        its trailing window). ``task(name, attempt)`` builds the worker task
+        of the cluster's next attempt, and ``accept(name, result)`` takes a
+        successful result and says whether the cluster has more work. A
+        cluster out of retries under ``on_error="degrade"`` is marked
+        ``quarantined`` (its task raised) or ``failed`` (deadlines) in its
+        state. Shared trace blocks the states hold are unlinked however the
+        run ends.
         """
         pool = _WorkerPool(
             mp.get_context(),
@@ -605,45 +537,47 @@ class FleetScheduler:
             # segments the scheduler still owns.
             resource_tracker.ensure_running()
             pool.start(n_workers)
-            self._supervise(units, pool, task, accept, give_up)
+            self._supervise(states, pool, task, accept)
             # A run shorter than one supervision tick ends without a heal():
             # reap once more so every death during the run is recorded.
             pool.poll()
             pool.stop()
         finally:
             pool.shutdown()
-            for state in units.values():
-                _release(state)
+            for state in states.values():
+                if state.block is not None:
+                    state.block.unlink()
+                    state.block = None
 
-    def _supervise(self, units, pool: _WorkerPool, task, accept, give_up) -> None:
+    def _supervise(self, states, pool: _WorkerPool, task, accept) -> None:
         """The supervised loop of :meth:`_drive`: dispatch, drain, heal.
 
-        ``ready`` is a FIFO deque — a unit with more work rejoins at the
+        ``ready`` is a FIFO deque — a cluster with more work rejoins at the
         back after each accepted result, so with one attempt in flight per
-        unit the fleet round-robins and no cluster can starve another.
-        ``deferred`` holds units sleeping out a retry backoff; ``inflight``
+        cluster the fleet round-robins and no cluster can starve another.
+        ``deferred`` holds clusters sleeping out a retry backoff; ``inflight``
         maps attempt ids to dispatched tasks and is the source of truth for
         what is outstanding. Worker deaths requeue the lost attempts,
         deadline violations kill-and-replace the stuck worker, and results
         from superseded attempts are discarded by attempt id.
         """
         cfg = self.config
-        ready: deque = deque(sorted(units))
-        deferred: list[tuple[float, int, Any]] = []
+        ready: deque = deque(sorted(states))
+        deferred: list[tuple[float, int, str]] = []
         inflight: dict[int, _Inflight] = {}
         done = 0
 
-        def dispatch(key) -> None:
-            state = units[key]
+        def dispatch(key: str) -> None:
+            state = states[key]
             attempt = next(self._attempt_seq)
             state.attempt = attempt
             work = task(key, attempt)
             inflight[attempt] = _Inflight(key=key)
             pool.assign(attempt, work)
 
-        def fail(key, error_text: str, *, kind: str) -> None:
+        def fail(key: str, error_text: str, *, kind: str) -> None:
             nonlocal done
-            state = units[key]
+            state = states[key]
             state.failures += 1
             if state.failures <= cfg.max_task_retries:
                 state.retries += 1
@@ -657,8 +591,15 @@ class FleetScheduler:
                 )
                 return
             if cfg.on_error != "degrade":
-                raise state.fleet_error(error_text, kind)
-            give_up(key, error_text, kind)
+                raise FleetError(
+                    f"cluster {key!r} failed after {state.failures} attempt(s) "
+                    f"({kind})",
+                    cluster=key,
+                    worker_traceback=error_text,
+                )
+            state.status = "quarantined" if kind == "error" else "failed"
+            state.error = error_text
+            self.instrumentation.count(f"fleet.cluster.{state.status}")
             state.finished = True
             done += 1
 
@@ -673,7 +614,7 @@ class FleetScheduler:
                 # Supervision only runs while work remains, so an empty pool
                 # is fatal whether or not this tick saw the deaths itself.
                 codes = sorted({code for _pid, code, _exp, _a in deaths}, key=repr)
-                stuck = sorted(units[e.key].describe() for e in inflight.values())
+                stuck = sorted(e.key for e in inflight.values())
                 raise FleetError(
                     f"fleet worker(s) exited (exit codes {codes or 'seen earlier'}) "
                     f"with no live workers left and the restart budget "
@@ -701,16 +642,15 @@ class FleetScheduler:
                     # budget) and forget the assignment.
                     pool.kill_attempt_owner(attempt)
                     pool.complete(attempt)
-                    state = units[key]
                     fail(
                         key,
-                        f"{state.noun} deadline exceeded ({timeout_s}s) on "
-                        f"attempt {state.failures + 1}",
+                        f"task deadline exceeded ({timeout_s}s) on "
+                        f"attempt {states[key].failures + 1}",
                         kind="timeout",
                     )
 
         last_tick = time.monotonic()
-        while done < len(units):
+        while done < len(states):
             now = time.monotonic()
             if now - last_tick >= _POLL_S:
                 # Supervision runs on a cadence, not only when the pipes are
@@ -749,7 +689,7 @@ class FleetScheduler:
                 if msg.error is not None:
                     fail(entry.key, msg.error, kind="error")
                     continue
-                state = units[entry.key]
+                state = states[entry.key]
                 state.failures = 0
                 if accept(entry.key, msg):
                     ready.append(entry.key)
@@ -805,178 +745,121 @@ class FleetScheduler:
             retries=retries,
         )
 
-    def _account(self, *, n_workers: int, elapsed: float, ops: int, batches: int) -> None:
+    def _account(self, *, n_workers: int, elapsed: float, **counts: int) -> None:
         sink = self.instrumentation
         sink.count("fleet.clusters", len(self.clusters))
-        sink.count("fleet.operations", ops)
-        sink.count("fleet.batches", batches)
+        for name, value in counts.items():
+            sink.count(f"fleet.{name}", value)
         sink.count("fleet.workers", n_workers)
         sink.add_time("fleet.elapsed", elapsed)
 
     # -- sweep ---------------------------------------------------------
 
-    def plan_sweep(self) -> list[SweepShard]:
-        """Partition the fleet's trailing windows into shards.
-
-        Each cluster contributes its trailing ``window``-snapshot TP-matrix
-        at the configured ``nbytes``. Clusters are grouped by matrix shape,
-        ordered by name within a group, and chunked into shards of at most
-        ``batch_size`` — the unit one shared stack block transports and one
-        worker solves. The plan is deterministic: it depends only on the
-        fleet's specs and config, never on timing.
-        """
+    def _sweep_window(self, spec: ClusterSpec) -> TPMatrix:
+        """The cluster's trailing ``window``-snapshot TP-matrix (its whole
+        trace when that is shorter)."""
         cfg = self.config
-        windows: dict[tuple[int, int], list[tuple[str, object]]] = {}
-        for spec in self.clusters:
-            trace = spec.trace
-            count = min(int(cfg.window), int(trace.n_snapshots))
-            start = int(trace.n_snapshots) - count
-            tp = trace.tp_matrix(cfg.nbytes, start=start, count=count)
-            windows.setdefault(tp.data.shape, []).append((spec.name, tp))
-        shards: list[SweepShard] = []
-        width = int(cfg.batch_size)
-        for shape in sorted(windows):
-            group = sorted(windows[shape], key=lambda item: item[0])
-            for lo in range(0, len(group), width):
-                chunk = group[lo : lo + width]
-                shards.append(
-                    SweepShard(
-                        index=len(shards),
-                        names=tuple(name for name, _ in chunk),
-                        tps=tuple(tp for _, tp in chunk),
-                    )
-                )
-        return shards
+        trace = spec.trace
+        count = min(int(cfg.window), trace.n_snapshots)
+        return trace.tp_matrix(cfg.nbytes, start=trace.n_snapshots - count, count=count)
 
-    def _quarantine_shard(
-        self,
-        shard: SweepShard,
-        results: dict[str, SweepClusterResult],
-        error_text: str,
-        *,
-        kind: str,
-    ) -> None:
-        status = "quarantined" if kind == "error" else "failed"
-        counter = (
-            "fleet.cluster.quarantined" if kind == "error" else "fleet.cluster.failed"
+    @staticmethod
+    def _unavailable_window(
+        name: str, *, status: str, error: str | None
+    ) -> SweepClusterResult:
+        return SweepClusterResult(
+            name=name,
+            constant_row=np.empty(0),
+            norm_ne=float("nan"),
+            verdict="unavailable",
+            rank=0,
+            iterations=0,
+            converged=False,
+            residual=float("nan"),
+            status=status,
+            error=error,
         )
-        for name in shard.names:
-            self.instrumentation.count(counter)
-            results[name] = SweepClusterResult(
-                name=name,
-                constant_row=np.empty(0),
-                norm_ne=float("nan"),
-                verdict="unavailable",
-                rank=0,
-                iterations=0,
-                converged=False,
-                residual=float("nan"),
-                status=status,
-                error=error_text,
-            )
 
     def run_sweep_serial(self) -> FleetSweepReport:
-        """Solve the identical sweep plan in-process, one shard at a time.
+        """Solve every cluster's trailing window in-process, one by one.
 
         The determinism oracle for :meth:`run_sweep`: per-cluster ``P_D``
         must (and does) match the parallel run bit for bit. Under
-        ``on_error="degrade"`` a shard whose solve raises is quarantined
-        (all its clusters) while the remaining shards still solve.
+        ``on_error="degrade"`` a cluster whose solve raises is quarantined
+        (without retries — the error is deterministic in-process) while
+        the rest still solve.
         """
         t0 = time.perf_counter()
         cfg = self.config
-        shards = self.plan_sweep()
         results: dict[str, SweepClusterResult] = {}
         with instrumented(self.instrumentation):
-            for shard in shards:
+            for spec in self.clusters:
+                tp = self._sweep_window(spec)
                 try:
-                    shard_results = solve_shard(
-                        shard.names, list(shard.tps), solver=cfg.solver
-                    )
+                    results[spec.name] = solve_window(spec.name, tp, solver=cfg.solver)
                 except Exception:
                     if cfg.on_error != "degrade":
                         raise
-                    self._quarantine_shard(
-                        shard, results, traceback.format_exc(), kind="error"
+                    self.instrumentation.count("fleet.cluster.quarantined")
+                    results[spec.name] = self._unavailable_window(
+                        spec.name, status="quarantined", error=traceback.format_exc()
                     )
-                    continue
-                for res in shard_results:
-                    results[res.name] = res
         elapsed = time.perf_counter() - t0
-        self._account_sweep(n_workers=1, elapsed=elapsed, shards=len(shards))
+        self._account(n_workers=1, elapsed=elapsed)
         return FleetSweepReport(
             clusters=results,
             n_workers=1,
             elapsed_s=elapsed,
-            total_shards=len(shards),
-            batch_size=int(cfg.batch_size),
             instrumentation=self.instrumentation.state_dict(),
         )
 
     def run_sweep(self) -> FleetSweepReport:
-        """Solve every cluster's trailing window, shard by shard, in parallel.
+        """Solve every cluster's trailing window once, in parallel.
 
-        Shards ship to workers as :class:`~repro.fleet.shm.SharedStackBlock`
-        segments (stacked windows, zero pickled matrix bytes); each worker
-        solves its shard's windows one at a time through
-        :func:`~repro.fleet.worker.solve_shard` and sends back per-cluster
-        results plus its instrumentation ``state_dict`` — one solve span per
-        window — which is merged into the fleet sink. The supervision loop
-        is :meth:`run`'s: dead workers are respawned and their shards
-        requeued (bit-identical on replay), failing shards retry with
-        backoff, and ``on_error="degrade"`` quarantines an exhausted shard's
-        clusters instead of aborting the sweep. A shard's block is created
-        at first dispatch and unlinked as soon as its result lands (or it is
-        quarantined), so shared memory stays bounded by the in-flight cap,
-        not the fleet size; a requeued shard reuses its block.
+        A cluster is one task on :meth:`run`'s supervised loop: its window
+        is built from its trace at dispatch and rides in the task pickle;
+        the worker solves it cold through
+        :func:`~repro.fleet.worker.solve_window` and sends back the result
+        plus its instrumentation ``state_dict`` — one solve span — which is
+        merged into the fleet sink. Dead workers are respawned and their
+        clusters requeued (the rebuilt window is bit-identical), a failing
+        cluster retries with backoff, and ``on_error="degrade"`` quarantines
+        it alone instead of aborting the sweep. A sweep creates no shared
+        memory.
         """
         cfg = self.config
         t0 = time.perf_counter()
-        shards = self.plan_sweep()
-        states = {shard.index: _ShardState(shard=shard) for shard in shards}
+        states = {
+            spec.name: _ClusterState(spec=spec, remaining=1) for spec in self.clusters
+        }
         results: dict[str, SweepClusterResult] = {}
 
-        def task(index: int, attempt: int) -> SweepTask:
-            state = states[index]
-            if state.block is None:
-                state.block = SharedStackBlock.create(state.shard.tps)
+        def task(name: str, attempt: int) -> SweepTask:
             return SweepTask(
-                shard=index,
-                descriptor=state.block.descriptor,
-                clusters=state.shard.names,
+                cluster=name,
+                tp=self._sweep_window(states[name].spec),
                 solver=cfg.solver,
                 attempt=attempt,
             )
 
-        def accept(index: int, result) -> bool:
-            if result.instrumentation:
-                self.instrumentation.merge(result.instrumentation)
-            for res in result.results:
-                results[res.name] = res
-            _release(states[index])
+        def accept(name: str, result) -> bool:
+            self.instrumentation.merge(result.instrumentation)
+            results[name] = result.result
             return False
 
-        def give_up(index: int, error_text: str, kind: str) -> None:
-            self._quarantine_shard(states[index].shard, results, error_text, kind=kind)
-            _release(states[index])
+        n_workers = min(int(cfg.n_workers), len(self.clusters))
+        self._drive(n_workers, states, task=task, accept=accept)
 
-        n_workers = min(int(cfg.n_workers), len(shards))
-        self._drive(n_workers, states, task=task, accept=accept, give_up=give_up)
-
+        for name, state in states.items():
+            if state.status != "ok":
+                results[name] = self._unavailable_window(
+                    name, status=state.status, error=state.error
+                )
         elapsed = time.perf_counter() - t0
-        self._account_sweep(n_workers=n_workers, elapsed=elapsed, shards=len(shards))
+        self._account(n_workers=n_workers, elapsed=elapsed)
         return FleetSweepReport(
             clusters=results,
             n_workers=n_workers,
             elapsed_s=elapsed,
-            total_shards=len(shards),
-            batch_size=int(cfg.batch_size),
             instrumentation=self.instrumentation.state_dict(),
         )
-
-    def _account_sweep(self, *, n_workers: int, elapsed: float, shards: int) -> None:
-        sink = self.instrumentation
-        sink.count("fleet.clusters", len(self.clusters))
-        sink.count("fleet.sweep.shards", shards)
-        sink.count("fleet.workers", n_workers)
-        sink.add_time("fleet.elapsed", elapsed)

@@ -21,6 +21,9 @@ what lets it requeue exactly the lost task when a worker dies, and kill
 exactly the stuck worker when an attempt blows its deadline. A result whose
 attempt id is no longer the cluster's current one is stale (the task was
 already requeued to another worker) and the scheduler discards it.
+
+A :class:`SweepTask` is the other kind of work: one cluster's trailing
+TP-matrix window, carried in the task itself, solved cold once.
 """
 
 from __future__ import annotations
@@ -34,16 +37,11 @@ from ..cloudsim.trace import CalibrationTrace
 from ..core.decompose import decomposition_from_result
 from ..core.matrices import TPMatrix
 from ..core.options import SolveOptions
-from ..core.solvers import resolve_solver, solve_rpca
+from ..core.solvers import solve_rpca
 from ..observability import Instrumentation, instrumented
 from ..runtime.session import OperationSpec, SessionCapsule, TraceSession
 from .report import SweepClusterResult
-from .shm import (
-    SharedStackBlock,
-    SharedTraceBlock,
-    StackBlockDescriptor,
-    TraceBlockDescriptor,
-)
+from .shm import SharedTraceBlock, TraceBlockDescriptor
 
 __all__ = [
     "BatchResult",
@@ -51,7 +49,7 @@ __all__ = [
     "SweepResult",
     "SweepTask",
     "TaskStarted",
-    "solve_shard",
+    "solve_window",
     "worker_main",
 ]
 
@@ -95,107 +93,80 @@ class BatchResult:
 
 @dataclass(frozen=True, slots=True)
 class SweepTask:
-    """One sweep shard: up to ``batch_size`` same-shape cluster windows."""
+    """One cluster's share of a sweep: its trailing window, solved cold.
 
-    shard: int
-    descriptor: StackBlockDescriptor
-    clusters: tuple[str, ...]
-    solver: str = SolveOptions.solver
-    extraction: str = "mean"
+    ``tp`` rides in the task pickle. The scheduler builds it from the
+    cluster's trace at every dispatch, so a retried attempt solves the
+    same window bit for bit.
+    """
+
+    cluster: str
+    tp: TPMatrix
+    solver: str
     attempt: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "solver", resolve_solver(self.solver, stacklevel=3))
 
 
 @dataclass(frozen=True, slots=True)
 class SweepResult:
-    """What a worker sends back after (attempting) a sweep shard.
+    """What a worker sends back after (attempting) one cluster's window.
 
     ``instrumentation`` carries the worker-side sink's ``state_dict()`` —
-    one solve span per window plus the kernel counters accumulated while
-    the shard solved — for the scheduler to fold into the fleet sink via
+    the window's solve span plus the kernel counters accumulated while it
+    solved — for the scheduler to fold into the fleet sink via
     :meth:`~repro.observability.Instrumentation.merge`.
     """
 
-    shard: int
-    results: tuple[SweepClusterResult, ...]
+    cluster: str
+    result: SweepClusterResult | None
     worker_pid: int
-    instrumentation: dict[str, Any] | None = None
+    instrumentation: dict[str, Any]
     error: str | None = None
     attempt: int = 0
 
 
-def solve_shard(
-    names: tuple[str, ...] | list[str],
-    tps: list[TPMatrix],
-    *,
-    solver: str = SolveOptions.solver,
-    extraction: str = "mean",
-) -> list[SweepClusterResult]:
-    """Solve one shard of TP-matrices, one window at a time.
+def solve_window(
+    name: str, tp: TPMatrix, *, solver: str = SolveOptions.solver
+) -> SweepClusterResult:
+    """Solve one cluster's window: a cold solve, as ``decompose`` runs it.
 
     The one code path both sweep modes share: the serial reference
     (:meth:`~repro.fleet.FleetScheduler.run_sweep_serial`) calls it
-    in-process on the scheduler's TP-matrices, workers call it on matrices
-    rebuilt from the shared stack block. Each window is a cold
-    :func:`~repro.core.solvers.solve_rpca`, so per-cluster ``P_D`` equals a
-    single ``decompose(tp, solver=solver)`` bit for bit, whatever the
-    worker count or shard placement.
+    in-process, workers call it on the window a :class:`SweepTask`
+    carries. Each call is a cold :func:`~repro.core.solvers.solve_rpca`,
+    so ``P_D`` equals a single ``decompose(tp, solver=solver)`` bit for
+    bit, whatever the worker count or placement.
     """
-    if len(names) != len(tps):
-        raise ValueError(f"{len(names)} names for {len(tps)} matrices")
-    out: list[SweepClusterResult] = []
-    for name, tp in zip(names, tps):
-        kwargs = {} if tp.mask is None else {"mask": tp.mask}
-        res = solve_rpca(tp.data, solver=solver, context="fleet-sweep", **kwargs)
-        dec = decomposition_from_result(tp, res, solver=solver, extraction=extraction)
-        out.append(
-            SweepClusterResult(
-                name=name,
-                constant_row=dec.constant.row,
-                norm_ne=dec.norm_ne,
-                verdict=dec.report.verdict,
-                rank=res.rank,
-                iterations=res.iterations,
-                converged=res.converged,
-                residual=res.residual,
-            )
-        )
-    return out
+    kwargs = {} if tp.mask is None else {"mask": tp.mask}
+    res = solve_rpca(tp.data, solver=solver, context="fleet-sweep", **kwargs)
+    dec = decomposition_from_result(tp, res, solver=solver)
+    return SweepClusterResult(
+        name=name,
+        constant_row=dec.constant.row,
+        norm_ne=dec.norm_ne,
+        verdict=dec.report.verdict,
+        rank=res.rank,
+        iterations=res.iterations,
+        converged=res.converged,
+        residual=res.residual,
+    )
 
 
 def _run_sweep_task(task: SweepTask, pid: int) -> SweepResult:
     sink = Instrumentation("sweep-worker")
+    result, error = None, None
     try:
-        block = SharedStackBlock.attach(task.descriptor)
-        try:
-            tps = block.tp_matrices()
-            with instrumented(sink):
-                results = solve_shard(
-                    task.clusters,
-                    tps,
-                    solver=task.solver,
-                    extraction=task.extraction,
-                )
-        finally:
-            block.close()
-        return SweepResult(
-            shard=task.shard,
-            results=tuple(results),
-            worker_pid=pid,
-            instrumentation=sink.state_dict(),
-            attempt=task.attempt,
-        )
-    except BaseException:
-        return SweepResult(
-            shard=task.shard,
-            results=(),
-            worker_pid=pid,
-            instrumentation=sink.state_dict(),
-            error=traceback.format_exc(),
-            attempt=task.attempt,
-        )
+        with instrumented(sink):
+            result = solve_window(task.cluster, task.tp, solver=task.solver)
+    except Exception:
+        error = traceback.format_exc()
+    return SweepResult(
+        cluster=task.cluster,
+        result=result,
+        worker_pid=pid,
+        instrumentation=sink.state_dict(),
+        error=error,
+        attempt=task.attempt,
+    )
 
 
 def _run_batch(
@@ -213,13 +184,13 @@ def _run_batch(
 
 
 def worker_main(task_queue: Any, result_conn: Any) -> None:
-    """Worker loop: consume :class:`BatchTask`\\ s until the ``None`` sentinel.
+    """Worker loop: run batch and sweep tasks until the ``None`` sentinel.
 
     Runs in a child process. Every message goes to ``result_conn``, the
     write end of a pipe this worker alone holds; ``send`` writes it from
     this thread, so a kill can tear at most this worker's own stream. Any
-    exception inside a batch is caught and shipped back as text in
-    :attr:`BatchResult.error` — exception *objects* don't survive process
+    exception inside a task is caught and shipped back as text in the
+    result's ``error`` — exception *objects* don't survive process
     boundaries reliably, and a poisoned cluster must not take the worker
     (and every other cluster queued behind it) down.
     """

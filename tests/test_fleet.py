@@ -116,14 +116,11 @@ class TestSharedTraceBlock:
         # unlink makes the tracker print a KeyError traceback at exit.
         script = (
             "from repro.cloudsim.tracegen import TraceConfig, generate_trace\n"
-            "from repro.fleet.shm import SharedStackBlock, SharedTraceBlock\n"
+            "from repro.fleet.shm import SharedTraceBlock\n"
             "trace = generate_trace(TraceConfig(n_machines=4, n_snapshots=6), seed=0)\n"
             "owner = SharedTraceBlock.create(trace)\n"
             "SharedTraceBlock.attach(owner.descriptor).close()\n"
             "owner.unlink()\n"
-            "stack = SharedStackBlock.create([trace.tp_matrix(1 << 20, count=3)])\n"
-            "SharedStackBlock.attach(stack.descriptor).close()\n"
-            "stack.unlink()\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

@@ -186,9 +186,7 @@ class TestFleetSweepReport:
             clusters=clusters,
             n_workers=3,
             elapsed_s=elapsed,
-            total_shards=2,
-            batch_size=2,
-            instrumentation={"counters": {"fleet.sweep.shards": 2}},
+            instrumentation={"counters": {"fleet.clusters": n}},
         )
 
     def test_throughput_is_windows_per_second(self):
@@ -206,14 +204,12 @@ class TestFleetSweepReport:
         s = rep.summary()
         decoded = json.loads(json.dumps(s))
         assert decoded == s
-        assert decoded["batch_size"] == 2
-        assert decoded["total_shards"] == 2
+        assert decoded["n_workers"] == 3
         assert [c["name"] for c in decoded["clusters"]] == ["c0", "c1", "c2", "c3"]
 
     def test_instrumentation_payload_preserved(self):
         rep = self._report()
-        assert rep.instrumentation["counters"]["fleet.sweep.shards"] == 2
+        assert rep.instrumentation["counters"]["fleet.clusters"] == 4
         assert FleetSweepReport(
             clusters={}, n_workers=1, elapsed_s=0.0,
-            total_shards=0, batch_size=8,
         ).instrumentation == {}

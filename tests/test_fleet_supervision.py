@@ -13,6 +13,7 @@ import os
 import signal
 import struct
 import time
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -267,52 +268,56 @@ class TestWorkerDeath:
         assert "lonely" in message  # the stuck cluster is named
 
 
+def _patch_windows(monkeypatch, hook):
+    """Route every worker-side window solve through ``hook(real, name, tp, **kw)``."""
+    real = worker_mod.solve_window
+    monkeypatch.setattr(
+        worker_mod, "solve_window", lambda name, tp, **kw: hook(real, name, tp, **kw)
+    )
+
+
 class TestSweepSupervision:
+    """A sweep's unit of work is one cluster: a sick cluster fails alone."""
+
     @requires_fork
-    def test_degrade_quarantines_failing_shard(self, monkeypatch):
-        real = worker_mod.solve_shard
+    def test_degrade_quarantines_failing_cluster(self, monkeypatch):
+        def hook(real, name, tp, **kw):
+            if name == "c0":
+                raise RuntimeError("injected window failure")
+            return real(name, tp, **kw)
 
-        def hook(names, tps, **kwargs):
-            if "c0" in names:
-                raise RuntimeError("injected shard failure")
-            return real(names, tps, **kwargs)
-
-        monkeypatch.setattr(worker_mod, "solve_shard", hook)
+        _patch_windows(monkeypatch, hook)
         config = FleetConfig(
             on_error="degrade", max_task_retries=1, retry_backoff_s=0.01,
-            window=6, batch_size=2, n_workers=2,
+            window=6, n_workers=2,
         )
         report = FleetScheduler(_clusters(4), config).run_sweep()
         assert report.degraded
-        statuses = report.statuses()
-        # batch_size=2 over same-shape c0..c3: the poisoned shard is {c0, c1}
-        # and the whole shard is quarantined together.
-        assert {n for n, s in statuses.items() if s == "quarantined"} == {"c0", "c1"}
-        assert statuses["c2"] == "ok" and statuses["c3"] == "ok"
-        assert "injected shard failure" in report.clusters["c0"].error
-        assert report.health()["clusters_quarantined"] == 2
+        assert report.statuses() == {
+            "c0": "quarantined", "c1": "ok", "c2": "ok", "c3": "ok",
+        }
+        assert "injected window failure" in report.clusters["c0"].error
+        assert report.clusters["c0"].verdict == "unavailable"
+        assert report.health()["clusters_quarantined"] == 1
         assert report.health()["task_retries"] >= 1
 
-
     @requires_fork
-    def test_transient_shard_failure_retried_to_success(self, monkeypatch, tmp_path):
+    def test_transient_cluster_failure_retried_to_success(self, monkeypatch, tmp_path):
         flag = tmp_path / "fail-once"
         flag.touch()
-        real = worker_mod.solve_shard
 
-        def hook(names, tps, **kwargs):
-            if "c0" in names and flag.exists():
+        def hook(real, name, tp, **kw):
+            if name == "c0" and flag.exists():
                 flag.unlink()
-                raise RuntimeError("injected transient shard failure")
-            return real(names, tps, **kwargs)
+                raise RuntimeError("injected transient window failure")
+            return real(name, tp, **kw)
 
         clusters = _clusters(4)
         config = FleetConfig(
-            max_task_retries=2, retry_backoff_s=0.01,
-            window=6, batch_size=2, n_workers=2,
+            max_task_retries=2, retry_backoff_s=0.01, window=6, n_workers=2,
         )
         serial = FleetScheduler(clusters, config).run_sweep_serial()
-        monkeypatch.setattr(worker_mod, "solve_shard", hook)
+        _patch_windows(monkeypatch, hook)
         report = FleetScheduler(clusters, config).run_sweep()
         assert not flag.exists()  # the failure really happened
         assert report.instrumentation["counters"]["fleet.task.retries"] == 1
@@ -322,23 +327,21 @@ class TestSweepSupervision:
             assert res.constant_row.tobytes() == want.tobytes()
 
     @requires_fork
-    def test_deadline_exhaustion_degrades_shard_to_failed(self, monkeypatch):
-        real = worker_mod.solve_shard
-
-        def hook(names, tps, **kwargs):
-            if "c0" in names:
+    def test_deadline_exhaustion_degrades_cluster_to_failed(self, monkeypatch):
+        def hook(real, name, tp, **kw):
+            if name == "c0":
                 time.sleep(60.0)
-            return real(names, tps, **kwargs)
+            return real(name, tp, **kw)
 
-        monkeypatch.setattr(worker_mod, "solve_shard", hook)
+        _patch_windows(monkeypatch, hook)
         config = FleetConfig(
             on_error="degrade", task_timeout_s=0.5, max_task_retries=0,
-            retry_backoff_s=0.01, window=6, batch_size=2, n_workers=2,
+            retry_backoff_s=0.01, window=6, n_workers=2,
         )
         report = FleetScheduler(_clusters(4), config).run_sweep()
-        statuses = report.statuses()
-        # The stuck shard is {c0, c1}; both its clusters fail together.
-        assert {n for n, s in statuses.items() if s == "failed"} == {"c0", "c1"}
+        assert report.statuses() == {
+            "c0": "failed", "c1": "ok", "c2": "ok", "c3": "ok",
+        }
         assert "deadline exceeded" in report.clusters["c0"].error
         assert report.instrumentation["counters"]["fleet.task.timeouts"] >= 1
 
@@ -374,16 +377,40 @@ class TestShmHygiene:
 
     @requires_fork
     @requires_dev_shm
-    def test_sweep_no_leak_when_shard_fails(self, monkeypatch):
-        def boom(names, tps, **kwargs):
-            raise RuntimeError("injected shard failure")
+    def test_sweep_no_leak_when_cluster_fails(self, monkeypatch):
+        def hook(real, name, tp, **kw):
+            raise RuntimeError("injected window failure")
 
-        monkeypatch.setattr(worker_mod, "solve_shard", boom)
+        _patch_windows(monkeypatch, hook)
         before = _segments()
         config = FleetConfig(
-            max_task_retries=0, retry_backoff_s=0.01,
-            window=6, batch_size=2, n_workers=2,
+            max_task_retries=0, retry_backoff_s=0.01, window=6, n_workers=2,
         )
         with pytest.raises(FleetError):
             FleetScheduler(_clusters(4), config).run_sweep()
+        assert _segments() - before == set()
+
+    @requires_dev_shm
+    def test_sweep_creates_no_shared_memory(self, monkeypatch):
+        # Windows ride in the task pickle: the scheduler creates no segment
+        # for a sweep, not even one it unlinks before returning.
+        real = shared_memory.SharedMemory
+        created = []
+
+        def recording(*args, **kwargs):
+            shm = real(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(shm.name)
+            return shm
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", recording)
+        clusters = _clusters(4)
+        config = FleetConfig(operations=4, window=6, n_workers=2)
+        FleetScheduler(clusters, config).run()
+        assert len(created) == 4  # the recorder sees run()'s trace blocks
+        created.clear()
+        before = _segments()
+        report = FleetScheduler(clusters, config).run_sweep()
+        assert set(report.statuses().values()) == {"ok"}
+        assert created == []
         assert _segments() - before == set()

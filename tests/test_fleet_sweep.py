@@ -1,18 +1,14 @@
-"""Fleet sweeps: stack-block transport, shard planning, parity, spans.
+"""Fleet sweeps: parity, failure surfacing, spans.
 
-A sweep solves every cluster's trailing window once. The windows travel
-to workers in shards through :class:`SharedStackBlock` segments, and each
-worker solves its shard one window at a time, as a single ``decompose``
-would.
-These tests pin the transport round-trip, the deterministic shard plan,
-bit parity of the parallel run, the serial oracle and a per-cluster
-:func:`~repro.core.decompose.decompose`, worker-failure surfacing, and
-that the workers' solve spans fold into the fleet sink
-(``Instrumentation.merge``).
+A sweep solves every cluster's trailing window once. Each cluster is one
+worker task whose window rides in the task, solved as a single
+``decompose`` would. These tests pin bit parity of the parallel run, the
+serial oracle and a per-cluster :func:`~repro.core.decompose.decompose`,
+worker-failure surfacing, and that the workers' solve spans fold into the
+fleet sink (``Instrumentation.merge``).
 """
 
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -21,14 +17,9 @@ from repro import sweep_fleet
 from repro.cloudsim.trace import CalibrationTrace
 from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core.decompose import decompose
-from repro.errors import FleetError, ValidationError
-from repro.fleet import (
-    ClusterSpec,
-    FleetConfig,
-    FleetScheduler,
-    SharedStackBlock,
-)
-from repro.fleet.worker import solve_shard
+from repro.errors import FleetError
+from repro.fleet import ClusterSpec, FleetConfig, FleetScheduler
+from repro.fleet.worker import solve_window
 from repro.observability import Instrumentation, instrumented
 
 pytestmark = pytest.mark.fleet
@@ -61,113 +52,7 @@ def _clusters(n, **kwargs):
     return [ClusterSpec(name=f"c{i}", trace=_trace(50 + i, **kwargs)) for i in range(n)]
 
 
-def _tps(n, *, seed0=50, mask=False, **kwargs):
-    return [
-        _trace(seed0 + i, mask=mask, **kwargs).tp_matrix(8 * MB) for i in range(n)
-    ]
-
-
-CFG = dict(batch_size=3, window=6)
-
-
-class TestSharedStackBlock:
-    def test_round_trip_unmasked(self):
-        tps = _tps(3)
-        with SharedStackBlock.create(tps) as block:
-            attached = SharedStackBlock.attach(block.descriptor)
-            try:
-                rebuilt = attached.tp_matrices()
-                assert len(rebuilt) == 3
-                for orig, back in zip(tps, rebuilt):
-                    assert np.array_equal(back.data, orig.data)
-                    assert np.array_equal(back.timestamps, orig.timestamps)
-                    assert back.n_machines == orig.n_machines
-                    assert back.mask is None
-            finally:
-                attached.close()
-
-    def test_round_trip_mixed_masks(self):
-        tps = _tps(2, mask=True) + _tps(1, seed0=90)
-        assert tps[0].mask is not None and tps[2].mask is None
-        with SharedStackBlock.create(tps) as block:
-            rebuilt = block.tp_matrices()
-            assert np.array_equal(rebuilt[0].mask, tps[0].mask)
-            assert np.array_equal(rebuilt[1].mask, tps[1].mask)
-            # The unmasked slice travels as all-ones and normalizes back.
-            assert rebuilt[2].mask is None
-            assert np.array_equal(rebuilt[2].data, tps[2].data)
-
-    def test_views_are_zero_copy(self):
-        tps = _tps(2)
-        with SharedStackBlock.create(tps) as block:
-            for tp in block.tp_matrices():
-                assert not tp.data.flags.owndata
-                assert not tp.timestamps.flags.owndata
-
-    def test_descriptor_is_small_and_picklable(self):
-        tps = _tps(4)
-        with SharedStackBlock.create(tps) as block:
-            blob = pickle.dumps(block.descriptor)
-            # The whole point: descriptors ship over queues, matrices don't.
-            assert len(blob) < 1024
-            desc = pickle.loads(blob)
-            assert desc.batch == 4
-            assert desc.nbytes >= 4 * tps[0].data.nbytes
-
-    def test_attach_after_unlink_raises(self):
-        block = SharedStackBlock.create(_tps(1))
-        desc = block.descriptor
-        block.unlink()
-        with pytest.raises(FleetError, match="gone"):
-            SharedStackBlock.attach(desc)
-
-    def test_only_owner_may_unlink(self):
-        with SharedStackBlock.create(_tps(1)) as block:
-            attached = SharedStackBlock.attach(block.descriptor)
-            try:
-                with pytest.raises(FleetError, match="owner|creating"):
-                    attached.unlink()
-            finally:
-                attached.close()
-
-    def test_heterogeneous_stack_rejected(self):
-        tps = _tps(1) + _tps(1, n_machines=5)
-        with pytest.raises(ValidationError, match="shape-homogeneous"):
-            SharedStackBlock.create(tps)
-
-    def test_empty_stack_rejected(self):
-        with pytest.raises(ValidationError, match="at least one"):
-            SharedStackBlock.create([])
-
-
-class TestPlanSweep:
-    def test_plan_is_deterministic_and_respects_batch_size(self):
-        sched = FleetScheduler(_clusters(7), FleetConfig(**CFG))
-        plan_a = sched.plan_sweep()
-        plan_b = sched.plan_sweep()
-        assert [s.names for s in plan_a] == [s.names for s in plan_b]
-        assert [s.index for s in plan_a] == list(range(len(plan_a)))
-        # 7 same-shape clusters at width 3 -> shards of 3, 3, 1.
-        assert [len(s.names) for s in plan_a] == [3, 3, 1]
-        assert sorted(n for s in plan_a for n in s.names) == [
-            f"c{i}" for i in range(7)
-        ]
-
-    def test_plan_groups_by_shape(self):
-        clusters = _clusters(3) + [
-            ClusterSpec(name=f"w{i}", trace=_trace(80 + i, n_machines=8))
-            for i in range(2)
-        ]
-        shards = FleetScheduler(clusters, FleetConfig(batch_size=4, window=6)).plan_sweep()
-        for shard in shards:
-            shapes = {tp.data.shape for tp in shard.tps}
-            assert len(shapes) == 1  # a shard never mixes shapes
-        assert {s.names for s in shards} == {("c0", "c1", "c2"), ("w0", "w1")}
-
-    def test_plan_clamps_window_to_short_traces(self):
-        clusters = [ClusterSpec(name="short", trace=_trace(9, n_snapshots=4))]
-        shards = FleetScheduler(clusters, FleetConfig(**CFG)).plan_sweep()
-        assert shards[0].tps[0].data.shape[0] == 4  # min(window=6, snapshots=4)
+CFG = dict(window=6)
 
 
 class TestSweepParity:
@@ -178,7 +63,7 @@ class TestSweepParity:
         ]
         serial = sweep_fleet(clusters, serial=True, **CFG)
         parallel = sweep_fleet(clusters, n_workers=N_WORKERS, **CFG)
-        assert parallel.n_workers == min(N_WORKERS, parallel.total_shards)
+        assert parallel.n_workers == min(N_WORKERS, len(clusters))
         assert set(serial.clusters) == set(parallel.clusters) == {
             c.name for c in clusters
         }
@@ -203,18 +88,19 @@ class TestSweepParity:
     def test_worker_failure_surfaces_as_fleet_error(self):
         # FleetConfig rejects an unknown solver, so force one past it: it
         # blows up inside the worker's solve, and the scheduler must surface
-        # it as a FleetError naming the shard and carrying the worker
+        # it as a FleetError naming the cluster and carrying the worker
         # traceback.
         cfg = FleetConfig(n_workers=N_WORKERS, **CFG)
         object.__setattr__(cfg, "solver", "no-such-solver")
-        with pytest.raises(FleetError, match="sweep shard") as exc_info:
+        with pytest.raises(FleetError, match="cluster 'c[01]' failed") as exc_info:
             FleetScheduler(_clusters(2), cfg).run_sweep()
+        assert exc_info.value.cluster in {"c0", "c1"}
         assert "no-such-solver" in exc_info.value.worker_traceback
 
     @pytest.mark.parametrize("solver", [LEGACY_APG, "ialm", "pca"])
     def test_each_cluster_matches_its_single_auto_solve(self, solver):
         # Mixed masked/unmasked windows plus one trace shorter than the
-        # window, so the plan holds shards of two shapes. PCA cannot take a
+        # window, so the windows come in two shapes. PCA cannot take a
         # mask or an SVD backend, so its fleet is fully observed.
         clusters = _clusters(4) + [
             ClusterSpec(name="short", trace=_trace(60, n_snapshots=4))
@@ -226,20 +112,21 @@ class TestSweepParity:
             ]
         cfg = FleetConfig(n_workers=N_WORKERS, solver=solver, **CFG)
         sched = FleetScheduler(clusters, cfg)
-        assert len({s.tps[0].data.shape for s in sched.plan_sweep()}) == 2
         reports = [sched.run_sweep(), sched.run_sweep_serial()]
+        shapes = set()
         for spec in clusters:
             count = min(cfg.window, spec.trace.n_snapshots)
             tp = spec.trace.tp_matrix(
                 cfg.nbytes, start=spec.trace.n_snapshots - count, count=count
             )
+            shapes.add(tp.data.shape)
             assert (tp.mask is not None) == spec.name.startswith("masked")
             want = decompose(tp, solver=solver)
             for report in reports:
                 got = report.clusters[spec.name]
                 assert np.array_equal(got.constant_row, want.constant.row)
                 assert got.iterations == want.solver_iterations
-
+        assert len(shapes) == 2  # "short" is clamped to its 4 snapshots
 
     @pytest.mark.parametrize("solver", [LEGACY_APG, "ialm"])
     def test_each_cluster_matches_its_single_gram_solve(self, solver):
@@ -271,7 +158,8 @@ class TestSweepInstrumentation:
         into the fleet sink appends the spans and sums the counters."""
         worker = Instrumentation("sweep-worker")
         with instrumented(worker):
-            solve_shard(["a", "b", "c"], _tps(3))
+            for i, name in enumerate("abc"):
+                solve_window(name, _trace(50 + i).tp_matrix(8 * MB))
         state = worker.state_dict()
         assert len(_sweep_spans(worker)) == 3
         sink = Instrumentation("fleet")
@@ -288,14 +176,13 @@ class TestSweepInstrumentation:
         cfg = FleetConfig(n_workers=N_WORKERS, **CFG)
         sched = FleetScheduler(_clusters(5), cfg, instrumentation=sink)
         report = sched.run_sweep() if mode == "parallel" else sched.run_sweep_serial()
-        # 5 clusters at width 3 -> 2 shards; in parallel mode every span
-        # was recorded in a worker process and merged into this sink.
+        # In parallel mode every span was recorded in a worker process and
+        # merged into this sink.
         spans = _sweep_spans(sink)
         assert len(spans) == sink.solves == 5
         assert all(s.solver == "ialm" for s in spans)
-        assert sink.counters["fleet.sweep.shards"] == 2
         assert sink.counters["fleet.clusters"] == 5
-        expected_workers = 1 if mode == "serial" else min(N_WORKERS, 2)
+        expected_workers = 1 if mode == "serial" else min(N_WORKERS, 5)
         assert sink.counters["fleet.workers"] == expected_workers
         # The report snapshot carries the merged state too.
         assert [
