@@ -25,8 +25,6 @@ asserted unconditionally; the speedup target and the one-thread arm's
 a noisy shared runner's clock).
 """
 
-import ctypes
-import glob
 import os
 import time
 from contextlib import contextmanager
@@ -40,6 +38,7 @@ from repro.cloudsim.tracegen import TraceConfig, generate_trace
 from repro.core import elementwise
 from repro.core.decompose import decompose, decomposition_from_result
 from repro.observability.benchrecord import bench_record, write_bench_json
+from repro.utils.blas import blas_threads, set_blas_threads
 from tests.oracles import rpca_ialm_plain
 
 MB = 1024 * 1024
@@ -57,41 +56,18 @@ CELLS = [(SOLVER, "exact"), (SOLVER, "auto"), (SOLVER, ONE_THREAD)]
 POOL_TOLERANCE = 0.10
 
 
-def _openblas():
-    """numpy's bundled OpenBLAS (already loaded), or None for other builds."""
-    import numpy
-
-    libs = os.path.join(os.path.dirname(numpy.__file__), "..", "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads64_.restype = None
-            lib.scipy_openblas_get_num_threads64_.argtypes = []
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            return lib
-    return None
-
-
-_BLAS = _openblas()
-
-
-def blas_threads() -> int | None:
-    """Threads in numpy's OpenBLAS pool, or None when it cannot be read."""
-    return None if _BLAS is None else int(_BLAS.scipy_openblas_get_num_threads64_())
-
-
 @contextmanager
 def one_blas_thread():
     """Run the body on a one-thread OpenBLAS pool, then restore its size."""
-    if _BLAS is None:
-        pytest.skip("numpy's BLAS exposes no thread-count control")
     before = blas_threads()
-    _BLAS.scipy_openblas_set_num_threads64_(1)
+    if before is None:
+        pytest.skip("numpy's BLAS exposes no thread-count control")
+    set_blas_threads(1)
     try:
         yield
     finally:
-        _BLAS.scipy_openblas_set_num_threads64_(before)
+        set_blas_threads(before)
+
 
 # Filled by the backend-matrix benchmarks, consumed (and written out) by
 # test_backend_speedup_and_emit below. Keyed by (solver, svd).
@@ -177,7 +153,7 @@ def test_backend_speedup_and_emit(tp_196, emit, monkeypatch):
     """
     # The one-thread cell is skipped where numpy's BLAS has no thread-count
     # control; every other cell must have run.
-    expected = [c for c in CELLS if _BLAS is not None or c[1] != ONE_THREAD]
+    expected = [c for c in CELLS if blas_threads() is not None or c[1] != ONE_THREAD]
     assert sorted(_MATRIX) == sorted(expected), (
         "backend matrix did not populate (run the whole module)"
     )

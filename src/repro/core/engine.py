@@ -8,11 +8,14 @@ for long-running operation:
 * a **rolling window cache** — per-snapshot weight rows are computed once
   and stitched into TP-matrix windows, byte-identical to
   ``trace.tp_matrix(nbytes, start, count)``, so successive overlapping
-  windows share all their unchanged rows; every solve of a window is cold
-  (see :mod:`repro.core.ialm` for why IALM takes no warm start);
-* **streaming wrap reuse** — a streaming-mode re-calibration over the very
-  same cached rows as the last cold solve (a replay wrapping onto its
-  first window again) is served from that solve's result;
+  windows share all their unchanged rows. The cache holds one window
+  (``time_step`` rows, least recently used out first), so its memory does
+  not grow with the run; every solve of a window is cold (see
+  :mod:`repro.core.ialm` for why IALM takes no warm start);
+* **streaming wrap reuse** — a streaming-mode re-calibration of the same
+  window bounds over rows equal in value to those of the last cold solve
+  (a replay wrapping onto its first window again) is served from that
+  solve's result;
 * **instrumentation** — every solve lands a
   :class:`~repro.observability.SolveSpan` plus solve and cache-hit
   counters in the engine's :class:`~repro.observability.Instrumentation`
@@ -106,12 +109,20 @@ class TraceWindowSource:
     def snapshot_row(self, k: int, nbytes: float) -> np.ndarray:
         a = np.ascontiguousarray(self.trace.alpha[k], dtype=np.float64)
         b = np.ascontiguousarray(self.trace.beta[k], dtype=np.float64)
-        w = np.zeros_like(a)
-        # α + nbytes/β written straight into w's off-diagonal view: the same
-        # two ufuncs, in the same operand order, as trace.tp_matrix.
-        off = off_diagonal(w)
-        np.divide(nbytes, off_diagonal(b), out=off)
-        np.add(off_diagonal(a), off, out=off)
+        # α + nbytes/β in two contiguous passes over the whole matrix (the
+        # same two ufuncs, in the same operand order, as trace.tp_matrix),
+        # then a zero diagonal. Whatever β holds on the diagonal must not
+        # warn, so the passes run silenced; when an entry comes out
+        # non-finite the off-diagonal is recomputed through its strided
+        # view, which warns (or raises) exactly as trace.tp_matrix does.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = np.divide(nbytes, b)
+            np.add(a, w, out=w)
+        np.fill_diagonal(w, 0.0)
+        if not np.isfinite(w).all():
+            off = off_diagonal(w)
+            np.divide(nbytes, off_diagonal(b), out=off)
+            np.add(off_diagonal(a), off, out=off)
         return w.reshape(-1)
 
     def snapshot_mask(self, k: int) -> np.ndarray | None:
@@ -152,9 +163,6 @@ class DecompositionEngine:
         :func:`~repro.core.decompose.constant_row`).
     instrumentation:
         Sink for counters and solve spans; a fresh one is created if omitted.
-    max_cached_rows:
-        Bound on the per-snapshot row cache (LRU eviction); ``None`` keeps
-        every row ever computed — right for replays that wrap around.
     min_snapshot_observed:
         Minimum off-diagonal observed fraction a single snapshot must reach
         for a window containing it to be usable; below it :meth:`window`
@@ -176,7 +184,6 @@ class DecompositionEngine:
         options: SolveOptions | None = None,
         extraction: str = "mean",
         instrumentation: Instrumentation | None = None,
-        max_cached_rows: int | None = None,
         min_snapshot_observed: float = 0.0,
         min_window_observed: float = 0.0,
         **solver_kwargs: Any,
@@ -187,8 +194,6 @@ class DecompositionEngine:
         check_nonnegative(nbytes, "nbytes")
         if int(time_step) < 1:
             raise ValidationError("time_step must be >= 1")
-        if max_cached_rows is not None and int(max_cached_rows) < 1:
-            raise ValidationError("max_cached_rows must be >= 1 or None")
         misplaced = sorted(set(solver_kwargs) & {f.name for f in fields(SolveOptions)})
         if misplaced:
             raise TypeError(f"pass {misplaced} as options=SolveOptions(...)")
@@ -203,7 +208,6 @@ class DecompositionEngine:
         self.instrumentation = (
             instrumentation if instrumentation is not None else Instrumentation("engine")
         )
-        self.max_cached_rows = max_cached_rows
         self.min_snapshot_observed = check_probability(
             min_snapshot_observed, "min_snapshot_observed"
         )
@@ -211,6 +215,7 @@ class DecompositionEngine:
             min_window_observed, "min_window_observed"
         )
         # Insertion order == LRU order; values are (row, mask_row | None).
+        # At most time_step entries: one window, whatever the run length.
         self._rows: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
         self._last: Decomposition | None = None
         # Snapshot keys of the window _last was built from.
@@ -218,11 +223,13 @@ class DecompositionEngine:
         # Shared all-True mask row, allocated once and reused by every
         # partially-masked window instead of per call.
         self._full_mask_row: np.ndarray | None = None
-        # Streaming mode: the row-cache entries of the last cold-solved,
-        # fully observed window (their identity is the key), the result of
-        # that solve and the stream seed prepared from it. Never exported:
-        # a rebuilt engine misses once.
-        self._solved: tuple[tuple[Any, ...], SolverResult, StreamSeed] | None = None
+        # Streaming mode: the bounds and rows of the last cold-solved, fully
+        # observed window (together the key), the result of that solve and
+        # the stream seed prepared from it. Never exported: a rebuilt engine
+        # misses once.
+        self._solved: (
+            tuple[range, list[np.ndarray], SolverResult, StreamSeed] | None
+        ) = None
 
     # -- state ------------------------------------------------------------
     @property
@@ -267,7 +274,10 @@ class DecompositionEngine:
 
     # -- persistence -------------------------------------------------------
     def export_cache(self) -> dict[int, tuple[np.ndarray, np.ndarray | None]]:
-        """The rolling row cache, LRU order preserved (oldest first)."""
+        """The rolling row cache, LRU order preserved (oldest first).
+
+        At most ``time_step`` entries.
+        """
         return dict(self._rows)
 
     def export_stream_state(self) -> StreamState | None:
@@ -292,11 +302,15 @@ class DecompositionEngine:
         """Replace the row cache with snapshots *keys* re-read from the source.
 
         *keys* in LRU order (oldest first), as :meth:`export_cache` lists
-        them. A source read is deterministic, so each row is byte-identical
-        to the one cached before; the reads are not counted as window
-        misses, since the engine that exported the keys counted them.
+        them. Only the last ``time_step`` are read: the ones a bounded cache
+        would hold, so an older checkpoint that lists every snapshot its
+        unbounded cache ever held restores the same cache. A source read is
+        deterministic, so each row is byte-identical to the one cached
+        before; the reads are not counted as window misses, since the
+        engine that exported the keys counted them.
         """
-        self._rows = {int(k): self._read_row(int(k)) for k in keys}
+        tail = [int(k) for k in keys][-self.time_step :]
+        self._rows = {k: self._read_row(k) for k in tail}
 
     def restore_last(self, dec: Decomposition, window: range | None) -> None:
         """Put *dec*, built from the snapshots *window*, back in service."""
@@ -342,7 +356,7 @@ class DecompositionEngine:
         else:
             self.instrumentation.count("engine.window.hit")
         self._rows[k] = entry  # re-insert: most recently used
-        if self.max_cached_rows is not None and len(self._rows) > self.max_cached_rows:
+        if len(self._rows) > self.time_step:
             self._rows.pop(next(iter(self._rows)))  # least recently used
         return entry
 
@@ -431,46 +445,50 @@ class DecompositionEngine:
         same window.
 
         In streaming mode every calibrate is the *certified oracle*: the
-        streaming subspace is (re)seeded from its result. A cold solve
-        depends only on the window's rows, so when the window is
-        built from the very same row-cache entries as the last cold-solved
-        fully observed window (a replay that wraps onto the same snapshots
-        again) that solve's result is served instead of solving again,
-        counted as ``engine.solve.reused``, and the stream is reseeded from
-        the seed prepared from it then. A row that was re-measured,
-        re-imported or evicted since is a new object, hence a new solve.
+        streaming subspace is (re)seeded from its result. A cold solve is a
+        deterministic function of the window's values, so when the window
+        has the bounds of the last cold-solved fully observed window and
+        rows equal to its rows (a replay that wraps onto the same snapshots
+        again, re-read after the cache evicted them) that solve's result is
+        served instead of solving again, counted as
+        ``engine.solve.reused``, and the stream is reseeded from the seed
+        prepared from it then. A row re-measured to a different value is a
+        new solve, and so is any masked window.
         """
         start = max(0, end - self.time_step)
+        window = range(start, end)
         tp = self.window(start, end)
         if self.options.mode != "streaming":
             dec = self.solve(tp)
-            self._last_window = range(start, end)
+            self._last_window = window
             return dec
-        # The entries window() just read; None where the LRU bound already
-        # evicted one.
-        entries = tuple(self._rows.get(k) for k in range(start, end))
+        # window() just read these rows, and the cache holds a whole window.
+        rows = [self._rows[k][0] for k in window]
         memo = self._solved
-        if memo is not None and len(memo[0]) == len(entries) and all(
-            a is b for a, b in zip(memo[0], entries)
+        if (
+            memo is not None
+            and tp.mask is None
+            and memo[0] == window
+            and all(a is b or np.array_equal(a, b) for a, b in zip(memo[1], rows))
         ):
             self.instrumentation.count("engine.solve.reused")
             dec = decomposition_from_rows(
-                [row for row, _ in entries],
-                memo[1],
+                rows,
+                memo[2],
                 n_machines=self.source.n_machines,
                 solver=self.options.solver,
                 extraction=self.extraction,
             )
-            self.restore_last(dec, range(start, end))
+            self.restore_last(dec, window)
             streamer = self._streamer_for(tp.data.shape)
             with instrumented(self.instrumentation):
-                streamer.reseed(end, memo[2])
+                streamer.reseed(end, memo[3])
             return dec
         dec = self.solve(tp)
-        self._last_window = range(start, end)
+        self._last_window = window
         seed = self._seed_stream(end, tp, dec)
-        if seed is not None and None not in entries:
-            self._solved = (entries, dec.solver_result, seed)
+        if seed is not None:
+            self._solved = (window, rows, dec.solver_result, seed)
         return dec
 
     # -- streaming ---------------------------------------------------------

@@ -178,11 +178,13 @@ class _WorkerPool:
         self.workers: list[_Worker] = []
         self.restarts = 0
         self._spawned = 0
+        self._size = 1  # workers the pool was started with
         self._expected_kills: set[int] = set()
         self._by_attempt: dict[int, _Worker] = {}
         self._deaths: list[tuple[int | None, int | None, bool, tuple[int, ...]]] = []
 
     def start(self, n: int) -> None:
+        self._size = n
         for _ in range(n):
             self._spawn()
 
@@ -191,7 +193,7 @@ class _WorkerPool:
         results, sender = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(task_queue, sender),
+            args=(task_queue, sender, self._size),
             daemon=True,
             name=f"repro-fleet-worker-{self._spawned}",
         )

@@ -40,6 +40,7 @@ from ..core.options import SolveOptions
 from ..core.solvers import solve_rpca
 from ..observability import Instrumentation, instrumented
 from ..runtime.session import OperationSpec, SessionCapsule, TraceSession
+from ..utils.blas import share_blas_pool
 from .report import SweepClusterResult
 from .shm import SharedTraceBlock, TraceBlockDescriptor
 
@@ -183,18 +184,21 @@ def _run_batch(
     return session.capture_capsule()
 
 
-def worker_main(task_queue: Any, result_conn: Any) -> None:
+def worker_main(task_queue: Any, result_conn: Any, n_workers: int) -> None:
     """Worker loop: run batch and sweep tasks until the ``None`` sentinel.
 
-    Runs in a child process. Every message goes to ``result_conn``, the
-    write end of a pipe this worker alone holds; ``send`` writes it from
-    this thread, so a kill can tear at most this worker's own stream. Any
-    exception inside a task is caught and shipped back as text in the
-    result's ``error`` — exception *objects* don't survive process
-    boundaries reliably, and a poisoned cluster must not take the worker
-    (and every other cluster queued behind it) down.
+    Runs in a child process, one of *n_workers*, which first shrinks its
+    BLAS pool to its share of the CPUs
+    (:func:`~repro.utils.blas.share_blas_pool`). Every message goes to
+    ``result_conn``, the write end of a pipe this worker alone holds;
+    ``send`` writes it from this thread, so a kill can tear at most this
+    worker's own stream. Any exception inside a task is caught and shipped
+    back as text in the result's ``error`` — exception *objects* don't
+    survive process boundaries reliably, and a poisoned cluster must not
+    take the worker (and every other cluster queued behind it) down.
     """
     pid = os.getpid()
+    share_blas_pool(n_workers)
     blocks: dict[str, SharedTraceBlock] = {}
     traces: dict[str, CalibrationTrace] = {}
     try:

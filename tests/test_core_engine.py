@@ -62,6 +62,46 @@ class TestWindowCache:
         for k in range(trace.n_snapshots):
             assert src.snapshot_row(k, 8 * MB).tobytes() == direct[k].tobytes()
 
+    @pytest.mark.parametrize("diagonal", [0.0, np.nan, -np.inf])
+    def test_odd_beta_diagonal_rows_byte_identical_and_silent(self, diagonal):
+        import warnings
+        from types import SimpleNamespace
+
+        from repro.cloudsim.trace import CalibrationTrace
+
+        base = generate_trace(TraceConfig(n_machines=6, n_snapshots=3), seed=5)
+        beta = base.beta.copy()
+        for b in beta:
+            np.fill_diagonal(b, diagonal)
+        trace = SimpleNamespace(
+            alpha=base.alpha, beta=beta, timestamps=base.timestamps, mask=None,
+            n_machines=base.n_machines, n_snapshots=base.n_snapshots,
+        )
+        direct = CalibrationTrace.tp_matrix(trace, 8 * MB).data
+        src = TraceWindowSource(trace)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = [src.snapshot_row(k, 8 * MB) for k in range(trace.n_snapshots)]
+        for k, row in enumerate(rows):
+            assert row.tobytes() == direct[k].tobytes()  # +0.0 diagonal
+
+    def test_zero_off_diagonal_beta_still_warns(self):
+        from types import SimpleNamespace
+
+        base = generate_trace(TraceConfig(n_machines=4, n_snapshots=2), seed=5)
+        beta = base.beta.copy()
+        beta[1, 0, 2] = 0.0
+        trace = SimpleNamespace(
+            alpha=base.alpha, beta=beta, timestamps=base.timestamps,
+            n_machines=base.n_machines, n_snapshots=base.n_snapshots,
+        )
+        src = TraceWindowSource(trace)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            row = src.snapshot_row(1, 8 * MB)
+        assert np.isinf(row[2]) and row[0] == 0.0
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            src.snapshot_row(1, 8 * MB)
+
     def test_masked_trace_rows_byte_identical_to_tp_matrix(self, small_trace):
         from repro.faults import ProbeLoss, inject_faults
 
@@ -82,7 +122,7 @@ class TestWindowCache:
         assert eng.instrumentation.counters["engine.window.miss"] == 12
 
     def test_lru_bound_evicts(self, small_trace):
-        eng = DecompositionEngine(small_trace, nbytes=8 * MB, max_cached_rows=5)
+        eng = DecompositionEngine(small_trace, nbytes=8 * MB, time_step=5)
         eng.window(0, 10)
         assert len(eng._rows) == 5
         # Rows 5..9 are resident; re-reading them costs no misses.
@@ -396,6 +436,29 @@ def _streaming_engine(trace, **kwargs):
     )
 
 
+class _Remeasured:
+    """A trace source whose snapshot *k* reads one entry higher from its
+    second read on: a live source that re-measured a different value."""
+
+    def __init__(self, trace, k):
+        self._inner = TraceWindowSource(trace)
+        self.n_machines = self._inner.n_machines
+        self.n_snapshots = self._inner.n_snapshots
+        self.k = k
+        self.reads = 0
+
+    def snapshot_row(self, k, nbytes):
+        row = self._inner.snapshot_row(k, nbytes)
+        if k == self.k:
+            self.reads += 1
+            if self.reads > 1:
+                row[1] *= 1.5  # an off-diagonal entry
+        return row
+
+    def timestamp(self, k):
+        return self._inner.timestamp(k)
+
+
 def _solve_counts(eng):
     counters = eng.instrumentation.counters
     return counters.get("engine.solve.cold", 0), counters.get("engine.solve.reused", 0)
@@ -437,7 +500,7 @@ class TestWrapSolveReuse:
         assert _stream_bytes(eng) == seeded
         assert "engine.solve.reused" in eng.instrumentation.report()
 
-    def test_reimported_rows_of_equal_value_are_a_miss(self, small_trace):
+    def test_reimported_rows_of_equal_value_are_a_hit(self, small_trace):
         eng = _streaming_engine(small_trace)
         first = eng.calibrate(11)
         before = eng.export_cache()
@@ -446,24 +509,31 @@ class TestWrapSolveReuse:
             assert row is not before[k][0]
             assert row.tobytes() == before[k][0].tobytes()
         again = eng.calibrate(11)
-        assert _solve_counts(eng) == (2, 0)
-        assert again.solver_result is not first.solver_result
+        assert _solve_counts(eng) == (1, 1)
+        assert again.solver_result is first.solver_result
         _assert_same_decomposition(again, first)
 
-    def test_evicted_rows_are_a_miss(self, small_trace):
-        eng = _streaming_engine(small_trace, max_cached_rows=10)
+    def test_evicted_rows_of_equal_value_are_a_hit(self, small_trace):
+        eng = _streaming_engine(small_trace)
         first = eng.calibrate(11)
         eng.window(12, 22)  # evicts every row of [1, 11)
+        assert not set(eng.export_cache()) & set(range(1, 11))
         again = eng.calibrate(11)
-        assert _solve_counts(eng) == (2, 0)
+        assert _solve_counts(eng) == (1, 1)
         _assert_same_decomposition(again, first)
 
-    def test_a_cache_smaller_than_the_window_never_reuses(self, small_trace):
-        eng = _streaming_engine(small_trace, max_cached_rows=5)
+    def test_a_row_remeasured_to_a_new_value_is_a_miss(self, small_trace):
+        # Same bounds, one entry changed on re-read: a memo keyed on the
+        # window bounds alone would serve the stale solve here.
+        src = _Remeasured(small_trace, k=5)
+        eng = _streaming_engine(src)
         first = eng.calibrate(11)
+        eng.window(12, 22)
         again = eng.calibrate(11)
+        assert src.reads == 2
         assert _solve_counts(eng) == (2, 0)
-        _assert_same_decomposition(again, first)
+        assert again.constant.row.tobytes() != first.constant.row.tobytes()
+        _assert_same_decomposition(again, decompose(eng.window(1, 11)))
 
     def test_masked_window_is_a_miss(self):
         from repro.cloudsim.trace import CalibrationTrace
@@ -511,8 +581,9 @@ def _arrays_bytes(arrays):
 
 @pytest.fixture(scope="module")
 def wrapped_pair():
-    """One streamed session at paper scale that crosses WRAPS wraps, and the
-    oracle session that re-solves every wrap."""
+    """One streamed session at paper scale that crosses WRAPS wraps, the
+    oracle session that re-solves every wrap, and the size of the streamed
+    session's row cache after each operation."""
     from tests.oracles import AlwaysSolveSession
 
     trace = generate_trace(
@@ -525,18 +596,20 @@ def wrapped_pair():
     roots = np.random.default_rng(4).integers(WRAP_N, size=WRAP_PASS * WRAPS + 1)
     ops = ("broadcast", "scatter", "reduce", "gather")
 
-    def run(cls):
+    def run(cls, sizes):
         s = cls(trace, threshold=1.0, mode="streaming", regime="drift")
         for i, root in enumerate(roots.tolist()):
             s.run_collective(ops[i % 4], root=root)
+            sizes.append(len(s._engine.export_cache()))
         return s
 
-    return run(TraceSession), run(AlwaysSolveSession)
+    cache_sizes: list[int] = []
+    return run(TraceSession, cache_sizes), run(AlwaysSolveSession, []), cache_sizes
 
 
 class TestWrapReuseAtPaperScale:
     def test_session_matches_the_always_solve_oracle(self, wrapped_pair):
-        session, oracle = wrapped_pair
+        session, oracle, _ = wrapped_pair
         wraps = session.stats.epochs
         assert wraps == WRAPS
         # Only wraps re-calibrate: no fold fell back and no shift fired.
@@ -554,7 +627,7 @@ class TestWrapReuseAtPaperScale:
         assert session.weight_matrix().tobytes() == oracle.weight_matrix().tobytes()
 
     def test_every_wrap_after_the_first_is_reused(self, wrapped_pair):
-        session, oracle = wrapped_pair
+        session, oracle, _ = wrapped_pair
         wraps = session.stats.epochs
         counters = session.instrumentation.counters
         assert counters["engine.solve.reused"] == wraps - 1
@@ -567,9 +640,29 @@ class TestWrapReuseAtPaperScale:
         assert fleet.counters["engine.solve.reused"] == wraps - 1
 
     def test_capsule_arrays_match_the_oracle(self, wrapped_pair):
-        session, oracle = wrapped_pair
+        session, oracle, _ = wrapped_pair
         assert _arrays_bytes(session.capture_capsule().arrays) == _arrays_bytes(
             oracle.capture_capsule().arrays
+        )
+
+    def test_the_row_cache_holds_one_window(self, wrapped_pair):
+        # Every wrap re-reads the rows its first pass read; the memo matches
+        # them by value, so a cache of one window loses no reuse.
+        session, _, cache_sizes = wrapped_pair
+        time_step = session.time_step
+        assert session.stats.epochs >= 2
+        assert len(cache_sizes) == WRAP_PASS * WRAPS + 1
+        assert max(cache_sizes) == time_step
+        assert list(session._engine.export_cache()) == list(
+            session._engine.last_window
+        )
+        counters = session.instrumentation.counters
+        assert counters["engine.solve.reused"] == session.stats.epochs - 1
+        # The boot window; then each operation reads its new snapshot, and
+        # each wrap re-reads the other time_step - 1 rows of its window.
+        ops, wraps = len(cache_sizes), session.stats.epochs
+        assert counters["engine.window.miss"] == (
+            time_step + ops + wraps * (time_step - 2)
         )
 
 
@@ -668,3 +761,85 @@ class TestWrapReuseAcrossResume:
         assert counters["engine.solve.reused"] == 3
         assert len(prepared) == counters["engine.solve.cold"] == 2
         assert counters["kernel.stream.reseeds"] == 2 + 3
+
+
+class TestRowCacheBound:
+    """The row cache holds one window (``time_step`` rows) however long the
+    run, and a checkpoint listing more keys restores that same window."""
+
+    def test_reads_never_grow_the_cache_past_one_window(self, small_trace):
+        eng = DecompositionEngine(small_trace, nbytes=8 * MB, time_step=6)
+        t = small_trace.n_snapshots
+        for _ in range(2):  # two passes, as a wrapping replay reads them
+            for end in range(6, t + 1):
+                eng.window(end - 6, end)
+                assert list(eng.export_cache()) == list(range(end - 6, end))
+            eng.calibrate(t)
+        # A window longer than the cache still stacks every row it reads.
+        win = eng.window(0, t)
+        assert win.data.tobytes() == small_trace.tp_matrix(8 * MB).data.tobytes()
+        assert list(eng.export_cache()) == list(range(t - 6, t))
+
+    def test_reload_keeps_the_last_window_of_a_long_key_list(self, small_trace):
+        eng = DecompositionEngine(small_trace, nbytes=8 * MB)
+        # An unbounded cache's LRU list: every snapshot ever read.
+        keys = [*range(12, 24), *range(0, 12)]
+        eng.reload_cache(keys)
+        assert list(eng.export_cache()) == keys[-10:]
+        misses = eng.instrumentation.counters.get("engine.window.miss", 0)
+        eng.window(2, 12)
+        assert eng.instrumentation.counters.get("engine.window.miss", 0) == misses
+
+    def test_a_long_legacy_cache_key_list_resumes_bitwise(self, small_trace, tmp_path):
+        from repro.persistence import CheckpointStore, PersistenceConfig
+
+        def session(persistence=None):
+            return TraceSession(
+                small_trace, threshold=1.0, mode="streaming", regime="drift",
+                persistence=persistence,
+            )
+
+        def drive(s, stop):
+            while s.stats.operations < stop:
+                k = s.stats.operations
+                s.run_collective(("broadcast", "reduce")[k % 2], root=k % 8)
+
+        ops, mid = 40, 21  # past the first wrap, then across two more
+        reference = session()
+        drive(reference, ops)
+
+        persisted = PersistenceConfig(directory=tmp_path / "legacy", checkpoint_every=mid)
+        crashed = session(persisted)
+        drive(crashed, mid)  # checkpointed at mid, abandoned without close()
+        store = CheckpointStore(str(tmp_path / "legacy"))
+        ckpt = store.load_latest()
+        keys = ckpt.arrays["cache_keys"].tolist()
+        assert len(keys) == 10
+        # Rewrite it as an unbounded cache would have: every snapshot read
+        # so far, least recently used first.
+        legacy = [k for k in range(small_trace.n_snapshots) if k not in keys] + keys
+        store.save({**ckpt.arrays, "cache_keys": np.asarray(legacy, np.int64)}, ckpt.meta)
+
+        resumed = TraceSession.resume(
+            tmp_path / "legacy", trace=small_trace, persistence=persisted
+        )
+        assert resumed.stats.operations == mid
+        assert list(resumed._engine.export_cache()) == keys
+        drive(resumed, ops)
+        resumed.close()
+        assert resumed.stats == reference.stats
+        assert resumed.decomposition.constant.row.tobytes() == (
+            reference.decomposition.constant.row.tobytes()
+        )
+        want = reference.instrumentation.counters
+        got = resumed.instrumentation.counters
+        for name in ("engine.window.hit", "engine.window.miss"):
+            assert got[name] == want[name], name
+        # The wrap memo is not checkpointed: the one wrap after the resume
+        # solves where the uninterrupted run reused.
+        assert want["engine.solve.reused"] == 1
+        assert "engine.solve.reused" not in got
+        assert got["engine.solve.cold"] == want["engine.solve.cold"] + 1
+        assert _arrays_bytes(resumed.capture_capsule().arrays) == _arrays_bytes(
+            reference.capture_capsule().arrays
+        )

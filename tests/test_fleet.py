@@ -450,3 +450,58 @@ class TestRunFleetFacade:
         assert np.array_equal(
             par.clusters["x"].constant_row, ser.clusters["x"].constant_row
         )
+
+
+class TestBlasPool:
+    """Each fleet worker runs a BLAS pool of its share of the CPUs."""
+
+    @pytest.fixture
+    def pool(self):
+        from repro.utils import blas
+
+        before = blas.blas_threads()
+        if before is None:
+            pytest.skip("numpy's BLAS exposes no thread-count control")
+        yield blas
+        blas.set_blas_threads(before)
+
+    def test_unpinned_two_worker_fleet_runs_one_blas_thread_per_worker(
+        self, pool, tmp_path, monkeypatch
+    ):
+        import multiprocessing as mp
+
+        import repro.fleet.worker as worker_mod
+
+        if mp.get_start_method() != "fork":
+            pytest.skip("the worker probe relies on fork inheriting the patch")
+        # Two CPUs, and a pool as large as them: BLAS left unpinned.
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        pool.set_blas_threads(2)
+        if pool.blas_threads() != 2:
+            pytest.skip("numpy's BLAS pool cannot grow to two threads here")
+        log = tmp_path / "threads.log"
+        real = worker_mod._run_batch
+
+        def probe(task, traces):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {pool.blas_threads()}\n")
+            return real(task, traces)
+
+        monkeypatch.setattr(worker_mod, "_run_batch", probe)
+        report = FleetScheduler(_clusters(4), FleetConfig(n_workers=2, **CFG)).run()
+        assert report.total_operations == 4 * CFG["operations"]
+        seen = {tuple(line.split()) for line in log.read_text().splitlines()}
+        assert len({pid for pid, _ in seen}) == 2
+        assert {threads for _, threads in seen} == {"1"}
+        assert pool.blas_threads() == 2  # the scheduler's own pool is untouched
+
+    def test_share_never_grows_a_pool(self, pool, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 8)
+        pool.set_blas_threads(1)
+        assert pool.share_blas_pool(2) == 1
+        assert pool.blas_threads() == 1
+
+    def test_share_without_blas_control_does_nothing(self, pool, monkeypatch):
+        monkeypatch.setattr(pool, "openblas", lambda: None)
+        assert pool.blas_threads() is None
+        assert pool.share_blas_pool(2) is None
